@@ -42,8 +42,8 @@ fn main() {
         "Portus", "-", "-", "-", "-", "-", portus.total
     );
     println!(
-        "\nPortus phases: pull {:.3}s, persist {:.3}s, checksum {:.3}s \
-         ({} WQEs in {} doorbell batches, {} coalesced WQEs / {} MiB)",
+        "\nPortus phases: pull {:.3}s; seal service (overlaps the pull): persist {:.3}s, \
+         checksum {:.3}s ({} WQEs in {} doorbell batches, {} coalesced WQEs / {} MiB)",
         portus.pull,
         portus.persist,
         portus.checksum,
@@ -55,7 +55,7 @@ fn main() {
 
     // QP-striping sweep: the same checkpoint with the doorbell batch
     // striped across 1..8 lane-pinned QPs, the persist+checksum seal
-    // pipelining behind the fabric once qps > 1.
+    // pipelining behind the fabric at every count.
     eprintln!("sweeping QP striping (1..8 lanes)...");
     let (qp_points, qp4_trace) = realplane::portus_qp_sweep(&spec, &[1, 2, 4, 8]);
     println!("\nQP striping sweep — same BERT checkpoint, striped datapath");
@@ -76,8 +76,8 @@ fn main() {
         );
     }
     println!(
-        "shape: with one QP the seal runs after the pulls (overlap 0%); striped lanes\n\
-         drain while earlier runs persist and checksum, so the seal hides in the fabric."
+        "shape: at every QP count earlier runs persist and checksum while later runs\n\
+         drain, so the seal hides in the fabric; more lanes shorten the fabric itself."
     );
 
     let serial_memcpy_beegfs =

@@ -108,12 +108,15 @@ pub struct PortusBreakdown {
     pub bytes: u64,
     /// End-to-end checkpoint time (clock delta), virtual seconds.
     pub total: f64,
-    /// One-sided RDMA pull phase (total minus persist/checksum),
+    /// One-sided RDMA pull phase (first doorbell to last completion),
     /// virtual seconds.
     pub pull: f64,
-    /// Persist phase (cache-line flushes + fence), virtual seconds.
+    /// Persist service time (cache-line flushes + fences), virtual
+    /// seconds. The seal pipelines behind the pull, so this overlaps
+    /// `pull` rather than adding to it.
     pub persist: f64,
-    /// Checksum/verify phase (PMem read-back), virtual seconds.
+    /// Digest service time (PMem read-back), virtual seconds; overlaps
+    /// `pull` like `persist`.
     pub checksum: f64,
     /// Gather WQEs posted to the daemon's queue pair.
     pub posted_verbs: u64,
@@ -173,11 +176,16 @@ pub fn portus_breakdown_traced(spec: &ModelSpec) -> (PortusBreakdown, String) {
 
     // Phase times from the recorded spans; the counter-based totals
     // must agree exactly — same virtual clock, same deterministic run.
+    let spans: Vec<_> = ctx
+        .tracer
+        .spans()
+        .into_iter()
+        .filter(|s| s.op == TraceOp::Checkpoint)
+        .collect();
     let stage_total = |stage: Stage| -> SimDuration {
-        ctx.tracer
-            .spans()
+        spans
             .iter()
-            .filter(|s| s.op == TraceOp::Checkpoint && s.stage == stage)
+            .filter(|s| s.stage == stage)
             .map(|s| s.duration())
             .sum()
     };
@@ -195,7 +203,16 @@ pub fn portus_breakdown_traced(spec: &ModelSpec) -> (PortusBreakdown, String) {
     );
 
     let trace_json = ctx.tracer.to_chrome_trace();
-    let pull = total.saturating_sub(persist).saturating_sub(checksum);
+    let fabric = spans
+        .iter()
+        .filter(|s| matches!(s.stage, Stage::DoorbellPost | Stage::CqDrain));
+    let pull = match (
+        fabric.clone().map(|s| s.start).min(),
+        fabric.map(|s| s.end).max(),
+    ) {
+        (Some(start), Some(end)) => end.saturating_since(start),
+        _ => SimDuration::ZERO,
+    };
     let breakdown = PortusBreakdown {
         model: spec.name.clone(),
         bytes: spec.total_bytes(),
@@ -220,13 +237,12 @@ pub struct QpSweepPoint {
     /// End-to-end checkpoint time (clock delta), virtual seconds.
     pub total: f64,
     /// Persist stage service time (from the `persist_ns` counter),
-    /// virtual seconds. Overlapped with the fabric when `qps > 1`.
+    /// virtual seconds, overlapped with the fabric.
     pub persist: f64,
     /// Checksum stage service time, virtual seconds.
     pub checksum: f64,
     /// Share of persist+checksum service granted while WQE completions
-    /// were still draining, in permille (the pipeline-overlap gauge;
-    /// 0 on the classic serial path).
+    /// were still draining, in permille (the pipeline-overlap gauge).
     pub overlap_permille: u64,
     /// Gather WQEs posted.
     pub posted_verbs: u64,

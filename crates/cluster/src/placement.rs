@@ -20,6 +20,7 @@
 //! Everything here is pure integer math over the model name and the
 //! alive set: deterministic per config, independent of call order.
 
+use portus_sim::hash::{fnv1a, splitmix64};
 use serde::{Deserialize, Serialize};
 
 use crate::ops::JobShape;
@@ -80,22 +81,11 @@ pub struct Stripe {
     pub targets: Vec<usize>,
 }
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// The rendezvous score of `(model, daemon)`: a deterministic 64-bit
 /// weight mixing an FNV-1a hash of the model name with the daemon
 /// index through splitmix64.
 pub fn rendezvous_score(model: &str, daemon: usize) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in model.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
+    let h = fnv1a(model.as_bytes());
     splitmix64(h ^ (daemon as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 

@@ -218,6 +218,9 @@ impl PortusClient {
                 Err(PortusError::Throttled { retry_after_ns })
             }
             Reply::CatalogFull { capacity, .. } => Err(PortusError::CatalogFull { capacity }),
+            Reply::ChecksumMismatch { model, version, .. } => {
+                Err(PortusError::ChecksumMismatch { model, version })
+            }
             ok => Ok(ok),
         }
     }

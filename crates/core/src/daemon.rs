@@ -18,8 +18,9 @@
 //! of its run:
 //!
 //! * checkpoint — the daemon **reads** every tensor out of the client's
-//!   GPU memory straight into the slot's TensorData region on PMem,
-//!   flushes, checksums, and flips the slot to `Done`;
+//!   GPU memory straight into the slot's TensorData region on PMem;
+//!   each run is persisted and digested as its completion drains, and
+//!   the slot flips to `Done` once the last run is sealed;
 //! * restore — the daemon **writes** the latest `Done` version back into
 //!   freshly registered GPU regions.
 //!
@@ -74,8 +75,6 @@ pub struct DaemonConfig {
     pub table_capacity: u32,
     /// AllocTable slots.
     pub alloc_slots: u32,
-    /// Verify the stored checksum before serving a restore.
-    pub verify_on_restore: bool,
     /// DRAM-fallback mode (paper §IV-a): "upon the absence of PMEM ...
     /// Portus can use DRAM as alternatives". Persistence calls are
     /// skipped; a power failure loses everything, as DRAM would.
@@ -110,13 +109,12 @@ pub struct DaemonConfig {
     /// `0` disables background compaction entirely.
     pub space_high_watermark: u64,
     /// Queue pairs opened per client connection (clamped to at least
-    /// one). With more than one, each datapath operation **stripes**
-    /// its doorbell batch across the pool — every QP is pinned to its
-    /// own NIC DMA-engine lane ([`portus_rdma::QueuePair::connect_lane`]),
-    /// so runs on different QPs transfer in parallel up to the NICs'
-    /// engine counts, and completed runs flow into a pipelined
-    /// persist+checksum stage while later WQEs are still in flight.
-    /// `1` keeps the classic single-QP datapath, bit-for-bit.
+    /// one). Each datapath operation **stripes** its doorbell batch
+    /// across the pool — every QP is pinned to its own NIC DMA-engine
+    /// lane ([`portus_rdma::QueuePair::connect_lane`]), so runs on
+    /// different QPs transfer in parallel up to the NICs' engine
+    /// counts. At any count, completed runs flow into the pipelined
+    /// persist+digest seal while later WQEs are still in flight.
     pub qps_per_connection: usize,
     /// Multi-tenant QoS policy: per-tenant token buckets (admission)
     /// and lane weights (weighted-fair striping). The default is
@@ -162,7 +160,6 @@ impl Default for DaemonConfig {
         DaemonConfig {
             table_capacity: 1024,
             alloc_slots: 8192,
-            verify_on_restore: true,
             dram_fallback: false,
             dispatch_workers: 4,
             dispatch_queue_depth: 64,
@@ -379,21 +376,8 @@ pub struct ClientEndpoints {
 }
 
 /// The daemon-side queue pairs of one connection: one lane-pinned QP
-/// per configured stripe. A pool of one is the classic datapath.
-pub(crate) struct QpPool {
-    qps: Vec<Arc<QueuePair>>,
-}
-
-impl QpPool {
-    fn len(&self) -> usize {
-        self.qps.len()
-    }
-
-    /// The lane-0 QP — the only one a single-QP connection has.
-    fn primary(&self) -> &Arc<QueuePair> {
-        &self.qps[0]
-    }
-}
+/// per configured stripe, indexed by lane.
+type QpPool = [Arc<QueuePair>];
 
 pub(crate) struct DaemonState {
     pub(crate) ctx: SimContext,
@@ -599,7 +583,7 @@ impl PortusDaemon {
             daemon_qps.push(Arc::new(qp_daemon));
             client_qps.push(qp_client);
         }
-        let pool = Arc::new(QpPool { qps: daemon_qps });
+        let pool: Arc<QpPool> = Arc::from(daemon_qps);
         let state = Arc::clone(&self.state);
         let dispatcher = Arc::clone(&self.dispatcher);
         let tenant = self.state.qos.tenant_ctx(tenant);
@@ -904,6 +888,11 @@ fn error_reply(req_id: u64, e: PortusError) -> Reply {
             largest_extent,
         },
         PortusError::CatalogFull { capacity } => Reply::CatalogFull { req_id, capacity },
+        PortusError::ChecksumMismatch { model, version } => Reply::ChecksumMismatch {
+            req_id,
+            model,
+            version,
+        },
         other => Reply::Error {
             req_id,
             message: other.to_string(),
@@ -1085,22 +1074,21 @@ impl DatapathFailure {
 }
 
 /// What a successful posted operation leaves behind: each run's fabric
-/// `(start, end)` completion window, indexed like the input runs. Only
-/// the striped datapath fills this in (the single-QP path seals with
-/// the classic full-region pass and needs no per-run times).
+/// `(start, end)` completion window, indexed like the input runs — the
+/// arrival times the pipelined seal schedules against.
 struct RunOutcome {
     completions: Vec<Option<(SimTime, SimTime)>>,
 }
 
-/// One extent of a striped checkpoint whose bytes are already in the
-/// slot's data region, queued for the pipelined persist+checksum stage.
+/// One extent of a checkpoint whose bytes are already in the slot's
+/// data region, queued for the pipelined persist+digest stage.
 struct SealPiece {
     /// Slot-relative offset of the extent.
     rel_off: u64,
     /// Extent length in bytes.
     len: u64,
     /// Virtual instant the bytes were in place: the fabric completion
-    /// end for pulled runs, the copy completion for carry-overs.
+    /// end for pulled runs, the end of the copy stage for carry-overs.
     arrival: SimTime,
     /// Digest already computed from in-flight bytes (carry-overs hash
     /// the bounce buffer they stage through); `None` means the stage
@@ -1173,8 +1161,8 @@ fn drain_cq(
 /// Chunked device-local copy within one PMem namespace (the carry-over
 /// path of incremental checkpoints). Returns the positional digest of
 /// the copied bytes keyed at slot-relative `rel_off` — computed from
-/// the bounce buffer the copy already staged through, so a striped
-/// seal gets the extent's digest without a second read pass.
+/// the bounce buffer the copy already staged through, so the seal
+/// gets the extent's digest without a second read pass.
 fn copy_on_device(
     dev: &PmemDevice,
     src_off: u64,
@@ -1195,6 +1183,21 @@ fn copy_on_device(
         }
         Ok(digest)
     })
+}
+
+/// The seal pieces of a posted pull: one per run, arriving at its
+/// fabric completion (`now` for a run with no recorded window), with
+/// its digest left for the seal to read back.
+fn pull_pieces(runs: &[VerbRun], outcome: &RunOutcome, now: SimTime) -> Vec<SealPiece> {
+    runs.iter()
+        .zip(&outcome.completions)
+        .map(|(run, c)| SealPiece {
+            rel_off: run.base_rel,
+            len: run.len,
+            arrival: c.map_or(now, |(_, end)| end),
+            digest: None,
+        })
+        .collect()
 }
 
 impl DaemonState {
@@ -1374,42 +1377,9 @@ impl DaemonState {
         self.index.load_mindex(off)
     }
 
-    fn persist_data(&self, off: u64, len: u64) -> PortusResult<()> {
-        if !self.cfg.dram_fallback {
-            self.index.device().persist(off, len)?;
-        }
-        Ok(())
-    }
-
-    /// Persists pulled data, recording the phase time on the stats and
-    /// a `Persist` span on `sc`.
-    fn persist_phase(&self, off: u64, len: u64, sc: &SpanCtx<'_>) -> PortusResult<()> {
-        let t0 = self.ctx.clock.now();
-        self.persist_data(off, len)?;
-        self.ctx
-            .stats
-            .record_persist_ns(self.ctx.clock.now().saturating_since(t0).as_nanos());
-        sc.record_now(Stage::Persist, t0);
-        Ok(())
-    }
-
-    /// Checksums a slot, charging the DAX read of the slot's bytes and
-    /// recording the phase time on the stats and a `Checksum` span on
-    /// `sc`.
-    fn checksum_phase(&self, mi: &MIndex, slot: usize, sc: &SpanCtx<'_>) -> PortusResult<u64> {
-        let t0 = self.ctx.clock.now();
-        let sum = self.index.slot_checksum(mi, slot)?;
-        self.ctx.charge(self.ctx.model.dax_read(mi.total_bytes));
-        self.ctx
-            .stats
-            .record_checksum_ns(self.ctx.clock.now().saturating_since(t0).as_nanos());
-        sc.record_now(Stage::Checksum, t0);
-        Ok(sum)
-    }
-
-    /// [`DaemonState::checksum_phase`] for digest-sealed slots
-    /// ([`crate::CKSUM_KIND_DIGEST`]): recomputes the positional digest
-    /// of the region at the same DAX read charge.
+    /// Recomputes a slot's positional digest, charging the DAX read of
+    /// the slot's bytes and recording the phase time on the stats and a
+    /// `Checksum` span on `sc`.
     fn digest_phase(&self, mi: &MIndex, slot: usize, sc: &SpanCtx<'_>) -> PortusResult<u64> {
         let t0 = self.ctx.clock.now();
         let digest = self.index.slot_digest(mi, slot)?;
@@ -1421,12 +1391,8 @@ impl DaemonState {
         Ok(digest)
     }
 
-    /// Verifies a `Done` slot before serving a restore, dispatching on
-    /// how the sealing write path validated it: digest-sealed slots
-    /// (striped checkpoints) recompute the positional digest; FNV
-    /// slots (classic checkpoints, and any header written before the
-    /// striped datapath existed) recompute the sequential checksum.
-    /// Both paths charge the same full-region DAX read.
+    /// Verifies a `Done` slot before serving a restore: the region's
+    /// positional digest must equal the one the header was sealed with.
     fn verify_slot(
         &self,
         mi: &MIndex,
@@ -1435,12 +1401,7 @@ impl DaemonState {
         model: &str,
         sc: &SpanCtx<'_>,
     ) -> PortusResult<()> {
-        let ok = if hdr.cksum_kind == crate::CKSUM_KIND_DIGEST {
-            self.digest_phase(mi, slot, sc)? == hdr.digest
-        } else {
-            self.checksum_phase(mi, slot, sc)? == hdr.checksum
-        };
-        if !ok {
+        if self.digest_phase(mi, slot, sc)? != hdr.digest {
             return Err(PortusError::ChecksumMismatch {
                 model: model.to_string(),
                 version: hdr.version,
@@ -1451,129 +1412,23 @@ impl DaemonState {
 
     /// Posts one WQE per run (gather-READs for [`Direction::Pull`],
     /// scatter-WRITEs for [`Direction::Push`], with the PMem side at
-    /// `data_off`), drains the completion queue(s), and re-posts failed
+    /// `data_off`), drains the completion queues, and re-posts failed
     /// WQEs for up to [`DaemonConfig::verb_retries`] rounds. Each round
     /// charges an exponentially growing backoff to the virtual clock
     /// before the fresh doorbell batch. Runs that stay failed after the
     /// last round come back as a [`DatapathFailure`] with per-run
     /// tensor attribution and retry counts.
     ///
-    /// A single-QP pool posts everything in one doorbell batch on the
-    /// classic eager path — bit-for-bit the pre-striping datapath. With
-    /// more QPs, runs are sharded largest-first across the pool's
-    /// lane-pinned QPs and posted deferred, so transfers overlap on
-    /// independent NIC engines and each run's completion window comes
-    /// back in [`RunOutcome`] for the pipelined seal.
-    fn execute_runs(
-        &self,
-        pool: &QpPool,
-        tenant: &TenantCtx,
-        runs: &[VerbRun],
-        data_off: u64,
-        dir: Direction,
-        sc: &SpanCtx<'_>,
-    ) -> Result<RunOutcome, DatapathFailure> {
-        if runs.is_empty() {
-            return Ok(RunOutcome {
-                completions: Vec::new(),
-            });
-        }
-        if pool.len() > 1 {
-            return self.execute_runs_striped(pool, tenant, runs, data_off, dir, sc);
-        }
-        self.execute_runs_single(pool.primary(), runs, data_off, dir, sc)
-    }
-
-    /// The classic single-QP datapath: one eager doorbell batch, one
-    /// completion queue, whole-batch retry rounds.
-    fn execute_runs_single(
-        &self,
-        qp: &Arc<QueuePair>,
-        runs: &[VerbRun],
-        data_off: u64,
-        dir: Direction,
-        sc: &SpanCtx<'_>,
-    ) -> Result<RunOutcome, DatapathFailure> {
-        let cq = CompletionQueue::new();
-        let pqp = PostedQueuePair::from_shared(Arc::clone(qp), cq.clone());
-        let post = |run: &VerbRun| -> WrId {
-            let region = RegionTarget::Pmem {
-                dev: Arc::clone(self.index.device()),
-                base: data_off + run.base_rel,
-                len: run.len,
-            };
-            match dir {
-                Direction::Pull => pqp.post_read_gather(&run.segs, &region, 0),
-                Direction::Push => pqp.post_write_scatter(&run.segs, &region, 0),
-            }
-        };
-
-        let t_post = self.ctx.clock.now();
-        pqp.begin_batch();
-        let posted: Vec<(WrId, usize)> = runs
-            .iter()
-            .enumerate()
-            .map(|(i, run)| (post(run), i))
-            .collect();
-        sc.record(Stage::DoorbellPost, t_post, self.ctx.clock.now(), 0);
-        let (mut failed, drain_span, _) = drain_cq(&cq, &posted);
-        if let Some((s, e)) = drain_span {
-            sc.record(Stage::CqDrain, s, e, 0);
-        }
-        let mut any_succeeded = failed.len() < runs.len();
-        let mut retries = vec![0u32; runs.len()];
-        let mut round = 0u32;
-        while !failed.is_empty() && round < self.cfg.verb_retries {
-            round += 1;
-            let t_backoff = self.ctx.clock.now();
-            self.ctx.charge(self.ctx.model.verb_retry_backoff(round));
-            sc.record(Stage::RetryBackoff, t_backoff, self.ctx.clock.now(), round);
-            let t_post = self.ctx.clock.now();
-            pqp.begin_batch();
-            let reposted: Vec<(WrId, usize)> = failed
-                .iter()
-                .map(|&(i, _)| {
-                    retries[i] += 1;
-                    self.ctx.stats.record_retried_verb();
-                    (post(&runs[i]), i)
-                })
-                .collect();
-            sc.record(Stage::DoorbellPost, t_post, self.ctx.clock.now(), round);
-            let (still_failed, drain_span, _) = drain_cq(&cq, &reposted);
-            if let Some((s, e)) = drain_span {
-                sc.record(Stage::CqDrain, s, e, round);
-            }
-            if still_failed.len() < failed.len() {
-                any_succeeded = true;
-            }
-            failed = still_failed;
-        }
-        if failed.is_empty() {
-            return Ok(RunOutcome {
-                completions: Vec::new(),
-            });
-        }
-        Err(DatapathFailure {
-            failures: failed
-                .into_iter()
-                .map(|(i, e)| VerbFailure {
-                    tensors: runs[i].names.clone(),
-                    retries: retries[i],
-                    error: e.to_string(),
-                })
-                .collect(),
-            any_succeeded,
-        })
-    }
-
-    /// The striped datapath: runs are sharded **largest-first onto the
-    /// least-loaded lane** (deterministic: ties break on run index and
-    /// lane number) and posted *deferred* on each lane's own
-    /// [`PostedQueuePair`], so one posting instant fans out across the
-    /// NICs' DMA engines and equal-size shards finish together instead
-    /// of serializing. Every lane gets its own doorbell/drain spans
-    /// (tagged with the lane), and the shared clock advances once per
-    /// round, to the slowest lane's last completion.
+    /// Runs are sharded **largest-first onto the least-loaded lane**
+    /// (deterministic: ties break on run index and lane number) and
+    /// posted *deferred* on each lane's own [`PostedQueuePair`], so one
+    /// posting instant fans out across the NICs' DMA engines and
+    /// equal-size shards finish together instead of serializing. Every
+    /// lane gets its own doorbell/drain spans (tagged with the lane),
+    /// the shared clock advances once per round, to the slowest lane's
+    /// last completion, and each run's completion window comes back in
+    /// [`RunOutcome`] for the pipelined seal. A one-QP pool is simply
+    /// the one-lane case.
     ///
     /// Retries keep **lane affinity**: a failed run is re-posted on the
     /// QP it originally rode — its connection state, not a random
@@ -1582,11 +1437,10 @@ impl DaemonState {
     ///
     /// Lane selection is **weighted-fair**: the tenant may only stripe
     /// across the lanes its [`crate::qos::LaneArbiter`] share allows
-    /// right now. A lone tenant is allowed every lane, which keeps the
-    /// pre-QoS sharding bit-for-bit; concurrent tenants are confined to
-    /// their weighted quota and steered toward the lanes they have
-    /// charged the least.
-    fn execute_runs_striped(
+    /// right now. A lone tenant is allowed every lane; concurrent
+    /// tenants are confined to their weighted quota and steered toward
+    /// the lanes they have charged the least.
+    fn execute_runs(
         &self,
         pool: &QpPool,
         tenant: &TenantCtx,
@@ -1612,7 +1466,6 @@ impl DaemonState {
             self.qos.arbiter.charge(tenant, lane, runs[i].len);
         }
         let endpoints: Vec<(PostedQueuePair, CompletionQueue)> = pool
-            .qps
             .iter()
             .map(|qp| {
                 let cq = CompletionQueue::new();
@@ -1747,62 +1600,28 @@ impl DaemonState {
         }
     }
 
-    /// Persists the pulled data, checksums the slot, and flips it to
-    /// `Done`. On any error the slot is rolled back (bytes definitely
-    /// landed by this point) and the original error is returned. An
-    /// empty data region skips the persist phase entirely — no span,
-    /// no counter — instead of flushing a phantom byte.
-    fn seal_slot(
-        &self,
-        mi: &MIndex,
-        slot: usize,
-        hdr: SlotHeader,
-        pre: SlotHeader,
-        sc: &SpanCtx<'_>,
-    ) -> PortusResult<()> {
-        let persisted = if hdr.data_len == 0 {
-            Ok(())
-        } else {
-            self.persist_phase(hdr.data_off, hdr.data_len, sc)
-        };
-        let sealed = persisted
-            .and_then(|()| self.checksum_phase(mi, slot, sc))
-            .and_then(|checksum| {
-                let t0 = self.ctx.clock.now();
-                let done = self.index.mark_slot_done(mi, slot, checksum);
-                sc.record_now(Stage::HeaderFlip, t0);
-                done
-            });
-        if let Err(e) = sealed {
-            // Best-effort: the original error is what the client sees.
-            self.rollback_best_effort(mi, slot, pre, true);
-            return Err(e);
-        }
-        Ok(())
-    }
-
-    /// The striped seal: instead of one full-region persist pass plus a
-    /// second full read for the checksum, each extent rides a FIFO
-    /// persist+digest pipeline **as its transfer completes** — work for
-    /// early runs overlaps, in virtual time, with later runs still in
-    /// flight on the NIC engines. Per-extent digests
-    /// ([`crate::region_digest`]) combine order-independently into the
-    /// slot digest the header is sealed with
-    /// ([`Index::mark_slot_done_digest`]); restore recomputes the same
+    /// The seal: each extent rides a FIFO persist+digest pipeline **as
+    /// its transfer completes** — work for early runs overlaps, in
+    /// virtual time, with later runs still in flight on the NIC
+    /// engines; extents that land while the stage is busy share one
+    /// flush pass and fence. Per-extent digests ([`crate::region_digest`]) combine
+    /// order-independently into the slot digest the header is sealed
+    /// with ([`Index::mark_slot_done`]); restore recomputes the same
     /// value from the region regardless of how the extents were
-    /// partitioned. On any error the slot is rolled back exactly as in
-    /// [`DaemonState::seal_slot`].
+    /// partitioned. On any error the slot is rolled back to `hdr`, its
+    /// pre-activation header (bytes definitely landed by this point),
+    /// and the original error is returned.
     fn seal_slot_pipelined(
         &self,
         mi: &MIndex,
         slot: usize,
         hdr: SlotHeader,
-        pre: SlotHeader,
         pieces: Vec<SealPiece>,
         sc: &SpanCtx<'_>,
     ) -> PortusResult<()> {
         if let Err(e) = self.seal_pipeline(mi, slot, hdr, pieces, sc) {
-            self.rollback_best_effort(mi, slot, pre, true);
+            // Best-effort: the original error is what the client sees.
+            self.rollback_best_effort(mi, slot, hdr, true);
             return Err(e);
         }
         Ok(())
@@ -1828,38 +1647,57 @@ impl DaemonState {
             .unwrap_or_else(|| ctx.clock.now());
         let dev = self.index.device();
         let mut digest = 0u64;
-        let mut buf = Vec::new();
-        // Overlap accounting for the pipeline gauge: stage work granted
-        // before the last fabric completion ran in the transfer's
-        // shadow.
+        // Each piece of stage work queues on the pipe and is traced;
+        // work granted before the last fabric completion ran in the
+        // transfer's shadow (the pipeline gauge).
         let mut stage_busy = SimDuration::ZERO;
         let mut stage_overlapped = SimDuration::ZERO;
-        let mut track = |start: SimTime, end: SimTime, service: SimDuration| {
-            stage_busy += service;
-            stage_overlapped += end.min(fabric_end).saturating_since(start.min(fabric_end));
+        let mut serve = |stage: Stage, arrival: SimTime, cost: SimDuration| {
+            let g = pipe.schedule(arrival, cost);
+            sc.record(stage, g.start, g.end, 0);
+            stage_busy += cost;
+            stage_overlapped += g
+                .end
+                .min(fabric_end)
+                .saturating_since(g.start.min(fabric_end));
         };
-        for piece in &pieces {
-            if piece.len > 0 && !self.cfg.dram_fallback {
-                let cost = dev.persist_deferred(hdr.data_off + piece.rel_off, piece.len)?;
-                let g = pipe.schedule(piece.arrival, cost);
+        // Group persist: whenever the stage frees up it takes every
+        // extent that has landed by then (at least the next one) as one
+        // batch — one flush pass and one fence for the batch — then
+        // reads back the batch's undigested bytes.
+        let mut rest = &pieces[..];
+        while let Some(first) = rest.first() {
+            let ready = pipe.busy_until().max(first.arrival);
+            let n = rest.iter().take_while(|p| p.arrival <= ready).count();
+            let (batch, tail) = rest.split_at(n);
+            rest = tail;
+            let arrival = batch[n - 1].arrival;
+            if !self.cfg.dram_fallback && batch.iter().any(|p| p.len > 0) {
+                let ranges: Vec<(u64, u64)> = batch
+                    .iter()
+                    .map(|p| (hdr.data_off + p.rel_off, p.len))
+                    .collect();
+                let cost = dev.persist_deferred(&ranges)?;
                 ctx.stats.record_persist_ns(cost.as_nanos());
-                sc.record(Stage::Persist, g.start, g.end, 0);
-                track(g.start, g.end, cost);
+                serve(Stage::Persist, arrival, cost);
             }
-            let d = match piece.digest {
-                Some(d) => d,
-                None => {
-                    buf.resize(piece.len as usize, 0);
-                    dev.read(hdr.data_off + piece.rel_off, &mut buf)?;
-                    let cost = ctx.model.dax_read(piece.len);
-                    let g = pipe.schedule(piece.arrival, cost);
-                    ctx.stats.record_checksum_ns(cost.as_nanos());
-                    sc.record(Stage::Checksum, g.start, g.end, 0);
-                    track(g.start, g.end, cost);
-                    crate::region_digest(&buf, piece.rel_off)
-                }
-            };
-            digest = crate::combine_digests(digest, d);
+            let mut read_back = 0u64;
+            for piece in batch {
+                let d = match piece.digest {
+                    Some(d) => d,
+                    None => {
+                        read_back += piece.len;
+                        self.index
+                            .range_digest(hdr.data_off, piece.rel_off, piece.len)?
+                    }
+                };
+                digest = crate::combine_digests(digest, d);
+            }
+            if read_back > 0 {
+                let cost = ctx.model.dax_read(read_back);
+                ctx.stats.record_checksum_ns(cost.as_nanos());
+                serve(Stage::Checksum, arrival, cost);
+            }
         }
         // The request completes when the pipeline drains (advance_to is
         // monotonic, so an already-later clock is left alone).
@@ -1867,7 +1705,7 @@ impl DaemonState {
         ctx.metrics
             .set_pipeline_overlap(stage_overlapped, stage_busy);
         let t0 = ctx.clock.now();
-        let done = self.index.mark_slot_done_digest(mi, slot, digest);
+        let done = self.index.mark_slot_done(mi, slot, digest);
         sc.record_now(Stage::HeaderFlip, t0);
         done
     }
@@ -1999,24 +1837,10 @@ impl DaemonState {
                 }
             };
         // RDMA landed in the DDIO domain; make it durable (Wei et al.),
-        // checksum, and flip to Done. The striped datapath pipelines
-        // per-run persist+digest work against the transfers themselves.
-        if pool.len() > 1 {
-            let now = self.ctx.clock.now();
-            let pieces = runs
-                .iter()
-                .zip(&outcome.completions)
-                .map(|(run, c)| SealPiece {
-                    rel_off: run.base_rel,
-                    len: run.len,
-                    arrival: c.map_or(now, |(_, end)| end),
-                    digest: None,
-                })
-                .collect();
-            self.seal_slot_pipelined(&mi, target, hdr, hdr, pieces, &sc)?;
-        } else {
-            self.seal_slot(&mi, target, hdr, hdr, &sc)?;
-        }
+        // digest, and flip to Done, pipelining per-run persist+digest
+        // work against the transfers themselves.
+        let pieces = pull_pieces(&runs, &outcome, self.ctx.clock.now());
+        self.seal_slot_pipelined(&mi, target, hdr, pieces, &sc)?;
         // Dedup tier: the sealed plain region becomes an extent map of
         // content-addressed chunks (failure keeps the plain region).
         if let Some(dcfg) = &self.cfg.dedup {
@@ -2130,13 +1954,12 @@ impl DaemonState {
 
         let dev = Arc::clone(self.index.device());
         let ctx = &self.ctx;
-        let striped = pool.len() > 1;
         let t0 = ctx.clock.now();
-        // Carry-overs first (device-local), then the posted pulls. A
-        // striped seal reuses the digest each copy computed from its
-        // bounce buffer, so carried bytes are never read a second time.
+        // Carry-overs first (device-local), then the posted pulls. The
+        // seal reuses the digest each copy computed from its bounce
+        // buffer, so carried bytes are never read a second time.
         let mut carried = 0u64;
-        let mut carry_pieces: Vec<SealPiece> = Vec::new();
+        let mut pieces: Vec<SealPiece> = Vec::new();
         let carry_result: PortusResult<()> = carries.iter().try_for_each(|&(src, rel, len)| {
             let (digest, read_bytes) = match src {
                 CarrySrc::Plain(s) => (copy_on_device(&dev, s, hdr.data_off + rel, len, rel)?, len),
@@ -2154,14 +1977,12 @@ impl DaemonState {
             ctx.charge(ctx.model.dax_read(read_bytes) + ctx.model.dax_write(len));
             ctx.stats.record_copy(len);
             carried += len;
-            if striped {
-                carry_pieces.push(SealPiece {
-                    rel_off: rel,
-                    len,
-                    arrival: ctx.clock.now(),
-                    digest: Some(digest),
-                });
-            }
+            pieces.push(SealPiece {
+                rel_off: rel,
+                len,
+                arrival: SimTime::ZERO,
+                digest: Some(digest),
+            });
             Ok(())
         });
         if let Err(e) = carry_result {
@@ -2173,6 +1994,10 @@ impl DaemonState {
         if !carries.is_empty() {
             sc.record_now(Stage::CarryCopy, t0);
         }
+        // The copy stage hands its extents to the seal together when it
+        // ends, so every carry-over shares one flush pass and fence.
+        let carried_at = ctx.clock.now();
+        pieces.iter_mut().for_each(|p| p.arrival = carried_at);
         let outcome =
             match self.execute_runs(pool, tenant, &runs, hdr.data_off, Direction::Pull, &sc) {
                 Ok(outcome) => outcome,
@@ -2183,23 +2008,8 @@ impl DaemonState {
                     return Err(fail.into_error(model, "delta-checkpoint"));
                 }
             };
-        if striped {
-            let now = ctx.clock.now();
-            let mut pieces = carry_pieces;
-            pieces.extend(
-                runs.iter()
-                    .zip(&outcome.completions)
-                    .map(|(run, c)| SealPiece {
-                        rel_off: run.base_rel,
-                        len: run.len,
-                        arrival: c.map_or(now, |(_, end)| end),
-                        digest: None,
-                    }),
-            );
-            self.seal_slot_pipelined(&mi, target, hdr, hdr, pieces, &sc)?;
-        } else {
-            self.seal_slot(&mi, target, hdr, hdr, &sc)?;
-        }
+        pieces.extend(pull_pieces(&runs, &outcome, ctx.clock.now()));
+        self.seal_slot_pipelined(&mi, target, hdr, pieces, &sc)?;
         // As in `checkpoint`: the sealed region enters the dedup tier.
         if let Some(dcfg) = &self.cfg.dedup {
             mi.slots[target].state = SlotState::Done;
@@ -2287,9 +2097,7 @@ impl DaemonState {
         };
 
         let pushed = (|| -> PortusResult<SimDuration> {
-            if self.cfg.verify_on_restore {
-                self.verify_slot(&mi, slot, &hdr, model, &sc)?;
-            }
+            self.verify_slot(&mi, slot, &hdr, model, &sc)?;
 
             let t_build = self.ctx.clock.now();
             let runs = coalesce_runs(&verbs);

@@ -275,7 +275,6 @@ pub(crate) fn release_slot_extents(
     alloc.free(&map_alloc)?;
     let h = &mut mi.slots[slot];
     h.state = SlotState::Empty;
-    h.checksum = 0;
     h.digest = 0;
     h.ext_map = 0;
     Ok(map_alloc.len)

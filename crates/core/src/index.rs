@@ -20,7 +20,7 @@
 //! 1. a ModelTable entry goes live only after its MIndex and data
 //!    regions are fully persisted;
 //! 2. a slot is marked `Active` (invalid) before any data lands in it;
-//! 3. a slot is marked `Done` only after its data and checksum are
+//! 3. a slot is marked `Done` only after its data and digest are
 //!    persisted — so recovery trusts exactly the `Done` slots.
 
 use std::cell::RefCell;
@@ -29,6 +29,7 @@ use std::sync::{Arc, OnceLock};
 
 use portus_dnn::{DType, TensorMeta};
 use portus_pmem::{typed, ExtentStore, PmemAlloc, PmemAllocator, PmemDevice, PmemError};
+use portus_sim::hash::{fnv1a, splitmix64, Fnv1a};
 
 use crate::catalog::{Catalog, CatalogConfig};
 use crate::dedup::read_extent_map;
@@ -79,24 +80,18 @@ const TREC_LEN: u64 = 168;
 const TREC_RELOFF: u64 = 176;
 
 // Slot header fields (relative to the slot header offset). All eight
-// words live in the header's single 64-byte cache line, so writing the
-// digest fields adds no flush cost over the original five-word header.
+// words live in the header's single 64-byte cache line, so every header
+// write costs one line flush and the state word flips atomically.
 const SH_STATE: u64 = 0;
 const SH_VERSION: u64 = 8;
-const SH_CHECKSUM: u64 = 16;
 const SH_DATA_OFF: u64 = 24;
 const SH_DATA_LEN: u64 = 32;
 const SH_DIGEST: u64 = 40;
-const SH_CKSUM_KIND: u64 = 48;
 const SH_EXT_MAP: u64 = 56;
-
-/// `cksum_kind`: the slot's integrity word is the legacy sequential
-/// FNV-1a of the data region (in `checksum`).
-pub const CKSUM_KIND_FNV: u64 = 0;
-/// `cksum_kind`: the slot's integrity word is the order-independent
-/// positional digest (in `digest`), combined incrementally per WQE run
-/// by the striped datapath; `checksum` is 0.
-pub const CKSUM_KIND_DIGEST: u64 = 1;
+/// Reserved header words (offsets 16 and 48), always written as zero.
+/// They held a retired sequential-checksum scheme; a slot sealed under
+/// it carries no valid digest and fails restore verification.
+const SH_RESERVED: [u64; 2] = [16, 48];
 
 /// Flag bit: the training job using this model finished (repacker may
 /// reclaim everything but the latest version).
@@ -113,7 +108,7 @@ pub enum SlotState {
     /// A checkpoint into this slot started and has not completed —
     /// its data must not be trusted.
     Active,
-    /// A complete, checksummed version.
+    /// A complete, digest-sealed version.
     Done,
 }
 
@@ -145,19 +140,13 @@ pub struct SlotHeader {
     pub state: SlotState,
     /// Version number of the checkpoint in this slot.
     pub version: u64,
-    /// FNV-1a over the slot's data region (valid when `Done` and
-    /// `cksum_kind == CKSUM_KIND_FNV`).
-    pub checksum: u64,
     /// Absolute PMem offset of the slot's TensorData region.
     pub data_off: u64,
     /// Region length (= the model's total bytes).
     pub data_len: u64,
-    /// Positional digest of the data region (valid when `Done` and
-    /// `cksum_kind == CKSUM_KIND_DIGEST`). See [`region_digest`].
+    /// Positional digest of the data region (valid when `Done`). See
+    /// [`region_digest`].
     pub digest: u64,
-    /// Which integrity word validates the slot: [`CKSUM_KIND_FNV`] or
-    /// [`CKSUM_KIND_DIGEST`].
-    pub cksum_kind: u64,
     /// Absolute PMem offset of the slot's extent map, when the dedup
     /// tier holds this version as content-addressed extents instead of
     /// a contiguous region (`data_off` is 0 then). 0 on the plain path.
@@ -256,22 +245,14 @@ impl MIndex {
     }
 }
 
-/// SplitMix64 finalizer — position weights for [`region_digest`].
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// Positional digest of `bytes`, which sit at slot-relative offset
 /// `base` within their data region: each byte contributes
 /// `(b + 1) * splitmix64(base + i)` and contributions combine with
 /// wrapping addition. Because addition is commutative and associative,
 /// digests of disjoint chunks that tile a region can be computed in any
 /// order — or on any queue pair — and summed with [`combine_digests`]
-/// to equal the whole region's digest, which is what lets the striped
-/// datapath checksum each WQE run as its completion drains instead of
+/// to equal the whole region's digest, which is what lets the
+/// datapath digest each WQE run as its completion drains instead of
 /// re-reading the full slot afterwards. The `+ 1` keeps zero bytes from
 /// vanishing, so a region of zeros at the wrong offset still mismatches.
 pub fn region_digest(bytes: &[u8], base: u64) -> u64 {
@@ -290,12 +271,7 @@ pub fn combine_digests(a: u64, b: u64) -> u64 {
 
 /// FNV-1a over a string (the ModelTable name hash).
 pub fn name_hash(name: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in name.as_bytes() {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
+    fnv1a(name.as_bytes())
 }
 
 /// Size of the reusable device-I/O scratch buffer.
@@ -620,11 +596,9 @@ impl Index {
             let sh = off + MI_SLOT0 + s as u64 * SLOT_HDR_SIZE;
             typed::write_u64(dev, sh + SH_STATE, SlotState::Empty.to_u64())?;
             typed::write_u64(dev, sh + SH_VERSION, 0)?;
-            typed::write_u64(dev, sh + SH_CHECKSUM, 0)?;
             typed::write_u64(dev, sh + SH_DATA_OFF, d.offset)?;
             typed::write_u64(dev, sh + SH_DATA_LEN, total_bytes)?;
-            typed::write_u64(dev, sh + SH_DIGEST, 0)?;
-            typed::write_u64(dev, sh + SH_CKSUM_KIND, CKSUM_KIND_FNV)?;
+            self.write_digest(sh, 0)?;
             typed::write_u64(dev, sh + SH_EXT_MAP, 0)?;
         }
         // Tensor records.
@@ -684,21 +658,17 @@ impl Index {
                 SlotHeader {
                     state: SlotState::Empty,
                     version: 0,
-                    checksum: 0,
                     data_off: data[0].offset,
                     data_len: total_bytes,
                     digest: 0,
-                    cksum_kind: CKSUM_KIND_FNV,
                     ext_map: 0,
                 },
                 SlotHeader {
                     state: SlotState::Empty,
                     version: 0,
-                    checksum: 0,
                     data_off: data[1].offset,
                     data_len: total_bytes,
                     digest: 0,
-                    cksum_kind: CKSUM_KIND_FNV,
                     ext_map: 0,
                 },
             ],
@@ -725,11 +695,9 @@ impl Index {
         let mut slots = [SlotHeader {
             state: SlotState::Empty,
             version: 0,
-            checksum: 0,
             data_off: 0,
             data_len: 0,
             digest: 0,
-            cksum_kind: CKSUM_KIND_FNV,
             ext_map: 0,
         }; SLOT_COUNT];
         for (s, slot) in slots.iter_mut().enumerate() {
@@ -737,11 +705,9 @@ impl Index {
             *slot = SlotHeader {
                 state: SlotState::from_u64(typed::read_u64(dev, sh + SH_STATE)?)?,
                 version: typed::read_u64(dev, sh + SH_VERSION)?,
-                checksum: typed::read_u64(dev, sh + SH_CHECKSUM)?,
                 data_off: typed::read_u64(dev, sh + SH_DATA_OFF)?,
                 data_len: typed::read_u64(dev, sh + SH_DATA_LEN)?,
                 digest: typed::read_u64(dev, sh + SH_DIGEST)?,
-                cksum_kind: typed::read_u64(dev, sh + SH_CKSUM_KIND)?,
                 ext_map: typed::read_u64(dev, sh + SH_EXT_MAP)?,
             };
         }
@@ -776,8 +742,18 @@ impl Index {
         })
     }
 
+    /// Writes a header's integrity word and zeroes its reserved words
+    /// (all in the header's one cache line; the caller persists).
+    fn write_digest(&self, sh: u64, digest: u64) -> PortusResult<()> {
+        typed::write_u64(&self.dev, sh + SH_DIGEST, digest)?;
+        for word in SH_RESERVED {
+            typed::write_u64(&self.dev, sh + word, 0)?;
+        }
+        Ok(())
+    }
+
     /// Durably transitions a slot to `Active` with the new version
-    /// (checksum cleared). Step 2 of the persistence ordering.
+    /// (digest cleared). Step 2 of the persistence ordering.
     ///
     /// # Errors
     ///
@@ -785,49 +761,28 @@ impl Index {
     pub fn mark_slot_active(&self, mi: &MIndex, slot: usize, version: u64) -> PortusResult<()> {
         let sh = mi.offset + MI_SLOT0 + slot as u64 * SLOT_HDR_SIZE;
         typed::write_u64(&self.dev, sh + SH_VERSION, version)?;
-        typed::write_u64(&self.dev, sh + SH_CHECKSUM, 0)?;
-        typed::write_u64(&self.dev, sh + SH_DIGEST, 0)?;
-        typed::write_u64(&self.dev, sh + SH_CKSUM_KIND, CKSUM_KIND_FNV)?;
+        self.write_digest(sh, 0)?;
         // One cache line holds the whole header, so this flush also
-        // covers the digest words at no extra cost.
+        // covers the digest word at no extra cost.
         self.dev.persist(sh + SH_VERSION, 16)?;
         typed::write_u64(&self.dev, sh + SH_STATE, SlotState::Active.to_u64())?;
         self.dev.persist(sh + SH_STATE, 8)?;
         Ok(())
     }
 
-    /// Durably transitions a slot to `Done` with its data checksum.
-    /// Step 3 of the persistence ordering: data must already be
-    /// persisted.
+    /// Durably transitions a slot to `Done`, sealed with the positional
+    /// `digest` of its data region (the combined per-run digests; see
+    /// [`region_digest`]). Step 3 of the persistence ordering: data must
+    /// already be persisted, and the digest is durable before the state
+    /// word flips.
     ///
     /// # Errors
     ///
     /// Device errors.
-    pub fn mark_slot_done(&self, mi: &MIndex, slot: usize, checksum: u64) -> PortusResult<()> {
+    pub fn mark_slot_done(&self, mi: &MIndex, slot: usize, digest: u64) -> PortusResult<()> {
         let sh = mi.offset + MI_SLOT0 + slot as u64 * SLOT_HDR_SIZE;
-        typed::write_u64(&self.dev, sh + SH_CHECKSUM, checksum)?;
-        self.dev.persist(sh + SH_CHECKSUM, 8)?;
-        typed::write_u64(&self.dev, sh + SH_STATE, SlotState::Done.to_u64())?;
-        self.dev.persist(sh + SH_STATE, 8)?;
-        Ok(())
-    }
-
-    /// Durably transitions a slot to `Done` validated by the positional
-    /// `digest` ([`CKSUM_KIND_DIGEST`]) instead of the sequential FNV —
-    /// the form the striped datapath uses after combining per-run
-    /// digests. Same persistence ordering as [`Index::mark_slot_done`];
-    /// the digest words share the header's cache line so the flip costs
-    /// exactly the same flushes.
-    ///
-    /// # Errors
-    ///
-    /// Device errors.
-    pub fn mark_slot_done_digest(&self, mi: &MIndex, slot: usize, digest: u64) -> PortusResult<()> {
-        let sh = mi.offset + MI_SLOT0 + slot as u64 * SLOT_HDR_SIZE;
-        typed::write_u64(&self.dev, sh + SH_CHECKSUM, 0)?;
-        typed::write_u64(&self.dev, sh + SH_DIGEST, digest)?;
-        typed::write_u64(&self.dev, sh + SH_CKSUM_KIND, CKSUM_KIND_DIGEST)?;
-        self.dev.persist(sh + SH_CHECKSUM, 8)?;
+        self.write_digest(sh, digest)?;
+        self.dev.persist(sh + SH_DIGEST, 8)?;
         typed::write_u64(&self.dev, sh + SH_STATE, SlotState::Done.to_u64())?;
         self.dev.persist(sh + SH_STATE, 8)?;
         Ok(())
@@ -848,7 +803,7 @@ impl Index {
     /// Durably restores a slot header to `pre` — the header captured
     /// just before [`Index::mark_slot_active`] — after a checkpoint that
     /// moved **no** data into the slot failed. Only `version`,
-    /// `checksum`, and (last, so a crash mid-revert still leaves the
+    /// `digest`, and (last, so a crash mid-revert still leaves the
     /// slot invalid) `state` are rewritten: `data_off`/`data_len` stay
     /// as they are, because [`Index::ensure_slot_region`] may have
     /// legitimately allocated a fresh region the slot keeps.
@@ -862,7 +817,7 @@ impl Index {
     /// never reissued.
     ///
     /// Must not be used when any data landed in a previously-`Done`
-    /// slot — the old bytes are clobbered and the pre-call checksum
+    /// slot — the old bytes are clobbered and the pre-call digest
     /// would falsely validate them; use [`Index::collapse_slot`] there.
     ///
     /// # Errors
@@ -877,16 +832,14 @@ impl Index {
                 .max(typed::read_u64(&self.dev, sh + SH_VERSION)?)
         };
         typed::write_u64(&self.dev, sh + SH_VERSION, version)?;
-        typed::write_u64(&self.dev, sh + SH_CHECKSUM, pre.checksum)?;
-        typed::write_u64(&self.dev, sh + SH_DIGEST, pre.digest)?;
-        typed::write_u64(&self.dev, sh + SH_CKSUM_KIND, pre.cksum_kind)?;
+        self.write_digest(sh, pre.digest)?;
         self.dev.persist(sh + SH_VERSION, 16)?;
         typed::write_u64(&self.dev, sh + SH_STATE, pre.state.to_u64())?;
         self.dev.persist(sh + SH_STATE, 8)?;
         Ok(())
     }
 
-    /// Durably collapses a slot to `Empty` with the checksum cleared,
+    /// Durably collapses a slot to `Empty` with the digest cleared,
     /// abandoning whatever partial data a failed checkpoint left in its
     /// region. The region itself stays attached for reuse, and the
     /// slot's version is deliberately *kept*: it was already issued to
@@ -898,10 +851,8 @@ impl Index {
     /// Device errors.
     pub fn collapse_slot(&self, mi: &MIndex, slot: usize) -> PortusResult<()> {
         let sh = mi.offset + MI_SLOT0 + slot as u64 * SLOT_HDR_SIZE;
-        typed::write_u64(&self.dev, sh + SH_CHECKSUM, 0)?;
-        typed::write_u64(&self.dev, sh + SH_DIGEST, 0)?;
-        typed::write_u64(&self.dev, sh + SH_CKSUM_KIND, CKSUM_KIND_FNV)?;
-        self.dev.persist(sh + SH_CHECKSUM, 8)?;
+        self.write_digest(sh, 0)?;
+        self.dev.persist(sh + SH_DIGEST, 8)?;
         typed::write_u64(&self.dev, sh + SH_STATE, SlotState::Empty.to_u64())?;
         self.dev.persist(sh + SH_STATE, 8)?;
         Ok(())
@@ -921,10 +872,8 @@ impl Index {
         let sh = mi.offset + MI_SLOT0 + slot as u64 * SLOT_HDR_SIZE;
         typed::write_u64(&self.dev, sh + SH_STATE, SlotState::Empty.to_u64())?;
         typed::write_u64(&self.dev, sh + SH_VERSION, 0)?;
-        typed::write_u64(&self.dev, sh + SH_CHECKSUM, 0)?;
         typed::write_u64(&self.dev, sh + SH_DATA_OFF, 0)?;
-        typed::write_u64(&self.dev, sh + SH_DIGEST, 0)?;
-        typed::write_u64(&self.dev, sh + SH_CKSUM_KIND, CKSUM_KIND_FNV)?;
+        self.write_digest(sh, 0)?;
         typed::write_u64(&self.dev, sh + SH_EXT_MAP, 0)?;
         self.dev.persist(sh, SLOT_HDR_SIZE)?;
         Ok(())
@@ -963,9 +912,7 @@ impl Index {
     pub fn detach_slot_extents(&self, mi: &MIndex, slot: usize) -> PortusResult<()> {
         let sh = mi.offset + MI_SLOT0 + slot as u64 * SLOT_HDR_SIZE;
         typed::write_u64(&self.dev, sh + SH_STATE, SlotState::Empty.to_u64())?;
-        typed::write_u64(&self.dev, sh + SH_CHECKSUM, 0)?;
-        typed::write_u64(&self.dev, sh + SH_DIGEST, 0)?;
-        typed::write_u64(&self.dev, sh + SH_CKSUM_KIND, CKSUM_KIND_FNV)?;
+        self.write_digest(sh, 0)?;
         typed::write_u64(&self.dev, sh + SH_EXT_MAP, 0)?;
         self.dev.persist(sh, SLOT_HDR_SIZE)?;
         Ok(())
@@ -1005,7 +952,9 @@ impl Index {
         Ok(())
     }
 
-    /// FNV-1a checksum of a slot's data region (reads PMem).
+    /// FNV-1a of a slot's data region (reads PMem). A content
+    /// fingerprint for tooling; slot headers are sealed and verified
+    /// with [`Index::slot_digest`].
     ///
     /// # Errors
     ///
@@ -1013,40 +962,43 @@ impl Index {
     pub fn slot_checksum(&self, mi: &MIndex, slot: usize) -> PortusResult<u64> {
         let hdr = mi.slots[slot];
         with_io_buf(|buf| {
-            let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+            let mut hash = Fnv1a::new();
             let mut pos = 0u64;
             while pos < hdr.data_len {
                 let chunk = ((hdr.data_len - pos) as usize).min(buf.len());
                 self.dev.read(hdr.data_off + pos, &mut buf[..chunk])?;
-                for &b in &buf[..chunk] {
-                    hash ^= b as u64;
-                    hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-                }
+                hash.update(&buf[..chunk]);
                 pos += chunk as u64;
             }
-            Ok(hash)
+            Ok(hash.finish())
         })
     }
 
     /// Positional digest of a slot's data region (reads PMem) — the
-    /// [`CKSUM_KIND_DIGEST`] counterpart of [`Index::slot_checksum`].
-    /// Because [`region_digest`] keys each byte by its slot-relative
-    /// offset and chunks combine with [`combine_digests`], this matches
-    /// the sum of per-run digests the striped datapath sealed with, in
-    /// any order and at any chunking.
+    /// value a `Done` header is sealed with. Because [`region_digest`]
+    /// keys each byte by its slot-relative offset and chunks combine
+    /// with [`combine_digests`], this matches the sum of per-run digests
+    /// the datapath sealed with, in any order and at any chunking.
     ///
     /// # Errors
     ///
     /// Device errors.
     pub fn slot_digest(&self, mi: &MIndex, slot: usize) -> PortusResult<u64> {
         let hdr = mi.slots[slot];
+        self.range_digest(hdr.data_off, 0, hdr.data_len)
+    }
+
+    /// Positional digest of the `len` bytes at slot-relative `rel_off`
+    /// of the data region at `data_off`, read through the bounded
+    /// per-thread I/O buffer.
+    pub(crate) fn range_digest(&self, data_off: u64, rel_off: u64, len: u64) -> PortusResult<u64> {
         with_io_buf(|buf| {
             let mut acc: u64 = 0;
             let mut pos = 0u64;
-            while pos < hdr.data_len {
-                let chunk = ((hdr.data_len - pos) as usize).min(buf.len());
-                self.dev.read(hdr.data_off + pos, &mut buf[..chunk])?;
-                acc = combine_digests(acc, region_digest(&buf[..chunk], pos));
+            while pos < len {
+                let chunk = ((len - pos) as usize).min(buf.len());
+                self.dev.read(data_off + rel_off + pos, &mut buf[..chunk])?;
+                acc = combine_digests(acc, region_digest(&buf[..chunk], rel_off + pos));
                 pos += chunk as u64;
             }
             Ok(acc)
@@ -1214,7 +1166,7 @@ mod tests {
         index.revert_slot(&mi, 1, &pre).unwrap();
         let after = index.load_mindex(mi.offset).unwrap();
         assert_eq!(after.slots[1].state, pre.state);
-        assert_eq!(after.slots[1].checksum, pre.checksum);
+        assert_eq!(after.slots[1].digest, pre.digest);
         assert_eq!(after.slots[1].data_off, pre.data_off);
         // The issued version survives as a high-water mark: v2 was
         // handed out, so the next checkpoint must be v3, not v2 again.
@@ -1232,7 +1184,7 @@ mod tests {
         mi = index.load_mindex(mi.offset).unwrap();
         let pre = mi.slots[0];
         // A restore-side caller reverting a Done header gets it back
-        // exactly: the data is still valid and the checksum must match.
+        // exactly: the data is still valid and the digest must match.
         index.revert_slot(&mi, 0, &pre).unwrap();
         let after = index.load_mindex(mi.offset).unwrap();
         assert_eq!(after.slots[0], pre);
@@ -1253,7 +1205,7 @@ mod tests {
             "the issued version is the high-water mark"
         );
         assert_eq!(after.next_version(), 2);
-        assert_eq!(after.slots[0].checksum, 0);
+        assert_eq!(after.slots[0].digest, 0);
         assert_eq!(after.slots[0].data_off, data_off, "region stays attached");
         assert!(after.latest_done().is_none());
     }

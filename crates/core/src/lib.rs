@@ -87,7 +87,7 @@ pub use dedup::DedupConfig;
 pub use error::{PortusError, PortusResult, ShardFailure, VerbFailure};
 pub use index::{
     combine_digests, name_hash, region_digest, Index, MIndex, SlotHeader, SlotState, TensorRecord,
-    CKSUM_KIND_DIGEST, CKSUM_KIND_FNV, FLAG_JOB_COMPLETE, SLOT_COUNT,
+    FLAG_JOB_COMPLETE, SLOT_COUNT,
 };
 pub use model_map::{Iter, ModelMap};
 pub use proto::{ModelSummary, Reply, Request, TensorDesc};

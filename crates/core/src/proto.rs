@@ -285,6 +285,17 @@ pub enum Reply {
         /// Total entries the ModelTable was formatted with.
         capacity: u32,
     },
+    /// A restore found the stored version's bytes do not match the
+    /// digest it was sealed with. Structured so the client can rebuild
+    /// [`crate::PortusError::ChecksumMismatch`].
+    ChecksumMismatch {
+        /// Echoed request id.
+        req_id: u64,
+        /// The model.
+        model: String,
+        /// The version whose data failed verification.
+        version: u64,
+    },
 }
 
 impl Reply {
@@ -303,7 +314,8 @@ impl Reply {
             | Reply::DatapathFailed { req_id, .. }
             | Reply::Throttled { req_id, .. }
             | Reply::OutOfSpace { req_id, .. }
-            | Reply::CatalogFull { req_id, .. } => *req_id,
+            | Reply::CatalogFull { req_id, .. }
+            | Reply::ChecksumMismatch { req_id, .. } => *req_id,
         }
     }
 }

@@ -285,9 +285,9 @@ struct ArbiterInner {
 }
 
 /// Weighted deficit-round-robin arbitration over the striped datapath's
-/// QP lanes. See the module docs; the single-QP datapath never consults
-/// it, and a lone active tenant is always allowed every lane — which
-/// keeps the pre-QoS striping behaviour bit-for-bit.
+/// QP lanes. See the module docs; a lone active tenant is always
+/// allowed every lane — which keeps the pre-QoS striping behaviour
+/// bit-for-bit — and a one-QP connection only ever has lane 0.
 #[derive(Debug, Default)]
 pub(crate) struct LaneArbiter {
     inner: Mutex<ArbiterInner>,

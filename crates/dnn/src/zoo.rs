@@ -9,6 +9,7 @@
 //! paper reports, with a realistic mix of small bias-like and large
 //! embedding-like tensors.
 
+use portus_sim::hash::splitmix64;
 use portus_sim::SimDuration;
 
 use crate::{DType, ModelSpec, TensorMeta};
@@ -29,13 +30,6 @@ pub struct ModelCard {
     pub iteration: SimDuration,
 }
 
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Generates `layers` F32 tensors whose element counts sum exactly to
 /// `total_params`, with a deterministic skewed size distribution.
 fn synthetic_spec(name: &str, layers: usize, total_params: u64) -> ModelSpec {
@@ -44,7 +38,7 @@ fn synthetic_spec(name: &str, layers: usize, total_params: u64) -> ModelSpec {
     // (a few embedding-sized tensors, many small ones).
     let weights: Vec<f64> = (0..layers)
         .map(|i| {
-            let r = (splitmix(i as u64 ^ 0xD44_5EED) % 10_000) as f64 / 10_000.0;
+            let r = (splitmix64(i as u64 ^ 0xD44_5EED) % 10_000) as f64 / 10_000.0;
             0.05 + r * r * 4.0
         })
         .collect();

@@ -28,6 +28,7 @@ use std::sync::Arc;
 
 use portus_dnn::{DType, TensorMeta};
 use portus_mem::Buffer;
+use portus_sim::hash::Fnv1a;
 
 use crate::{FormatError, FormatResult};
 
@@ -92,24 +93,21 @@ impl CheckpointFile {
 
 struct HashingWriter<W> {
     inner: W,
-    hash: u64,
+    hash: Fnv1a,
 }
 
 impl<W: Write> HashingWriter<W> {
     fn new(inner: W) -> Self {
         HashingWriter {
             inner,
-            hash: 0xcbf2_9ce4_8422_2325,
+            hash: Fnv1a::new(),
         }
     }
 }
 
 impl<W: Write> Write for HashingWriter<W> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        for &b in buf {
-            self.hash ^= b as u64;
-            self.hash = self.hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        self.hash.update(buf);
         self.inner.write_all(buf)?;
         Ok(buf.len())
     }
@@ -121,23 +119,20 @@ impl<W: Write> Write for HashingWriter<W> {
 
 struct HashingReader<R> {
     inner: R,
-    hash: u64,
+    hash: Fnv1a,
 }
 
 impl<R: Read> HashingReader<R> {
     fn new(inner: R) -> Self {
         HashingReader {
             inner,
-            hash: 0xcbf2_9ce4_8422_2325,
+            hash: Fnv1a::new(),
         }
     }
 
     fn read_exact_hashed(&mut self, buf: &mut [u8]) -> FormatResult<()> {
         self.inner.read_exact(buf).map_err(FormatError::from)?;
-        for &b in buf.iter() {
-            self.hash ^= b as u64;
-            self.hash = self.hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        self.hash.update(buf);
         Ok(())
     }
 }
@@ -200,7 +195,7 @@ pub fn write_checkpoint<W: Write>(
             }
         }
     }
-    let trailer = w.hash;
+    let trailer = w.hash.finish();
     w.write_all(&trailer.to_le_bytes())?;
     w.flush()?;
     Ok(())
@@ -267,7 +262,7 @@ pub fn read_checkpoint<R: Read>(r: R) -> FormatResult<CheckpointFile> {
         r.read_exact_hashed(&mut data)?;
         tensors.push((meta, data));
     }
-    let expected = r.hash;
+    let expected = r.hash.finish();
     let mut trailer = [0u8; 8];
     r.inner
         .read_exact(&mut trailer)

@@ -2,18 +2,15 @@
 
 use std::fmt;
 
+use portus_sim::hash::{splitmix64, Fnv1a};
+
 use crate::{MemError, MemResult};
 
 /// Deterministic pseudo-random content generator (splitmix64 over 8-byte
 /// blocks). Used by [`Backing::Synthetic`] so multi-gigabyte "tensors" can
 /// be read byte-for-byte without being stored.
 fn synthetic_block(seed: u64, block_index: u64) -> [u8; 8] {
-    let mut z = seed ^ block_index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z = z ^ (z >> 31);
-    z.to_le_bytes()
+    splitmix64(seed ^ block_index.wrapping_mul(0x9E37_79B9_7F4A_7C15)).to_le_bytes()
 }
 
 /// How a [`MemorySegment`] stores its bytes.
@@ -168,20 +165,17 @@ impl MemorySegment {
     /// Returns [`MemError::OutOfBounds`] if the range exceeds the segment.
     pub fn checksum_range(&self, offset: u64, len: u64) -> MemResult<u64> {
         self.check_range(offset, len)?;
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut hash = Fnv1a::new();
         let mut buf = [0u8; 4096];
         let mut pos = offset;
         let end = offset + len;
         while pos < end {
             let chunk = ((end - pos) as usize).min(buf.len());
             self.read_at(pos, &mut buf[..chunk])?;
-            for &b in &buf[..chunk] {
-                hash ^= b as u64;
-                hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-            }
+            hash.update(&buf[..chunk]);
             pos += chunk as u64;
         }
-        Ok(hash)
+        Ok(hash.finish())
     }
 }
 

@@ -316,20 +316,27 @@ impl PmemDevice {
     ///
     /// Returns [`PmemError::OutOfBounds`] if the range exceeds capacity.
     pub fn flush(&self, offset: u64, len: u64) -> PmemResult<()> {
-        let d = self.flush_internal(offset, len)?;
+        let d = self.flush_cost(self.flush_lines(offset, len)?);
         if !d.is_zero() {
             self.ctx.charge(d);
         }
         Ok(())
     }
 
-    /// [`PmemDevice::flush`] minus the clock charge: performs the same
-    /// dirty→pending transitions and flush accounting, but returns the
-    /// `clwb` cost instead of advancing the clock.
-    fn flush_internal(&self, offset: u64, len: u64) -> PmemResult<portus_sim::SimDuration> {
+    /// `clwb` cost of one flush pass over `lines` dirty lines; the
+    /// issue cost saturates at 1024 lines, past which write-back
+    /// overlaps the remaining flushes.
+    fn flush_cost(&self, lines: u64) -> portus_sim::SimDuration {
+        portus_sim::SimDuration::from_nanos(self.ctx.model.clwb_ns * lines.min(1024))
+    }
+
+    /// [`PmemDevice::flush`] minus the clock charge: the dirty→pending
+    /// transitions and flush accounting over `[offset, offset+len)`;
+    /// returns how many cache lines moved.
+    fn flush_lines(&self, offset: u64, len: u64) -> PmemResult<u64> {
         self.check(offset, len)?;
         if len == 0 {
-            return Ok(portus_sim::SimDuration::ZERO);
+            return Ok(0);
         }
         let first_line = offset / CACHE_LINE;
         let last_line = (offset + len - 1) / CACHE_LINE;
@@ -362,13 +369,8 @@ impl PmemDevice {
             }
         }
         drop(inner);
-        if flushed_lines == 0 {
-            return Ok(portus_sim::SimDuration::ZERO);
-        }
         self.ctx.stats.record_pmem_flushes(flushed_lines);
-        Ok(portus_sim::SimDuration::from_nanos(
-            self.ctx.model.clwb_ns * flushed_lines.min(1024),
-        ))
+        Ok(flushed_lines)
     }
 
     /// Persistence fence (`sfence`): everything previously flushed is now
@@ -407,19 +409,25 @@ impl PmemDevice {
         Ok(())
     }
 
-    /// [`PmemDevice::persist`] for pipelined callers: the range becomes
-    /// durable (same state transitions and flush/fence accounting), but
-    /// the `clwb + sfence` cost is *returned* instead of charged so the
-    /// caller can schedule it on its own timeline — e.g. overlapped
-    /// with an in-flight fabric transfer — and advance the shared clock
-    /// once, when the whole pipeline drains.
+    /// [`PmemDevice::persist`] for pipelined callers, over a batch of
+    /// `(offset, len)` ranges: one flush pass covers every range and
+    /// one fence makes the whole batch durable (same state transitions
+    /// and flush/fence accounting). The `clwb + sfence` cost is
+    /// *returned* instead of charged so the caller can schedule it on
+    /// its own timeline — e.g. overlapped with an in-flight fabric
+    /// transfer — and advance the shared clock once, when the whole
+    /// pipeline drains.
     ///
     /// # Errors
     ///
-    /// Returns [`PmemError::OutOfBounds`] if the range exceeds capacity.
-    pub fn persist_deferred(&self, offset: u64, len: u64) -> PmemResult<portus_sim::SimDuration> {
-        let flush = self.flush_internal(offset, len)?;
-        Ok(flush + self.fence_internal())
+    /// Returns [`PmemError::OutOfBounds`] if a range exceeds capacity;
+    /// ranges before it stay flushed but unfenced.
+    pub fn persist_deferred(&self, ranges: &[(u64, u64)]) -> PmemResult<portus_sim::SimDuration> {
+        let mut lines = 0u64;
+        for &(offset, len) in ranges {
+            lines += self.flush_lines(offset, len)?;
+        }
+        Ok(self.flush_cost(lines) + self.fence_internal())
     }
 
     /// Atomic 8-byte compare-and-swap at `offset` (must be 8-aligned),
@@ -740,6 +748,22 @@ mod tests {
         let delta = pm.ctx().stats.snapshot().since(&before);
         assert_eq!(delta.pmem_flushes, 4); // 256 bytes = 4 lines
         assert_eq!(delta.pmem_fences, 1);
+
+        // A deferred batch: one flush pass over both ranges and one
+        // fence, with the cost returned instead of charged.
+        pm.write(0, b"first").unwrap();
+        pm.write(8192, &[7u8; 256]).unwrap();
+        let (before, t0) = (pm.ctx().stats.snapshot(), pm.ctx().clock.now());
+        let cost = pm.persist_deferred(&[(0, 5), (8192, 256)]).unwrap();
+        let delta = pm.ctx().stats.snapshot().since(&before);
+        assert_eq!((delta.pmem_flushes, delta.pmem_fences), (5, 1));
+        assert_eq!(cost, pm.ctx().model.persist_lines(5));
+        assert_eq!(pm.ctx().clock.now(), t0);
+        pm.crash(CrashSpec::LoseAll);
+        let mut out = [0u8; 8192 + 256];
+        pm.read(0, &mut out).unwrap();
+        assert_eq!(&out[..5], b"first");
+        assert_eq!(&out[8192..], &[7u8; 256][..]);
     }
 
     #[test]

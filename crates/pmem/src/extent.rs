@@ -28,6 +28,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use portus_sim::hash::splitmix64;
 
 use crate::typed::{read_u32, read_u64, write_u64};
 use crate::{PmemAllocator, PmemDevice, PmemError, PmemResult};
@@ -604,15 +605,6 @@ impl ExtentStore {
         }
         Ok(stats)
     }
-}
-
-/// splitmix64 finalizer (Steele et al.), the keyed mixing step of
-/// [`content_hash`].
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Content hash of an extent payload: a splitmix64-keyed fold over the

@@ -132,15 +132,8 @@ impl PostedQueuePair {
     /// the first post pays the full per-verb latency, follow-on posts
     /// ride the same doorbell until [`PostedQueuePair::begin_batch`].
     pub fn new(qp: QueuePair, cq: CompletionQueue) -> PostedQueuePair {
-        PostedQueuePair::from_shared(Arc::new(qp), cq)
-    }
-
-    /// As [`PostedQueuePair::new`], but over a queue pair that is also
-    /// used elsewhere (e.g. a daemon's per-client QP shared between
-    /// worker threads).
-    pub fn from_shared(qp: Arc<QueuePair>, cq: CompletionQueue) -> PostedQueuePair {
         PostedQueuePair {
-            qp,
+            qp: Arc::new(qp),
             cq,
             next_wr: Mutex::new(1),
             posted_in_batch: Mutex::new(0),
@@ -148,8 +141,10 @@ impl PostedQueuePair {
         }
     }
 
-    /// As [`PostedQueuePair::from_shared`], but posts ride the
-    /// *deferred* verbs ([`QueuePair::read_gather_deferred`] /
+    /// As [`PostedQueuePair::new`], but over a queue pair that is also
+    /// used elsewhere (e.g. a daemon's per-client QP shared between
+    /// worker threads), and posts ride the *deferred* verbs
+    /// ([`QueuePair::read_gather_deferred`] /
     /// [`QueuePair::write_scatter_deferred`]): WQEs are scheduled on
     /// the QP's lane engines without advancing the shared clock, so
     /// several striped queue pairs can post from one instant and

@@ -21,6 +21,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use portus_sim::hash::splitmix64;
+
 /// Which one-sided verbs a [`FaultPlan`] fails. Sequence numbers are
 /// 1-based and count the verbs initiated by the armed NIC since the
 /// plan was armed.
@@ -45,16 +47,6 @@ pub enum FaultSpec {
     },
     /// Fail every verb.
     All,
-}
-
-/// splitmix64 — the standard 64-bit finalizer; plenty for deciding
-/// per-verb coin flips deterministically.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// An armed fault plan: a [`FaultSpec`] plus the verb sequence counter

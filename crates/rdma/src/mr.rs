@@ -9,6 +9,7 @@
 use std::sync::Arc;
 
 use portus_pmem::PmemDevice;
+use portus_sim::hash::Fnv1a;
 use portus_sim::MemoryKind;
 
 use portus_mem::Buffer;
@@ -121,19 +122,16 @@ impl RegionTarget {
         match self {
             RegionTarget::Buffer(b) => Ok(b.checksum()),
             RegionTarget::Pmem { dev, base, len } => {
-                let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+                let mut hash = Fnv1a::new();
                 let mut buf = [0u8; 4096];
                 let mut pos = 0u64;
                 while pos < *len {
                     let chunk = ((*len - pos) as usize).min(buf.len());
                     dev.read(base + pos, &mut buf[..chunk])?;
-                    for &b in &buf[..chunk] {
-                        hash ^= b as u64;
-                        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-                    }
+                    hash.update(&buf[..chunk]);
                     pos += chunk as u64;
                 }
-                Ok(hash)
+                Ok(hash.finish())
             }
         }
     }

@@ -60,8 +60,7 @@ pub struct QueuePair {
 
 impl QueuePair {
     /// Connects a pair of QPs between `a` and `b`; returns the endpoint
-    /// at `a` and the endpoint at `b`. The connection rides lane 0 —
-    /// the classic single-QP datapath.
+    /// at `a` and the endpoint at `b`. The connection rides lane 0.
     pub fn connect(a: Arc<Nic>, b: Arc<Nic>) -> (QueuePair, QueuePair) {
         QueuePair::connect_lane(a, b, 0)
     }

@@ -101,9 +101,9 @@ pub struct CostModel {
     /// Scheduling penalty (ns) charged when a verb is posted to a NIC
     /// DMA engine that is still busy with earlier work: the WQE sits in
     /// the engine's queue and pays an extra arbitration/wakeup cost on
-    /// top of the queueing delay itself. Only the striped (multi-QP)
-    /// datapath posts to potentially-busy engines, so single-QP runs
-    /// never observe this constant.
+    /// top of the queueing delay itself. The daemon posts every WQE of
+    /// a round at one instant, so each WQE queued behind another on the
+    /// same lane pays it.
     #[serde(default)]
     pub nic_engine_contention_ns: u64,
 

@@ -31,6 +31,7 @@
 mod clock;
 mod cost;
 mod engine;
+pub mod hash;
 mod metrics;
 mod plan;
 mod resource;

@@ -11,13 +11,7 @@
 //! [`SimRng::fork`], keyed by a stable label, so adding a draw to one
 //! actor never perturbs another actor's sequence.
 
-/// splitmix64 — the standard 64-bit finalizer.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
+use crate::hash::splitmix64;
 
 /// A deterministic seeded random stream.
 ///

@@ -317,9 +317,8 @@ impl Tracer {
                     ("model".to_string(), s.model.clone()),
                     ("round".to_string(), s.round.to_string()),
                 ];
-                // Lane 0 is the only lane of an unstriped connection;
-                // omitting it keeps single-QP exports byte-identical
-                // to traces recorded before striping existed.
+                // Lane 0 is the only lane of a one-QP connection;
+                // omitting it keeps one-QP exports free of lane args.
                 if s.lane > 0 {
                     args.push(("lane".to_string(), s.lane.to_string()));
                 }

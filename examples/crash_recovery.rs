@@ -87,11 +87,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             slot.state, slot.version, slot.data_len
         );
         if slot.state == SlotState::Done {
-            assert_eq!(
-                index.slot_checksum(&mi, i)?,
-                slot.checksum,
-                "checksum intact"
-            );
+            assert_eq!(index.slot_digest(&mi, i)?, slot.digest, "digest intact");
         }
     }
     Ok(())

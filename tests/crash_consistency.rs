@@ -69,14 +69,14 @@ fn torn_checkpoint_scenario(completed: u64, seed: u64) -> (u64, u64, u64) {
     assert_eq!(summaries.len(), 1);
     let latest = summaries[0].latest_version.unwrap_or(0);
 
-    // The recovered latest-done slot must be checksum-valid.
+    // The recovered latest-done slot must be digest-valid.
     let index2 = daemon2.index();
     let (_, off2) = index2.live_entries().unwrap()[0];
     let mi2 = index2.load_mindex(off2).unwrap();
     if let Some((slot, hdr)) = mi2.latest_done() {
         assert_eq!(
-            index2.slot_checksum(&mi2, slot).unwrap(),
-            hdr.checksum,
+            index2.slot_digest(&mi2, slot).unwrap(),
+            hdr.digest,
             "recovered Done slot failed integrity"
         );
     }

@@ -217,16 +217,14 @@ fn checkpoint_of_updated_model_differs_from_previous_version() {
     let (_, off) = index.live_entries().unwrap()[0];
     let mi1 = index.load_mindex(off).unwrap();
     let (s1, h1) = mi1.latest_done().unwrap();
-    let c1 = index.slot_checksum(&mi1, s1).unwrap();
-    assert_eq!(c1, h1.checksum);
+    let d1 = index.slot_digest(&mi1, s1).unwrap();
+    assert_eq!(d1, h1.digest);
 
     model.train_step();
     client.checkpoint("diff").unwrap();
     let mi2 = index.load_mindex(off).unwrap();
     let (s2, h2) = mi2.latest_done().unwrap();
     assert_ne!(s1, s2, "new version must land in the other slot");
-    assert_ne!(
-        h1.checksum, h2.checksum,
-        "content changed, checksum must too"
-    );
+    assert_eq!(index.slot_digest(&mi2, s2).unwrap(), h2.digest);
+    assert_ne!(h1.digest, h2.digest, "content changed, digest must too");
 }

@@ -1,9 +1,9 @@
-//! The stage-pipelined, multi-QP striped datapath: QP striping across
-//! NIC DMA-engine lanes, the pipelined persist+checksum seal with its
-//! incremental positional digest, and the guarantee that
-//! `qps_per_connection = 1` keeps the classic datapath bit-for-bit.
+//! The one datapath: QP striping across NIC DMA-engine lanes, the
+//! pipelined persist+digest seal with its incremental positional
+//! digest at every `qps_per_connection`, restore-side verification of
+//! that digest, and a golden trace pinning the one-QP case.
 
-use portus::{DaemonConfig, PortusClient, PortusDaemon, CKSUM_KIND_DIGEST, CKSUM_KIND_FNV};
+use portus::{DaemonConfig, PortusClient, PortusDaemon, PortusError};
 use portus_dnn::{test_spec, Materialization, ModelInstance};
 use portus_mem::GpuDevice;
 use portus_pmem::{PmemDevice, PmemMode};
@@ -57,11 +57,11 @@ fn striped_cfg(qps: usize) -> DaemonConfig {
     }
 }
 
-/// The replay half of the bit-for-bit guarantee: the exact scenario
-/// whose Chrome trace was captured at the pre-striping HEAD, re-run on
-/// today's datapath with the default `qps_per_connection = 1`, must
-/// serialize to the identical JSON — same spans, same virtual
-/// timestamps, byte for byte.
+/// A fixed one-QP scenario (full checkpoint, delta checkpoint,
+/// restore) with the default `qps_per_connection = 1` must serialize
+/// to the committed Chrome trace — same spans, same virtual
+/// timestamps, byte for byte — so any change to the datapath's timing
+/// shows up as a reviewed diff of the golden file.
 #[test]
 fn single_qp_replays_the_golden_trace_bit_for_bit() {
     let ctx = SimContext::icdcs24();
@@ -89,35 +89,36 @@ fn single_qp_replays_the_golden_trace_bit_for_bit() {
     assert_eq!(
         ctx.tracer.to_chrome_trace(),
         golden,
-        "qps_per_connection = 1 must keep the classic datapath bit-for-bit"
+        "the one-QP datapath must replay the golden trace bit-for-bit"
     );
     drop(client);
     daemon.shutdown();
 }
 
-/// One striped checkpoint against one classic checkpoint of the same
-/// model: the striped datapath must finish strictly sooner in virtual
-/// time, its seal must overlap fabric completions (non-zero pipeline
-/// gauge), and the trace must show per-lane doorbells with persist
-/// running while later completions are still draining.
+/// One 4-QP checkpoint against one 1-QP checkpoint of the same model:
+/// the striped datapath must finish strictly sooner in virtual time,
+/// its seal must overlap fabric completions (non-zero pipeline gauge),
+/// and the trace must show per-lane doorbells, one shared persist per
+/// wave of lane completions, and persist running while later
+/// completions are still draining.
 #[test]
 fn striped_checkpoint_overlaps_seal_with_the_fabric() {
     // 128 adjacent 128 KiB tensors = 16 MiB in 8 gather WQEs
     // (MAX_SGE = 16 tensors each): two waves per lane on 4 lanes.
     let layers = 8 * MAX_SGE;
     let (base_w, _m) = world("pipe", layers, 128 * 1024, 1, DaemonConfig::default());
-    let classic = base_w.client.checkpoint("pipe").unwrap();
+    let one_qp = base_w.client.checkpoint("pipe").unwrap();
 
     let (w, _model) = world("pipe", layers, 128 * 1024, 4, striped_cfg(4));
     w.ctx.tracer.enable();
     let striped = w.client.checkpoint("pipe").unwrap();
 
-    assert_eq!(striped.bytes, classic.bytes);
+    assert_eq!(striped.bytes, one_qp.bytes);
     assert!(
-        striped.elapsed < classic.elapsed,
-        "striping must beat the classic datapath: {:?} !< {:?}",
+        striped.elapsed < one_qp.elapsed,
+        "striping must beat the one-QP datapath: {:?} !< {:?}",
         striped.elapsed,
-        classic.elapsed
+        one_qp.elapsed
     );
 
     // The persist+checksum stage ran while later WQEs were in flight.
@@ -136,8 +137,12 @@ fn striped_checkpoint_overlaps_seal_with_the_fabric() {
     );
     let persists: Vec<_> = spans.iter().filter(|s| s.stage == Stage::Persist).collect();
     let checksums = spans.iter().filter(|s| s.stage == Stage::Checksum).count();
-    assert_eq!(persists.len(), 8, "one persist span per run");
-    assert_eq!(checksums, 8, "one checksum span per run");
+    assert_eq!(
+        persists.len(),
+        2,
+        "the runs of one wave land together and share one flush+fence"
+    );
+    assert_eq!(checksums, 2, "one read-back span per persist batch");
     let last_drain_end = spans
         .iter()
         .filter(|s| s.stage == Stage::CqDrain)
@@ -157,13 +162,13 @@ fn striped_checkpoint_overlaps_seal_with_the_fabric() {
 
 /// The headline number: two concurrent large-model checkpoints on a
 /// 4-QP / 4-engine fabric finish in less than half the virtual time the
-/// single-QP datapath needs for the same two checkpoints.
+/// one-QP datapath needs for the same two checkpoints back to back.
 #[test]
 fn concurrent_striped_checkpoints_double_throughput() {
     let layers = 8 * MAX_SGE;
     let bytes = 128 * 1024;
 
-    // Baseline: classic datapath, the two checkpoints back to back.
+    // Baseline: the one-QP datapath, the two checkpoints back to back.
     let base = {
         let ctx = SimContext::icdcs24();
         let fabric = Fabric::new(ctx.clone());
@@ -252,31 +257,27 @@ fn concurrent_striped_checkpoints_double_throughput() {
     );
 }
 
-/// Restore validates checkpoints from **both** write paths: striped
-/// checkpoints seal with the incrementally combined positional digest
-/// (`CKSUM_KIND_DIGEST`), classic ones with the sequential FNV
-/// checksum — `verify_on_restore` recomputes whichever kind the header
-/// says and both round-trip the model bytes exactly.
+/// Restore validates digest-sealed checkpoints from both write paths:
+/// a full checkpoint (every run digested as it drains) and a delta
+/// checkpoint (fabric pulls plus device-local carries, each
+/// contributing its own partial digest) both round-trip the model
+/// bytes exactly.
 #[test]
-fn restore_verifies_both_checksum_kinds() {
-    // Striped: header carries a digest, no FNV word.
+fn restore_verifies_full_and_delta_digests() {
     let (w, mut model) = world("digest", 32, 64 * 1024, 4, striped_cfg(4));
     let saved = model.model_checksum();
     w.client.checkpoint("digest").unwrap();
     let index = w.daemon.index();
     let (_, off) = index.live_entries().unwrap()[0];
     let mi = index.load_mindex(off).unwrap();
-    let (_, hdr) = mi.latest_done().unwrap();
-    assert_eq!(hdr.cksum_kind, CKSUM_KIND_DIGEST);
+    let (slot, hdr) = mi.latest_done().unwrap();
     assert_ne!(hdr.digest, 0);
-    assert_eq!(hdr.checksum, 0, "digest-sealed slots carry no FNV word");
+    assert_eq!(index.slot_digest(&mi, slot).unwrap(), hdr.digest);
     model.train_step(); // diverge
     let r = w.client.restore(&model).unwrap();
     assert_eq!(r.version, 1);
     assert_eq!(model.model_checksum(), saved);
 
-    // A striped delta checkpoint (fabric pulls + device-local carries,
-    // each contributing its own partial digest) verifies the same way.
     let _ = model.take_dirty(); // v1 covered everything up to here
     let evens: Vec<usize> = (0..32).step_by(2).collect();
     model.train_step_sparse(&evens);
@@ -289,29 +290,12 @@ fn restore_verifies_both_checksum_kinds() {
     assert_eq!(model.model_checksum(), saved2);
     drop(w.client);
     w.daemon.shutdown();
-
-    // Classic: the FNV path still seals and verifies.
-    let (w1, mut m1) = world("fnv", 4, 4096, 1, DaemonConfig::default());
-    let saved = m1.model_checksum();
-    w1.client.checkpoint("fnv").unwrap();
-    let index = w1.daemon.index();
-    let (_, off) = index.live_entries().unwrap()[0];
-    let mi = index.load_mindex(off).unwrap();
-    let (_, hdr) = mi.latest_done().unwrap();
-    assert_eq!(hdr.cksum_kind, CKSUM_KIND_FNV);
-    assert_ne!(hdr.checksum, 0);
-    m1.train_step();
-    let r = w1.client.restore(&m1).unwrap();
-    assert_eq!(r.version, 1);
-    assert_eq!(m1.model_checksum(), saved);
-    drop(w1.client);
-    w1.daemon.shutdown();
 }
 
 /// Striping is config-only: a 4-QP connection over single-engine NICs
 /// still produces correct checkpoints (the lanes all queue on the one
-/// engine), and a 1-QP connection over many-engine NICs stays on the
-/// classic path.
+/// engine), and a 1-QP connection over many-engine NICs seals with the
+/// same positional digest as every other pool size.
 #[test]
 fn striping_degrades_gracefully_with_mismatched_engines() {
     let (w, mut model) = world("mismatch", 8, 4096, 1, striped_cfg(4));
@@ -324,13 +308,86 @@ fn striping_degrades_gracefully_with_mismatched_engines() {
     drop(w.client);
     w.daemon.shutdown();
 
-    let (w2, model2) = world("classic", 8, 4096, 4, DaemonConfig::default());
-    w2.client.checkpoint("classic").unwrap();
+    let (w2, model2) = world("one-qp", 8, 4096, 4, DaemonConfig::default());
+    w2.client.checkpoint("one-qp").unwrap();
     let index = w2.daemon.index();
     let (_, off) = index.live_entries().unwrap()[0];
     let mi = index.load_mindex(off).unwrap();
-    assert_eq!(mi.latest_done().unwrap().1.cksum_kind, CKSUM_KIND_FNV);
+    let (slot, hdr) = mi.latest_done().unwrap();
+    assert_ne!(hdr.digest, 0, "a one-QP slot must be digest-sealed");
+    assert_eq!(index.slot_digest(&mi, slot).unwrap(), hdr.digest);
     drop(model2);
     drop(w2.client);
     w2.daemon.shutdown();
+}
+
+/// Flips one byte of the latest sealed slot's data region on PMem.
+fn corrupt_latest_slot(daemon: &PortusDaemon) {
+    let index = daemon.index();
+    let (_, off) = index.live_entries().unwrap()[0];
+    let (_, hdr) = index.load_mindex(off).unwrap().latest_done().unwrap();
+    let at = hdr.data_off + hdr.data_len / 2;
+    let mut byte = [0u8; 1];
+    index.device().read(at, &mut byte).unwrap();
+    byte[0] ^= 0x01;
+    index.device().write(at, &byte).unwrap();
+}
+
+/// A single flipped byte in a sealed slot fails the restore with the
+/// typed `ChecksumMismatch`, on one QP and on four, whether the slot
+/// was sealed by a full checkpoint or by a delta checkpoint.
+#[test]
+fn corrupted_slot_fails_restore_with_a_typed_checksum_mismatch() {
+    for qps in [1, 4] {
+        for delta in [false, true] {
+            let (w, mut model) = world("corrupt", 8, 16 * 1024, qps, striped_cfg(qps));
+            w.client.checkpoint("corrupt").unwrap();
+            let version = if delta {
+                let _ = model.take_dirty();
+                model.train_step_sparse(&[1, 4]);
+                let dirty = model.take_dirty();
+                w.client
+                    .checkpoint_delta("corrupt", &dirty)
+                    .unwrap()
+                    .version
+            } else {
+                1
+            };
+            corrupt_latest_slot(&w.daemon);
+            match w.client.restore(&model) {
+                Err(PortusError::ChecksumMismatch {
+                    model: m,
+                    version: v,
+                }) => {
+                    assert_eq!(m, "corrupt");
+                    assert_eq!(v, version, "qps {qps}, delta {delta}");
+                }
+                other => {
+                    panic!("qps {qps}, delta {delta}: expected ChecksumMismatch, got {other:?}")
+                }
+            }
+            drop(w.client);
+            w.daemon.shutdown();
+        }
+    }
+}
+
+/// The one-QP datapath pipelines its seal too: with two or more WQE
+/// runs, persist+digest work for the first runs overlaps the later
+/// runs' transfers, so the pipeline gauge reads non-zero.
+#[test]
+fn one_qp_checkpoint_overlaps_its_seal_with_the_fabric() {
+    // 4 * MAX_SGE adjacent tensors coalesce into 4 gather WQEs.
+    let (w, _model) = world(
+        "one-qp-pipe",
+        4 * MAX_SGE,
+        64 * 1024,
+        1,
+        DaemonConfig::default(),
+    );
+    w.client.checkpoint("one-qp-pipe").unwrap();
+    let overlap = w.ctx.metrics.snapshot().pipeline_overlap_permille;
+    assert!(overlap > 0, "one-QP seal never overlapped the fabric");
+    drop(w.client);
+    w.daemon.shutdown();
 }

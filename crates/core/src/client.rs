@@ -60,8 +60,12 @@ pub struct DeltaReport {
     pub version: u64,
     /// Bytes pulled over the fabric (dirty tensors only).
     pub pulled_bytes: u64,
-    /// Bytes carried over device-locally from the previous version.
+    /// Bytes copied device-locally from the previous version.
     pub copied_bytes: u64,
+    /// Clean bytes left in place: the target slot still held them from
+    /// the version before the previous one, so they were neither
+    /// pulled nor copied. `pulled + copied + reused` is the model size.
+    pub reused_bytes: u64,
     /// Daemon-side virtual time (pulls + carry-over copies).
     pub elapsed: SimDuration,
 }
@@ -396,6 +400,7 @@ impl PortusClient {
                 version,
                 pulled_bytes,
                 copied_bytes,
+                reused_bytes,
                 elapsed,
                 ..
             } => Ok(DeltaReport {
@@ -403,6 +408,7 @@ impl PortusClient {
                 version,
                 pulled_bytes,
                 copied_bytes,
+                reused_bytes,
                 elapsed,
             }),
             other => Err(PortusError::Daemon(format!(

@@ -406,6 +406,57 @@ pub(crate) struct DaemonState {
     /// when `space_high_watermark > 0`); dropped on shutdown so the
     /// thread exits.
     repack_tx: Mutex<Option<Sender<()>>>,
+    /// Per-model delta lineage, keyed by MIndex offset: at most one
+    /// small record per model, DRAM only. A restart forgets it and the
+    /// next delta of each model copies every clean tensor.
+    lineage: Mutex<HashMap<u64, Lineage>>,
+}
+
+/// What the daemon remembers about a model's latest version beyond its
+/// slot headers.
+#[derive(Debug, Clone)]
+enum Lineage {
+    /// `version` was a delta over `base`, the version the other slot
+    /// still holds. `pulled[i]` says whether it pulled tensor `i`; every
+    /// other tensor is byte-identical in the two versions.
+    Delta {
+        version: u64,
+        base: u64,
+        pulled: Vec<bool>,
+    },
+    /// A restore put an older version than the latest on the GPU, so
+    /// the client's dirty mask no longer describes how the GPU differs
+    /// from the latest version: the next delta pulls every tensor.
+    PullAll,
+}
+
+/// The reuse rule. A delta over `prev` into `target` may leave a clean
+/// tensor in place when `prev` is the delta `lineage` describes and
+/// `target` still holds, as a sealed plain region, the base version
+/// that delta was taken over: every tensor `prev` did not pull is then
+/// already correct in `target`. Returns `prev`'s pulled mask in that
+/// case. Repack reclaim, rollback collapse, dedup ingest and crash
+/// debris all change `target`'s header, so they break the rule without
+/// a hook of their own.
+fn reusable_mask(
+    lineage: Option<Lineage>,
+    prev: Option<SlotHeader>,
+    target: &SlotHeader,
+) -> Option<Vec<bool>> {
+    let Some(Lineage::Delta {
+        version,
+        base,
+        pulled,
+    }) = lineage
+    else {
+        return None;
+    };
+    let prev = prev?;
+    let holds_base = target.state == SlotState::Done
+        && target.version == base
+        && target.ext_map == 0
+        && target.data_off != 0;
+    (prev.version == version && prev.ext_map == 0 && holds_base).then_some(pulled)
 }
 
 /// The Portus storage daemon.
@@ -528,6 +579,7 @@ impl PortusDaemon {
             stale_active: Mutex::new(stale_active),
             repack_seq: AtomicU64::new(0),
             repack_tx: Mutex::new(None),
+            lineage: Mutex::new(HashMap::new()),
         });
         state.refresh_space_gauges();
         let repacker = if high_watermark > 0 {
@@ -925,13 +977,16 @@ fn handle_request(state: &DaemonState, pool: &QpPool, tenant: &TenantCtx, req: R
             model,
             dirty,
         } => match state.delta_checkpoint(pool, tenant, &model, &dirty, req_id) {
-            Ok((version, pulled_bytes, copied_bytes, elapsed)) => Reply::DeltaDone {
-                req_id,
-                version,
-                pulled_bytes,
-                copied_bytes,
-                elapsed,
-            },
+            Ok((version, [pulled_bytes, copied_bytes, reused_bytes], elapsed)) => {
+                Reply::DeltaDone {
+                    req_id,
+                    version,
+                    pulled_bytes,
+                    copied_bytes,
+                    reused_bytes,
+                    elapsed,
+                }
+            }
             Err(e) => error_reply(req_id, e),
         },
         Request::Checkpoint { req_id, model } => {
@@ -1090,9 +1145,10 @@ struct SealPiece {
     /// Virtual instant the bytes were in place: the fabric completion
     /// end for pulled runs, the end of the copy stage for carry-overs.
     arrival: SimTime,
-    /// Digest already computed from in-flight bytes (carry-overs hash
-    /// the bounce buffer they stage through); `None` means the stage
-    /// reads the extent back from PMem, charging the DAX read.
+    /// The extent's digest contribution when already known: carry-overs
+    /// hash the bounce buffer they stage through, or add nothing when
+    /// the seal starts from the previous version's digest. `None` means
+    /// the stage reads the extent back from PMem, charging the DAX read.
     digest: Option<u64>,
 }
 
@@ -1606,9 +1662,10 @@ impl DaemonState {
     /// engines; extents that land while the stage is busy share one
     /// flush pass and fence. Per-extent digests ([`crate::region_digest`]) combine
     /// order-independently into the slot digest the header is sealed
-    /// with ([`Index::mark_slot_done`]); restore recomputes the same
-    /// value from the region regardless of how the extents were
-    /// partitioned. On any error the slot is rolled back to `hdr`, its
+    /// with ([`Index::mark_slot_done`]), starting from `base_digest`
+    /// (0, or the digest of the bytes the pieces do not cover); restore
+    /// recomputes the same value from the region regardless of how the
+    /// extents were partitioned. On any error the slot is rolled back to `hdr`, its
     /// pre-activation header (bytes definitely landed by this point),
     /// and the original error is returned.
     fn seal_slot_pipelined(
@@ -1616,10 +1673,11 @@ impl DaemonState {
         mi: &MIndex,
         slot: usize,
         hdr: SlotHeader,
+        base_digest: u64,
         pieces: Vec<SealPiece>,
         sc: &SpanCtx<'_>,
     ) -> PortusResult<()> {
-        if let Err(e) = self.seal_pipeline(mi, slot, hdr, pieces, sc) {
+        if let Err(e) = self.seal_pipeline(mi, slot, hdr, base_digest, pieces, sc) {
             // Best-effort: the original error is what the client sees.
             self.rollback_best_effort(mi, slot, hdr, true);
             return Err(e);
@@ -1632,6 +1690,7 @@ impl DaemonState {
         mi: &MIndex,
         slot: usize,
         hdr: SlotHeader,
+        base_digest: u64,
         mut pieces: Vec<SealPiece>,
         sc: &SpanCtx<'_>,
     ) -> PortusResult<()> {
@@ -1646,7 +1705,7 @@ impl DaemonState {
             .max()
             .unwrap_or_else(|| ctx.clock.now());
         let dev = self.index.device();
-        let mut digest = 0u64;
+        let mut digest = base_digest;
         // Each piece of stage work queues on the pipe and is traced;
         // work granted before the last fabric completion ran in the
         // transfer's shadow (the pipeline gauge).
@@ -1840,7 +1899,9 @@ impl DaemonState {
         // digest, and flip to Done, pipelining per-run persist+digest
         // work against the transfers themselves.
         let pieces = pull_pieces(&runs, &outcome, self.ctx.clock.now());
-        self.seal_slot_pipelined(&mi, target, hdr, pieces, &sc)?;
+        self.seal_slot_pipelined(&mi, target, hdr, 0, pieces, &sc)?;
+        // Every tensor was pulled: the model has no delta lineage.
+        self.lineage.lock().remove(&mi.offset);
         // Dedup tier: the sealed plain region becomes an extent map of
         // content-addressed chunks (failure keeps the plain region).
         if let Some(dcfg) = &self.cfg.dedup {
@@ -1855,9 +1916,16 @@ impl DaemonState {
 
     /// Incremental checkpoint: dirty tensors are pulled from GPU memory;
     /// clean ones are carried over from the previous complete version
-    /// with a device-local PMem copy (charged at DAX read + write rates).
-    /// The resulting slot is a *complete* version — crash consistency is
+    /// with a device-local PMem copy (charged at DAX read + write rates)
+    /// — except those the target slot already holds. The target always
+    /// holds the version before the previous one, so when the previous
+    /// version was itself a delta over it ([`reusable_mask`]), a tensor
+    /// clean in both deltas is left in place: no copy, no persist. The
+    /// resulting slot is a *complete* version — crash consistency is
     /// identical to a full checkpoint.
+    ///
+    /// Returns the version, the `[pulled, copied, reused]` byte counts
+    /// and the daemon-side virtual time.
     pub(crate) fn delta_checkpoint(
         &self,
         pool: &QpPool,
@@ -1865,7 +1933,7 @@ impl DaemonState {
         model: &str,
         dirty: &[bool],
         req_id: u64,
-    ) -> PortusResult<(u64, u64, u64, SimDuration)> {
+    ) -> PortusResult<(u64, [u64; 3], SimDuration)> {
         let sc = SpanCtx::new(&self.ctx, req_id, TraceOp::DeltaCheckpoint, model);
         let _active = self.qos.arbiter.op_guard(tenant);
         let lock = self.model_lock(model);
@@ -1886,22 +1954,28 @@ impl DaemonState {
                 mi.tensors.len()
             )));
         }
-        let prev = mi.latest_done();
-        let prev_hdr = prev.map(|(_, h)| h);
+        let prev_hdr = mi.latest_done().map(|(_, h)| h);
+        let target = mi.target_slot();
+        let lineage = self.lineage.lock().get(&mi.offset).cloned();
+        // After a restore of an older version nothing may be carried:
+        // the GPU no longer matches the previous version's clean tensors.
+        let carry_from = prev_hdr.filter(|_| !matches!(lineage, Some(Lineage::PullAll)));
+        let in_place = reusable_mask(lineage, carry_from, &mi.slots[target]);
 
         // Validate the session and split the dirty mask into work lists
         // BEFORE the slot is touched: a rejected request must leave
         // both slot headers exactly as they were. Clean tensors become
-        // device-local carry-overs; dirty ones become posted pull runs.
-        // Gaps left by clean tensors break runs, so only genuinely
-        // adjacent pulls coalesce.
-        let (mut pulled, mut copied) = (0u64, 0u64);
+        // device-local carry-overs, or stay in place; dirty ones become
+        // posted pull runs. Gaps left by clean tensors break runs, so
+        // only genuinely adjacent pulls coalesce.
+        let (mut pulled, mut copied, mut reused) = (0u64, 0u64, 0u64);
+        let mut pulled_mask = vec![false; dirty.len()];
         let mut verbs = Vec::new();
         // Carry-overs as (src, rel_off, len): the source in the
         // previous Done slot (plain or extent-mapped), destination
         // rel_off in the target region.
         let mut carries: Vec<(CarrySrc, u64, u64)> = Vec::new();
-        for ((rec, desc), &is_dirty) in mi.tensors.iter().zip(&descs).zip(dirty) {
+        for (i, ((rec, desc), &is_dirty)) in mi.tensors.iter().zip(&descs).zip(dirty).enumerate() {
             if desc.meta() != rec.meta {
                 return Err(PortusError::StructureMismatch(format!(
                     "{model}: registered tensor {} does not match index",
@@ -1909,9 +1983,12 @@ impl DaemonState {
                 )));
             }
             let len = rec.meta.size_bytes();
-            // Without a previous complete version, everything must be
+            // Without a version to carry from, everything must be
             // pulled regardless of the mask.
-            match prev_hdr {
+            match carry_from {
+                Some(_) if !is_dirty && in_place.as_ref().is_some_and(|p| !p[i]) => {
+                    reused += len;
+                }
                 Some(ph) if !is_dirty => {
                     let src = if ph.ext_map != 0 {
                         CarrySrc::Extents(ph.ext_map)
@@ -1928,6 +2005,7 @@ impl DaemonState {
                         rkey: desc.rkey,
                         name: desc.name.clone(),
                     });
+                    pulled_mask[i] = true;
                     pulled += len;
                 }
             }
@@ -1937,8 +2015,24 @@ impl DaemonState {
         let t_build = self.ctx.clock.now();
         let runs = coalesce_runs(&verbs);
         sc.record_now(Stage::WqeBuild, t_build);
+        // With tensors left in place the seal starts from the previous
+        // version's digest: the new slot differs from that version only
+        // in the pulled runs, so their old contribution is read back
+        // and swapped out, and carry-overs add nothing. Restore still
+        // verifies the whole region, so a wrong lineage surfaces there
+        // as a checksum mismatch.
+        let base_digest = carry_from
+            .filter(|_| reused > 0)
+            .map(|ph| {
+                runs.iter().try_fold(ph.digest, |acc, run| {
+                    let old = self
+                        .index
+                        .range_digest(ph.data_off, run.base_rel, run.len)?;
+                    Ok::<_, PortusError>(acc.wrapping_sub(old))
+                })
+            })
+            .transpose()?;
 
-        let target = mi.target_slot();
         // As in `checkpoint`: an extent-mapped target slot drops its
         // references before the slot is activated.
         if mi.slots[target].ext_map != 0 {
@@ -1955,9 +2049,18 @@ impl DaemonState {
         let dev = Arc::clone(self.index.device());
         let ctx = &self.ctx;
         let t0 = ctx.clock.now();
-        // Carry-overs first (device-local), then the posted pulls. The
-        // seal reuses the digest each copy computed from its bounce
-        // buffer, so carried bytes are never read a second time.
+        if base_digest.is_some() {
+            // The read-back of the previous version's pulled runs.
+            let cost = ctx.model.dax_read(pulled);
+            ctx.charge(cost);
+            ctx.stats.record_checksum_ns(cost.as_nanos());
+            sc.record_now(Stage::Checksum, t0);
+        }
+        // Carry-overs first (device-local), then the posted pulls. On the
+        // copy-everything path the seal reuses the digest each copy
+        // computed from its bounce buffer, so carried bytes are never
+        // read a second time.
+        let t_carry = ctx.clock.now();
         let mut carried = 0u64;
         let mut pieces: Vec<SealPiece> = Vec::new();
         let carry_result: PortusResult<()> = carries.iter().try_for_each(|&(src, rel, len)| {
@@ -1981,7 +2084,7 @@ impl DaemonState {
                 rel_off: rel,
                 len,
                 arrival: SimTime::ZERO,
-                digest: Some(digest),
+                digest: Some(if base_digest.is_some() { 0 } else { digest }),
             });
             Ok(())
         });
@@ -1992,7 +2095,7 @@ impl DaemonState {
         // Only a carry loop that ran to completion gets a span — a
         // midway error must not be attributed as a finished stage.
         if !carries.is_empty() {
-            sc.record_now(Stage::CarryCopy, t0);
+            sc.record_now(Stage::CarryCopy, t_carry);
         }
         // The copy stage hands its extents to the seal together when it
         // ends, so every carry-over shares one flush pass and fence.
@@ -2009,7 +2112,22 @@ impl DaemonState {
                 }
             };
         pieces.extend(pull_pieces(&runs, &outcome, ctx.clock.now()));
-        self.seal_slot_pipelined(&mi, target, hdr, pieces, &sc)?;
+        self.seal_slot_pipelined(&mi, target, hdr, base_digest.unwrap_or(0), pieces, &sc)?;
+        ctx.stats.record_reuse(reused);
+        {
+            let mut lineage = self.lineage.lock();
+            match prev_hdr {
+                Some(ph) => lineage.insert(
+                    mi.offset,
+                    Lineage::Delta {
+                        version,
+                        base: ph.version,
+                        pulled: pulled_mask,
+                    },
+                ),
+                None => lineage.remove(&mi.offset),
+            };
+        }
         // As in `checkpoint`: the sealed region enters the dedup tier.
         if let Some(dcfg) = &self.cfg.dedup {
             mi.slots[target].state = SlotState::Done;
@@ -2018,7 +2136,7 @@ impl DaemonState {
         }
         let elapsed = ctx.clock.now().saturating_since(t0);
         sc.record_now(Stage::Total, t_op);
-        Ok((version, pulled, copied, elapsed))
+        Ok((version, [pulled, copied, reused], elapsed))
     }
 
     pub(crate) fn restore(
@@ -2044,6 +2162,7 @@ impl DaemonState {
             Some(v) => mi.done_version(v),
         }
         .ok_or_else(|| PortusError::NoValidCheckpoint(model.to_string()))?;
+        let older_than_latest = mi.latest_done().map(|(_, h)| h.version) != Some(hdr.version);
         if descs.len() != mi.tensors.len() {
             return Err(PortusError::StructureMismatch(format!(
                 "{model}: restore registered {} tensors, index has {}",
@@ -2103,6 +2222,10 @@ impl DaemonState {
             let runs = coalesce_runs(&verbs);
             sc.record_now(Stage::WqeBuild, t_build);
 
+            if older_than_latest {
+                // The push rewinds the GPU past the latest version.
+                self.lineage.lock().insert(mi.offset, Lineage::PullAll);
+            }
             let t0 = self.ctx.clock.now();
             // One-sided WRITEs, PMem → GPU: coalesced scatter WQEs under
             // one doorbell, no client CPU involvement. A terminal push
@@ -2139,6 +2262,7 @@ impl DaemonState {
                 .resolve_model(model)?
                 .ok_or_else(|| PortusError::ModelNotFound(model.to_string()))?;
             self.index.remove_model_at(model, off)?;
+            self.lineage.lock().remove(&off);
             match self.catalog() {
                 Some(cat) => {
                     cat.remove(self.index.allocator(), model)?;

@@ -177,8 +177,10 @@ pub enum Reply {
         version: u64,
         /// Bytes pulled over the fabric (the dirty tensors).
         pulled_bytes: u64,
-        /// Bytes carried over device-locally from the previous version.
+        /// Bytes copied device-locally from the previous version.
         copied_bytes: u64,
+        /// Clean bytes left in place: the target slot already held them.
+        reused_bytes: u64,
         /// Daemon-side virtual time for the operation.
         elapsed: SimDuration,
     },

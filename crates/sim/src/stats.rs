@@ -45,6 +45,7 @@ struct StatsInner {
     reclaimed_slots: AtomicU64,
     reclaimed_bytes: AtomicU64,
     oos_recoveries: AtomicU64,
+    reused_bytes: AtomicU64,
 }
 
 /// A point-in-time snapshot of [`Stats`], suitable for diffing.
@@ -113,6 +114,10 @@ pub struct StatsSnapshot {
     /// Checkpoints that first failed allocation with `OutOfSpace` and
     /// then succeeded after the automatic repack-and-retry.
     pub oos_recoveries: u64,
+    /// Clean tensor bytes a delta checkpoint left in place in its target
+    /// slot, because that slot's older version already held them:
+    /// neither pulled nor copied nor persisted again.
+    pub reused_bytes: u64,
 }
 
 impl Stats {
@@ -245,6 +250,11 @@ impl Stats {
         self.inner.oos_recoveries.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records `bytes` of clean tensors a delta checkpoint left in place.
+    pub fn record_reuse(&self, bytes: u64) {
+        self.inner.reused_bytes.fetch_add(bytes, Ordering::Relaxed);
+    }
+
     /// Takes a snapshot of all counters.
     pub fn snapshot(&self) -> StatsSnapshot {
         let i = &self.inner;
@@ -274,6 +284,7 @@ impl Stats {
             reclaimed_slots: i.reclaimed_slots.load(Ordering::Relaxed),
             reclaimed_bytes: i.reclaimed_bytes.load(Ordering::Relaxed),
             oos_recoveries: i.oos_recoveries.load(Ordering::Relaxed),
+            reused_bytes: i.reused_bytes.load(Ordering::Relaxed),
         }
     }
 }
@@ -325,6 +336,7 @@ impl StatsSnapshot {
             reclaimed_slots: self.reclaimed_slots.saturating_sub(earlier.reclaimed_slots),
             reclaimed_bytes: self.reclaimed_bytes.saturating_sub(earlier.reclaimed_bytes),
             oos_recoveries: self.oos_recoveries.saturating_sub(earlier.oos_recoveries),
+            reused_bytes: self.reused_bytes.saturating_sub(earlier.reused_bytes),
         }
     }
 }

@@ -109,11 +109,29 @@ pub struct TrainerStats {
     pub bytes_checkpointed: u64,
     /// Bytes carried over device-locally (delta policy only).
     pub bytes_carried_over: u64,
+    /// Clean bytes delta checkpoints left in place because the target
+    /// slot already held them (delta policy only).
+    pub bytes_reused: u64,
     /// Virtual time spent blocked on checkpointing (sync pulls, async
     /// update barriers).
     pub checkpoint_stall: SimDuration,
     /// Virtual time charged for compute phases.
     pub compute_time: SimDuration,
+}
+
+impl TrainerStats {
+    /// Counter-wise difference `self - earlier`.
+    pub(crate) fn since(&self, earlier: &TrainerStats) -> TrainerStats {
+        TrainerStats {
+            iterations: self.iterations - earlier.iterations,
+            checkpoints_completed: self.checkpoints_completed - earlier.checkpoints_completed,
+            bytes_checkpointed: self.bytes_checkpointed - earlier.bytes_checkpointed,
+            bytes_carried_over: self.bytes_carried_over - earlier.bytes_carried_over,
+            bytes_reused: self.bytes_reused - earlier.bytes_reused,
+            checkpoint_stall: self.checkpoint_stall - earlier.checkpoint_stall,
+            compute_time: self.compute_time - earlier.compute_time,
+        }
+    }
 }
 
 /// A training driver bound to one model and one daemon connection.
@@ -284,6 +302,7 @@ impl Trainer {
                     self.stats.checkpoint_stall += stall;
                     self.stats.bytes_checkpointed += report.pulled_bytes;
                     self.stats.bytes_carried_over += report.copied_bytes;
+                    self.stats.bytes_reused += report.reused_bytes;
                     self.stats.checkpoints_completed += 1;
                     self.last_durable_step = self.step;
                     self.durable_versions.insert(report.version, self.step);
@@ -301,15 +320,7 @@ impl Trainer {
             }
         }
 
-        Ok(TrainerStats {
-            iterations: self.stats.iterations - start_stats.iterations,
-            checkpoints_completed: self.stats.checkpoints_completed
-                - start_stats.checkpoints_completed,
-            bytes_checkpointed: self.stats.bytes_checkpointed - start_stats.bytes_checkpointed,
-            bytes_carried_over: self.stats.bytes_carried_over - start_stats.bytes_carried_over,
-            checkpoint_stall: self.stats.checkpoint_stall - start_stats.checkpoint_stall,
-            compute_time: self.stats.compute_time - start_stats.compute_time,
-        })
+        Ok(self.stats.since(&start_stats))
     }
 
     /// Recovers after a (simulated) failure: restores the latest

@@ -138,17 +138,7 @@ impl ShardedTrainer {
             .shards
             .iter()
             .zip(&start)
-            .map(|(t, s0)| {
-                let s = t.stats();
-                TrainerStats {
-                    iterations: s.iterations - s0.iterations,
-                    checkpoints_completed: s.checkpoints_completed - s0.checkpoints_completed,
-                    bytes_checkpointed: s.bytes_checkpointed - s0.bytes_checkpointed,
-                    bytes_carried_over: s.bytes_carried_over - s0.bytes_carried_over,
-                    checkpoint_stall: s.checkpoint_stall - s0.checkpoint_stall,
-                    compute_time: s.compute_time - s0.compute_time,
-                }
-            })
+            .map(|(t, s0)| t.stats().since(s0))
             .collect::<Vec<_>>();
         let failures: Vec<ShardFailure> = failures.into_iter().flatten().collect();
         if failures.is_empty() {

@@ -3,8 +3,9 @@
 //! Recommendation models (Check-N-Run's domain, which the paper
 //! contrasts with) update only a few embedding shards per batch. The
 //! delta extension exploits that: after the first full version, each
-//! checkpoint pulls only the dirty shards over the fabric and carries
-//! the rest over on the storage side.
+//! checkpoint pulls only the dirty shards over the fabric. On the
+//! storage side it copies the shards the previous delta pulled and
+//! leaves the rest in place: the slot it overwrites already holds them.
 //!
 //! Run with: `cargo run --release --example recommender_delta`
 
@@ -68,27 +69,34 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Ten sparse batches: each touches 2 embedding shards + the dense
     // tower (indices 16, 17).
-    let mut fabric_bytes = 0u64;
-    let mut carried = 0u64;
+    let mib = |b: u64| b as f64 / (1 << 20) as f64;
+    let (mut fabric_bytes, mut carried, mut reused) = (0u64, 0u64, 0u64);
+    let mut delta_time = portus_sim::SimDuration::ZERO;
     for batch in 0..10usize {
         model.train_step_sparse(&[batch % 16, (batch + 7) % 16, 16, 17]);
         let dirty = model.take_dirty();
         let r = client.checkpoint_delta(&spec.name, &dirty)?;
         fabric_bytes += r.pulled_bytes;
         carried += r.copied_bytes;
-        if batch < 3 {
-            println!(
-                "v{} (delta): pulled {} bytes, carried {} bytes in {}",
-                r.version, r.pulled_bytes, r.copied_bytes, r.elapsed
-            );
-        }
+        reused += r.reused_bytes;
+        delta_time += r.elapsed;
+        println!(
+            "v{} (delta): pulled {:.1} MiB, copied {:.1} MiB, left {:.1} MiB in place, in {}",
+            r.version,
+            mib(r.pulled_bytes),
+            mib(r.copied_bytes),
+            mib(r.reused_bytes),
+            r.elapsed
+        );
     }
     println!(
-        "10 delta checkpoints: {:.1} MiB over the fabric vs {:.1} MiB carried over \
-         ({:.0}% network savings vs full checkpoints)",
-        fabric_bytes as f64 / (1 << 20) as f64,
-        carried as f64 / (1 << 20) as f64,
+        "10 delta checkpoints: {:.1} MiB over the fabric, {:.1} MiB copied, {:.1} MiB \
+         left in place ({:.0}% network savings vs full checkpoints), {} per delta",
+        mib(fabric_bytes),
+        mib(carried),
+        mib(reused),
         100.0 * (1.0 - fabric_bytes as f64 / (10.0 * spec.total_bytes() as f64)),
+        delta_time / 10,
     );
 
     // Every delta version is a complete snapshot: restore and verify.

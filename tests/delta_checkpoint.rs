@@ -177,3 +177,35 @@ fn torn_delta_checkpoint_preserves_the_previous_version() {
     assert_eq!(r.version, 1);
     assert_eq!(model.model_checksum(), want);
 }
+
+#[test]
+fn delta_after_a_pinned_restore_snapshots_the_gpu_state() {
+    let w = world();
+    let spec = test_spec("pinned", 4, LAYER_BYTES);
+    let mut model = ModelInstance::materialize(&spec, &w.gpu, 6, Materialization::Owned).unwrap();
+    let client = PortusClient::connect(&w.daemon, w.fabric.nic(NodeId(0)).unwrap());
+    client.register_model(&model).unwrap();
+    model.take_dirty();
+    client.checkpoint("pinned").unwrap(); // v1
+    model.train_step_sparse(&[0]);
+    let dirty = model.take_dirty();
+    client.checkpoint_delta("pinned", &dirty).unwrap(); // v2 changes t0
+
+    // Roll the GPU back to v1: its t0 is now older than v2's.
+    let r = client.restore_version(&model, Some(1)).unwrap();
+    assert_eq!(r.version, 1);
+    model.take_dirty();
+    model.train_step_sparse(&[1]);
+    let dirty = model.take_dirty();
+    let want = model.model_checksum();
+    let report = client.checkpoint_delta("pinned", &dirty).unwrap();
+    assert_eq!(report.version, 3);
+    // Nothing may be carried from v2: the mask only describes changes
+    // since the restore.
+    assert_eq!(report.pulled_bytes, spec.total_bytes());
+
+    model.train_step();
+    let r = client.restore(&model).unwrap();
+    assert_eq!(r.version, 3);
+    assert_eq!(model.model_checksum(), want, "v3 must be the GPU state");
+}

@@ -80,6 +80,7 @@ fn sparse_workload_makes_delta_carry_over_pay() {
 
     let mut total_pulled = 0u64;
     let mut total_carried = 0u64;
+    let mut total_reused = 0u64;
     for round in 0..5usize {
         // Touch two "embedding shards" per round.
         model.train_step_sparse(&[round % LAYERS, (round + 3) % LAYERS]);
@@ -87,13 +88,23 @@ fn sparse_workload_makes_delta_carry_over_pay() {
         let r = client.checkpoint_delta("sparse-rec", &dirty).unwrap();
         total_pulled += r.pulled_bytes;
         total_carried += r.copied_bytes;
+        total_reused += r.reused_bytes;
     }
     assert_eq!(
         total_pulled,
         5 * 2 * LAYER_BYTES,
         "only touched shards cross"
     );
-    assert_eq!(total_carried, 5 * (LAYERS as u64 - 2) * LAYER_BYTES);
+    // Every clean byte is either carried over or, from the second delta
+    // on, left in place in a target slot that already holds it.
+    assert_eq!(
+        total_carried + total_reused,
+        5 * (LAYERS as u64 - 2) * LAYER_BYTES
+    );
+    assert!(
+        total_reused > 0,
+        "steady-state deltas reuse their target slot"
+    );
 
     // Final state restores exactly.
     let want = model.model_checksum();

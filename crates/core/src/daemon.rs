@@ -12,8 +12,10 @@
 //! The datapath itself is **posted**, not blocking: the daemon builds
 //! one work-queue entry per run of up to [`portus_rdma::MAX_SGE`]
 //! tensors that are contiguous in the slot's TensorData region
-//! (`rel_off`-adjacent), posts every WQE of the operation in one
-//! doorbell batch through a [`portus_rdma::PostedQueuePair`], then
+//! (`rel_off`-adjacent) — for checkpoint pulls also at most
+//! [`PULL_WQE_BYTES`], splitting larger tensors — posts every WQE of
+//! the operation in one doorbell batch through a
+//! [`portus_rdma::PostedQueuePair`], then
 //! drains the completion queue, mapping any error back to the tensors
 //! of its run:
 //!
@@ -1048,7 +1050,10 @@ struct TensorVerb {
 }
 
 /// One work-queue entry: a run of tensors contiguous in the slot's
-/// TensorData region, moved by a single gather/scatter verb.
+/// TensorData region, moved by a single gather/scatter verb. A tensor
+/// split across runs appears in each of them, its segments' `offset`s
+/// picking up where the previous run stopped.
+#[derive(Debug)]
 struct VerbRun {
     segs: Vec<SgEntry>,
     names: Vec<String>,
@@ -1056,34 +1061,77 @@ struct VerbRun {
     len: u64,
 }
 
+/// Byte cap of one checkpoint-pull WQE.
+///
+/// The seal pipeline starts on a WQE only when its completion drains,
+/// so an uncapped run holding a whole model (AlexNet's 16 tensors fill
+/// one [`MAX_SGE`] WQE) digests strictly after the pull. With 4 MiB
+/// chunks, chunk *k* is persisted and digested while chunk *k+1* is
+/// still on the NIC. At `CostModel::icdcs24` one chunk's seal costs
+/// 0.45 ms — the 1024-line flush cap (102.4 µs) plus a 4 MiB DAX read
+/// at 12 GB/s — against 0.73 ms to pull it at the 5.8 GB/s BAR rate,
+/// so the seal keeps pace even on one QP. The price is one extra
+/// 64 KiB message ramp per chunk (11.3 µs, ~1.5 %). A cap sweep on
+/// the `zoo-full` and `recsys-delta` benchmark workloads (virtual
+/// checkpoint GB/s) picked 4 MiB: 1–2 MiB pay too many ramps and flush
+/// caps on full checkpoints, 8–16 MiB leave delta pulls' seals exposed.
+/// Restore pushes stay uncapped: their verify runs before the push,
+/// so there is nothing to overlap.
+pub const PULL_WQE_BYTES: u64 = 4 << 20;
+
 /// Groups tensors into runs that are contiguous by `rel_off` in the
-/// slot's TensorData region, capped at [`MAX_SGE`] segments per run.
-/// Each run becomes one WQE; a gap in the selected tensors (e.g. clean
-/// tensors skipped by a delta checkpoint) breaks the run.
-fn coalesce_runs(verbs: &[TensorVerb]) -> Vec<VerbRun> {
-    let mut runs = Vec::new();
-    let mut i = 0;
-    while i < verbs.len() {
-        let base = verbs[i].rel_off;
-        let mut expected = base;
-        let mut segs = Vec::new();
-        let mut names = Vec::new();
-        while i < verbs.len() && segs.len() < MAX_SGE && verbs[i].rel_off == expected {
-            segs.push(SgEntry {
-                rkey: verbs[i].rkey,
-                offset: 0,
-                len: verbs[i].len,
+/// slot's TensorData region. A run closes at [`MAX_SGE`] segments or
+/// `max_bytes` bytes, whichever comes first. A tensor larger than the
+/// room left fills that room, and the rest is cut into near-equal
+/// pieces of at most `max_bytes` — never cap-sized pieces plus a runt:
+/// a runt landing behind a full chunk pays a whole flush pass for a
+/// fraction of the bytes, and at a model's end that lengthens the seal
+/// tail. Each run becomes one WQE; a gap in the selected tensors (e.g.
+/// clean tensors skipped by a delta checkpoint) breaks the run. A
+/// zero-length tensor keeps its segment.
+fn coalesce_runs(verbs: &[TensorVerb], max_bytes: u64) -> Vec<VerbRun> {
+    debug_assert!(max_bytes > 0, "a zero byte cap never places a byte");
+    let mut runs: Vec<VerbRun> = Vec::new();
+    for v in verbs {
+        let mut done = 0u64;
+        loop {
+            let at = v.rel_off + done;
+            // Only a tensor's first piece may join an open run; a
+            // zero-length tensor joins even a full one.
+            let open = done == 0
+                && runs.last().is_some_and(|r| {
+                    r.segs.len() < MAX_SGE
+                        && r.base_rel + r.len == at
+                        && (r.len < max_bytes || v.len == 0)
+                });
+            if !open {
+                runs.push(VerbRun {
+                    segs: Vec::new(),
+                    names: Vec::new(),
+                    base_rel: at,
+                    len: 0,
+                });
+            }
+            let run = runs.last_mut().expect("a run is open");
+            let left = v.len - done;
+            let room = max_bytes.saturating_sub(run.len);
+            let take = if left <= room || run.len > 0 {
+                left.min(room)
+            } else {
+                left.div_ceil(left.div_ceil(max_bytes))
+            };
+            run.segs.push(SgEntry {
+                rkey: v.rkey,
+                offset: done,
+                len: take,
             });
-            names.push(verbs[i].name.clone());
-            expected += verbs[i].len;
-            i += 1;
+            run.names.push(v.name.clone());
+            run.len += take;
+            done += take;
+            if done == v.len {
+                break;
+            }
         }
-        runs.push(VerbRun {
-            segs,
-            names,
-            base_rel: base,
-            len: expected - base,
-        });
     }
     runs
 }
@@ -1150,6 +1198,19 @@ struct SealPiece {
     /// the seal starts from the previous version's digest. `None` means
     /// the stage reads the extent back from PMem, charging the DAX read.
     digest: Option<u64>,
+}
+
+/// Where a seal's digest starts: `0` for a region pulled whole, or —
+/// for a delta that leaves tensors in place — the previous version's
+/// digest with the old contribution of the pulled runs swapped out.
+/// Forming the latter reads `read_back` bytes of the previous version;
+/// that read joins the seal pipe at `at`, the instant the pulls are
+/// posted, ahead of every piece.
+#[derive(Debug, Clone, Copy, Default)]
+struct SealBase {
+    digest: u64,
+    read_back: u64,
+    at: SimTime,
 }
 
 /// Drains **every** posted completion off `cq` and returns the run
@@ -1596,15 +1657,26 @@ impl DaemonState {
             }
             failed.sort_by_key(|&(i, _)| i);
             if round >= self.cfg.verb_retries {
-                return Err(DatapathFailure {
-                    failures: failed
-                        .into_iter()
-                        .map(|(i, e)| VerbFailure {
-                            tensors: runs[i].names.clone(),
+                // Failed chunks of one split tensor fold into one
+                // failure, so every tensor is named once. Runs are in
+                // slot order, so a tensor's chunks are consecutive.
+                let mut failures: Vec<VerbFailure> = Vec::new();
+                for (i, e) in failed {
+                    let names = &runs[i].names;
+                    match failures.last_mut() {
+                        Some(prev) if prev.tensors.last() == names.first() => {
+                            prev.tensors.extend_from_slice(&names[1..]);
+                            prev.retries = prev.retries.max(retries[i]);
+                        }
+                        _ => failures.push(VerbFailure {
+                            tensors: names.clone(),
                             retries: retries[i],
                             error: e.to_string(),
-                        })
-                        .collect(),
+                        }),
+                    }
+                }
+                return Err(DatapathFailure {
+                    failures,
                     any_succeeded,
                 });
             }
@@ -1662,8 +1734,8 @@ impl DaemonState {
     /// engines; extents that land while the stage is busy share one
     /// flush pass and fence. Per-extent digests ([`crate::region_digest`]) combine
     /// order-independently into the slot digest the header is sealed
-    /// with ([`Index::mark_slot_done`]), starting from `base_digest`
-    /// (0, or the digest of the bytes the pieces do not cover); restore
+    /// with ([`Index::mark_slot_done`]), starting from `base` (see
+    /// [`SealBase`], whose read-back is the pipe's first job); restore
     /// recomputes the same value from the region regardless of how the
     /// extents were partitioned. On any error the slot is rolled back to `hdr`, its
     /// pre-activation header (bytes definitely landed by this point),
@@ -1673,11 +1745,11 @@ impl DaemonState {
         mi: &MIndex,
         slot: usize,
         hdr: SlotHeader,
-        base_digest: u64,
+        base: SealBase,
         pieces: Vec<SealPiece>,
         sc: &SpanCtx<'_>,
     ) -> PortusResult<()> {
-        if let Err(e) = self.seal_pipeline(mi, slot, hdr, base_digest, pieces, sc) {
+        if let Err(e) = self.seal_pipeline(mi, slot, hdr, base, pieces, sc) {
             // Best-effort: the original error is what the client sees.
             self.rollback_best_effort(mi, slot, hdr, true);
             return Err(e);
@@ -1690,7 +1762,7 @@ impl DaemonState {
         mi: &MIndex,
         slot: usize,
         hdr: SlotHeader,
-        base_digest: u64,
+        base: SealBase,
         mut pieces: Vec<SealPiece>,
         sc: &SpanCtx<'_>,
     ) -> PortusResult<()> {
@@ -1705,7 +1777,7 @@ impl DaemonState {
             .max()
             .unwrap_or_else(|| ctx.clock.now());
         let dev = self.index.device();
-        let mut digest = base_digest;
+        let mut digest = base.digest;
         // Each piece of stage work queues on the pipe and is traced;
         // work granted before the last fabric completion ran in the
         // transfer's shadow (the pipeline gauge).
@@ -1720,6 +1792,11 @@ impl DaemonState {
                 .min(fabric_end)
                 .saturating_since(g.start.min(fabric_end));
         };
+        if base.read_back > 0 {
+            let cost = ctx.model.dax_read(base.read_back);
+            ctx.stats.record_checksum_ns(cost.as_nanos());
+            serve(Stage::Checksum, base.at, cost);
+        }
         // Group persist: whenever the stage frees up it takes every
         // extent that has landed by then (at least the next one) as one
         // batch — one flush pass and one fence for the batch — then
@@ -1762,7 +1839,7 @@ impl DaemonState {
         // monotonic, so an already-later clock is left alone).
         ctx.clock.advance_to(pipe.busy_until());
         ctx.metrics
-            .set_pipeline_overlap(stage_overlapped, stage_busy);
+            .record_pipeline_overlap(stage_overlapped, stage_busy);
         let t0 = ctx.clock.now();
         let done = self.index.mark_slot_done(mi, slot, digest);
         sc.record_now(Stage::HeaderFlip, t0);
@@ -1861,7 +1938,7 @@ impl DaemonState {
         sc.record_now(Stage::Validate, t_op);
 
         let t_build = self.ctx.clock.now();
-        let runs = coalesce_runs(&verbs);
+        let runs = coalesce_runs(&verbs, PULL_WQE_BYTES);
         sc.record_now(Stage::WqeBuild, t_build);
 
         let target = mi.target_slot();
@@ -1899,7 +1976,7 @@ impl DaemonState {
         // digest, and flip to Done, pipelining per-run persist+digest
         // work against the transfers themselves.
         let pieces = pull_pieces(&runs, &outcome, self.ctx.clock.now());
-        self.seal_slot_pipelined(&mi, target, hdr, 0, pieces, &sc)?;
+        self.seal_slot_pipelined(&mi, target, hdr, SealBase::default(), pieces, &sc)?;
         // Every tensor was pulled: the model has no delta lineage.
         self.lineage.lock().remove(&mi.offset);
         // Dedup tier: the sealed plain region becomes an extent map of
@@ -2013,7 +2090,7 @@ impl DaemonState {
         sc.record_now(Stage::Validate, t_op);
 
         let t_build = self.ctx.clock.now();
-        let runs = coalesce_runs(&verbs);
+        let runs = coalesce_runs(&verbs, PULL_WQE_BYTES);
         sc.record_now(Stage::WqeBuild, t_build);
         // With tensors left in place the seal starts from the previous
         // version's digest: the new slot differs from that version only
@@ -2021,7 +2098,7 @@ impl DaemonState {
         // and swapped out, and carry-overs add nothing. Restore still
         // verifies the whole region, so a wrong lineage surfaces there
         // as a checksum mismatch.
-        let base_digest = carry_from
+        let reuse_digest = carry_from
             .filter(|_| reused > 0)
             .map(|ph| {
                 runs.iter().try_fold(ph.digest, |acc, run| {
@@ -2049,18 +2126,10 @@ impl DaemonState {
         let dev = Arc::clone(self.index.device());
         let ctx = &self.ctx;
         let t0 = ctx.clock.now();
-        if base_digest.is_some() {
-            // The read-back of the previous version's pulled runs.
-            let cost = ctx.model.dax_read(pulled);
-            ctx.charge(cost);
-            ctx.stats.record_checksum_ns(cost.as_nanos());
-            sc.record_now(Stage::Checksum, t0);
-        }
         // Carry-overs first (device-local), then the posted pulls. On the
         // copy-everything path the seal reuses the digest each copy
         // computed from its bounce buffer, so carried bytes are never
         // read a second time.
-        let t_carry = ctx.clock.now();
         let mut carried = 0u64;
         let mut pieces: Vec<SealPiece> = Vec::new();
         let carry_result: PortusResult<()> = carries.iter().try_for_each(|&(src, rel, len)| {
@@ -2084,7 +2153,7 @@ impl DaemonState {
                 rel_off: rel,
                 len,
                 arrival: SimTime::ZERO,
-                digest: Some(if base_digest.is_some() { 0 } else { digest }),
+                digest: Some(if reuse_digest.is_some() { 0 } else { digest }),
             });
             Ok(())
         });
@@ -2095,12 +2164,20 @@ impl DaemonState {
         // Only a carry loop that ran to completion gets a span — a
         // midway error must not be attributed as a finished stage.
         if !carries.is_empty() {
-            sc.record_now(Stage::CarryCopy, t_carry);
+            sc.record_now(Stage::CarryCopy, t0);
         }
         // The copy stage hands its extents to the seal together when it
-        // ends, so every carry-over shares one flush pass and fence.
+        // ends, so every carry-over shares one flush pass and fence. The
+        // pulls are posted at that instant too, and the read-back of the
+        // previous version's pulled runs joins the seal pipe with them:
+        // it overlaps the fabric, never a carry copy.
         let carried_at = ctx.clock.now();
         pieces.iter_mut().for_each(|p| p.arrival = carried_at);
+        let base = reuse_digest.map_or_else(SealBase::default, |digest| SealBase {
+            digest,
+            read_back: pulled,
+            at: carried_at,
+        });
         let outcome =
             match self.execute_runs(pool, tenant, &runs, hdr.data_off, Direction::Pull, &sc) {
                 Ok(outcome) => outcome,
@@ -2112,7 +2189,7 @@ impl DaemonState {
                 }
             };
         pieces.extend(pull_pieces(&runs, &outcome, ctx.clock.now()));
-        self.seal_slot_pipelined(&mi, target, hdr, base_digest.unwrap_or(0), pieces, &sc)?;
+        self.seal_slot_pipelined(&mi, target, hdr, base, pieces, &sc)?;
         ctx.stats.record_reuse(reused);
         {
             let mut lineage = self.lineage.lock();
@@ -2219,7 +2296,7 @@ impl DaemonState {
             self.verify_slot(&mi, slot, &hdr, model, &sc)?;
 
             let t_build = self.ctx.clock.now();
-            let runs = coalesce_runs(&verbs);
+            let runs = coalesce_runs(&verbs, u64::MAX);
             sc.record_now(Stage::WqeBuild, t_build);
 
             if older_than_latest {
@@ -2312,5 +2389,141 @@ impl DaemonState {
             });
         }
         Ok(out)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use portus_pmem::PmemMode;
+    use portus_sim::{CostModel, MemoryKind};
+
+    const MIB: u64 = 1 << 20;
+
+    /// Adjacent tensors of the given sizes, starting at slot offset 0.
+    fn adjacent(sizes: &[u64]) -> Vec<TensorVerb> {
+        let mut rel_off = 0;
+        sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| {
+                let v = TensorVerb {
+                    rel_off,
+                    len,
+                    rkey: 100 + i as u64,
+                    name: format!("t{i}"),
+                };
+                rel_off += len;
+                v
+            })
+            .collect()
+    }
+
+    /// Checks that `runs` tile `verbs` exactly once, in order: walking
+    /// every segment of every run visits each tensor's bytes front to
+    /// back, and each run's segments are packed from its `base_rel`.
+    fn assert_tiles(verbs: &[TensorVerb], runs: &[VerbRun]) {
+        // Every segment as (slot offset, segment, its run's names).
+        let mut segs = Vec::new();
+        for r in runs {
+            let mut at = r.base_rel;
+            for s in &r.segs {
+                segs.push((at, *s, &r.names));
+                at += s.len;
+            }
+            assert_eq!(at, r.base_rel + r.len, "run length is its segments'");
+        }
+        let mut next = segs.into_iter();
+        for v in verbs {
+            let mut done = 0;
+            loop {
+                let (at, s, names) = next.next().expect("tensor bytes left untiled");
+                assert_eq!(s.rkey, v.rkey, "segments follow tensor order");
+                assert!(names.contains(&v.name), "its run names {}", v.name);
+                assert_eq!(s.offset, done, "segment resumes where the last stopped");
+                assert_eq!(at, v.rel_off + done, "segment lands at its slot offset");
+                done += s.len;
+                if done == v.len {
+                    break;
+                }
+            }
+        }
+        assert!(next.next().is_none(), "no segment beyond the tensors");
+    }
+
+    #[test]
+    fn pull_runs_tile_every_tensor_under_both_caps() {
+        let mut sizes = vec![4096, 9 * MIB + 123, 3 * MIB, 0, 2 * MIB, PULL_WQE_BYTES];
+        sizes.extend(std::iter::repeat_n(4096, 3 * MAX_SGE));
+        let verbs = adjacent(&sizes);
+        let runs = coalesce_runs(&verbs, PULL_WQE_BYTES);
+        assert_tiles(&verbs, &runs);
+        for r in &runs {
+            assert!(r.len <= PULL_WQE_BYTES, "{r:?} exceeds the byte cap");
+            assert!(r.segs.len() <= MAX_SGE, "{r:?} exceeds MAX_SGE");
+        }
+        // The 9 MiB tensor spans three WQEs and is named in each. Past
+        // the room its first piece filled, it is cut into near-equal
+        // pieces, not cap-sized ones plus a runt.
+        let pieces: Vec<u64> = runs
+            .iter()
+            .flat_map(|r| &r.segs)
+            .filter(|s| s.rkey == 101)
+            .map(|s| s.len)
+            .collect();
+        assert_eq!(pieces.len(), 3);
+        assert!(pieces[1].abs_diff(pieces[2]) <= 1, "{pieces:?}");
+        // The small tail is capped by segments, not bytes.
+        assert!(runs
+            .iter()
+            .any(|r| r.segs.len() == MAX_SGE && r.len < PULL_WQE_BYTES));
+    }
+
+    #[test]
+    fn a_gap_breaks_a_run_and_a_zero_length_tensor_keeps_its_segment() {
+        let mut verbs = adjacent(&[4096, 0, 4096, 4096]);
+        verbs[3].rel_off += 4096; // a clean tensor skipped before t3
+        let runs = coalesce_runs(&verbs, PULL_WQE_BYTES);
+        assert_tiles(&verbs, &runs);
+        assert_eq!(runs.len(), 2, "the gap breaks the run: {runs:?}");
+        assert_eq!(runs[0].names, ["t0", "t1", "t2"]);
+        assert_eq!(runs[0].segs[1].len, 0);
+        assert_eq!(runs[1].base_rel, 3 * 4096);
+
+        // A zero-length tensor right after a full run still joins it.
+        let verbs = adjacent(&[PULL_WQE_BYTES, 0, 4096]);
+        let runs = coalesce_runs(&verbs, PULL_WQE_BYTES);
+        assert_tiles(&verbs, &runs);
+        assert_eq!(runs[0].names, ["t0", "t1"]);
+        assert_eq!(runs[1].names, ["t2"]);
+    }
+
+    #[test]
+    fn uncapped_push_runs_never_split_a_tensor() {
+        let verbs = adjacent(&[9 * MIB, 5 * MIB, 4096]);
+        let runs = coalesce_runs(&verbs, u64::MAX);
+        assert_tiles(&verbs, &runs);
+        assert_eq!(runs.len(), 1);
+        assert_eq!(runs[0].segs.len(), 3);
+    }
+
+    /// The derivation behind [`PULL_WQE_BYTES`]: at the calibrated
+    /// profile one chunk's seal — the device's real flush + fence cost
+    /// over a dirty chunk plus its DAX read-back — finishes before the
+    /// next chunk's pull does, so on one QP the seal keeps pace with the
+    /// fabric and only the last chunk's seal is exposed.
+    #[test]
+    fn one_chunk_seal_is_cheaper_than_one_chunk_pull() {
+        let ctx = SimContext::icdcs24();
+        let model = CostModel::icdcs24();
+        let dev = PmemDevice::new(ctx, PmemMode::DevDax, 2 * PULL_WQE_BYTES);
+        dev.write(0, &vec![7u8; PULL_WQE_BYTES as usize]).unwrap();
+        let persist = dev.persist_deferred(&[(0, PULL_WQE_BYTES)]).unwrap();
+        let seal = persist + model.dax_read(PULL_WQE_BYTES);
+        let pull = model.rdma_read_posted(PULL_WQE_BYTES, MemoryKind::GpuHbm, false);
+        assert!(
+            seal < pull,
+            "one chunk's seal {seal:?} must hide under one chunk's pull {pull:?}"
+        );
     }
 }

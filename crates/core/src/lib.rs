@@ -82,7 +82,7 @@ mod replica;
 
 pub use catalog::{Catalog, CatalogConfig, CatalogStats};
 pub use client::{CheckpointReport, DeltaReport, PendingCheckpoint, PortusClient, RestoreReport};
-pub use daemon::{ClientEndpoints, DaemonConfig, PortusDaemon};
+pub use daemon::{ClientEndpoints, DaemonConfig, PortusDaemon, PULL_WQE_BYTES};
 pub use dedup::DedupConfig;
 pub use error::{PortusError, PortusResult, ShardFailure, VerbFailure};
 pub use index::{

@@ -42,6 +42,15 @@ fn bucket_floor(i: usize) -> u64 {
     }
 }
 
+/// `part / whole` in permille, `0` for an empty whole; 128-bit, so
+/// sums near `u64::MAX` cannot overflow.
+fn permille(part: u64, whole: u64) -> u64 {
+    if whole == 0 {
+        return 0;
+    }
+    (part as u128 * 1000 / whole as u128) as u64
+}
+
 #[derive(Debug, Clone)]
 struct Hist {
     count: u64,
@@ -264,11 +273,12 @@ pub struct MetricsSnapshot {
     /// Repack passes completed so far.
     #[serde(default)]
     pub repack_passes: u64,
-    /// Share (in permille) of the last striped checkpoint's
-    /// persist+checksum work that overlapped the fabric transfer —
-    /// `1000` means the seal pipeline ran entirely in the shadow of the
-    /// CQ drain, `0` means it ran strictly after (the unstriped
-    /// behaviour). Stays `0` until a multi-QP checkpoint completes.
+    /// Share (in permille) of all seal work so far — persist and
+    /// checksum service summed over every checkpoint — that overlapped
+    /// the fabric transfer: `Σ overlapped / Σ busy`. `1000` means every
+    /// seal ran entirely in the shadow of its CQ drain, `0` that every
+    /// seal ran strictly after its pull. Stays `0` until a checkpoint
+    /// grants seal service.
     #[serde(default)]
     pub pipeline_overlap_permille: u64,
     /// Best-effort slot rollbacks that themselves failed (the slot was
@@ -404,7 +414,8 @@ struct MetricsInner {
     reclaimed_slots: AtomicU64,
     reclaimed_bytes: AtomicU64,
     repack_passes: AtomicU64,
-    pipeline_overlap_permille: AtomicU64,
+    seal_overlapped_ns: AtomicU64,
+    seal_busy_ns: AtomicU64,
     rollback_failures: AtomicU64,
     dedup_live_extents: AtomicU64,
     dedup_shared_extents: AtomicU64,
@@ -539,27 +550,23 @@ impl Metrics {
         self.inner.repack_passes.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records how much of a striped checkpoint's seal pipeline ran in
-    /// the shadow of the fabric transfer, in permille of the pipeline's
-    /// busy time (clamped to `1000`).
-    pub fn set_pipeline_overlap_permille(&self, permille: u64) {
-        self.inner
-            .pipeline_overlap_permille
-            .store(permille.min(1000), Ordering::Relaxed);
-    }
-
-    /// Computes and records the pipeline-overlap gauge from raw
-    /// durations: `overlapped / busy` in permille. A checkpoint that
-    /// granted no seal service at all (`busy` is zero — e.g. an empty
-    /// or fully delta-carried slot) leaves the gauge untouched instead
-    /// of dividing by zero; the ratio is computed in 128-bit so huge
-    /// virtual durations cannot overflow into a garbage reading.
-    pub fn set_pipeline_overlap(&self, overlapped: SimDuration, busy: SimDuration) {
-        if busy.is_zero() {
-            return;
-        }
-        let permille = (overlapped.as_nanos() as u128 * 1000 / busy.as_nanos() as u128) as u64;
-        self.set_pipeline_overlap_permille(permille);
+    /// Adds one checkpoint's seal pipeline to the overlap gauge: `busy`
+    /// is the persist+checksum service it was granted, `overlapped` the
+    /// part granted in the shadow of the fabric transfer (clamped to
+    /// `busy`). The snapshot reports `Σ overlapped / Σ busy`, so the
+    /// gauge describes every checkpoint of a run, not the last one; a
+    /// checkpoint that granted no seal service moves nothing.
+    pub fn record_pipeline_overlap(&self, overlapped: SimDuration, busy: SimDuration) {
+        let busy = busy.as_nanos();
+        let overlapped = overlapped.as_nanos().min(busy);
+        // Saturating, so centuries of virtual time cannot wrap the sums.
+        let add = |sum: &AtomicU64, ns: u64| {
+            let _ = sum.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
+                Some(v.saturating_add(ns))
+            });
+        };
+        add(&self.inner.seal_overlapped_ns, overlapped);
+        add(&self.inner.seal_busy_ns, busy);
     }
 
     /// Records one best-effort rollback that failed and left its slot
@@ -699,7 +706,10 @@ impl Metrics {
             reclaimed_slots: self.inner.reclaimed_slots.load(Ordering::Relaxed),
             reclaimed_bytes: self.inner.reclaimed_bytes.load(Ordering::Relaxed),
             repack_passes: self.inner.repack_passes.load(Ordering::Relaxed),
-            pipeline_overlap_permille: self.inner.pipeline_overlap_permille.load(Ordering::Relaxed),
+            pipeline_overlap_permille: permille(
+                self.inner.seal_overlapped_ns.load(Ordering::Relaxed),
+                self.inner.seal_busy_ns.load(Ordering::Relaxed),
+            ),
             rollback_failures: self.inner.rollback_failures.load(Ordering::Relaxed),
             recovery_epoch: 0,
             restore_failovers: 0,
@@ -864,29 +874,38 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_overlap_gauge_clamps_to_permille() {
+    fn pipeline_overlap_guards_zero_busy_and_huge_sums() {
         let m = Metrics::new();
         assert_eq!(m.snapshot().pipeline_overlap_permille, 0);
-        m.set_pipeline_overlap_permille(640);
+        // No seal service granted: nothing to divide, nothing moves.
+        m.record_pipeline_overlap(SimDuration::from_secs(1), SimDuration::ZERO);
+        assert_eq!(m.snapshot().pipeline_overlap_permille, 0);
+        m.record_pipeline_overlap(SimDuration::from_millis(640), SimDuration::from_secs(1));
         assert_eq!(m.snapshot().pipeline_overlap_permille, 640);
-        m.set_pipeline_overlap_permille(5000);
+        // Overlap beyond the busy time is clamped; huge virtual
+        // durations saturate instead of wrapping the sums.
+        let m = Metrics::new();
+        let huge = SimDuration::from_nanos(u64::MAX);
+        m.record_pipeline_overlap(huge, SimDuration::from_secs(1));
+        assert_eq!(m.snapshot().pipeline_overlap_permille, 1000);
+        m.record_pipeline_overlap(huge, huge);
         assert_eq!(m.snapshot().pipeline_overlap_permille, 1000);
     }
 
     #[test]
-    fn pipeline_overlap_from_durations_guards_zero_busy() {
+    fn pipeline_overlap_accumulates_across_checkpoints() {
+        // One seal fully hidden under its pull, one strictly after: the
+        // gauge describes both, so it reads strictly between them.
         let m = Metrics::new();
-        m.set_pipeline_overlap_permille(500);
-        // No seal service granted: the gauge must not divide by zero
-        // or clobber the last real reading.
-        m.set_pipeline_overlap(SimDuration::from_secs(1), SimDuration::ZERO);
-        assert_eq!(m.snapshot().pipeline_overlap_permille, 500);
-        m.set_pipeline_overlap(SimDuration::from_millis(640), SimDuration::from_secs(1));
-        assert_eq!(m.snapshot().pipeline_overlap_permille, 640);
-        // Huge virtual durations must not overflow the ratio.
-        let huge = SimDuration::from_nanos(u64::MAX);
-        m.set_pipeline_overlap(huge, huge);
+        let busy = SimDuration::from_millis(3);
+        m.record_pipeline_overlap(busy, busy);
         assert_eq!(m.snapshot().pipeline_overlap_permille, 1000);
+        m.record_pipeline_overlap(SimDuration::ZERO, SimDuration::from_millis(1));
+        assert_eq!(
+            m.snapshot().pipeline_overlap_permille,
+            750,
+            "Σ overlapped / Σ busy = 3 ms / 4 ms"
+        );
     }
 
     #[test]

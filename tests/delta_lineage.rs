@@ -20,7 +20,7 @@ use portus_dnn::{test_spec, Materialization, ModelInstance};
 use portus_mem::GpuDevice;
 use portus_pmem::{PmemDevice, PmemMode};
 use portus_rdma::{Fabric, FaultSpec, NodeId};
-use portus_sim::{SimContext, SimRng};
+use portus_sim::{SimContext, SimRng, Stage};
 
 const DAEMON_NODE: NodeId = NodeId(1);
 const LAYERS: usize = 8;
@@ -122,6 +122,39 @@ fn steady_state_deltas_leave_clean_tensors_in_place() {
     }
     let stats = w.ctx.stats.snapshot().since(&before);
     assert_eq!(stats.reused_bytes, reused);
+    let want = model.model_checksum();
+    assert_restores(&w, &mut model, want);
+    shutdown(w);
+}
+
+/// With tensors left in place, the seal's read-back of the previous
+/// version's pulled runs is the seal pipe's first job, enqueued when
+/// the pulls are posted: it starts where the carry copies end and
+/// finishes inside the fabric window, instead of being charged to the
+/// clock ahead of the carries.
+#[test]
+fn reusing_delta_reads_back_in_the_pulls_shadow() {
+    let (w, mut model) = world("shadow", 1);
+    full(&w, &mut model);
+    delta(&w, &mut model, &[0, 1]);
+    w.ctx.tracer.enable();
+    let r = delta(&w, &mut model, &[2, 5]);
+    assert!(r.reused_bytes > 0 && r.copied_bytes > 0);
+    let spans = w.ctx.tracer.spans();
+    let of = |stage: Stage| spans.iter().filter(move |s| s.stage == stage);
+    let carry = of(Stage::CarryCopy).next().expect("a carry-copy span");
+    let read_back = of(Stage::Checksum).next().expect("a read-back span");
+    let fabric_end = of(Stage::CqDrain).map(|s| s.end).max().unwrap();
+    assert_eq!(
+        read_back.start, carry.end,
+        "read-back joins at the post instant"
+    );
+    assert!(
+        read_back.end <= fabric_end,
+        "read-back {:?} must finish under the pull (fabric ends {:?})",
+        read_back.end,
+        fabric_end
+    );
     let want = model.model_checksum();
     assert_restores(&w, &mut model, want);
     shutdown(w);

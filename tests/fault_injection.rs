@@ -3,8 +3,8 @@
 //! backoff, exhausted WQEs roll the target slot back, and the client
 //! receives a typed error attributing every failed tensor.
 
-use portus::{DaemonConfig, PortusClient, PortusDaemon, PortusError, SlotState};
-use portus_dnn::{test_spec, Materialization, ModelInstance};
+use portus::{DaemonConfig, PortusClient, PortusDaemon, PortusError, SlotState, PULL_WQE_BYTES};
+use portus_dnn::{test_spec, DType, Materialization, ModelInstance, ModelSpec, TensorMeta};
 use portus_mem::GpuDevice;
 use portus_pmem::{PmemDevice, PmemMode};
 use portus_rdma::{Fabric, FaultSpec, NodeId};
@@ -47,9 +47,9 @@ fn world(name: &str, layers: usize, cfg: DaemonConfig) -> (World, ModelInstance)
     )
 }
 
-/// [`world`], but with 4-engine NICs on both nodes so a
+/// [`world`] over `spec`, but with 4-engine NICs on both nodes so a
 /// `qps_per_connection = 4` config actually stripes.
-fn striped_world(name: &str, layers: usize, cfg: DaemonConfig) -> (World, ModelInstance) {
+fn striped_world(spec: ModelSpec, cfg: DaemonConfig) -> (World, ModelInstance) {
     let ctx = SimContext::icdcs24();
     let fabric = Fabric::new(ctx.clone());
     let compute = fabric.add_nic_with_engines(NodeId(0), 4);
@@ -57,7 +57,6 @@ fn striped_world(name: &str, layers: usize, cfg: DaemonConfig) -> (World, ModelI
     let pmem = PmemDevice::new(ctx.clone(), PmemMode::DevDax, 64 << 20);
     let daemon = PortusDaemon::start(&fabric, DAEMON_NODE, pmem, cfg).unwrap();
     let gpu = GpuDevice::new(ctx.clone(), 0, 1 << 30);
-    let spec = test_spec(name, layers, 4096);
     let mut model = ModelInstance::materialize(&spec, &gpu, 7, Materialization::Owned).unwrap();
     let client = PortusClient::connect(&daemon, compute);
     client.register_model(&model).unwrap();
@@ -243,7 +242,7 @@ fn striped_retry_stays_on_the_failing_lane() {
         qps_per_connection: 4,
         ..DaemonConfig::default()
     };
-    let (w, mut model) = striped_world("lane", 8, cfg);
+    let (w, mut model) = striped_world(test_spec("lane", 8, 4096), cfg);
     w.client.checkpoint("lane").unwrap(); // v1, clean
     let _ = model.take_dirty(); // v1 covered everything up to here
 
@@ -303,7 +302,7 @@ fn striped_exhaustion_rolls_back_once_and_keeps_latest_done() {
         verb_retries: 0,
         ..DaemonConfig::default()
     };
-    let (w, mut model) = striped_world("stripe-roll", 8, cfg);
+    let (w, mut model) = striped_world(test_spec("stripe-roll", 8, 4096), cfg);
     let saved = model.model_checksum();
     w.client.checkpoint("stripe-roll").unwrap(); // v1, clean
     let _ = model.take_dirty(); // v1 covered everything up to here
@@ -350,6 +349,99 @@ fn striped_exhaustion_rolls_back_once_and_keeps_latest_done() {
     assert_eq!(r.version, 1);
     assert_eq!(model.model_checksum(), saved);
 
+    drop(w.client);
+    w.daemon.shutdown();
+}
+
+/// A model whose second tensor is larger than two pull WQEs: 4 KiB,
+/// then 2 × [`PULL_WQE_BYTES`] + 1 MiB. Its pull splits into three
+/// chunks — 4 KiB plus the big tensor's first 4 MiB − 4 KiB, then two
+/// equal 2.5 MiB pieces of the big tensor.
+fn split_spec(name: &str) -> ModelSpec {
+    let sizes = [4096, 2 * PULL_WQE_BYTES + (1 << 20)];
+    let tensors = sizes
+        .iter()
+        .enumerate()
+        .map(|(i, &b)| TensorMeta::new(format!("{name}.t{i}"), DType::F32, vec![b / 4]))
+        .collect();
+    ModelSpec::new(name, tensors)
+}
+
+#[test]
+fn a_failed_chunk_of_a_split_tensor_retries_alone_and_is_named_once() {
+    let striped = |verb_retries| DaemonConfig {
+        qps_per_connection: 4,
+        verb_retries,
+        ..DaemonConfig::default()
+    };
+
+    // Retries left: only the middle chunk is re-posted, on its lane.
+    let (w, mut model) = striped_world(split_spec("split"), striped(3));
+    let saved = model.model_checksum();
+    let before = w.ctx.stats.snapshot();
+    w.ctx.tracer.enable();
+    // Largest-first striping puts the three chunks on lanes 0, 1, 2 and
+    // posts them in that order: the second verb is the middle chunk.
+    w.fabric.arm_faults(DAEMON_NODE, FaultSpec::Nth(2)).unwrap();
+    let report = w.client.checkpoint("split").unwrap();
+    assert_eq!(report.version, 1);
+    let d = w.ctx.stats.snapshot().since(&before);
+    assert_eq!(d.posted_verbs, 4, "three chunks, one re-post");
+    assert_eq!(d.failed_verbs, 1);
+    assert_eq!(d.retried_verbs, 1);
+    assert_eq!(d.rolled_back_slots, 0);
+    let spans = w.ctx.tracer.spans();
+    let doorbells = |round: u32| -> Vec<u32> {
+        spans
+            .iter()
+            .filter(|s| s.round == round && s.stage == Stage::DoorbellPost)
+            .map(|s| s.lane)
+            .collect()
+    };
+    assert_eq!(doorbells(0), [0, 1, 2], "one chunk per lane");
+    assert_eq!(doorbells(1), [1], "the retry rides the middle chunk's lane");
+    w.fabric.clear_faults(DAEMON_NODE).unwrap();
+    model.train_step(); // diverge
+    assert_eq!(w.client.restore(&model).unwrap().version, 1);
+    assert_eq!(model.model_checksum(), saved, "restore is bit-for-bit");
+    drop(w.client);
+    w.daemon.shutdown();
+
+    // Retries exhausted: the error names the split tensor once, the
+    // slot rolls back once, and the last Done version is untouched.
+    let (w, mut model) = striped_world(split_spec("split"), striped(0));
+    let saved = model.model_checksum();
+    w.client.checkpoint("split").unwrap(); // v1, clean
+    model.train_step();
+    for (fault, named) in [
+        (FaultSpec::Nth(2), vec!["split.t1"]),
+        // Every chunk fails: they fold into one failure, and the big
+        // tensor, present in all three, is still named once.
+        (FaultSpec::All, vec!["split.t0", "split.t1"]),
+    ] {
+        let before = w.ctx.stats.snapshot();
+        w.fabric.arm_faults(DAEMON_NODE, fault).unwrap();
+        match w.client.checkpoint("split").unwrap_err() {
+            PortusError::DatapathFailed { op, failures, .. } => {
+                assert_eq!(op, "checkpoint");
+                assert_eq!(failures.len(), 1, "{failures:?}");
+                assert_eq!(failures[0].tensors, named);
+                assert_eq!(failures[0].retries, 0);
+            }
+            other => panic!("expected DatapathFailed, got: {other}"),
+        }
+        let d = w.ctx.stats.snapshot().since(&before);
+        assert_eq!(d.rolled_back_slots, 1, "the slot rolls back exactly once");
+        let index = w.daemon.index();
+        let (_, off) = index.live_entries().unwrap()[0];
+        let mi = index.load_mindex(off).unwrap();
+        let (done_slot, hdr) = mi.latest_done().unwrap();
+        assert_eq!(hdr.version, 1, "latest_done is untouched");
+        assert_eq!(mi.slots[1 - done_slot].state, SlotState::Empty);
+    }
+    w.fabric.clear_faults(DAEMON_NODE).unwrap();
+    assert_eq!(w.client.restore(&model).unwrap().version, 1);
+    assert_eq!(model.model_checksum(), saved);
     drop(w.client);
     w.daemon.shutdown();
 }

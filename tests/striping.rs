@@ -3,12 +3,12 @@
 //! digest at every `qps_per_connection`, restore-side verification of
 //! that digest, and a golden trace pinning the one-QP case.
 
-use portus::{DaemonConfig, PortusClient, PortusDaemon, PortusError};
+use portus::{DaemonConfig, PortusClient, PortusDaemon, PortusError, PULL_WQE_BYTES};
 use portus_dnn::{test_spec, Materialization, ModelInstance};
 use portus_mem::GpuDevice;
 use portus_pmem::{PmemDevice, PmemMode};
 use portus_rdma::{Fabric, NodeId, MAX_SGE};
-use portus_sim::{SimContext, Stage};
+use portus_sim::{CostModel, SimContext, Stage};
 
 const DAEMON_NODE: NodeId = NodeId(1);
 
@@ -390,4 +390,60 @@ fn one_qp_checkpoint_overlaps_its_seal_with_the_fabric() {
     assert!(overlap > 0, "one-QP seal never overlapped the fabric");
     drop(w.client);
     w.daemon.shutdown();
+}
+
+/// The chunked pull's tail bound for one model at one QP. Pull WQEs
+/// are capped at [`PULL_WQE_BYTES`] and on one QP each chunk's seal
+/// finishes before the next chunk's pull does, so the checkpoint must
+/// end within one chunk's seal service — a full flush pass plus a
+/// chunk's DAX read-back — of its last fabric completion (fabric window:
+/// first doorbell to last CQ-drain end).
+fn assert_checkpoint_ends_within_one_chunk_seal(spec: &portus_dnn::ModelSpec) {
+    let model = CostModel::icdcs24();
+    let chunk_seal = model.persist_lines(1024) + model.dax_read(PULL_WQE_BYTES);
+    let ctx = SimContext::icdcs24();
+    ctx.tracer.enable();
+    let fabric = Fabric::new(ctx.clone());
+    let compute = fabric.add_nic(NodeId(0));
+    fabric.add_nic(DAEMON_NODE);
+    let bytes = spec.total_bytes();
+    let pmem = PmemDevice::new(ctx.clone(), PmemMode::DevDax, 2 * bytes + (64 << 20));
+    let daemon = PortusDaemon::start(&fabric, DAEMON_NODE, pmem, DaemonConfig::default()).unwrap();
+    let gpu = GpuDevice::new(ctx.clone(), 0, bytes + (1 << 30));
+    let m = ModelInstance::materialize(spec, &gpu, 42, Materialization::Synthetic).unwrap();
+    let client = PortusClient::connect(&daemon, compute);
+    client.register_model(&m).unwrap();
+    let elapsed = client.checkpoint(&spec.name).unwrap().elapsed;
+    let spans = ctx.tracer.spans();
+    let fabric_spans = spans
+        .iter()
+        .filter(|s| matches!(s.stage, Stage::DoorbellPost | Stage::CqDrain));
+    let first = fabric_spans.clone().map(|s| s.start).min().unwrap();
+    let last = fabric_spans.map(|s| s.end).max().unwrap();
+    let window = last.saturating_since(first);
+    assert!(
+        elapsed <= window + chunk_seal,
+        "{}: checkpoint {elapsed:?} > fabric window {window:?} + one chunk's seal {chunk_seal:?}",
+        spec.name
+    );
+    drop(client);
+    daemon.shutdown();
+}
+
+/// AlexNet's 16 tensors once rode a single uncapped WQE, which put its
+/// whole 20 ms digest after the pull; this keeps it from coming back.
+#[test]
+fn alexnet_checkpoint_ends_within_one_chunk_seal_of_the_fabric() {
+    assert_checkpoint_ends_within_one_chunk_seal(&portus_dnn::zoo::alexnet());
+}
+
+/// The same bound for every Table II model. It moves 4.2 GB through the
+/// datapath (peak ~1.3 GB for BERT-Large), so it is opt-in; CI runs it
+/// in release: `cargo test --release --test striping -- --ignored`.
+#[test]
+#[ignore = "moves 4.2 GB; run in release with --ignored"]
+fn every_table2_checkpoint_ends_within_one_chunk_seal_of_the_fabric() {
+    for card in portus_dnn::zoo::table2_cards() {
+        assert_checkpoint_ends_within_one_chunk_seal(&card.spec);
+    }
 }

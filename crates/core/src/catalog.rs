@@ -2,7 +2,7 @@
 //! learned root (ROADMAP item 3).
 //!
 //! The paper-scale daemon mirrors the whole ModelTable into a DRAM
-//! red-black tree ([`crate::ModelMap`]) and scans the fixed table
+//! B-tree ([`crate::ModelMap`]) and scans the fixed table
 //! linearly — fine for dozens of models, hopeless for a fleet serving
 //! millions. The catalog replaces both with an AirIndex-style two-level
 //! structure kept entirely on PMem behind the shared allocator:

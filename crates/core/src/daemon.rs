@@ -432,6 +432,15 @@ enum Lineage {
     PullAll,
 }
 
+/// Approximate DRAM bytes of the ModelMap mirror: one `(String, u64)`
+/// entry per model plus each name's heap allocation. Feeds the
+/// `model_map_bytes` gauge, which stays at zero under the catalog.
+fn model_map_bytes(map: &ModelMap) -> u64 {
+    map.keys()
+        .map(|k| std::mem::size_of::<(String, u64)>() + k.capacity())
+        .sum::<usize>() as u64
+}
+
 /// The reuse rule. A delta over `prev` into `target` may leave a clean
 /// tensor in place when `prev` is the delta `lineage` describes and
 /// `target` still holds, as a sealed plain region, the base version
@@ -540,7 +549,7 @@ impl PortusDaemon {
         // this process can be pulling into it. Only these slots are
         // eligible for aggressive (`reclaim_active`) repacking.
         let mut stale_active = HashSet::new();
-        for (_name, off) in map.iter() {
+        for &off in map.values() {
             let mi = index.load_mindex(off)?;
             for (s, hdr) in mi.slots.iter().enumerate() {
                 if hdr.state == SlotState::Active {
@@ -558,8 +567,7 @@ impl PortusDaemon {
             index.enable_catalog(c)?;
             let cat = index.catalog().expect("enable_catalog mounts the catalog");
             if cat.is_empty() && !map.is_empty() {
-                let live: Vec<(String, u64)> =
-                    map.iter().map(|(k, v)| (k.to_string(), v)).collect();
+                let live: Vec<(String, u64)> = map.into_iter().collect();
                 cat.bulk_replace(index.allocator(), &live)?;
             }
             ModelMap::new()
@@ -1354,7 +1362,7 @@ impl DaemonState {
         }
         self.ctx
             .metrics
-            .set_model_map_bytes(self.map.lock().approx_bytes());
+            .set_model_map_bytes(model_map_bytes(&self.map.lock()));
         if let Some(cat) = self.catalog() {
             let s = cat.stats();
             self.ctx.metrics.set_catalog(
@@ -1471,7 +1479,7 @@ impl DaemonState {
     pub(crate) fn resolve_model(&self, model: &str) -> PortusResult<Option<u64>> {
         match self.catalog() {
             Some(cat) => cat.lookup(model),
-            None => Ok(self.map.lock().get(model)),
+            None => Ok(self.map.lock().get(model).copied()),
         }
     }
 
@@ -1488,7 +1496,7 @@ impl DaemonState {
             }
             off
         } else {
-            self.map.lock().get(model)
+            self.map.lock().get(model).copied()
         }
         .ok_or_else(|| PortusError::ModelNotFound(model.to_string()))?;
         self.index.load_mindex(off)
@@ -2372,7 +2380,7 @@ impl DaemonState {
                 .map
                 .lock()
                 .iter()
-                .map(|(k, v)| (k.to_string(), v))
+                .map(|(k, &v)| (k.clone(), v))
                 .collect(),
         };
         let mut out = Vec::with_capacity(offsets.len());

@@ -456,7 +456,7 @@ impl Index {
         if typed::read_u64(&index.dev, SUPER_CAT_OFF)? != 0 {
             let cat =
                 Catalog::recover(index.dev.clone(), SUPER_CAT_OFF, &CatalogConfig::default())?;
-            let live: Vec<(String, u64)> = map.iter().map(|(k, v)| (k.to_string(), v)).collect();
+            let live: Vec<(String, u64)> = map.iter().map(|(k, &v)| (k.clone(), v)).collect();
             cat.reconcile(&index.alloc, &live)?;
             reachable.insert(cat.root_offset());
             for off in cat.page_offsets()? {
@@ -1234,7 +1234,7 @@ mod tests {
 
         let (index2, map) = Index::recover(dev).unwrap();
         assert_eq!(map.len(), 2);
-        let mi = index2.load_mindex(map.get("beta").unwrap()).unwrap();
+        let mi = index2.load_mindex(map["beta"]).unwrap();
         assert_eq!(mi.tensors.len(), 3);
     }
 
@@ -1266,7 +1266,7 @@ mod tests {
 
         let (index2, map) = Index::recover(dev).unwrap();
         assert_eq!(map.len(), 1);
-        assert!(map.contains("real"));
+        assert!(map.contains_key("real"));
         // The claimed entry was rolled back and is reusable.
         index2.create_model("second", &metas(1, 64)).unwrap();
     }

@@ -10,8 +10,8 @@
 //!   model to the server over a TCP control channel.
 //! * [`PortusDaemon`] — the user-space storage server: maintains the
 //!   three-level persistent index ([`Index`]: ModelTable → MIndex →
-//!   TensorData) on devdax PMem, mirrored in DRAM by the red-black
-//!   [`ModelMap`], and serves checkpoints with one-sided RDMA READs and
+//!   TensorData) on devdax PMem, mirrored in DRAM by the [`ModelMap`]
+//!   (a std B-tree), and serves checkpoints with one-sided RDMA READs and
 //!   restores with one-sided WRITEs.
 //! * Double-mapping crash consistency (§III-D2): two slots per model;
 //!   at least one complete version always survives any crash.
@@ -73,7 +73,6 @@ mod daemon;
 mod dedup;
 mod error;
 mod index;
-mod model_map;
 pub mod portusctl;
 mod proto;
 pub mod qos;
@@ -89,8 +88,13 @@ pub use index::{
     combine_digests, name_hash, region_digest, Index, MIndex, SlotHeader, SlotState, TensorRecord,
     FLAG_JOB_COMPLETE, SLOT_COUNT,
 };
-pub use model_map::{Iter, ModelMap};
 pub use proto::{ModelSummary, Reply, Request, TensorDesc};
 pub use qos::{QosConfig, TenantQos, TokenBucket};
 pub use repack::{repack, RepackReport};
 pub use replica::{ReplicatedCheckpoint, ReplicatedClient};
+
+/// The in-DRAM mirror of the ModelTable (§III-D1): model name → PMem
+/// offset of its MIndex record, iterated in name order. The paper uses
+/// a red-black tree; the std B-tree gives the same ordered-map contract
+/// with O(log n) lookups.
+pub type ModelMap = std::collections::BTreeMap<String, u64>;

@@ -47,10 +47,10 @@ fn open_index(image: &Path) -> PortusResult<(Index, ModelMap)> {
 pub fn view(image: &Path) -> PortusResult<Vec<ModelSummary>> {
     let (index, map) = open_index(image)?;
     let mut out = Vec::with_capacity(map.len());
-    for (name, off) in map.iter() {
+    for (name, off) in map {
         let mi = index.load_mindex(off)?;
         out.push(ModelSummary {
-            name: name.to_string(),
+            name,
             layers: mi.tensors.len() as u32,
             bytes: mi.total_bytes,
             latest_version: mi.latest_done().map(|(_, s)| s.version),
@@ -73,7 +73,7 @@ pub fn view(image: &Path) -> PortusResult<Vec<ModelSummary>> {
 /// container errors.
 pub fn dump(image: &Path, model: &str, out: &Path) -> PortusResult<DumpReport> {
     let (index, map) = open_index(image)?;
-    let off = map
+    let off = *map
         .get(model)
         .ok_or_else(|| PortusError::ModelNotFound(model.to_string()))?;
     let mi = index.load_mindex(off)?;

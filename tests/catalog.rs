@@ -134,6 +134,56 @@ fn catalog_survives_restart_and_stays_optional() {
     daemon3.shutdown();
 }
 
+/// With the catalog off, the ModelMap mirror owns name resolution and
+/// its DRAM gauge tracks the population: non-zero once models exist,
+/// growing with each registration and falling with each drop.
+#[test]
+fn model_map_gauge_tracks_registrations_and_drops_without_a_catalog() {
+    let ctx = SimContext::icdcs24();
+    let fabric = Fabric::new(ctx.clone());
+    let compute = fabric.add_nic(NodeId(0));
+    fabric.add_nic(NodeId(1));
+    let pmem = PmemDevice::new(ctx.clone(), PmemMode::DevDax, 64 << 20);
+    let daemon = PortusDaemon::start(&fabric, NodeId(1), pmem, DaemonConfig::default()).unwrap();
+    let gpu = GpuDevice::new(ctx, 0, 1 << 30);
+    let client = PortusClient::connect(&daemon, compute);
+    let register = |range: std::ops::Range<usize>| {
+        for i in range {
+            let spec = test_spec(&format!("mirror-{i:02}"), 2, 4096);
+            let m = ModelInstance::materialize(&spec, &gpu, 1, Materialization::Owned).unwrap();
+            client.register_model(&m).unwrap();
+        }
+        client.stats().unwrap().model_map_bytes
+    };
+    let three = register(0..3);
+    assert!(three > 0, "a populated mirror reports its DRAM");
+    let six = register(3..6);
+    assert!(
+        six > three,
+        "gauge grows with registrations: {three} -> {six}"
+    );
+
+    client.drop_model("mirror-01").unwrap();
+    client.drop_model("mirror-04").unwrap();
+    let snap = client.stats().unwrap();
+    assert!(
+        snap.model_map_bytes < six && snap.model_map_bytes > 0,
+        "gauge falls with drops: {six} -> {}",
+        snap.model_map_bytes
+    );
+    assert_eq!(snap.catalog_entries, 0, "no catalog gauges without one");
+    let names: Vec<String> = daemon
+        .summaries()
+        .unwrap()
+        .into_iter()
+        .map(|s| s.name)
+        .collect();
+    assert_eq!(names, ["mirror-00", "mirror-02", "mirror-03", "mirror-05"]);
+
+    drop(client);
+    daemon.shutdown();
+}
+
 /// A daemon that recovers a pre-catalog namespace with the catalog
 /// newly enabled seeds it from the rebuilt ModelTable view.
 #[test]
@@ -298,15 +348,14 @@ fn recovery_reconciles_catalog_against_the_table() {
     let cat = index2.catalog().expect("catalog remounts");
     assert_eq!(
         cat.lookup("straggler").unwrap(),
-        map.get("straggler"),
+        map.get("straggler").copied(),
         "table-published model adopted by the catalog"
     );
     assert!(cat.lookup("straggler").unwrap().is_some());
     assert_eq!(cat.lookup("stale").unwrap(), None, "stale entry dropped");
     assert_eq!(cat.len(), 11);
     // Catalog and table agree entry for entry.
-    let mut table: Vec<(String, u64)> = map.iter().map(|(k, v)| (k.to_string(), v)).collect();
-    table.sort();
+    let table: Vec<(String, u64)> = map.into_iter().collect();
     assert_eq!(cat.scan().unwrap(), table);
 }
 

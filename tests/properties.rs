@@ -8,12 +8,12 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use portus::{name_hash, ModelMap};
+use portus::name_hash;
 use portus_dnn::{DType, TensorMeta};
 use portus_format::{read_checkpoint, write_checkpoint, CheckpointEntry, PayloadSource};
 use portus_mem::MemorySegment;
 use portus_pmem::{CrashSpec, PmemAllocator, PmemDevice, PmemMode};
-use portus_sim::SimContext;
+use portus_sim::{SimContext, SimRng};
 
 // ---------------------------------------------------------------------
 // Allocator invariants
@@ -116,51 +116,6 @@ proptest! {
         got.sort_by_key(|a| a.offset);
         prop_assert_eq!(got, expect);
         prop_assert_eq!(rec.free_bytes(), free_before);
-    }
-}
-
-// ---------------------------------------------------------------------
-// ModelMap vs reference
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone)]
-enum MapOp {
-    Insert(u8, u64),
-    Remove(u8),
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The red-black ModelMap behaves exactly like BTreeMap and keeps
-    /// its invariants under arbitrary operation sequences.
-    #[test]
-    fn model_map_matches_btreemap(ops in vec(
-        prop_oneof![
-            (any::<u8>(), any::<u64>()).prop_map(|(k, v)| MapOp::Insert(k, v)),
-            any::<u8>().prop_map(MapOp::Remove),
-        ],
-        1..200,
-    )) {
-        let mut ours = ModelMap::new();
-        let mut reference = std::collections::BTreeMap::new();
-        for op in ops {
-            match op {
-                MapOp::Insert(k, v) => {
-                    let key = format!("model-{k:03}");
-                    prop_assert_eq!(ours.insert(key.clone(), v), reference.insert(key, v));
-                }
-                MapOp::Remove(k) => {
-                    let key = format!("model-{k:03}");
-                    prop_assert_eq!(ours.remove(&key), reference.remove(&key));
-                }
-            }
-            ours.check_invariants();
-            prop_assert_eq!(ours.len(), reference.len());
-        }
-        let a: Vec<(String, u64)> = ours.iter().map(|(k, v)| (k.to_string(), v)).collect();
-        let b: Vec<(String, u64)> = reference.into_iter().collect();
-        prop_assert_eq!(a, b);
     }
 }
 
@@ -356,9 +311,34 @@ fn run_churn(ops: &[ChurnOp], with_catalog: bool) {
     // A rebuilt-from-media map agrees with the mirror too.
     drop(index);
     let (_index2, map) = Index::recover(pmem).unwrap();
-    assert_eq!(map.len(), mirror.len());
-    for (name, off) in &mirror {
-        assert_eq!(map.get(name), Some(*off));
+    assert_eq!(map, mirror);
+}
+
+/// One seeded create/remove churn: 1–80 ops over 24 names.
+fn seeded_churn_ops(seed: u64) -> Vec<ChurnOp> {
+    let mut rng = SimRng::new(seed);
+    let len = 1 + rng.gen_range(80);
+    (0..len)
+        .map(|_| {
+            let id = rng.gen_range(24) as u8;
+            if rng.gen_range(2) == 0 {
+                ChurnOp::Create(id)
+            } else {
+                ChurnOp::Remove(id)
+            }
+        })
+        .collect()
+}
+
+/// Both resolvers — the DRAM ModelMap and the learned catalog — stay in
+/// sync with the persistent ModelTable, and with a recovery-rebuilt
+/// map, under every seeded churn. Runs without the proptest runner.
+#[test]
+fn model_table_and_both_resolvers_stay_in_sync_under_seeded_churn() {
+    for seed in 0..48 {
+        let ops = seeded_churn_ops(seed);
+        run_churn(&ops, false);
+        run_churn(&ops, true);
     }
 }
 

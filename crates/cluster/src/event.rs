@@ -1,12 +1,12 @@
-//! Multi-daemon fleet simulation on the discrete-event core.
+//! The training plane: every training client, solo or in a fleet, is
+//! stepped here on the discrete-event core.
 //!
-//! [`crate::run_training`] replays *one* client against analytic costs
-//! on a private timeline. This module drives a whole fleet — N storage
-//! daemons and M training clients — as event **actors** on one
-//! [`Engine`]: every iteration, checkpoint submission, and completion
-//! is a plan on the deterministic `(instant, plan id)` queue, each
-//! actor keeps its own local-time cursor, and daemon NICs are shared
-//! [`Resource`]s.
+//! A fleet — N storage daemons and M training clients — runs as event
+//! **actors** on one [`Engine`]: every iteration, checkpoint
+//! submission, and completion is a plan on the deterministic
+//! `(instant, plan id)` queue, each actor keeps its own local-time
+//! cursor, and daemon NICs are shared [`Resource`]s.
+//! [`crate::run_training`] is the one-client, one-daemon case.
 //!
 //! That fixes the concurrent time-inflation of the shared additive
 //! clock: two clients checkpointing at the same instant against
@@ -26,8 +26,9 @@ use portus_sim::{
 };
 use serde::{Deserialize, Serialize};
 
+use crate::harness::Segment;
 use crate::ops::{portus_checkpoint_cost, torch_save_cost, JobShape};
-use crate::placement::{replica_order, stripe_plan, PlacementConfig};
+use crate::placement::{replica_order, stripe_plan, PlacementConfig, Stripe};
 use crate::policy::Policy;
 
 /// The tenant every client belongs to unless the config says
@@ -86,9 +87,8 @@ pub struct FleetConfig {
     /// (`None` = no reports).
     pub progress_every: Option<SimDuration>,
     /// Rendezvous placement with k-way replication and striping.
-    /// `None` (the default) keeps the legacy pinned-daemon datapath:
-    /// every Portus pull goes to `ClientSpec::daemon`, bit-for-bit
-    /// with pre-placement runs.
+    /// `None` (the default) pins each client: its Portus checkpoint is
+    /// one stripe written to `ClientSpec::daemon` alone.
     #[serde(default)]
     pub placement: Option<PlacementConfig>,
     /// Deterministic daemon-loss schedule (requires `placement`).
@@ -161,13 +161,14 @@ pub struct EventRecord {
     pub at: SimTime,
     /// The acting client's name (or `daemon-D` for kill/repair events).
     pub actor: String,
-    /// What happened (`start`, `iter#k`, `ckpt#n->daemonD`, `kill`,
-    /// `repair ...`, `done`).
+    /// What happened (`start`, `iter#k`, `ckpt#n` for a baseline save,
+    /// `ckpt#n->daemons[..]` for a Portus pull, `kill`, `repair ...`,
+    /// `done`).
     pub kind: String,
 }
 
 /// One client's outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ClientResult {
     /// The client's name.
     pub name: String,
@@ -183,8 +184,8 @@ pub struct ClientResult {
     /// daemon kill (always zero without a kill schedule).
     #[serde(default)]
     pub failed_checkpoints: u64,
-    /// Highest checkpoint version the client saw validate (`None` on
-    /// the legacy pinned path, where every checkpoint validates).
+    /// Highest Portus checkpoint version the client saw validate
+    /// (`None` if none did, or if the policy never writes to a daemon).
     #[serde(default)]
     pub latest_done_version: Option<u64>,
     /// The instant the client finished (including drain of in-flight
@@ -192,6 +193,12 @@ pub struct ClientResult {
     pub finished_at: SimTime,
     /// Total time training was stalled on checkpointing.
     pub checkpoint_stall: SimDuration,
+    /// Total GPU-busy time.
+    #[serde(default)]
+    pub gpu_busy: SimDuration,
+    /// Busy/idle segments tiling `[start, finished_at]` (Fig. 16).
+    #[serde(default)]
+    pub segments: Vec<Segment>,
 }
 
 /// End-of-run restore accounting for one client's model: which version
@@ -232,13 +239,12 @@ pub struct FleetResult {
     pub events_run: u64,
     /// Final recovery epoch (one bump per daemon loss; 0 = no losses).
     pub epoch: u64,
-    /// Post-run restore accounting, in client order (empty without
-    /// placement).
+    /// Post-run restore accounting, in client order.
     pub restores: Vec<ModelRestore>,
 }
 
-/// One replicated stripe write under placement: where a copy landed
-/// and when its pull completed on that daemon's NIC.
+/// One stripe write: where a copy landed and when its pull completed
+/// on that daemon's NIC.
 struct WriteRec {
     stripe: u32,
     daemon: usize,
@@ -246,7 +252,7 @@ struct WriteRec {
     bytes: u64,
 }
 
-/// One checkpoint attempt's placement record.
+/// One Portus checkpoint attempt's write record.
 struct CkptRec {
     version: u64,
     stripes: u32,
@@ -257,18 +263,25 @@ struct CkptRec {
 struct ClientRun {
     spec: ClientSpec,
     actor: ActorId,
-    done: u64,
-    checkpoints: u64,
-    failed_checkpoints: u64,
-    latest_done: Option<u64>,
-    stall: SimDuration,
+    /// The outcome so far, moved out when the run ends.
+    out: ClientResult,
     /// CheckFreq's background persist drain instant.
     background_until: SimTime,
     /// Portus-async in-flight pull drain instant.
     pull_until: SimTime,
-    finished_at: SimTime,
-    /// Placement write history (empty on the legacy pinned path).
+    /// Portus checkpoint write history.
     ckpts: Vec<CkptRec>,
+}
+
+impl ClientRun {
+    /// Advances the client's timeline from `start` to `end` in one GPU
+    /// state, recording the segment (empty spans are dropped).
+    fn span(&mut self, start: SimTime, end: SimTime, busy: bool) -> SimTime {
+        if end > start {
+            self.out.segments.push(Segment { start, end, busy });
+        }
+        end
+    }
 }
 
 /// Fleet-wide shared state threaded through event closures.
@@ -300,50 +313,6 @@ impl Fleet {
         });
     }
 
-    /// Submits one Portus pull for `client` at `submit` on its daemon's
-    /// NIC; records spans/histograms and returns the completion grant
-    /// end. The daemon actor's cursor follows its NIC drain.
-    fn submit_pull(&mut self, eng: &mut Engine, client: usize, submit: SimTime) -> SimTime {
-        let (daemon, job, model, tenant) = {
-            let c = &self.clients[client];
-            (
-                c.spec.daemon,
-                c.spec.job,
-                c.spec.name.clone(),
-                c.spec.tenant.clone(),
-            )
-        };
-        let cost = portus_checkpoint_cost(&self.model, job);
-        let grant = self.nics[daemon].schedule(submit, cost);
-        eng.advance_actor_to(self.daemon_actors[daemon], grant.end);
-        let req_id = self.next_req_id;
-        self.next_req_id += 1;
-        for (stage, start, end) in [
-            (Stage::DispatchWait, submit, grant.start),
-            (Stage::Total, submit, grant.end),
-        ] {
-            self.tracer.record(SpanRecord {
-                req_id,
-                op: TraceOp::Checkpoint,
-                stage,
-                model: model.clone(),
-                start,
-                end,
-                round: 0,
-                lane: 0,
-            });
-            self.metrics
-                .record_stage(TraceOp::Checkpoint, stage, end.saturating_since(start));
-        }
-        self.metrics.tenant_admitted(&tenant, job.total_bytes);
-        self.metrics.record_tenant_op(
-            &tenant,
-            TraceOp::Checkpoint,
-            grant.end.saturating_since(submit),
-        );
-        grant.end
-    }
-
     /// Whether daemon `d` is up at instant `t` under the static kill
     /// schedule.
     fn up_at(&self, d: usize, t: SimTime) -> bool {
@@ -356,25 +325,42 @@ impl Fleet {
         self.kill_at[w.daemon].is_none_or(|k| w.end <= k)
     }
 
-    /// Submits one *replicated* checkpoint for `client` under the
-    /// placement config: every stripe is pulled by each of its target
-    /// daemons' NICs, the client completes at the max of the surviving
-    /// pulls, and the attempt validates iff every stripe keeps at
-    /// least one copy that drained before its daemon died. Returns
-    /// `(client-visible end, validated)`.
-    fn submit_replicated(
+    /// Submits Portus checkpoint `version` of `client` at `submit`.
+    /// Under placement it is striped over the alive daemons; a pinned
+    /// client's plan is one whole-job stripe on its pin. Every stripe
+    /// is pulled by each of its target daemons' NICs, the client
+    /// completes at the max of the surviving pulls, and the attempt
+    /// validates iff every stripe keeps at least one copy that drained
+    /// before its daemon died. Returns `(client-visible end, validated)`.
+    fn submit_checkpoint(
         &mut self,
         eng: &mut Engine,
         client: usize,
         submit: SimTime,
         version: u64,
     ) -> (SimTime, bool) {
-        let (job, model, tenant) = {
-            let c = &self.clients[client];
-            (c.spec.job, c.spec.name.clone(), c.spec.tenant.clone())
+        let spec = &self.clients[client].spec;
+        let (job, model, tenant) = (spec.job, spec.name.clone(), spec.tenant.clone());
+        let plan = match &self.placement {
+            Some(p) => stripe_plan(&model, job, &self.alive, p),
+            None => vec![Stripe {
+                index: 0,
+                bytes: job.total_bytes,
+                tensors: job.tensor_count,
+                targets: vec![spec.daemon],
+            }],
         };
-        let p = self.placement.expect("placement path needs a config");
-        let plan = stripe_plan(&model, job, &self.alive, &p);
+        let mut targets: Vec<usize> = plan
+            .iter()
+            .flat_map(|s| s.targets.iter().copied())
+            .collect();
+        targets.sort_unstable();
+        targets.dedup();
+        self.log(
+            submit,
+            client,
+            format!("ckpt#{version}->daemons{targets:?}"),
+        );
         if plan.is_empty() {
             // Every daemon is dead: the checkpoint has nowhere to go.
             return (submit, false);
@@ -588,16 +574,16 @@ fn kill_daemon(fleet: &Rc<RefCell<Fleet>>, eng: &mut Engine, d: usize) {
     }
 }
 
-/// Runs one iteration event for `client`, then schedules the next one
-/// at the client's new cursor.
+/// Runs the next iteration of `client` under its policy's Fig. 9
+/// timeline (see [`Policy`]), then schedules the one after at the
+/// client's new cursor.
 fn step_client(fleet: &Rc<RefCell<Fleet>>, eng: &mut Engine, client: usize) {
-    let mut f = fleet.borrow_mut();
-    let (actor, profile, policy, iterations) = {
-        let c = &f.clients[client];
-        (c.actor, c.spec.profile, c.spec.policy, c.spec.iterations)
-    };
+    let mut guard = fleet.borrow_mut();
+    let f = &mut *guard;
+    let (actor, spec) = (f.clients[client].actor, &f.clients[client].spec);
+    let (profile, policy, iterations, job) = (spec.profile, spec.policy, spec.iterations, spec.job);
     let mut cursor = eng.actor_now(actor).max(eng.now());
-    let i = f.clients[client].done + 1;
+    let i = f.clients[client].out.iterations + 1;
     f.log(cursor, client, format!("iter#{i}"));
 
     let trigger = policy
@@ -605,121 +591,92 @@ fn step_client(fleet: &Rc<RefCell<Fleet>>, eng: &mut Engine, client: usize) {
         .is_some_and(|k| k > 0 && i.is_multiple_of(k as u64));
 
     // --- checkpoint actions at the start of the iteration ---
-    let placed = f.placement.is_some()
-        && matches!(
-            policy,
-            Policy::PortusSync { .. } | Policy::PortusAsync { .. }
-        );
-    if trigger && placed {
-        // Placement path: the pull fans out to the rendezvous targets
-        // (k replicas per stripe) instead of the configured pin.
-        let version = f.clients[client].checkpoints + f.clients[client].failed_checkpoints + 1;
-        if matches!(policy, Policy::PortusAsync { .. }) {
-            let wait = f.clients[client].pull_until.saturating_since(cursor);
-            cursor += wait;
-            f.clients[client].stall += wait;
-        }
-        let targets: Vec<usize> = {
-            let spec_job = f.clients[client].spec.job;
-            let name = f.clients[client].spec.name.clone();
-            let p = f.placement.expect("placed path");
-            let mut t: Vec<usize> = stripe_plan(&name, spec_job, &f.alive, &p)
-                .iter()
-                .flat_map(|s| s.targets.iter().copied())
-                .collect();
-            t.sort_unstable();
-            t.dedup();
-            t
-        };
-        f.log(
-            cursor,
-            client,
-            format!("ckpt#{version}->daemons{targets:?}"),
-        );
-        let (end, ok) = f.submit_replicated(eng, client, cursor, version);
-        if ok {
-            f.clients[client].checkpoints += 1;
-            f.clients[client].latest_done = Some(version);
-        } else {
-            f.clients[client].failed_checkpoints += 1;
-            f.log(
-                end,
-                client,
-                format!("ckpt#{version} lost (no surviving replica)"),
-            );
-        }
-        match policy {
-            Policy::PortusSync { .. } => {
-                f.clients[client].stall += end.saturating_since(cursor);
-                cursor = end;
-            }
-            _ => f.clients[client].pull_until = end,
-        }
-    } else if trigger {
-        f.clients[client].checkpoints += 1;
-        let n = f.clients[client].checkpoints;
-        let daemon = f.clients[client].spec.daemon;
-        f.log(cursor, client, format!("ckpt#{n}->daemon{daemon}"));
+    if trigger {
+        let start = cursor;
+        let out = &f.clients[client].out;
+        let version = out.checkpoints + out.failed_checkpoints + 1;
         match policy {
             Policy::None => {}
-            Policy::TorchSave { backend, .. } => {
-                // The baseline path bypasses the Portus daemons: the
-                // whole save stalls the client on its own actor.
-                let job = f.clients[client].spec.job;
-                let op = torch_save_cost(&f.model, job, backend).total();
-                cursor += op;
-                f.clients[client].stall += op;
-            }
-            Policy::CheckFreq { backend, .. } => {
-                let job = f.clients[client].spec.job;
+            Policy::TorchSave { backend, .. } | Policy::CheckFreq { backend, .. } => {
+                // The baselines bypass the Portus daemons: the save
+                // runs on the client's own actor.
+                f.log(cursor, client, format!("ckpt#{version}"));
                 let op = torch_save_cost(&f.model, job, backend);
-                let wait = f.clients[client].background_until.saturating_since(cursor);
-                cursor = cursor + wait + op.snapshot;
-                f.clients[client].stall += wait + op.snapshot;
-                f.clients[client].background_until = cursor + op.persist_side();
+                let c = &mut f.clients[client];
+                c.out.checkpoints += 1;
+                if matches!(policy, Policy::TorchSave { .. }) {
+                    cursor = c.span(cursor, cursor + op.total(), false);
+                } else {
+                    // CheckFreq waits out the previous background
+                    // persist; only the snapshot stalls training.
+                    cursor = c.span(cursor, c.background_until.max(cursor), false);
+                    cursor = c.span(cursor, cursor + op.snapshot, false);
+                    c.background_until = cursor + op.persist_side();
+                }
             }
-            Policy::PortusSync { .. } => {
-                let end = f.submit_pull(eng, client, cursor);
-                f.clients[client].stall += end.saturating_since(cursor);
-                cursor = end;
-            }
-            Policy::PortusAsync { .. } => {
-                // A new pull waits for the previous one to drain.
-                let wait = f.clients[client].pull_until.saturating_since(cursor);
-                cursor += wait;
-                f.clients[client].stall += wait;
-                let end = f.submit_pull(eng, client, cursor);
-                f.clients[client].pull_until = end;
+            Policy::PortusSync { .. } | Policy::PortusAsync { .. } => {
+                let sync = matches!(policy, Policy::PortusSync { .. });
+                if !sync {
+                    // A new pull waits for the previous one to drain.
+                    let c = &mut f.clients[client];
+                    cursor = c.span(cursor, c.pull_until.max(cursor), false);
+                }
+                let (end, ok) = f.submit_checkpoint(eng, client, cursor, version);
+                if !ok {
+                    let lost = format!("ckpt#{version} lost (no surviving replica)");
+                    f.log(end, client, lost);
+                }
+                let c = &mut f.clients[client];
+                if ok {
+                    c.out.checkpoints += 1;
+                    c.out.latest_done_version = Some(version);
+                } else {
+                    c.out.failed_checkpoints += 1;
+                }
+                if sync {
+                    cursor = c.span(cursor, end, false);
+                } else {
+                    c.pull_until = end;
+                }
             }
         }
+        f.clients[client].out.checkpoint_stall += cursor - start;
     }
 
     // --- the iteration itself ---
-    let busy = profile.gpu_busy();
-    let intrinsic_idle = profile.total() - busy;
+    let c = &mut f.clients[client];
     let update_start = cursor + profile.forward + profile.backward;
     let mut iter_stall = SimDuration::ZERO;
-    if matches!(policy, Policy::PortusAsync { .. }) && f.clients[client].pull_until > update_start {
+    if matches!(policy, Policy::PortusAsync { .. }) && c.pull_until > update_start {
         // The update phase begins while tensors are still being
         // pulled: it defers by (up to) one update-phase length.
         iter_stall = profile
             .update
-            .min(f.clients[client].pull_until.saturating_since(update_start));
-        f.clients[client].stall += iter_stall;
+            .min(c.pull_until.saturating_since(update_start));
+        c.out.checkpoint_stall += iter_stall;
     }
-    cursor = cursor + busy + intrinsic_idle + iter_stall;
+    // Busy time is one contiguous span per iteration; the intrinsic
+    // idle tail models data-loading gaps.
+    let busy = profile.gpu_busy();
+    cursor = c.span(cursor, cursor + busy, true);
+    c.out.gpu_busy += busy;
+    cursor = c.span(
+        cursor,
+        cursor + (profile.total() - busy) + iter_stall,
+        false,
+    );
     eng.advance_actor_to(actor, cursor);
+    c.out.iterations = i;
 
-    f.clients[client].done = i;
     if i < iterations {
-        drop(f);
+        drop(guard);
         let fleet = fleet.clone();
         eng.schedule_at(cursor, move |e| step_client(&fleet, e, client));
     } else {
         // Drain outstanding background work so runs are comparable.
-        let c = &f.clients[client];
         let drain_to = c.background_until.max(c.pull_until).max(cursor);
-        f.clients[client].finished_at = drain_to;
+        c.span(cursor, drain_to, false);
+        c.out.finished_at = drain_to;
         eng.advance_actor_to(actor, drain_to);
         f.log(drain_to, client, "done".to_string());
     }
@@ -781,14 +738,13 @@ pub fn run_fleet(m: &CostModel, cfg: &FleetConfig) -> FleetResult {
         .map(|spec| ClientRun {
             spec: spec.clone(),
             actor: eng.add_actor(&spec.name),
-            done: 0,
-            checkpoints: 0,
-            failed_checkpoints: 0,
-            latest_done: None,
-            stall: SimDuration::ZERO,
+            out: ClientResult {
+                name: spec.name.clone(),
+                daemon: spec.daemon,
+                ..ClientResult::default()
+            },
             background_until: SimTime::ZERO,
             pull_until: SimTime::ZERO,
-            finished_at: SimTime::ZERO,
             ckpts: Vec::new(),
         })
         .collect();
@@ -842,6 +798,11 @@ pub fn run_fleet(m: &CostModel, cfg: &FleetConfig) -> FleetResult {
             let actor = f.clients[idx].actor;
             eng.advance_actor_to(actor, start);
             f.log(start, idx, "start".to_string());
+            if f.clients[idx].spec.iterations == 0 {
+                f.clients[idx].out.finished_at = start;
+                f.log(start, idx, "done".to_string());
+                continue;
+            }
         }
         let fleet = fleet.clone();
         eng.schedule_at(start, move |e| step_client(&fleet, e, idx));
@@ -849,7 +810,8 @@ pub fn run_fleet(m: &CostModel, cfg: &FleetConfig) -> FleetResult {
 
     eng.run();
 
-    let f = fleet.borrow();
+    let mut guard = fleet.borrow_mut();
+    let f = &mut *guard;
     // A dead daemon's NIC stops granting at its kill: whatever queue
     // it had drains nowhere and must not stretch the makespan.
     let nic_drain = f
@@ -865,7 +827,7 @@ pub fn run_fleet(m: &CostModel, cfg: &FleetConfig) -> FleetResult {
     let makespan = f
         .clients
         .iter()
-        .map(|c| c.finished_at)
+        .map(|c| c.out.finished_at)
         .max()
         .unwrap_or(SimTime::ZERO)
         .max(nic_drain)
@@ -876,72 +838,58 @@ pub fn run_fleet(m: &CostModel, cfg: &FleetConfig) -> FleetResult {
     // (each a `DatapathFailed` before the next replica answers).
     let mut restores = Vec::new();
     let mut restore_failovers = 0u64;
-    if cfg.placement.is_some() {
-        for (ci, c) in f.clients.iter().enumerate() {
-            let version =
-                f.restorable_version(ci, |w| f.kill_at[w.daemon].is_none() && f.validated(w));
-            let mut served_by = Vec::new();
-            let mut failovers = 0u64;
-            if let Some(v) = version {
-                let rec = c.ckpts.iter().find(|r| r.version == v).expect("restorable");
-                let mut remaining: Vec<u32> = (0..rec.stripes).collect();
-                for d in replica_order(&c.spec.name, &vec![true; cfg.daemons]) {
-                    if remaining.is_empty() {
-                        break;
-                    }
-                    let holds: Vec<u32> = rec
-                        .writes
-                        .iter()
-                        .filter(|w| w.daemon == d && remaining.contains(&w.stripe))
-                        .map(|w| w.stripe)
-                        .collect();
-                    if holds.is_empty() {
-                        continue;
-                    }
-                    if f.kill_at[d].is_some() {
-                        // The placement says this daemon holds stripes
-                        // we still need; contacting it fails and the
-                        // restore falls through to the next replica.
-                        failovers += 1;
-                    } else {
-                        remaining.retain(|s| !holds.contains(s));
-                        served_by.push(d);
-                    }
+    for (ci, c) in f.clients.iter().enumerate() {
+        let version = f.restorable_version(ci, |w| f.kill_at[w.daemon].is_none() && f.validated(w));
+        let mut served_by = Vec::new();
+        let mut failovers = 0u64;
+        if let Some(v) = version {
+            let rec = c.ckpts.iter().find(|r| r.version == v).expect("restorable");
+            let mut remaining: Vec<u32> = (0..rec.stripes).collect();
+            for d in replica_order(&c.spec.name, &vec![true; cfg.daemons]) {
+                if remaining.is_empty() {
+                    break;
+                }
+                let holds: Vec<u32> = rec
+                    .writes
+                    .iter()
+                    .filter(|w| w.daemon == d && remaining.contains(&w.stripe))
+                    .map(|w| w.stripe)
+                    .collect();
+                if holds.is_empty() {
+                    continue;
+                }
+                if f.kill_at[d].is_some() {
+                    // The placement says this daemon holds stripes
+                    // we still need; contacting it fails and the
+                    // restore falls through to the next replica.
+                    failovers += 1;
+                } else {
+                    remaining.retain(|s| !holds.contains(s));
+                    served_by.push(d);
                 }
             }
-            restore_failovers += failovers;
-            restores.push(ModelRestore {
-                client: c.spec.name.clone(),
-                version,
-                served_by,
-                failovers,
-            });
         }
+        restore_failovers += failovers;
+        restores.push(ModelRestore {
+            client: c.spec.name.clone(),
+            version,
+            served_by,
+            failovers,
+        });
     }
 
     let mut metrics = f.metrics.snapshot();
-    if cfg.placement.is_some() {
-        metrics.fleet = f.per_daemon.clone();
-        metrics.recovery_epoch = f.epoch;
-        metrics.restore_failovers = restore_failovers;
-    }
+    metrics.fleet = std::mem::take(&mut f.per_daemon);
+    metrics.recovery_epoch = f.epoch;
+    metrics.restore_failovers = restore_failovers;
 
     FleetResult {
         clients: f
             .clients
-            .iter()
-            .map(|c| ClientResult {
-                name: c.spec.name.clone(),
-                daemon: c.spec.daemon,
-                iterations: c.done,
-                checkpoints: c.checkpoints,
-                failed_checkpoints: c.failed_checkpoints,
-                latest_done_version: c.latest_done,
-                finished_at: c.finished_at,
-                checkpoint_stall: c.stall,
-            })
+            .iter_mut()
+            .map(|c| std::mem::take(&mut c.out))
             .collect(),
-        events: f.events.clone(),
+        events: std::mem::take(&mut f.events),
         spans: f.tracer.spans(),
         metrics,
         progress: eng.progress_reports().to_vec(),
@@ -1034,30 +982,74 @@ mod tests {
     }
 
     #[test]
-    fn fleet_clients_match_the_analytic_harness_solo() {
-        // One client, one daemon: the event path must agree with the
-        // single-timeline analytic harness on totals.
+    fn zero_iteration_clients_run_nothing() {
         let m = CostModel::icdcs24();
-        let cfg = fleet(1, 1);
+        let mut cfg = FleetConfig::uniform(
+            1,
+            1,
+            small_job(),
+            profile(),
+            Policy::PortusSync { every: 1 },
+            0,
+        );
+        cfg.start_jitter = SimDuration::from_millis(100);
+        cfg.seed = 3;
         let out = run_fleet(&m, &cfg);
-        let spec = &cfg.clients[0];
-        let analytic = crate::run_training(
-            &m,
-            &crate::TrainingConfig {
-                job: spec.job,
-                profile: spec.profile,
-                policy: spec.policy,
-            },
-            spec.iterations,
-        );
         let c = &out.clients[0];
-        assert_eq!(c.iterations, analytic.iterations);
-        assert_eq!(c.checkpoints, analytic.checkpoints);
-        assert_eq!(c.checkpoint_stall, analytic.checkpoint_stall);
-        assert_eq!(
-            c.finished_at.saturating_since(SimTime::ZERO),
-            analytic.elapsed
-        );
+        assert_eq!(c.iterations, 0);
+        assert_eq!(c.checkpoints, 0);
+        assert_eq!(c.checkpoint_stall, SimDuration::ZERO);
+        assert!(c.segments.is_empty());
+        let kinds: Vec<&str> = out.events.iter().map(|e| e.kind.as_str()).collect();
+        assert_eq!(kinds, ["start", "done"]);
+        assert!(out.events.iter().all(|e| e.at == c.finished_at));
+        assert!(out.spans.is_empty());
+    }
+
+    #[test]
+    fn jittered_clients_segments_tile_their_runs() {
+        let m = CostModel::icdcs24();
+        let mut cfg = fleet(2, 5);
+        cfg.seed = 11;
+        cfg.start_jitter = SimDuration::from_millis(300);
+        for (i, c) in cfg.clients.iter_mut().enumerate() {
+            c.policy = match i % 3 {
+                0 => Policy::PortusAsync { every: 7 },
+                1 => Policy::PortusSync { every: 5 },
+                _ => Policy::CheckFreq {
+                    every: 10,
+                    backend: crate::ops::Backend::BeegfsPmem,
+                },
+            };
+        }
+        let out = run_fleet(&m, &cfg);
+        for c in &out.clients {
+            let start = out
+                .events
+                .iter()
+                .find(|e| e.actor == c.name && e.kind == "start")
+                .expect("every client logs its start")
+                .at;
+            assert!(
+                start > SimTime::ZERO,
+                "{}: jitter must shift the start",
+                c.name
+            );
+            let mut cursor = start;
+            for s in &c.segments {
+                assert_eq!(s.start, cursor, "{}: segments must tile", c.name);
+                cursor = s.end;
+            }
+            assert_eq!(cursor, c.finished_at, "{}", c.name);
+            let busy: SimDuration = c
+                .segments
+                .iter()
+                .filter(|s| s.busy)
+                .map(|s| s.end - s.start)
+                .sum();
+            assert_eq!(busy, c.gpu_busy, "{}", c.name);
+            assert_eq!(busy, profile().gpu_busy() * 50, "{}", c.name);
+        }
     }
 
     #[test]
@@ -1231,19 +1223,40 @@ mod tests {
     }
 
     #[test]
-    fn placement_none_stays_bit_for_bit_with_legacy() {
-        // The placement field must be inert when unset: a config that
-        // never mentions it replays the pre-placement event stream.
+    fn pinned_fleet_writes_only_to_its_pins() {
+        // Without placement each Portus checkpoint is one stripe on the
+        // client's pin, and the per-daemon stats and restore accounting
+        // every fleet exports say so.
         let m = CostModel::icdcs24();
         let mut cfg = fleet(2, 4);
         cfg.seed = 7;
         let out = run_fleet(&m, &cfg);
-        assert!(out.metrics.fleet.is_empty());
-        assert!(out.restores.is_empty());
+        for spec in &cfg.clients {
+            let ckpts: Vec<&EventRecord> = out
+                .events
+                .iter()
+                .filter(|e| e.actor == spec.name && e.kind.starts_with("ckpt#"))
+                .collect();
+            assert_eq!(ckpts.len(), 5);
+            let pin = format!("->daemons[{}]", spec.daemon);
+            for e in ckpts {
+                assert!(e.kind.ends_with(&pin), "{}: {}", spec.name, e.kind);
+            }
+        }
+        assert_eq!(out.metrics.fleet.len(), 2);
+        for d in &out.metrics.fleet {
+            // 2 clients per daemon x 5 checkpoints, no copies elsewhere.
+            assert_eq!(d.writes, 10);
+            assert_eq!(d.replica_writes, 0);
+        }
         assert_eq!(out.epoch, 0);
-        assert!(out
-            .events
-            .iter()
-            .all(|e| !e.kind.starts_with("ckpt#1->daemons[")));
+        assert_eq!(out.metrics.recovery_epoch, 0);
+        assert_eq!(out.metrics.restore_failovers, 0);
+        assert_eq!(out.restores.len(), cfg.clients.len());
+        for (spec, r) in cfg.clients.iter().zip(&out.restores) {
+            assert_eq!(r.version, Some(5));
+            assert_eq!(r.served_by, [spec.daemon]);
+            assert_eq!(r.failovers, 0);
+        }
     }
 }

@@ -2,13 +2,15 @@
 //!
 //! Replays a training job on the virtual timeline under a checkpoint
 //! [`Policy`], producing throughput, stall, and GPU-busy accounting —
-//! the machinery behind Figs. 2, 9, 15 and 16.
+//! the machinery behind Figs. 2, 9, 15 and 16. A run is a one-client
+//! fleet on the discrete-event core ([`run_fleet`]).
 
 use portus_dnn::IterationProfile;
 use portus_sim::{CostModel, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
-use crate::ops::{portus_checkpoint_cost, torch_save_cost, JobShape};
+use crate::event::{run_fleet, FleetConfig};
+use crate::ops::JobShape;
 use crate::policy::Policy;
 
 /// A training run's static configuration.
@@ -68,128 +70,26 @@ impl RunResult {
     }
 }
 
-/// Simulates `iterations` training iterations under `cfg.policy`.
-///
-/// Policy semantics (matching Fig. 9):
-/// * `TorchSave` — the whole save blocks at the checkpoint iteration;
-/// * `CheckFreq` — the snapshot blocks; serialize+write runs in the
-///   background; a new snapshot additionally blocks until the previous
-///   background persist has drained;
-/// * `PortusSync` — the pull blocks;
-/// * `PortusAsync` — the pull runs under compute; each parameter-update
-///   phase that begins while the pull is still in flight defers by one
-///   update-phase length, and a new pull waits for the previous one.
+/// Simulates `iterations` training iterations under `cfg.policy`: a
+/// one-client, one-daemon [`run_fleet`], whose client steps through
+/// the Fig. 9 policy timeline (see [`Policy`]).
 pub fn run_training(m: &CostModel, cfg: &TrainingConfig, iterations: u64) -> RunResult {
-    let iter_time = cfg.profile.total();
-    let busy_per_iter = cfg.profile.gpu_busy();
-    // Busy time is modeled as a contiguous span per iteration; the
-    // intrinsic (non-checkpoint) idle tail models data loading gaps.
-    let intrinsic_idle = iter_time - busy_per_iter;
-
-    let mut t = SimTime::ZERO;
-    let mut segments: Vec<Segment> = Vec::new();
-    let mut gpu_busy = SimDuration::ZERO;
-    let mut stall_total = SimDuration::ZERO;
-    let mut checkpoints = 0u64;
-
-    // CheckFreq background pipeline / Portus in-flight pull.
-    let mut background_until = SimTime::ZERO;
-    let mut pull_until = SimTime::ZERO;
-
-    let push = |segments: &mut Vec<Segment>, start: SimTime, end: SimTime, busy: bool| {
-        if end > start {
-            segments.push(Segment { start, end, busy });
-        }
-    };
-
-    for i in 1..=iterations {
-        let trigger = cfg
-            .policy
-            .interval()
-            .is_some_and(|k| k > 0 && i % k as u64 == 0);
-
-        // --- checkpoint actions at the start of the iteration ---
-        if trigger {
-            checkpoints += 1;
-            match cfg.policy {
-                Policy::None => {}
-                Policy::TorchSave { backend, .. } => {
-                    let op = torch_save_cost(m, cfg.job, backend).total();
-                    push(&mut segments, t, t + op, false);
-                    t += op;
-                    stall_total += op;
-                }
-                Policy::CheckFreq { backend, .. } => {
-                    let op = torch_save_cost(m, cfg.job, backend);
-                    // Wait out the previous background persist.
-                    let wait = background_until.saturating_since(t);
-                    push(&mut segments, t, t + wait, false);
-                    t += wait;
-                    stall_total += wait;
-                    // The snapshot itself stalls training.
-                    push(&mut segments, t, t + op.snapshot, false);
-                    t += op.snapshot;
-                    stall_total += op.snapshot;
-                    background_until = t + op.persist_side();
-                }
-                Policy::PortusSync { .. } => {
-                    let op = portus_checkpoint_cost(m, cfg.job);
-                    push(&mut segments, t, t + op, false);
-                    t += op;
-                    stall_total += op;
-                }
-                Policy::PortusAsync { .. } => {
-                    // A new pull waits for the previous one to drain.
-                    let wait = pull_until.saturating_since(t);
-                    push(&mut segments, t, t + wait, false);
-                    t += wait;
-                    stall_total += wait;
-                    pull_until = t + portus_checkpoint_cost(m, cfg.job);
-                }
-            }
-        }
-
-        // --- the iteration itself ---
-        let update_start = t + cfg.profile.forward + cfg.profile.backward;
-        let mut iter_stall = SimDuration::ZERO;
-        if matches!(cfg.policy, Policy::PortusAsync { .. }) && pull_until > update_start {
-            // The update phase begins while tensors are still being
-            // pulled: it defers by (up to) one update-phase length
-            // while the pull cursor clears the conflicting tensors.
-            iter_stall = cfg
-                .profile
-                .update
-                .min(pull_until.saturating_since(update_start));
-            stall_total += iter_stall;
-        }
-        push(&mut segments, t, t + busy_per_iter, true);
-        gpu_busy += busy_per_iter;
-        t += busy_per_iter;
-        push(&mut segments, t, t + intrinsic_idle + iter_stall, false);
-        t += intrinsic_idle + iter_stall;
-    }
-
-    // Drain any outstanding background work so the run is comparable.
-    let drain = background_until.max(pull_until).saturating_since(t);
-    if !drain.is_zero() {
-        push(&mut segments, t, t + drain, false);
-        t += drain;
-    }
-
+    let fleet = FleetConfig::uniform(1, 1, cfg.job, cfg.profile, cfg.policy, iterations);
+    let c = run_fleet(m, &fleet).clients.swap_remove(0);
     RunResult {
-        iterations,
-        elapsed: t.saturating_since(SimTime::ZERO),
-        checkpoints,
-        checkpoint_stall: stall_total,
-        gpu_busy,
-        segments,
+        iterations: c.iterations,
+        elapsed: c.finished_at.saturating_since(SimTime::ZERO),
+        checkpoints: c.checkpoints,
+        checkpoint_stall: c.checkpoint_stall,
+        gpu_busy: c.gpu_busy,
+        segments: c.segments,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::Backend;
+    use crate::ops::{portus_checkpoint_cost, Backend};
     use portus_dnn::zoo;
 
     fn gpt22_cfg(policy: Policy) -> TrainingConfig {
@@ -203,6 +103,75 @@ mod tests {
             profile: IterationProfile::from_total(zoo::gpt_iteration("gpt-22.4b")),
             policy,
         }
+    }
+
+    /// The four Fig. 9 policies at interval `every` (baselines on
+    /// BeeGFS-PMem).
+    fn fig9_policies(every: u32) -> [Policy; 4] {
+        [
+            Policy::TorchSave {
+                every,
+                backend: Backend::BeegfsPmem,
+            },
+            Policy::CheckFreq {
+                every,
+                backend: Backend::BeegfsPmem,
+            },
+            Policy::PortusSync { every },
+            Policy::PortusAsync { every },
+        ]
+    }
+
+    #[test]
+    fn policy_timelines_keep_their_pinned_numbers() {
+        // Elapsed and stall (ns) of each Fig. 9 policy, pinned from the
+        // standalone per-iteration loop this harness replaced.
+        let m = CostModel::icdcs24();
+        let gpt22 = [
+            (1_676_157_335_870, 1_226_357_335_870),
+            (1_269_607_335_870, 708_413_287_565),
+            (604_373_374_960, 154_573_374_960),
+            (485_325_337_496, 22_144_000_000),
+        ];
+        for (policy, (elapsed, stall)) in fig9_policies(26).into_iter().zip(gpt22) {
+            let r = run_training(&m, &gpt22_cfg(policy), 260);
+            assert_eq!(r.iterations, 260, "{policy:?}");
+            assert_eq!(r.checkpoints, 10, "{policy:?}");
+            assert_eq!(r.elapsed.as_nanos(), elapsed, "{policy:?}");
+            assert_eq!(r.checkpoint_stall.as_nanos(), stall, "{policy:?}");
+            assert_eq!(r.gpu_busy.as_nanos(), 377_832_000_000, "{policy:?}");
+        }
+
+        // Fig. 9's own input: BERT-Large, every 10 of 100 iterations.
+        let card = zoo::bert_large_card();
+        let job = JobShape::single(card.spec.total_bytes(), card.spec.layer_count() as u64);
+        let profile = IterationProfile::from_total(card.iteration);
+        let bert = [
+            53_842_697_450,
+            39_104_023_275,
+            37_375_547_240,
+            35_000_000_000,
+        ];
+        for (policy, elapsed) in fig9_policies(10).into_iter().zip(bert) {
+            let cfg = TrainingConfig {
+                job,
+                profile,
+                policy,
+            };
+            let r = run_training(&m, &cfg, 100);
+            assert_eq!(r.elapsed.as_nanos(), elapsed, "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn zero_iterations_run_nothing() {
+        let m = CostModel::icdcs24();
+        let r = run_training(&m, &gpt22_cfg(Policy::PortusSync { every: 1 }), 0);
+        assert_eq!(r.iterations, 0);
+        assert_eq!(r.checkpoints, 0);
+        assert_eq!(r.elapsed, SimDuration::ZERO);
+        assert_eq!(r.checkpoint_stall, SimDuration::ZERO);
+        assert!(r.segments.is_empty());
     }
 
     #[test]
@@ -305,19 +274,22 @@ mod tests {
     #[test]
     fn segments_tile_the_run() {
         let m = CostModel::icdcs24();
-        let r = run_training(&m, &gpt22_cfg(Policy::PortusAsync { every: 26 }), 52);
-        let mut cursor = SimTime::ZERO;
-        for s in &r.segments {
-            assert_eq!(s.start, cursor, "segments must tile without gaps");
-            cursor = s.end;
+        let policies = std::iter::once(Policy::None).chain(fig9_policies(26));
+        for policy in policies {
+            let r = run_training(&m, &gpt22_cfg(policy), 52);
+            let mut cursor = SimTime::ZERO;
+            for s in &r.segments {
+                assert_eq!(s.start, cursor, "{policy:?}: segments must tile");
+                cursor = s.end;
+            }
+            assert_eq!(cursor, SimTime::ZERO + r.elapsed, "{policy:?}");
+            let busy: SimDuration = r
+                .segments
+                .iter()
+                .filter(|s| s.busy)
+                .map(|s| s.end - s.start)
+                .sum();
+            assert_eq!(busy, r.gpu_busy, "{policy:?}");
         }
-        assert_eq!(cursor, SimTime::ZERO + r.elapsed);
-        let busy: SimDuration = r
-            .segments
-            .iter()
-            .filter(|s| s.busy)
-            .map(|s| s.end - s.start)
-            .sum();
-        assert_eq!(busy, r.gpu_busy);
     }
 }

@@ -2,14 +2,15 @@
 //!
 //! End-to-end training simulation over the virtual timeline: analytic
 //! operation costs for workloads too large to materialize ([`ops`]),
-//! the four checkpoint policies of Fig. 9 ([`Policy`]), the training
-//! harness behind Figs. 2/15 ([`run_training`]), GPU-utilization
-//! traces for Fig. 16 ([`utilization_trace`], exportable as Chrome
-//! trace-event JSON via [`run_chrome_trace`]), failure injection
-//! for the lost-work trade-off the paper motivates ([`run_with_failures`]),
-//! and a multi-daemon fleet harness on the discrete-event core
-//! ([`run_fleet`]) where overlapping clients finish at the *max*, not
-//! the sum, of their durations.
+//! the four checkpoint policies of Fig. 9 ([`Policy`]), and one
+//! training plane on the discrete-event core ([`run_fleet`]): N
+//! daemons and M clients, where overlapping clients finish at the
+//! *max*, not the sum, of their durations. The harness behind
+//! Figs. 2/15 ([`run_training`]) is its one-client case. On top sit
+//! GPU-utilization traces for Fig. 16 ([`utilization_trace`],
+//! exportable as Chrome trace-event JSON via [`run_chrome_trace`]) and
+//! failure injection for the lost-work trade-off the paper motivates
+//! ([`run_with_failures`]).
 //!
 //! # Examples
 //!

@@ -939,13 +939,7 @@ impl Catalog {
     /// are 64-aligned, so records are 16-aligned and never straddle a
     /// 64-byte line — asserted in [`Catalog::write_root`]), so the
     /// single persist flips key and pointer together.
-    fn update_dir_rec(
-        &self,
-        snap: &RootSnap,
-        i: u64,
-        key: u64,
-        page_off: u64,
-    ) -> PortusResult<()> {
+    fn update_dir_rec(&self, snap: &RootSnap, i: u64, key: u64, page_off: u64) -> PortusResult<()> {
         let base = self.dir_base(snap) + i * DIR_REC;
         debug_assert_eq!(base % DIR_REC, 0);
         typed::write_u64(&self.dev, base, key)?;
@@ -1402,8 +1396,9 @@ mod tests {
         };
         let (_dev, alloc, cat) = harness(&cfg);
         for n in [1u64, 37, 150, 400, 900] {
-            let entries: Vec<(String, u64)> =
-                (0..n).map(|i| (format!("m{:08}", i * i * 13 + i), i)).collect();
+            let entries: Vec<(String, u64)> = (0..n)
+                .map(|i| (format!("m{:08}", i * i * 13 + i), i))
+                .collect();
             cat.bulk_replace(&alloc, &entries).unwrap();
             let inner = cat.inner.lock();
             let snap = Catalog::snap_of(&inner);
@@ -1533,7 +1528,8 @@ mod tests {
             if i % 2 == 0 {
                 rec.remove(&alloc, &format!("model-{i:05}")).unwrap();
             } else {
-                rec.insert(&alloc, &format!("model-{i:05}"), 9000 + i).unwrap();
+                rec.insert(&alloc, &format!("model-{i:05}"), 9000 + i)
+                    .unwrap();
             }
         }
         assert_eq!(rec.len(), 200);

@@ -22,7 +22,7 @@ use portus_rdma::{Access, ControlChannel, MemoryRegion, Nic, QueuePair, RegionTa
 use portus_sim::{MetricsSnapshot, SimContext, SimDuration, SimTime, SpanRecord, Stage, TraceOp};
 
 use crate::daemon::{ClientEndpoints, PortusDaemon};
-use crate::proto::{ModelSummary, Reply, Request, TensorDesc};
+use crate::proto::{checkpoint_op, ModelSummary, Reply, Request, TensorDesc};
 use crate::{PortusError, PortusResult};
 
 /// Result of one completed checkpoint operation.
@@ -269,29 +269,20 @@ impl PortusClient {
     /// # Errors
     ///
     /// Daemon-side failures (unregistered model, fabric errors);
-    /// [`PortusError::Throttled`] once the retry budget is spent.
+    /// [`PortusError::AlreadyInFlight`] if an asynchronous checkpoint
+    /// of `model` is pending; [`PortusError::Throttled`] once the retry
+    /// budget is spent.
     pub fn checkpoint(&self, model: &str) -> PortusResult<CheckpointReport> {
-        let mut attempts = self.throttle_retries.load(Ordering::Relaxed);
-        loop {
-            let pending = self.checkpoint_async(model)?;
-            match self.wait_checkpoint(model, pending) {
-                Err(PortusError::Throttled { retry_after_ns }) if attempts > 0 => {
-                    attempts -= 1;
-                    self.ctx
-                        .clock
-                        .advance_by(SimDuration::from_nanos(retry_after_ns));
-                }
-                outcome => return outcome,
-            }
-        }
+        self.checkpoint_sync(model, None).map(full_report)
     }
 
     /// Asynchronous checkpoint: sends `DO_CHECKPOINT` and returns
     /// immediately; training proceeds while the daemon pulls.
     ///
     /// At most one checkpoint per model may be in flight on a
-    /// connection: a second `checkpoint_async` before the first is
-    /// waited on (via [`PortusClient::wait_checkpoint`] or
+    /// connection: a second `checkpoint_async` (or any other checkpoint
+    /// of the model) before the first is waited on (via
+    /// [`PortusClient::wait_checkpoint`] or
     /// [`PortusClient::guard_update`]) is rejected rather than silently
     /// orphaning the first reply.
     ///
@@ -301,19 +292,7 @@ impl PortusClient {
     /// already in flight; channel failures (daemon errors surface on
     /// wait).
     pub fn checkpoint_async(&self, model: &str) -> PortusResult<PendingCheckpoint> {
-        let mut inflight = self.inflight.lock();
-        if inflight.contains_key(model) {
-            return Err(PortusError::AlreadyInFlight(model.to_string()));
-        }
-        let req_id = self.fresh_id();
-        let sent = self.ctx.clock.now();
-        self.requests.send(Request::Checkpoint {
-            req_id,
-            model: model.to_string(),
-        })?;
-        let pending = PendingCheckpoint { req_id, sent };
-        inflight.insert(model.to_string(), pending);
-        Ok(pending)
+        self.send_checkpoint(model, None)
     }
 
     /// Waits for an asynchronous checkpoint to finish.
@@ -330,33 +309,8 @@ impl PortusClient {
         model: &str,
         pending: PendingCheckpoint,
     ) -> PortusResult<CheckpointReport> {
-        let outcome = self.wait_reply(pending.req_id);
-        if outcome.is_ok() {
-            self.record_rpc(pending.req_id, TraceOp::Checkpoint, model, pending.sent);
-        }
-        {
-            let mut inflight = self.inflight.lock();
-            if inflight.get(model) == Some(&pending) {
-                inflight.remove(model);
-            }
-        }
-        let reply = Self::expect_ok(outcome?)?;
-        match reply {
-            Reply::CheckpointDone {
-                version,
-                bytes,
-                elapsed,
-                ..
-            } => Ok(CheckpointReport {
-                model: model.to_string(),
-                version,
-                bytes,
-                elapsed,
-            }),
-            other => Err(PortusError::Daemon(format!(
-                "unexpected reply to checkpoint: {other:?}"
-            ))),
-        }
+        self.wait_pull(model, pending, TraceOp::Checkpoint)
+            .map(full_report)
     }
 
     /// Incremental checkpoint (extension; see DESIGN.md §9): only the
@@ -368,35 +322,54 @@ impl PortusClient {
     /// # Errors
     ///
     /// Daemon-side failures (unregistered model, mask length mismatch);
-    /// [`PortusError::Throttled`] once the
+    /// [`PortusError::AlreadyInFlight`] if an asynchronous checkpoint
+    /// of `model` is pending (the daemon could otherwise run the delta
+    /// ahead of that pull); [`PortusError::Throttled`] once the
     /// [`PortusClient::set_throttle_retries`] budget is spent.
     pub fn checkpoint_delta(&self, model: &str, dirty: &[bool]) -> PortusResult<DeltaReport> {
-        let mut attempts = self.throttle_retries.load(Ordering::Relaxed);
-        loop {
-            match self.checkpoint_delta_once(model, dirty) {
-                Err(PortusError::Throttled { retry_after_ns }) if attempts > 0 => {
-                    attempts -= 1;
-                    self.ctx
-                        .clock
-                        .advance_by(SimDuration::from_nanos(retry_after_ns));
-                }
-                outcome => return outcome,
-            }
-        }
+        self.checkpoint_sync(model, Some(dirty))
     }
 
-    fn checkpoint_delta_once(&self, model: &str, dirty: &[bool]) -> PortusResult<DeltaReport> {
+    /// Sends one `DO_CHECKPOINT` (a delta with `dirty`). Every entry
+    /// point sends through here, so one-in-flight holds for all.
+    fn send_checkpoint(
+        &self,
+        model: &str,
+        dirty: Option<&[bool]>,
+    ) -> PortusResult<PendingCheckpoint> {
+        let mut inflight = self.inflight.lock();
+        if inflight.contains_key(model) {
+            return Err(PortusError::AlreadyInFlight(model.to_string()));
+        }
         let req_id = self.fresh_id();
         let sent = self.ctx.clock.now();
-        self.requests.send(Request::DeltaCheckpoint {
+        self.requests.send(Request::Checkpoint {
             req_id,
             model: model.to_string(),
-            dirty: dirty.to_vec(),
+            dirty: dirty.map(<[bool]>::to_vec),
         })?;
-        let reply = self.wait_reply(req_id)?;
-        self.record_rpc(req_id, TraceOp::DeltaCheckpoint, model, sent);
-        match Self::expect_ok(reply)? {
-            Reply::DeltaDone {
+        let pending = PendingCheckpoint { req_id, sent };
+        inflight.insert(model.to_string(), pending);
+        Ok(pending)
+    }
+
+    /// Waits for a sent checkpoint's reply, records its `Rpc` span and
+    /// consumes the in-flight entry on every exit path.
+    fn wait_pull(
+        &self,
+        model: &str,
+        pending: PendingCheckpoint,
+        op: TraceOp,
+    ) -> PortusResult<DeltaReport> {
+        let outcome = self.wait_reply(pending.req_id);
+        if outcome.is_ok() {
+            self.record_rpc(pending.req_id, op, model, pending.sent);
+        }
+        self.inflight
+            .lock()
+            .retain(|m, p| m != model || *p != pending);
+        match Self::expect_ok(outcome?)? {
+            Reply::CheckpointDone {
                 version,
                 pulled_bytes,
                 copied_bytes,
@@ -412,8 +385,27 @@ impl PortusClient {
                 elapsed,
             }),
             other => Err(PortusError::Daemon(format!(
-                "unexpected reply to delta checkpoint: {other:?}"
+                "unexpected reply to {op}: {other:?}"
             ))),
+        }
+    }
+
+    /// Send-and-wait; a `Throttled` shed waits out its hint and re-sends
+    /// up to [`PortusClient::set_throttle_retries`] times.
+    fn checkpoint_sync(&self, model: &str, dirty: Option<&[bool]>) -> PortusResult<DeltaReport> {
+        let op = checkpoint_op(dirty);
+        let mut attempts = self.throttle_retries.load(Ordering::Relaxed);
+        loop {
+            let pending = self.send_checkpoint(model, dirty)?;
+            match self.wait_pull(model, pending, op) {
+                Err(PortusError::Throttled { retry_after_ns }) if attempts > 0 => {
+                    attempts -= 1;
+                    self.ctx
+                        .clock
+                        .advance_by(SimDuration::from_nanos(retry_after_ns));
+                }
+                outcome => return outcome,
+            }
         }
     }
 
@@ -587,5 +579,15 @@ impl Drop for PortusClient {
     fn drop(&mut self) {
         // Best-effort goodbye so the worker thread exits promptly.
         let _ = self.requests.send(Request::Disconnect);
+    }
+}
+
+/// A full checkpoint's report: nothing was copied or reused.
+fn full_report(d: DeltaReport) -> CheckpointReport {
+    CheckpointReport {
+        model: d.model,
+        version: d.version,
+        bytes: d.pulled_bytes,
+        elapsed: d.elapsed,
     }
 }

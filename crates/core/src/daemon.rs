@@ -64,7 +64,7 @@ use portus_rdma::{
 };
 use portus_sim::{Metrics, Resource, SimContext, SimDuration, SimTime, SpanRecord, Stage, TraceOp};
 
-use crate::proto::{ModelSummary, Reply, Request, TensorDesc};
+use crate::proto::{checkpoint_op, ModelSummary, Reply, Request, TensorDesc};
 use crate::qos::{QosConfig, QosState, TenantCtx};
 use crate::{
     Index, MIndex, ModelMap, PortusError, PortusResult, SlotHeader, SlotState, VerbFailure,
@@ -773,12 +773,11 @@ impl<'a> SpanCtx<'a> {
 /// three traced operations, `None` for control-plane requests.
 fn span_meta(req: &Request) -> Option<(u64, TraceOp, String)> {
     match req {
-        Request::Checkpoint { req_id, model } => {
-            Some((*req_id, TraceOp::Checkpoint, model.clone()))
-        }
-        Request::DeltaCheckpoint { req_id, model, .. } => {
-            Some((*req_id, TraceOp::DeltaCheckpoint, model.clone()))
-        }
+        Request::Checkpoint {
+            req_id,
+            model,
+            dirty,
+        } => Some((*req_id, checkpoint_op(dirty.as_deref()), model.clone())),
         Request::Restore { req_id, model, .. } => Some((*req_id, TraceOp::Restore, model.clone())),
         _ => None,
     }
@@ -792,29 +791,19 @@ fn span_meta(req: &Request) -> Option<(u64, TraceOp, String)> {
 /// never cross the fabric; a first delta with no previous version pulls
 /// everything, but the mask is the client's own declared intent).
 fn checkpoint_cost(state: &DaemonState, req: &Request) -> Option<u64> {
-    match req {
-        Request::Checkpoint { model, .. } => Some(session_bytes(state, model, None)),
-        Request::DeltaCheckpoint { model, dirty, .. } => {
-            Some(session_bytes(state, model, Some(dirty)))
-        }
-        _ => None,
-    }
-}
-
-fn session_bytes(state: &DaemonState, model: &str, dirty: Option<&[bool]>) -> u64 {
-    let sessions = state.sessions.lock();
-    let Some(descs) = sessions.get(model) else {
-        return 0;
+    let Request::Checkpoint { model, dirty, .. } = req else {
+        return None;
     };
-    match dirty {
-        None => descs.iter().map(TensorDesc::size_bytes).sum(),
-        Some(mask) => descs
+    let sessions = state.sessions.lock();
+    let descs = sessions.get(model).map_or(&[][..], Vec::as_slice);
+    Some(
+        descs
             .iter()
-            .zip(mask)
-            .filter(|&(_, &is_dirty)| is_dirty)
-            .map(|(d, _)| d.size_bytes())
+            .enumerate()
+            .filter(|&(i, _)| dirty.as_ref().is_none_or(|mask| mask.get(i) == Some(&true)))
+            .map(|(_, d)| d.size_bytes())
             .sum(),
-    }
+    )
 }
 
 fn serve(
@@ -853,12 +842,9 @@ fn serve(
             let bytes = tensors.iter().map(TensorDesc::size_bytes).sum();
             metrics.tenant_admitted(&tenant.name, bytes);
         }
-        let is_checkpoint = matches!(
-            req,
-            Request::Checkpoint { .. } | Request::DeltaCheckpoint { .. }
-        );
+        let is_checkpoint = matches!(req, Request::Checkpoint { .. });
         let class = match &req {
-            Request::Checkpoint { .. } | Request::DeltaCheckpoint { .. } => JobClass::Normal,
+            Request::Checkpoint { .. } => JobClass::Normal,
             Request::Restore { .. } if !state.cfg.priority_restore => JobClass::Normal,
             _ => JobClass::Urgent,
         };
@@ -982,13 +968,13 @@ fn handle_request(state: &DaemonState, pool: &QpPool, tenant: &TenantCtx, req: R
             },
             Err(e) => error_reply(req_id, e),
         },
-        Request::DeltaCheckpoint {
+        Request::Checkpoint {
             req_id,
             model,
             dirty,
-        } => match state.delta_checkpoint(pool, tenant, &model, &dirty, req_id) {
+        } => match state.delta_checkpoint(pool, tenant, &model, dirty.as_deref(), req_id) {
             Ok((version, [pulled_bytes, copied_bytes, reused_bytes], elapsed)) => {
-                Reply::DeltaDone {
+                Reply::CheckpointDone {
                     req_id,
                     version,
                     pulled_bytes,
@@ -999,17 +985,6 @@ fn handle_request(state: &DaemonState, pool: &QpPool, tenant: &TenantCtx, req: R
             }
             Err(e) => error_reply(req_id, e),
         },
-        Request::Checkpoint { req_id, model } => {
-            match state.checkpoint(pool, tenant, &model, req_id) {
-                Ok((version, bytes, elapsed)) => Reply::CheckpointDone {
-                    req_id,
-                    version,
-                    bytes,
-                    elapsed,
-                },
-                Err(e) => error_reply(req_id, e),
-            }
-        }
         Request::Restore {
             req_id,
             model,
@@ -1896,118 +1871,17 @@ impl DaemonState {
         Ok(())
     }
 
-    pub(crate) fn checkpoint(
-        &self,
-        pool: &QpPool,
-        tenant: &TenantCtx,
-        model: &str,
-        req_id: u64,
-    ) -> PortusResult<(u64, u64, SimDuration)> {
-        let sc = SpanCtx::new(&self.ctx, req_id, TraceOp::Checkpoint, model);
-        let _active = self.qos.arbiter.op_guard(tenant);
-        let lock = self.model_lock(model);
-        let _guard = lock.lock();
-        let t_op = self.ctx.clock.now();
-        let mut mi = self.lookup(model, Some(&sc))?;
-        let descs = self
-            .sessions
-            .lock()
-            .get(model)
-            .cloned()
-            .ok_or_else(|| PortusError::Daemon(format!("no registered session for {model}")))?;
-        if descs.len() != mi.tensors.len() {
-            return Err(PortusError::StructureMismatch(format!(
-                "{model}: session has {} tensors, index has {}",
-                descs.len(),
-                mi.tensors.len()
-            )));
-        }
-
-        // Validate the whole session against the index before the
-        // target slot is touched — a rejected request must leave both
-        // slot headers exactly as they were, and a failed WQE must mean
-        // a fabric problem, not a structure mismatch discovered halfway
-        // through the pull.
-        let mut verbs = Vec::with_capacity(mi.tensors.len());
-        for (rec, desc) in mi.tensors.iter().zip(&descs) {
-            if desc.meta() != rec.meta {
-                return Err(PortusError::StructureMismatch(format!(
-                    "{model}: registered tensor {} does not match index",
-                    desc.name
-                )));
-            }
-            verbs.push(TensorVerb {
-                rel_off: rec.rel_off,
-                len: rec.meta.size_bytes(),
-                rkey: desc.rkey,
-                name: desc.name.clone(),
-            });
-        }
-        sc.record_now(Stage::Validate, t_op);
-
-        let t_build = self.ctx.clock.now();
-        let runs = coalesce_runs(&verbs, PULL_WQE_BYTES);
-        sc.record_now(Stage::WqeBuild, t_build);
-
-        let target = mi.target_slot();
-        // On a dedup namespace the target slot may hold the older
-        // version as an extent map; drop those references *before* the
-        // slot is activated, so the rollback target (`pre`) never
-        // carries an extent map and a failed pull cannot strand one.
-        if mi.slots[target].ext_map != 0 {
-            crate::dedup::release_slot_extents(&self.index, &mut mi, target)?;
-        }
-        // Max over *both* headers, not `latest_done`: a collapsed or
-        // reverted slot keeps its issued version as a high-water mark,
-        // so a number handed to a failed checkpoint is never reused.
-        let version = mi.next_version();
-        // Re-attach a data region if the repacker reclaimed this slot.
-        // The returned header doubles as the rollback target: captured
-        // after region attachment (a fresh region is kept on failure)
-        // but before activation.
-        let hdr = self.ensure_region_or_reclaim(&mut mi, target)?;
-        self.index.mark_slot_active(&mi, target, version)?;
-
-        let t0 = self.ctx.clock.now();
-        // The zero-copy pulls, GPU → PMem: coalesced gather WQEs posted
-        // under one doorbell per QP stripe, completions drained off the
-        // CQs, failed WQEs retried per-run on their own lane.
-        let outcome =
-            match self.execute_runs(pool, tenant, &runs, hdr.data_off, Direction::Pull, &sc) {
-                Ok(outcome) => outcome,
-                Err(fail) => {
-                    self.rollback_best_effort(&mi, target, hdr, fail.any_succeeded);
-                    return Err(fail.into_error(model, "checkpoint"));
-                }
-            };
-        // RDMA landed in the DDIO domain; make it durable (Wei et al.),
-        // digest, and flip to Done, pipelining per-run persist+digest
-        // work against the transfers themselves.
-        let pieces = pull_pieces(&runs, &outcome, self.ctx.clock.now());
-        self.seal_slot_pipelined(&mi, target, hdr, SealBase::default(), pieces, &sc)?;
-        // Every tensor was pulled: the model has no delta lineage.
-        self.lineage.lock().remove(&mi.offset);
-        // Dedup tier: the sealed plain region becomes an extent map of
-        // content-addressed chunks (failure keeps the plain region).
-        if let Some(dcfg) = &self.cfg.dedup {
-            mi.slots[target].state = SlotState::Done;
-            mi.slots[target].version = version;
-            self.ingest_phase(&mut mi, target, dcfg, &sc);
-        }
-        let elapsed = self.ctx.clock.now().saturating_since(t0);
-        sc.record_now(Stage::Total, t_op);
-        Ok((version, mi.total_bytes, elapsed))
-    }
-
-    /// Incremental checkpoint: dirty tensors are pulled from GPU memory;
-    /// clean ones are carried over from the previous complete version
-    /// with a device-local PMem copy (charged at DAX read + write rates)
-    /// — except those the target slot already holds. The target always
-    /// holds the version before the previous one, so when the previous
-    /// version was itself a delta over it ([`reusable_mask`]), a tensor
-    /// clean in both deltas is left in place: no copy, no persist. The
-    /// resulting slot is a *complete* version — crash consistency is
-    /// identical to a full checkpoint.
+    /// The one checkpoint pull (`DO_CHECKPOINT`). Dirty tensors are
+    /// pulled from GPU memory; clean ones are carried over from the
+    /// previous complete version with a device-local PMem copy (charged
+    /// at DAX read + write rates) — except those the target slot
+    /// already holds. The target always holds the version before the
+    /// previous one, so when the previous version was itself a delta
+    /// over it ([`reusable_mask`]), a tensor clean in both deltas is
+    /// left in place: no copy, no persist. `dirty: None` marks every
+    /// tensor dirty: a full checkpoint is a delta that pulls everything.
+    /// Either way the slot is a *complete* version with the same crash
+    /// consistency.
     ///
     /// Returns the version, the `[pulled, copied, reused]` byte counts
     /// and the daemon-side virtual time.
@@ -2016,10 +1890,11 @@ impl DaemonState {
         pool: &QpPool,
         tenant: &TenantCtx,
         model: &str,
-        dirty: &[bool],
+        dirty: Option<&[bool]>,
         req_id: u64,
     ) -> PortusResult<(u64, [u64; 3], SimDuration)> {
-        let sc = SpanCtx::new(&self.ctx, req_id, TraceOp::DeltaCheckpoint, model);
+        let op = checkpoint_op(dirty);
+        let sc = SpanCtx::new(&self.ctx, req_id, op, model);
         let _active = self.qos.arbiter.op_guard(tenant);
         let lock = self.model_lock(model);
         let _guard = lock.lock();
@@ -2031,11 +1906,11 @@ impl DaemonState {
             .get(model)
             .cloned()
             .ok_or_else(|| PortusError::Daemon(format!("no registered session for {model}")))?;
-        if descs.len() != mi.tensors.len() || dirty.len() != mi.tensors.len() {
+        let mask_len = dirty.map_or(descs.len(), <[bool]>::len);
+        if descs.len() != mi.tensors.len() || mask_len != mi.tensors.len() {
             return Err(PortusError::StructureMismatch(format!(
-                "{model}: session {} / dirty {} tensors vs index {}",
+                "{model}: session {} / dirty {mask_len} tensors vs index {}",
                 descs.len(),
-                dirty.len(),
                 mi.tensors.len()
             )));
         }
@@ -2054,13 +1929,14 @@ impl DaemonState {
         // posted pull runs. Gaps left by clean tensors break runs, so
         // only genuinely adjacent pulls coalesce.
         let (mut pulled, mut copied, mut reused) = (0u64, 0u64, 0u64);
-        let mut pulled_mask = vec![false; dirty.len()];
+        let mut pulled_mask = vec![false; mi.tensors.len()];
         let mut verbs = Vec::new();
         // Carry-overs as (src, rel_off, len): the source in the
         // previous Done slot (plain or extent-mapped), destination
         // rel_off in the target region.
         let mut carries: Vec<(CarrySrc, u64, u64)> = Vec::new();
-        for (i, ((rec, desc), &is_dirty)) in mi.tensors.iter().zip(&descs).zip(dirty).enumerate() {
+        for (i, (rec, desc)) in mi.tensors.iter().zip(&descs).enumerate() {
+            let is_dirty = dirty.is_none_or(|mask| mask[i]);
             if desc.meta() != rec.meta {
                 return Err(PortusError::StructureMismatch(format!(
                     "{model}: registered tensor {} does not match index",
@@ -2118,26 +1994,33 @@ impl DaemonState {
             })
             .transpose()?;
 
-        // As in `checkpoint`: an extent-mapped target slot drops its
-        // references before the slot is activated.
+        // On a dedup namespace the target slot may hold the older
+        // version as an extent map; drop those references *before* the
+        // slot is activated, so the rollback target (`pre`) never
+        // carries an extent map and a failed pull cannot strand one.
         if mi.slots[target].ext_map != 0 {
             crate::dedup::release_slot_extents(&self.index, &mut mi, target)?;
         }
-        // As in `checkpoint`: the high-water mark across both headers,
-        // not the latest `Done` version.
+        // Max over *both* headers, not `latest_done`: a collapsed or
+        // reverted slot keeps its issued version as a high-water mark,
+        // so a number handed to a failed checkpoint is never reused.
         let version = mi.next_version();
-        // As in `checkpoint`: the post-attachment, pre-activation header
-        // is the rollback target.
+        // Re-attach a data region if the repacker reclaimed this slot.
+        // The returned header doubles as the rollback target: captured
+        // after region attachment (a fresh region is kept on failure)
+        // but before activation.
         let hdr = self.ensure_region_or_reclaim(&mut mi, target)?;
         self.index.mark_slot_active(&mi, target, version)?;
 
         let dev = Arc::clone(self.index.device());
         let ctx = &self.ctx;
         let t0 = ctx.clock.now();
-        // Carry-overs first (device-local), then the posted pulls. On the
-        // copy-everything path the seal reuses the digest each copy
-        // computed from its bounce buffer, so carried bytes are never
-        // read a second time.
+        // Carry-overs first (device-local), then the zero-copy pulls,
+        // GPU → PMem: coalesced gather WQEs posted under one doorbell per
+        // QP stripe, completions drained off the CQs, failed WQEs retried
+        // per run on their own lane. On the copy-everything path the
+        // seal reuses the digest each copy computed from its bounce
+        // buffer, so carried bytes are never read a second time.
         let mut carried = 0u64;
         let mut pieces: Vec<SealPiece> = Vec::new();
         let carry_result: PortusResult<()> = carries.iter().try_for_each(|&(src, rel, len)| {
@@ -2193,15 +2076,19 @@ impl DaemonState {
                     // Bytes landed if any pull WQE succeeded — or if any
                     // carry-over copy already wrote into the slot.
                     self.rollback_best_effort(&mi, target, hdr, fail.any_succeeded || carried > 0);
-                    return Err(fail.into_error(model, "delta-checkpoint"));
+                    return Err(fail.into_error(model, op.name()));
                 }
             };
+        // RDMA landed in the DDIO domain; make it durable (Wei et al.),
+        // digest, and flip to Done, pipelining per-run persist+digest
+        // work against the transfers themselves.
         pieces.extend(pull_pieces(&runs, &outcome, ctx.clock.now()));
         self.seal_slot_pipelined(&mi, target, hdr, base, pieces, &sc)?;
         ctx.stats.record_reuse(reused);
         {
+            // A full pull, like a first version, leaves no lineage.
             let mut lineage = self.lineage.lock();
-            match prev_hdr {
+            match prev_hdr.filter(|_| dirty.is_some()) {
                 Some(ph) => lineage.insert(
                     mi.offset,
                     Lineage::Delta {
@@ -2213,7 +2100,8 @@ impl DaemonState {
                 None => lineage.remove(&mi.offset),
             };
         }
-        // As in `checkpoint`: the sealed region enters the dedup tier.
+        // Dedup tier: the sealed plain region becomes an extent map of
+        // content-addressed chunks (failure keeps the plain region).
         if let Some(dcfg) = &self.cfg.dedup {
             mi.slots[target].state = SlotState::Done;
             mi.slots[target].version = version;

@@ -4,11 +4,13 @@
 //! registration packet "aggregates [remote keys] with the metadata of
 //! layers one-to-one correspondingly ... to describe a DNN model"
 //! (§III-B); checkpointing is triggered by the literal `DO_CHECKPOINT`
-//! message of §III-C, represented here as [`Request::Checkpoint`].
+//! message of §III-C, represented here as [`Request::Checkpoint`] with
+//! `dirty: None`. An incremental checkpoint is the same request with a
+//! dirty mask: a full checkpoint is a delta with every tensor dirty.
 
 use portus_dnn::{DType, GpuTensor, TensorMeta};
 use portus_rdma::MemoryRegion;
-use portus_sim::{MetricsSnapshot, SimDuration};
+use portus_sim::{MetricsSnapshot, SimDuration, TraceOp};
 
 /// One tensor's registration: its metadata plus the remote key of the
 /// GPU memory region holding it.
@@ -58,24 +60,18 @@ pub enum Request {
         /// Per-tensor metadata + rkeys, in layer order.
         tensors: Vec<TensorDesc>,
     },
-    /// Incremental `DO_CHECKPOINT`: pull only the tensors flagged dirty;
-    /// carry the rest over from the previous complete version with a
+    /// `DO_CHECKPOINT`: pull the model's tensors into PMem. With a
+    /// dirty mask only the flagged tensors are pulled and the rest are
+    /// carried over from the previous complete version with a
     /// device-local copy (a Check-N-Run-style extension; see DESIGN.md).
-    DeltaCheckpoint {
-        /// Request id for reply matching.
-        req_id: u64,
-        /// Model to checkpoint.
-        model: String,
-        /// One flag per tensor, in layer order: `true` = changed since
-        /// the last checkpoint.
-        dirty: Vec<bool>,
-    },
-    /// `DO_CHECKPOINT`: pull the model's tensors into PMem.
     Checkpoint {
         /// Request id for reply matching.
         req_id: u64,
         /// Model to checkpoint.
         model: String,
+        /// One flag per tensor, in layer order: `true` = changed since
+        /// the last checkpoint. `None` pulls every tensor.
+        dirty: Option<Vec<bool>>,
     },
     /// Push a complete checkpoint back into freshly registered GPU
     /// regions.
@@ -127,7 +123,6 @@ impl Request {
     pub fn req_id(&self) -> Option<u64> {
         match self {
             Request::Register { req_id, .. }
-            | Request::DeltaCheckpoint { req_id, .. }
             | Request::Checkpoint { req_id, .. }
             | Request::Restore { req_id, .. }
             | Request::MarkComplete { req_id, .. }
@@ -136,6 +131,16 @@ impl Request {
             | Request::Stats { req_id } => Some(*req_id),
             Request::Disconnect => None,
         }
+    }
+}
+
+/// The trace op of a [`Request::Checkpoint`]: a dirty mask makes it a
+/// delta.
+pub(crate) fn checkpoint_op(dirty: Option<&[bool]>) -> TraceOp {
+    if dirty.is_some() {
+        TraceOp::DeltaCheckpoint
+    } else {
+        TraceOp::Checkpoint
     }
 }
 
@@ -169,29 +174,18 @@ pub enum Reply {
         /// Number of on-PMem checkpoint slots (the double mapping: 2).
         slots: u8,
     },
-    /// An incremental checkpoint version is complete and durable.
-    DeltaDone {
-        /// Echoed request id.
-        req_id: u64,
-        /// The new version number.
-        version: u64,
-        /// Bytes pulled over the fabric (the dirty tensors).
-        pulled_bytes: u64,
-        /// Bytes copied device-locally from the previous version.
-        copied_bytes: u64,
-        /// Clean bytes left in place: the target slot already held them.
-        reused_bytes: u64,
-        /// Daemon-side virtual time for the operation.
-        elapsed: SimDuration,
-    },
     /// A checkpoint version is complete and durable.
     CheckpointDone {
         /// Echoed request id.
         req_id: u64,
         /// The new version number.
         version: u64,
-        /// Payload bytes pulled.
-        bytes: u64,
+        /// Bytes pulled over the fabric (every tensor without a mask).
+        pulled_bytes: u64,
+        /// Bytes copied device-locally from the previous version.
+        copied_bytes: u64,
+        /// Clean bytes left in place: the target slot already held them.
+        reused_bytes: u64,
         /// Daemon-side virtual time for the operation.
         elapsed: SimDuration,
     },
@@ -305,7 +299,6 @@ impl Reply {
     pub fn req_id(&self) -> u64 {
         match self {
             Reply::Registered { req_id, .. }
-            | Reply::DeltaDone { req_id, .. }
             | Reply::CheckpointDone { req_id, .. }
             | Reply::RestoreDone { req_id, .. }
             | Reply::Completed { req_id }
@@ -343,7 +336,9 @@ mod tests {
         let r = Reply::CheckpointDone {
             req_id: 42,
             version: 1,
-            bytes: 10,
+            pulled_bytes: 10,
+            copied_bytes: 0,
+            reused_bytes: 0,
             elapsed: SimDuration::ZERO,
         };
         assert_eq!(r.req_id(), 42);
@@ -368,7 +363,8 @@ mod tests {
         assert_eq!(
             Request::Checkpoint {
                 req_id: 6,
-                model: "m".into()
+                model: "m".into(),
+                dirty: None,
             }
             .req_id(),
             Some(6)

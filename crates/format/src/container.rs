@@ -225,7 +225,9 @@ pub fn read_checkpoint<R: Read>(r: R) -> FormatResult<CheckpointFile> {
     r.read_exact_hashed(&mut u32b)?;
     let count = u32::from_le_bytes(u32b);
 
-    let mut tensors = Vec::with_capacity(count as usize);
+    // Not preallocated from `count`: a corrupted count must fail on the
+    // missing bytes or the checksum, not abort on a huge allocation.
+    let mut tensors = Vec::new();
     for _ in 0..count {
         let name = read_str(&mut r)?;
         let mut byte = [0u8; 1];

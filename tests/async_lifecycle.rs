@@ -2,8 +2,9 @@
 //!
 //! A failed asynchronous checkpoint must surface its error exactly once
 //! at the Fig. 8 barrier and leave the client fully usable; a second
-//! `checkpoint_async` of a model already in flight must be rejected
-//! instead of silently orphaning the first reply; and checkpoints of
+//! `checkpoint_async` of a model already in flight — or a delta or
+//! synchronous checkpoint of it — must be rejected instead of silently
+//! orphaning the first reply or overtaking its pull; and checkpoints of
 //! *different* models on one connection must actually overlap on the
 //! daemon's dispatch pool.
 
@@ -90,6 +91,43 @@ fn second_async_checkpoint_of_same_model_is_rejected() {
     // Once waited, a new async checkpoint is allowed again.
     let p2 = w.client.checkpoint_async("dup").unwrap();
     assert_eq!(w.client.wait_checkpoint("dup", p2).unwrap().version, 2);
+    drop(w.client);
+    w.daemon.shutdown();
+}
+
+/// Every checkpoint entry point honours the one-in-flight rule: while
+/// an async pull of a model is pending, a delta of it is rejected. Sent
+/// anyway, the delta could run ahead of the pending pull on another
+/// dispatch worker and be taken over the previous version.
+#[test]
+fn delta_while_an_async_checkpoint_is_pending_is_rejected() {
+    let w = world(128 << 20);
+    let spec = test_spec("mixed", 8, 256 * 1024);
+    let model = ModelInstance::materialize(&spec, &w.gpu, 5, Materialization::Owned).unwrap();
+    w.client.register_model(&model).unwrap();
+
+    let pending = w.client.checkpoint_async("mixed").unwrap();
+    let mut mask = vec![false; 8];
+    mask[2] = true;
+    let err = w.client.checkpoint_delta("mixed", &mask).unwrap_err();
+    assert!(
+        matches!(&err, PortusError::AlreadyInFlight(m) if m == "mixed"),
+        "expected AlreadyInFlight, got: {err}"
+    );
+    let err = w.client.checkpoint("mixed").unwrap_err();
+    assert!(matches!(&err, PortusError::AlreadyInFlight(m) if m == "mixed"));
+    assert!(w.client.has_inflight("mixed"));
+
+    // The pending pull is the only one that ran: it is version 1.
+    let report = w.client.wait_checkpoint("mixed", pending).unwrap();
+    assert_eq!(report.version, 1);
+    assert_eq!(report.bytes, spec.total_bytes());
+
+    // Once waited, the delta goes through and leaves nothing in flight.
+    let delta = w.client.checkpoint_delta("mixed", &mask).unwrap();
+    assert_eq!(delta.version, 2);
+    assert_eq!(delta.pulled_bytes, 256 * 1024);
+    assert!(!w.client.has_inflight("mixed"));
     drop(w.client);
     w.daemon.shutdown();
 }

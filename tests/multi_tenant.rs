@@ -179,6 +179,76 @@ fn token_bucket_decisions_replay_bit_for_bit() {
     assert!(decisions.iter().any(|&d| !d), "no request was ever shed");
 }
 
+/// Sends the same checkpoint request twice as the `"capped"` tenant,
+/// whose byte bucket holds `burst` bytes and refills at 1 byte per
+/// virtual second (nothing, on this time scale). Admission is
+/// debt-based, so the first request always passes; the second passes
+/// only if the first was charged less than `burst`. Returns the second
+/// outcome and the tenant's admitted bytes.
+fn admit_twice(
+    burst: u64,
+    send: impl Fn(&PortusClient) -> Result<u64, PortusError>,
+) -> (Result<u64, PortusError>, u64) {
+    let ctx = SimContext::icdcs24();
+    let fabric = Fabric::new(ctx.clone());
+    let nic = fabric.add_nic(NodeId(0));
+    fabric.add_nic(NodeId(1));
+    let pmem = PmemDevice::new(ctx.clone(), PmemMode::DevDax, 64 << 20);
+    let mut cfg = DaemonConfig::default();
+    cfg.qos.tenants.insert(
+        "capped".to_string(),
+        TenantQos {
+            bytes_per_sec: 1,
+            burst_bytes: burst,
+            ..TenantQos::default()
+        },
+    );
+    let daemon = PortusDaemon::start(&fabric, NodeId(1), pmem, cfg).unwrap();
+    let gpu = GpuDevice::new(ctx, 0, 1 << 30);
+    let spec = test_spec("admit", 8, 256 * 1024);
+    let model = ModelInstance::materialize(&spec, &gpu, 1, Materialization::Owned).unwrap();
+    let client = PortusClient::connect_as(&daemon, nic, "capped");
+    client.register_model(&model).unwrap();
+    send(&client).expect("the first request is always admitted");
+    let second = send(&client);
+    let admitted = client
+        .stats()
+        .unwrap()
+        .tenant("capped")
+        .map_or(0, |t| t.admitted_bytes);
+    drop(client);
+    daemon.shutdown();
+    (second, admitted)
+}
+
+/// Admission charges each checkpoint kind what it pulls: a delta its
+/// dirty bytes, a full checkpoint the whole session. With a burst
+/// between the two, a sparse delta of the model is admitted again and
+/// a full checkpoint of the same model is shed.
+#[test]
+fn admission_charges_a_delta_its_dirty_bytes_and_a_full_checkpoint_the_session() {
+    let tensor = 256 * 1024;
+    let session = 8 * tensor;
+    let burst = 4 * tensor;
+    let mut mask = vec![false; 8];
+    mask[5] = true;
+
+    let (second, admitted) = admit_twice(burst, |c| {
+        c.checkpoint_delta("admit", &mask).map(|r| r.pulled_bytes)
+    });
+    // The first delta had no previous version, so it pulled everything
+    // — but it is charged the mask, the client's declared intent.
+    assert_eq!(second.expect("a sparse delta fits the burst"), tensor);
+    assert_eq!(admitted, 2 * tensor);
+
+    let (second, admitted) = admit_twice(burst, |c| c.checkpoint("admit").map(|r| r.bytes));
+    assert!(
+        matches!(second, Err(PortusError::Throttled { .. })),
+        "a full checkpoint overdraws the burst: {second:?}"
+    );
+    assert_eq!(admitted, session);
+}
+
 /// The antagonist-vs-polite harness: `rounds` polite checkpoints, each
 /// followed by one antagonist attempt when `antagonist` is true.
 /// Returns (polite checkpoint seconds, antagonist admitted bytes,

@@ -66,7 +66,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use portus_pmem::{micropage, typed, PmemAlloc, PmemAllocator, PmemDevice};
+use portus_pmem::{micropage, typed, PmemAllocator, PmemDevice};
 
 use crate::{PortusError, PortusResult};
 
@@ -257,9 +257,8 @@ impl PageCache {
 /// Mutable catalog state behind one mutex: the current root's DRAM
 /// mirror (pointer, directory size, shared prefix, trained segments —
 /// everything *except* the directory itself, which stays on PMem), the
-/// clamped page cache, the allocator handles of the catalog's own live
-/// regions (so frees are O(1), not an allocator-table scan), and a
-/// generation counter that invalidates in-flight lock-free lookups.
+/// clamped page cache, and a generation counter that invalidates
+/// in-flight lock-free lookups.
 struct CatInner {
     gen: u64,
     root_off: u64,
@@ -269,9 +268,6 @@ struct CatInner {
     segs: Arc<Vec<Segment>>,
     model_error: u64,
     cache: PageCache,
-    /// offset → allocation handle for every root/page this process
-    /// allocated (or adopted from a scan after recovery).
-    handles: HashMap<u64, PmemAlloc>,
 }
 
 /// An immutable snapshot of the root mirror, taken under the mutex and
@@ -448,7 +444,6 @@ impl Catalog {
                 segs: Arc::new(Vec::new()),
                 model_error: cfg.model_error.max(1),
                 cache: PageCache::new(cfg.cache_pages),
-                handles: HashMap::new(),
             }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -456,7 +451,7 @@ impl Catalog {
         };
         {
             let mut inner = cat.inner.lock();
-            let root = cat.write_root(alloc, &mut inner, "", &[], &[])?;
+            let root = cat.write_root(alloc, "", &[], &[])?;
             cat.flip_root(alloc, &mut inner, root, &[])?;
         }
         Ok(cat)
@@ -466,10 +461,6 @@ impl Catalog {
     /// rebuilding the DRAM mirror (shared prefix, segments, entry
     /// count) from the persisted root and page headers. `page_bytes`
     /// comes from the root block, not from `cfg`.
-    ///
-    /// Allocator handles for the recovered regions are not known yet;
-    /// the first free after a recover seeds them with one allocator
-    /// scan ([`Catalog::free_offsets`]), O(1) from then on.
     ///
     /// # Errors
     ///
@@ -511,7 +502,6 @@ impl Catalog {
                 segs: Arc::new(segs),
                 model_error: cfg.model_error.max(1),
                 cache: PageCache::new(cfg.cache_pages),
-                handles: HashMap::new(),
             }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -726,12 +716,12 @@ impl Catalog {
         }
         if inner.dir_count == 0 {
             let one = vec![(name.to_string(), off)];
-            let page = self.write_pages(alloc, &mut inner, &one)?;
+            let page = self.write_pages(alloc, &one)?;
             let keys = vec![derive_key(&inner.lcp, name)];
             let dir: Vec<(u64, u64)> = vec![(keys[0], page[0])];
             let segs = train_segments(&keys, inner.model_error);
             let lcp = inner.lcp.clone();
-            let root = self.write_root(alloc, &mut inner, &lcp, &segs, &dir)?;
+            let root = self.write_root(alloc, &lcp, &segs, &dir)?;
             self.flip_root(alloc, &mut inner, root, &[])?;
             inner.dir_count = 1;
             inner.entries = 1;
@@ -756,15 +746,15 @@ impl Catalog {
                 .sum::<u64>()
             <= self.page_bytes;
         if fits {
-            let pages = self.write_pages(alloc, &mut inner, &entries)?;
+            let pages = self.write_pages(alloc, &entries)?;
             let key = derive_key(&snap.lcp, &entries[0].0);
             self.update_dir_rec(&snap, idx, key, pages[0])?;
             inner.cache.invalidate(old_page);
-            self.free_offsets(alloc, &mut inner, &[old_page])?;
+            Self::free_offsets(alloc, &[old_page])?;
         } else {
             // Split: both halves (and a complete new root) are durable
             // before the root-pointer flip commits them.
-            let pages = self.write_pages(alloc, &mut inner, &entries)?;
+            let pages = self.write_pages(alloc, &entries)?;
             let mut dir = self.read_dir(&snap)?;
             let mut new_recs = Vec::with_capacity(pages.len());
             let mut cursor = 0usize;
@@ -777,7 +767,7 @@ impl Catalog {
             let keys: Vec<u64> = dir.iter().map(|(k, _)| *k).collect();
             let segs = train_segments(&keys, inner.model_error);
             let lcp = inner.lcp.clone();
-            let root = self.write_root(alloc, &mut inner, &lcp, &segs, &dir)?;
+            let root = self.write_root(alloc, &lcp, &segs, &dir)?;
             self.flip_root(alloc, &mut inner, root, &[old_page])?;
             inner.dir_count = dir.len() as u64;
             inner.segs = Arc::new(segs);
@@ -814,16 +804,16 @@ impl Catalog {
             let keys: Vec<u64> = dir.iter().map(|(k, _)| *k).collect();
             let segs = train_segments(&keys, inner.model_error);
             let lcp = inner.lcp.clone();
-            let root = self.write_root(alloc, &mut inner, &lcp, &segs, &dir)?;
+            let root = self.write_root(alloc, &lcp, &segs, &dir)?;
             self.flip_root(alloc, &mut inner, root, &[old_page])?;
             inner.dir_count = dir.len() as u64;
             inner.segs = Arc::new(segs);
         } else {
-            let pages = self.write_pages(alloc, &mut inner, &entries)?;
+            let pages = self.write_pages(alloc, &entries)?;
             let key = derive_key(&snap.lcp, &entries[0].0);
             self.update_dir_rec(&snap, idx, key, pages[0])?;
             inner.cache.invalidate(old_page);
-            self.free_offsets(alloc, &mut inner, &[old_page])?;
+            Self::free_offsets(alloc, &[old_page])?;
         }
         inner.entries -= 1;
         Ok(Some(prev))
@@ -856,7 +846,7 @@ impl Catalog {
             (Some(a), Some(b)) => Arc::from(common_prefix(&a.0, &b.0)),
             _ => Arc::from(""),
         };
-        let pages = self.write_pages(alloc, &mut inner, &sorted)?;
+        let pages = self.write_pages(alloc, &sorted)?;
         let mut dir = Vec::with_capacity(pages.len());
         let mut cursor = 0usize;
         for &p in &pages {
@@ -866,7 +856,7 @@ impl Catalog {
         }
         let keys: Vec<u64> = dir.iter().map(|(k, _)| *k).collect();
         let segs = train_segments(&keys, inner.model_error);
-        let root = self.write_root(alloc, &mut inner, &lcp, &segs, &dir)?;
+        let root = self.write_root(alloc, &lcp, &segs, &dir)?;
         inner.cache.clear();
         self.flip_root(alloc, &mut inner, root, &old_pages)?;
         inner.dir_count = dir.len() as u64;
@@ -1041,12 +1031,10 @@ impl Catalog {
     }
 
     /// Packs `entries` into fresh micro-pages, each written and
-    /// persisted before anything references it. Returns page offsets;
-    /// the allocation handles are retained for O(1) frees.
+    /// persisted before anything references it. Returns page offsets.
     fn write_pages(
         &self,
         alloc: &PmemAllocator,
-        inner: &mut CatInner,
         entries: &[(String, u64)],
     ) -> PortusResult<Vec<u64>> {
         let mut offs = Vec::new();
@@ -1054,7 +1042,6 @@ impl Catalog {
             let region = alloc.alloc_aligned(self.page_bytes, 64, CATALOG_PAGE_TAG)?;
             micropage::write_page(&self.dev, region.offset, self.page_bytes, chunk)?;
             self.dev.persist(region.offset, self.page_bytes)?;
-            inner.handles.insert(region.offset, region);
             offs.push(region.offset);
         }
         Ok(offs)
@@ -1062,12 +1049,10 @@ impl Catalog {
 
     /// Writes and persists a complete root block (header, shared
     /// prefix, segments, directory). Not yet published — the caller
-    /// flips the root pointer. The allocation handle is retained for an
-    /// O(1) free when the root is superseded.
+    /// flips the root pointer.
     fn write_root(
         &self,
         alloc: &PmemAllocator,
-        inner: &mut CatInner,
         lcp: &str,
         segs: &[Segment],
         dir: &[(u64, u64)],
@@ -1075,7 +1060,6 @@ impl Catalog {
         let size = ROOT_SEG0 + segs.len() as u64 * SEG_SIZE + dir.len() as u64 * DIR_REC;
         let region = alloc.alloc_aligned(size.max(64), 64, CATALOG_ROOT_TAG)?;
         let off = region.offset;
-        inner.handles.insert(off, region);
         typed::write_u32(&self.dev, off, ROOT_MAGIC)?;
         typed::write_u32(&self.dev, off + 4, 1)?;
         typed::write_u32(&self.dev, off + 8, dir.len() as u32)?;
@@ -1133,35 +1117,18 @@ impl Catalog {
         if old_root != 0 {
             dead.push(old_root);
         }
-        self.free_offsets(alloc, inner, &dead)
+        Self::free_offsets(alloc, &dead)
     }
 
-    /// Frees the catalog allocations at exactly `offs` through the
-    /// retained handles — O(1) per free, no allocator-table scan, so
-    /// catalog churn stays flat as the rest of the namespace grows to
-    /// fleet scale. A recovered catalog has no handles for the regions
-    /// it inherited from media; the first free that misses seeds the
-    /// map with one scan (catalog-tagged regions only), then every
-    /// later free hits it.
-    fn free_offsets(
-        &self,
-        alloc: &PmemAllocator,
-        inner: &mut CatInner,
-        offs: &[u64],
-    ) -> PortusResult<()> {
-        if offs.is_empty() {
-            return Ok(());
-        }
-        if offs.iter().any(|o| !inner.handles.contains_key(o)) {
-            for a in alloc.live_allocations()? {
-                if a.tag == CATALOG_PAGE_TAG || a.tag == CATALOG_ROOT_TAG {
-                    inner.handles.entry(a.offset).or_insert(a);
-                }
-            }
-        }
-        for o in offs {
-            if let Some(h) = inner.handles.remove(o) {
-                alloc.free(&h)?;
+    /// Frees the catalog allocations at exactly `offs` (catalog-tagged
+    /// regions only), O(log n) each through the allocator's live map.
+    fn free_offsets(alloc: &PmemAllocator, offs: &[u64]) -> PortusResult<()> {
+        for &o in offs {
+            if let Some(a) = alloc
+                .live_at(o)
+                .filter(|a| a.tag == CATALOG_PAGE_TAG || a.tag == CATALOG_ROOT_TAG)
+            {
+                alloc.free(&a)?;
             }
         }
         Ok(())
@@ -1184,7 +1151,7 @@ impl Catalog {
         }
         let keys: Vec<u64> = dir.iter().map(|(k, _)| *k).collect();
         let segs = train_segments(&keys, inner.model_error);
-        let root = self.write_root(alloc, inner, &new_lcp, &segs, &dir)?;
+        let root = self.write_root(alloc, &new_lcp, &segs, &dir)?;
         self.flip_root(alloc, inner, root, &[])?;
         inner.lcp = new_lcp;
         inner.segs = Arc::new(segs);
@@ -1215,7 +1182,6 @@ mod tests {
         let pages = cat.page_offsets().unwrap();
         let live: Vec<_> = alloc
             .live_allocations()
-            .unwrap()
             .into_iter()
             .filter(|a| a.tag == CATALOG_ROOT_TAG || a.tag == CATALOG_PAGE_TAG)
             .collect();
@@ -1510,9 +1476,8 @@ mod tests {
 
     #[test]
     fn recovered_catalog_frees_superseded_regions() {
-        // A recovered catalog holds no allocator handles for the
-        // regions it inherited; mutations must seed them (one scan)
-        // and then free O(1) without leaking the inherited copies.
+        // A recovered catalog frees the regions it inherited from
+        // media as it supersedes them, without leaking any.
         let cfg = CatalogConfig {
             page_bytes: 512,
             cache_pages: 4,

@@ -446,9 +446,10 @@ fn model_map_bytes(map: &ModelMap) -> u64 {
 /// `target` still holds, as a sealed plain region, the base version
 /// that delta was taken over: every tensor `prev` did not pull is then
 /// already correct in `target`. Returns `prev`'s pulled mask in that
-/// case. Repack reclaim, rollback collapse, dedup ingest and crash
-/// debris all change `target`'s header, so they break the rule without
-/// a hook of their own.
+/// case. Repack reclaim, rollback collapse, the dedup tier's extent
+/// seal (which leaves no plain region behind) and crash debris all
+/// change `target`'s header, so they break the rule without a hook of
+/// their own.
 fn reusable_mask(
     lineage: Option<Lineage>,
     prev: Option<SlotHeader>,
@@ -1350,22 +1351,25 @@ impl DaemonState {
         }
     }
 
-    /// Post-seal dedup conversion: chunks the freshly sealed plain
-    /// region into content-addressed extents, publishes the extent map
-    /// under an atomic header flip, and frees the staging region. The
-    /// checkpoint is already durable when this runs, so failure is
-    /// non-fatal — the slot simply keeps its plain region and only the
-    /// space win is lost. Charges the DAX traffic the conversion
-    /// performs (chunk read-back, new-extent writes, the map write).
-    fn ingest_phase(
+    /// The dedup tier's seal ([`crate::dedup::seal_slot`]): one read
+    /// pass chunks the `Active` slot's staging region into
+    /// content-addressed extents and one header flip publishes the
+    /// version, so the staging region is never flushed. Charges the DAX
+    /// traffic the pass performs (the one read of the staging bytes,
+    /// new-extent writes, the map write). Returns `false` when the pass
+    /// failed (extent table full, out of space): the slot is then still
+    /// `Active` over its staging region and the caller seals it plain —
+    /// dedup failure is never fatal.
+    fn extent_seal(
         &self,
         mi: &mut MIndex,
         slot: usize,
+        version: u64,
         dcfg: &crate::DedupConfig,
         sc: &SpanCtx<'_>,
-    ) {
+    ) -> bool {
         let t0 = self.ctx.clock.now();
-        match crate::dedup::ingest_slot(&self.index, mi, slot, dcfg) {
+        match crate::dedup::seal_slot(&self.index, mi, slot, version, dcfg) {
             Ok(report) => {
                 self.ctx.charge(
                     self.ctx.model.dax_read(report.read_bytes)
@@ -1378,8 +1382,12 @@ impl DaemonState {
                     .metrics
                     .record_dedup_ingest(report.chunks as u64, report.shared_chunks as u64);
                 sc.record_now(Stage::Dedup, t0);
+                true
             }
-            Err(_) => self.ctx.metrics.record_dedup_ingest_failure(),
+            Err(_) => {
+                self.ctx.metrics.record_dedup_ingest_failure();
+                false
+            }
         }
     }
 
@@ -2064,7 +2072,7 @@ impl DaemonState {
         // it overlaps the fabric, never a carry copy.
         let carried_at = ctx.clock.now();
         pieces.iter_mut().for_each(|p| p.arrival = carried_at);
-        let base = reuse_digest.map_or_else(SealBase::default, |digest| SealBase {
+        let mut base = reuse_digest.map_or_else(SealBase::default, |digest| SealBase {
             digest,
             read_back: pulled,
             at: carried_at,
@@ -2083,7 +2091,23 @@ impl DaemonState {
         // digest, and flip to Done, pipelining per-run persist+digest
         // work against the transfers themselves.
         pieces.extend(pull_pieces(&runs, &outcome, ctx.clock.now()));
-        self.seal_slot_pipelined(&mi, target, hdr, base, pieces, &sc)?;
+        // Dedup tier: the extent seal replaces the plain one; if its
+        // pass fails, the plain seal runs after it on the clock.
+        let extent_sealed = self
+            .cfg
+            .dedup
+            .as_ref()
+            .is_some_and(|dcfg| self.extent_seal(&mut mi, target, version, dcfg, &sc));
+        if !extent_sealed {
+            if self.cfg.dedup.is_some() {
+                let now = ctx.clock.now();
+                pieces
+                    .iter_mut()
+                    .for_each(|p| p.arrival = p.arrival.max(now));
+                base.at = base.at.max(now);
+            }
+            self.seal_slot_pipelined(&mi, target, hdr, base, pieces, &sc)?;
+        }
         ctx.stats.record_reuse(reused);
         {
             // A full pull, like a first version, leaves no lineage.
@@ -2099,13 +2123,6 @@ impl DaemonState {
                 ),
                 None => lineage.remove(&mi.offset),
             };
-        }
-        // Dedup tier: the sealed plain region becomes an extent map of
-        // content-addressed chunks (failure keeps the plain region).
-        if let Some(dcfg) = &self.cfg.dedup {
-            mi.slots[target].state = SlotState::Done;
-            mi.slots[target].version = version;
-            self.ingest_phase(&mut mi, target, dcfg, &sc);
         }
         let elapsed = ctx.clock.now().saturating_since(t0);
         sc.record_now(Stage::Total, t_op);
@@ -2209,8 +2226,11 @@ impl DaemonState {
             Ok(self.ctx.clock.now().saturating_since(t0))
         })();
         if let Some(region) = scratch {
-            // Best-effort: freeing the scratch region must not mask the
-            // restore's own outcome (a leak is reclaimed at recovery).
+            // The scratch bytes were never meant to be durable: drop
+            // them unflushed. Best-effort: freeing the region must not
+            // mask the restore's own outcome (a leak is reclaimed at
+            // recovery).
+            let _ = self.index.device().discard(region.offset, region.len);
             let _ = self.index.allocator().free(&region);
         }
         let elapsed = pushed?;

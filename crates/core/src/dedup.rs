@@ -1,6 +1,6 @@
 //! The content-addressed dedup tier (ROADMAP item 5).
 //!
-//! With dedup enabled, a sealed checkpoint's staging region is chunked
+//! With dedup enabled, a checkpoint's pulled staging region is chunked
 //! into fixed-size extents keyed by a splitmix64 content hash
 //! ([`portus_pmem::content_hash`]) and stored once in the shared
 //! [`portus_pmem::ExtentStore`]; the slot then references an **extent
@@ -11,21 +11,33 @@
 //!
 //! ## Crash ordering
 //!
-//! Ingest runs *after* the slot sealed `Done` over its plain staging
-//! region, so the checkpoint's durability never depends on dedup:
+//! The extent seal ([`seal_slot`]) replaces the plain seal: the staging
+//! region is read once and never made durable, and the slot header
+//! flips once.
 //!
-//! 1. each chunk is inserted (or refcounted) in the extent store;
+//! 1. one pass over the `Active` slot's staging region reads each chunk
+//!    once, folds it into the slot digest, and inserts (or refcounts)
+//!    it in the extent store — only new chunks are written and
+//!    persisted, inside the store;
 //! 2. the extent map is written and persisted;
-//! 3. the slot header flips `{data_off → 0, ext_map → map}` in one
-//!    cache-line persist ([`Index::publish_slot_extents`]);
-//! 4. the staging region is freed.
+//! 3. one header persist publishes `{Done, version, digest, data_off 0,
+//!    ext_map}` ([`Index::seal_slot_extents`]);
+//! 4. the staging region's volatile state is discarded and the region
+//!    freed — it was never flushed.
 //!
-//! A crash before step 3 leaves a valid plain-region checkpoint (the
-//! inserted extents are unreferenced by any map and recovery sweeps
-//! them); a crash after step 3 leaves a valid extent-mapped checkpoint
-//! (the staging region is unreachable and recovery GCs it). Release is
-//! the mirror image: header first, then decrefs, then the map region —
-//! every crash window over-counts, never under-counts, and recovery's
+//! A crash before step 3 leaves the slot `Active` over its staging
+//! region, so the previous version is still the latest: the inserted
+//! extents and the map are referenced by nothing, and recovery's
+//! recount and sweep collect them. A crash after step 3 leaves a valid
+//! extent-mapped checkpoint, and recovery GCs the unreachable staging
+//! region. If step 1 or 2 fails (extent table full, out of space), the
+//! references taken are dropped and the daemon seals the staging
+//! region as a plain slot instead: dedup failure is never fatal.
+//!
+//! Release is the mirror image: header first, then the references, then
+//! the map region. A checkpoint's release frees each extent whose last
+//! reference it drops; a model drop leaves those for the repack sweep.
+//! Every crash window over-counts, never under-counts, and recovery's
 //! recount makes the refcounts exact again.
 //!
 //! Restores materialize the logical bytes into a scratch region
@@ -118,46 +130,105 @@ pub(crate) fn read_extent_map(dev: &PmemDevice, off: u64) -> PortusResult<Extent
     })
 }
 
-/// What one ingest did, for cost accounting and metrics.
+/// What one extent seal did, for cost accounting and metrics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct IngestReport {
+pub(crate) struct ExtentSeal {
     /// Chunks the checkpoint split into.
     pub chunks: usize,
     /// Of those, chunks that deduplicated against existing extents.
     pub shared_chunks: usize,
-    /// Staging bytes read back off media (DAX-read cost).
+    /// Staging bytes read off media (DAX-read cost), once each.
     pub read_bytes: u64,
     /// Stored bytes newly written for unshared chunks (DAX-write cost).
     pub new_bytes: u64,
     /// Bytes of the extent map written (DAX-write cost).
     pub map_bytes: u64,
-    /// Bytes of the detached staging region returned to the allocator.
-    pub freed_staging: u64,
 }
 
-/// Converts a freshly sealed plain-region slot into an extent-mapped
-/// one (crash ordering in the module docs). On failure the slot keeps
-/// its plain region — the checkpoint stays valid, only the space win is
-/// lost; references taken so far are dropped and the repack sweep
-/// collects any refcount-0 residue.
+/// Seals the `Active` slot `slot` as version `version` straight into
+/// the extent store (crash ordering in the module docs): one read pass
+/// over the staging region digests and inserts every chunk, then the
+/// map is persisted and one header flip publishes the version. The
+/// staging region is freed without ever being flushed, and `mi` is
+/// updated to the sealed header.
+///
+/// On failure the slot is untouched — still `Active` over its staging
+/// region — and every reference taken is dropped again, so the caller
+/// can seal the region as a plain slot.
 ///
 /// # Errors
 ///
 /// Extent-store, allocator, and device errors;
 /// [`PortusError::AllocatorDivergence`] when the staging region is
-/// unknown to the allocator (the header keeps the plain region then).
-pub(crate) fn ingest_slot(
+/// unknown to the allocator.
+pub(crate) fn seal_slot(
     index: &Index,
     mi: &mut MIndex,
     slot: usize,
+    version: u64,
     cfg: &DedupConfig,
-) -> PortusResult<IngestReport> {
+) -> PortusResult<ExtentSeal> {
+    let pass = extent_pass(index, mi, slot, cfg)?;
+    if let Err(e) = index.seal_slot_extents(mi, slot, version, pass.digest, pass.map.offset) {
+        drop_refs(index, &pass.refs, Some(&pass.map))?;
+        return Err(e);
+    }
+    let h = &mut mi.slots[slot];
+    h.state = SlotState::Done;
+    h.version = version;
+    h.digest = pass.digest;
+    h.data_off = 0;
+    h.ext_map = pass.map.offset;
+    index
+        .device()
+        .discard(pass.staging.offset, pass.staging.len)?;
+    index.allocator().free(&pass.staging)?;
+    Ok(pass.report)
+}
+
+/// Steps 1 and 2 of the extent seal, which leave the slot header as it
+/// was: every chunk referenced in the store, the map persisted.
+struct ExtentPass {
+    /// Positional digest of the staging region (the slot digest).
+    digest: u64,
+    /// One extent slot per chunk, as written into the map.
+    refs: Vec<u32>,
+    /// The persisted extent map's allocation.
+    map: PmemAlloc,
+    /// The slot's staging region.
+    staging: PmemAlloc,
+    report: ExtentSeal,
+}
+
+/// Drops the references an unpublished pass took, then frees its map.
+fn drop_refs(index: &Index, refs: &[u32], map: Option<&PmemAlloc>) -> PortusResult<()> {
+    let alloc = index.allocator();
+    if let Some(store) = index.extent_store() {
+        for &e in refs {
+            store.release(e, alloc)?;
+        }
+    }
+    if let Some(m) = map {
+        alloc.free(m)?;
+    }
+    Ok(())
+}
+
+/// The extent seal's one read pass: each `chunk_bytes` chunk of the
+/// staging region is read once, folded into the slot digest, and
+/// inserted (or refcounted) in the store; then the map is written and
+/// persisted. On failure every reference taken is dropped again.
+fn extent_pass(
+    index: &Index,
+    mi: &MIndex,
+    slot: usize,
+    cfg: &DedupConfig,
+) -> PortusResult<ExtentPass> {
     let store = index
         .extent_store()
-        .ok_or_else(|| PortusError::Daemon("dedup ingest without an extent store".into()))?;
+        .ok_or_else(|| PortusError::Daemon("extent seal without an extent store".into()))?;
     let hdr = mi.slots[slot];
-    debug_assert_eq!(hdr.state, SlotState::Done, "ingest follows the seal");
-    debug_assert_ne!(hdr.data_off, 0, "ingest needs a staging region");
+    debug_assert_ne!(hdr.data_off, 0, "the seal needs a staging region");
     debug_assert_eq!(hdr.ext_map, 0, "slot already extent-mapped");
     let dev = index.device();
     let alloc = index.allocator();
@@ -166,9 +237,8 @@ pub(crate) fn ingest_slot(
     // Resolve the staging allocation up front: if the allocator has no
     // record of it, surface divergence before taking any reference.
     let staging = alloc
-        .live_allocations()?
-        .into_iter()
-        .find(|a| a.offset == hdr.data_off && a.tag == hash)
+        .live_at(hdr.data_off)
+        .filter(|a| a.tag == hash)
         .ok_or_else(|| PortusError::AllocatorDivergence {
             model: mi.name.clone(),
             slot,
@@ -176,71 +246,63 @@ pub(crate) fn ingest_slot(
         })?;
 
     let chunks = hdr.data_len.div_ceil(cfg.chunk_bytes).max(1);
-    let mut report = IngestReport {
+    let mut report = ExtentSeal {
         chunks: chunks as usize,
-        ..IngestReport::default()
+        ..ExtentSeal::default()
     };
     let mut refs = Vec::with_capacity(chunks as usize);
-    let mut buf = vec![0u8; cfg.chunk_bytes as usize];
-    let drop_refs = |refs: &[portus_pmem::ExtentRef]| -> PortusResult<()> {
-        for r in refs {
-            store.decref(r.slot)?;
-        }
-        Ok(())
-    };
-    for i in 0..chunks {
-        let rel = i * cfg.chunk_bytes;
-        let len = cfg.chunk_bytes.min(hdr.data_len - rel) as usize;
-        dev.read(hdr.data_off + rel, &mut buf[..len])?;
-        report.read_bytes += len as u64;
-        match store.insert_or_ref(&buf[..len], alloc, cfg.compress_on_ingest) {
-            Ok(r) => {
-                if r.shared {
-                    report.shared_chunks += 1;
-                } else {
-                    report.new_bytes += r.stored_len;
-                }
-                refs.push(r);
+    let mut map = None;
+    let sealed = (|| -> PortusResult<(u64, PmemAlloc)> {
+        let mut digest = 0u64;
+        let mut buf = vec![0u8; cfg.chunk_bytes as usize];
+        for i in 0..chunks {
+            let rel = i * cfg.chunk_bytes;
+            let len = cfg.chunk_bytes.min(hdr.data_len - rel) as usize;
+            dev.read(hdr.data_off + rel, &mut buf[..len])?;
+            report.read_bytes += len as u64;
+            digest = combine_digests(digest, region_digest(&buf[..len], rel));
+            let r = store.insert_or_ref(&buf[..len], alloc, cfg.compress_on_ingest)?;
+            if r.shared {
+                report.shared_chunks += 1;
+            } else {
+                report.new_bytes += r.stored_len;
             }
-            Err(e) => {
-                drop_refs(&refs)?;
-                return Err(e.into());
-            }
+            refs.push(r.slot);
         }
-    }
-
-    // Write and persist the extent map, then flip the header.
-    let msize = map_size(chunks);
-    let map_alloc = match alloc.alloc_aligned(msize, 64, hash) {
-        Ok(a) => a,
+        let msize = map_size(chunks);
+        let m = *map.insert(alloc.alloc_aligned(msize, 64, hash)?);
+        typed::write_u32(dev, m.offset, XMAP_MAGIC)?;
+        typed::write_u32(dev, m.offset + XM_COUNT, chunks as u32)?;
+        typed::write_u64(dev, m.offset + XM_CHUNK, cfg.chunk_bytes)?;
+        typed::write_u64(dev, m.offset + XM_LOGICAL, hdr.data_len)?;
+        for (i, &e) in refs.iter().enumerate() {
+            let at = m.offset + XM_ENTRIES + i as u64 * XM_ENTRY_SIZE;
+            typed::write_u32(dev, at, e)?;
+            typed::write_u32(dev, at + 4, 0)?;
+        }
+        dev.persist(m.offset, msize)?;
+        report.map_bytes = msize;
+        Ok((digest, m))
+    })();
+    match sealed {
+        Ok((digest, map)) => Ok(ExtentPass {
+            digest,
+            refs,
+            map,
+            staging,
+            report,
+        }),
         Err(e) => {
-            drop_refs(&refs)?;
-            return Err(e.into());
+            drop_refs(index, &refs, map.as_ref())?;
+            Err(e)
         }
-    };
-    let m = map_alloc.offset;
-    typed::write_u32(dev, m, XMAP_MAGIC)?;
-    typed::write_u32(dev, m + XM_COUNT, chunks as u32)?;
-    typed::write_u64(dev, m + XM_CHUNK, cfg.chunk_bytes)?;
-    typed::write_u64(dev, m + XM_LOGICAL, hdr.data_len)?;
-    for (i, r) in refs.iter().enumerate() {
-        typed::write_u32(dev, m + XM_ENTRIES + i as u64 * XM_ENTRY_SIZE, r.slot)?;
-        typed::write_u32(dev, m + XM_ENTRIES + i as u64 * XM_ENTRY_SIZE + 4, 0)?;
     }
-    dev.persist(m, msize)?;
-    report.map_bytes = msize;
-
-    index.publish_slot_extents(mi, slot, m)?;
-    alloc.free(&staging)?;
-    report.freed_staging = staging.len;
-    mi.slots[slot].data_off = 0;
-    mi.slots[slot].ext_map = m;
-    Ok(report)
 }
 
 /// Empties an extent-mapped slot and drops its references: header
 /// flip first ([`Index::detach_slot_extents`], keeping the version
-/// high-water mark), then decrefs, then the map region. Returns the
+/// high-water mark), then the references — an extent whose last one
+/// this drops is freed on the spot — then the map region. Returns the
 /// map bytes returned to the allocator.
 ///
 /// # Errors
@@ -259,9 +321,7 @@ pub(crate) fn release_slot_extents(
     debug_assert_ne!(hdr.ext_map, 0, "slot is not extent-mapped");
     let alloc = index.allocator();
     let map_alloc = alloc
-        .live_allocations()?
-        .into_iter()
-        .find(|a| a.offset == hdr.ext_map)
+        .live_at(hdr.ext_map)
         .ok_or_else(|| PortusError::AllocatorDivergence {
             model: mi.name.clone(),
             slot,
@@ -270,7 +330,7 @@ pub(crate) fn release_slot_extents(
     let map = read_extent_map(index.device(), hdr.ext_map)?;
     index.detach_slot_extents(mi, slot)?;
     for &e in &map.extents {
-        store.decref(e)?;
+        store.release(e, alloc)?;
     }
     alloc.free(&map_alloc)?;
     let h = &mut mi.slots[slot];
@@ -397,4 +457,153 @@ pub(crate) fn copy_range_from_extents(
         digest = combine_digests(digest, region_digest(piece, start));
     }
     Ok(RangeCopy { read_bytes, digest })
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use portus_dnn::{DType, TensorMeta};
+    use portus_pmem::{CrashSpec, PmemMode};
+    use portus_sim::hash::splitmix64;
+    use portus_sim::SimContext;
+
+    use super::*;
+
+    /// Four 64 KiB chunks per version.
+    const BYTES: u64 = 256 << 10;
+
+    fn world() -> (Arc<PmemDevice>, Index, MIndex, DedupConfig) {
+        let dev = PmemDevice::new(SimContext::icdcs24(), PmemMode::DevDax, 16 << 20);
+        let index = Index::format(dev.clone(), 8, 256).unwrap();
+        let cfg = DedupConfig {
+            max_extents: 64,
+            ..DedupConfig::default()
+        };
+        index.enable_dedup(cfg.max_extents).unwrap();
+        let metas = [TensorMeta::new("w", DType::F32, vec![BYTES / 4])];
+        let mi = index.create_model("m", &metas).unwrap();
+        (dev, index, mi, cfg)
+    }
+
+    /// Lands version `version`'s bytes (distinct per chunk and per
+    /// version) in `slot`'s region, unflushed, and activates the slot —
+    /// the state the pulls leave behind.
+    fn stage(index: &Index, mi: &mut MIndex, slot: usize, version: u64) -> Vec<u8> {
+        index.ensure_slot_region(mi, slot).unwrap();
+        let bytes: Vec<u8> = (0..BYTES)
+            .map(|i| splitmix64(version * BYTES + i) as u8)
+            .collect();
+        index
+            .device()
+            .write(mi.slots[slot].data_off, &bytes)
+            .unwrap();
+        index.mark_slot_active(mi, slot, version).unwrap();
+        mi.slots[slot].state = SlotState::Active;
+        mi.slots[slot].version = version;
+        bytes
+    }
+
+    /// The latest version's number and bytes, verified against its
+    /// sealed digest as a restore would.
+    fn restore(index: &Index, mi: &MIndex) -> (u64, Vec<u8>) {
+        let (slot, hdr) = mi.latest_done().expect("a sealed version");
+        let m = materialize_slot(index, mi, slot).unwrap();
+        let mut out = vec![0u8; BYTES as usize];
+        index.device().read(m.region.offset, &mut out).unwrap();
+        assert_eq!(
+            index.range_digest(m.region.offset, 0, BYTES).unwrap(),
+            hdr.digest
+        );
+        index.allocator().free(&m.region).unwrap();
+        (hdr.version, out)
+    }
+
+    fn recover(dev: Arc<PmemDevice>) -> (Index, MIndex) {
+        dev.crash(CrashSpec::LoseAll);
+        let (index, map) = Index::recover(dev).unwrap();
+        let mi = index.load_mindex(map["m"]).unwrap();
+        (index, mi)
+    }
+
+    fn assert_refcounts_are_one(index: &Index, live: usize) {
+        let extents = index.extent_store().unwrap().live_extents().unwrap();
+        assert_eq!(extents.len(), live);
+        assert!(extents.iter().all(|(_, r)| r.refcount == 1));
+    }
+
+    #[test]
+    fn the_extent_seal_never_flushes_the_staging_region() {
+        let (dev, index, mut mi, cfg) = world();
+        let v1 = stage(&index, &mut mi, 0, 1);
+        let staging = mi.slots[0].data_off;
+        let resident = dev.resident_bytes();
+        let report = seal_slot(&index, &mut mi, 0, 1, &cfg).unwrap();
+        assert_eq!(report.read_bytes, BYTES, "one read pass");
+        assert_eq!(report.new_bytes, BYTES);
+        assert_eq!(
+            (mi.slots[0].data_off, mi.slots[0].state),
+            (0, SlotState::Done)
+        );
+        assert!(
+            index.allocator().live_at(staging).is_none(),
+            "staging freed"
+        );
+        assert_eq!(dev.inflight_lines(), 0, "staging overlay discarded");
+        // Media grew by the extents (and metadata), not by a second,
+        // staged copy of the version.
+        assert!(dev.resident_bytes() - resident < BYTES + BYTES / 2);
+        assert_eq!(restore(&index, &mi), (1, v1));
+    }
+
+    /// A crash after the extent pass but before the header flip: the
+    /// slot is still `Active`, so the previous version restores; the
+    /// pass's extents and map are referenced by nothing and recovery
+    /// sweeps them, while the staging region stays the slot's own.
+    #[test]
+    fn crash_before_the_header_flip_keeps_the_previous_version() {
+        let (dev, index, mut mi, cfg) = world();
+        let v1 = stage(&index, &mut mi, 0, 1);
+        seal_slot(&index, &mut mi, 0, 1, &cfg).unwrap();
+        stage(&index, &mut mi, 1, 2);
+        let pass = extent_pass(&index, &mi, 1, &cfg).unwrap();
+        assert_eq!(index.extent_store().unwrap().stats().unwrap().live, 8);
+        drop(index);
+
+        let (index, mi) = recover(dev);
+        assert_eq!(mi.slots[1].state, SlotState::Active);
+        assert_eq!(restore(&index, &mi), (1, v1));
+        assert_refcounts_are_one(&index, 4);
+        assert!(
+            index.allocator().live_at(pass.map.offset).is_none(),
+            "map GC'd"
+        );
+        assert_eq!(mi.slots[1].data_off, pass.staging.offset);
+        assert!(index.allocator().live_at(pass.staging.offset).is_some());
+    }
+
+    /// A crash after the header flip but before the staging region is
+    /// freed: the new version is sealed, and recovery GCs the staging
+    /// region nothing references any more.
+    #[test]
+    fn crash_after_the_header_flip_gcs_the_staging_region() {
+        let (dev, index, mut mi, cfg) = world();
+        stage(&index, &mut mi, 0, 1);
+        seal_slot(&index, &mut mi, 0, 1, &cfg).unwrap();
+        let v2 = stage(&index, &mut mi, 1, 2);
+        let pass = extent_pass(&index, &mi, 1, &cfg).unwrap();
+        index
+            .seal_slot_extents(&mi, 1, 2, pass.digest, pass.map.offset)
+            .unwrap();
+        drop(index);
+
+        let (index, mi) = recover(dev);
+        assert_eq!(mi.slots[1].ext_map, pass.map.offset);
+        assert_eq!(restore(&index, &mi), (2, v2));
+        assert_refcounts_are_one(&index, 8);
+        assert!(
+            index.allocator().live_at(pass.staging.offset).is_none(),
+            "staging GC'd"
+        );
+    }
 }

@@ -24,7 +24,7 @@
 //!    persisted — so recovery trusts exactly the `Done` slots.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 
 use portus_dnn::{DType, TensorMeta};
@@ -349,7 +349,7 @@ impl Index {
     /// Recovers the index from a previously formatted namespace and
     /// rebuilds the in-DRAM [`ModelMap`]. Allocations not *reachable*
     /// from any live table entry (leaked by a crash mid-registration or
-    /// mid-ingest) are freed. Reachability is by offset, never by
+    /// mid-extent-seal) are freed. Reachability is by offset, never by
     /// name-hash tag alone: two live models whose names collide in
     /// FNV-1a share a tag, and a tag-only sweep would free the
     /// survivor's regions when either is removed.
@@ -466,7 +466,7 @@ impl Index {
         }
 
         // GC every allocation nothing reachable references.
-        for a in index.alloc.live_allocations()? {
+        for a in index.alloc.live_allocations() {
             if !reachable.contains(&a.offset) {
                 index.alloc.free(&a)?;
             }
@@ -879,21 +879,33 @@ impl Index {
         Ok(())
     }
 
-    /// Durably rebinds a sealed slot from its staging region to an
-    /// extent map: `ext_map = map_off` and `data_off = 0` land in one
-    /// header persist. The header is a single cache line, so the flip
-    /// is atomic — no crash state exists where both or neither
-    /// reference the checkpoint's bytes. The caller frees the detached
-    /// staging region afterwards (a crash in between leaves it
-    /// unreachable, and recovery GCs it).
+    /// Durably seals an `Active` slot as an extent-mapped version, in
+    /// one header persist: `{state Done, version, digest, data_off 0,
+    /// ext_map map_off}`. The dedup tier's counterpart of
+    /// [`Index::mark_slot_done`]: the extents and the map must already
+    /// be persisted. The header is a single cache line, so the flip is
+    /// atomic — a crash leaves either the `Active` slot over its
+    /// staging region or the sealed map, never a mix. The caller frees
+    /// the detached staging region afterwards (a crash in between
+    /// leaves it unreachable, and recovery GCs it).
     ///
     /// # Errors
     ///
     /// Device errors.
-    pub fn publish_slot_extents(&self, mi: &MIndex, slot: usize, map_off: u64) -> PortusResult<()> {
+    pub fn seal_slot_extents(
+        &self,
+        mi: &MIndex,
+        slot: usize,
+        version: u64,
+        digest: u64,
+        map_off: u64,
+    ) -> PortusResult<()> {
         let sh = mi.offset + MI_SLOT0 + slot as u64 * SLOT_HDR_SIZE;
+        typed::write_u64(&self.dev, sh + SH_VERSION, version)?;
+        self.write_digest(sh, digest)?;
         typed::write_u64(&self.dev, sh + SH_DATA_OFF, 0)?;
         typed::write_u64(&self.dev, sh + SH_EXT_MAP, map_off)?;
+        typed::write_u64(&self.dev, sh + SH_STATE, SlotState::Done.to_u64())?;
         self.dev.persist(sh, SLOT_HDR_SIZE)?;
         Ok(())
     }
@@ -1048,7 +1060,7 @@ impl Index {
         }
         // The single authoritative read of the record being removed.
         let mi = self.load_mindex(offset)?;
-        let mut owned: HashSet<u64> = HashSet::new();
+        let mut owned: BTreeSet<u64> = BTreeSet::new();
         owned.insert(mi.offset);
         for hdr in &mi.slots {
             if hdr.data_off != 0 {
@@ -1063,8 +1075,8 @@ impl Index {
                 }
             }
         }
-        for a in self.alloc.live_allocations()? {
-            if a.tag == hash && owned.contains(&a.offset) {
+        for off in owned {
+            if let Some(a) = self.alloc.live_at(off).filter(|a| a.tag == hash) {
                 self.alloc.free(&a)?;
             }
         }
@@ -1244,12 +1256,12 @@ mod tests {
         index.create_model("kept", &metas(1, 128)).unwrap();
         // Orphan: an allocation tagged with a hash that no live entry has.
         index.allocator().alloc(4096, 0xDEAD).unwrap();
-        let live_before = index.allocator().live_allocations().unwrap().len();
+        let live_before = index.allocator().live_allocations().len();
         assert_eq!(live_before, 4); // mindex + 2 slots + orphan
         drop(index);
 
         let (index2, _map) = Index::recover(dev).unwrap();
-        assert_eq!(index2.allocator().live_allocations().unwrap().len(), 3);
+        assert_eq!(index2.allocator().live_allocations().len(), 3);
     }
 
     #[test]

@@ -196,7 +196,7 @@ fn scan_models(
         let tag = name_hash(&mi.name);
         let mut by_offset: HashMap<u64, PmemAlloc> = index
             .allocator()
-            .live_allocations()?
+            .live_allocations()
             .into_iter()
             .filter(|a| a.tag == tag)
             .map(|a| (a.offset, a))

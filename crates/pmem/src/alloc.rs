@@ -10,8 +10,10 @@
 //! 1. write `offset/len/tag` fields, persist;
 //! 2. set `state = LIVE`, persist (8-byte atomic).
 //!
-//! Free is the reverse: `state = FREE`, persist. The free-extent map is
-//! volatile and rebuilt from the table on [`PmemAllocator::recover`].
+//! Free is the reverse: `state = FREE`, persist. The free-extent map and
+//! the live-region map beside it are volatile DRAM mirrors of the
+//! table, rebuilt from it on [`PmemAllocator::recover`], so lookups
+//! never scan the table.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -51,6 +53,8 @@ impl PmemAlloc {
 struct Inner {
     /// offset -> len of free extents, coalesced.
     free: BTreeMap<u64, u64>,
+    /// offset -> live allocation: the table's live entries.
+    live: BTreeMap<u64, PmemAlloc>,
     /// Table slots not currently live.
     free_slots: Vec<u32>,
 }
@@ -75,7 +79,6 @@ struct Inner {
 pub struct PmemAllocator {
     dev: Arc<PmemDevice>,
     table_base: u64,
-    max_entries: u32,
     heap_base: u64,
     heap_end: u64,
     inner: Mutex<Inner>,
@@ -128,12 +131,12 @@ impl PmemAllocator {
 
         let inner = Inner {
             free: BTreeMap::from([(heap_base, heap_end - heap_base)]),
+            live: BTreeMap::new(),
             free_slots: (0..max_entries).rev().collect(),
         };
         Ok(PmemAllocator {
             dev,
             table_base,
-            max_entries,
             heap_base,
             heap_end,
             inner: Mutex::new(inner),
@@ -161,45 +164,42 @@ impl PmemAllocator {
         let heap_base = u64::from_le_bytes(header[16..24].try_into().expect("slice of 8"));
         let heap_end = u64::from_le_bytes(header[24..32].try_into().expect("slice of 8"));
 
-        let mut live: Vec<(u64, u64)> = Vec::new();
+        let mut live: BTreeMap<u64, PmemAlloc> = BTreeMap::new();
         let mut free_slots = Vec::new();
         for slot in 0..max_entries {
             let off = table_base + HEADER_SIZE + slot as u64 * ENTRY_SIZE;
             let mut entry = [0u8; ENTRY_SIZE as usize];
             dev.read(off, &mut entry)?;
-            let state = u64::from_le_bytes(entry[0..8].try_into().expect("slice of 8"));
-            if state == STATE_LIVE {
-                let offset = u64::from_le_bytes(entry[8..16].try_into().expect("slice of 8"));
-                let len = u64::from_le_bytes(entry[16..24].try_into().expect("slice of 8"));
-                if offset < heap_base || offset + len > heap_end || len == 0 {
-                    return Err(PmemError::Corrupt(format!(
-                        "live entry {slot} [{offset}, +{len}) outside heap"
-                    )));
+            match decode_entry(&entry, slot) {
+                Some(a) => {
+                    if a.offset < heap_base || a.offset + a.len > heap_end || a.len == 0 {
+                        return Err(PmemError::Corrupt(format!(
+                            "live entry {slot} [{}, +{}) outside heap",
+                            a.offset, a.len
+                        )));
+                    }
+                    if let Some(dup) = live.insert(a.offset, a) {
+                        return Err(overlap(&dup, &a));
+                    }
                 }
-                live.push((offset, len));
-            } else {
-                free_slots.push(slot);
+                None => free_slots.push(slot),
             }
         }
         free_slots.reverse();
 
         // Rebuild the free map as heap minus live regions.
-        live.sort_unstable();
-        for pair in live.windows(2) {
-            if pair[0].0 + pair[0].1 > pair[1].0 {
-                return Err(PmemError::Corrupt(format!(
-                    "live regions overlap: [{}, +{}) and [{}, +{})",
-                    pair[0].0, pair[0].1, pair[1].0, pair[1].1
-                )));
-            }
-        }
         let mut free = BTreeMap::new();
         let mut cursor = heap_base;
-        for (offset, len) in &live {
-            if *offset > cursor {
-                free.insert(cursor, offset - cursor);
+        let mut prev: Option<&PmemAlloc> = None;
+        for a in live.values() {
+            if let Some(p) = prev.filter(|p| p.offset + p.len > a.offset) {
+                return Err(overlap(p, a));
             }
-            cursor = offset + len;
+            if a.offset > cursor {
+                free.insert(cursor, a.offset - cursor);
+            }
+            cursor = a.offset + a.len;
+            prev = Some(a);
         }
         if cursor < heap_end {
             free.insert(cursor, heap_end - cursor);
@@ -208,10 +208,13 @@ impl PmemAllocator {
         Ok(PmemAllocator {
             dev,
             table_base,
-            max_entries,
             heap_base,
             heap_end,
-            inner: Mutex::new(Inner { free, free_slots }),
+            inner: Mutex::new(Inner {
+                free,
+                live,
+                free_slots,
+            }),
         })
     }
 
@@ -272,12 +275,14 @@ impl PmemAllocator {
         if rem > 0 {
             inner.free.insert(aligned + len, rem);
         }
-        Ok(PmemAlloc {
+        let a = PmemAlloc {
             offset: aligned,
             len,
             tag,
             slot,
-        })
+        };
+        inner.live.insert(aligned, a);
+        Ok(a)
     }
 
     /// Frees a region, durably clearing its slot and coalescing the free
@@ -294,28 +299,19 @@ impl PmemAllocator {
 
         let mut inner = self.inner.lock();
         inner.free_slots.push(alloc.slot);
+        inner.live.remove(&alloc.offset);
         insert_coalesced(&mut inner.free, alloc.offset, alloc.len);
         Ok(())
     }
 
-    /// All live allocations, in offset order (from the durable table).
-    pub fn live_allocations(&self) -> PmemResult<Vec<PmemAlloc>> {
-        let mut out = Vec::new();
-        for slot in 0..self.max_entries {
-            let off = self.entry_offset(slot);
-            let mut entry = [0u8; ENTRY_SIZE as usize];
-            self.dev.read(off, &mut entry)?;
-            if u64::from_le_bytes(entry[0..8].try_into().expect("slice of 8")) == STATE_LIVE {
-                out.push(PmemAlloc {
-                    offset: u64::from_le_bytes(entry[8..16].try_into().expect("slice of 8")),
-                    len: u64::from_le_bytes(entry[16..24].try_into().expect("slice of 8")),
-                    tag: u64::from_le_bytes(entry[24..32].try_into().expect("slice of 8")),
-                    slot,
-                });
-            }
-        }
-        out.sort_by_key(|a| a.offset);
-        Ok(out)
+    /// All live allocations, in offset order.
+    pub fn live_allocations(&self) -> Vec<PmemAlloc> {
+        self.inner.lock().live.values().copied().collect()
+    }
+
+    /// The live allocation starting at `offset`, if any.
+    pub fn live_at(&self, offset: u64) -> Option<PmemAlloc> {
+        self.inner.lock().live.get(&offset).copied()
     }
 
     /// Total free bytes.
@@ -344,6 +340,24 @@ impl PmemAllocator {
     }
 }
 
+/// Decodes one table entry; `None` unless it is live.
+fn decode_entry(entry: &[u8; ENTRY_SIZE as usize], slot: u32) -> Option<PmemAlloc> {
+    let word = |i: usize| u64::from_le_bytes(entry[i..i + 8].try_into().expect("slice of 8"));
+    (word(0) == STATE_LIVE).then(|| PmemAlloc {
+        offset: word(8),
+        len: word(16),
+        tag: word(24),
+        slot,
+    })
+}
+
+fn overlap(a: &PmemAlloc, b: &PmemAlloc) -> PmemError {
+    PmemError::Corrupt(format!(
+        "live regions overlap: [{}, +{}) and [{}, +{})",
+        a.offset, a.len, b.offset, b.len
+    ))
+}
+
 fn insert_coalesced(free: &mut BTreeMap<u64, u64>, offset: u64, len: u64) {
     let mut start = offset;
     let mut end = offset + len;
@@ -369,7 +383,7 @@ fn insert_coalesced(free: &mut BTreeMap<u64, u64>, offset: u64, len: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PmemMode;
+    use crate::{CrashSpec, PmemMode};
     use portus_sim::SimContext;
 
     fn setup() -> (Arc<PmemDevice>, PmemAllocator) {
@@ -455,7 +469,7 @@ mod tests {
 
         let rec = PmemAllocator::recover(pm, 0).unwrap();
         assert_eq!(rec.free_bytes(), free_before);
-        let live = rec.live_allocations().unwrap();
+        let live = rec.live_allocations();
         assert_eq!(live.len(), 1);
         assert_eq!(live[0].offset, b.offset);
         assert_eq!(live[0].tag, 22);
@@ -474,10 +488,10 @@ mod tests {
         let entry_off = HEADER_SIZE + ENTRY_SIZE; // slot 1 is next
         pm.write(entry_off + 8, &999u64.to_le_bytes()).unwrap();
         pm.persist(entry_off + 8, 8).unwrap();
-        pm.crash(crate::CrashSpec::LoseAll);
+        pm.crash(CrashSpec::LoseAll);
 
         let rec = PmemAllocator::recover(pm, 0).unwrap();
-        assert_eq!(rec.live_allocations().unwrap().len(), 1);
+        assert_eq!(rec.live_allocations().len(), 1);
     }
 
     #[test]
@@ -496,6 +510,53 @@ mod tests {
             PmemAllocator::recover(pm, 0),
             Err(PmemError::Corrupt(_))
         ));
+    }
+
+    /// The test oracle for the DRAM live map: every live entry of the
+    /// durable table, in offset order.
+    fn scan_table(alloc: &PmemAllocator) -> Vec<PmemAlloc> {
+        let mut count = [0u8; 4];
+        alloc.dev.read(alloc.table_base + 12, &mut count).unwrap();
+        let mut out: Vec<PmemAlloc> = (0..u32::from_le_bytes(count))
+            .filter_map(|slot| {
+                let mut entry = [0u8; ENTRY_SIZE as usize];
+                alloc
+                    .dev
+                    .read(alloc.entry_offset(slot), &mut entry)
+                    .unwrap();
+                decode_entry(&entry, slot)
+            })
+            .collect();
+        out.sort_by_key(|a| a.offset);
+        out
+    }
+
+    #[test]
+    fn live_map_matches_a_table_scan_across_alloc_free_and_recover() {
+        let (pm, mut alloc) = setup();
+        let mut rng = portus_sim::SimRng::new(0x11FE);
+        let mut held: Vec<PmemAlloc> = Vec::new();
+        for step in 0..400u64 {
+            if held.is_empty() || rng.gen_range(3) != 0 {
+                if let Ok(a) = alloc.alloc(64 + rng.gen_range(8192), step) {
+                    held.push(a);
+                }
+            } else {
+                let a = held.swap_remove(rng.gen_range(held.len() as u64) as usize);
+                alloc.free(&a).unwrap();
+            }
+            if step % 97 == 0 {
+                drop(alloc);
+                pm.crash(CrashSpec::LoseAll);
+                alloc = PmemAllocator::recover(pm.clone(), 0).unwrap();
+            }
+            let live = alloc.live_allocations();
+            assert_eq!(live, scan_table(&alloc), "step {step}");
+            for a in &live {
+                assert_eq!(alloc.live_at(a.offset), Some(*a));
+            }
+        }
+        assert!(alloc.live_at(alloc.heap_bounds().1).is_none());
     }
 
     #[test]

@@ -184,8 +184,8 @@ impl Inner {
                 // Full-page bulk store: supersede any finer-grained state.
                 let first_line = page_idx * (PAGE / CACHE_LINE);
                 let last_line = first_line + PAGE / CACHE_LINE - 1;
-                retain_outside(&mut self.volatile.dirty_lines, first_line, last_line);
-                retain_outside(&mut self.volatile.pending_lines, first_line, last_line);
+                retain_outside(&mut self.volatile.dirty_lines, first_line..=last_line);
+                retain_outside(&mut self.volatile.pending_lines, first_line..=last_line);
                 let pending = self.volatile.pending_pages.remove(&page_idx);
                 self.recycle_page(pending);
                 let mut content = self.take_page();
@@ -232,8 +232,8 @@ impl Inner {
     }
 }
 
-fn retain_outside<V>(map: &mut BTreeMap<u64, V>, first: u64, last: u64) {
-    let keys: Vec<u64> = map.range(first..=last).map(|(k, _)| *k).collect();
+fn retain_outside<V>(map: &mut BTreeMap<u64, V>, keys: impl std::ops::RangeBounds<u64>) {
+    let keys: Vec<u64> = map.range(keys).map(|(k, _)| *k).collect();
     for k in keys {
         map.remove(&k);
     }
@@ -470,6 +470,38 @@ impl PmemDevice {
             lines += self.flush_lines(offset, len)?;
         }
         Ok(self.flush_cost(lines) + self.fence_internal())
+    }
+
+    /// Drops the volatile state of `[offset, offset+len)` without
+    /// writing it back: dirty and flushed-but-unfenced lines and pages
+    /// wholly inside the range vanish, and their page buffers are
+    /// recycled. For regions about to be freed whose content must never
+    /// become durable (a staging or scratch region); reads of the range
+    /// afterwards return the durable bytes. Lines and pages straddling
+    /// the range's edges are kept, since they hold bytes outside it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PmemError::OutOfBounds`] if the range exceeds capacity.
+    pub fn discard(&self, offset: u64, len: u64) -> PmemResult<()> {
+        self.check(offset, len)?;
+        let end = offset + len;
+        let lines = offset.div_ceil(CACHE_LINE)..end / CACHE_LINE;
+        let pages = offset.div_ceil(PAGE)..end / PAGE;
+        let mut inner = self.inner.lock();
+        let v = &mut inner.volatile;
+        for map in [&mut v.dirty_lines, &mut v.pending_lines] {
+            retain_outside(map, lines.clone());
+        }
+        let mut dropped = Vec::new();
+        for map in [&mut v.dirty_pages, &mut v.pending_pages] {
+            let keys: Vec<u64> = map.range(pages.clone()).map(|(k, _)| *k).collect();
+            dropped.extend(keys.into_iter().filter_map(|k| map.remove(&k)));
+        }
+        for page in dropped {
+            inner.recycle_page(Some(page));
+        }
+        Ok(())
     }
 
     /// Atomic 8-byte compare-and-swap at `offset` (must be 8-aligned),
@@ -871,6 +903,42 @@ mod tests {
             pm.persist(PAGE, PAGES * PAGE).unwrap();
         }
         assert_eq!(pm.page_buffers_allocated(), steady);
+    }
+
+    #[test]
+    fn discard_drops_volatile_state_and_keeps_media() {
+        let pm = dev();
+        // Durable baseline over three pages, then volatile overwrites:
+        // bulk pages (dirty and flushed-unfenced) and stray lines.
+        pm.write(PAGE, &vec![1; 3 * PAGE as usize]).unwrap();
+        pm.persist(PAGE, 3 * PAGE).unwrap();
+        pm.write(PAGE, &vec![2; 2 * PAGE as usize]).unwrap();
+        pm.flush(PAGE, PAGE).unwrap();
+        pm.write(3 * PAGE + 64, &[3; 100]).unwrap();
+        // A line just past the range stays.
+        pm.write(4 * PAGE, &[4; 8]).unwrap();
+        let spare_before = pm.page_buffers_allocated();
+
+        pm.discard(PAGE, 3 * PAGE).unwrap();
+        let mut out = vec![0u8; 3 * PAGE as usize];
+        pm.read(PAGE, &mut out).unwrap();
+        assert!(
+            out.iter().all(|&b| b == 1),
+            "reads return the durable bytes"
+        );
+        let mut edge = [0u8; 8];
+        pm.read(4 * PAGE, &mut edge).unwrap();
+        assert_eq!(edge, [4; 8], "state outside the range survives");
+        assert_eq!(pm.inflight_lines(), 1);
+        // The dropped page buffers are reused, not reallocated.
+        pm.write(PAGE, &vec![5; 2 * PAGE as usize]).unwrap();
+        assert_eq!(pm.page_buffers_allocated(), spare_before);
+        // A fence after the discard makes nothing of it durable.
+        pm.discard(PAGE, 2 * PAGE).unwrap();
+        pm.fence();
+        pm.crash(CrashSpec::LoseAll);
+        pm.read(PAGE, &mut out).unwrap();
+        assert!(out.iter().all(|&b| b == 1), "media intact after the crash");
     }
 
     #[test]

@@ -298,9 +298,7 @@ impl ExtentStore {
         if let Some(&slot) = inner.by_hash.get(&chash) {
             let rec = self.read_record(slot)?;
             if rec.logical_len == bytes.len() as u64 && self.payload_matches(&rec, bytes)? {
-                let rec_off = self.rec_off(slot);
-                write_u64(&self.dev, rec_off + REC_REFCOUNT, rec.refcount + 1)?;
-                self.dev.persist(rec_off + REC_REFCOUNT, 8)?;
+                self.write_refcount(slot, rec.refcount + 1)?;
                 inner.last_touch.insert(slot, now);
                 return Ok(ExtentRef {
                     slot,
@@ -367,37 +365,92 @@ impl ExtentStore {
     }
 
     /// Durably bumps the refcount of a live extent; returns the new
-    /// count.
+    /// count. The read-modify-write runs under the store's lock, like
+    /// [`ExtentStore::insert_or_ref`]'s, so concurrent updates of one
+    /// extent never lose a count.
     ///
     /// # Errors
     ///
     /// [`PmemError::Corrupt`] if `slot` is not live.
     pub fn incref(&self, slot: u32) -> PmemResult<u64> {
-        let rec = self.read_record(slot)?;
-        let rec_off = self.rec_off(slot);
-        write_u64(&self.dev, rec_off + REC_REFCOUNT, rec.refcount + 1)?;
-        self.dev.persist(rec_off + REC_REFCOUNT, 8)?;
         let mut inner = self.inner.lock();
+        let next = self.read_record(slot)?.refcount + 1;
+        self.write_refcount(slot, next)?;
         inner.touch_counter += 1;
         let now = inner.touch_counter;
         inner.last_touch.insert(slot, now);
-        Ok(rec.refcount + 1)
+        Ok(next)
     }
 
     /// Durably drops one reference; returns the new count. Never frees
     /// the payload — a refcount-0 extent waits for
-    /// [`ExtentStore::sweep_unreferenced`].
+    /// [`ExtentStore::sweep_unreferenced`] (or use
+    /// [`ExtentStore::release`]).
     ///
     /// # Errors
     ///
     /// [`PmemError::Corrupt`] if `slot` is not live.
     pub fn decref(&self, slot: u32) -> PmemResult<u64> {
+        let _inner = self.inner.lock();
+        let next = self.read_record(slot)?.refcount.saturating_sub(1);
+        self.write_refcount(slot, next)?;
+        Ok(next)
+    }
+
+    /// [`ExtentStore::decref`] that frees the extent when it drops the
+    /// last reference: record first, then the payload region, as in
+    /// [`ExtentStore::sweep_unreferenced`]. Both steps run under the
+    /// store's lock, so a concurrent [`ExtentStore::insert_or_ref`]
+    /// either refs the extent first (and it survives) or misses it.
+    ///
+    /// # Errors
+    ///
+    /// [`PmemError::Corrupt`] if `slot` is not live or its payload is
+    /// unknown to the allocator.
+    pub fn release(&self, slot: u32, alloc: &PmemAllocator) -> PmemResult<u64> {
+        let mut inner = self.inner.lock();
         let rec = self.read_record(slot)?;
         let next = rec.refcount.saturating_sub(1);
-        let rec_off = self.rec_off(slot);
-        write_u64(&self.dev, rec_off + REC_REFCOUNT, next)?;
-        self.dev.persist(rec_off + REC_REFCOUNT, 8)?;
+        if next == 0 {
+            self.free_extent(&mut inner, slot, &rec, alloc)?;
+        } else {
+            self.write_refcount(slot, next)?;
+        }
         Ok(next)
+    }
+
+    fn write_refcount(&self, slot: u32, count: u64) -> PmemResult<()> {
+        let rec_off = self.rec_off(slot);
+        write_u64(&self.dev, rec_off + REC_REFCOUNT, count)?;
+        self.dev.persist(rec_off + REC_REFCOUNT, 8)
+    }
+
+    /// Frees a live extent, record first (`state = FREE`, persisted),
+    /// then its payload region, so a crash in between never leaves a
+    /// live record over freed space. The caller holds the lock.
+    fn free_extent(
+        &self,
+        inner: &mut Inner,
+        slot: u32,
+        rec: &ExtentRecord,
+        alloc: &PmemAllocator,
+    ) -> PmemResult<()> {
+        let region = alloc.live_at(rec.data_off).ok_or_else(|| {
+            PmemError::Corrupt(format!(
+                "extent {slot} payload at {} unknown to the allocator",
+                rec.data_off
+            ))
+        })?;
+        let rec_off = self.rec_off(slot);
+        write_u64(&self.dev, rec_off + REC_STATE, STATE_FREE)?;
+        self.dev.persist(rec_off + REC_STATE, 8)?;
+        alloc.free(&region)?;
+        if inner.by_hash.get(&rec.chash) == Some(&slot) {
+            inner.by_hash.remove(&rec.chash);
+        }
+        inner.free_slots.push(slot);
+        inner.last_touch.remove(&slot);
+        Ok(())
     }
 
     /// Overwrites the persistent refcount (recovery fixup after a
@@ -407,11 +460,9 @@ impl ExtentStore {
     ///
     /// [`PmemError::Corrupt`] if `slot` is not live.
     pub fn set_refcount(&self, slot: u32, count: u64) -> PmemResult<()> {
+        let _inner = self.inner.lock();
         self.read_record(slot)?;
-        let rec_off = self.rec_off(slot);
-        write_u64(&self.dev, rec_off + REC_REFCOUNT, count)?;
-        self.dev.persist(rec_off + REC_REFCOUNT, 8)?;
-        Ok(())
+        self.write_refcount(slot, count)
     }
 
     /// Reads an extent's logical bytes into `out` (decompressing if
@@ -462,12 +513,6 @@ impl ExtentStore {
     /// [`PmemError::Corrupt`] if a swept extent's payload is unknown to
     /// the allocator.
     pub fn sweep_unreferenced(&self, alloc: &PmemAllocator) -> PmemResult<(usize, u64)> {
-        let by_offset: HashMap<u64, crate::PmemAlloc> = alloc
-            .live_allocations()?
-            .into_iter()
-            .filter(|a| a.tag == EXTENT_DATA_TAG)
-            .map(|a| (a.offset, a))
-            .collect();
         let mut inner = self.inner.lock();
         let mut swept = 0usize;
         let mut bytes = 0u64;
@@ -480,23 +525,7 @@ impl ExtentStore {
                 continue;
             }
             let rec = self.read_record(slot)?;
-            let region = by_offset.get(&rec.data_off).ok_or_else(|| {
-                PmemError::Corrupt(format!(
-                    "extent {slot} payload at {} unknown to the allocator",
-                    rec.data_off
-                ))
-            })?;
-            // Record dies before the payload region is reusable, so a
-            // crash mid-sweep never leaves a live record over freed
-            // space.
-            write_u64(&self.dev, rec_off + REC_STATE, STATE_FREE)?;
-            self.dev.persist(rec_off + REC_STATE, 8)?;
-            alloc.free(region)?;
-            if inner.by_hash.get(&rec.chash) == Some(&slot) {
-                inner.by_hash.remove(&rec.chash);
-            }
-            inner.free_slots.push(slot);
-            inner.last_touch.remove(&slot);
+            self.free_extent(&mut inner, slot, &rec, alloc)?;
             swept += 1;
             bytes += rec.stored_len;
         }
@@ -512,12 +541,6 @@ impl ExtentStore {
     /// Allocator and device errors; a crash at any point is repaired by
     /// [`ExtentStore::recover`]'s journal replay plus reachability GC.
     pub fn compress_cold(&self, alloc: &PmemAllocator, min_idle: u64) -> PmemResult<(usize, u64)> {
-        let by_offset: HashMap<u64, crate::PmemAlloc> = alloc
-            .live_allocations()?
-            .into_iter()
-            .filter(|a| a.tag == EXTENT_DATA_TAG)
-            .map(|a| (a.offset, a))
-            .collect();
         let inner = self.inner.lock();
         let now = inner.touch_counter;
         let mut compressed = 0usize;
@@ -541,7 +564,7 @@ impl ExtentStore {
             if packed.len() >= payload.len() {
                 continue;
             }
-            let old = by_offset.get(&rec.data_off).ok_or_else(|| {
+            let old = alloc.live_at(rec.data_off).ok_or_else(|| {
                 PmemError::Corrupt(format!(
                     "extent {slot} payload at {} unknown to the allocator",
                     rec.data_off
@@ -577,7 +600,7 @@ impl ExtentStore {
             self.dev.persist(rec_off, REC_SIZE)?;
             write_u64(&self.dev, self.table_base + H_JSTATE, JOURNAL_IDLE)?;
             self.dev.persist(self.table_base + H_JSTATE, 8)?;
-            alloc.free(old)?;
+            alloc.free(&old)?;
             compressed += 1;
             saved += rec.stored_len - packed.len() as u64;
         }
@@ -794,6 +817,56 @@ mod tests {
         // The slot and hash are reusable.
         let again = store.insert_or_ref(&[9u8; 4096], &alloc, false).unwrap();
         assert!(!again.shared);
+    }
+
+    #[test]
+    fn release_frees_the_extent_with_its_last_reference() {
+        let (_pm, alloc, store) = setup();
+        let free0 = alloc.free_bytes();
+        let r = store.insert_or_ref(&[6u8; 4096], &alloc, false).unwrap();
+        store.incref(r.slot).unwrap();
+        assert_eq!(store.release(r.slot, &alloc).unwrap(), 1);
+        assert_eq!(store.record(r.slot).unwrap().refcount, 1);
+        assert_eq!(store.release(r.slot, &alloc).unwrap(), 0);
+        assert!(store.record(r.slot).is_err(), "record freed first");
+        assert_eq!(alloc.free_bytes(), free0, "then the payload");
+        assert_eq!(store.sweep_unreferenced(&alloc).unwrap(), (0, 0));
+        let again = store.insert_or_ref(&[6u8; 4096], &alloc, false).unwrap();
+        assert!(!again.shared, "the hash is forgotten");
+    }
+
+    #[test]
+    fn concurrent_ref_and_decref_keep_the_refcount_exact() {
+        const ROUNDS: u64 = 20_000;
+        let (_pm, alloc, store) = setup();
+        let bytes = [8u8; 256];
+        let r = store.insert_or_ref(&bytes, &alloc, false).unwrap();
+        for _ in 0..ROUNDS {
+            store.incref(r.slot).unwrap();
+        }
+        // One thread adds references (through both entry points) while
+        // the other drops as many; the count never reaches zero, so
+        // every lost update would show in the final value.
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                start.wait();
+                for i in 0..ROUNDS {
+                    if i % 2 == 0 {
+                        store.insert_or_ref(&bytes, &alloc, false).unwrap();
+                    } else {
+                        store.incref(r.slot).unwrap();
+                    }
+                }
+            });
+            s.spawn(|| {
+                start.wait();
+                for _ in 0..ROUNDS {
+                    store.decref(r.slot).unwrap();
+                }
+            });
+        });
+        assert_eq!(store.record(r.slot).unwrap().refcount, ROUNDS + 1);
     }
 
     #[test]

@@ -318,14 +318,14 @@ pub struct MetricsSnapshot {
     /// Physical bytes the live extents occupy on media.
     #[serde(default)]
     pub dedup_stored_bytes: u64,
-    /// Chunks processed by post-seal dedup ingests so far.
+    /// Chunks processed by extent seals so far.
     #[serde(default)]
     pub dedup_chunks: u64,
     /// Of those, chunks that deduplicated against an existing extent.
     #[serde(default)]
     pub dedup_shared_chunks: u64,
-    /// Post-seal ingests that failed and left their checkpoint as a
-    /// plain region (correct but undeduplicated).
+    /// Extent seals whose pass failed, so their checkpoint was sealed
+    /// as a plain region (correct but undeduplicated).
     #[serde(default)]
     pub dedup_ingest_failures: u64,
     /// Unreferenced extents reclaimed by repack sweeps so far.
@@ -600,8 +600,9 @@ impl Metrics {
             .store(stored_bytes, Ordering::Relaxed);
     }
 
-    /// Records one completed post-seal dedup ingest: `chunks` chunks
-    /// processed, of which `shared_chunks` hit an existing extent.
+    /// Records one completed extent seal (the dedup tier's checkpoint
+    /// seal): `chunks` chunks processed, of which `shared_chunks` hit an
+    /// existing extent.
     pub fn record_dedup_ingest(&self, chunks: u64, shared_chunks: u64) {
         self.inner.dedup_chunks.fetch_add(chunks, Ordering::Relaxed);
         self.inner
@@ -609,8 +610,8 @@ impl Metrics {
             .fetch_add(shared_chunks, Ordering::Relaxed);
     }
 
-    /// Records one post-seal dedup ingest that failed (the checkpoint
-    /// stays a plain region).
+    /// Records one extent seal whose pass failed (the checkpoint is
+    /// sealed as a plain region instead).
     pub fn record_dedup_ingest_failure(&self) {
         self.inner
             .dedup_ingest_failures

@@ -84,8 +84,9 @@ pub enum Stage {
     Checksum,
     /// Durable slot-header flip to `Done`.
     HeaderFlip,
-    /// Post-seal dedup conversion: chunking the sealed region into
-    /// content-addressed extents and publishing the extent map
+    /// The dedup tier's extent seal — chunking the staging region into
+    /// content-addressed extents and publishing the extent map under
+    /// one header flip — or an extent-mapped restore's materialization
     /// (dedup-configured daemons only).
     Dedup,
     /// One space-management repack pass over the model table.

@@ -257,7 +257,7 @@ fn orphaned_catalog_pages_are_reclaimed_on_recovery() {
     let ctx = SimContext::icdcs24();
     let pmem = PmemDevice::new(ctx, PmemMode::DevDax, 32 << 20);
     let index = index_with_catalog(&pmem, 40);
-    let live_before = index.allocator().live_allocations().unwrap().len();
+    let live_before = index.allocator().live_allocations().len();
 
     // Emulate the pre-flip half of a split: a fully persisted, valid
     // page that no directory record will ever point at.
@@ -278,7 +278,6 @@ fn orphaned_catalog_pages_are_reclaimed_on_recovery() {
     let live_after: Vec<u64> = index2
         .allocator()
         .live_allocations()
-        .unwrap()
         .into_iter()
         .map(|a| a.offset)
         .collect();

@@ -9,6 +9,8 @@
 //!   sharer restores bit-for-bit;
 //! * after any torn-refcount crash, recovery **never frees an extent a
 //!   live map references and never leaks one nothing references**;
+//! * an extent seal whose pass fails mid-checkpoint falls back to a
+//!   plain seal that restores bit-for-bit;
 //! * the repacker sweeps refcount-zero extents, and compressed extents
 //!   (ingest-time or cold) decompress back to the exact bytes.
 
@@ -384,6 +386,59 @@ fn crash_mid_release_never_frees_the_survivors_extents() {
     c2.restore(&b).unwrap();
     assert_eq!(b.model_checksum(), b_state);
     let _ = a;
+}
+
+/// An extent table too small for one checkpoint: the extent pass fails
+/// mid-checkpoint, drops the references it took, and the checkpoint is
+/// sealed as a plain slot instead — it succeeds and restores bit for
+/// bit, and the next checkpoint carries from the plain version.
+#[test]
+fn a_full_extent_table_falls_back_to_a_plain_seal() {
+    let cfg = DaemonConfig {
+        dedup: Some(DedupConfig {
+            max_extents: 4,
+            ..DedupConfig::default()
+        }),
+        ..DaemonConfig::default()
+    };
+    let w = world_cfg(cfg);
+    let c = client(&w);
+    // 4 x 128 KiB = 8 chunks of 64 KiB, twice what the table holds.
+    let spec = test_spec("toobig", 4, 128 * 1024);
+    let mut model = register(&w, &c, &spec, 23);
+    model.train_step();
+    let v1_state = model.model_checksum();
+    let v1 = c.checkpoint("toobig").unwrap().version;
+
+    let index = w.daemon.index();
+    let store = index.extent_store().unwrap();
+    assert_eq!(
+        store.stats().unwrap().live,
+        0,
+        "the failed pass left no extent"
+    );
+    assert_eq!(w.ctx.metrics.snapshot().dedup_ingest_failures, 1);
+    let (_, off) = index.live_entries().unwrap()[0];
+    let (_, hdr) = index.load_mindex(off).unwrap().latest_done().unwrap();
+    assert_eq!(hdr.version, v1);
+    assert_eq!(hdr.ext_map, 0, "sealed as a plain slot");
+    assert_ne!(hdr.data_off, 0);
+
+    model.train_step_sparse(&[1]);
+    let v2_state = model.model_checksum();
+    let delta = c
+        .checkpoint_delta("toobig", &[false, true, false, false])
+        .unwrap();
+    assert!(
+        delta.copied_bytes > 0,
+        "clean tensors carry from the plain v1"
+    );
+
+    model.train_step();
+    c.restore(&model).unwrap();
+    assert_eq!(model.model_checksum(), v2_state);
+    c.restore_version(&model, Some(v1)).unwrap();
+    assert_eq!(model.model_checksum(), v1_state);
 }
 
 // ---------------------------------------------------------------------

@@ -61,7 +61,7 @@ fn check_allocator_never_overlaps(ops: &[AllocOp]) {
             }
         }
         // Invariants after every step.
-        let mut sorted = alloc.live_allocations().unwrap();
+        let mut sorted = alloc.live_allocations();
         sorted.sort_by_key(|a| a.offset);
         let (heap_base, heap_end) = alloc.heap_bounds();
         for w in sorted.windows(2) {
@@ -105,13 +105,13 @@ fn check_allocator_recovery_is_exact(ops: &[AllocOp]) {
         }
     }
     let free_before = alloc.free_bytes();
-    let mut expect = alloc.live_allocations().unwrap();
+    let mut expect = alloc.live_allocations();
     expect.sort_by_key(|a| a.offset);
     drop(alloc);
     dev.crash(CrashSpec::LoseAll); // slot updates are persisted per-op
 
     let rec = PmemAllocator::recover(dev, 0).unwrap();
-    let mut got = rec.live_allocations().unwrap();
+    let mut got = rec.live_allocations();
     got.sort_by_key(|a| a.offset);
     assert_eq!(got, expect);
     assert_eq!(rec.free_bytes(), free_before);

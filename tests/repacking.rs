@@ -244,10 +244,7 @@ fn repack_surfaces_allocator_divergence_and_preserves_the_header() {
     let stale_off = hdr.data_off;
     let alloc = index
         .allocator()
-        .live_allocations()
-        .unwrap()
-        .into_iter()
-        .find(|a| a.offset == stale_off)
+        .live_at(stale_off)
         .expect("backing allocation");
     index.allocator().free(&alloc).unwrap();
 

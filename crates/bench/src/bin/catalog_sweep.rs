@@ -1,6 +1,5 @@
-//! Catalog sweep: lookup latency and DRAM footprint of the learned,
-//! micro-paged PMem model catalog as the model population grows from
-//! 10^2 to 10^6.
+//! Catalog sweep: lookup latency and DRAM footprint of the micro-paged
+//! PMem model catalog as the model population grows from 10^2 to 10^6.
 //!
 //! For each population size the harness formats a namespace, mounts
 //! the catalog, and bulk-loads synthetic models (names with a shared
@@ -15,16 +14,16 @@
 //! - **warm p99**: lookups over a working set that fits the clamped
 //!   CLOCK cache, measured after one warming pass;
 //! - **linear p99**: a page-by-page scan baseline (what a catalog
-//!   without the learned root would pay), sampled sparsely because each
-//!   probe walks half the page list;
+//!   without its sorted directory would pay), sampled sparsely because
+//!   each probe walks half the page list;
 //! - **DRAM bytes**: the decoded-page cache footprint, which must stay
 //!   under `cache_pages` slots and under the decoded-size bound
 //!   `cache_pages * (4 * page_bytes + 64)` at every population size
 //!   (a decoded entry costs at most 4x its packed media bytes).
 //!
-//! At the top of the axis the learned path must beat the linear scan
-//! by at least 10x on p99 — the acceptance bar for the catalog being
-//! "O(1)-ish" rather than O(pages).
+//! At the top of the axis the directory binary search must beat the
+//! linear scan by at least 10x on p99 — the acceptance bar for the
+//! catalog being O(log pages) rather than O(pages).
 //!
 //! `--smoke` shrinks the axis for CI.
 
@@ -72,7 +71,7 @@ fn build_catalog(n: u64, cache_pages: usize) -> portus::PortusResult<Index> {
     Ok(index)
 }
 
-/// Wall-clock nanoseconds one learned lookup takes.
+/// Wall-clock nanoseconds one catalog lookup takes.
 fn timed_lookup(index: &Index, name: &str) -> u64 {
     let cat = index.catalog().expect("catalog mounted");
     let t0 = Instant::now();
@@ -83,7 +82,7 @@ fn timed_lookup(index: &Index, name: &str) -> u64 {
 }
 
 /// Wall-clock nanoseconds a linear page-by-page scan takes: the
-/// baseline a catalog without the learned root would pay.
+/// baseline a catalog without its sorted directory would pay.
 fn timed_linear_scan(index: &Index, pages: &[u64], name: &str) -> u64 {
     let dev: &Arc<PmemDevice> = index.allocator().device();
     let t0 = Instant::now();
@@ -178,8 +177,6 @@ fn sweep_point(n: u64) -> serde_json::Value {
         "models": n,
         "pages": stats.pages,
         "entries": stats.entries,
-        "segments": stats.model_segments,
-        "fallbacks": stats.model_fallbacks,
         "cold_p99_ns": cold_p99,
         "warm_p99_ns": warm_p99,
         "linear_p99_ns": linear_p99,
@@ -198,7 +195,7 @@ fn main() {
     } else {
         &[100, 1_000, 10_000, 100_000, 1_000_000]
     };
-    println!("Catalog sweep — learned micro-paged index, lookup p99 vs model count");
+    println!("Catalog sweep — micro-paged index, lookup p99 vs model count");
     println!(
         "{:>9} {:>7} {:>10} {:>10} {:>12} {:>9} {:>11}",
         "models", "pages", "cold(ns)", "warm(ns)", "linear(ns)", "vs lin", "cache(B)"
@@ -218,7 +215,7 @@ fn main() {
     );
     assert!(
         speedup >= 10.0,
-        "learned lookup must beat the linear page scan by >= 10x at the top of the axis, got {speedup:.1}x"
+        "catalog lookup must beat the linear page scan by >= 10x at the top of the axis, got {speedup:.1}x"
     );
     let path = portus_bench::write_experiment("catalog_sweep", &serde_json::json!(rows));
     println!("wrote {}", path.display());

@@ -1,37 +1,33 @@
-//! The million-model catalog: a paged on-PMem name index with a
-//! learned root (ROADMAP item 3).
+//! The million-model catalog: a paged on-PMem name index.
 //!
 //! The paper-scale daemon mirrors the whole ModelTable into a DRAM
 //! B-tree ([`crate::ModelMap`]) and scans the fixed table
 //! linearly — fine for dozens of models, hopeless for a fleet serving
-//! millions. The catalog replaces both with an AirIndex-style two-level
-//! structure kept entirely on PMem behind the shared allocator:
+//! millions. The catalog replaces both with a two-level structure kept
+//! entirely on PMem behind the shared allocator:
 //!
 //! * **Micro-pages** (`portus_pmem::micropage`) — sorted, variable-
 //!   length `name → MIndex-offset` runs packed into ~4 KiB immutable
 //!   pages. Mutations copy-on-write a fresh page; a page is only ever
-//!   referenced after it is fully persisted.
-//! * **Root block** — a directory of 16-byte `{derived_key, page_off}`
-//!   records (one per page, sorted) plus a piecewise-linear model
-//!   trained over the derived keys at seal time. The superblock's
+//!   referenced after it is fully persisted. A full page splits into
+//!   two halves of about equal encoded size.
+//! * **Root block** — a header, the shared name prefix, and a
+//!   directory of 16-byte `{derived_key, page_off}` records (one per
+//!   page, sorted by key) at a fixed offset. The superblock's
 //!   `SUPER_CAT_OFF` word points at the current root, so the whole
 //!   structure is reachable from media alone.
 //!
-//! A lookup is: predict the directory position from the in-DRAM model
-//! (a few hundred bytes of segments), DAX-read the predicted
-//! `2·error+1` window of 16-byte records, then probe exactly one page —
-//! `O(1)`-ish DAX traffic regardless of model count, with a full
-//! binary search over the on-PMem directory as the always-correct
-//! fallback when the model is stale. DRAM usage is the segment table
-//! plus a CLOCK page cache clamped to [`CatalogConfig::cache_pages`]
-//! decoded pages — never `O(models)`.
+//! A lookup binary-searches the on-PMem directory (one 16-byte record
+//! read per probe, `log2(pages)` probes) and then searches exactly one
+//! page. DRAM usage is the root mirror plus a CLOCK page cache clamped
+//! to [`CatalogConfig::cache_pages`] decoded pages — never `O(models)`.
 //!
 //! **Concurrency.** Mutations serialize on one internal mutex, but
 //! lookups do *not* hold it across PMem reads: a lookup snapshots the
-//! root mirror (root offset, directory size, shared prefix, `Arc`'d
-//! segments) plus a generation counter under the lock, performs the
-//! window read and page probe lock-free, then re-checks the generation
-//! before trusting (or caching) what it read. Every mutation bumps the
+//! root mirror (root offset, directory size, shared prefix) plus a
+//! generation counter under the lock, performs the directory search
+//! and page probe lock-free, then re-checks the generation before
+//! trusting (or caching) what it read. Every mutation bumps the
 //! generation while holding the mutex, so a lookup that raced a
 //! split/free simply retries; concurrent lookups across tenants never
 //! serialize on each other.
@@ -49,52 +45,52 @@
 //! stays a valid string; key derivation itself is pure byte
 //! arithmetic, so multibyte names sort exactly like their bytes.
 //!
-//! **Crash consistency.** Same discipline as the extent store (PR 9):
-//! every mutation persists its new pages (and, when the page count
-//! changes, a complete new root) *before* one atomic flip — a 16-byte
+//! **Crash consistency.** Same discipline as the extent store: every
+//! mutation persists its new pages (and, when the page count changes,
+//! a complete new root) *before* one atomic flip — a 16-byte
 //! directory-record update inside one cache line for in-place
-//! copy-on-write (the root layout keeps directory records 16-aligned,
-//! see [`SEG_SIZE`]), or the 8-byte superblock root pointer for
-//! splits/rebuilds. A crash on either side of the flip leaves only
-//! unreachable allocations, which [`crate::Index::recover`] reclaims by
-//! offset reachability; it also reconciles the surviving pages against
-//! the live ModelTable entries, covering the windows between a table
-//! publish/retire and the corresponding catalog update.
+//! copy-on-write (the directory starts 16-aligned, see [`ROOT_DIR`]),
+//! or the 8-byte superblock root pointer for splits/rebuilds. A crash
+//! on either side of the flip leaves only unreachable allocations,
+//! which [`crate::Index::recover`] reclaims by offset reachability; it
+//! also reconciles the surviving pages against the live ModelTable
+//! entries, covering the windows between a table publish/retire and
+//! the corresponding catalog update.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use portus_pmem::{micropage, typed, PmemAllocator, PmemDevice};
+use portus_pmem::{micropage, typed, PmemAllocator, PmemDevice, PmemError};
 
 use crate::{PortusError, PortusResult};
 
 /// Root-block magic ("CRTL").
 const ROOT_MAGIC: u32 = 0x4352_544C;
-/// Root header: magic, version, dir_count, seg_count, page_bytes, pad.
-const ROOT_LCP: u64 = 24;
-/// Segments start here; the LCP string (u16-prefixed, ≤ 254 bytes)
-/// fits between the header and this boundary.
-const ROOT_SEG0: u64 = 320;
-/// One persisted model segment: `{first_key, first_idx, slope_bits,
-/// pad}`. Padded from 24 to 32 bytes so the directory base
-/// (`ROOT_SEG0 + n·SEG_SIZE`) is 16-aligned for *any* segment count —
-/// root blocks are 64-aligned, so every 16-byte directory record then
-/// sits entirely inside one 64-byte cache line and the in-place record
-/// flip ([`Catalog::update_dir_rec`]) really is a single-line commit
-/// point. (At 24 an odd segment count left records only 8-aligned,
-/// letting a record straddle two lines and tear on a crash.)
-const SEG_SIZE: u64 = 32;
+/// On-media layout version. Version 1 stored a learned model between
+/// the prefix and the directory; recovery refuses anything but this
+/// one.
+const ROOT_VERSION: u32 = 2;
+/// Root header: magic, version, dir_count, page_bytes (u32 each); the
+/// shared prefix (u16-prefixed, at most 254 bytes) follows.
+const ROOT_LCP: u64 = 16;
+/// The directory starts here, past the longest shared prefix. Root
+/// blocks are 64-aligned and this offset is 16-aligned, so every
+/// 16-byte directory record sits inside one 64-byte cache line and the
+/// in-place record flip ([`Catalog::update_dir_rec`]) is a single-line
+/// commit point.
+const ROOT_DIR: u64 = 272;
 /// One directory record: `{derived_key, page_off}`.
 const DIR_REC: u64 = 16;
+const _: () = assert!(ROOT_DIR.is_multiple_of(DIR_REC) && ROOT_DIR >= ROOT_LCP + 2 + 254);
 
 /// Allocator tag for catalog root blocks.
 pub(crate) const CATALOG_ROOT_TAG: u64 = 0x4341_5452_4F4F_5431; // "CATROOT1"
 /// Allocator tag for catalog micro-pages.
 pub(crate) const CATALOG_PAGE_TAG: u64 = 0x4341_5450_4147_4531; // "CATPAGE1"
 
-/// Configuration of the learned catalog
+/// Configuration of the paged catalog
 /// ([`crate::DaemonConfig::catalog`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CatalogConfig {
@@ -104,10 +100,6 @@ pub struct CatalogConfig {
     /// DRAM page-cache clamp: at most this many decoded pages are held
     /// in memory (CLOCK eviction). `0` disables caching entirely.
     pub cache_pages: usize,
-    /// Learned-model error bound: a prediction is trusted to land
-    /// within ± this many directory records. Smaller means more
-    /// segments, larger means wider probe windows.
-    pub model_error: u64,
 }
 
 impl Default for CatalogConfig {
@@ -115,18 +107,8 @@ impl Default for CatalogConfig {
         CatalogConfig {
             page_bytes: 4096,
             cache_pages: 64,
-            model_error: 8,
         }
     }
-}
-
-/// One segment of the piecewise-linear root model, fitted over
-/// `(derived_key, directory_index)` points with a shrinking-cone pass.
-#[derive(Debug, Clone, Copy)]
-struct Segment {
-    first_key: u64,
-    first_idx: u64,
-    slope: f64,
 }
 
 /// Observability counters ([`Catalog::stats`]).
@@ -144,11 +126,6 @@ pub struct CatalogStats {
     pub cached_pages: u64,
     /// Approximate DRAM bytes those cached pages occupy.
     pub cache_bytes: u64,
-    /// Segments in the in-DRAM learned model.
-    pub model_segments: u64,
-    /// Lookups whose predicted window missed, falling back to a full
-    /// directory binary search (always correct, just slower).
-    pub model_fallbacks: u64,
 }
 
 /// One decoded page held by the CLOCK cache.
@@ -255,8 +232,8 @@ impl PageCache {
 }
 
 /// Mutable catalog state behind one mutex: the current root's DRAM
-/// mirror (pointer, directory size, shared prefix, trained segments —
-/// everything *except* the directory itself, which stays on PMem), the
+/// mirror (pointer, directory size, shared prefix — everything
+/// *except* the directory itself, which stays on PMem), the
 /// clamped page cache, and a generation counter that invalidates
 /// in-flight lock-free lookups.
 struct CatInner {
@@ -265,8 +242,6 @@ struct CatInner {
     dir_count: u64,
     entries: u64,
     lcp: Arc<str>,
-    segs: Arc<Vec<Segment>>,
-    model_error: u64,
     cache: PageCache,
 }
 
@@ -279,11 +254,9 @@ struct RootSnap {
     root_off: u64,
     dir_count: u64,
     lcp: Arc<str>,
-    segs: Arc<Vec<Segment>>,
-    model_error: u64,
 }
 
-/// The learned, micro-paged on-PMem model catalog.
+/// The micro-paged on-PMem model catalog.
 ///
 /// All methods are `&self`; an internal mutex serialises mutations and
 /// cache movement, while [`Catalog::lookup`] runs its PMem reads
@@ -301,7 +274,6 @@ pub struct Catalog {
     inner: Mutex<CatInner>,
     hits: AtomicU64,
     misses: AtomicU64,
-    fallbacks: AtomicU64,
 }
 
 impl std::fmt::Debug for Catalog {
@@ -311,7 +283,6 @@ impl std::fmt::Debug for Catalog {
             .field("root_off", &inner.root_off)
             .field("pages", &inner.dir_count)
             .field("entries", &inner.entries)
-            .field("segments", &inner.segs.len())
             .finish()
     }
 }
@@ -366,54 +337,23 @@ fn derive_key(lcp: &str, name: &str) -> u64 {
     u64::from_be_bytes(key)
 }
 
-/// Fits a shrinking-cone piecewise-linear model over the sorted
-/// `keys`, guaranteeing every training point is predicted within
-/// ± `eps` directory slots. Duplicate keys longer than the error bound
-/// force a segment break; predictions there lean on the lookup-time
-/// binary-search fallback.
-fn train_segments(keys: &[u64], eps: u64) -> Vec<Segment> {
-    let mut segs: Vec<Segment> = Vec::new();
-    if keys.is_empty() {
-        return segs;
-    }
-    let eps = eps.max(1) as f64;
-    let mut start = 0usize;
-    let (mut lo_slope, mut hi_slope) = (0.0f64, f64::INFINITY);
-    for i in 1..keys.len() {
-        let dx = (keys[i] - keys[start]) as f64;
-        let dy = (i - start) as f64;
-        let (cand_lo, cand_hi) = if dx == 0.0 {
-            // Duplicate derived key: representable only while the run
-            // stays inside the error bound.
-            if dy <= eps {
-                continue;
-            }
-            (f64::INFINITY, 0.0) // forces a break below
-        } else {
-            ((dy - eps) / dx, (dy + eps) / dx)
-        };
-        let new_lo = lo_slope.max(cand_lo.max(0.0));
-        let new_hi = hi_slope.min(cand_hi);
-        if new_lo > new_hi {
-            segs.push(Segment {
-                first_key: keys[start],
-                first_idx: start as u64,
-                slope: (lo_slope + hi_slope.min(1e18)) / 2.0,
-            });
-            start = i;
-            lo_slope = 0.0;
-            hi_slope = f64::INFINITY;
-        } else {
-            lo_slope = new_lo;
-            hi_slope = new_hi;
-        }
-    }
-    segs.push(Segment {
-        first_key: keys[start],
-        first_idx: start as u64,
-        slope: (lo_slope + hi_slope.min(1e18)) / 2.0,
-    });
-    segs
+/// The index splitting a full page's `entries` into two runs of about
+/// equal encoded size, so both halves of a split have room to grow.
+fn byte_midpoint(entries: &[(String, u64)]) -> usize {
+    let total: u64 = entries
+        .iter()
+        .map(|(n, _)| micropage::entry_encoded_len(n))
+        .sum();
+    let mut acc = 0u64;
+    entries
+        .iter()
+        .position(|(n, _)| {
+            acc += micropage::entry_encoded_len(n);
+            2 * acc >= total
+        })
+        .map_or(0, |i| i + 1)
+        .min(entries.len().saturating_sub(1))
+        .max(1)
 }
 
 impl Catalog {
@@ -431,40 +371,25 @@ impl Catalog {
         root_ptr_at: u64,
         cfg: &CatalogConfig,
     ) -> PortusResult<Catalog> {
-        let cat = Catalog {
-            dev,
-            root_ptr_at,
-            page_bytes: cfg.page_bytes.max(256),
-            inner: Mutex::new(CatInner {
-                gen: 0,
-                root_off: 0,
-                dir_count: 0,
-                entries: 0,
-                lcp: Arc::from(""),
-                segs: Arc::new(Vec::new()),
-                model_error: cfg.model_error.max(1),
-                cache: PageCache::new(cfg.cache_pages),
-            }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            fallbacks: AtomicU64::new(0),
-        };
+        let cat = Catalog::mount(dev, root_ptr_at, cfg.page_bytes, 0, 0, "", cfg);
         {
             let mut inner = cat.inner.lock();
-            let root = cat.write_root(alloc, "", &[], &[])?;
+            let root = cat.write_root(alloc, "", &[])?;
             cat.flip_root(alloc, &mut inner, root, &[])?;
         }
         Ok(cat)
     }
 
     /// Mounts the catalog already published at `root_ptr_at`,
-    /// rebuilding the DRAM mirror (shared prefix, segments, entry
-    /// count) from the persisted root and page headers. `page_bytes`
-    /// comes from the root block, not from `cfg`.
+    /// rebuilding the DRAM mirror (shared prefix, entry count) from the
+    /// persisted root and page headers. `page_bytes` comes from the
+    /// root block, not from `cfg`.
     ///
     /// # Errors
     ///
-    /// [`PortusError::Daemon`] on a bad root magic; device errors.
+    /// [`PortusError::Daemon`] on a bad root magic; a
+    /// [`PmemError::Corrupt`] on a root layout version other than the
+    /// current one; device errors.
     pub(crate) fn recover(
         dev: Arc<PmemDevice>,
         root_ptr_at: u64,
@@ -476,37 +401,17 @@ impl Catalog {
                 "bad catalog root magic at {root_off:#x}"
             )));
         }
-        let dir_count = u64::from(typed::read_u32(&dev, root_off + 8)?);
-        let seg_count = typed::read_u32(&dev, root_off + 12)?;
-        let page_bytes = u64::from(typed::read_u32(&dev, root_off + 16)?).max(256);
-        let (lcp, _) = typed::read_str(&dev, root_off + ROOT_LCP)?;
-        let mut segs = Vec::with_capacity(seg_count as usize);
-        for i in 0..u64::from(seg_count) {
-            let s = root_off + ROOT_SEG0 + i * SEG_SIZE;
-            segs.push(Segment {
-                first_key: typed::read_u64(&dev, s)?,
-                first_idx: typed::read_u64(&dev, s + 8)?,
-                slope: f64::from_bits(typed::read_u64(&dev, s + 16)?),
-            });
+        let version = typed::read_u32(&dev, root_off + 4)?;
+        if version != ROOT_VERSION {
+            return Err(PmemError::Corrupt(format!(
+                "catalog root version {version} at {root_off:#x}, expected {ROOT_VERSION}"
+            ))
+            .into());
         }
-        let cat = Catalog {
-            dev,
-            root_ptr_at,
-            page_bytes,
-            inner: Mutex::new(CatInner {
-                gen: 0,
-                root_off,
-                dir_count,
-                entries: 0,
-                lcp: Arc::from(lcp.as_str()),
-                segs: Arc::new(segs),
-                model_error: cfg.model_error.max(1),
-                cache: PageCache::new(cfg.cache_pages),
-            }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            fallbacks: AtomicU64::new(0),
-        };
+        let dir_count = u64::from(typed::read_u32(&dev, root_off + 8)?);
+        let page_bytes = u64::from(typed::read_u32(&dev, root_off + 12)?);
+        let (lcp, _) = typed::read_str(&dev, root_off + ROOT_LCP)?;
+        let cat = Catalog::mount(dev, root_ptr_at, page_bytes, root_off, dir_count, &lcp, cfg);
         {
             // The entry count is never persisted (it would go stale in
             // every copy-on-write window): re-derive it from the page
@@ -524,12 +429,37 @@ impl Catalog {
         Ok(cat)
     }
 
-    /// Applies the runtime knobs of `cfg` (cache clamp, error bound) to
-    /// an already-mounted catalog; `page_bytes` stays as formatted.
+    /// The in-DRAM handle over a root at `root_off` (0: none yet).
+    fn mount(
+        dev: Arc<PmemDevice>,
+        root_ptr_at: u64,
+        page_bytes: u64,
+        root_off: u64,
+        dir_count: u64,
+        lcp: &str,
+        cfg: &CatalogConfig,
+    ) -> Catalog {
+        Catalog {
+            dev,
+            root_ptr_at,
+            page_bytes: page_bytes.max(256),
+            inner: Mutex::new(CatInner {
+                gen: 0,
+                root_off,
+                dir_count,
+                entries: 0,
+                lcp: Arc::from(lcp),
+                cache: PageCache::new(cfg.cache_pages),
+            }),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
+    }
+
+    /// Applies the runtime knob of `cfg` (the cache clamp) to an
+    /// already-mounted catalog; `page_bytes` stays as formatted.
     pub(crate) fn set_runtime(&self, cfg: &CatalogConfig) {
-        let mut inner = self.inner.lock();
-        inner.model_error = cfg.model_error.max(1);
-        inner.cache.resize(cfg.cache_pages);
+        self.inner.lock().cache.resize(cfg.cache_pages);
     }
 
     /// Snapshot of the root mirror for lock-free reads.
@@ -539,8 +469,6 @@ impl Catalog {
             root_off: inner.root_off,
             dir_count: inner.dir_count,
             lcp: inner.lcp.clone(),
-            segs: inner.segs.clone(),
-            model_error: inner.model_error,
         }
     }
 
@@ -553,8 +481,8 @@ impl Catalog {
 
     // ---- reads ------------------------------------------------------
 
-    /// Looks up the MIndex offset of `name`: model-predict → bounded
-    /// directory window read → one page probe → in-page binary search.
+    /// Looks up the MIndex offset of `name`: directory binary search →
+    /// one page probe → in-page binary search.
     ///
     /// The mutex is held only to take the root snapshot and to touch
     /// the page cache — never across the PMem reads — so concurrent
@@ -685,8 +613,6 @@ impl Catalog {
             cache_misses: self.misses.load(Ordering::Relaxed),
             cached_pages: inner.cache.cached_pages(),
             cache_bytes: inner.cache.bytes(),
-            model_segments: inner.segs.len() as u64,
-            model_fallbacks: self.fallbacks.load(Ordering::Relaxed),
         }
     }
 
@@ -717,15 +643,12 @@ impl Catalog {
         if inner.dir_count == 0 {
             let one = vec![(name.to_string(), off)];
             let page = self.write_pages(alloc, &one)?;
-            let keys = vec![derive_key(&inner.lcp, name)];
-            let dir: Vec<(u64, u64)> = vec![(keys[0], page[0])];
-            let segs = train_segments(&keys, inner.model_error);
+            let dir = vec![(derive_key(&inner.lcp, name), page[0])];
             let lcp = inner.lcp.clone();
-            let root = self.write_root(alloc, &lcp, &segs, &dir)?;
+            let root = self.write_root(alloc, &lcp, &dir)?;
             self.flip_root(alloc, &mut inner, root, &[])?;
             inner.dir_count = 1;
             inner.entries = 1;
-            inner.segs = Arc::new(segs);
             return Ok(None);
         }
         let snap = Self::snap_of(&inner);
@@ -752,9 +675,12 @@ impl Catalog {
             inner.cache.invalidate(old_page);
             Self::free_offsets(alloc, &[old_page])?;
         } else {
-            // Split: both halves (and a complete new root) are durable
-            // before the root-pointer flip commits them.
-            let pages = self.write_pages(alloc, &entries)?;
+            // Split at the byte midpoint: both halves (and a complete
+            // new root) are durable before the root-pointer flip
+            // commits them.
+            let mid = byte_midpoint(&entries);
+            let mut pages = self.write_pages(alloc, &entries[..mid])?;
+            pages.extend(self.write_pages(alloc, &entries[mid..])?);
             let mut dir = self.read_dir(&snap)?;
             let mut new_recs = Vec::with_capacity(pages.len());
             let mut cursor = 0usize;
@@ -764,13 +690,10 @@ impl Catalog {
                 cursor += count as usize;
             }
             dir.splice(idx as usize..=idx as usize, new_recs);
-            let keys: Vec<u64> = dir.iter().map(|(k, _)| *k).collect();
-            let segs = train_segments(&keys, inner.model_error);
             let lcp = inner.lcp.clone();
-            let root = self.write_root(alloc, &lcp, &segs, &dir)?;
+            let root = self.write_root(alloc, &lcp, &dir)?;
             self.flip_root(alloc, &mut inner, root, &[old_page])?;
             inner.dir_count = dir.len() as u64;
-            inner.segs = Arc::new(segs);
         }
         if prev.is_none() {
             inner.entries += 1;
@@ -801,13 +724,10 @@ impl Catalog {
             // The page dies: publish a root without its record.
             let mut dir = self.read_dir(&snap)?;
             dir.remove(idx as usize);
-            let keys: Vec<u64> = dir.iter().map(|(k, _)| *k).collect();
-            let segs = train_segments(&keys, inner.model_error);
             let lcp = inner.lcp.clone();
-            let root = self.write_root(alloc, &lcp, &segs, &dir)?;
+            let root = self.write_root(alloc, &lcp, &dir)?;
             self.flip_root(alloc, &mut inner, root, &[old_page])?;
             inner.dir_count = dir.len() as u64;
-            inner.segs = Arc::new(segs);
         } else {
             let pages = self.write_pages(alloc, &entries)?;
             let key = derive_key(&snap.lcp, &entries[0].0);
@@ -820,7 +740,7 @@ impl Catalog {
     }
 
     /// Replaces the whole catalog with `entries` in one publish: pack
-    /// pages, train the model, write a fresh root, flip the root
+    /// pages, write a fresh root, flip the root
     /// pointer, then free every superseded page. The `O(n)` build path
     /// — daemon seeding and recovery reconciliation use it instead of
     /// n incremental inserts.
@@ -854,15 +774,12 @@ impl Catalog {
             dir.push((derive_key(&lcp, &sorted[cursor].0), p));
             cursor += count as usize;
         }
-        let keys: Vec<u64> = dir.iter().map(|(k, _)| *k).collect();
-        let segs = train_segments(&keys, inner.model_error);
-        let root = self.write_root(alloc, &lcp, &segs, &dir)?;
+        let root = self.write_root(alloc, &lcp, &dir)?;
         inner.cache.clear();
         self.flip_root(alloc, &mut inner, root, &old_pages)?;
         inner.dir_count = dir.len() as u64;
         inner.entries = sorted.len() as u64;
         inner.lcp = lcp;
-        inner.segs = Arc::new(segs);
         Ok(())
     }
 
@@ -905,11 +822,11 @@ impl Catalog {
 
     /// Reads directory record `i` of the snapshot's root.
     fn read_dir_rec(&self, snap: &RootSnap, i: u64) -> PortusResult<(u64, u64)> {
-        let base = self.dir_base(snap) + i * DIR_REC;
-        Ok((
-            typed::read_u64(&self.dev, base)?,
-            typed::read_u64(&self.dev, base + 8)?,
-        ))
+        let mut rec = [0u8; DIR_REC as usize];
+        self.dev.read(self.dir_base(snap) + i * DIR_REC, &mut rec)?;
+        let (key, page) = rec.split_at(8);
+        let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8-byte half"));
+        Ok((word(key), word(page)))
     }
 
     /// Reads the full on-PMem directory into DRAM (mutation paths).
@@ -920,15 +837,14 @@ impl Catalog {
     }
 
     fn dir_base(&self, snap: &RootSnap) -> u64 {
-        snap.root_off + ROOT_SEG0 + snap.segs.len() as u64 * SEG_SIZE
+        snap.root_off + ROOT_DIR
     }
 
     /// Atomically repoints directory record `i` at a freshly persisted
     /// page: both words of the 16-byte record share one cache line
-    /// (`ROOT_SEG0` and `SEG_SIZE` are multiples of 16 and root blocks
-    /// are 64-aligned, so records are 16-aligned and never straddle a
-    /// 64-byte line — asserted in [`Catalog::write_root`]), so the
-    /// single persist flips key and pointer together.
+    /// (records are 16-aligned in a 64-aligned root block, see
+    /// [`ROOT_DIR`]), so the single persist flips key and pointer
+    /// together.
     fn update_dir_rec(&self, snap: &RootSnap, i: u64, key: u64, page_off: u64) -> PortusResult<()> {
         let base = self.dir_base(snap) + i * DIR_REC;
         debug_assert_eq!(base % DIR_REC, 0);
@@ -938,55 +854,27 @@ impl Catalog {
         Ok(())
     }
 
-    /// Finds the directory index of the page that covers `name`:
-    /// model-predict, read the bounded window, fall back to a full
-    /// binary search when the window does not bracket, then resolve
-    /// derived-key ties by comparing page first names.
+    /// Finds the directory index of the page that covers `name`: a
+    /// binary search over the on-PMem directory, one 16-byte record
+    /// read per probe, for the last record whose key is at most
+    /// `derived`; then derived-key ties resolve by comparing the pages'
+    /// first names.
     fn locate_page(&self, snap: &RootSnap, derived: u64, name: &str) -> PortusResult<u64> {
         debug_assert!(snap.dir_count > 0);
-        let n = snap.dir_count;
-        let eps = snap.model_error;
-        // Predict a directory position from the in-DRAM segments.
-        let (lo, hi) = match snap.segs.binary_search_by(|s| s.first_key.cmp(&derived)) {
-            Err(0) => (0, eps.min(n - 1)),
-            Ok(mut s) | Err(mut s) => {
-                if snap.segs.get(s).map(|g| g.first_key) != Some(derived) {
-                    s -= 1;
-                }
-                let seg = snap.segs[s];
-                let pos = seg.first_idx as f64 + seg.slope * (derived - seg.first_key) as f64;
-                let pos = (pos.round().max(0.0) as u64).min(n - 1);
-                (pos.saturating_sub(eps), (pos + eps).min(n - 1))
+        let (mut a, mut b) = (0u64, snap.dir_count);
+        while a < b {
+            let mid = (a + b) / 2;
+            let (k, _) = self.read_dir_rec(snap, mid)?;
+            if k <= derived {
+                a = mid + 1;
+            } else {
+                b = mid;
             }
-        };
-        // One DAX read covers the whole window.
-        let window = self.read_dir_range(snap, lo, hi)?;
-        let idx = if !window.is_empty()
-            && (window[0].0 <= derived || lo == 0)
-            && (window[window.len() - 1].0 > derived || hi == n - 1)
-        {
-            let part = window.partition_point(|(k, _)| *k <= derived);
-            lo + (part as u64).saturating_sub(1).min(window.len() as u64 - 1)
-        } else {
-            // Model miss: binary-search the on-PMem directory, one
-            // 16-byte record per probe.
-            self.fallbacks.fetch_add(1, Ordering::Relaxed);
-            let (mut a, mut b) = (0u64, n);
-            while a < b {
-                let mid = (a + b) / 2;
-                let (k, _) = self.read_dir_rec(snap, mid)?;
-                if k <= derived {
-                    a = mid + 1;
-                } else {
-                    b = mid;
-                }
-            }
-            a.saturating_sub(1)
-        };
+        }
         // Equal derived keys (names agreeing 8 bytes past the shared
         // prefix) span several records; the string order of the pages'
         // first names decides. Walk back through the tie run.
-        let mut idx = idx;
+        let mut idx = a.saturating_sub(1);
         loop {
             let (k, page_off) = self.read_dir_rec(snap, idx)?;
             if k < derived || idx == 0 {
@@ -999,23 +887,6 @@ impl Catalog {
             }
         }
         Ok(idx)
-    }
-
-    /// Reads directory records `lo..=hi` in one device read.
-    fn read_dir_range(&self, snap: &RootSnap, lo: u64, hi: u64) -> PortusResult<Vec<(u64, u64)>> {
-        let count = (hi + 1 - lo) as usize;
-        let mut buf = vec![0u8; count * DIR_REC as usize];
-        self.dev
-            .read(self.dir_base(snap) + lo * DIR_REC, &mut buf)?;
-        Ok(buf
-            .chunks_exact(DIR_REC as usize)
-            .map(|c| {
-                (
-                    u64::from_le_bytes(c[..8].try_into().unwrap()),
-                    u64::from_le_bytes(c[8..].try_into().unwrap()),
-                )
-            })
-            .collect())
     }
 
     /// The decoded page at `page_off`, via the clamped CLOCK cache.
@@ -1048,47 +919,28 @@ impl Catalog {
     }
 
     /// Writes and persists a complete root block (header, shared
-    /// prefix, segments, directory). Not yet published — the caller
-    /// flips the root pointer.
+    /// prefix, directory). Not yet published — the caller flips the
+    /// root pointer.
     fn write_root(
         &self,
         alloc: &PmemAllocator,
         lcp: &str,
-        segs: &[Segment],
         dir: &[(u64, u64)],
     ) -> PortusResult<u64> {
-        let size = ROOT_SEG0 + segs.len() as u64 * SEG_SIZE + dir.len() as u64 * DIR_REC;
-        let region = alloc.alloc_aligned(size.max(64), 64, CATALOG_ROOT_TAG)?;
+        let size = ROOT_DIR + dir.len() as u64 * DIR_REC;
+        let region = alloc.alloc_aligned(size, 64, CATALOG_ROOT_TAG)?;
         let off = region.offset;
         typed::write_u32(&self.dev, off, ROOT_MAGIC)?;
-        typed::write_u32(&self.dev, off + 4, 1)?;
+        typed::write_u32(&self.dev, off + 4, ROOT_VERSION)?;
         typed::write_u32(&self.dev, off + 8, dir.len() as u32)?;
-        typed::write_u32(&self.dev, off + 12, segs.len() as u32)?;
-        typed::write_u32(&self.dev, off + 16, self.page_bytes as u32)?;
-        typed::write_u32(&self.dev, off + 20, 0)?;
+        typed::write_u32(&self.dev, off + 12, self.page_bytes as u32)?;
         typed::write_str(&self.dev, off + ROOT_LCP, lcp)?;
-        for (i, s) in segs.iter().enumerate() {
-            let at = off + ROOT_SEG0 + i as u64 * SEG_SIZE;
-            typed::write_u64(&self.dev, at, s.first_key)?;
-            typed::write_u64(&self.dev, at + 8, s.first_idx)?;
-            typed::write_u64(&self.dev, at + 16, s.slope.to_bits())?;
-            typed::write_u64(&self.dev, at + 24, 0)?;
-        }
-        let dir0 = off + ROOT_SEG0 + segs.len() as u64 * SEG_SIZE;
-        // The in-place record flip (update_dir_rec) is only a single-
-        // cache-line commit point if no record straddles a 64-byte
-        // boundary; 16-alignment of the directory base guarantees that
-        // for 16-byte records in a 64-aligned block.
-        assert_eq!(
-            dir0 % DIR_REC,
-            0,
-            "catalog directory base must be 16-aligned"
-        );
         for (i, (k, p)) in dir.iter().enumerate() {
-            typed::write_u64(&self.dev, dir0 + i as u64 * DIR_REC, *k)?;
-            typed::write_u64(&self.dev, dir0 + i as u64 * DIR_REC + 8, *p)?;
+            let at = off + ROOT_DIR + i as u64 * DIR_REC;
+            typed::write_u64(&self.dev, at, *k)?;
+            typed::write_u64(&self.dev, at + 8, *p)?;
         }
-        self.dev.persist(off, size.max(64))?;
+        self.dev.persist(off, size)?;
         Ok(off)
     }
 
@@ -1149,12 +1001,9 @@ impl Catalog {
                 .ok_or_else(|| PortusError::Daemon("empty catalog page".into()))?;
             rec.0 = derive_key(&new_lcp, &first);
         }
-        let keys: Vec<u64> = dir.iter().map(|(k, _)| *k).collect();
-        let segs = train_segments(&keys, inner.model_error);
-        let root = self.write_root(alloc, &new_lcp, &segs, &dir)?;
+        let root = self.write_root(alloc, &new_lcp, &dir)?;
         self.flip_root(alloc, inner, root, &[])?;
         inner.lcp = new_lcp;
-        inner.segs = Arc::new(segs);
         Ok(())
     }
 }
@@ -1256,25 +1105,6 @@ mod tests {
     }
 
     #[test]
-    fn train_segments_respects_error_bound() {
-        // A convex-ish curve the single-line fit cannot follow.
-        let keys: Vec<u64> = (0..500u64).map(|i| i * i * 7 + i).collect();
-        let eps = 4u64;
-        let segs = train_segments(&keys, eps);
-        assert!(!segs.is_empty());
-        for (i, &k) in keys.iter().enumerate() {
-            let s = match segs.binary_search_by(|s| s.first_key.cmp(&k)) {
-                Ok(s) => s,
-                Err(s) => s - 1,
-            };
-            let seg = segs[s];
-            let pos = seg.first_idx as f64 + seg.slope * (k - seg.first_key) as f64;
-            let err = (pos - i as f64).abs();
-            assert!(err <= eps as f64 + 1.0, "key {k}: err {err} > eps {eps}");
-        }
-    }
-
-    #[test]
     fn insert_lookup_remove_round_trip() {
         let (_dev, alloc, cat) = harness(&CatalogConfig::default());
         for i in 0..300u64 {
@@ -1320,7 +1150,6 @@ mod tests {
         let cfg = CatalogConfig {
             page_bytes: 512,
             cache_pages: 4,
-            model_error: 4,
         };
         let (_dev, alloc, cat) = harness(&cfg);
         let mut oracle: BTreeMap<String, u64> = BTreeMap::new();
@@ -1358,7 +1187,6 @@ mod tests {
         let cfg = CatalogConfig {
             page_bytes: 256,
             cache_pages: 4,
-            model_error: 2,
         };
         let (_dev, alloc, cat) = harness(&cfg);
         for n in [1u64, 37, 150, 400, 900] {
@@ -1369,7 +1197,7 @@ mod tests {
             let inner = cat.inner.lock();
             let snap = Catalog::snap_of(&inner);
             let base = cat.dir_base(&snap);
-            assert_eq!(base % DIR_REC, 0, "{} segs", snap.segs.len());
+            assert_eq!(base % DIR_REC, 0);
             for i in 0..snap.dir_count {
                 let at = base + i * DIR_REC;
                 assert_eq!(at / 64, (at + DIR_REC - 1) / 64, "record {i} straddles");
@@ -1382,7 +1210,6 @@ mod tests {
         let cfg = CatalogConfig {
             page_bytes: 256,
             cache_pages: 3,
-            model_error: 4,
         };
         let (_dev, alloc, cat) = harness(&cfg);
         let entries: Vec<(String, u64)> =
@@ -1413,7 +1240,6 @@ mod tests {
         let cfg = CatalogConfig {
             page_bytes: 256,
             cache_pages: 8,
-            model_error: 2,
         };
         let (_dev, alloc, cat) = harness(&cfg);
         let entries: Vec<(String, u64)> = (0..900u64)
@@ -1424,6 +1250,109 @@ mod tests {
             assert_eq!(cat.lookup(name).unwrap(), Some(*off), "name {name}");
         }
         assert_eq!(cat.lookup("1CCCCCCCCCC9999").unwrap(), None);
+
+        // The directory search over populations of 1 to ~300 pages:
+        // every present name resolves, and absent names inside pages,
+        // between pages, before the first and after the last miss.
+        let check = |oracle: &BTreeMap<String, u64>, absent: &[String]| {
+            let entries: Vec<(String, u64)> = oracle.iter().map(|(k, v)| (k.clone(), *v)).collect();
+            cat.bulk_replace(&alloc, &entries).unwrap();
+            let pages = cat.stats().pages;
+            for probe in oracle.keys().chain(absent) {
+                assert_eq!(
+                    cat.lookup(probe).unwrap(),
+                    oracle.get(probe).copied(),
+                    "{probe:?} among {} names in {pages} pages",
+                    oracle.len()
+                );
+            }
+            pages
+        };
+        // Even indices are present, odd ones absent.
+        let grouped = |i: u64| format!("{}CCCCCCCCCC{i:05}", (i / 2) % 3);
+        let mut most = 0;
+        for n in [1u64, 8, 9, 40, 400, 2400] {
+            let oracle = (0..n).map(|i| (grouped(2 * i), 7 * i + 1)).collect();
+            let absent: Vec<String> = (0..n)
+                .map(|i| grouped(2 * i + 1))
+                .chain(["/".to_string(), "~".to_string()])
+                .collect();
+            most = most.max(check(&oracle, &absent));
+        }
+        assert!(most >= 250, "the largest population spans {most} pages");
+
+        // With the bare shared prefix present, every derived key is
+        // equal: each other name's tail starts with eight NUL bytes.
+        let tied = |i: u64| format!("tie{}{i:05}", "\0".repeat(8));
+        let mut oracle: BTreeMap<String, u64> = (0..400).map(|i| (tied(2 * i), i)).collect();
+        oracle.insert("tie".to_string(), 9999);
+        let absent: Vec<String> = (0..400)
+            .map(|i| tied(2 * i + 1))
+            .chain(["tid".to_string(), "tif".to_string()])
+            .collect();
+        assert!(check(&oracle, &absent) > 40);
+        let inner = cat.inner.lock();
+        let dir = cat.read_dir(&Catalog::snap_of(&inner)).unwrap();
+        assert!(dir.iter().all(|&(k, _)| k == dir[0].0), "one derived key");
+        drop(inner);
+        assert_no_leaks(&alloc, &cat);
+    }
+
+    #[test]
+    fn splits_leave_pages_at_least_half_full() {
+        // Interleaved names (unpadded indices across four families)
+        // land in the middle of full pages; a split that packed one
+        // full page plus the remainder left a one-entry page behind
+        // every such insert.
+        let (_dev, alloc, cat) = harness(&CatalogConfig::default());
+        let names: Vec<String> = (0..1024)
+            .map(|j| format!("hub/family{}/model{j}", j % 4))
+            .collect();
+        for (j, n) in names.iter().enumerate() {
+            cat.insert(&alloc, n, j as u64).unwrap();
+        }
+        let packed: u64 = names.iter().map(|n| micropage::entry_encoded_len(n)).sum();
+        let page = CatalogConfig::default().page_bytes;
+        let pages = cat.stats().pages;
+        assert!(
+            pages <= 2 * packed.div_ceil(page) + 1,
+            "{pages} pages for {packed} packed bytes"
+        );
+        for (j, n) in names.iter().enumerate() {
+            assert_eq!(cat.lookup(n).unwrap(), Some(j as u64));
+        }
+        assert_no_leaks(&alloc, &cat);
+    }
+
+    #[test]
+    fn byte_midpoint_balances_encoded_sizes() {
+        let entries: Vec<(String, u64)> = ["a", "bb", "ccc", "dddd", "eeeeeeeeeeeeeeeeeeee"]
+            .iter()
+            .map(|n| (n.to_string(), 0))
+            .collect();
+        // Encoded sizes 11, 12, 13, 14, 30: the first four hold 50 of 80.
+        assert_eq!(byte_midpoint(&entries), 4);
+        assert_eq!(byte_midpoint(&entries[..2]), 1);
+        assert_eq!(byte_midpoint(&entries[..1]), 1);
+    }
+
+    #[test]
+    fn recover_refuses_other_root_versions() {
+        let (dev, alloc, cat) = harness(&CatalogConfig::default());
+        cat.insert(&alloc, "model-a", 1).unwrap();
+        let root = cat.root_offset();
+        drop(cat);
+        for version in [1u32, 3] {
+            typed::write_u32(&dev, root + 4, version).unwrap();
+            dev.persist(root + 4, 4).unwrap();
+            assert!(matches!(
+                Catalog::recover(dev.clone(), ROOT_PTR, &CatalogConfig::default()),
+                Err(PortusError::Pmem(PmemError::Corrupt(msg))) if msg.contains("version")
+            ));
+        }
+        typed::write_u32(&dev, root + 4, ROOT_VERSION).unwrap();
+        let rec = Catalog::recover(dev, ROOT_PTR, &CatalogConfig::default()).unwrap();
+        assert_eq!(rec.lookup("model-a").unwrap(), Some(1));
     }
 
     #[test]
@@ -1453,7 +1382,6 @@ mod tests {
         let cfg = CatalogConfig {
             page_bytes: 512,
             cache_pages: 8,
-            model_error: 4,
         };
         let (dev, alloc, cat) = harness(&cfg);
         let entries: Vec<(String, u64)> = (0..500u64)
@@ -1481,7 +1409,6 @@ mod tests {
         let cfg = CatalogConfig {
             page_bytes: 512,
             cache_pages: 4,
-            model_error: 4,
         };
         let (dev, alloc, cat) = harness(&cfg);
         let entries: Vec<(String, u64)> =
@@ -1519,31 +1446,6 @@ mod tests {
     }
 
     #[test]
-    fn model_predictions_mostly_avoid_the_fallback() {
-        let (_dev, alloc, cat) = harness(&CatalogConfig {
-            page_bytes: 512,
-            cache_pages: 0, // force every probe to PMem
-            model_error: 8,
-        });
-        let entries: Vec<(String, u64)> =
-            (0..2000u64).map(|i| (format!("model-{i:07}"), i)).collect();
-        cat.bulk_replace(&alloc, &entries).unwrap();
-        for (name, off) in &entries {
-            assert_eq!(cat.lookup(name).unwrap(), Some(*off));
-        }
-        let s = cat.stats();
-        assert!(s.model_segments >= 1);
-        // The trained model should bracket nearly every probe; the
-        // binary-search fallback exists for stale models, not steady
-        // state.
-        assert!(
-            s.model_fallbacks * 10 <= 2000,
-            "too many fallbacks: {}",
-            s.model_fallbacks
-        );
-    }
-
-    #[test]
     fn concurrent_lookups_race_mutations_safely() {
         // Lookups run their PMem reads outside the catalog mutex and
         // must retry (never error, never return garbage) when a
@@ -1551,7 +1453,6 @@ mod tests {
         let cfg = CatalogConfig {
             page_bytes: 512,
             cache_pages: 8,
-            model_error: 4,
         };
         let (_dev, alloc, cat) = harness(&cfg);
         for i in 0..200u64 {

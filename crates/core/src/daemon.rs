@@ -70,6 +70,17 @@ use crate::{
     Index, MIndex, ModelMap, PortusError, PortusResult, SlotHeader, SlotState, VerbFailure,
 };
 
+/// How long (host wall clock — queueing charges no virtual time) a
+/// checkpoint dispatch may wait for space on a full normal queue before
+/// it is shed with [`Reply::Throttled`]. Generous, so a briefly-full
+/// queue still backpressures rather than sheds.
+const SHED_WAIT: Duration = Duration::from_millis(500);
+
+/// The `retry_after` hint carried by a queue-shed [`Reply::Throttled`]
+/// (virtual time; admission sheds compute the token bucket's exact
+/// deficit instead).
+const SHED_RETRY_AFTER: SimDuration = SimDuration::from_millis(1);
+
 /// Daemon configuration.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
@@ -87,9 +98,9 @@ pub struct DaemonConfig {
     pub dispatch_workers: usize,
     /// Bound of the dispatch queue's **normal class** (checkpoint
     /// traffic): at most this many requests wait for a worker. Once
-    /// full, a further checkpoint dispatch waits up to
-    /// [`DaemonConfig::shed_wait`] for space and is then **shed** with
-    /// a typed [`Reply::Throttled`] — overload is surfaced to the
+    /// full, a further checkpoint dispatch waits up to 500 ms of host
+    /// time for space and is then **shed** with a typed
+    /// [`Reply::Throttled`] — overload is surfaced to the
     /// client instead of silently blocking the connection thread.
     /// Restores and control-plane requests ride the urgent class and
     /// are never shed. Current depth, high-water mark, and this
@@ -129,16 +140,6 @@ pub struct DaemonConfig {
     /// storm. Disabled, restores queue behind checkpoints in the
     /// bounded normal class (but are still never shed).
     pub priority_restore: bool,
-    /// How long (host wall clock — queueing charges no virtual time) a
-    /// checkpoint dispatch may wait for space on a full normal queue
-    /// before it is shed with [`Reply::Throttled`]. Generous by
-    /// default so a briefly-full queue still backpressures rather than
-    /// shedding.
-    pub shed_wait: Duration,
-    /// The `retry_after` hint carried by a queue-shed
-    /// [`Reply::Throttled`] (virtual time; admission sheds compute the
-    /// token bucket's exact deficit instead).
-    pub shed_retry_after: SimDuration,
     /// Content-addressed deduplication (ROADMAP item 5). `None` (the
     /// default) keeps every checkpoint a plain contiguous region —
     /// bit-for-bit the pre-dedup daemon. `Some` formats (or recovers)
@@ -146,11 +147,11 @@ pub struct DaemonConfig {
     /// checkpoint into an extent map of content-addressed chunks, so
     /// fine-tunes sharing a base model share physical extents.
     pub dedup: Option<crate::DedupConfig>,
-    /// Paged on-PMem model catalog with a learned root (ROADMAP item
-    /// 3). `None` (the default) keeps name resolution on the unbounded
-    /// DRAM [`ModelMap`] mirror — bit-for-bit the pre-catalog daemon.
-    /// `Some` formats (or recovers) the catalog on the namespace,
-    /// routes every name lookup through it (one bounded page probe
+    /// Paged on-PMem model catalog. `None` (the default) keeps name
+    /// resolution on the unbounded DRAM [`ModelMap`] mirror —
+    /// bit-for-bit the pre-catalog daemon. `Some` formats (or
+    /// recovers) the catalog on the namespace, routes every name
+    /// lookup through it (a directory binary search and one page probe
     /// under a clamped DRAM page cache), and leaves the ModelMap
     /// empty, so daemon DRAM stays O(cache) no matter how many models
     /// the namespace holds.
@@ -171,8 +172,6 @@ impl Default for DaemonConfig {
             qps_per_connection: 1,
             qos: QosConfig::default(),
             priority_restore: true,
-            shed_wait: Duration::from_millis(500),
-            shed_retry_after: SimDuration::from_millis(1),
             dedup: None,
             catalog: None,
         }
@@ -891,7 +890,7 @@ fn serve(
         // Checkpoints shed after the bounded wait; a restore demoted to
         // the normal class (priority disabled) waits forever — restores
         // are never shed.
-        let shed_wait = is_checkpoint.then_some(state.cfg.shed_wait);
+        let shed_wait = is_checkpoint.then_some(SHED_WAIT);
         match dispatcher.dispatch(job, class, shed_wait) {
             DispatchOutcome::Queued => {}
             DispatchOutcome::Shed(job) => {
@@ -899,7 +898,7 @@ fn serve(
                 state.ctx.metrics.tenant_shed(&tenant.name);
                 let _ = replies.send(Reply::Throttled {
                     req_id,
-                    retry_after_ns: state.cfg.shed_retry_after.as_nanos(),
+                    retry_after_ns: SHED_RETRY_AFTER.as_nanos(),
                 });
             }
             // The pool is draining (shutdown raced a late request); run
@@ -1127,7 +1126,7 @@ enum CarrySrc {
     /// contiguous region.
     Plain(u64),
     /// The previous version is extent-mapped: its map's offset. The
-    /// carry decompresses/copies the touched chunks out of the store.
+    /// carry copies the touched chunks out of the store.
     Extents(u64),
 }
 
@@ -1328,13 +1327,9 @@ impl DaemonState {
         );
         if let Some(store) = self.index.extent_store() {
             let Ok(s) = store.stats() else { return };
-            self.ctx.metrics.set_dedup(
-                s.live,
-                s.shared,
-                s.compressed,
-                s.referenced_logical,
-                s.stored_bytes,
-            );
+            self.ctx
+                .metrics
+                .set_dedup(s.live, s.shared, s.referenced_logical, s.stored_bytes);
         }
         self.ctx
             .metrics
@@ -1577,7 +1572,7 @@ impl DaemonState {
             .iter()
             .map(|qp| {
                 let cq = CompletionQueue::new();
-                let pqp = PostedQueuePair::from_shared_deferred(Arc::clone(qp), cq.clone());
+                let pqp = PostedQueuePair::new(Arc::clone(qp), cq.clone());
                 (pqp, cq)
             })
             .collect();
@@ -2182,18 +2177,16 @@ impl DaemonState {
 
         // An extent-mapped version is materialized into a scratch
         // region first, so the plain restore datapath (verify + pushes)
-        // runs unchanged against it. This is where the compression
-        // trade-off is paid: stored bytes come off media at DAX-read
-        // cost (fewer when compressed), logical bytes land in the
-        // scratch region at DAX-write cost. A crash mid-restore leaves
-        // the scratch region unreachable and recovery GCs it.
+        // runs unchanged against it. Every byte comes off the extents
+        // at DAX-read cost and lands in the scratch region at DAX-write
+        // cost. A crash mid-restore leaves the scratch region
+        // unreachable and recovery GCs it.
         let mut scratch = None;
         let (mi, hdr) = if hdr.ext_map != 0 {
             let t_mat = self.ctx.clock.now();
             let m = crate::dedup::materialize_slot(&self.index, &mi, slot)?;
-            self.ctx.charge(
-                self.ctx.model.dax_read(m.stored_read) + self.ctx.model.dax_write(m.logical),
-            );
+            self.ctx
+                .charge(self.ctx.model.dax_read(m.bytes) + self.ctx.model.dax_write(m.bytes));
             sc.record_now(Stage::Dedup, t_mat);
             let mut mi = mi;
             mi.slots[slot].data_off = m.region.offset;

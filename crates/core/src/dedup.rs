@@ -1,4 +1,4 @@
-//! The content-addressed dedup tier (ROADMAP item 5).
+//! The content-addressed dedup tier.
 //!
 //! With dedup enabled, a checkpoint's pulled staging region is chunked
 //! into fixed-size extents keyed by a splitmix64 content hash
@@ -40,10 +40,9 @@
 //! Every crash window over-counts, never under-counts, and recovery's
 //! recount makes the refcounts exact again.
 //!
-//! Restores materialize the logical bytes into a scratch region
+//! Restores materialize the checkpoint's bytes into a scratch region
 //! (tagged [`SCRATCH_TAG`], reclaimed by recovery if a crash strands
-//! it), paying the extents' *stored* size in DAX reads — compressed
-//! cold extents trade restore read cost for capacity.
+//! it), paying one DAX read and one DAX write per byte.
 
 use portus_pmem::{typed, PmemAlloc, PmemDevice};
 
@@ -70,12 +69,6 @@ pub struct DedupConfig {
     pub chunk_bytes: u64,
     /// Extent-store capacity (records).
     pub max_extents: u32,
-    /// RLE-compress chunks at ingest when that is smaller.
-    pub compress_on_ingest: bool,
-    /// When set, each repack pass RLE-recompresses extents idle for at
-    /// least this many store accesses; restores of them pay the
-    /// decompression at DAX-read cost.
-    pub cold_compress_idle: Option<u64>,
 }
 
 impl Default for DedupConfig {
@@ -83,8 +76,6 @@ impl Default for DedupConfig {
         DedupConfig {
             chunk_bytes: 64 << 10,
             max_extents: 16384,
-            compress_on_ingest: false,
-            cold_compress_idle: None,
         }
     }
 }
@@ -139,7 +130,7 @@ pub(crate) struct ExtentSeal {
     pub shared_chunks: usize,
     /// Staging bytes read off media (DAX-read cost), once each.
     pub read_bytes: u64,
-    /// Stored bytes newly written for unshared chunks (DAX-write cost).
+    /// Bytes newly written for unshared chunks (DAX-write cost).
     pub new_bytes: u64,
     /// Bytes of the extent map written (DAX-write cost).
     pub map_bytes: u64,
@@ -261,11 +252,11 @@ fn extent_pass(
             dev.read(hdr.data_off + rel, &mut buf[..len])?;
             report.read_bytes += len as u64;
             digest = combine_digests(digest, region_digest(&buf[..len], rel));
-            let r = store.insert_or_ref(&buf[..len], alloc, cfg.compress_on_ingest)?;
+            let r = store.insert_or_ref(&buf[..len], alloc)?;
             if r.shared {
                 report.shared_chunks += 1;
             } else {
-                report.new_bytes += r.stored_len;
+                report.new_bytes += len as u64;
             }
             refs.push(r.slot);
         }
@@ -341,17 +332,14 @@ pub(crate) fn release_slot_extents(
 }
 
 /// A materialized extent-mapped checkpoint: the scratch region holding
-/// the logical bytes, and the stored bytes read to build it (the
-/// DAX-read cost — less than `logical` when extents are compressed,
-/// plus nothing extra when they are not).
+/// its bytes, and how many bytes were read off the extents and written
+/// into the region (the DAX-read and DAX-write cost).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Materialized {
-    /// The scratch allocation holding the logical bytes.
+    /// The scratch allocation holding the checkpoint's bytes.
     pub region: PmemAlloc,
-    /// Stored bytes read off media.
-    pub stored_read: u64,
-    /// Logical bytes written into the scratch region.
-    pub logical: u64,
+    /// Bytes read off the extents, and written into the region.
+    pub bytes: u64,
 }
 
 /// Rebuilds an extent-mapped slot's logical bytes into a fresh scratch
@@ -378,9 +366,8 @@ pub(crate) fn materialize_slot(
     let dev = index.device();
     let mut out = Vec::new();
     let mut pos = 0u64;
-    let mut stored_read = 0u64;
     for &e in &map.extents {
-        stored_read += store.read_into(e, &mut out)?;
+        store.read_into(e, &mut out)?;
         dev.write(region.offset + pos, &out)?;
         pos += out.len() as u64;
     }
@@ -393,8 +380,7 @@ pub(crate) fn materialize_slot(
     }
     Ok(Materialized {
         region,
-        stored_read,
-        logical: map.logical,
+        bytes: map.logical,
     })
 }
 
@@ -403,7 +389,7 @@ pub(crate) fn materialize_slot(
 /// land at the same relative offset in `dst_data_off`'s region.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RangeCopy {
-    /// Stored bytes read off media (whole touched extents).
+    /// Bytes read off media (whole touched extents).
     pub read_bytes: u64,
     /// Positional digest of the copied range, keyed by `rel_off` —
     /// combinable with the pull runs' digests.
@@ -448,7 +434,8 @@ pub(crate) fn copy_range_from_extents(
     let mut digest = 0u64;
     for ci in first..=last {
         let ext = map.extents[ci as usize];
-        read_bytes += store.read_into(ext, &mut out)?;
+        store.read_into(ext, &mut out)?;
+        read_bytes += out.len() as u64;
         let chunk_base = ci * map.chunk_bytes;
         let start = rel_off.max(chunk_base);
         let end = (rel_off + len).min(chunk_base + out.len() as u64);

@@ -42,7 +42,7 @@ const MINDEX_MAGIC: u32 = 0x4D49_4458; // "MIDX"
 /// enabled on this namespace).
 const SUPER_XT_OFF: u64 = 48;
 
-/// Superblock word holding the learned catalog's root-block offset
+/// Superblock word holding the catalog's root-block offset
 /// (0 = catalog never enabled on this namespace). Flipping this word
 /// is the commit point for catalog root rebuilds — see
 /// [`crate::Catalog`].
@@ -299,7 +299,7 @@ pub struct Index {
     /// The content-addressed extent store, present once dedup is
     /// enabled (or recovered from a namespace that had it enabled).
     extents: OnceLock<ExtentStore>,
-    /// The learned micro-paged catalog, present once enabled (or
+    /// The micro-paged catalog, present once enabled (or
     /// recovered from a namespace that had it enabled).
     catalog: OnceLock<Catalog>,
 }
@@ -355,9 +355,8 @@ impl Index {
     /// survivor's regions when either is removed.
     ///
     /// When the superblock records an extent table, the extent store is
-    /// recovered too: its relocation journal is replayed, every
-    /// persistent refcount is recounted from the live slots' extent
-    /// maps (the durable counts are advisory — a crash can tear an
+    /// recovered too: every persistent refcount is recounted from the
+    /// live slots' extent maps (the durable counts are advisory — a crash can tear an
     /// incref/decref), and extents no map references are swept. The
     /// recount is what guarantees recovery never frees a referenced
     /// extent and never leaks an unreferenced one.
@@ -447,7 +446,7 @@ impl Index {
             let _ = index.extents.set(store);
         }
 
-        // Recover the learned catalog if this namespace has one:
+        // Recover the catalog if this namespace has one:
         // mount it, reconcile it against the authoritative table view
         // (covering the crash windows between a table publish/retire
         // and the matching catalog update), then mark its root and
@@ -507,8 +506,8 @@ impl Index {
         self.extents.get()
     }
 
-    /// Enables the learned micro-paged catalog: recovers the root
-    /// recorded in the superblock (applying `cfg`'s runtime knobs), or
+    /// Enables the micro-paged catalog: recovers the root recorded in
+    /// the superblock (applying `cfg`'s cache clamp), or
     /// formats an empty catalog and publishes its root. Idempotent.
     ///
     /// # Errors
@@ -529,7 +528,7 @@ impl Index {
         Ok(())
     }
 
-    /// The learned catalog, when one is mounted on this namespace.
+    /// The catalog, when one is mounted on this namespace.
     pub fn catalog(&self) -> Option<&Catalog> {
         self.catalog.get()
     }

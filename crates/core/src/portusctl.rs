@@ -233,7 +233,7 @@ pub fn render_tenants(snapshot: &MetricsSnapshot) -> String {
 /// PMem free/used gauges, the largest contiguous extent, the derived
 /// fragmentation ratio, the repacker's lifetime reclaim counters, and
 /// (when a dedup tier is active) the content-addressed extent store's
-/// sharing/compression gauges.
+/// sharing gauges.
 pub fn render_space(snapshot: &MetricsSnapshot) -> String {
     let frag = snapshot.fragmentation_permille();
     let mut out = String::from("PMEM SPACE\n");
@@ -277,10 +277,6 @@ pub fn render_space(snapshot: &MetricsSnapshot) -> String {
         out.push_str(&format!(
             "  shared extents       {:>16}\n",
             snapshot.dedup_shared_extents
-        ));
-        out.push_str(&format!(
-            "  compressed extents   {:>16}\n",
-            snapshot.dedup_compressed_extents
         ));
         out.push_str(&format!(
             "  logical bytes        {:>16}\n",
@@ -481,7 +477,7 @@ mod tests {
     fn render_space_includes_dedup_when_active() {
         let m = Metrics::new();
         m.set_space(1000, 3000, 250);
-        m.set_dedup(10, 4, 1, 1 << 20, 256 << 10);
+        m.set_dedup(10, 4, 1 << 20, 256 << 10);
         m.record_dedup_ingest(64, 48);
         m.record_swept_extents(2, 8192);
         let s = render_space(&m.snapshot());

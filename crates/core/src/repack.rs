@@ -73,10 +73,6 @@ pub struct RepackReport {
     pub swept_extents: usize,
     /// Payload bytes those sweeps returned to the allocator.
     pub swept_extent_bytes: u64,
-    /// Cold extents rewritten compressed by this pass.
-    pub compressed_extents: usize,
-    /// Bytes the compression rewrites saved.
-    pub compressed_saved_bytes: u64,
 }
 
 /// Runs one repacking pass over every model on `daemon`'s PMem.
@@ -134,24 +130,17 @@ pub(crate) fn repack_pass(
     scan.and(sweep).map(|()| report)
 }
 
-/// Sweeps refcount-zero extents out of the content-addressed store and
-/// (when [`crate::DedupConfig::cold_compress_idle`] is set) rewrites
-/// cold extents compressed. A no-op on daemons without an extent store.
+/// Sweeps refcount-zero extents out of the content-addressed store. A
+/// no-op on daemons without an extent store.
 fn sweep_extents(state: &DaemonState, report: &mut RepackReport) -> PortusResult<()> {
     let Some(store) = state.index.extent_store() else {
         return Ok(());
     };
-    let alloc = state.index.allocator();
-    let (swept, bytes) = store.sweep_unreferenced(alloc)?;
+    let (swept, bytes) = store.sweep_unreferenced(state.index.allocator())?;
     report.swept_extents = swept;
     report.swept_extent_bytes = bytes;
     if swept > 0 {
         state.ctx.metrics.record_swept_extents(swept as u64, bytes);
-    }
-    if let Some(idle) = state.cfg.dedup.as_ref().and_then(|d| d.cold_compress_idle) {
-        let (compressed, saved) = store.compress_cold(alloc, idle)?;
-        report.compressed_extents = compressed;
-        report.compressed_saved_bytes = saved;
     }
     Ok(())
 }

@@ -41,7 +41,6 @@ pub use alloc::{PmemAlloc, PmemAllocator};
 pub use device::{CrashSpec, PmemDevice, PmemMode, CACHE_LINE};
 pub use error::{PmemError, PmemResult};
 pub use extent::{
-    content_hash, rle_compress, rle_decompress, ExtentRecord, ExtentRef, ExtentStats, ExtentStore,
-    EXTENT_DATA_TAG, EXTENT_FLAG_COMPRESSED,
+    content_hash, ExtentRecord, ExtentRef, ExtentStats, ExtentStore, EXTENT_DATA_TAG,
 };
 pub use image::{load_image, save_image};

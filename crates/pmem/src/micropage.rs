@@ -5,7 +5,7 @@
 //! catalog mutations copy-on-write a fresh page and swing a pointer, so
 //! a torn write can only corrupt a page nothing references yet. The
 //! codec here is deliberately dumb — a 16-byte header followed by
-//! length-prefixed entries — because all ordering/learned-index logic
+//! length-prefixed entries — because all ordering and directory logic
 //! lives above it (`portus-core::catalog`).
 //!
 //! Layout (little-endian):

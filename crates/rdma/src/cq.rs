@@ -8,7 +8,9 @@
 //! posting order. The simulated transfer still happens eagerly under
 //! the hood (the fabric is in-process), so posting N reads and polling
 //! once is semantically the batched pull a production Portus daemon
-//! would issue.
+//! would issue. Posting never advances the shared clock: each WQE is
+//! scheduled on its QP's lane engines, and whoever drains the
+//! completions advances the clock to the latest `end` it observed.
 //!
 //! Posts are **doorbell-batched**: all verbs posted between two
 //! [`PostedQueuePair::begin_batch`] calls share one doorbell, so the
@@ -124,46 +126,27 @@ pub struct PostedQueuePair {
     cq: CompletionQueue,
     next_wr: Mutex<u64>,
     posted_in_batch: Mutex<u64>,
-    deferred: bool,
 }
 
 impl PostedQueuePair {
     /// Binds `qp`'s completions to `cq`. A fresh doorbell batch is open:
     /// the first post pays the full per-verb latency, follow-on posts
     /// ride the same doorbell until [`PostedQueuePair::begin_batch`].
-    pub fn new(qp: QueuePair, cq: CompletionQueue) -> PostedQueuePair {
-        PostedQueuePair {
-            qp: Arc::new(qp),
-            cq,
-            next_wr: Mutex::new(1),
-            posted_in_batch: Mutex::new(0),
-            deferred: false,
-        }
-    }
-
-    /// As [`PostedQueuePair::new`], but over a queue pair that is also
-    /// used elsewhere (e.g. a daemon's per-client QP shared between
-    /// worker threads), and posts ride the *deferred* verbs
-    /// ([`QueuePair::read_gather_deferred`] /
-    /// [`QueuePair::write_scatter_deferred`]): WQEs are scheduled on
-    /// the QP's lane engines without advancing the shared clock, so
+    ///
+    /// The queue pair may be shared (e.g. a daemon's per-client QP used
+    /// by several worker threads). Posts schedule their WQEs on the
+    /// QP's lane engines without advancing the shared clock
+    /// ([`QueuePair::read_gather`] / [`QueuePair::write_scatter`]), so
     /// several striped queue pairs can post from one instant and
-    /// overlap on independent NIC engines. The driver must advance the
-    /// clock itself when it drains the round (to the max completion
-    /// `end` it observed).
-    pub fn from_shared_deferred(qp: Arc<QueuePair>, cq: CompletionQueue) -> PostedQueuePair {
+    /// overlap on independent NIC engines; the driver advances the
+    /// clock itself when it drains the round.
+    pub fn new(qp: impl Into<Arc<QueuePair>>, cq: CompletionQueue) -> PostedQueuePair {
         PostedQueuePair {
-            qp,
+            qp: qp.into(),
             cq,
             next_wr: Mutex::new(1),
             posted_in_batch: Mutex::new(0),
-            deferred: true,
         }
-    }
-
-    /// Whether this endpoint posts with deferred clock charging.
-    pub fn is_deferred(&self) -> bool {
-        self.deferred
     }
 
     fn fresh_wr(&self) -> WrId {
@@ -222,11 +205,7 @@ impl PostedQueuePair {
     pub fn post_read_gather(&self, segs: &[SgEntry], dst: &RegionTarget, dst_off: u64) -> WrId {
         let wr_id = self.fresh_wr();
         let first = self.note_post();
-        let result = if self.deferred {
-            self.qp.read_gather_deferred(segs, dst, dst_off, first)
-        } else {
-            self.qp.read_gather(segs, dst, dst_off, first)
-        };
+        let result = self.qp.read_gather(segs, dst, dst_off, first);
         if result.is_err() {
             self.qp.local_nic().ctx().stats.record_failed_verb();
         }
@@ -261,11 +240,7 @@ impl PostedQueuePair {
     pub fn post_write_scatter(&self, segs: &[SgEntry], src: &RegionTarget, src_off: u64) -> WrId {
         let wr_id = self.fresh_wr();
         let first = self.note_post();
-        let result = if self.deferred {
-            self.qp.write_scatter_deferred(segs, src, src_off, first)
-        } else {
-            self.qp.write_scatter(segs, src, src_off, first)
-        };
+        let result = self.qp.write_scatter(segs, src, src_off, first);
         if result.is_err() {
             self.qp.local_nic().ctx().stats.record_failed_verb();
         }

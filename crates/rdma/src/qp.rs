@@ -259,6 +259,12 @@ impl QueuePair {
     /// `first_in_batch == false` the verb additionally rides an earlier
     /// doorbell (see [`portus_sim::CostModel::rdma_read_posted`]).
     ///
+    /// The WQE is scheduled on this QP's lane engines but the shared
+    /// clock is **not** advanced: the returned [`Completion`] carries
+    /// the `(start, end)` window and the caller advances the clock once
+    /// when it drains the whole posting round (see
+    /// [`QueuePair::charge_transfer_deferred`]).
+    ///
     /// The source is treated as BAR-capped GPU memory if *any* segment
     /// reads GPU memory — the slowest source gates the DMA engine.
     ///
@@ -273,37 +279,6 @@ impl QueuePair {
         dst: &RegionTarget,
         dst_off: u64,
         first_in_batch: bool,
-    ) -> RdmaResult<Completion> {
-        self.read_gather_inner(segs, dst, dst_off, first_in_batch, false)
-    }
-
-    /// [`QueuePair::read_gather`] for striped posting: the WQE is
-    /// scheduled on this QP's lane engines but the shared clock is
-    /// **not** advanced — the returned [`Completion`] carries the
-    /// `(start, end)` window and the caller advances the clock once
-    /// when it drains the whole posting round (see
-    /// [`QueuePair::charge_transfer_deferred`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`QueuePair::read_gather`].
-    pub fn read_gather_deferred(
-        &self,
-        segs: &[SgEntry],
-        dst: &RegionTarget,
-        dst_off: u64,
-        first_in_batch: bool,
-    ) -> RdmaResult<Completion> {
-        self.read_gather_inner(segs, dst, dst_off, first_in_batch, true)
-    }
-
-    fn read_gather_inner(
-        &self,
-        segs: &[SgEntry],
-        dst: &RegionTarget,
-        dst_off: u64,
-        first_in_batch: bool,
-        deferred: bool,
     ) -> RdmaResult<Completion> {
         if segs.is_empty() {
             return Err(RdmaError::EmptySgList);
@@ -335,11 +310,7 @@ impl QueuePair {
         let ctx = self.local.ctx();
         let submitted = ctx.clock.now();
         let service = ctx.model.rdma_read_posted(total, src_kind, first_in_batch);
-        let (start, end) = if deferred {
-            self.charge_transfer_deferred(service)
-        } else {
-            self.charge_transfer(service)
-        };
+        let (start, end) = self.charge_transfer_deferred(service);
         // One *logical* data movement per tensor segment: the structural
         // zero-copy counters see through the WQE packing.
         for seg in segs {
@@ -362,7 +333,8 @@ impl QueuePair {
     /// out to every remote segment in `segs`.
     ///
     /// The coalesced form of [`QueuePair::write`]; charging mirrors
-    /// [`QueuePair::read_gather`] (writes are never BAR-capped).
+    /// [`QueuePair::read_gather`] (writes are never BAR-capped), clock
+    /// deferral included.
     ///
     /// # Errors
     ///
@@ -375,33 +347,6 @@ impl QueuePair {
         src: &RegionTarget,
         src_off: u64,
         first_in_batch: bool,
-    ) -> RdmaResult<Completion> {
-        self.write_scatter_inner(segs, src, src_off, first_in_batch, false)
-    }
-
-    /// [`QueuePair::write_scatter`] for striped posting; deferred
-    /// charging as in [`QueuePair::read_gather_deferred`].
-    ///
-    /// # Errors
-    ///
-    /// As [`QueuePair::write_scatter`].
-    pub fn write_scatter_deferred(
-        &self,
-        segs: &[SgEntry],
-        src: &RegionTarget,
-        src_off: u64,
-        first_in_batch: bool,
-    ) -> RdmaResult<Completion> {
-        self.write_scatter_inner(segs, src, src_off, first_in_batch, true)
-    }
-
-    fn write_scatter_inner(
-        &self,
-        segs: &[SgEntry],
-        src: &RegionTarget,
-        src_off: u64,
-        first_in_batch: bool,
-        deferred: bool,
     ) -> RdmaResult<Completion> {
         if segs.is_empty() {
             return Err(RdmaError::EmptySgList);
@@ -430,11 +375,7 @@ impl QueuePair {
         let service = ctx
             .model
             .rdma_write_posted(total, mrs[0].target().kind(), first_in_batch);
-        let (start, end) = if deferred {
-            self.charge_transfer_deferred(service)
-        } else {
-            self.charge_transfer(service)
-        };
+        let (start, end) = self.charge_transfer_deferred(service);
         for seg in segs {
             ctx.stats.record_one_sided(seg.len);
             ctx.stats.record_copy(seg.len);
@@ -645,8 +586,8 @@ mod tests {
             offset: 0,
             len,
         }];
-        let c0 = q0.read_gather_deferred(&seg, &sink, 0, true).unwrap();
-        let c1 = q1.read_gather_deferred(&seg, &sink, 0, true).unwrap();
+        let c0 = q0.read_gather(&seg, &sink, 0, true).unwrap();
+        let c1 = q1.read_gather(&seg, &sink, 0, true).unwrap();
         assert_eq!(
             fabric.ctx().clock.now(),
             before,
@@ -679,8 +620,8 @@ mod tests {
             offset: 0,
             len,
         }];
-        let c0 = q0.read_gather_deferred(&seg, &sink, 0, true).unwrap();
-        let c1 = q1.read_gather_deferred(&seg, &sink, 0, true).unwrap();
+        let c0 = q0.read_gather(&seg, &sink, 0, true).unwrap();
+        let c1 = q1.read_gather(&seg, &sink, 0, true).unwrap();
         assert_eq!(c1.start, c0.end, "second WQE queues behind the first");
         let base = c0.end - c0.start;
         let contended = c1.end - c1.start;

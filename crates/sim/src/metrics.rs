@@ -308,9 +308,6 @@ pub struct MetricsSnapshot {
     /// Of the live extents, how many are referenced more than once.
     #[serde(default)]
     pub dedup_shared_extents: u64,
-    /// Of the live extents, how many are stored compressed.
-    #[serde(default)]
-    pub dedup_compressed_extents: u64,
     /// Logical bytes the live extents represent, weighted by refcount —
     /// what the checkpoints would occupy without dedup.
     #[serde(default)]
@@ -419,7 +416,6 @@ struct MetricsInner {
     rollback_failures: AtomicU64,
     dedup_live_extents: AtomicU64,
     dedup_shared_extents: AtomicU64,
-    dedup_compressed_extents: AtomicU64,
     dedup_logical_bytes: AtomicU64,
     dedup_stored_bytes: AtomicU64,
     dedup_chunks: AtomicU64,
@@ -577,21 +573,11 @@ impl Metrics {
     }
 
     /// Refreshes the content-addressed extent-store gauges.
-    pub fn set_dedup(
-        &self,
-        live: u64,
-        shared: u64,
-        compressed: u64,
-        logical_bytes: u64,
-        stored_bytes: u64,
-    ) {
+    pub fn set_dedup(&self, live: u64, shared: u64, logical_bytes: u64, stored_bytes: u64) {
         self.inner.dedup_live_extents.store(live, Ordering::Relaxed);
         self.inner
             .dedup_shared_extents
             .store(shared, Ordering::Relaxed);
-        self.inner
-            .dedup_compressed_extents
-            .store(compressed, Ordering::Relaxed);
         self.inner
             .dedup_logical_bytes
             .store(logical_bytes, Ordering::Relaxed);
@@ -717,7 +703,6 @@ impl Metrics {
             fleet: Vec::new(),
             dedup_live_extents: self.inner.dedup_live_extents.load(Ordering::Relaxed),
             dedup_shared_extents: self.inner.dedup_shared_extents.load(Ordering::Relaxed),
-            dedup_compressed_extents: self.inner.dedup_compressed_extents.load(Ordering::Relaxed),
             dedup_logical_bytes: self.inner.dedup_logical_bytes.load(Ordering::Relaxed),
             dedup_stored_bytes: self.inner.dedup_stored_bytes.load(Ordering::Relaxed),
             dedup_chunks: self.inner.dedup_chunks.load(Ordering::Relaxed),

@@ -92,7 +92,7 @@ pub enum Stage {
     /// One space-management repack pass over the model table.
     Repack,
     /// Resolving a model name through the paged on-PMem catalog
-    /// (learned-root predict + bounded page probe). Catalog-enabled
+    /// (directory binary search + one page probe). Catalog-enabled
     /// daemons only; the DRAM ModelMap resolves in zero virtual time.
     CatalogLookup,
     /// The whole daemon-side operation, end to end.

@@ -1,4 +1,4 @@
-//! The learned micro-paged model catalog (ROADMAP item 3): daemon
+//! The micro-paged model catalog: daemon
 //! opt-in, bounded daemon DRAM, and crash consistency of the
 //! copy-on-write page/root publication protocol.
 //!

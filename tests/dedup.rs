@@ -11,8 +11,7 @@
 //!   live map references and never leaks one nothing references**;
 //! * an extent seal whose pass fails mid-checkpoint falls back to a
 //!   plain seal that restores bit-for-bit;
-//! * the repacker sweeps refcount-zero extents, and compressed extents
-//!   (ingest-time or cold) decompress back to the exact bytes.
+//! * the repacker sweeps the refcount-zero extents of dropped models.
 
 use portus::{name_hash, repack, DaemonConfig, DedupConfig, PortusClient, PortusDaemon};
 use portus_dnn::{test_spec, Materialization, ModelInstance, ModelSpec};
@@ -69,20 +68,6 @@ fn register(w: &World, c: &PortusClient, spec: &ModelSpec, seed: u64) -> ModelIn
     let model = ModelInstance::materialize(spec, &w.gpu, seed, Materialization::Owned).unwrap();
     c.register_model(&model).unwrap();
     model
-}
-
-/// Overwrites every tensor with zeros so RLE compression has something
-/// to win on (the deterministic fill is incompressible by design).
-fn zero_tensors(model: &ModelInstance) {
-    let zeros = vec![0u8; 4096];
-    for t in model.tensors() {
-        let mut pos = 0u64;
-        while pos < t.buffer.len() {
-            let n = ((t.buffer.len() - pos) as usize).min(zeros.len());
-            t.buffer.write_at(pos, &zeros[..n]).unwrap();
-            pos += n as u64;
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -256,9 +241,7 @@ fn crash_before_publish_leaks_no_extents() {
     let mut orphan_hashes = Vec::new();
     for i in 0..3u8 {
         let payload = vec![0xA0 ^ i; 8192];
-        let r = store
-            .insert_or_ref(&payload, index.allocator(), false)
-            .unwrap();
+        let r = store.insert_or_ref(&payload, index.allocator()).unwrap();
         assert!(!r.shared, "orphan payloads are unique");
         orphan_hashes.push(store.record(r.slot).unwrap().chash);
     }
@@ -442,7 +425,7 @@ fn a_full_extent_table_falls_back_to_a_plain_seal() {
 }
 
 // ---------------------------------------------------------------------
-// Repacker integration: sweep + cold compression.
+// Repacker integration: the extent sweep.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -468,76 +451,6 @@ fn repack_sweeps_extents_of_dropped_models() {
     assert!(
         w.daemon.index().allocator().free_bytes() > free_before,
         "sweeping must return the payload bytes"
-    );
-    let _ = w.ctx;
-}
-
-#[test]
-fn ingest_compression_restores_exact_bytes() {
-    let cfg = DaemonConfig {
-        dedup: Some(DedupConfig {
-            compress_on_ingest: true,
-            ..DedupConfig::default()
-        }),
-        ..DaemonConfig::default()
-    };
-    let w = world_cfg(cfg);
-    let c = client(&w);
-    let spec = test_spec("zipped", 3, 128 * 1024);
-    let model = register(&w, &c, &spec, 17);
-    zero_tensors(&model);
-    let saved = model.model_checksum();
-    c.checkpoint("zipped").unwrap();
-
-    let store = w.daemon.index().extent_store().unwrap();
-    let stats = store.stats().unwrap();
-    assert!(stats.compressed > 0, "zero runs must compress");
-    assert!(
-        stats.stored_bytes < stats.logical_bytes,
-        "compression must shrink the physical footprint"
-    );
-
-    // Dirty the weights, restore, and the zeros come back exactly.
-    let mut model = model;
-    model.train_step();
-    assert_ne!(model.model_checksum(), saved);
-    c.restore(&model).unwrap();
-    assert_eq!(model.model_checksum(), saved);
-    let _ = w.ctx;
-}
-
-#[test]
-fn cold_extents_compress_during_repack_and_still_restore() {
-    let cfg = DaemonConfig {
-        dedup: Some(DedupConfig {
-            cold_compress_idle: Some(0), // everything is cold
-            ..DedupConfig::default()
-        }),
-        ..DaemonConfig::default()
-    };
-    let w = world_cfg(cfg);
-    let c = client(&w);
-    let spec = test_spec("coldstore", 3, 128 * 1024);
-    let model = register(&w, &c, &spec, 19);
-    zero_tensors(&model);
-    let saved = model.model_checksum();
-    c.checkpoint("coldstore").unwrap();
-
-    let store = w.daemon.index().extent_store().unwrap();
-    assert_eq!(store.stats().unwrap().compressed, 0, "ingest stays plain");
-
-    let report = repack(&w.daemon, false).unwrap();
-    assert!(report.compressed_extents > 0, "cold pass must compress");
-    assert!(report.compressed_saved_bytes > 0);
-    assert!(store.stats().unwrap().compressed > 0);
-
-    let mut model = model;
-    model.train_step();
-    c.restore(&model).unwrap();
-    assert_eq!(
-        model.model_checksum(),
-        saved,
-        "restore pays decompression, returns exact bytes"
     );
     let _ = w.ctx;
 }

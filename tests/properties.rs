@@ -481,7 +481,7 @@ fn seeded_churn_ops(seed: u64) -> Vec<ChurnOp> {
         .collect()
 }
 
-/// Both resolvers — the DRAM ModelMap and the learned catalog — stay in
+/// Both resolvers — the DRAM ModelMap and the paged catalog — stay in
 /// sync with the persistent ModelTable, and with a recovery-rebuilt
 /// map, under every seeded churn. Runs without the proptest runner.
 #[test]
@@ -504,7 +504,7 @@ proptest! {
         run_churn(&ops, false);
     }
 
-    /// The same invariant with the learned catalog owning resolution.
+    /// The same invariant with the paged catalog owning resolution.
     #[test]
     fn model_table_and_catalog_stay_in_sync_under_churn(ops in churn_ops()) {
         run_churn(&ops, true);

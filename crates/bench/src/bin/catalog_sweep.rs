@@ -2,10 +2,11 @@
 //! PMem model catalog as the model population grows from 10^2 to 10^6.
 //!
 //! For each population size the harness formats a namespace, mounts
-//! the catalog, and bulk-loads synthetic models (names with a shared
-//! tenant prefix so the derived-key path is exercised, offsets
-//! synthetic — the ModelTable's linear create scan would dominate and
-//! is not what this sweep measures). It then reports wall-clock
+//! the catalog, and bulk-loads synthetic models (`tenant-XXX/model-N`
+//! names, so every page of one tenant shares a 16-byte prefix the
+//! directory probes must read past; offsets synthetic — the
+//! ModelTable's linear create scan would dominate and is not what this
+//! sweep measures). It then reports wall-clock
 //! latencies (the simulated device does real decode work per page
 //! touched, so relative costs track pages probed):
 //!
@@ -85,10 +86,11 @@ fn timed_lookup(index: &Index, name: &str) -> u64 {
 /// baseline a catalog without its sorted directory would pay.
 fn timed_linear_scan(index: &Index, pages: &[u64], name: &str) -> u64 {
     let dev: &Arc<PmemDevice> = index.allocator().device();
+    let page_bytes = CatalogConfig::default().page_bytes;
     let t0 = Instant::now();
     let mut found = None;
     for &p in pages {
-        if let Some(off) = micropage::search_page(dev, p, name).expect("page probe") {
+        if let Some(off) = micropage::search_page(dev, p, page_bytes, name).expect("page probe") {
             found = Some(off);
             break;
         }

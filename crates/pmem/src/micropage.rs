@@ -6,7 +6,12 @@
 //! a torn write can only corrupt a page nothing references yet. The
 //! codec here is deliberately dumb — a 16-byte header followed by
 //! length-prefixed entries — because all ordering and directory logic
-//! lives above it (`portus-core::catalog`).
+//! lives above it (`portus-core::catalog`). The one ordering helper is
+//! [`cmp_first_key`], the catalog's directory probe: it compares a name
+//! with a page's first name from a single 64-byte read of the page.
+//! Every header read is checked against the page size, so a flipped
+//! count or used-bytes word surfaces as `PmemError::Corrupt` instead of
+//! an allocation sized from garbage.
 //!
 //! Layout (little-endian):
 //!
@@ -17,6 +22,8 @@
 //! +12  u32  reserved (zero)
 //! +16  entries: [len u16][name bytes][mindex_off u64] ...
 //! ```
+
+use std::cmp::Ordering;
 
 use crate::{typed, PmemDevice, PmemError, PmemResult};
 
@@ -93,13 +100,27 @@ pub fn write_page(
     Ok(used)
 }
 
-/// Reads the header of the page at `page_off`: `(count, used)`.
+/// Smallest encoded entry: a length prefix, an empty name, an offset.
+const MIN_ENTRY: u32 = 10;
+
+/// Bytes [`cmp_first_key`] reads in its first device read: the header
+/// plus the first entry's length prefix and up to 46 name bytes.
+const PROBE_BYTES: usize = 64;
+
+/// Reads and checks the header of the `page_bytes`-sized page at
+/// `page_off`: `(count, used)`.
 ///
 /// # Errors
 ///
 /// `PmemError::Corrupt` when the magic does not match (torn or stale
-/// page), plus device bounds errors.
-pub fn read_page_header(dev: &PmemDevice, page_off: u64) -> PmemResult<(u32, u32)> {
+/// page), or when `used` lies outside `16..=page_bytes` or `count`
+/// claims more entries than `used` can hold — so no caller ever sizes
+/// an allocation from an unchecked word. Plus device bounds errors.
+pub fn read_page_header(
+    dev: &PmemDevice,
+    page_off: u64,
+    page_bytes: u64,
+) -> PmemResult<(u32, u32)> {
     let magic = typed::read_u32(dev, page_off)?;
     if magic != PAGE_MAGIC {
         return Err(PmemError::Corrupt(format!(
@@ -108,16 +129,30 @@ pub fn read_page_header(dev: &PmemDevice, page_off: u64) -> PmemResult<(u32, u32
     }
     let count = typed::read_u32(dev, page_off + 4)?;
     let used = typed::read_u32(dev, page_off + 8)?;
+    if u64::from(used) < PAGE_HEADER
+        || u64::from(used) > page_bytes
+        || count > (used - PAGE_HEADER as u32) / MIN_ENTRY
+    {
+        return Err(PmemError::Corrupt(format!(
+            "micro-page at {page_off:#x} claims {count} entries in {used} of {page_bytes} bytes"
+        )));
+    }
     Ok((count, used))
 }
 
-/// Decodes every entry of the page at `page_off`, in stored order.
+/// Decodes every entry of the `page_bytes`-sized page at `page_off`, in
+/// stored order.
 ///
 /// # Errors
 ///
-/// `PmemError::Corrupt` on a bad magic, plus device bounds errors.
-pub fn read_page(dev: &PmemDevice, page_off: u64) -> PmemResult<Vec<(String, u64)>> {
-    let (count, _) = read_page_header(dev, page_off)?;
+/// `PmemError::Corrupt` on a bad magic or header, plus device bounds
+/// errors.
+pub fn read_page(
+    dev: &PmemDevice,
+    page_off: u64,
+    page_bytes: u64,
+) -> PmemResult<Vec<(String, u64)>> {
+    let (count, _) = read_page_header(dev, page_off, page_bytes)?;
     let mut out = Vec::with_capacity(count as usize);
     let mut cur = page_off + PAGE_HEADER;
     for _ in 0..count {
@@ -130,33 +165,74 @@ pub fn read_page(dev: &PmemDevice, page_off: u64) -> PmemResult<Vec<(String, u64
     Ok(out)
 }
 
-/// Reads only the first (smallest) key of the page at `page_off`.
+/// Compares the first (smallest) name of the page at `page_off` with
+/// `name`: the directory probe of the catalog's binary search.
 ///
-/// Used by the catalog to resolve derived-key ties without decoding the
-/// whole page. Returns `None` for an empty page.
+/// One device read covers the header and a first name of up to 46
+/// bytes; a longer first name whose leading 46 bytes tie with `name`
+/// reads its tail in a second read (256-byte stack chunks). Nothing is
+/// allocated. An empty page compares below every name.
 ///
 /// # Errors
 ///
-/// `PmemError::Corrupt` on a bad magic, plus device bounds errors.
-pub fn read_first_key(dev: &PmemDevice, page_off: u64) -> PmemResult<Option<String>> {
-    let (count, _) = read_page_header(dev, page_off)?;
-    if count == 0 {
-        return Ok(None);
+/// `PmemError::Corrupt` on a bad magic or a first entry that overruns
+/// the page's used bytes, plus device bounds errors.
+pub fn cmp_first_key(dev: &PmemDevice, page_off: u64, name: &str) -> PmemResult<Ordering> {
+    let mut head = [0u8; PROBE_BYTES];
+    dev.read(page_off, &mut head)?;
+    let word = |at: usize| u32::from_le_bytes(head[at..at + 4].try_into().expect("4-byte word"));
+    if word(0) != PAGE_MAGIC {
+        return Err(PmemError::Corrupt(format!(
+            "bad micro-page magic {:#x} at {page_off:#x}",
+            word(0)
+        )));
     }
-    let (name, _) = typed::read_str(dev, page_off + PAGE_HEADER)?;
-    Ok(Some(name))
+    if word(4) == 0 {
+        return Ok(Ordering::Less);
+    }
+    let start = PAGE_HEADER as usize + 2;
+    let len = usize::from(u16::from_le_bytes([head[start - 2], head[start - 1]]));
+    if (start + len + 8) as u64 > u64::from(word(8)) {
+        return Err(PmemError::Corrupt(format!(
+            "micro-page at {page_off:#x}: first name of {len} bytes overruns the page"
+        )));
+    }
+    let key = name.as_bytes();
+    let shared = len.min(key.len());
+    let in_head = shared.min(PROBE_BYTES - start);
+    match head[start..start + in_head].cmp(&key[..in_head]) {
+        Ordering::Equal => {}
+        o => return Ok(o),
+    }
+    let mut chunk = [0u8; 256];
+    let mut i = in_head;
+    while i < shared {
+        let n = (shared - i).min(chunk.len());
+        dev.read(page_off + (start + i) as u64, &mut chunk[..n])?;
+        match chunk[..n].cmp(&key[i..i + n]) {
+            Ordering::Equal => i += n,
+            o => return Ok(o),
+        }
+    }
+    Ok(len.cmp(&key.len()))
 }
 
-/// Binary-searches the page at `page_off` for `name`.
+/// Binary-searches the `page_bytes`-sized page at `page_off` for `name`.
 ///
 /// Decodes the page once (one DAX read pass) and searches the decoded
 /// run; returns the stored offset when present.
 ///
 /// # Errors
 ///
-/// `PmemError::Corrupt` on a bad magic, plus device bounds errors.
-pub fn search_page(dev: &PmemDevice, page_off: u64, name: &str) -> PmemResult<Option<u64>> {
-    let entries = read_page(dev, page_off)?;
+/// `PmemError::Corrupt` on a bad magic or header, plus device bounds
+/// errors.
+pub fn search_page(
+    dev: &PmemDevice,
+    page_off: u64,
+    page_bytes: u64,
+    name: &str,
+) -> PmemResult<Option<u64>> {
+    let entries = read_page(dev, page_off, page_bytes)?;
     match entries.binary_search_by(|(k, _)| k.as_str().cmp(name)) {
         Ok(i) => Ok(Some(entries[i].1)),
         Err(_) => Ok(None),
@@ -185,14 +261,10 @@ mod tests {
         let ents = entries(50);
         let used = write_page(&dev, 4096, 4096, &ents).unwrap();
         assert!(used <= 4096);
-        let (count, used2) = read_page_header(&dev, 4096).unwrap();
+        let (count, used2) = read_page_header(&dev, 4096, 4096).unwrap();
         assert_eq!(count, 50);
         assert_eq!(u64::from(used2), used);
-        assert_eq!(read_page(&dev, 4096).unwrap(), ents);
-        assert_eq!(
-            read_first_key(&dev, 4096).unwrap().as_deref(),
-            Some("model-000000")
-        );
+        assert_eq!(read_page(&dev, 4096, 4096).unwrap(), ents);
     }
 
     #[test]
@@ -200,9 +272,12 @@ mod tests {
         let dev = dev();
         let ents = entries(64);
         write_page(&dev, 0, 4096, &ents).unwrap();
-        assert_eq!(search_page(&dev, 0, "model-000031").unwrap(), Some(1031));
-        assert_eq!(search_page(&dev, 0, "model-999999").unwrap(), None);
-        assert_eq!(search_page(&dev, 0, "").unwrap(), None);
+        assert_eq!(
+            search_page(&dev, 0, 4096, "model-000031").unwrap(),
+            Some(1031)
+        );
+        assert_eq!(search_page(&dev, 0, 4096, "model-999999").unwrap(), None);
+        assert_eq!(search_page(&dev, 0, 4096, "").unwrap(), None);
     }
 
     #[test]
@@ -234,6 +309,105 @@ mod tests {
     #[test]
     fn bad_magic_is_corrupt() {
         let dev = dev();
-        assert!(read_page_header(&dev, 512).is_err());
+        assert!(read_page_header(&dev, 512, 4096).is_err());
+        assert!(cmp_first_key(&dev, 512, "model").is_err());
+    }
+
+    #[test]
+    fn corrupt_header_words_are_typed_errors() {
+        // A flipped count must not size an allocation: decoding such a
+        // page once tried to reserve ~64 GiB and aborted the process.
+        let page = |at: u64, word: u32| {
+            let dev = dev();
+            write_page(&dev, 0, 512, &entries(3)).unwrap();
+            typed::write_u32(&dev, at, word).unwrap();
+            dev
+        };
+        for (at, word, why) in [
+            (4, 0x7FFF_FFFF, "count past what used can hold"),
+            (8, 513, "used past the page"),
+            (8, 15, "used inside the header"),
+        ] {
+            let dev = page(at, word);
+            assert!(
+                matches!(read_page_header(&dev, 0, 512), Err(PmemError::Corrupt(_))),
+                "{why}"
+            );
+            assert!(
+                matches!(read_page(&dev, 0, 512), Err(PmemError::Corrupt(_))),
+                "{why}"
+            );
+        }
+        // A first name overrunning the used bytes fails the probe too.
+        assert!(matches!(
+            cmp_first_key(&page(8, 20), 0, "model"),
+            Err(PmemError::Corrupt(_))
+        ));
+        // The largest count the used bytes allow is accepted.
+        let dev = page(4, 7);
+        typed::write_u32(&dev, 8, 16 + 10 * 7).unwrap();
+        assert_eq!(read_page_header(&dev, 0, 512).unwrap(), (7, 86));
+    }
+
+    #[test]
+    fn first_key_probe_orders_names_like_strings() {
+        let dev = dev();
+        write_page(
+            &dev,
+            0,
+            1024,
+            &[("model-b".into(), 1), ("model-c".into(), 2)],
+        )
+        .unwrap();
+        assert_eq!(cmp_first_key(&dev, 0, "model-b").unwrap(), Ordering::Equal);
+        assert_eq!(cmp_first_key(&dev, 0, "model-c").unwrap(), Ordering::Less);
+        assert_eq!(
+            cmp_first_key(&dev, 0, "model-a").unwrap(),
+            Ordering::Greater
+        );
+        // A proper prefix of the first name sorts before it, and the
+        // first name sorts before its extensions.
+        assert_eq!(cmp_first_key(&dev, 0, "model-").unwrap(), Ordering::Greater);
+        assert_eq!(cmp_first_key(&dev, 0, "").unwrap(), Ordering::Greater);
+        assert_eq!(cmp_first_key(&dev, 0, "model-b0").unwrap(), Ordering::Less);
+        // An empty page compares below every name, the empty one too.
+        write_page(&dev, 1024, 1024, &[]).unwrap();
+        assert_eq!(cmp_first_key(&dev, 1024, "").unwrap(), Ordering::Less);
+        assert_eq!(cmp_first_key(&dev, 1024, "a").unwrap(), Ordering::Less);
+
+        // A 300-byte multibyte first name: every answer below is decided
+        // past byte 46, so it needs the tail read.
+        let long = format!("tenant-α/{}", "模".repeat(96));
+        assert!(long.len() >= 200);
+        write_page(&dev, 2048, 1024, &[(long.clone(), 9)]).unwrap();
+        let cut = |n: usize| &long.as_bytes()[..n];
+        let with_last = |b: u8| {
+            let mut v = long.as_bytes().to_vec();
+            *v.last_mut().unwrap() = b;
+            String::from_utf8_lossy(&v).into_owned()
+        };
+        assert_eq!(cmp_first_key(&dev, 2048, &long).unwrap(), Ordering::Equal);
+        let prefix = std::str::from_utf8(cut(long.len() - 3)).unwrap();
+        assert_eq!(
+            cmp_first_key(&dev, 2048, prefix).unwrap(),
+            Ordering::Greater
+        );
+        assert_eq!(
+            cmp_first_key(&dev, 2048, &format!("{long}!")).unwrap(),
+            Ordering::Less
+        );
+        // The last byte of '模' is 0xA1: 0x80 sorts below, 0xBF above.
+        assert_eq!(
+            cmp_first_key(&dev, 2048, &with_last(0x80)).unwrap(),
+            Ordering::Greater
+        );
+        assert_eq!(
+            cmp_first_key(&dev, 2048, &with_last(0xBF)).unwrap(),
+            Ordering::Less
+        );
+        assert_eq!(
+            cmp_first_key(&dev, 2048, "tenant-α/").unwrap(),
+            Ordering::Greater
+        );
     }
 }

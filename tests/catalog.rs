@@ -14,7 +14,7 @@
 use portus::{CatalogConfig, DaemonConfig, Index, PortusClient, PortusDaemon, PortusError};
 use portus_dnn::{test_spec, Materialization, ModelInstance, TensorMeta};
 use portus_mem::GpuDevice;
-use portus_pmem::{micropage, CrashSpec, PmemDevice, PmemMode};
+use portus_pmem::{micropage, typed, CrashSpec, PmemDevice, PmemError, PmemMode};
 use portus_rdma::{Fabric, NodeId};
 use portus_sim::SimContext;
 
@@ -356,6 +356,24 @@ fn recovery_reconciles_catalog_against_the_table() {
     // Catalog and table agree entry for entry.
     let table: Vec<(String, u64)> = map.into_iter().collect();
     assert_eq!(cat.scan().unwrap(), table);
+}
+
+/// A flipped page-count word is a typed `Corrupt` from recovery, not an
+/// allocation sized from the flipped word (which aborted the process).
+#[test]
+fn corrupted_page_count_fails_recovery_with_a_typed_error() {
+    let ctx = SimContext::icdcs24();
+    let pmem = PmemDevice::new(ctx, PmemMode::DevDax, 32 << 20);
+    let index = index_with_catalog(&pmem, 1);
+    let page = index.catalog().unwrap().page_offsets().unwrap()[0];
+    drop(index);
+    typed::write_u32(&pmem, page + 4, 0x7FFF_FFFF).unwrap();
+    pmem.persist(page + 4, 4).unwrap();
+    match Index::recover(pmem) {
+        Err(PortusError::Pmem(PmemError::Corrupt(msg))) => assert!(msg.contains("entries")),
+        Err(other) => panic!("expected a Corrupt error, got {other:?}"),
+        Ok(_) => panic!("recovery accepted a corrupt page count"),
+    }
 }
 
 /// Random crash sweeps over a catalog daemon: whatever lines the crash

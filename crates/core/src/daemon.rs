@@ -64,6 +64,7 @@ use portus_rdma::{
 };
 use portus_sim::{Metrics, Resource, SimContext, SimDuration, SimTime, SpanRecord, Stage, TraceOp};
 
+use crate::index::SlotPiece;
 use crate::proto::{checkpoint_op, ModelSummary, Reply, Request, TensorDesc};
 use crate::qos::{QosConfig, QosState, TenantCtx};
 use crate::{
@@ -1064,16 +1065,25 @@ pub const PULL_WQE_BYTES: u64 = 4 << 20;
 
 /// Groups tensors into runs that are contiguous by `rel_off` in the
 /// slot's TensorData region. A run closes at [`MAX_SGE`] segments or
-/// `max_bytes` bytes, whichever comes first. A tensor larger than the
-/// room left fills that room, and the rest is cut into near-equal
-/// pieces of at most `max_bytes` — never cap-sized pieces plus a runt:
-/// a runt landing behind a full chunk pays a whole flush pass for a
-/// fraction of the bytes, and at a model's end that lengthens the seal
-/// tail. Each run becomes one WQE; a gap in the selected tensors (e.g.
-/// clean tensors skipped by a delta checkpoint) breaks the run. A
-/// zero-length tensor keeps its segment.
-fn coalesce_runs(verbs: &[TensorVerb], max_bytes: u64) -> Vec<VerbRun> {
+/// `max_bytes` bytes, whichever comes first, and never crosses the end
+/// of one of the slot's `pieces` (an empty list has no ends; the
+/// pieces cover every tensor), so each run moves one contiguous device
+/// range. A tensor larger than the room left fills that room, and the
+/// rest is cut into near-equal pieces of at most `max_bytes` — never
+/// cap-sized pieces plus a runt: a runt landing behind a full chunk
+/// pays a whole flush pass for a fraction of the bytes, and at a
+/// model's end that lengthens the seal tail. Each run becomes one WQE;
+/// a gap in the selected tensors (e.g. clean tensors skipped by a delta
+/// checkpoint) breaks the run. A zero-length tensor keeps its segment.
+fn coalesce_runs(verbs: &[TensorVerb], max_bytes: u64, pieces: &[SlotPiece]) -> Vec<VerbRun> {
     debug_assert!(max_bytes > 0, "a zero byte cap never places a byte");
+    // What run `r` may still take: up to the cap, within its piece.
+    let room = |r: &VerbRun| {
+        let end = piece_at(pieces, r.base_rel).map_or(u64::MAX, |p| p.rel_off + p.len);
+        max_bytes
+            .saturating_sub(r.len)
+            .min(end - r.base_rel - r.len)
+    };
     let mut runs: Vec<VerbRun> = Vec::new();
     for v in verbs {
         let mut done = 0u64;
@@ -1085,7 +1095,7 @@ fn coalesce_runs(verbs: &[TensorVerb], max_bytes: u64) -> Vec<VerbRun> {
                 && runs.last().is_some_and(|r| {
                     r.segs.len() < MAX_SGE
                         && r.base_rel + r.len == at
-                        && (r.len < max_bytes || v.len == 0)
+                        && (room(r) > 0 || v.len == 0)
                 });
             if !open {
                 runs.push(VerbRun {
@@ -1097,12 +1107,13 @@ fn coalesce_runs(verbs: &[TensorVerb], max_bytes: u64) -> Vec<VerbRun> {
             }
             let run = runs.last_mut().expect("a run is open");
             let left = v.len - done;
-            let room = max_bytes.saturating_sub(run.len);
+            let room = room(run);
             let take = if left <= room || run.len > 0 {
                 left.min(room)
             } else {
-                left.div_ceil(left.div_ceil(max_bytes))
+                left.div_ceil(left.div_ceil(max_bytes)).min(room)
             };
+            debug_assert!(take > 0 || left == 0, "no piece holds byte {at}");
             run.segs.push(SgEntry {
                 rkey: v.rkey,
                 offset: done,
@@ -1119,15 +1130,11 @@ fn coalesce_runs(verbs: &[TensorVerb], max_bytes: u64) -> Vec<VerbRun> {
     runs
 }
 
-/// Where a delta checkpoint's carry-over reads its bytes from.
-#[derive(Debug, Clone, Copy)]
-enum CarrySrc {
-    /// Absolute device offset within the previous version's plain
-    /// contiguous region.
-    Plain(u64),
-    /// The previous version is extent-mapped: its map's offset. The
-    /// carry copies the touched chunks out of the store.
-    Extents(u64),
+/// The piece of `pieces` (sorted by `rel_off`) that holds slot-relative
+/// offset `rel`; for a zero-length run past the last piece, that piece.
+fn piece_at(pieces: &[SlotPiece], rel: u64) -> Option<&SlotPiece> {
+    let after = pieces.partition_point(|p| p.rel_off <= rel);
+    pieces.get(after.saturating_sub(1))
 }
 
 /// Which way a posted datapath operation moves bytes.
@@ -1480,43 +1487,11 @@ impl DaemonState {
         self.index.load_mindex(off)
     }
 
-    /// Recomputes a slot's positional digest, charging the DAX read of
-    /// the slot's bytes and recording the phase time on the stats and a
-    /// `Checksum` span on `sc`.
-    fn digest_phase(&self, mi: &MIndex, slot: usize, sc: &SpanCtx<'_>) -> PortusResult<u64> {
-        let t0 = self.ctx.clock.now();
-        let digest = self.index.slot_digest(mi, slot)?;
-        self.ctx.charge(self.ctx.model.dax_read(mi.total_bytes));
-        self.ctx
-            .stats
-            .record_checksum_ns(self.ctx.clock.now().saturating_since(t0).as_nanos());
-        sc.record_now(Stage::Checksum, t0);
-        Ok(digest)
-    }
-
-    /// Verifies a `Done` slot before serving a restore: the region's
-    /// positional digest must equal the one the header was sealed with.
-    fn verify_slot(
-        &self,
-        mi: &MIndex,
-        slot: usize,
-        hdr: &SlotHeader,
-        model: &str,
-        sc: &SpanCtx<'_>,
-    ) -> PortusResult<()> {
-        if self.digest_phase(mi, slot, sc)? != hdr.digest {
-            return Err(PortusError::ChecksumMismatch {
-                model: model.to_string(),
-                version: hdr.version,
-            });
-        }
-        Ok(())
-    }
-
     /// Posts one WQE per run (gather-READs for [`Direction::Pull`],
-    /// scatter-WRITEs for [`Direction::Push`], with the PMem side at
-    /// `data_off`), drains the completion queues, and re-posts failed
-    /// WQEs for up to [`DaemonConfig::verb_retries`] rounds. Each round
+    /// scatter-WRITEs for [`Direction::Push`], with the PMem side in
+    /// the piece of `pieces` that holds the run), drains the completion
+    /// queues, and re-posts failed WQEs for up to
+    /// [`DaemonConfig::verb_retries`] rounds. Each round
     /// charges an exponentially growing backoff to the virtual clock
     /// before the fresh doorbell batch. Runs that stay failed after the
     /// last round come back as a [`DatapathFailure`] with per-run
@@ -1548,7 +1523,7 @@ impl DaemonState {
         pool: &QpPool,
         tenant: &TenantCtx,
         runs: &[VerbRun],
-        data_off: u64,
+        pieces: &[SlotPiece],
         dir: Direction,
         sc: &SpanCtx<'_>,
     ) -> Result<RunOutcome, DatapathFailure> {
@@ -1577,9 +1552,11 @@ impl DaemonState {
             })
             .collect();
         let post = |lane: usize, run: &VerbRun| -> WrId {
+            let base = piece_at(pieces, run.base_rel)
+                .map_or(0, |p| p.dev_off + (run.base_rel - p.rel_off));
             let region = RegionTarget::Pmem {
                 dev: Arc::clone(self.index.device()),
-                base: data_off + run.base_rel,
+                base,
                 len: run.len,
             };
             match dir {
@@ -1809,8 +1786,8 @@ impl DaemonState {
                     Some(d) => d,
                     None => {
                         read_back += piece.len;
-                        self.index
-                            .range_digest(hdr.data_off, piece.rel_off, piece.len)?
+                        let at = self.index.slot_pieces(&hdr, piece.rel_off, piece.len)?;
+                        self.index.pieces_digest(&at)?
                     }
                 };
                 digest = crate::combine_digests(digest, d);
@@ -1934,10 +1911,9 @@ impl DaemonState {
         let (mut pulled, mut copied, mut reused) = (0u64, 0u64, 0u64);
         let mut pulled_mask = vec![false; mi.tensors.len()];
         let mut verbs = Vec::new();
-        // Carry-overs as (src, rel_off, len): the source in the
-        // previous Done slot (plain or extent-mapped), destination
-        // rel_off in the target region.
-        let mut carries: Vec<(CarrySrc, u64, u64)> = Vec::new();
+        // Carry-overs as the previous version's pieces of each clean
+        // tensor, landing at the same rel_off in the target region.
+        let mut carries: Vec<SlotPiece> = Vec::new();
         for (i, (rec, desc)) in mi.tensors.iter().zip(&descs).enumerate() {
             let is_dirty = dirty.is_none_or(|mask| mask[i]);
             if desc.meta() != rec.meta {
@@ -1954,12 +1930,7 @@ impl DaemonState {
                     reused += len;
                 }
                 Some(ph) if !is_dirty => {
-                    let src = if ph.ext_map != 0 {
-                        CarrySrc::Extents(ph.ext_map)
-                    } else {
-                        CarrySrc::Plain(ph.data_off + rec.rel_off)
-                    };
-                    carries.push((src, rec.rel_off, len));
+                    carries.extend(self.index.slot_pieces(&ph, rec.rel_off, len)?);
                     copied += len;
                 }
                 _ => {
@@ -1977,7 +1948,7 @@ impl DaemonState {
         sc.record_now(Stage::Validate, t_op);
 
         let t_build = self.ctx.clock.now();
-        let runs = coalesce_runs(&verbs, PULL_WQE_BYTES);
+        let runs = coalesce_runs(&verbs, PULL_WQE_BYTES, &[]);
         sc.record_now(Stage::WqeBuild, t_build);
         // With tensors left in place the seal starts from the previous
         // version's digest: the new slot differs from that version only
@@ -1989,10 +1960,8 @@ impl DaemonState {
             .filter(|_| reused > 0)
             .map(|ph| {
                 runs.iter().try_fold(ph.digest, |acc, run| {
-                    let old = self
-                        .index
-                        .range_digest(ph.data_off, run.base_rel, run.len)?;
-                    Ok::<_, PortusError>(acc.wrapping_sub(old))
+                    let old = self.index.slot_pieces(&ph, run.base_rel, run.len)?;
+                    Ok::<_, PortusError>(acc.wrapping_sub(self.index.pieces_digest(&old)?))
                 })
             })
             .transpose()?;
@@ -2026,21 +1995,10 @@ impl DaemonState {
         // buffer, so carried bytes are never read a second time.
         let mut carried = 0u64;
         let mut pieces: Vec<SealPiece> = Vec::new();
-        let carry_result: PortusResult<()> = carries.iter().try_for_each(|&(src, rel, len)| {
-            let (digest, read_bytes) = match src {
-                CarrySrc::Plain(s) => (copy_on_device(&dev, s, hdr.data_off + rel, len, rel)?, len),
-                CarrySrc::Extents(map_off) => {
-                    let rc = crate::dedup::copy_range_from_extents(
-                        &self.index,
-                        map_off,
-                        hdr.data_off,
-                        rel,
-                        len,
-                    )?;
-                    (rc.digest, rc.read_bytes)
-                }
-            };
-            ctx.charge(ctx.model.dax_read(read_bytes) + ctx.model.dax_write(len));
+        let carry_result: PortusResult<()> = carries.iter().try_for_each(|c| {
+            let (rel, len) = (c.rel_off, c.len);
+            let digest = copy_on_device(&dev, c.dev_off, hdr.data_off + rel, len, rel)?;
+            ctx.charge(ctx.model.dax_read(len) + ctx.model.dax_write(len));
             ctx.stats.record_copy(len);
             carried += len;
             pieces.push(SealPiece {
@@ -2072,16 +2030,20 @@ impl DaemonState {
             read_back: pulled,
             at: carried_at,
         });
-        let outcome =
-            match self.execute_runs(pool, tenant, &runs, hdr.data_off, Direction::Pull, &sc) {
-                Ok(outcome) => outcome,
-                Err(fail) => {
-                    // Bytes landed if any pull WQE succeeded — or if any
-                    // carry-over copy already wrote into the slot.
-                    self.rollback_best_effort(&mi, target, hdr, fail.any_succeeded || carried > 0);
-                    return Err(fail.into_error(model, op.name()));
-                }
-            };
+        let region = [SlotPiece {
+            dev_off: hdr.data_off,
+            rel_off: 0,
+            len: hdr.data_len,
+        }];
+        let outcome = match self.execute_runs(pool, tenant, &runs, &region, Direction::Pull, &sc) {
+            Ok(outcome) => outcome,
+            Err(fail) => {
+                // Bytes landed if any pull WQE succeeded — or if any
+                // carry-over copy already wrote into the slot.
+                self.rollback_best_effort(&mi, target, hdr, fail.any_succeeded || carried > 0);
+                return Err(fail.into_error(model, op.name()));
+            }
+        };
         // RDMA landed in the DDIO domain; make it durable (Wei et al.),
         // digest, and flip to Done, pipelining per-run persist+digest
         // work against the transfers themselves.
@@ -2142,7 +2104,7 @@ impl DaemonState {
         // Version-pinned restores let a replicated or sharded client
         // settle every participant on one common checkpoint even when
         // some daemons hold a newer version in their other slot.
-        let (slot, hdr) = match version {
+        let (_, hdr) = match version {
             None => mi.latest_done(),
             Some(v) => mi.done_version(v),
         }
@@ -2175,58 +2137,41 @@ impl DaemonState {
         // the two spans do not overlap in the trace.
         sc.record_now(Stage::Validate, t_op);
 
-        // An extent-mapped version is materialized into a scratch
-        // region first, so the plain restore datapath (verify + pushes)
-        // runs unchanged against it. Every byte comes off the extents
-        // at DAX-read cost and lands in the scratch region at DAX-write
-        // cost. A crash mid-restore leaves the scratch region
-        // unreachable and recovery GCs it.
-        let mut scratch = None;
-        let (mi, hdr) = if hdr.ext_map != 0 {
-            let t_mat = self.ctx.clock.now();
-            let m = crate::dedup::materialize_slot(&self.index, &mi, slot)?;
-            self.ctx
-                .charge(self.ctx.model.dax_read(m.bytes) + self.ctx.model.dax_write(m.bytes));
-            sc.record_now(Stage::Dedup, t_mat);
-            let mut mi = mi;
-            mi.slots[slot].data_off = m.region.offset;
-            let mut hdr = hdr;
-            hdr.data_off = m.region.offset;
-            scratch = Some(m.region);
-            (mi, hdr)
-        } else {
-            (mi, hdr)
-        };
-
-        let pushed = (|| -> PortusResult<SimDuration> {
-            self.verify_slot(&mi, slot, &hdr, model, &sc)?;
-
-            let t_build = self.ctx.clock.now();
-            let runs = coalesce_runs(&verbs, u64::MAX);
-            sc.record_now(Stage::WqeBuild, t_build);
-
-            if older_than_latest {
-                // The push rewinds the GPU past the latest version.
-                self.lineage.lock().insert(mi.offset, Lineage::PullAll);
-            }
-            let t0 = self.ctx.clock.now();
-            // One-sided WRITEs, PMem → GPU: coalesced scatter WQEs under
-            // one doorbell, no client CPU involvement. A terminal push
-            // failure touches no slot state — the stored version stays
-            // `Done` and a later restore can try again.
-            self.execute_runs(pool, tenant, &runs, hdr.data_off, Direction::Push, &sc)
-                .map_err(|fail| fail.into_error(model, "restore"))?;
-            Ok(self.ctx.clock.now().saturating_since(t0))
-        })();
-        if let Some(region) = scratch {
-            // The scratch bytes were never meant to be durable: drop
-            // them unflushed. Best-effort: freeing the region must not
-            // mask the restore's own outcome (a leak is reclaimed at
-            // recovery).
-            let _ = self.index.device().discard(region.offset, region.len);
-            let _ = self.index.allocator().free(&region);
+        // The version is verified and pushed where it lies: one piece
+        // for a plain slot, one per extent for an extent-mapped one. The
+        // model lock is held, and the slot holds a reference on each of
+        // its extents, so no repack sweep can free one mid-push. Its
+        // digest must equal the one the header was sealed with.
+        let pieces = self.index.slot_pieces(&hdr, 0, mi.total_bytes)?;
+        let t_sum = self.ctx.clock.now();
+        let digest = self.index.pieces_digest(&pieces)?;
+        self.ctx.charge(self.ctx.model.dax_read(mi.total_bytes));
+        let took = self.ctx.clock.now().saturating_since(t_sum);
+        self.ctx.stats.record_checksum_ns(took.as_nanos());
+        sc.record_now(Stage::Checksum, t_sum);
+        if digest != hdr.digest {
+            return Err(PortusError::ChecksumMismatch {
+                model: model.to_string(),
+                version: hdr.version,
+            });
         }
-        let elapsed = pushed?;
+
+        let t_build = self.ctx.clock.now();
+        let runs = coalesce_runs(&verbs, u64::MAX, &pieces);
+        sc.record_now(Stage::WqeBuild, t_build);
+
+        if older_than_latest {
+            // The push rewinds the GPU past the latest version.
+            self.lineage.lock().insert(mi.offset, Lineage::PullAll);
+        }
+        let t0 = self.ctx.clock.now();
+        // One-sided WRITEs, PMem → GPU: coalesced scatter WQEs under
+        // one doorbell, no client CPU involvement. A terminal push
+        // failure touches no slot state — the stored version stays
+        // `Done` and a later restore can try again.
+        self.execute_runs(pool, tenant, &runs, &pieces, Direction::Push, &sc)
+            .map_err(|fail| fail.into_error(model, "restore"))?;
+        let elapsed = self.ctx.clock.now().saturating_since(t0);
         sc.record_now(Stage::Total, t_op);
         Ok((hdr.version, mi.total_bytes, elapsed))
     }
@@ -2365,7 +2310,7 @@ mod tests {
         let mut sizes = vec![4096, 9 * MIB + 123, 3 * MIB, 0, 2 * MIB, PULL_WQE_BYTES];
         sizes.extend(std::iter::repeat_n(4096, 3 * MAX_SGE));
         let verbs = adjacent(&sizes);
-        let runs = coalesce_runs(&verbs, PULL_WQE_BYTES);
+        let runs = coalesce_runs(&verbs, PULL_WQE_BYTES, &[]);
         assert_tiles(&verbs, &runs);
         for r in &runs {
             assert!(r.len <= PULL_WQE_BYTES, "{r:?} exceeds the byte cap");
@@ -2392,7 +2337,7 @@ mod tests {
     fn a_gap_breaks_a_run_and_a_zero_length_tensor_keeps_its_segment() {
         let mut verbs = adjacent(&[4096, 0, 4096, 4096]);
         verbs[3].rel_off += 4096; // a clean tensor skipped before t3
-        let runs = coalesce_runs(&verbs, PULL_WQE_BYTES);
+        let runs = coalesce_runs(&verbs, PULL_WQE_BYTES, &[]);
         assert_tiles(&verbs, &runs);
         assert_eq!(runs.len(), 2, "the gap breaks the run: {runs:?}");
         assert_eq!(runs[0].names, ["t0", "t1", "t2"]);
@@ -2401,7 +2346,7 @@ mod tests {
 
         // A zero-length tensor right after a full run still joins it.
         let verbs = adjacent(&[PULL_WQE_BYTES, 0, 4096]);
-        let runs = coalesce_runs(&verbs, PULL_WQE_BYTES);
+        let runs = coalesce_runs(&verbs, PULL_WQE_BYTES, &[]);
         assert_tiles(&verbs, &runs);
         assert_eq!(runs[0].names, ["t0", "t1"]);
         assert_eq!(runs[1].names, ["t2"]);
@@ -2410,10 +2355,51 @@ mod tests {
     #[test]
     fn uncapped_push_runs_never_split_a_tensor() {
         let verbs = adjacent(&[9 * MIB, 5 * MIB, 4096]);
-        let runs = coalesce_runs(&verbs, u64::MAX);
+        let runs = coalesce_runs(&verbs, u64::MAX, &[]);
         assert_tiles(&verbs, &runs);
         assert_eq!(runs.len(), 1);
         assert_eq!(runs[0].segs.len(), 3);
+    }
+
+    #[test]
+    fn push_runs_never_cross_a_piece_end() {
+        const KIB: u64 = 1 << 10;
+        // 3 x 96 KiB and a trailing empty tensor over five extent-sized
+        // pieces, scattered on the device.
+        let verbs = adjacent(&[96 * KIB, 96 * KIB, 96 * KIB, 0]);
+        let pieces: Vec<SlotPiece> = (0..5)
+            .map(|i| SlotPiece {
+                dev_off: (9 - i) * MIB,
+                rel_off: i * 64 * KIB,
+                len: (64 * KIB).min(288 * KIB - i * 64 * KIB),
+            })
+            .collect();
+        let runs = coalesce_runs(&verbs, u64::MAX, &pieces);
+        assert_tiles(&verbs, &runs);
+        let spans: Vec<(u64, u64)> = runs.iter().map(|r| (r.base_rel, r.len)).collect();
+        assert_eq!(
+            spans,
+            [
+                (0, 64 * KIB),
+                (64 * KIB, 64 * KIB),
+                (128 * KIB, 64 * KIB),
+                (192 * KIB, 64 * KIB),
+                (256 * KIB, 32 * KIB)
+            ]
+        );
+        assert_eq!(runs[1].names, ["t0", "t1"]);
+        assert_eq!(
+            runs[4].names,
+            ["t2", "t3"],
+            "the empty tensor joins the last run"
+        );
+        for r in &runs {
+            let p = piece_at(&pieces, r.base_rel).unwrap();
+            assert!(
+                r.base_rel + r.len <= p.rel_off + p.len,
+                "{r:?} crosses {p:?}"
+            );
+        }
     }
 
     /// The derivation behind [`PULL_WQE_BYTES`]: at the calibrated

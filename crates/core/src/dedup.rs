@@ -40,13 +40,20 @@
 //! Every crash window over-counts, never under-counts, and recovery's
 //! recount makes the refcounts exact again.
 //!
-//! Restores materialize the checkpoint's bytes into a scratch region
-//! (tagged [`SCRATCH_TAG`], reclaimed by recovery if a crash strands
-//! it), paying one DAX read and one DAX write per byte.
+//! ## Reading a version
+//!
+//! An extent-mapped version's bytes are a list of pieces, one per
+//! touched extent ([`extent_pieces`], behind [`Index::slot_pieces`]).
+//! Every reader walks that list in place: restore's verify and its
+//! one-sided pushes, delta-checkpoint carries, and `portusctl dump`.
+//! Nothing is copied out first, so a restore writes nothing to PMem.
+//! That is safe because a restore holds the model lock and the slot
+//! holds a reference on each of its extents: the repack sweep frees
+//! only refcount-0 extents.
 
-use portus_pmem::{typed, PmemAlloc, PmemDevice};
+use portus_pmem::{typed, PmemAlloc, PmemDevice, PmemError};
 
-use crate::index::{combine_digests, name_hash, region_digest};
+use crate::index::{combine_digests, name_hash, region_digest, SlotPiece};
 use crate::{Index, MIndex, PortusError, PortusResult, SlotState};
 
 const XMAP_MAGIC: u32 = 0x584D_4150; // "XMAP"
@@ -55,10 +62,6 @@ const XM_CHUNK: u64 = 8;
 const XM_LOGICAL: u64 = 16;
 const XM_ENTRIES: u64 = 32;
 const XM_ENTRY_SIZE: u64 = 8;
-
-/// Allocator tag for restore-side materialization scratch regions.
-/// Unreachable from any index structure, so recovery GCs strays.
-pub(crate) const SCRATCH_TAG: u64 = 0x5343_5254_4348_5047; // "SCRTCHPG"
 
 /// Dedup tier configuration (opt-in via
 /// [`crate::DaemonConfig::dedup`]).
@@ -331,119 +334,58 @@ pub(crate) fn release_slot_extents(
     Ok(map_alloc.len)
 }
 
-/// A materialized extent-mapped checkpoint: the scratch region holding
-/// its bytes, and how many bytes were read off the extents and written
-/// into the region (the DAX-read and DAX-write cost).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Materialized {
-    /// The scratch allocation holding the checkpoint's bytes.
-    pub region: PmemAlloc,
-    /// Bytes read off the extents, and written into the region.
-    pub bytes: u64,
-}
-
-/// Rebuilds an extent-mapped slot's logical bytes into a fresh scratch
-/// region so the plain restore datapath (verify + one-sided pushes) can
-/// run unchanged against it. The caller frees `region` when done.
+/// The pieces of the extent-mapped version whose map is at `map_off`
+/// that cover `[rel_off, rel_off + len)` ([`Index::slot_pieces`]): one
+/// per touched extent, in offset order. Reads the map and each touched
+/// extent's record, never a payload.
 ///
 /// # Errors
 ///
-/// Extent-store, allocator, and device errors; [`PortusError::Daemon`]
-/// if the map's extents do not sum to its logical length.
-pub(crate) fn materialize_slot(
-    index: &Index,
-    mi: &MIndex,
-    slot: usize,
-) -> PortusResult<Materialized> {
-    let store = index
-        .extent_store()
-        .ok_or_else(|| PortusError::Daemon("materialize without an extent store".into()))?;
-    let hdr = mi.slots[slot];
-    debug_assert_ne!(hdr.ext_map, 0, "slot is not extent-mapped");
-    let map = read_extent_map(index.device(), hdr.ext_map)?;
-    let alloc = index.allocator();
-    let region = alloc.alloc_aligned(map.logical.max(4096), 4096, SCRATCH_TAG)?;
-    let dev = index.device();
-    let mut out = Vec::new();
-    let mut pos = 0u64;
-    for &e in &map.extents {
-        store.read_into(e, &mut out)?;
-        dev.write(region.offset + pos, &out)?;
-        pos += out.len() as u64;
-    }
-    if pos != map.logical {
-        alloc.free(&region)?;
-        return Err(PortusError::Daemon(format!(
-            "extent map at {} materialized {pos} bytes, expected {}",
-            hdr.ext_map, map.logical
-        )));
-    }
-    Ok(Materialized {
-        region,
-        bytes: map.logical,
-    })
-}
-
-/// A range copy out of an extent-mapped version, for delta-checkpoint
-/// carries: bytes `[rel_off, rel_off + len)` of the logical checkpoint
-/// land at the same relative offset in `dst_data_off`'s region.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RangeCopy {
-    /// Bytes read off media (whole touched extents).
-    pub read_bytes: u64,
-    /// Positional digest of the copied range, keyed by `rel_off` —
-    /// combinable with the pull runs' digests.
-    pub digest: u64,
-}
-
-/// Copies one carry range from an extent-mapped previous version into a
-/// plain target region (volatile; the caller's seal persists it).
-///
-/// # Errors
-///
-/// Extent-store and device errors; [`PortusError::Daemon`] on a range
-/// past the map's logical length.
-pub(crate) fn copy_range_from_extents(
+/// [`PmemError::Corrupt`] for a range past the map's logical length, or
+/// for an extent whose length is not `min(chunk_bytes, logical - base)`;
+/// device and extent-store errors.
+pub(crate) fn extent_pieces(
     index: &Index,
     map_off: u64,
-    dst_data_off: u64,
     rel_off: u64,
     len: u64,
-) -> PortusResult<RangeCopy> {
+) -> PortusResult<Vec<SlotPiece>> {
     let store = index
         .extent_store()
-        .ok_or_else(|| PortusError::Daemon("extent copy without an extent store".into()))?;
-    if len == 0 {
-        return Ok(RangeCopy {
-            read_bytes: 0,
-            digest: 0,
-        });
-    }
+        .ok_or_else(|| PortusError::Daemon("extent read without an extent store".into()))?;
     let map = read_extent_map(index.device(), map_off)?;
-    if rel_off + len > map.logical {
-        return Err(PortusError::Daemon(format!(
-            "carry [{rel_off}, +{len}) past extent map logical length {}",
-            map.logical
-        )));
+    let corrupt =
+        |what: String| PmemError::Corrupt(format!("extent map at offset {map_off}: {what}"));
+    let end = rel_off.saturating_add(len);
+    if end > map.logical || map.chunk_bytes == 0 {
+        return Err(corrupt(format!(
+            "range [{rel_off}, +{len}) past logical length {} (chunk {})",
+            map.logical, map.chunk_bytes
+        ))
+        .into());
     }
-    let dev = index.device();
-    let first = rel_off / map.chunk_bytes;
-    let last = (rel_off + len - 1) / map.chunk_bytes;
-    let mut out = Vec::new();
-    let mut read_bytes = 0u64;
-    let mut digest = 0u64;
-    for ci in first..=last {
-        let ext = map.extents[ci as usize];
-        store.read_into(ext, &mut out)?;
-        read_bytes += out.len() as u64;
-        let chunk_base = ci * map.chunk_bytes;
-        let start = rel_off.max(chunk_base);
-        let end = (rel_off + len).min(chunk_base + out.len() as u64);
-        let piece = &out[(start - chunk_base) as usize..(end - chunk_base) as usize];
-        dev.write(dst_data_off + start, piece)?;
-        digest = combine_digests(digest, region_digest(piece, start));
+    let mut pieces = Vec::new();
+    let mut at = rel_off;
+    while at < end {
+        let chunk = at / map.chunk_bytes;
+        let base = chunk * map.chunk_bytes;
+        let ext = *map
+            .extents
+            .get(chunk as usize)
+            .ok_or_else(|| corrupt(format!("no extent for chunk {chunk}")))?;
+        let rec = store.record(ext)?;
+        if rec.len != map.chunk_bytes.min(map.logical - base) {
+            return Err(corrupt(format!("extent {ext} holds {} bytes at {base}", rec.len)).into());
+        }
+        let stop = end.min(base + rec.len);
+        pieces.push(SlotPiece {
+            dev_off: rec.data_off + (at - base),
+            rel_off: at,
+            len: stop - at,
+        });
+        at = stop;
     }
-    Ok(RangeCopy { read_bytes, digest })
+    Ok(pieces)
 }
 
 #[cfg(test)]
@@ -495,14 +437,9 @@ mod tests {
     /// sealed digest as a restore would.
     fn restore(index: &Index, mi: &MIndex) -> (u64, Vec<u8>) {
         let (slot, hdr) = mi.latest_done().expect("a sealed version");
-        let m = materialize_slot(index, mi, slot).unwrap();
+        assert_eq!(index.slot_digest(mi, slot).unwrap(), hdr.digest);
         let mut out = vec![0u8; BYTES as usize];
-        index.device().read(m.region.offset, &mut out).unwrap();
-        assert_eq!(
-            index.range_digest(m.region.offset, 0, BYTES).unwrap(),
-            hdr.digest
-        );
-        index.allocator().free(&m.region).unwrap();
+        index.read_slot(&hdr, 0, &mut out).unwrap();
         (hdr.version, out)
     }
 
@@ -591,6 +528,53 @@ mod tests {
         assert!(
             index.allocator().live_at(pass.staging.offset).is_none(),
             "staging GC'd"
+        );
+    }
+
+    #[test]
+    fn pieces_tile_a_range_across_extents_without_reading_payloads() {
+        let (_dev, index, mut mi, cfg) = world();
+        let v1 = stage(&index, &mut mi, 0, 1);
+        seal_slot(&index, &mut mi, 0, 1, &cfg).unwrap();
+        let hdr = mi.slots[0];
+        let (rel, len) = (60 << 10, 80 << 10);
+        let pieces = index.slot_pieces(&hdr, rel, len).unwrap();
+        let spans: Vec<_> = pieces.iter().map(|p| (p.rel_off, p.len)).collect();
+        assert_eq!(
+            spans,
+            [
+                (60 << 10, 4 << 10),
+                (64 << 10, 64 << 10),
+                (128 << 10, 12 << 10)
+            ]
+        );
+        let mut out = vec![0u8; len as usize];
+        index.read_slot(&hdr, rel, &mut out).unwrap();
+        assert_eq!(out, v1[rel as usize..(rel + len) as usize]);
+    }
+
+    #[test]
+    fn a_range_past_the_map_or_a_short_extent_is_corrupt() {
+        let (dev, index, mut mi, cfg) = world();
+        stage(&index, &mut mi, 0, 1);
+        seal_slot(&index, &mut mi, 0, 1, &cfg).unwrap();
+        let hdr = mi.slots[0];
+        let corrupt = |r: PortusResult<Vec<SlotPiece>>| {
+            matches!(r, Err(PortusError::Pmem(PmemError::Corrupt(_))))
+        };
+        assert!(corrupt(index.slot_pieces(&hdr, BYTES - 1, 2)));
+        // Point chunk 1 at an 8 KiB extent: its length no longer
+        // matches the map's chunking.
+        let short = index
+            .extent_store()
+            .unwrap()
+            .insert_or_ref(&[7u8; 8 << 10], index.allocator())
+            .unwrap();
+        typed::write_u32(&dev, hdr.ext_map + XM_ENTRIES + XM_ENTRY_SIZE, short.slot).unwrap();
+        assert!(corrupt(index.slot_pieces(&hdr, 0, BYTES)));
+        assert!(
+            index.slot_pieces(&hdr, 0, 64 << 10).is_ok(),
+            "chunk 0 is untouched"
         );
     }
 }

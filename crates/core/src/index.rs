@@ -153,6 +153,15 @@ pub struct SlotHeader {
     pub ext_map: u64,
 }
 
+/// The `len` bytes at slot-relative `rel_off` of a version live at
+/// device offset `dev_off` ([`Index::slot_pieces`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SlotPiece {
+    pub dev_off: u64,
+    pub rel_off: u64,
+    pub len: u64,
+}
+
 /// One tensor's record in an MIndex.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TensorRecord {
@@ -963,57 +972,100 @@ impl Index {
         Ok(())
     }
 
-    /// FNV-1a of a slot's data region (reads PMem). A content
-    /// fingerprint for tooling; slot headers are sealed and verified
-    /// with [`Index::slot_digest`].
+    /// Where the bytes `[rel_off, rel_off + len)` of the version in
+    /// `hdr` live on the device, in offset order: one piece for a plain
+    /// slot, one per touched extent for an extent-mapped one
+    /// ([`crate::dedup::extent_pieces`]). Every reader of a slot's bytes
+    /// walks this list.
     ///
     /// # Errors
     ///
-    /// Device errors.
+    /// Those of [`crate::dedup::extent_pieces`].
+    pub(crate) fn slot_pieces(
+        &self,
+        hdr: &SlotHeader,
+        rel_off: u64,
+        len: u64,
+    ) -> PortusResult<Vec<SlotPiece>> {
+        if hdr.ext_map != 0 {
+            return crate::dedup::extent_pieces(self, hdr.ext_map, rel_off, len);
+        }
+        let dev_off = hdr.data_off + rel_off;
+        Ok(vec![SlotPiece {
+            dev_off,
+            rel_off,
+            len,
+        }])
+    }
+
+    /// Streams the bytes `pieces` cover, in order, through the bounded
+    /// per-thread I/O buffer: `f(chunk, slot-relative offset)`.
+    fn walk(&self, pieces: &[SlotPiece], mut f: impl FnMut(&[u8], u64)) -> PortusResult<()> {
+        with_io_buf(|buf| {
+            for p in pieces {
+                let mut pos = 0u64;
+                while pos < p.len {
+                    let chunk = ((p.len - pos) as usize).min(buf.len());
+                    self.dev.read(p.dev_off + pos, &mut buf[..chunk])?;
+                    f(&buf[..chunk], p.rel_off + pos);
+                    pos += chunk as u64;
+                }
+            }
+            Ok(())
+        })
+    }
+
+    /// Reads the bytes at slot-relative `rel_off` of the version in
+    /// `hdr` into `out`, through its pieces.
+    pub(crate) fn read_slot(
+        &self,
+        hdr: &SlotHeader,
+        rel_off: u64,
+        out: &mut [u8],
+    ) -> PortusResult<()> {
+        let pieces = self.slot_pieces(hdr, rel_off, out.len() as u64)?;
+        self.walk(&pieces, |chunk, rel| {
+            out[(rel - rel_off) as usize..][..chunk.len()].copy_from_slice(chunk);
+        })
+    }
+
+    /// FNV-1a of a slot's bytes (reads PMem). A content fingerprint
+    /// for tooling; slot headers are sealed and verified with
+    /// [`Index::slot_digest`].
+    ///
+    /// # Errors
+    ///
+    /// Device errors, and those of [`Index::slot_pieces`].
     pub fn slot_checksum(&self, mi: &MIndex, slot: usize) -> PortusResult<u64> {
         let hdr = mi.slots[slot];
-        with_io_buf(|buf| {
-            let mut hash = Fnv1a::new();
-            let mut pos = 0u64;
-            while pos < hdr.data_len {
-                let chunk = ((hdr.data_len - pos) as usize).min(buf.len());
-                self.dev.read(hdr.data_off + pos, &mut buf[..chunk])?;
-                hash.update(&buf[..chunk]);
-                pos += chunk as u64;
-            }
-            Ok(hash.finish())
-        })
+        let mut hash = Fnv1a::new();
+        self.walk(&self.slot_pieces(&hdr, 0, hdr.data_len)?, |chunk, _| {
+            hash.update(chunk);
+        })?;
+        Ok(hash.finish())
     }
 
-    /// Positional digest of a slot's data region (reads PMem) — the
-    /// value a `Done` header is sealed with. Because [`region_digest`]
-    /// keys each byte by its slot-relative offset and chunks combine
-    /// with [`combine_digests`], this matches the sum of per-run digests
-    /// the datapath sealed with, in any order and at any chunking.
+    /// Positional digest of a slot's bytes (reads PMem) — the value a
+    /// `Done` header is sealed with. Because [`region_digest`] keys
+    /// each byte by its slot-relative offset and chunks combine with
+    /// [`combine_digests`], this matches the sum of per-run digests the
+    /// datapath sealed with, in any order and at any chunking.
     ///
     /// # Errors
     ///
-    /// Device errors.
+    /// Device errors, and those of [`Index::slot_pieces`].
     pub fn slot_digest(&self, mi: &MIndex, slot: usize) -> PortusResult<u64> {
         let hdr = mi.slots[slot];
-        self.range_digest(hdr.data_off, 0, hdr.data_len)
+        self.pieces_digest(&self.slot_pieces(&hdr, 0, hdr.data_len)?)
     }
 
-    /// Positional digest of the `len` bytes at slot-relative `rel_off`
-    /// of the data region at `data_off`, read through the bounded
-    /// per-thread I/O buffer.
-    pub(crate) fn range_digest(&self, data_off: u64, rel_off: u64, len: u64) -> PortusResult<u64> {
-        with_io_buf(|buf| {
-            let mut acc: u64 = 0;
-            let mut pos = 0u64;
-            while pos < len {
-                let chunk = ((len - pos) as usize).min(buf.len());
-                self.dev.read(data_off + rel_off + pos, &mut buf[..chunk])?;
-                acc = combine_digests(acc, region_digest(&buf[..chunk], rel_off + pos));
-                pos += chunk as u64;
-            }
-            Ok(acc)
-        })
+    /// Positional digest of the bytes `pieces` cover.
+    pub(crate) fn pieces_digest(&self, pieces: &[SlotPiece]) -> PortusResult<u64> {
+        let mut acc = 0;
+        self.walk(pieces, |chunk, rel| {
+            acc = combine_digests(acc, region_digest(chunk, rel));
+        })?;
+        Ok(acc)
     }
 
     /// Removes a model: clears its table entry first (so recovery never

@@ -64,30 +64,34 @@ pub fn view(image: &Path) -> PortusResult<Vec<ModelSummary>> {
 
 /// `portusctl dump DEVICE MODEL FILE`: extracts the latest complete
 /// checkpoint of `model` from the device image into a portable
-/// container at `out`.
+/// container at `out`. Each tensor is read through the version's
+/// pieces (a plain region or its extents), and the version is verified
+/// against its sealed digest before anything is written.
 ///
 /// # Errors
 ///
 /// [`PortusError::ModelNotFound`] / [`PortusError::NoValidCheckpoint`]
-/// when the model or a complete version is missing, plus image and
-/// container errors.
+/// when the model or a complete version is missing,
+/// [`PortusError::ChecksumMismatch`] when the stored bytes fail
+/// verification, plus image and container errors.
 pub fn dump(image: &Path, model: &str, out: &Path) -> PortusResult<DumpReport> {
     let (index, map) = open_index(image)?;
     let off = *map
         .get(model)
         .ok_or_else(|| PortusError::ModelNotFound(model.to_string()))?;
     let mi = index.load_mindex(off)?;
-    let (_slot, hdr) = mi
+    let (slot, hdr) = mi
         .latest_done()
         .ok_or_else(|| PortusError::NoValidCheckpoint(model.to_string()))?;
+    if index.slot_digest(&mi, slot)? != hdr.digest {
+        let (model, version) = (model.to_string(), hdr.version);
+        return Err(PortusError::ChecksumMismatch { model, version });
+    }
 
     let mut entries = Vec::with_capacity(mi.tensors.len());
     for rec in &mi.tensors {
-        let len = rec.meta.size_bytes();
-        let mut payload = vec![0u8; len as usize];
-        index
-            .device()
-            .read(hdr.data_off + rec.rel_off, &mut payload)?;
+        let mut payload = vec![0u8; rec.meta.size_bytes() as usize];
+        index.read_slot(&hdr, rec.rel_off, &mut payload)?;
         entries.push(CheckpointEntry {
             meta: rec.meta.clone(),
             data: PayloadSource::Bytes(payload),

@@ -476,7 +476,7 @@ impl PmemDevice {
     /// writing it back: dirty and flushed-but-unfenced lines and pages
     /// wholly inside the range vanish, and their page buffers are
     /// recycled. For regions about to be freed whose content must never
-    /// become durable (a staging or scratch region); reads of the range
+    /// become durable (a dedup staging region); reads of the range
     /// afterwards return the durable bytes. Lines and pages straddling
     /// the range's edges are kept, since they hold bytes outside it.
     ///

@@ -378,17 +378,6 @@ impl ExtentStore {
         self.write_refcount(slot, count)
     }
 
-    /// Reads an extent's payload into `out`, replacing its contents.
-    ///
-    /// # Errors
-    ///
-    /// [`PmemError::Corrupt`] if `slot` is not live.
-    pub fn read_into(&self, slot: u32, out: &mut Vec<u8>) -> PmemResult<()> {
-        let rec = self.read_record(slot)?;
-        out.resize(rec.len as usize, 0);
-        self.dev.read(rec.data_off, out)
-    }
-
     /// All live extents `(slot, record)` in slot order.
     ///
     /// # Errors

@@ -108,7 +108,7 @@ const MIN_ENTRY: u32 = 10;
 const PROBE_BYTES: usize = 64;
 
 /// Reads and checks the header of the `page_bytes`-sized page at
-/// `page_off`: `(count, used)`.
+/// `page_off`, in one device read: `(count, used)`.
 ///
 /// # Errors
 ///
@@ -121,14 +121,15 @@ pub fn read_page_header(
     page_off: u64,
     page_bytes: u64,
 ) -> PmemResult<(u32, u32)> {
-    let magic = typed::read_u32(dev, page_off)?;
+    let mut head = [0u8; PAGE_HEADER as usize];
+    dev.read(page_off, &mut head)?;
+    let word = |at: usize| u32::from_le_bytes(head[at..at + 4].try_into().expect("4-byte word"));
+    let (magic, count, used) = (word(0), word(4), word(8));
     if magic != PAGE_MAGIC {
         return Err(PmemError::Corrupt(format!(
             "bad micro-page magic {magic:#x} at {page_off:#x}"
         )));
     }
-    let count = typed::read_u32(dev, page_off + 4)?;
-    let used = typed::read_u32(dev, page_off + 8)?;
     if u64::from(used) < PAGE_HEADER
         || u64::from(used) > page_bytes
         || count > (used - PAGE_HEADER as u32) / MIN_ENTRY
@@ -141,26 +142,39 @@ pub fn read_page_header(
 }
 
 /// Decodes every entry of the `page_bytes`-sized page at `page_off`, in
-/// stored order.
+/// stored order: the header, then one device read of the page's used
+/// bytes, decoded from that buffer.
 ///
 /// # Errors
 ///
-/// `PmemError::Corrupt` on a bad magic or header, plus device bounds
-/// errors.
+/// `PmemError::Corrupt` on a bad magic or header, or an entry that runs
+/// past the page's used bytes, plus device bounds errors.
 pub fn read_page(
     dev: &PmemDevice,
     page_off: u64,
     page_bytes: u64,
 ) -> PmemResult<Vec<(String, u64)>> {
-    let (count, _) = read_page_header(dev, page_off, page_bytes)?;
+    let (count, used) = read_page_header(dev, page_off, page_bytes)?;
+    let mut body = vec![0u8; used as usize - PAGE_HEADER as usize];
+    dev.read(page_off + PAGE_HEADER, &mut body)?;
+    let overrun = || {
+        PmemError::Corrupt(format!(
+            "micro-page at {page_off:#x}: an entry runs past its {used} used bytes"
+        ))
+    };
+    let mut rest = &body[..];
     let mut out = Vec::with_capacity(count as usize);
-    let mut cur = page_off + PAGE_HEADER;
     for _ in 0..count {
-        let (name, consumed) = typed::read_str(dev, cur)?;
-        cur += consumed;
-        let off = typed::read_u64(dev, cur)?;
-        cur += 8;
-        out.push((name, off));
+        let (len, tail) = rest.split_first_chunk::<2>().ok_or_else(overrun)?;
+        let (name, tail) = tail
+            .split_at_checked(usize::from(u16::from_le_bytes(*len)))
+            .ok_or_else(overrun)?;
+        let (off, tail) = tail.split_first_chunk::<8>().ok_or_else(overrun)?;
+        out.push((
+            String::from_utf8_lossy(name).into_owned(),
+            u64::from_le_bytes(*off),
+        ));
+        rest = tail;
     }
     Ok(out)
 }
@@ -347,6 +361,37 @@ mod tests {
         let dev = page(4, 7);
         typed::write_u32(&dev, 8, 16 + 10 * 7).unwrap();
         assert_eq!(read_page_header(&dev, 0, 512).unwrap(), (7, 86));
+    }
+
+    #[test]
+    fn an_entry_past_the_used_bytes_is_corrupt() {
+        // Three 22-byte entries; each forgery below passes the header
+        // checks, so only the decode can catch it.
+        let forged = |at: u64, bytes: &[u8]| {
+            let dev = dev();
+            write_page(&dev, 0, 512, &entries(3)).unwrap();
+            dev.write(at, bytes).unwrap();
+            read_page(&dev, 0, 512)
+        };
+        for (at, bytes, why) in [
+            (
+                8,
+                &46u32.to_le_bytes()[..],
+                "used cut inside the second entry",
+            ),
+            (
+                16,
+                &u16::MAX.to_le_bytes()[..],
+                "a name length past the page",
+            ),
+            (8, &81u32.to_le_bytes()[..], "the last offset cut short"),
+        ] {
+            assert!(
+                matches!(forged(at, bytes), Err(PmemError::Corrupt(_))),
+                "{why}"
+            );
+        }
+        assert_eq!(forged(8, &82u32.to_le_bytes()).unwrap(), entries(3));
     }
 
     #[test]

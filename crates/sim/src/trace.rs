@@ -84,10 +84,10 @@ pub enum Stage {
     Checksum,
     /// Durable slot-header flip to `Done`.
     HeaderFlip,
-    /// The dedup tier's extent seal — chunking the staging region into
+    /// The dedup tier's extent seal: chunking the staging region into
     /// content-addressed extents and publishing the extent map under
-    /// one header flip — or an extent-mapped restore's materialization
-    /// (dedup-configured daemons only).
+    /// one header flip (dedup-configured daemons only). Restores read
+    /// extents in place and record no dedup span.
     Dedup,
     /// One space-management repack pass over the model table.
     Repack,

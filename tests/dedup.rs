@@ -11,13 +11,21 @@
 //!   live map references and never leaks one nothing references**;
 //! * an extent seal whose pass fails mid-checkpoint falls back to a
 //!   plain seal that restores bit-for-bit;
-//! * the repacker sweeps the refcount-zero extents of dropped models.
+//! * the repacker sweeps the refcount-zero extents of dropped models;
+//! * every reader of an extent-mapped version (verify, restore pushes,
+//!   `portusctl dump`) reads it in place through its pieces: the digest
+//!   matches the sealed one, a corrupted shared extent fails every
+//!   sharer with a typed error, and a restore allocates nothing.
 
-use portus::{name_hash, repack, DaemonConfig, DedupConfig, PortusClient, PortusDaemon};
+use portus::{
+    name_hash, portusctl, repack, DaemonConfig, DedupConfig, PortusClient, PortusDaemon,
+    PortusError, SlotState,
+};
 use portus_dnn::{test_spec, Materialization, ModelInstance, ModelSpec};
+use portus_format::read_checkpoint;
 use portus_mem::GpuDevice;
-use portus_pmem::{CrashSpec, PmemDevice, PmemMode};
-use portus_rdma::{Fabric, NodeId};
+use portus_pmem::{save_image, CrashSpec, PmemDevice, PmemError, PmemMode};
+use portus_rdma::{Fabric, FaultSpec, NodeId};
 use portus_sim::SimContext;
 
 /// Two distinct names with the same FNV-1a 64 hash (found by a
@@ -453,4 +461,202 @@ fn repack_sweeps_extents_of_dropped_models() {
         "sweeping must return the payload bytes"
     );
     let _ = w.ctx;
+}
+
+// ---------------------------------------------------------------------
+// Readers of an extent-mapped version: verify, push, carry, dump.
+// ---------------------------------------------------------------------
+
+/// Flips the byte at device offset `off`, durably.
+fn flip(pmem: &PmemDevice, off: u64) {
+    let mut b = [0u8];
+    pmem.read(off, &mut b).unwrap();
+    pmem.write(off, &[b[0] ^ 0xFF]).unwrap();
+    pmem.persist(off, 1).unwrap();
+}
+
+/// A device offset inside an extent whose refcount is `refs`.
+fn extent_with_refs(w: &World, refs: u64) -> u64 {
+    let store = w.daemon.index().extent_store().unwrap();
+    let (_, rec) = store
+        .live_extents()
+        .unwrap()
+        .into_iter()
+        .find(|(_, r)| r.refcount == refs)
+        .expect("an extent with that many references");
+    rec.data_off + rec.len / 2
+}
+
+#[test]
+fn slot_digest_matches_the_sealed_digest_on_every_done_slot() {
+    let w = world_cfg(dedup_cfg());
+    let c = client(&w);
+    for (i, name) in ["dg-a", "dg-b"].into_iter().enumerate() {
+        let mut m = register(&w, &c, &test_spec(name, 4, 128 * 1024), 31);
+        m.train_step_sparse(&[i]);
+        c.checkpoint(name).unwrap();
+        m.train_step_sparse(&[2]);
+        // A delta carries its clean tensors from the extent-mapped v1.
+        let d = c
+            .checkpoint_delta(name, &[false, false, true, false])
+            .unwrap();
+        assert!(d.copied_bytes > 0);
+    }
+    let index = w.daemon.index();
+    let mut done = 0;
+    for (_, off) in index.live_entries().unwrap() {
+        let mi = index.load_mindex(off).unwrap();
+        for (slot, hdr) in mi.slots.iter().enumerate() {
+            if hdr.state != SlotState::Done {
+                continue;
+            }
+            assert_ne!(hdr.ext_map, 0, "sealed into extents");
+            assert_eq!(index.slot_digest(&mi, slot).unwrap(), hdr.digest);
+            done += 1;
+        }
+    }
+    assert_eq!(done, 4, "two models, both slots sealed");
+}
+
+#[test]
+fn dump_of_a_dedup_checkpoint_matches_the_gpu_and_rejects_corruption() {
+    let w = world_cfg(dedup_cfg());
+    let c = client(&w);
+    let mut models = Vec::new();
+    for name in ["dump-a", "dump-b"] {
+        let mut m = register(&w, &c, &test_spec(name, 4, 96 * 1024), 41);
+        m.train_step();
+        c.checkpoint(name).unwrap();
+        models.push(m);
+    }
+    let dir = std::env::temp_dir().join(format!("portus-dedup-dump-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let image = dir.join("pmem.img");
+    let out = dir.join("dump-a.ckpt");
+    save_image(&w.pmem, &image).unwrap();
+    let report = portusctl::dump(&image, "dump-a", &out).unwrap();
+    assert_eq!(report.tensors, 4);
+    let decoded = read_checkpoint(&std::fs::read(&out).unwrap()[..]).unwrap();
+    for ((meta, payload), tensor) in decoded.tensors.iter().zip(models[0].tensors()) {
+        assert_eq!(meta.name, tensor.meta.name);
+        assert_eq!(payload, &tensor.buffer.to_vec(), "{} differs", meta.name);
+    }
+
+    // A byte flipped in an extent both models share: the dump verifies
+    // before it writes, so no container is produced.
+    flip(&w.pmem, extent_with_refs(&w, 2));
+    save_image(&w.pmem, &image).unwrap();
+    std::fs::remove_file(&out).unwrap();
+    let err = portusctl::dump(&image, "dump-b", &out).unwrap_err();
+    assert!(
+        matches!(&err, PortusError::ChecksumMismatch { model, version: 1 } if model == "dump-b"),
+        "expected a checksum mismatch, got: {err}"
+    );
+    assert!(!out.exists(), "a failed dump writes no container");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_dedup_restore_allocates_nothing_on_a_full_table() {
+    let w = world_cfg(dedup_cfg());
+    let c = client(&w);
+    let mut m = register(&w, &c, &test_spec("full", 4, 128 * 1024), 43);
+    m.train_step();
+    let saved = m.model_checksum();
+    c.checkpoint("full").unwrap();
+
+    let alloc = w.daemon.index().allocator();
+    let filler = loop {
+        match alloc.alloc_aligned(4096, 4096, 0x4649_4C4C) {
+            Ok(_) => {}
+            Err(e) => break e,
+        }
+    };
+    assert!(matches!(filler, PmemError::TableFull), "{filler}");
+
+    m.train_step();
+    let r = c.restore(&m).unwrap();
+    assert_eq!(r.version, 1);
+    assert_eq!(m.model_checksum(), saved, "bit-for-bit from a full table");
+}
+
+#[test]
+fn a_corrupted_shared_extent_fails_every_sharer_and_spares_the_rest() {
+    let w = world_cfg(dedup_cfg());
+    let c = client(&w);
+    let mut sharers = Vec::new();
+    for name in ["share-a", "share-b"] {
+        let mut m = register(&w, &c, &test_spec(name, 4, 128 * 1024), 47);
+        c.checkpoint(name).unwrap();
+        m.train_step(); // the GPU moves on past the checkpoint
+        sharers.push((name, m));
+    }
+    let mut solo = register(&w, &c, &test_spec("solo", 4, 128 * 1024), 53);
+    let solo_saved = solo.model_checksum();
+    c.checkpoint("solo").unwrap();
+
+    flip(&w.pmem, extent_with_refs(&w, 2));
+    for (name, m) in &mut sharers {
+        let before = m.model_checksum();
+        let err = c.restore(m).unwrap_err();
+        assert!(
+            matches!(&err, PortusError::ChecksumMismatch { model, version: 1 } if model == name),
+            "{name}: expected a checksum mismatch, got: {err}"
+        );
+        assert_eq!(m.model_checksum(), before, "{name}: GPU tensors untouched");
+    }
+    solo.train_step();
+    c.restore(&solo).unwrap();
+    assert_eq!(solo.model_checksum(), solo_saved);
+}
+
+#[test]
+fn extent_pushes_retry_transient_faults_and_name_each_tensor_once() {
+    let w = world_cfg(dedup_cfg());
+    let c = client(&w);
+    // 3 x 96 KiB over 64 KiB extents: five pieces, and every tensor
+    // straddles an extent boundary.
+    let mut m = register(&w, &c, &test_spec("push", 3, 96 * 1024), 59);
+    m.train_step();
+    let saved = m.model_checksum();
+    c.checkpoint("push").unwrap();
+    let daemon_node = NodeId(1);
+
+    let plan = w.fabric.arm_faults(daemon_node, FaultSpec::Nth(1)).unwrap();
+    m.train_step();
+    c.restore(&m).unwrap();
+    assert_eq!(plan.injected(), 1, "one push WQE failed, and was retried");
+    assert_eq!(m.model_checksum(), saved, "bit-for-bit after a retry");
+    w.fabric.clear_faults(daemon_node).unwrap();
+
+    w.fabric.arm_faults(daemon_node, FaultSpec::All).unwrap();
+    m.train_step();
+    let err = c.restore(&m).unwrap_err();
+    let PortusError::DatapathFailed { op, failures, .. } = &err else {
+        panic!("expected a typed datapath error, got: {err}");
+    };
+    assert_eq!(op, "restore");
+    let named: Vec<&str> = failures
+        .iter()
+        .flat_map(|f| f.tensors.iter().map(String::as_str))
+        .collect();
+    assert_eq!(
+        named,
+        [
+            "push.layer0.weight",
+            "push.layer1.weight",
+            "push.layer2.weight"
+        ],
+        "each tensor named once"
+    );
+    w.fabric.clear_faults(daemon_node).unwrap();
+
+    let index = w.daemon.index();
+    let (_, off) = index.live_entries().unwrap()[0];
+    let mi = index.load_mindex(off).unwrap();
+    let (slot, hdr) = mi.latest_done().expect("the slot stays Done");
+    assert_eq!(hdr.version, 1);
+    assert_eq!(index.slot_digest(&mi, slot).unwrap(), hdr.digest);
+    c.restore(&m).unwrap();
+    assert_eq!(m.model_checksum(), saved);
 }

@@ -1358,7 +1358,8 @@ impl DaemonState {
     /// content-addressed extents and one header flip publishes the
     /// version, so the staging region is never flushed. Charges the DAX
     /// traffic the pass performs (the one read of the staging bytes,
-    /// new-extent writes, the map write). Returns `false` when the pass
+    /// new-extent writes, the map write); the writes are streamed, so
+    /// the device adds only their fences. Returns `false` when the pass
     /// failed (extent table full, out of space): the slot is then still
     /// `Active` over its staging region and the caller seals it plain —
     /// dedup failure is never fatal.

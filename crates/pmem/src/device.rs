@@ -13,13 +13,14 @@
 //! Two representation choices keep multi-gigabyte checkpoints tractable:
 //! the durable media is a sparse page store (memory proportional to
 //! bytes written), and page-aligned full-page stores are tracked as
-//! page-granular overlay entries instead of 64 separate cache lines —
-//! the simulated analogue of the streaming non-temporal stores a real
-//! daemon would use for bulk data. One documented approximation: a
-//! store into a page holding flushed-but-unfenced *lines* re-dirties
-//! that page. Portus's on-media layout keeps bulk data page-aligned and
-//! metadata in separate lines, so the approximation is never exercised
-//! by the protocols under test.
+//! page-granular overlay entries instead of 64 separate cache lines.
+//! Non-temporal stores ([`PmemDevice::write_nt`]) bypass the cache:
+//! their lines and pages enter the flushed-but-unfenced set directly,
+//! so one fence makes a whole stream durable without a `clwb` per
+//! line. One documented approximation: a store into a page holding
+//! flushed-but-unfenced *lines* re-dirties that page. Portus's on-media
+//! layout keeps bulk data page-aligned and metadata in separate lines,
+//! so the approximation is never exercised by the protocols under test.
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -207,6 +208,42 @@ impl Inner {
         }
     }
 
+    /// Moves the dirty lines and bulk pages overlapping
+    /// `[offset, offset+len)` to the pending set (`clwb`); returns how
+    /// many cache lines moved. `len` must be non-zero.
+    fn flush_range(&mut self, offset: u64, len: u64) -> u64 {
+        let first_line = offset / CACHE_LINE;
+        let last_line = (offset + len - 1) / CACHE_LINE;
+        let first_page = offset / PAGE;
+        let last_page = (offset + len - 1) / PAGE;
+        let mut flushed_lines = 0u64;
+        let line_keys: Vec<u64> = self
+            .volatile
+            .dirty_lines
+            .range(first_line..=last_line)
+            .map(|(k, _)| *k)
+            .collect();
+        for line in line_keys {
+            if let Some(content) = self.volatile.dirty_lines.remove(&line) {
+                self.volatile.pending_lines.insert(line, content);
+                flushed_lines += 1;
+            }
+        }
+        let page_keys: Vec<u64> = self
+            .volatile
+            .dirty_pages
+            .range(first_page..=last_page)
+            .map(|(k, _)| *k)
+            .collect();
+        for page in page_keys {
+            if let Some(content) = self.volatile.dirty_pages.remove(&page) {
+                self.volatile.pending_pages.insert(page, content);
+                flushed_lines += PAGE / CACHE_LINE;
+            }
+        }
+        flushed_lines
+    }
+
     /// Line-granular RMW store.
     fn write_lines(&mut self, offset: u64, data: &[u8]) {
         let mut pos = 0usize;
@@ -347,6 +384,28 @@ impl PmemDevice {
         Ok(())
     }
 
+    /// Streams `data` to `offset` with non-temporal stores (`movnt`, as
+    /// PMDK's `pmem_memcpy_persist` does): the bytes bypass the cache
+    /// and land in the pending set, the state a flush leaves a line in,
+    /// so the next [`PmemDevice::fence`] makes them durable and a crash
+    /// before it treats them like flushed-but-unfenced lines. Lines and
+    /// bulk pages alike. Charges no time and counts no flushes: the
+    /// caller prices the stream as a DAX write
+    /// ([`portus_sim::CostModel::dax_write`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PmemError::OutOfBounds`] if the range exceeds capacity.
+    pub fn write_nt(&self, offset: u64, data: &[u8]) -> PmemResult<()> {
+        self.check(offset, data.len() as u64)?;
+        if !data.is_empty() {
+            let mut inner = self.inner.lock();
+            inner.write_coherent(offset, data);
+            inner.flush_range(offset, data.len() as u64);
+        }
+        Ok(())
+    }
+
     /// Flushes every cache line (and bulk page) overlapping
     /// `[offset, offset+len)` (`clwb`): moves them to the pending set.
     /// Durable after the next [`PmemDevice::fence`]. Bulk pages are
@@ -379,37 +438,7 @@ impl PmemDevice {
         if len == 0 {
             return Ok(0);
         }
-        let first_line = offset / CACHE_LINE;
-        let last_line = (offset + len - 1) / CACHE_LINE;
-        let first_page = offset / PAGE;
-        let last_page = (offset + len - 1) / PAGE;
-        let mut inner = self.inner.lock();
-        let mut flushed_lines = 0u64;
-        let line_keys: Vec<u64> = inner
-            .volatile
-            .dirty_lines
-            .range(first_line..=last_line)
-            .map(|(k, _)| *k)
-            .collect();
-        for line in line_keys {
-            if let Some(content) = inner.volatile.dirty_lines.remove(&line) {
-                inner.volatile.pending_lines.insert(line, content);
-                flushed_lines += 1;
-            }
-        }
-        let page_keys: Vec<u64> = inner
-            .volatile
-            .dirty_pages
-            .range(first_page..=last_page)
-            .map(|(k, _)| *k)
-            .collect();
-        for page in page_keys {
-            if let Some(content) = inner.volatile.dirty_pages.remove(&page) {
-                inner.volatile.pending_pages.insert(page, content);
-                flushed_lines += PAGE / CACHE_LINE;
-            }
-        }
-        drop(inner);
+        let flushed_lines = self.inner.lock().flush_range(offset, len);
         self.ctx.stats.record_pmem_flushes(flushed_lines);
         Ok(flushed_lines)
     }
@@ -939,6 +968,106 @@ mod tests {
         pm.crash(CrashSpec::LoseAll);
         pm.read(PAGE, &mut out).unwrap();
         assert!(out.iter().all(|&b| b == 1), "media intact after the crash");
+    }
+
+    /// Two bulk pages plus ragged lines on either side.
+    const NT_OFF: u64 = PAGE - 100;
+    const NT_LEN: usize = 2 * PAGE as usize + 300;
+
+    fn nt_payload(fill: u8) -> Vec<u8> {
+        (0..NT_LEN).map(|i| fill ^ i as u8).collect()
+    }
+
+    #[test]
+    fn streamed_bytes_are_durable_only_after_a_fence() {
+        let pm = dev();
+        let payload = nt_payload(0x5A);
+        let mut out = vec![0u8; NT_LEN];
+        pm.write_nt(NT_OFF, &payload).unwrap();
+        pm.read(NT_OFF, &mut out).unwrap();
+        assert_eq!(out, payload, "streamed bytes are coherent at once");
+        pm.crash(CrashSpec::LoseAll);
+        pm.read(NT_OFF, &mut out).unwrap();
+        assert!(out.iter().all(|&b| b == 0), "lost without a fence");
+
+        pm.write_nt(NT_OFF, &payload).unwrap();
+        pm.fence();
+        pm.crash(CrashSpec::LoseAll);
+        pm.read(NT_OFF, &mut out).unwrap();
+        assert_eq!(out, payload, "durable after the fence");
+    }
+
+    #[test]
+    fn a_stream_costs_nothing_until_its_fence() {
+        let pm = dev();
+        // A dirty bulk page and a dirty line under the stream: both are
+        // superseded without a flush being counted.
+        pm.write(PAGE, &[1; PAGE as usize]).unwrap();
+        pm.write(NT_OFF, &[2; 8]).unwrap();
+        let (before, t0) = (pm.ctx().stats.snapshot(), pm.ctx().clock.now());
+        pm.write_nt(NT_OFF, &nt_payload(3)).unwrap();
+        let delta = pm.ctx().stats.snapshot().since(&before);
+        assert_eq!((delta.pmem_flushes, delta.pmem_fences), (0, 0));
+        assert_eq!(pm.ctx().clock.now(), t0);
+        pm.fence();
+        let delta = pm.ctx().stats.snapshot().since(&before);
+        assert_eq!((delta.pmem_flushes, delta.pmem_fences), (0, 1));
+        assert_eq!(pm.ctx().clock.now(), t0 + pm.ctx().model.persist_lines(0));
+        assert_eq!(pm.inflight_lines(), 0, "the fence drained the stream");
+    }
+
+    #[test]
+    fn a_partial_stream_into_a_dirty_bulk_page_turns_it_pending() {
+        let pm = dev();
+        pm.write(0, &[7; PAGE as usize]).unwrap();
+        pm.write_nt(100, &[9; 50]).unwrap();
+        pm.fence();
+        pm.crash(CrashSpec::LoseAll);
+        let mut out = vec![0u8; PAGE as usize];
+        pm.read(0, &mut out).unwrap();
+        assert!(out[..100].iter().all(|&b| b == 7));
+        assert!(out[100..150].iter().all(|&b| b == 9));
+        assert!(out[150..].iter().all(|&b| b == 7));
+    }
+
+    #[test]
+    fn discard_drops_streamed_lines_and_pages() {
+        let pm = dev();
+        pm.write_nt(NT_OFF, &nt_payload(4)).unwrap();
+        pm.discard(0, 4 * PAGE).unwrap();
+        assert_eq!(pm.inflight_lines(), 0);
+        pm.fence();
+        pm.crash(CrashSpec::LoseAll);
+        let mut out = vec![0u8; NT_LEN];
+        pm.read(NT_OFF, &mut out).unwrap();
+        assert!(out.iter().all(|&b| b == 0), "nothing of it became durable");
+    }
+
+    /// A random crash keeps each streamed line and page exactly as it
+    /// keeps the same bytes stored and flushed: same seed, same media.
+    #[test]
+    fn a_random_crash_treats_streamed_bytes_as_flushed_ones() {
+        let payload = nt_payload(6);
+        let (mut kept, mut lost) = (false, false);
+        for seed in 0..16 {
+            let streamed = dev();
+            streamed.write_nt(NT_OFF, &payload).unwrap();
+            streamed.crash(CrashSpec::Random { seed });
+            let flushed = dev();
+            flushed.write(NT_OFF, &payload).unwrap();
+            flushed.flush(NT_OFF, NT_LEN as u64).unwrap();
+            flushed.crash(CrashSpec::Random { seed });
+            let (mut a, mut b) = (vec![0u8; NT_LEN], vec![0u8; NT_LEN]);
+            streamed.read(NT_OFF, &mut a).unwrap();
+            flushed.read(NT_OFF, &mut b).unwrap();
+            assert_eq!(a, b, "seed {seed}");
+            kept |= a.iter().zip(&payload).any(|(x, y)| x == y && *y != 0);
+            lost |= a.iter().zip(&payload).any(|(x, y)| x != y);
+        }
+        assert!(
+            kept && lost,
+            "the seeds keep some of the stream and lose some"
+        );
     }
 
     #[test]

@@ -34,6 +34,8 @@ pub enum PmemError {
     },
     /// The allocation table has no free slots.
     TableFull,
+    /// An extent payload was empty: extents hold at least one byte.
+    EmptyExtent,
     /// On-media structures failed validation during recovery.
     Corrupt(String),
     /// A device image file could not be read or written.
@@ -55,6 +57,7 @@ impl fmt::Display for PmemError {
                 "out of persistent space: requested {requested} bytes, largest free extent {largest_free}"
             ),
             PmemError::TableFull => write!(f, "allocation table has no free slots"),
+            PmemError::EmptyExtent => write!(f, "extent payload is empty"),
             PmemError::Corrupt(what) => write!(f, "persistent structure corrupt: {what}"),
             PmemError::Image(what) => write!(f, "device image error: {what}"),
         }

@@ -133,7 +133,10 @@ pub struct CostModel {
 
     // ---- persistent memory ----
     /// DAX write (ntstore + flush) bandwidth into interleaved Optane
-    /// (bytes/s). Derived from Table I (12.8 % share).
+    /// (bytes/s). Derived from Table I (12.8 % share). CPU-streamed
+    /// bytes (`PmemDevice::write_nt`) pay this plus one `sfence`;
+    /// RDMA-landed bytes sit in the DDIO domain and pay `clwb_ns` per
+    /// line instead.
     pub dax_write_bw: f64,
     /// DAX / PMem read bandwidth (bytes/s). Optane reads are ~3x writes.
     pub dax_read_bw: f64,

@@ -15,7 +15,10 @@
 //! * every reader of an extent-mapped version (verify, restore pushes,
 //!   `portusctl dump`) reads it in place through its pieces: the digest
 //!   matches the sealed one, a corrupted shared extent fails every
-//!   sharer with a typed error, and a restore allocates nothing.
+//!   sharer with a typed error, and a restore allocates nothing;
+//! * a new extent is streamed, so a one-chunk step seals in its DAX
+//!   write rather than a 1024-line `clwb` pass, and a 0-byte model
+//!   round-trips.
 
 use portus::{
     name_hash, portusctl, repack, DaemonConfig, DedupConfig, PortusClient, PortusDaemon,
@@ -26,7 +29,7 @@ use portus_format::read_checkpoint;
 use portus_mem::GpuDevice;
 use portus_pmem::{save_image, CrashSpec, PmemDevice, PmemError, PmemMode};
 use portus_rdma::{Fabric, FaultSpec, NodeId};
-use portus_sim::SimContext;
+use portus_sim::{SimContext, SimDuration, Stage};
 
 /// Two distinct names with the same FNV-1a 64 hash (found by a
 /// collision search against [`portus::name_hash`]; asserted below so a
@@ -657,6 +660,69 @@ fn extent_pushes_retry_transient_faults_and_name_each_tensor_once() {
     let (slot, hdr) = mi.latest_done().expect("the slot stays Done");
     assert_eq!(hdr.version, 1);
     assert_eq!(index.slot_digest(&mi, slot).unwrap(), hdr.digest);
+    c.restore(&m).unwrap();
+    assert_eq!(m.model_checksum(), saved);
+}
+
+// ---------------------------------------------------------------------
+// Streamed extent inserts: the empty model and the seal's cost.
+// ---------------------------------------------------------------------
+
+#[test]
+fn an_empty_model_checkpoints_and_restores_on_a_dedup_daemon() {
+    let w = world_cfg(dedup_cfg());
+    let c = client(&w);
+    let mut m = register(&w, &c, &test_spec("empty", 2, 0), 1);
+    let saved = m.model_checksum();
+    assert_eq!(c.checkpoint("empty").unwrap().version, 1);
+    assert_eq!(c.checkpoint("empty").unwrap().version, 2);
+    let store = w.daemon.index().extent_store().expect("dedup enabled");
+    assert_eq!(store.stats().unwrap().live, 0, "no extent for no bytes");
+    m.train_step();
+    assert_eq!(c.restore(&m).unwrap().version, 2);
+    assert_eq!(m.model_checksum(), saved);
+}
+
+/// A checkpoint whose step changed exactly one 64 KiB chunk streams that
+/// one extent: its `Stage::Dedup` span is the DAX read of the model plus
+/// the DAX write of the chunk and the map, and it flushes a handful of
+/// metadata lines, not the chunk's 1024.
+#[test]
+fn a_one_chunk_step_seals_in_one_stream_without_a_clwb_pass() {
+    const CHUNK: u64 = 64 << 10;
+    const LAYERS: u64 = 4;
+    let w = world_cfg(dedup_cfg());
+    let c = client(&w);
+    let mut m = register(&w, &c, &test_spec("step", LAYERS as usize, CHUNK), 5);
+    c.checkpoint("step").unwrap();
+    m.train_step_sparse(&[2]);
+    let saved = m.model_checksum();
+
+    w.ctx.tracer.enable();
+    let before = w.ctx.stats.snapshot();
+    c.checkpoint("step").unwrap();
+    let flushes = w.ctx.stats.snapshot().since(&before).pmem_flushes;
+    let spans = w.ctx.tracer.spans();
+    let dedup: Vec<_> = spans.iter().filter(|s| s.stage == Stage::Dedup).collect();
+    assert_eq!(dedup.len(), 1, "one seal");
+    let model = &w.ctx.model;
+    let map = 32 + 8 * LAYERS;
+    let bound =
+        model.dax_read(LAYERS * CHUNK) + model.dax_write(CHUNK + map) + SimDuration::from_micros(5);
+    assert!(
+        dedup[0].duration() <= bound,
+        "dedup span {:?} over {bound:?}",
+        dedup[0].duration()
+    );
+    assert!(flushes < 64, "{flushes} lines flushed");
+    let stats = w.daemon.index().extent_store().unwrap().stats().unwrap();
+    assert_eq!(
+        (stats.live, stats.shared),
+        (LAYERS + 1, LAYERS - 1),
+        "one new extent"
+    );
+
+    m.train_step();
     c.restore(&m).unwrap();
     assert_eq!(m.model_checksum(), saved);
 }

@@ -1,6 +1,5 @@
-//! Multi-tenant QoS sweep (DESIGN.md §17): token-bucket admission,
-//! weighted-fair lanes, and priority restore under three adversarial
-//! scenarios.
+//! Multi-tenant QoS sweep (DESIGN.md §17): token-bucket admission and
+//! priority restore under three adversarial scenarios.
 //!
 //! 1. **Antagonistic tenants** — a polite tenant shares a daemon with
 //!    an antagonist whose demand far exceeds its byte bucket. The

@@ -91,10 +91,6 @@ pub struct PortusClient {
     recv_gate: Mutex<()>,
     registered: Mutex<HashMap<String, Vec<Arc<MemoryRegion>>>>,
     inflight: Mutex<HashMap<String, PendingCheckpoint>>,
-    /// How many times a synchronous checkpoint honors a `Throttled`
-    /// reply's `retry_after` hint before surfacing the error (0 =
-    /// sheds surface immediately).
-    throttle_retries: AtomicU64,
 }
 
 impl std::fmt::Debug for PortusClient {
@@ -115,8 +111,8 @@ impl PortusClient {
 
     /// Connects to `daemon` with an explicit tenant identity: the
     /// daemon charges this connection's checkpoints to `tenant`'s token
-    /// buckets, confines it to its weighted-fair lane share, and breaks
-    /// out its metrics per tenant (see [`crate::TenantQos`]).
+    /// buckets and breaks out its metrics per tenant (see
+    /// [`crate::TenantQos`]).
     pub fn connect_as(daemon: &PortusDaemon, client_nic: Arc<Nic>, tenant: &str) -> PortusClient {
         let ClientEndpoints {
             requests,
@@ -136,16 +132,7 @@ impl PortusClient {
             recv_gate: Mutex::new(()),
             registered: Mutex::new(HashMap::new()),
             inflight: Mutex::new(HashMap::new()),
-            throttle_retries: AtomicU64::new(0),
         }
-    }
-
-    /// Lets synchronous checkpoints honor up to `retries` consecutive
-    /// [`PortusError::Throttled`] sheds: each retry waits out the
-    /// daemon's `retry_after` hint on the virtual clock and re-sends.
-    /// Zero (the default) surfaces the first shed to the caller.
-    pub fn set_throttle_retries(&self, retries: u64) {
-        self.throttle_retries.store(retries, Ordering::Relaxed);
     }
 
     fn fresh_id(&self) -> u64 {
@@ -262,16 +249,14 @@ impl PortusClient {
     }
 
     /// Synchronous checkpoint: sends `DO_CHECKPOINT` and waits for the
-    /// pull to complete. A `Throttled` shed is retried up to
-    /// [`PortusClient::set_throttle_retries`] times, waiting out each
-    /// `retry_after` hint on the virtual clock.
+    /// pull to complete.
     ///
     /// # Errors
     ///
     /// Daemon-side failures (unregistered model, fabric errors);
     /// [`PortusError::AlreadyInFlight`] if an asynchronous checkpoint
-    /// of `model` is pending; [`PortusError::Throttled`] once the retry
-    /// budget is spent.
+    /// of `model` is pending; [`PortusError::Throttled`] if the daemon
+    /// shed the request.
     pub fn checkpoint(&self, model: &str) -> PortusResult<CheckpointReport> {
         self.checkpoint_sync(model, None).map(full_report)
     }
@@ -324,8 +309,8 @@ impl PortusClient {
     /// Daemon-side failures (unregistered model, mask length mismatch);
     /// [`PortusError::AlreadyInFlight`] if an asynchronous checkpoint
     /// of `model` is pending (the daemon could otherwise run the delta
-    /// ahead of that pull); [`PortusError::Throttled`] once the
-    /// [`PortusClient::set_throttle_retries`] budget is spent.
+    /// ahead of that pull); [`PortusError::Throttled`] if the daemon
+    /// shed the request.
     pub fn checkpoint_delta(&self, model: &str, dirty: &[bool]) -> PortusResult<DeltaReport> {
         self.checkpoint_sync(model, Some(dirty))
     }
@@ -390,23 +375,10 @@ impl PortusClient {
         }
     }
 
-    /// Send-and-wait; a `Throttled` shed waits out its hint and re-sends
-    /// up to [`PortusClient::set_throttle_retries`] times.
+    /// Send-and-wait.
     fn checkpoint_sync(&self, model: &str, dirty: Option<&[bool]>) -> PortusResult<DeltaReport> {
-        let op = checkpoint_op(dirty);
-        let mut attempts = self.throttle_retries.load(Ordering::Relaxed);
-        loop {
-            let pending = self.send_checkpoint(model, dirty)?;
-            match self.wait_pull(model, pending, op) {
-                Err(PortusError::Throttled { retry_after_ns }) if attempts > 0 => {
-                    attempts -= 1;
-                    self.ctx
-                        .clock
-                        .advance_by(SimDuration::from_nanos(retry_after_ns));
-                }
-                outcome => return outcome,
-            }
-        }
+        let pending = self.send_checkpoint(model, dirty)?;
+        self.wait_pull(model, pending, checkpoint_op(dirty))
     }
 
     /// The Fig. 8 barrier: called by the training loop right before the

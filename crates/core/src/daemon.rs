@@ -44,10 +44,8 @@
 //! each connection carries a tenant identity
 //! ([`PortusDaemon::accept_as`]), checkpoint traffic passes per-tenant
 //! token buckets before it may queue (over budget → typed
-//! [`Reply::Throttled`] with a `retry_after` hint), the dispatch pool
-//! runs two classes so restores overtake queued checkpoints, and the
-//! striped datapath confines concurrent tenants to weighted-fair lane
-//! shares.
+//! [`Reply::Throttled`] with a `retry_after` hint), and the dispatch
+//! pool runs two classes so restores overtake queued checkpoints.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -55,7 +53,6 @@ use std::sync::{Arc, Condvar as StdCondvar, Mutex as StdMutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Sender};
 use parking_lot::Mutex;
 use portus_pmem::{PmemDevice, PmemError};
 use portus_rdma::{
@@ -66,7 +63,7 @@ use portus_sim::{Metrics, Resource, SimContext, SimDuration, SimTime, SpanRecord
 
 use crate::index::SlotPiece;
 use crate::proto::{checkpoint_op, ModelSummary, Reply, Request, TensorDesc};
-use crate::qos::{QosConfig, QosState, TenantCtx};
+use crate::qos::{QosConfig, QosState};
 use crate::{
     Index, MIndex, ModelMap, PortusError, PortusResult, SlotHeader, SlotState, VerbFailure,
 };
@@ -113,15 +110,6 @@ pub struct DaemonConfig {
     /// virtual clock ([`portus_sim::CostModel::verb_retry_backoff`]).
     /// `0` means a single error is immediately terminal.
     pub verb_retries: u32,
-    /// Low free-byte watermark: when free PMem drops below this after a
-    /// request, the dispatch worker runs a repack pass *inline* before
-    /// picking up more work (synchronous backpressure). `0` disables.
-    pub space_low_watermark: u64,
-    /// High free-byte watermark: when free PMem drops below this after
-    /// a request (but stays above the low watermark), the background
-    /// repacker thread is woken to compact concurrently with traffic.
-    /// `0` disables background compaction entirely.
-    pub space_high_watermark: u64,
     /// Queue pairs opened per client connection (clamped to at least
     /// one). Each datapath operation **stripes** its doorbell batch
     /// across the pool — every QP is pinned to its own NIC DMA-engine
@@ -130,9 +118,8 @@ pub struct DaemonConfig {
     /// counts. At any count, completed runs flow into the pipelined
     /// persist+digest seal while later WQEs are still in flight.
     pub qps_per_connection: usize,
-    /// Multi-tenant QoS policy: per-tenant token buckets (admission)
-    /// and lane weights (weighted-fair striping). The default is
-    /// policy-free — unlimited buckets, equal weights — and leaves the
+    /// Multi-tenant QoS policy: per-tenant token buckets (admission).
+    /// The default is policy-free — unlimited buckets — and leaves the
     /// daemon's behaviour exactly as it was before QoS existed.
     pub qos: QosConfig,
     /// Route restores onto the dispatch pool's **urgent class**: they
@@ -168,8 +155,6 @@ impl Default for DaemonConfig {
             dispatch_workers: 4,
             dispatch_queue_depth: 64,
             verb_retries: 3,
-            space_low_watermark: 0,
-            space_high_watermark: 0,
             qps_per_connection: 1,
             qos: QosConfig::default(),
             priority_restore: true,
@@ -388,7 +373,7 @@ pub(crate) struct DaemonState {
     pub(crate) sessions: Mutex<HashMap<String, Vec<TensorDesc>>>,
     model_locks: Mutex<HashMap<String, Arc<Mutex<()>>>>,
     pub(crate) cfg: DaemonConfig,
-    /// Admission buckets and the lane arbiter (built from `cfg.qos`).
+    /// Admission buckets (built from `cfg.qos`).
     qos: QosState,
     in_flight: AtomicU64,
     peak_in_flight: AtomicU64,
@@ -404,10 +389,6 @@ pub(crate) struct DaemonState {
     /// Monotonic repack-pass counter (span `req_id`s for
     /// [`TraceOp::Repack`]).
     repack_seq: AtomicU64,
-    /// Wake-up channel of the background repacker thread (present only
-    /// when `space_high_watermark > 0`); dropped on shutdown so the
-    /// thread exits.
-    repack_tx: Mutex<Option<Sender<()>>>,
     /// Per-model delta lineage, keyed by MIndex offset: at most one
     /// small record per model, DRAM only. A restart forgets it and the
     /// next delta of each model copies every clean tensor.
@@ -482,7 +463,6 @@ pub struct PortusDaemon {
     nic: Arc<Nic>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     dispatcher: Arc<Dispatcher>,
-    repacker: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for PortusDaemon {
@@ -575,7 +555,6 @@ impl PortusDaemon {
         } else {
             map
         };
-        let high_watermark = cfg.space_high_watermark;
         let qos = QosState::new(cfg.qos.clone());
         let state = Arc::new(DaemonState {
             ctx: fabric.ctx().clone(),
@@ -589,30 +568,14 @@ impl PortusDaemon {
             peak_in_flight: AtomicU64::new(0),
             stale_active: Mutex::new(stale_active),
             repack_seq: AtomicU64::new(0),
-            repack_tx: Mutex::new(None),
             lineage: Mutex::new(HashMap::new()),
         });
         state.refresh_space_gauges();
-        let repacker = if high_watermark > 0 {
-            // A `bounded(1)` wake-up channel: while a pass runs, at most
-            // one further wake-up is parked; extra triggers coalesce.
-            let (tx, rx) = bounded::<()>(1);
-            *state.repack_tx.lock() = Some(tx);
-            let st = Arc::clone(&state);
-            Some(std::thread::spawn(move || {
-                while rx.recv().is_ok() {
-                    let _ = crate::repack::repack_pass(&st, false, Some(high_watermark));
-                }
-            }))
-        } else {
-            None
-        };
         Ok(Arc::new(PortusDaemon {
             state,
             nic,
             workers: Mutex::new(Vec::new()),
             dispatcher,
-            repacker: Mutex::new(repacker),
         }))
     }
 
@@ -630,9 +593,8 @@ impl PortusDaemon {
 
     /// [`PortusDaemon::accept`] with an explicit tenant identity: every
     /// request on the connection is charged to `tenant`'s token buckets
-    /// ([`crate::TenantQos`] via [`DaemonConfig::qos`]), confined to its
-    /// weighted-fair share of the striped QP lanes, and attributed to
-    /// its per-tenant metrics breakdown.
+    /// ([`crate::TenantQos`] via [`DaemonConfig::qos`]) and attributed
+    /// to its per-tenant metrics breakdown.
     pub fn accept_as(&self, client_nic: Arc<Nic>, tenant: &str) -> ClientEndpoints {
         let ctx = self.state.ctx.clone();
         let (req_client, req_daemon) = ControlChannel::pair(ctx.clone());
@@ -649,7 +611,7 @@ impl PortusDaemon {
         let pool: Arc<QpPool> = Arc::from(daemon_qps);
         let state = Arc::clone(&self.state);
         let dispatcher = Arc::clone(&self.dispatcher);
-        let tenant = self.state.qos.tenant_ctx(tenant);
+        let tenant: Arc<str> = Arc::from(tenant);
         let handle = std::thread::spawn(move || {
             serve(state, dispatcher, pool, tenant, req_daemon, rep_daemon)
         });
@@ -664,18 +626,12 @@ impl PortusDaemon {
     }
 
     /// Waits for all connection threads to exit (they exit when their
-    /// client disconnects), then drains and joins the dispatch pool and
-    /// the background repacker.
+    /// client disconnects), then drains and joins the dispatch pool.
     pub fn shutdown(&self) {
         for handle in self.workers.lock().drain(..) {
             let _ = handle.join();
         }
         self.dispatcher.shutdown();
-        // Dropping the sender ends the repacker's recv loop.
-        *self.state.repack_tx.lock() = None;
-        if let Some(handle) = self.repacker.lock().take() {
-            let _ = handle.join();
-        }
     }
 
     /// High-water mark of requests in flight on the dispatch pool
@@ -802,8 +758,7 @@ fn checkpoint_cost(state: &DaemonState, req: &Request) -> Option<u64> {
             .iter()
             .enumerate()
             .filter(|&(i, _)| dirty.as_ref().is_none_or(|mask| mask.get(i) == Some(&true)))
-            .map(|(_, d)| d.size_bytes())
-            .sum(),
+            .fold(0u64, |acc, (_, d)| acc.saturating_add(d.size_bytes())),
     )
 }
 
@@ -811,7 +766,7 @@ fn serve(
     state: Arc<DaemonState>,
     dispatcher: Arc<Dispatcher>,
     pool: Arc<QpPool>,
-    tenant: TenantCtx,
+    tenant: Arc<str>,
     requests: ControlChannel<Request>,
     replies: ControlChannel<Reply>,
 ) {
@@ -831,17 +786,19 @@ fn serve(
         if let Some(bytes) = checkpoint_cost(&state, &req) {
             let now = state.ctx.clock.now();
             if let Err(wait) = state.qos.admit(&tenant, bytes, now) {
-                metrics.tenant_throttled(&tenant.name);
+                metrics.tenant_throttled(&tenant);
                 let _ = replies.send(Reply::Throttled {
                     req_id: req.req_id().unwrap_or(0),
                     retry_after_ns: wait.as_nanos(),
                 });
                 continue;
             }
-            metrics.tenant_admitted(&tenant.name, bytes);
+            metrics.tenant_admitted(&tenant, bytes);
         } else if let Request::Restore { tensors, .. } = &req {
-            let bytes = tensors.iter().map(TensorDesc::size_bytes).sum();
-            metrics.tenant_admitted(&tenant.name, bytes);
+            let bytes = tensors
+                .iter()
+                .fold(0u64, |acc, d| acc.saturating_add(d.size_bytes()));
+            metrics.tenant_admitted(&tenant, bytes);
         }
         let is_checkpoint = matches!(req, Request::Checkpoint { .. });
         let class = match &req {
@@ -856,7 +813,7 @@ fn serve(
             let state = Arc::clone(&state);
             let pool = Arc::clone(&pool);
             let replies = Arc::clone(&replies);
-            let tenant = tenant.clone();
+            let tenant = Arc::clone(&tenant);
             move || {
                 let n = state.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
                 state.peak_in_flight.fetch_max(n, Ordering::Relaxed);
@@ -868,24 +825,19 @@ fn serve(
                     let sc = SpanCtx::new(&state.ctx, *req_id, *op, model);
                     sc.record_now(Stage::DispatchWait, enqueued);
                 }
-                let reply = handle_request(&state, &pool, &tenant, req);
+                let reply = catch_handler_panic(req_id, || handle_request(&state, &pool, req));
                 state.in_flight.fetch_sub(1, Ordering::Relaxed);
                 // Per-tenant end-to-end latency (dispatch wait included
                 // — exactly what a tenant experiences).
                 if let Some(op) = op {
                     state.ctx.metrics.record_tenant_op(
-                        &tenant.name,
+                        &tenant,
                         op,
                         state.ctx.clock.now().saturating_since(enqueued),
                     );
                 }
                 // The client may already be gone; nothing to do then.
                 let _ = replies.send(reply);
-                // Watermark check after the reply is on the wire: a request
-                // that dipped free space below a watermark triggers
-                // compaction (inline below low, background below high)
-                // without adding latency to its own reply.
-                state.maybe_trigger_repack();
             }
         });
         // Checkpoints shed after the bounded wait; a restore demoted to
@@ -896,7 +848,7 @@ fn serve(
             DispatchOutcome::Queued => {}
             DispatchOutcome::Shed(job) => {
                 drop(job);
-                state.ctx.metrics.tenant_shed(&tenant.name);
+                state.ctx.metrics.tenant_shed(&tenant);
                 let _ = replies.send(Reply::Throttled {
                     req_id,
                     retry_after_ns: SHED_RETRY_AFTER.as_nanos(),
@@ -949,8 +901,28 @@ fn error_reply(req_id: u64, e: PortusError) -> Reply {
     }
 }
 
+/// Runs `handler`, the reply to request `req_id`. A panic in it becomes
+/// a [`Reply::Error`] for that request, so the dispatch worker lives on
+/// and the client gets an answer instead of waiting forever. The model
+/// locks do not poison; a slot the handler left `Active` is what a crash
+/// mid-checkpoint leaves, and the next checkpoint of the model targets
+/// it again.
+fn catch_handler_panic(req_id: u64, handler: impl FnOnce() -> Reply) -> Reply {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(handler)).unwrap_or_else(|panic| {
+        let what = panic
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| panic.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        Reply::Error {
+            req_id,
+            message: format!("request handler panicked: {what}"),
+        }
+    })
+}
+
 /// Executes one request against the daemon state and builds its reply.
-fn handle_request(state: &DaemonState, pool: &QpPool, tenant: &TenantCtx, req: Request) -> Reply {
+fn handle_request(state: &DaemonState, pool: &QpPool, req: Request) -> Reply {
     match req {
         // The connection thread consumes Disconnect; answer defensively
         // if one is ever routed here.
@@ -973,7 +945,7 @@ fn handle_request(state: &DaemonState, pool: &QpPool, tenant: &TenantCtx, req: R
             req_id,
             model,
             dirty,
-        } => match state.delta_checkpoint(pool, tenant, &model, dirty.as_deref(), req_id) {
+        } => match state.delta_checkpoint(pool, &model, dirty.as_deref(), req_id) {
             Ok((version, [pulled_bytes, copied_bytes, reused_bytes], elapsed)) => {
                 Reply::CheckpointDone {
                     req_id,
@@ -991,7 +963,7 @@ fn handle_request(state: &DaemonState, pool: &QpPool, tenant: &TenantCtx, req: R
             model,
             tensors,
             version,
-        } => match state.restore(pool, tenant, &model, &tensors, version, req_id) {
+        } => match state.restore(pool, &model, &tensors, version, req_id) {
             Ok((version, bytes, elapsed)) => Reply::RestoreDone {
                 req_id,
                 version,
@@ -1394,28 +1366,6 @@ impl DaemonState {
         }
     }
 
-    /// Watermark-driven compaction hook, run by dispatch workers after
-    /// each reply. Below the low watermark the pass runs inline
-    /// (synchronous backpressure: this worker reclaims before taking
-    /// more work); between the watermarks the background repacker is
-    /// woken. Disabled watermarks (`0`) cost one atomic-free field read.
-    fn maybe_trigger_repack(&self) {
-        let high = self.cfg.space_high_watermark;
-        if high == 0 {
-            return;
-        }
-        let free = self.index.allocator().free_bytes();
-        if free >= high {
-            return;
-        }
-        if self.cfg.space_low_watermark > 0 && free < self.cfg.space_low_watermark {
-            let _ = crate::repack::repack_pass(self, true, Some(high));
-        } else if let Some(tx) = self.repack_tx.lock().as_ref() {
-            // A parked wake-up already covers us; drop extras.
-            let _ = tx.try_send(());
-        }
-    }
-
     /// [`Index::ensure_slot_region`] with the `OutOfSpace` recovery
     /// loop: on an allocator `OutOfSpace`, run one aggressive (but
     /// epoch-gated, so still safe) repack pass and retry the allocation
@@ -1426,7 +1376,7 @@ impl DaemonState {
     fn ensure_region_or_reclaim(&self, mi: &mut MIndex, slot: usize) -> PortusResult<SlotHeader> {
         match self.index.ensure_slot_region(mi, slot) {
             Err(PortusError::Pmem(PmemError::OutOfSpace { .. })) => {
-                let _ = crate::repack::repack_pass(self, true, None);
+                let _ = crate::repack::repack_pass(self, true);
                 match self.index.ensure_slot_region(mi, slot) {
                     Ok(hdr) => {
                         self.ctx.stats.record_oos_recovery();
@@ -1513,36 +1463,25 @@ impl DaemonState {
     /// QP it originally rode — its connection state, not a random
     /// stripe, is what the retry exercises — while the other lanes'
     /// completed runs are never touched again.
-    ///
-    /// Lane selection is **weighted-fair**: the tenant may only stripe
-    /// across the lanes its [`crate::qos::LaneArbiter`] share allows
-    /// right now. A lone tenant is allowed every lane; concurrent
-    /// tenants are confined to their weighted quota and steered toward
-    /// the lanes they have charged the least.
     fn execute_runs(
         &self,
         pool: &QpPool,
-        tenant: &TenantCtx,
         runs: &[VerbRun],
         pieces: &[SlotPiece],
         dir: Direction,
         sc: &SpanCtx<'_>,
     ) -> Result<RunOutcome, DatapathFailure> {
         let lanes = pool.len();
-        let allowed = self.qos.arbiter.allowed_lanes(tenant, lanes);
         let mut order: Vec<usize> = (0..runs.len()).collect();
         order.sort_by_key(|&i| (std::cmp::Reverse(runs[i].len), i));
         let mut lane_bytes = vec![0u64; lanes];
         let mut lane_of = vec![0usize; runs.len()];
         for &i in &order {
-            let lane = allowed
-                .iter()
-                .copied()
+            let lane = (0..lanes)
                 .min_by_key(|&l| (lane_bytes[l], l))
-                .expect("allowed lane set is non-empty");
+                .expect("a pool has at least one lane");
             lane_of[i] = lane;
             lane_bytes[lane] += runs[i].len;
-            self.qos.arbiter.charge(tenant, lane, runs[i].len);
         }
         let endpoints: Vec<(PostedQueuePair, CompletionQueue)> = pool
             .iter()
@@ -1869,14 +1808,12 @@ impl DaemonState {
     pub(crate) fn delta_checkpoint(
         &self,
         pool: &QpPool,
-        tenant: &TenantCtx,
         model: &str,
         dirty: Option<&[bool]>,
         req_id: u64,
     ) -> PortusResult<(u64, [u64; 3], SimDuration)> {
         let op = checkpoint_op(dirty);
         let sc = SpanCtx::new(&self.ctx, req_id, op, model);
-        let _active = self.qos.arbiter.op_guard(tenant);
         let lock = self.model_lock(model);
         let _guard = lock.lock();
         let t_op = self.ctx.clock.now();
@@ -2036,7 +1973,7 @@ impl DaemonState {
             rel_off: 0,
             len: hdr.data_len,
         }];
-        let outcome = match self.execute_runs(pool, tenant, &runs, &region, Direction::Pull, &sc) {
+        let outcome = match self.execute_runs(pool, &runs, &region, Direction::Pull, &sc) {
             Ok(outcome) => outcome,
             Err(fail) => {
                 // Bytes landed if any pull WQE succeeded — or if any
@@ -2090,14 +2027,12 @@ impl DaemonState {
     pub(crate) fn restore(
         &self,
         pool: &QpPool,
-        tenant: &TenantCtx,
         model: &str,
         descs: &[TensorDesc],
         version: Option<u64>,
         req_id: u64,
     ) -> PortusResult<(u64, u64, SimDuration)> {
         let sc = SpanCtx::new(&self.ctx, req_id, TraceOp::Restore, model);
-        let _active = self.qos.arbiter.op_guard(tenant);
         let lock = self.model_lock(model);
         let _guard = lock.lock();
         let t_op = self.ctx.clock.now();
@@ -2170,7 +2105,7 @@ impl DaemonState {
         // one doorbell, no client CPU involvement. A terminal push
         // failure touches no slot state — the stored version stays
         // `Done` and a later restore can try again.
-        self.execute_runs(pool, tenant, &runs, &pieces, Direction::Push, &sc)
+        self.execute_runs(pool, &runs, &pieces, Direction::Push, &sc)
             .map_err(|fail| fail.into_error(model, "restore"))?;
         let elapsed = self.ctx.clock.now().saturating_since(t0);
         sc.record_now(Stage::Total, t_op);
@@ -2421,5 +2356,43 @@ mod tests {
             seal < pull,
             "one chunk's seal {seal:?} must hide under one chunk's pull {pull:?}"
         );
+    }
+
+    /// A handler panic on a pool job turns into an error reply for its
+    /// request, and the (only) dispatch worker goes on to run the next
+    /// job.
+    #[test]
+    fn a_panicking_handler_replies_with_an_error_and_the_worker_lives_on() {
+        let dispatcher = Dispatcher::new(1, 4, Metrics::new());
+        let (tx, rx) = std::sync::mpsc::channel();
+        for (req_id, panics) in [(7u64, true), (8, false)] {
+            let tx = tx.clone();
+            let job: Job = Box::new(move || {
+                let reply = catch_handler_panic(req_id, || {
+                    if panics {
+                        panic!("handler {req_id} failed");
+                    }
+                    Reply::Completed { req_id }
+                });
+                tx.send(reply).unwrap();
+            });
+            assert!(matches!(
+                dispatcher.dispatch(job, JobClass::Urgent, None),
+                DispatchOutcome::Queued
+            ));
+        }
+        let wait = Duration::from_secs(10);
+        match rx.recv_timeout(wait).unwrap() {
+            Reply::Error { req_id, message } => {
+                assert_eq!(req_id, 7);
+                assert!(message.contains("handler 7 failed"), "got: {message}");
+            }
+            other => panic!("expected an error reply, got {other:?}"),
+        }
+        assert_eq!(
+            rx.recv_timeout(wait).unwrap(),
+            Reply::Completed { req_id: 8 }
+        );
+        dispatcher.shutdown();
     }
 }

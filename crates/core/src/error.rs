@@ -112,8 +112,7 @@ pub enum PortusError {
     /// budget, or the dispatch queue stayed full past the shed wait.
     /// Nothing was done — no slot was touched, no version consumed.
     /// Retrying after the hinted wait (virtual time) will usually
-    /// succeed; [`crate::PortusClient::set_throttle_retries`] makes the
-    /// client honor the hint automatically.
+    /// succeed.
     Throttled {
         /// Virtual nanoseconds to wait before retrying.
         retry_after_ns: u64,

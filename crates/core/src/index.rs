@@ -28,7 +28,7 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 
 use portus_dnn::{DType, TensorMeta};
-use portus_pmem::{typed, ExtentStore, PmemAlloc, PmemAllocator, PmemDevice, PmemError};
+use portus_pmem::{typed, ExtentStore, PmemAlloc, PmemAllocator, PmemDevice};
 use portus_sim::hash::{fnv1a, splitmix64, Fnv1a};
 
 use crate::catalog::{Catalog, CatalogConfig};
@@ -581,13 +581,32 @@ impl Index {
             }
         }
         let hash = name_hash(name);
-        let total_bytes: u64 = metas.iter().map(TensorMeta::size_bytes).sum();
+        let total_bytes = metas
+            .iter()
+            .try_fold(0u64, |acc, m| acc.checked_add(m.size_bytes()))
+            .ok_or_else(|| {
+                PortusError::StructureMismatch(format!("{name}: tensor bytes overflow u64"))
+            })?;
         let mindex_size = MI_TENSORS + metas.len() as u64 * TREC_SIZE;
 
         let mi_alloc = self.alloc.alloc_aligned(mindex_size, 64, hash)?;
-        let data: Vec<PmemAlloc> = (0..SLOT_COUNT)
-            .map(|_| self.alloc.alloc_aligned(total_bytes.max(4096), 4096, hash))
-            .collect::<Result<_, PmemError>>()?;
+        // Frees what this call allocated, for every failure past here.
+        let release = |data: &[PmemAlloc]| -> PortusResult<()> {
+            for a in data.iter().chain([&mi_alloc]) {
+                self.alloc.free(a)?;
+            }
+            Ok(())
+        };
+        let mut data = Vec::with_capacity(SLOT_COUNT);
+        for _ in 0..SLOT_COUNT {
+            match self.alloc.alloc_aligned(total_bytes.max(4096), 4096, hash) {
+                Ok(d) => data.push(d),
+                Err(e) => {
+                    release(&data)?;
+                    return Err(e.into());
+                }
+            }
+        }
 
         let off = mi_alloc.offset;
         let dev = &self.dev;
@@ -646,11 +665,7 @@ impl Index {
             }
         }
         if !published {
-            // Roll back the allocations.
-            self.alloc.free(&mi_alloc)?;
-            for d in &data {
-                self.alloc.free(d)?;
-            }
+            release(&data)?;
             return Err(PortusError::CatalogFull {
                 capacity: self.table_cap,
             });
@@ -792,18 +807,6 @@ impl Index {
         self.write_digest(sh, digest)?;
         self.dev.persist(sh + SH_DIGEST, 8)?;
         typed::write_u64(&self.dev, sh + SH_STATE, SlotState::Done.to_u64())?;
-        self.dev.persist(sh + SH_STATE, 8)?;
-        Ok(())
-    }
-
-    /// Durably resets a slot to `Empty` (used by the repacker).
-    ///
-    /// # Errors
-    ///
-    /// Device errors.
-    pub fn mark_slot_empty(&self, mi: &MIndex, slot: usize) -> PortusResult<()> {
-        let sh = mi.offset + MI_SLOT0 + slot as u64 * SLOT_HDR_SIZE;
-        typed::write_u64(&self.dev, sh + SH_STATE, SlotState::Empty.to_u64())?;
         self.dev.persist(sh + SH_STATE, 8)?;
         Ok(())
     }

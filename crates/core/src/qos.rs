@@ -1,21 +1,13 @@
-//! Multi-tenant quality of service: token-bucket admission control and
-//! weighted-fair lane arbitration.
+//! Multi-tenant quality of service: token-bucket admission control.
 //!
-//! The daemon serves many tenants over one dispatch pool, one PMem
-//! device, and one set of lane-pinned queue pairs. Without policy, a
-//! bursty tenant monopolizes all three. This module adds the two
-//! mechanisms DESIGN.md §17 describes:
-//!
-//! * [`TokenBucket`] — per-tenant bytes/sec and ops/sec budgets,
-//!   refilled on the **virtual clock** so deterministic runs admit and
-//!   shed identically. Over-budget checkpoint requests are shed with a
-//!   typed [`crate::PortusError::Throttled`] carrying a `retry_after`
-//!   hint computed from the bucket's exact deficit.
-//! * `LaneArbiter` (crate-internal) — weighted deficit-round-robin over the striped
-//!   datapath's QP lanes: each tenant may claim at most its weighted
-//!   share of lanes while other tenants are active, and lane selection
-//!   prefers the lanes a tenant has charged the least weighted bytes
-//!   to, so a heavy tenant cannot pin every NIC engine.
+//! The daemon serves many tenants over one dispatch pool and one PMem
+//! device. Without policy, a bursty tenant monopolizes both. This
+//! module adds the admission side DESIGN.md §17 describes:
+//! [`TokenBucket`] — per-tenant bytes/sec and ops/sec budgets, refilled
+//! on the **virtual clock** so deterministic runs admit and shed
+//! identically. Over-budget checkpoint requests are shed with a typed
+//! [`crate::PortusError::Throttled`] carrying a `retry_after` hint
+//! computed from the bucket's exact deficit.
 //!
 //! Restores bypass the buckets entirely (they are latency-critical
 //! recovery traffic) and ride the dispatch pool's urgent class instead.
@@ -31,9 +23,8 @@ const NS_PER_SEC: i128 = 1_000_000_000;
 
 /// Per-tenant QoS parameters. A rate of `0` means *unlimited* for that
 /// dimension; a burst of `0` defaults to one second's worth of the
-/// rate. Weights steer the lane arbiter and must be at least 1 (a `0`
-/// is treated as 1).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// rate.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TenantQos {
     /// Admitted checkpoint payload bytes per virtual second
     /// (`0` = unlimited).
@@ -45,42 +36,23 @@ pub struct TenantQos {
     pub burst_bytes: u64,
     /// Op-bucket capacity (`0` = one second of `ops_per_sec`).
     pub burst_ops: u64,
-    /// Weighted-fair share of the striped datapath's QP lanes.
-    pub weight: u32,
-}
-
-impl Default for TenantQos {
-    fn default() -> Self {
-        TenantQos {
-            bytes_per_sec: 0,
-            ops_per_sec: 0,
-            burst_bytes: 0,
-            burst_ops: 0,
-            weight: 1,
-        }
-    }
 }
 
 impl TenantQos {
     /// A tenant capped at `bytes_per_sec` checkpoint payload bytes per
-    /// virtual second (ops unlimited, default weight).
+    /// virtual second (ops unlimited).
     pub fn limited_bytes(bytes_per_sec: u64) -> TenantQos {
         TenantQos {
             bytes_per_sec,
             ..TenantQos::default()
         }
     }
-
-    /// The effective (non-zero) lane weight.
-    pub fn lane_weight(&self) -> u32 {
-        self.weight.max(1)
-    }
 }
 
 /// Daemon-wide QoS configuration: a default profile plus per-tenant
 /// overrides keyed by tenant name. The all-default configuration is
-/// policy-free — every tenant is unlimited with weight 1, and the
-/// daemon behaves exactly as it did before QoS existed.
+/// policy-free — every tenant is unlimited, and the daemon behaves
+/// exactly as it did before QoS existed.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QosConfig {
     /// Profile applied to tenants without an explicit entry.
@@ -189,21 +161,13 @@ struct TenantBuckets {
     ops: TokenBucket,
 }
 
-/// The identity a connection's requests are attributed to: the tenant
-/// name (shared, never re-allocated per request) and its lane weight.
-#[derive(Debug, Clone)]
-pub(crate) struct TenantCtx {
-    pub(crate) name: Arc<str>,
-    pub(crate) weight: u32,
-}
-
-/// Daemon-side admission state: lazily created per-tenant bucket pairs
-/// plus the shared lane arbiter.
+/// Daemon-side admission state: lazily created per-tenant bucket
+/// pairs, keyed by the connection's tenant name (shared, never
+/// re-allocated per request).
 #[derive(Debug)]
 pub(crate) struct QosState {
     cfg: QosConfig,
     buckets: Mutex<HashMap<Arc<str>, Arc<Mutex<TenantBuckets>>>>,
-    pub(crate) arbiter: LaneArbiter,
 }
 
 impl QosState {
@@ -211,14 +175,6 @@ impl QosState {
         QosState {
             cfg,
             buckets: Mutex::new(HashMap::new()),
-            arbiter: LaneArbiter::default(),
-        }
-    }
-
-    pub(crate) fn tenant_ctx(&self, tenant: &str) -> TenantCtx {
-        TenantCtx {
-            name: Arc::from(tenant),
-            weight: self.cfg.for_tenant(tenant).lane_weight(),
         }
     }
 
@@ -229,18 +185,18 @@ impl QosState {
     /// own `retry_after` hints.
     pub(crate) fn admit(
         &self,
-        tenant: &TenantCtx,
+        tenant: &Arc<str>,
         bytes: u64,
         now: SimTime,
     ) -> Result<(), SimDuration> {
-        let q = self.cfg.for_tenant(&tenant.name);
+        let q = self.cfg.for_tenant(tenant);
         if q.bytes_per_sec == 0 && q.ops_per_sec == 0 {
             return Ok(());
         }
         let buckets = Arc::clone(
             self.buckets
                 .lock()
-                .entry(Arc::clone(&tenant.name))
+                .entry(Arc::clone(tenant))
                 .or_insert_with(|| {
                     Arc::new(Mutex::new(TenantBuckets {
                         bytes: TokenBucket::new(q.bytes_per_sec, q.burst_bytes),
@@ -263,115 +219,6 @@ impl QosState {
                 .unwrap_or(SimDuration::ZERO)
                 .max(w.unwrap_or(SimDuration::ZERO))),
         }
-    }
-}
-
-/// How many active-op registrations and what weight a tenant currently
-/// holds on the arbiter.
-#[derive(Debug)]
-struct ActiveTenant {
-    weight: u32,
-    ops: u32,
-}
-
-#[derive(Debug, Default)]
-struct ArbiterInner {
-    /// Cumulative weighted-byte charge per lane (the DRR deficit
-    /// counters): `bytes × 1024 / weight`, so a weight-2 tenant charges
-    /// half as much per byte and earns twice the share before the
-    /// arbiter steers it away from a lane.
-    lane_charge: Vec<u128>,
-    active: HashMap<Arc<str>, ActiveTenant>,
-}
-
-/// Weighted deficit-round-robin arbitration over the striped datapath's
-/// QP lanes. See the module docs; a lone active tenant is always
-/// allowed every lane — which keeps the pre-QoS striping behaviour
-/// bit-for-bit — and a one-QP connection only ever has lane 0.
-#[derive(Debug, Default)]
-pub(crate) struct LaneArbiter {
-    inner: Mutex<ArbiterInner>,
-}
-
-/// RAII registration of one in-flight datapath operation; dropping it
-/// releases the tenant's claim on the arbiter.
-pub(crate) struct ActiveOp<'a> {
-    arbiter: &'a LaneArbiter,
-    tenant: Arc<str>,
-}
-
-impl Drop for ActiveOp<'_> {
-    fn drop(&mut self) {
-        let mut inner = self.arbiter.inner.lock();
-        if let Some(a) = inner.active.get_mut(&self.tenant) {
-            a.ops -= 1;
-            if a.ops == 0 {
-                inner.active.remove(&self.tenant);
-            }
-        }
-    }
-}
-
-impl LaneArbiter {
-    /// Registers one in-flight operation of `tenant` for the guard's
-    /// lifetime; concurrent registrations of other tenants shrink each
-    /// other's lane quotas.
-    pub(crate) fn op_guard<'a>(&'a self, tenant: &TenantCtx) -> ActiveOp<'a> {
-        let mut inner = self.inner.lock();
-        inner
-            .active
-            .entry(Arc::clone(&tenant.name))
-            .and_modify(|a| a.ops += 1)
-            .or_insert(ActiveTenant {
-                weight: tenant.weight,
-                ops: 1,
-            });
-        ActiveOp {
-            arbiter: self,
-            tenant: Arc::clone(&tenant.name),
-        }
-    }
-
-    /// The lanes `tenant` may stripe across right now, ascending.
-    ///
-    /// Quota: `max(1, lanes × weight / Σ active weights)` — a lone
-    /// tenant gets every lane; concurrent tenants split them by weight.
-    /// Within the quota, the lanes this tenant's weighted traffic has
-    /// charged the least are picked (ties break on lane index), so
-    /// repeated heavy operations rotate across the NIC engines instead
-    /// of camping on lane 0.
-    pub(crate) fn allowed_lanes(&self, tenant: &TenantCtx, lanes: usize) -> Vec<usize> {
-        let mut inner = self.inner.lock();
-        if inner.lane_charge.len() < lanes {
-            inner.lane_charge.resize(lanes, 0);
-        }
-        let total: u64 = inner.active.values().map(|a| a.weight as u64).sum();
-        let mine = inner
-            .active
-            .get(&tenant.name)
-            .map_or(tenant.weight as u64, |a| a.weight as u64);
-        let quota = if total <= mine {
-            lanes
-        } else {
-            ((lanes as u64 * mine / total) as usize).max(1)
-        };
-        if quota >= lanes {
-            return (0..lanes).collect();
-        }
-        let mut by_charge: Vec<usize> = (0..lanes).collect();
-        by_charge.sort_by_key(|&l| (inner.lane_charge[l], l));
-        let mut allowed: Vec<usize> = by_charge.into_iter().take(quota).collect();
-        allowed.sort_unstable();
-        allowed
-    }
-
-    /// Charges `bytes` of `tenant` traffic to `lane`'s deficit counter.
-    pub(crate) fn charge(&self, tenant: &TenantCtx, lane: usize, bytes: u64) {
-        let mut inner = self.inner.lock();
-        if inner.lane_charge.len() <= lane {
-            inner.lane_charge.resize(lane + 1, 0);
-        }
-        inner.lane_charge[lane] += bytes as u128 * 1024 / tenant.weight.max(1) as u128;
     }
 }
 
@@ -438,7 +285,6 @@ mod tests {
             .insert("noisy".into(), TenantQos::limited_bytes(1 << 20));
         assert_eq!(cfg.for_tenant("noisy").bytes_per_sec, 1 << 20);
         assert_eq!(cfg.for_tenant("anyone-else").bytes_per_sec, 0);
-        assert_eq!(cfg.for_tenant("noisy").lane_weight(), 1);
     }
 
     #[test]
@@ -453,7 +299,7 @@ mod tests {
             },
         );
         let qos = QosState::new(cfg);
-        let t = qos.tenant_ctx("t");
+        let t: Arc<str> = Arc::from("t");
         assert!(qos.admit(&t, 500, SimTime::ZERO).is_ok());
         assert!(qos.admit(&t, 500, SimTime::ZERO).is_ok());
         // Op bucket exhausted: shed, with a non-zero wait hint.
@@ -463,74 +309,5 @@ mod tests {
         // refills, the byte bucket still has its remaining budget.
         let later = SimTime::ZERO + wait;
         assert!(qos.admit(&t, 1, later).is_ok());
-    }
-
-    #[test]
-    fn lone_tenant_gets_every_lane() {
-        let arb = LaneArbiter::default();
-        let t = TenantCtx {
-            name: Arc::from("solo"),
-            weight: 1,
-        };
-        let _op = arb.op_guard(&t);
-        assert_eq!(arb.allowed_lanes(&t, 4), vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn concurrent_tenants_split_lanes_by_weight() {
-        let arb = LaneArbiter::default();
-        let heavy = TenantCtx {
-            name: Arc::from("heavy"),
-            weight: 3,
-        };
-        let light = TenantCtx {
-            name: Arc::from("light"),
-            weight: 1,
-        };
-        let _h = arb.op_guard(&heavy);
-        let _l = arb.op_guard(&light);
-        // 8 lanes, weights 3:1 → quotas 6 and 2.
-        assert_eq!(arb.allowed_lanes(&heavy, 8).len(), 6);
-        assert_eq!(arb.allowed_lanes(&light, 8).len(), 2);
-        // Quota never rounds to zero.
-        assert_eq!(arb.allowed_lanes(&light, 2).len(), 1);
-    }
-
-    #[test]
-    fn charge_steers_selection_to_cold_lanes() {
-        let arb = LaneArbiter::default();
-        let a = TenantCtx {
-            name: Arc::from("a"),
-            weight: 1,
-        };
-        let b = TenantCtx {
-            name: Arc::from("b"),
-            weight: 1,
-        };
-        let _ga = arb.op_guard(&a);
-        let _gb = arb.op_guard(&b);
-        // Tenant a has hammered lanes 0 and 1; its half-quota now
-        // prefers the cold lanes 2 and 3.
-        arb.charge(&a, 0, 1 << 20);
-        arb.charge(&a, 1, 1 << 20);
-        assert_eq!(arb.allowed_lanes(&a, 4), vec![2, 3]);
-    }
-
-    #[test]
-    fn dropping_the_guard_releases_the_claim() {
-        let arb = LaneArbiter::default();
-        let a = TenantCtx {
-            name: Arc::from("a"),
-            weight: 1,
-        };
-        let b = TenantCtx {
-            name: Arc::from("b"),
-            weight: 1,
-        };
-        let ga = arb.op_guard(&a);
-        let _gb = arb.op_guard(&b);
-        assert_eq!(arb.allowed_lanes(&b, 4).len(), 2);
-        drop(ga);
-        assert_eq!(arb.allowed_lanes(&b, 4).len(), 4);
     }
 }

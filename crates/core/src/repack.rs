@@ -37,12 +37,10 @@
 //!   the header untouched as evidence — clearing it would silently
 //!   leak the region.
 //!
-//! Passes are triggered three ways: explicitly ([`repack`], the
-//! `portusctl`/recovery entry point), by the dispatch loop when free
-//! space falls between the configured watermarks (background thread),
-//! and inline on an allocator `OutOfSpace` or a breach of the low
-//! watermark. Every pass bumps the space counters, refreshes the
-//! free/used/fragmentation gauges, and records a
+//! Passes are triggered two ways: explicitly ([`repack`], the
+//! `portusctl`/recovery entry point), and inline when a checkpoint's
+//! allocation hits `OutOfSpace`. Every pass bumps the space counters,
+//! refreshes the free/used/fragmentation gauges, and records a
 //! [`portus_sim::TraceOp::Repack`] span keyed by the daemon's pass
 //! counter.
 
@@ -89,23 +87,17 @@ pub struct RepackReport {
 /// slot header points at a region the allocator has no record of (the
 /// slot header is left as-is so the corruption stays inspectable).
 pub fn repack(daemon: &PortusDaemon, reclaim_active: bool) -> PortusResult<RepackReport> {
-    repack_pass(daemon.state(), reclaim_active, None)
+    repack_pass(daemon.state(), reclaim_active)
 }
 
-/// The pass itself, shared by every trigger. `target_free` (the high
-/// watermark, for background passes) stops the scan early once the
-/// allocator reports at least that many free bytes. Counters, gauges,
-/// and the pass span are recorded even when the scan errors out.
-pub(crate) fn repack_pass(
-    state: &DaemonState,
-    reclaim_active: bool,
-    target_free: Option<u64>,
-) -> PortusResult<RepackReport> {
+/// The pass itself, shared by both triggers. Counters, gauges, and the
+/// pass span are recorded even when the scan errors out.
+pub(crate) fn repack_pass(state: &DaemonState, reclaim_active: bool) -> PortusResult<RepackReport> {
     let pass_id = state.next_repack_id();
     let t0 = state.ctx.clock.now();
     let mut report = RepackReport::default();
-    let scan = scan_models(state, reclaim_active, target_free, &mut report);
-    // The extent sweep runs even when the scan stopped early: the
+    let scan = scan_models(state, reclaim_active, &mut report);
+    // The extent sweep runs even when the scan errored out: the
     // refcount-zero extents it collects were dropped before this pass
     // and are reclaimable regardless of what the scan saw.
     let sweep = sweep_extents(state, &mut report);
@@ -148,16 +140,10 @@ fn sweep_extents(state: &DaemonState, report: &mut RepackReport) -> PortusResult
 fn scan_models(
     state: &DaemonState,
     reclaim_active: bool,
-    target_free: Option<u64>,
     report: &mut RepackReport,
 ) -> PortusResult<()> {
     let index = &state.index;
     for (_hash, off) in index.live_entries()? {
-        if let Some(target) = target_free {
-            if index.allocator().free_bytes() >= target {
-                break;
-            }
-        }
         // Resolve the table entry to a name first, then serialise with
         // the datapath on that model's lock.
         let name = index.load_mindex(off)?.name;

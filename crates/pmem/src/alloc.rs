@@ -244,7 +244,7 @@ impl PmemAllocator {
         for (&off, &flen) in inner.free.iter() {
             let aligned = (off + align - 1) & !(align - 1);
             let pad = aligned - off;
-            if flen >= pad + len {
+            if pad.checked_add(len).is_some_and(|need| flen >= need) {
                 choice = Some((off, flen, aligned, pad));
                 break;
             }

@@ -213,27 +213,6 @@ impl PostedQueuePair {
         wr_id
     }
 
-    /// Posts a one-sided WRITE; the outcome lands on the completion
-    /// queue. Returns the work-request id immediately.
-    pub fn post_write(
-        &self,
-        rkey: u64,
-        remote_off: u64,
-        src: &RegionTarget,
-        src_off: u64,
-        len: u64,
-    ) -> WrId {
-        self.post_write_scatter(
-            &[SgEntry {
-                rkey,
-                offset: remote_off,
-                len,
-            }],
-            src,
-            src_off,
-        )
-    }
-
     /// Posts a one-sided scatter WRITE over `segs` (one WQE, sourced
     /// back to back from `src` at `src_off`); the outcome lands on the
     /// completion queue.

@@ -102,11 +102,6 @@ impl Nic {
             .ok_or(RdmaError::InvalidRkey(rkey))
     }
 
-    /// Number of live registrations (diagnostic).
-    pub fn region_count(&self) -> usize {
-        self.regions.read().len()
-    }
-
     /// Arms a fault plan: every one-sided verb this NIC initiates from
     /// now on is evaluated against `spec` and may complete with
     /// [`RdmaError::Injected`]. Replaces any previously armed plan

@@ -95,11 +95,6 @@ impl QueuePair {
         &self.local
     }
 
-    /// The NIC at the other end.
-    pub fn remote_nic(&self) -> &Arc<Nic> {
-        &self.remote
-    }
-
     /// The DMA-engine lane this QP is pinned to (0 for unstriped QPs).
     pub fn lane(&self) -> usize {
         self.lane

@@ -134,7 +134,7 @@ impl Clock {
             self.handles(),
             1,
             "Clock::reset while {} other handle(s) share the timeline — \
-             join daemon/repacker threads (drop their SimContext clones) \
+             join daemon threads (drop their SimContext clones) \
              before reusing a harness clock",
             self.handles() - 1
         );

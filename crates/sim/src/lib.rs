@@ -87,17 +87,6 @@ impl SimContext {
         }
     }
 
-    /// A context with a custom cost model (for sensitivity studies).
-    pub fn with_model(model: CostModel) -> Self {
-        SimContext {
-            clock: Clock::new(),
-            model,
-            stats: Stats::new(),
-            tracer: Tracer::new(),
-            metrics: Metrics::new(),
-        }
-    }
-
     /// Charges `d` of virtual time on the shared clock and returns the
     /// new instant.
     pub fn charge(&self, d: SimDuration) -> SimTime {

@@ -463,7 +463,7 @@ impl Metrics {
             .entry(tenant.to_string())
             .or_insert_with(TenantStat::new);
         t.admitted_ops += 1;
-        t.admitted_bytes += bytes;
+        t.admitted_bytes = t.admitted_bytes.saturating_add(bytes);
     }
 
     /// Records one checkpoint request shed by token-bucket admission.

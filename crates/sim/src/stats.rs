@@ -104,7 +104,7 @@ pub struct StatsSnapshot {
     /// Best-effort slot rollbacks that themselves failed (the original
     /// datapath error is still the one surfaced to the client).
     pub rollback_failures: u64,
-    /// Space-management repack passes completed (manual, watermark, and
+    /// Space-management repack passes completed (manual and
     /// `OutOfSpace`-recovery passes alike).
     pub repack_passes: u64,
     /// Checkpoint slots whose regions repack passes reclaimed.

@@ -11,7 +11,6 @@ use std::collections::BTreeSet;
 
 use portus::{PortusClient, PortusError, PortusResult, ShardFailure};
 use portus_dnn::{IterationProfile, ModelInstance};
-use portus_sim::SimDuration;
 
 use crate::{TrainPolicy, Trainer, TrainerStats};
 
@@ -200,11 +199,6 @@ impl ShardedTrainer {
         }
         Ok(lost_max)
     }
-
-    /// Total virtual stall across shards (diagnostic).
-    pub fn total_stall(&self) -> SimDuration {
-        self.shards.iter().map(|t| t.stats().checkpoint_stall).sum()
-    }
 }
 
 #[cfg(test)]
@@ -215,7 +209,7 @@ mod tests {
     use portus_mem::GpuDevice;
     use portus_pmem::{PmemDevice, PmemMode};
     use portus_rdma::{Fabric, FaultSpec, NodeId};
-    use portus_sim::SimContext;
+    use portus_sim::{SimContext, SimDuration};
 
     fn sharded(policy: TrainPolicy) -> ShardedTrainer {
         let ctx = SimContext::icdcs24();

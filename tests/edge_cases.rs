@@ -1,9 +1,13 @@
 //! Edge cases across the stack: degenerate models, capacity limits,
-//! and contended same-model operations.
+//! oversized tensor descriptors, and contended same-model operations.
 
 use std::sync::Arc;
+use std::time::Duration;
 
-use portus::{DaemonConfig, PortusClient, PortusDaemon, PortusError};
+use portus::{
+    ClientEndpoints, DaemonConfig, PortusClient, PortusDaemon, PortusError, Reply, Request,
+    TensorDesc,
+};
 use portus_dnn::{test_spec, DType, Materialization, ModelInstance, ModelSpec, TensorMeta};
 use portus_mem::GpuDevice;
 use portus_pmem::{PmemDevice, PmemMode};
@@ -171,4 +175,111 @@ fn checkpoint_restore_checkpoint_interleaving() {
         let rr = client.restore(&model).unwrap();
         assert_eq!(rr.version, v);
     }
+}
+
+/// An F32 tensor of 2^62 elements: its byte size saturates to
+/// `u64::MAX`, and two of them overflow any plain sum.
+fn oversized(name: &str) -> TensorDesc {
+    TensorDesc {
+        name: name.to_string(),
+        dtype: DType::F32,
+        shape: vec![1 << 62],
+        rkey: 0,
+    }
+}
+
+/// Sends `req` over a raw connection and returns the daemon's reply,
+/// failing the test if none arrives within 10 s of host time.
+fn raw_reply(raw: &ClientEndpoints, req: Request) -> Reply {
+    let req_id = req.req_id().expect("request carries an id");
+    raw.requests.send(req).unwrap();
+    let reply = raw
+        .replies
+        .recv_timeout(Duration::from_secs(10))
+        .unwrap()
+        .expect("no reply within 10 s");
+    assert_eq!(reply.req_id(), req_id);
+    reply
+}
+
+/// The daemon still serves a normal register and checkpoint, and the
+/// raw connection still answers a control-plane request.
+fn assert_daemon_serves(w: &World, raw: &ClientEndpoints) {
+    let reply = raw_reply(raw, Request::List { req_id: 99 });
+    assert!(matches!(reply, Reply::Models { .. }), "got: {reply:?}");
+    let client = PortusClient::connect(&w.daemon, w.fabric.nic(NodeId(0)).unwrap());
+    let spec = test_spec("normal", 2, 64 * 1024);
+    let mut model = ModelInstance::materialize(&spec, &w.gpu, 5, Materialization::Owned).unwrap();
+    client.register_model(&model).unwrap();
+    model.train_step();
+    let want = model.model_checksum();
+    client.checkpoint("normal").unwrap();
+    model.train_step();
+    client.restore(&model).unwrap();
+    assert_eq!(model.model_checksum(), want);
+}
+
+#[test]
+fn registering_two_oversized_tensors_is_a_typed_error() {
+    let w = world(DaemonConfig::default(), 32 << 20);
+    let raw = w.daemon.accept(w.fabric.nic(NodeId(0)).unwrap());
+    let reply = raw_reply(
+        &raw,
+        Request::Register {
+            req_id: 1,
+            model: "huge".into(),
+            tensors: vec![oversized("a"), oversized("b")],
+        },
+    );
+    match &reply {
+        Reply::Error { message, .. } => {
+            assert!(message.contains("structure mismatch"), "got: {message}")
+        }
+        other => panic!("expected a structure-mismatch error, got {other:?}"),
+    }
+    assert_daemon_serves(&w, &raw);
+}
+
+#[test]
+fn registering_one_oversized_tensor_is_out_of_space() {
+    let w = world(DaemonConfig::default(), 32 << 20);
+    let raw = w.daemon.accept(w.fabric.nic(NodeId(0)).unwrap());
+    let used = w.daemon.index().allocator().used_bytes();
+    let reply = raw_reply(
+        &raw,
+        Request::Register {
+            req_id: 1,
+            model: "huge".into(),
+            tensors: vec![oversized("a")],
+        },
+    );
+    match &reply {
+        Reply::Error { message, .. } => {
+            assert!(
+                message.contains("out of persistent space"),
+                "got: {message}"
+            )
+        }
+        other => panic!("expected an out-of-space error, got {other:?}"),
+    }
+    // The model's index record allocated before the failure is freed.
+    assert_eq!(w.daemon.index().allocator().used_bytes(), used);
+    assert_daemon_serves(&w, &raw);
+}
+
+#[test]
+fn restoring_into_oversized_tensors_is_an_error_not_a_dead_connection() {
+    let w = world(DaemonConfig::default(), 32 << 20);
+    let raw = w.daemon.accept(w.fabric.nic(NodeId(0)).unwrap());
+    let reply = raw_reply(
+        &raw,
+        Request::Restore {
+            req_id: 1,
+            model: "huge".into(),
+            tensors: vec![oversized("a"), oversized("b")],
+            version: None,
+        },
+    );
+    assert!(matches!(reply, Reply::Error { .. }), "got: {reply:?}");
+    assert_daemon_serves(&w, &raw);
 }

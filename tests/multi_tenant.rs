@@ -5,14 +5,15 @@
 //! tests (DESIGN.md §17) pin token-bucket admission, antagonist
 //! isolation, and priority restore under a checkpoint storm.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use portus::{DaemonConfig, PortusClient, PortusDaemon, PortusError, TenantQos, TokenBucket};
 use portus_dnn::{test_spec, Materialization, ModelInstance};
 use portus_mem::GpuDevice;
 use portus_pmem::{PmemDevice, PmemMode};
-use portus_rdma::{Fabric, NodeId};
-use portus_sim::{SimContext, SimDuration, SimTime};
+use portus_rdma::{Fabric, NodeId, MAX_SGE};
+use portus_sim::{SimContext, SimDuration, SimTime, Stage};
 
 const TENANTS: usize = 6;
 const ROUNDS: usize = 4;
@@ -130,6 +131,62 @@ fn same_connection_serves_multiple_models() {
         let want = model.model_checksum();
         client.restore(model).unwrap();
         assert_eq!(model.model_checksum(), want);
+    }
+}
+
+/// Tenants share the lanes: every connection stripes over all of its
+/// own queue pairs, so two tenants checkpointing at once on a four-QP
+/// daemon each ring doorbells on all four lanes.
+#[test]
+fn concurrent_tenants_each_stripe_over_every_lane() {
+    let ctx = SimContext::icdcs24();
+    ctx.tracer.enable();
+    let fabric = Fabric::new(ctx.clone());
+    fabric.add_nic(NodeId(0));
+    fabric.add_nic(NodeId(1));
+    fabric.add_nic(NodeId(2));
+    let pmem = PmemDevice::new(ctx.clone(), PmemMode::DevDax, 64 << 20);
+    let cfg = DaemonConfig {
+        qps_per_connection: 4,
+        ..DaemonConfig::default()
+    };
+    let daemon = PortusDaemon::start(&fabric, NodeId(1), pmem, cfg).unwrap();
+    let gpu = GpuDevice::new(ctx.clone(), 0, 1 << 30);
+    // 64 adjacent 16 KiB tensors: four full MAX_SGE runs, one per lane.
+    let mut tenants: Vec<_> = [("alpha", 0), ("beta", 2)]
+        .into_iter()
+        .map(|(name, node)| {
+            let client = PortusClient::connect_as(&daemon, fabric.nic(NodeId(node)).unwrap(), name);
+            let spec = test_spec(name, 4 * MAX_SGE, 16 * 1024);
+            let mut model =
+                ModelInstance::materialize(&spec, &gpu, node as u64, Materialization::Owned)
+                    .unwrap();
+            client.register_model(&model).unwrap();
+            model.train_step();
+            (client, model)
+        })
+        .collect();
+    let pending: Vec<_> = tenants
+        .iter()
+        .map(|(client, model)| client.checkpoint_async(&model.spec().name).unwrap())
+        .collect();
+    for ((client, model), p) in tenants.iter().zip(pending) {
+        client.wait_checkpoint(&model.spec().name, p).unwrap();
+    }
+
+    let spans = ctx.tracer.spans();
+    for (client, model) in &mut tenants {
+        let name = model.spec().name.clone();
+        let lanes: BTreeSet<u32> = spans
+            .iter()
+            .filter(|s| s.stage == Stage::DoorbellPost && s.model == name)
+            .map(|s| s.lane)
+            .collect();
+        assert_eq!(lanes, BTreeSet::from([0, 1, 2, 3]), "{name} lanes");
+        let want = model.model_checksum();
+        model.train_step();
+        client.restore(model).unwrap();
+        assert_eq!(model.model_checksum(), want, "{name} restores bit-for-bit");
     }
 }
 

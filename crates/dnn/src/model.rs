@@ -55,7 +55,8 @@ impl ModelSpec {
 /// How an instance's tensor bytes are backed on the simulated GPU.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Materialization {
-    /// Real, writable bytes — required by correctness tests and by
+    /// Real, writable bytes, generated once into the buffer at
+    /// allocation — required by correctness tests and by
     /// [`ModelInstance::train_step`].
     Owned,
     /// Deterministic synthetic content, O(1) host memory — used to stand
@@ -88,15 +89,15 @@ pub struct ModelInstance {
 }
 
 impl ModelInstance {
-    /// Allocates every tensor of `spec` on `gpu`. With
-    /// [`Materialization::Synthetic`], tensor `i` gets deterministic
-    /// content derived from `seed` and `i`; with
-    /// [`Materialization::Owned`], tensors are zero-initialized and then
-    /// deterministically filled.
+    /// Allocates every tensor of `spec` on `gpu`. Tensor `i` gets
+    /// deterministic content derived from `seed` and `i`: generated on
+    /// read with [`Materialization::Synthetic`], written once into owned
+    /// bytes, 8 per store, with [`Materialization::Owned`].
     ///
     /// # Errors
     ///
-    /// Propagates allocation failures (GPU out of memory).
+    /// Propagates allocation failures (GPU out of memory). A failed call
+    /// gives back every byte of HBM it reserved.
     pub fn materialize(
         spec: &ModelSpec,
         gpu: &Arc<GpuDevice>,
@@ -107,17 +108,21 @@ impl ModelInstance {
         for (i, meta) in spec.tensors.iter().enumerate() {
             let tensor_seed = seed ^ (i as u64).wrapping_mul(0x9E37_79B9);
             let buffer = match materialization {
-                Materialization::Synthetic => {
-                    gpu.alloc_synthetic(meta.size_bytes(), tensor_seed)?
-                }
-                Materialization::Owned => {
-                    let buf = gpu.alloc(meta.size_bytes())?;
-                    // Deterministic fill so checkpoints are verifiable.
-                    fill_deterministic(&buf, tensor_seed);
-                    buf
-                }
+                Materialization::Synthetic => gpu.alloc_synthetic(meta.size_bytes(), tensor_seed),
+                Materialization::Owned => gpu.alloc_with(meta.size_bytes(), |bytes| {
+                    fill_deterministic(bytes, tensor_seed)
+                }),
             };
-            tensors.push(GpuTensor::new(meta.clone(), buffer));
+            match buffer {
+                Ok(buffer) => tensors.push(GpuTensor::new(meta.clone(), buffer)),
+                Err(e) => {
+                    // Give back what this call reserved before failing.
+                    for t in &tensors {
+                        gpu.free(&t.buffer);
+                    }
+                    return Err(e);
+                }
+            }
         }
         let dirty = vec![true; spec.tensors.len()];
         Ok(ModelInstance {
@@ -231,18 +236,24 @@ impl ModelInstance {
     }
 }
 
-fn fill_deterministic(buf: &portus_mem::Buffer, seed: u64) {
-    let mut chunk = [0u8; 4096];
-    let mut pos = 0u64;
-    let len = buf.len();
-    while pos < len {
-        let n = ((len - pos) as usize).min(chunk.len());
-        for (j, b) in chunk[..n].iter_mut().enumerate() {
-            let abs = pos + j as u64;
-            *b = ((seed.wrapping_add(abs).wrapping_mul(0x9E37_79B9_7F4A_7C15)) >> 32) as u8;
+/// Writes a tensor's deterministic content: byte `abs` is bits 32..39 of
+/// `(seed + abs)·K`, `K = 0x9E37_79B9_7F4A_7C15`. That is `seed·K` plus an
+/// additive stride of `K` per byte, so eight lanes `8·K` apart each yield
+/// one byte of an 8-byte word per add, with no multiply per byte.
+fn fill_deterministic(out: &mut [u8], seed: u64) {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mut lanes: [u64; 8] = std::array::from_fn(|j| seed.wrapping_add(j as u64).wrapping_mul(K));
+    let mut words = out.chunks_exact_mut(8);
+    for word in &mut words {
+        let mut w = 0u64;
+        for (j, lane) in lanes.iter_mut().enumerate() {
+            w |= ((*lane >> 32) & 0xFF) << (8 * j);
+            *lane = lane.wrapping_add(K.wrapping_mul(8));
         }
-        buf.write_at(pos, &chunk[..n]).expect("in bounds");
-        pos += n as u64;
+        word.copy_from_slice(&w.to_le_bytes());
+    }
+    for (b, lane) in words.into_remainder().iter_mut().zip(&lanes) {
+        *b = (lane >> 32) as u8;
     }
 }
 
@@ -308,6 +319,56 @@ mod tests {
         let spec = test_spec("m", 1, 64);
         let mut m = ModelInstance::materialize(&spec, &gpu, 1, Materialization::Synthetic).unwrap();
         m.train_step();
+    }
+
+    /// Pins the materialized bytes: a change to the generator must fail here.
+    #[test]
+    fn owned_bytes_match_the_per_byte_formula() {
+        let gpu = gpu();
+        for seed in [0, 7, 0xDEAD_BEEF, u64::MAX - 3, u64::MAX] {
+            for len in [0u64, 1, 7, 8, 4095, 4097, 100_003] {
+                let spec = ModelSpec::new(
+                    "m",
+                    (0..2)
+                        .map(|i| TensorMeta::new(format!("t{i}"), DType::U8, vec![len]))
+                        .collect(),
+                );
+                let m =
+                    ModelInstance::materialize(&spec, &gpu, seed, Materialization::Owned).unwrap();
+                for (i, t) in m.tensors().iter().enumerate() {
+                    let tensor_seed = seed ^ (i as u64).wrapping_mul(0x9E37_79B9);
+                    let expect: Vec<u8> = (0..len)
+                        .map(|abs| {
+                            (tensor_seed
+                                .wrapping_add(abs)
+                                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                                >> 32) as u8
+                        })
+                        .collect();
+                    assert_eq!(
+                        t.buffer.to_vec(),
+                        expect,
+                        "seed {seed} len {len} tensor {i}"
+                    );
+                }
+                m.release(&gpu);
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_materialize_gives_back_its_reservation() {
+        for materialization in [Materialization::Owned, Materialization::Synthetic] {
+            let gpu = GpuDevice::new(SimContext::icdcs24(), 0, 3 * 4096);
+            let big = test_spec("big", 2, 8192);
+            let err = ModelInstance::materialize(&big, &gpu, 1, materialization).unwrap_err();
+            assert!(matches!(err, portus_mem::MemError::DeviceFull { .. }));
+            assert_eq!(gpu.allocated(), 0, "{materialization:?}");
+            let fits = test_spec("fits", 3, 4096);
+            let m = ModelInstance::materialize(&fits, &gpu, 1, materialization).unwrap();
+            assert_eq!(gpu.allocated(), 3 * 4096);
+            m.release(&gpu);
+        }
     }
 
     #[test]

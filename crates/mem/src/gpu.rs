@@ -92,8 +92,26 @@ impl GpuDevice {
     ///
     /// Returns [`MemError::DeviceFull`] when HBM is exhausted.
     pub fn alloc(&self, len: u64) -> MemResult<Arc<Buffer>> {
+        self.alloc_with(len, |_| {})
+    }
+
+    /// Allocates a device buffer of `len` bytes and lets `fill` write its
+    /// contents in place, before the buffer is shared. HBM is reserved
+    /// first, so a buffer that does not fit generates nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MemError::DeviceFull`] when HBM is exhausted.
+    pub fn alloc_with(&self, len: u64, fill: impl FnOnce(&mut [u8])) -> MemResult<Arc<Buffer>> {
         self.reserve(len)?;
-        Ok(Buffer::new(MemoryKind::GpuHbm, MemorySegment::zeroed(len)))
+        // Fresh zeroed pages come from the allocator; `fill` is the only
+        // pass over the bytes.
+        let mut bytes = vec![0; len as usize];
+        fill(&mut bytes);
+        Ok(Buffer::new(
+            MemoryKind::GpuHbm,
+            MemorySegment::from_bytes(bytes),
+        ))
     }
 
     /// Allocates a device buffer with deterministic synthetic content
@@ -204,6 +222,24 @@ mod tests {
         assert_eq!(gpu.allocated(), 1 << 20);
         gpu.free(&b);
         assert_eq!(gpu.allocated(), 0);
+    }
+
+    #[test]
+    fn alloc_with_fills_in_place_and_reserves_first() {
+        let (_ctx, gpu) = gpu_and_ctx();
+        let b = gpu
+            .alloc_with(5, |bytes| bytes.copy_from_slice(b"bytes"))
+            .unwrap();
+        assert_eq!(b.to_vec(), b"bytes");
+        assert_eq!(b.kind(), MemoryKind::GpuHbm);
+        assert_eq!(gpu.allocated(), 5);
+        let err = gpu
+            .alloc_with(2 << 30, |_| {
+                panic!("a buffer that does not fit is never filled")
+            })
+            .unwrap_err();
+        assert!(matches!(err, MemError::DeviceFull { .. }));
+        assert_eq!(gpu.allocated(), 5);
     }
 
     #[test]

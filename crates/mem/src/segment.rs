@@ -125,9 +125,16 @@ impl MemorySegment {
                 out.copy_from_slice(&v[offset as usize..offset as usize + out.len()]);
             }
             Backing::Synthetic { seed } => {
-                for (i, b) in out.iter_mut().enumerate() {
-                    let abs = offset + i as u64;
-                    *b = synthetic_block(*seed, abs / 8)[(abs % 8) as usize];
+                // One block per 8 bytes; only the first may start mid-block.
+                let mut abs = offset;
+                let mut rest = out;
+                while !rest.is_empty() {
+                    let skip = (abs % 8) as usize;
+                    let n = (8 - skip).min(rest.len());
+                    let (head, tail) = rest.split_at_mut(n);
+                    head.copy_from_slice(&synthetic_block(*seed, abs / 8)[skip..skip + n]);
+                    rest = tail;
+                    abs += n as u64;
                 }
             }
         }
@@ -226,6 +233,27 @@ mod tests {
         // Different seed, different content.
         let seg3 = MemorySegment::synthetic(1024, 43);
         assert_ne!(seg.checksum(), seg3.checksum());
+    }
+
+    #[test]
+    fn synthetic_reads_match_a_per_byte_reference_at_any_alignment() {
+        let byte = |seed: u64, abs: u64| {
+            splitmix64(seed ^ (abs / 8).wrapping_mul(0x9E37_79B9_7F4A_7C15)).to_le_bytes()
+                [(abs % 8) as usize]
+        };
+        for seed in [0, 42, u64::MAX] {
+            let seg = MemorySegment::synthetic(3 * 4096, seed);
+            for offset in [0u64, 1, 3, 7, 8, 9, 4093] {
+                for len in [0usize, 1, 7, 8, 9, 4095, 4097] {
+                    let mut out = vec![0u8; len];
+                    seg.read_at(offset, &mut out).unwrap();
+                    let expect: Vec<u8> = (offset..offset + len as u64)
+                        .map(|a| byte(seed, a))
+                        .collect();
+                    assert_eq!(out, expect, "seed {seed} offset {offset} len {len}");
+                }
+            }
+        }
     }
 
     #[test]

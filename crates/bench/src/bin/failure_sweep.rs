@@ -280,11 +280,13 @@ fn striped_fault_sweep() -> serde_json::Value {
 }
 
 /// Daemon-loss sweep on the fleet simulation: kill one daemon
-/// mid-checkpoint and compare replication factors. At k=1 every
-/// checkpoint whose only copy lived on the dead daemon is gone; at
-/// k=2 the surviving replica keeps every client at zero validated
-/// loss while the recovery epoch fences the dead daemon's in-flight
-/// writes and re-replicates its stripes onto survivors.
+/// mid-checkpoint and compare replication factors. At k=1 the attempt
+/// whose only copy was in flight on the dead daemon is lost, but the
+/// checkpoints after it land on survivors, so every client still
+/// restores its latest validated version. At k=2 no attempt is lost:
+/// the recovery epoch fences the dead daemon's in-flight writes and the
+/// rebalance copies each affected model's latest version onto a
+/// survivor. Both rows are asserted.
 fn daemon_kill_sweep() -> serde_json::Value {
     let m = CostModel::icdcs24();
     let fleet = |k: usize| {
@@ -335,6 +337,17 @@ fn daemon_kill_sweep() -> serde_json::Value {
         let cfg = fleet(k).with_kill(victim, at);
         let out = run_fleet(&m, &cfg);
         let report = daemon_loss_report(&cfg, &out);
+        if k == 1 {
+            assert!(
+                report.failed_checkpoints >= 1,
+                "k=1 must lose the attempt in flight on the dead daemon: {report:?}"
+            );
+        } else {
+            assert!(
+                report.failed_checkpoints == 0 && report.repairs >= 1 && report.zero_loss,
+                "k=2 must lose no attempt, repair onto a survivor and stay zero-loss: {report:?}"
+            );
+        }
         println!(
             "{:<9} {:>11} {:>7} {:>8} {:>13} {:>10} {:>9} {:>10}",
             k,
@@ -360,8 +373,8 @@ fn daemon_kill_sweep() -> serde_json::Value {
             "recovery_epoch": out.epoch,
         }));
     }
-    println!("shape: one replica loses whatever only the dead daemon held; two replicas");
-    println!("fence, repair onto survivors, and lose nothing validated.");
+    println!("shape: one replica loses the attempt in flight on the dead daemon, while later");
+    println!("checkpoints land on survivors; two replicas lose no attempt, fence, and repair.");
     serde_json::json!(rows)
 }
 

@@ -61,7 +61,6 @@ fn antagonist_run(rounds: u64, antagonist: bool, cap: Option<u64>) -> PairOutcom
             TenantQos {
                 bytes_per_sec: bps,
                 burst_bytes: 8 * MIB,
-                ..TenantQos::default()
             },
         );
     }

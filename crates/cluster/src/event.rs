@@ -21,14 +21,14 @@ use std::rc::Rc;
 
 use portus_dnn::IterationProfile;
 use portus_sim::{
-    ActorId, CostModel, DaemonFleetStats, Engine, Metrics, MetricsSnapshot, ProgressReport,
-    Resource, SimDuration, SimTime, SpanRecord, Stage, TraceOp, Tracer,
+    ActorId, CostModel, DaemonFleetStats, Engine, Metrics, MetricsSnapshot, Resource, SimDuration,
+    SimTime, SpanRecord, Stage, TraceOp, Tracer,
 };
 use serde::{Deserialize, Serialize};
 
 use crate::harness::Segment;
 use crate::ops::{portus_checkpoint_cost, torch_save_cost, JobShape};
-use crate::placement::{replica_order, stripe_plan, PlacementConfig, Stripe};
+use crate::placement::{replica_order, replica_set, PlacementConfig};
 use crate::policy::Policy;
 
 /// The tenant every client belongs to unless the config says
@@ -83,12 +83,9 @@ pub struct FleetConfig {
     /// Each client's start is jittered uniformly in `[0, start_jitter)`
     /// by its forked seed stream (zero = everyone starts at the origin).
     pub start_jitter: SimDuration,
-    /// Sample a progress report every this much virtual time
-    /// (`None` = no reports).
-    pub progress_every: Option<SimDuration>,
-    /// Rendezvous placement with k-way replication and striping.
-    /// `None` (the default) pins each client: its Portus checkpoint is
-    /// one stripe written to `ClientSpec::daemon` alone.
+    /// Rendezvous placement with k-way replication. `None` (the
+    /// default) pins each client: its Portus checkpoint is one copy
+    /// written to `ClientSpec::daemon` alone.
     #[serde(default)]
     pub placement: Option<PlacementConfig>,
     /// Deterministic daemon-loss schedule (requires `placement`).
@@ -124,7 +121,6 @@ impl FleetConfig {
             nic_engines: 1,
             seed: 0,
             start_jitter: SimDuration::ZERO,
-            progress_every: None,
             placement: None,
             kills: Vec::new(),
             clients: (0..clients)
@@ -141,7 +137,7 @@ impl FleetConfig {
         }
     }
 
-    /// Enables rendezvous placement (replication/striping) on `self`.
+    /// Enables rendezvous placement (k-way replication) on `self`.
     pub fn with_placement(mut self, p: PlacementConfig) -> FleetConfig {
         self.placement = Some(p);
         self
@@ -178,10 +174,10 @@ pub struct ClientResult {
     /// Iterations executed.
     pub iterations: u64,
     /// Checkpoints completed (under placement: attempts where at least
-    /// one replica of every stripe survived to validation).
+    /// one copy survived to validation).
     pub checkpoints: u64,
-    /// Checkpoint attempts that lost every replica of some stripe to a
-    /// daemon kill (always zero without a kill schedule).
+    /// Checkpoint attempts that lost every copy to a daemon kill
+    /// (always zero without a kill schedule).
     #[serde(default)]
     pub failed_checkpoints: u64,
     /// Highest Portus checkpoint version the client saw validate
@@ -209,10 +205,11 @@ pub struct ClientResult {
 pub struct ModelRestore {
     /// The owning client/model name.
     pub client: String,
-    /// Latest version with every stripe on a surviving daemon
+    /// Latest version with a validated copy on a surviving daemon
     /// (`None` = nothing restorable, i.e. lost work).
     pub version: Option<u64>,
-    /// Surviving daemons that serve the stripes, in rendezvous order.
+    /// The surviving daemon that serves it (empty when nothing is
+    /// restorable).
     pub served_by: Vec<usize>,
     /// Dead replicas contacted (and failed over) before the version
     /// was fully served.
@@ -231,8 +228,6 @@ pub struct FleetResult {
     pub spans: Vec<SpanRecord>,
     /// Aggregated stage histograms.
     pub metrics: MetricsSnapshot,
-    /// Periodic progress samples (empty unless configured).
-    pub progress: Vec<ProgressReport>,
     /// When the whole fleet (clients + daemon NIC drains) finished.
     pub makespan: SimDuration,
     /// Events executed by the engine.
@@ -243,19 +238,16 @@ pub struct FleetResult {
     pub restores: Vec<ModelRestore>,
 }
 
-/// One stripe write: where a copy landed and when its pull completed
-/// on that daemon's NIC.
+/// One copy's write: where it landed and when its pull completed on
+/// that daemon's NIC.
 struct WriteRec {
-    stripe: u32,
     daemon: usize,
     end: SimTime,
-    bytes: u64,
 }
 
 /// One Portus checkpoint attempt's write record.
 struct CkptRec {
     version: u64,
-    stripes: u32,
     writes: Vec<WriteRec>,
 }
 
@@ -319,19 +311,19 @@ impl Fleet {
         self.kill_at[d].is_none_or(|k| t < k)
     }
 
-    /// Whether a stripe write survived to validation: its pull drained
+    /// Whether a copy's write survived to validation: its pull drained
     /// before its daemon's kill instant (always true for survivors).
     fn validated(&self, w: &WriteRec) -> bool {
         self.kill_at[w.daemon].is_none_or(|k| w.end <= k)
     }
 
     /// Submits Portus checkpoint `version` of `client` at `submit`.
-    /// Under placement it is striped over the alive daemons; a pinned
-    /// client's plan is one whole-job stripe on its pin. Every stripe
-    /// is pulled by each of its target daemons' NICs, the client
-    /// completes at the max of the surviving pulls, and the attempt
-    /// validates iff every stripe keeps at least one copy that drained
-    /// before its daemon died. Returns `(client-visible end, validated)`.
+    /// Under placement one whole copy goes to each daemon of the
+    /// model's replica set; a pinned client writes one copy to its pin.
+    /// Every copy is pulled by its daemon's NIC, the client completes
+    /// at the max of the surviving pulls, and the attempt validates iff
+    /// at least one copy drained before its daemon died. Returns
+    /// `(client-visible end, validated)`.
     fn submit_checkpoint(
         &mut self,
         eng: &mut Engine,
@@ -341,74 +333,52 @@ impl Fleet {
     ) -> (SimTime, bool) {
         let spec = &self.clients[client].spec;
         let (job, model, tenant) = (spec.job, spec.name.clone(), spec.tenant.clone());
-        let plan = match &self.placement {
-            Some(p) => stripe_plan(&model, job, &self.alive, p),
-            None => vec![Stripe {
-                index: 0,
-                bytes: job.total_bytes,
-                tensors: job.tensor_count,
-                targets: vec![spec.daemon],
-            }],
+        let targets = match &self.placement {
+            Some(p) => replica_set(&model, &self.alive, p.replicas),
+            None => vec![spec.daemon],
         };
-        let mut targets: Vec<usize> = plan
-            .iter()
-            .flat_map(|s| s.targets.iter().copied())
-            .collect();
-        targets.sort_unstable();
-        targets.dedup();
+        let mut logged = targets.clone();
+        logged.sort_unstable();
         self.log(
             submit,
             client,
-            format!("ckpt#{version}->daemons{targets:?}"),
+            format!("ckpt#{version}->daemons{logged:?}"),
         );
-        if plan.is_empty() {
+        if targets.is_empty() {
             // Every daemon is dead: the checkpoint has nowhere to go.
             return (submit, false);
         }
-        let stripes = plan.len() as u32;
+        let cost = portus_checkpoint_cost(&self.model, job);
         let mut rec = CkptRec {
             version,
-            stripes,
-            writes: Vec::new(),
+            writes: Vec::with_capacity(targets.len()),
         };
         let mut client_end = submit;
         let mut first_start = SimTime::ZERO + SimDuration::from_nanos(u64::MAX);
-        let mut all_ok = true;
-        for stripe in &plan {
-            let sjob = JobShape {
-                total_bytes: stripe.bytes,
-                tensor_count: stripe.tensors,
-                ..job
-            };
-            let cost = portus_checkpoint_cost(&self.model, sjob);
-            let mut stripe_ok = false;
-            for (j, &d) in stripe.targets.iter().enumerate() {
-                let grant = self.nics[d].schedule(submit, cost);
-                eng.advance_actor_to(self.daemon_actors[d], grant.end);
-                first_start = first_start.min(grant.start);
-                self.per_daemon[d].writes += 1;
-                self.per_daemon[d].bytes += stripe.bytes;
-                if j > 0 {
-                    self.per_daemon[d].replica_writes += 1;
-                }
-                let w = WriteRec {
-                    stripe: stripe.index,
-                    daemon: d,
-                    end: grant.end,
-                    bytes: stripe.bytes,
-                };
-                // A pull racing its daemon's death completes (from the
-                // client's view) at the kill: the connection drops and
-                // the client stops waiting on that replica.
-                let visible = match self.kill_at[d] {
-                    Some(k) if grant.end > k => k,
-                    _ => grant.end,
-                };
-                client_end = client_end.max(visible);
-                stripe_ok |= self.validated(&w);
-                rec.writes.push(w);
+        let mut ok = false;
+        for (j, &d) in targets.iter().enumerate() {
+            let grant = self.nics[d].schedule(submit, cost);
+            eng.advance_actor_to(self.daemon_actors[d], grant.end);
+            first_start = first_start.min(grant.start);
+            self.per_daemon[d].writes += 1;
+            self.per_daemon[d].bytes += job.total_bytes;
+            if j > 0 {
+                self.per_daemon[d].replica_writes += 1;
             }
-            all_ok &= stripe_ok;
+            let w = WriteRec {
+                daemon: d,
+                end: grant.end,
+            };
+            // A pull racing its daemon's death completes (from the
+            // client's view) at the kill: the connection drops and the
+            // client stops waiting on that replica.
+            let visible = match self.kill_at[d] {
+                Some(k) if grant.end > k => k,
+                _ => grant.end,
+            };
+            client_end = client_end.max(visible);
+            ok |= self.validated(&w);
+            rec.writes.push(w);
         }
         self.clients[client].ckpts.push(rec);
         let req_id = self.next_req_id;
@@ -436,17 +406,17 @@ impl Fleet {
             TraceOp::Checkpoint,
             client_end.saturating_since(submit),
         );
-        (client_end, all_ok)
+        (client_end, ok)
     }
 
-    /// The latest version of `client`'s model whose every stripe has a
-    /// copy validated by `ok(write)` — the fleet-level Done check.
+    /// The latest version of `client`'s model with a copy validated by
+    /// `ok(write)` — the fleet-level Done check.
     fn restorable_version(&self, client: usize, ok: impl Fn(&WriteRec) -> bool) -> Option<u64> {
         self.clients[client]
             .ckpts
             .iter()
             .rev()
-            .find(|c| (0..c.stripes).all(|s| c.writes.iter().any(|w| w.stripe == s && ok(w))))
+            .find(|c| c.writes.iter().any(&ok))
             .map(|c| c.version)
     }
 }
@@ -454,8 +424,8 @@ impl Fleet {
 /// Kills daemon `d` at the engine's current instant: bumps the
 /// recovery epoch, fences its in-flight Active writes, and runs the
 /// rebalance pass — every model's latest validated version is
-/// re-replicated onto its post-loss rendezvous targets by copying
-/// stripes from surviving holders (grants on both NICs).
+/// re-replicated onto its post-loss replica set by copying it from a
+/// surviving holder (grants on both NICs).
 fn kill_daemon(fleet: &Rc<RefCell<Fleet>>, eng: &mut Engine, d: usize) {
     let mut f = fleet.borrow_mut();
     if !f.alive[d] {
@@ -484,92 +454,56 @@ fn kill_daemon(fleet: &Rc<RefCell<Fleet>>, eng: &mut Engine, d: usize) {
         .count() as u64;
     f.per_daemon[d].fenced_active += fenced;
 
-    // Rebalance: re-register each model on its post-loss replica
-    // targets and repair missing stripe copies from survivors.
+    // Rebalance: re-register each model on its post-loss replica set
+    // and repair the copies it is missing from a survivor.
     let p = f.placement.expect("kills require placement");
     for ci in 0..f.clients.len() {
         // A copy is repair-eligible as a source if it validated before
         // `now` on a daemon still up at `now`.
-        let Some(target_version) = f.restorable_version(ci, |w| {
-            w.end <= now && f.up_at(w.daemon, now) && f.validated(w)
-        }) else {
+        let source = |w: &WriteRec| w.end <= now && f.up_at(w.daemon, now) && f.validated(w);
+        let Some(target_version) = f.restorable_version(ci, source) else {
             continue;
         };
         let (model, job) = {
             let c = &f.clients[ci];
             (c.spec.name.clone(), c.spec.job)
         };
-        let order = replica_order(&model, &f.alive);
-        if order.is_empty() {
-            continue;
-        }
-        let k = p.replicas.clamp(1, order.len());
         let rec_idx = f.clients[ci]
             .ckpts
             .iter()
             .position(|c| c.version == target_version)
             .expect("restorable version exists");
-        let stripes = f.clients[ci].ckpts[rec_idx].stripes;
-        let mut rebalanced: Vec<usize> = Vec::new();
-        for s in 0..stripes {
-            let holders: Vec<usize> = f.clients[ci].ckpts[rec_idx]
-                .writes
-                .iter()
-                .filter(|w| {
-                    w.stripe == s && w.end <= now && f.up_at(w.daemon, now) && f.validated(w)
-                })
-                .map(|w| w.daemon)
-                .collect();
-            let Some(&src) = holders.first() else {
+        let holders: Vec<usize> = f.clients[ci].ckpts[rec_idx]
+            .writes
+            .iter()
+            .filter(|w| source(w))
+            .map(|w| w.daemon)
+            .collect();
+        let src = holders[0];
+        let cost = portus_checkpoint_cost(&f.model, job);
+        for t in replica_set(&model, &f.alive, p.replicas) {
+            if holders.contains(&t) {
                 continue;
-            };
-            let bytes = f.clients[ci].ckpts[rec_idx]
-                .writes
-                .iter()
-                .find(|w| w.stripe == s)
-                .map_or(0, |w| w.bytes);
-            for j in 0..k {
-                let t = order[(s as usize + j) % order.len()];
-                if holders.contains(&t) {
-                    continue;
-                }
-                // Copy the stripe survivor→target over the fabric:
-                // a read grant on the source NIC, a write grant on
-                // the target NIC, completion at the max.
-                let sjob = JobShape {
-                    total_bytes: bytes,
-                    tensor_count: (job.tensor_count * bytes)
-                        .checked_div(job.total_bytes)
-                        .unwrap_or(0)
-                        .max(1),
-                    ..job
-                };
-                let cost = portus_checkpoint_cost(&f.model, sjob);
-                let read = f.nics[src].schedule(now, cost);
-                let write = f.nics[t].schedule(now, cost);
-                let end = read.end.max(write.end);
-                eng.advance_actor_to(f.daemon_actors[src], read.end);
-                eng.advance_actor_to(f.daemon_actors[t], write.end);
-                f.per_daemon[t].repairs_in += 1;
-                f.per_daemon[t].repair_bytes += bytes;
-                if !rebalanced.contains(&t) {
-                    rebalanced.push(t);
-                    f.per_daemon[t].rebalanced_in += 1;
-                }
-                f.events.push(EventRecord {
-                    at: now,
-                    actor: format!("daemon-{d}"),
-                    kind: format!(
-                        "repair {model} v{target_version} stripe{s} daemon{src}->daemon{t}"
-                    ),
-                });
-                f.clients[ci].ckpts[rec_idx].writes.push(WriteRec {
-                    stripe: s,
-                    daemon: t,
-                    end,
-                    bytes,
-                });
             }
+            // Copy the checkpoint survivor→target over the fabric: a
+            // read grant on the source NIC, a write grant on the target
+            // NIC, completion at the max.
+            let read = f.nics[src].schedule(now, cost);
+            let write = f.nics[t].schedule(now, cost);
+            let end = read.end.max(write.end);
+            eng.advance_actor_to(f.daemon_actors[src], read.end);
+            eng.advance_actor_to(f.daemon_actors[t], write.end);
+            f.per_daemon[t].repairs_in += 1;
+            f.per_daemon[t].repair_bytes += job.total_bytes;
+            f.per_daemon[t].rebalanced_in += 1;
+            f.events.push(EventRecord {
+                at: now,
+                actor: format!("daemon-{d}"),
+                kind: format!("repair {model} v{target_version} daemon{src}->daemon{t}"),
+            });
+            f.clients[ci].ckpts[rec_idx]
+                .writes
+                .push(WriteRec { daemon: t, end });
         }
     }
 }
@@ -716,18 +650,14 @@ pub fn run_fleet(m: &CostModel, cfg: &FleetConfig) -> FleetResult {
     }
     if let Some(p) = &cfg.placement {
         assert!(p.replicas >= 1, "placement needs at least one replica");
-        assert!(p.stripe_width >= 1, "placement needs stripe width >= 1");
     }
 
     let mut eng = Engine::with_seed(cfg.seed);
-    if let Some(every) = cfg.progress_every {
-        eng.report_every(every);
-    }
 
     let tracer = Tracer::new();
     tracer.enable();
     let daemon_actors: Vec<ActorId> = (0..cfg.daemons)
-        .map(|d| eng.add_actor(&format!("daemon-{d}")))
+        .map(|_| eng.add_actor())
         .collect();
     let nics: Vec<Resource> = (0..cfg.daemons)
         .map(|d| Resource::with_capacity(&format!("daemon-{d}/nic"), cfg.nic_engines))
@@ -737,7 +667,7 @@ pub fn run_fleet(m: &CostModel, cfg: &FleetConfig) -> FleetResult {
         .iter()
         .map(|spec| ClientRun {
             spec: spec.clone(),
-            actor: eng.add_actor(&spec.name),
+            actor: eng.add_actor(),
             out: ClientResult {
                 name: spec.name.clone(),
                 daemon: spec.daemon,
@@ -844,28 +774,18 @@ pub fn run_fleet(m: &CostModel, cfg: &FleetConfig) -> FleetResult {
         let mut failovers = 0u64;
         if let Some(v) = version {
             let rec = c.ckpts.iter().find(|r| r.version == v).expect("restorable");
-            let mut remaining: Vec<u32> = (0..rec.stripes).collect();
             for d in replica_order(&c.spec.name, &vec![true; cfg.daemons]) {
-                if remaining.is_empty() {
-                    break;
-                }
-                let holds: Vec<u32> = rec
-                    .writes
-                    .iter()
-                    .filter(|w| w.daemon == d && remaining.contains(&w.stripe))
-                    .map(|w| w.stripe)
-                    .collect();
-                if holds.is_empty() {
+                if !rec.writes.iter().any(|w| w.daemon == d) {
                     continue;
                 }
                 if f.kill_at[d].is_some() {
-                    // The placement says this daemon holds stripes
-                    // we still need; contacting it fails and the
-                    // restore falls through to the next replica.
+                    // The placement says this daemon holds the version;
+                    // contacting it fails and the restore falls through
+                    // to the next replica.
                     failovers += 1;
                 } else {
-                    remaining.retain(|s| !holds.contains(s));
                     served_by.push(d);
+                    break;
                 }
             }
         }
@@ -892,7 +812,6 @@ pub fn run_fleet(m: &CostModel, cfg: &FleetConfig) -> FleetResult {
         events: std::mem::take(&mut f.events),
         spans: f.tracer.spans(),
         metrics,
-        progress: eng.progress_reports().to_vec(),
         makespan,
         events_run: eng.events_run(),
         epoch: f.epoch,
@@ -966,13 +885,11 @@ mod tests {
         let mut cfg = fleet(2, 6);
         cfg.seed = 42;
         cfg.start_jitter = SimDuration::from_millis(100);
-        cfg.progress_every = Some(SimDuration::from_secs(1));
         let a = run_fleet(&m, &cfg);
         let b = run_fleet(&m, &cfg);
         assert_eq!(a.events, b.events);
         assert_eq!(a.spans, b.spans);
         assert_eq!(a.metrics, b.metrics);
-        assert_eq!(a.progress, b.progress);
         assert_eq!(a.makespan, b.makespan);
 
         let mut other = cfg.clone();
@@ -1224,7 +1141,7 @@ mod tests {
 
     #[test]
     fn pinned_fleet_writes_only_to_its_pins() {
-        // Without placement each Portus checkpoint is one stripe on the
+        // Without placement each Portus checkpoint is one copy on the
         // client's pin, and the per-daemon stats and restore accounting
         // every fleet exports say so.
         let m = CostModel::icdcs24();

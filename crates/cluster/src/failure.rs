@@ -43,11 +43,11 @@ impl FailureOutcome {
 pub struct DaemonLossReport {
     /// Daemons the schedule took down.
     pub killed: Vec<usize>,
-    /// Checkpoint attempts that lost every replica of some stripe.
+    /// Checkpoint attempts that lost every copy.
     pub failed_checkpoints: u64,
     /// In-flight Active writes fenced by the recovery epoch.
     pub fenced_active: u64,
-    /// Stripe copies rebalance repaired onto survivors.
+    /// Checkpoint copies rebalance repaired onto survivors.
     pub repairs: u64,
     /// Bytes of repair traffic.
     pub repair_bytes: u64,

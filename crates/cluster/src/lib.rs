@@ -51,7 +51,7 @@ pub use failure::{
 };
 pub use harness::{run_training, RunResult, Segment, TrainingConfig};
 pub use ops::{Backend, JobShape, OpCost};
-pub use placement::{replica_order, replica_set, stripe_plan, PlacementConfig, Stripe};
+pub use placement::{replica_order, replica_set, PlacementConfig};
 pub use policy::Policy;
 pub use trace::{
     mean_utilization, peak_utilization, run_chrome_trace, segment, utilization_trace, UtilSample,

@@ -1038,7 +1038,7 @@ impl Index {
     ///
     /// # Errors
     ///
-    /// Device errors, and those of [`Index::slot_pieces`].
+    /// Device errors, and those of `Index::slot_pieces`.
     pub fn slot_checksum(&self, mi: &MIndex, slot: usize) -> PortusResult<u64> {
         let hdr = mi.slots[slot];
         let mut hash = Fnv1a::new();
@@ -1056,7 +1056,7 @@ impl Index {
     ///
     /// # Errors
     ///
-    /// Device errors, and those of [`Index::slot_pieces`].
+    /// Device errors, and those of `Index::slot_pieces`.
     pub fn slot_digest(&self, mi: &MIndex, slot: usize) -> PortusResult<u64> {
         let hdr = mi.slots[slot];
         self.pieces_digest(&self.slot_pieces(&hdr, 0, hdr.data_len)?)

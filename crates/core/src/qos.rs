@@ -3,7 +3,7 @@
 //! The daemon serves many tenants over one dispatch pool and one PMem
 //! device. Without policy, a bursty tenant monopolizes both. This
 //! module adds the admission side DESIGN.md §17 describes:
-//! [`TokenBucket`] — per-tenant bytes/sec and ops/sec budgets, refilled
+//! [`TokenBucket`] — a per-tenant bytes/sec budget, refilled
 //! on the **virtual clock** so deterministic runs admit and shed
 //! identically. Over-budget checkpoint requests are shed with a typed
 //! [`crate::PortusError::Throttled`] carrying a `retry_after` hint
@@ -21,26 +21,20 @@ use portus_sim::{SimDuration, SimTime};
 /// Nanoseconds per second — the fixed-point scale of bucket balances.
 const NS_PER_SEC: i128 = 1_000_000_000;
 
-/// Per-tenant QoS parameters. A rate of `0` means *unlimited* for that
-/// dimension; a burst of `0` defaults to one second's worth of the
-/// rate.
+/// Per-tenant QoS parameters. A rate of `0` means *unlimited*; a burst
+/// of `0` defaults to one second's worth of the rate.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TenantQos {
     /// Admitted checkpoint payload bytes per virtual second
     /// (`0` = unlimited).
     pub bytes_per_sec: u64,
-    /// Admitted checkpoint operations per virtual second
-    /// (`0` = unlimited).
-    pub ops_per_sec: u64,
     /// Byte-bucket capacity (`0` = one second of `bytes_per_sec`).
     pub burst_bytes: u64,
-    /// Op-bucket capacity (`0` = one second of `ops_per_sec`).
-    pub burst_ops: u64,
 }
 
 impl TenantQos {
     /// A tenant capped at `bytes_per_sec` checkpoint payload bytes per
-    /// virtual second (ops unlimited).
+    /// virtual second.
     pub fn limited_bytes(bytes_per_sec: u64) -> TenantQos {
         TenantQos {
             bytes_per_sec,
@@ -153,21 +147,13 @@ impl TokenBucket {
     }
 }
 
-/// Both budgets of one tenant, charged atomically: an admitted request
-/// debits ops *and* bytes; a shed request debits neither.
-#[derive(Debug)]
-struct TenantBuckets {
-    bytes: TokenBucket,
-    ops: TokenBucket,
-}
-
-/// Daemon-side admission state: lazily created per-tenant bucket
-/// pairs, keyed by the connection's tenant name (shared, never
+/// Daemon-side admission state: lazily created per-tenant byte
+/// buckets, keyed by the connection's tenant name (shared, never
 /// re-allocated per request).
 #[derive(Debug)]
 pub(crate) struct QosState {
     cfg: QosConfig,
-    buckets: Mutex<HashMap<Arc<str>, Arc<Mutex<TenantBuckets>>>>,
+    buckets: Mutex<HashMap<Arc<str>, Arc<Mutex<TokenBucket>>>>,
 }
 
 impl QosState {
@@ -179,10 +165,9 @@ impl QosState {
     }
 
     /// Admits or sheds one checkpoint request of `bytes` payload bytes
-    /// at virtual instant `now`. Both buckets must be positive; an
-    /// admitted request is charged against both, a shed request against
-    /// neither, and the returned wait is the larger of the two buckets'
-    /// own `retry_after` hints.
+    /// at virtual instant `now`: an admitted request is charged in
+    /// full, a shed one is charged nothing and gets the bucket's
+    /// `retry_after` hint.
     pub(crate) fn admit(
         &self,
         tenant: &Arc<str>,
@@ -190,35 +175,20 @@ impl QosState {
         now: SimTime,
     ) -> Result<(), SimDuration> {
         let q = self.cfg.for_tenant(tenant);
-        if q.bytes_per_sec == 0 && q.ops_per_sec == 0 {
+        if q.bytes_per_sec == 0 {
             return Ok(());
         }
-        let buckets = Arc::clone(
+        let bucket = Arc::clone(
             self.buckets
                 .lock()
                 .entry(Arc::clone(tenant))
                 .or_insert_with(|| {
-                    Arc::new(Mutex::new(TenantBuckets {
-                        bytes: TokenBucket::new(q.bytes_per_sec, q.burst_bytes),
-                        ops: TokenBucket::new(q.ops_per_sec, q.burst_ops),
-                    }))
+                    Arc::new(Mutex::new(TokenBucket::new(q.bytes_per_sec, q.burst_bytes)))
                 }),
         );
-        let mut b = buckets.lock();
-        // Probe both before charging either: a request shed on bytes
-        // must not burn an op token.
-        let ops_wait = b.ops.try_take(0, now).err();
-        let bytes_wait = b.bytes.try_take(0, now).err();
-        match (ops_wait, bytes_wait) {
-            (None, None) => {
-                let _ = b.ops.try_take(1, now);
-                let _ = b.bytes.try_take(bytes, now);
-                Ok(())
-            }
-            (o, w) => Err(o
-                .unwrap_or(SimDuration::ZERO)
-                .max(w.unwrap_or(SimDuration::ZERO))),
-        }
+        // Bound first: the guard must drop before `bucket` does.
+        let result = bucket.lock().try_take(bytes, now);
+        result
     }
 }
 
@@ -288,26 +258,21 @@ mod tests {
     }
 
     #[test]
-    fn admit_charges_both_buckets_or_neither() {
+    fn admit_charges_admitted_requests_only() {
         let mut cfg = QosConfig::default();
-        cfg.tenants.insert(
-            "t".into(),
-            TenantQos {
-                bytes_per_sec: 1000,
-                ops_per_sec: 2,
-                ..TenantQos::default()
-            },
-        );
+        cfg.tenants.insert("t".into(), TenantQos::limited_bytes(1000));
         let qos = QosState::new(cfg);
         let t: Arc<str> = Arc::from("t");
-        assert!(qos.admit(&t, 500, SimTime::ZERO).is_ok());
-        assert!(qos.admit(&t, 500, SimTime::ZERO).is_ok());
-        // Op bucket exhausted: shed, with a non-zero wait hint.
+        assert!(qos.admit(&t, 1000, SimTime::ZERO).is_ok());
+        // The bucket is drained: shed, with the exact wait hint.
         let wait = qos.admit(&t, 1, SimTime::ZERO).unwrap_err();
-        assert!(!wait.is_zero());
-        // The shed request burned no byte tokens: after the op bucket
-        // refills, the byte bucket still has its remaining budget.
-        let later = SimTime::ZERO + wait;
-        assert!(qos.admit(&t, 1, later).is_ok());
+        assert_eq!(wait.as_nanos(), 1);
+        // The shed request was charged nothing, so the same hint holds.
+        assert_eq!(qos.admit(&t, 1, SimTime::ZERO).unwrap_err(), wait);
+        assert!(qos.admit(&t, 1, SimTime::ZERO + wait).is_ok());
+        // Unlimited tenants never touch a bucket.
+        let free: Arc<str> = Arc::from("free");
+        assert!(qos.admit(&free, u64::MAX, SimTime::ZERO).is_ok());
+        assert_eq!(qos.buckets.lock().len(), 1);
     }
 }

@@ -70,7 +70,7 @@ pub fn pack_pages(entries: &[(String, u64)], page_bytes: u64) -> Vec<&[(String, 
 ///
 /// # Errors
 ///
-/// Fails with [`PmemError::Bounds`]-style device errors, or
+/// Fails with [`PmemError::OutOfBounds`]-style device errors, or
 /// `PmemError::Corrupt` if the entries overflow `page_bytes`.
 pub fn write_page(
     dev: &PmemDevice,

@@ -258,7 +258,7 @@ impl QueuePair {
     /// clock is **not** advanced: the returned [`Completion`] carries
     /// the `(start, end)` window and the caller advances the clock once
     /// when it drains the whole posting round (see
-    /// [`QueuePair::charge_transfer_deferred`]).
+    /// `QueuePair::charge_transfer_deferred`).
     ///
     /// The source is treated as BAR-capped GPU memory if *any* segment
     /// reads GPU memory — the slowest source gates the DMA engine.

@@ -9,25 +9,22 @@
 //! so two runs that make the same schedule calls execute events in
 //! exactly the same order.
 //!
-//! Beyond the classic loop the engine carries the run-wide services an
-//! ixa-style simulation needs:
+//! Beyond the classic loop the engine carries the two run-wide
+//! services the fleet plane uses:
 //!
-//! * **seeded randomness** ([`Engine::with_seed`], [`Engine::rng`],
-//!   [`Engine::fork_rng`]) so stochastic runs replay bit-for-bit;
+//! * **seeded randomness** ([`Engine::with_seed`], [`Engine::fork_rng`]):
+//!   each actor draws from its own child stream of the run's seed, so
+//!   stochastic runs replay bit-for-bit;
 //! * **per-actor local time** ([`Engine::add_actor`],
-//!   [`Engine::advance_actor`]): each daemon or training client keeps
-//!   its own cursor on the shared timeline, so operations running on
+//!   [`Engine::advance_actor_to`]): each daemon or training client keeps
+//!   its own cursor on the shared timeline, moved forward to the end of
+//!   its latest [`crate::Resource`] grant, so operations running on
 //!   *different* actors overlap (both finish at `max`, not `sum`, of
-//!   their durations) while work charged on one actor serializes;
-//! * **periodic progress reports** ([`Engine::report_every`],
-//!   [`Engine::progress_reports`]) sampling events-run and queue depth
-//!   at fixed virtual intervals;
-//! * **cancellation** ([`Engine::cancel`]) for timeout-style plans
-//!   that are usually superseded.
+//!   their durations).
 
 use crate::plan::{PlanId, PlanQueue};
 use crate::rng::SimRng;
-use crate::{SimDuration, SimTime};
+use crate::SimTime;
 
 type EventFn = Box<dyn FnOnce(&mut Engine)>;
 
@@ -35,40 +32,17 @@ type EventFn = Box<dyn FnOnce(&mut Engine)>;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ActorId(usize);
 
-impl ActorId {
-    /// The actor's registration index.
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
-struct Actor {
-    name: String,
-    local_now: SimTime,
-}
-
-/// One periodic progress sample (see [`Engine::report_every`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProgressReport {
-    /// The virtual instant of the sample (a multiple of the report
-    /// interval).
-    pub at: SimTime,
-    /// Events executed since the run began.
-    pub events_run: u64,
-    /// Plans still pending at the sample instant.
-    pub pending: usize,
-}
-
 /// A single-threaded discrete-event simulator.
 ///
 /// # Examples
 ///
 /// ```
-/// use portus_sim::{Engine, SimDuration};
+/// use portus_sim::{Engine, SimDuration, SimTime};
 ///
 /// let mut eng = Engine::new();
-/// eng.schedule_in(SimDuration::from_secs(2), |e| {
-///     e.schedule_in(SimDuration::from_secs(1), |_| {});
+/// eng.schedule_at(SimTime::ZERO + SimDuration::from_secs(2), |e| {
+///     let at = e.now() + SimDuration::from_secs(1);
+///     e.schedule_at(at, |_| {});
 /// });
 /// eng.run();
 /// assert_eq!(eng.now().as_secs_f64(), 3.0);
@@ -77,11 +51,9 @@ pub struct Engine {
     now: SimTime,
     queue: PlanQueue<EventFn>,
     rng: SimRng,
-    actors: Vec<Actor>,
+    /// Each actor's local-time cursor, indexed by [`ActorId`].
+    actors: Vec<SimTime>,
     events_run: u64,
-    report_every: Option<SimDuration>,
-    next_report_at: SimTime,
-    reports: Vec<ProgressReport>,
 }
 
 impl Default for Engine {
@@ -116,9 +88,6 @@ impl Engine {
             rng: SimRng::new(seed),
             actors: Vec::new(),
             events_run: 0,
-            report_every: None,
-            next_report_at: SimTime::ZERO,
-            reports: Vec::new(),
         }
     }
 
@@ -127,19 +96,9 @@ impl Engine {
         self.now
     }
 
-    /// Number of events still pending.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Events executed so far.
     pub fn events_run(&self) -> u64 {
         self.events_run
-    }
-
-    /// The engine's seeded random stream.
-    pub fn rng(&mut self) -> &mut SimRng {
-        &mut self.rng
     }
 
     /// An independent child stream keyed by `label` (see
@@ -152,33 +111,15 @@ impl Engine {
 
     /// Registers an actor with its own local-time cursor (starting at
     /// the origin) and returns its id.
-    pub fn add_actor(&mut self, name: &str) -> ActorId {
-        self.actors.push(Actor {
-            name: name.to_string(),
-            local_now: SimTime::ZERO,
-        });
+    pub fn add_actor(&mut self) -> ActorId {
+        self.actors.push(SimTime::ZERO);
         ActorId(self.actors.len() - 1)
-    }
-
-    /// The diagnostic name given at registration.
-    pub fn actor_name(&self, actor: ActorId) -> &str {
-        &self.actors[actor.0].name
     }
 
     /// The actor's local-time cursor: when its last charged operation
     /// completes.
     pub fn actor_now(&self, actor: ActorId) -> SimTime {
-        self.actors[actor.0].local_now
-    }
-
-    /// Charges `d` of work on `actor`'s local timeline, starting no
-    /// earlier than the engine's current instant, and returns the
-    /// completion instant. Work charged on one actor serializes;
-    /// work on different actors overlaps.
-    pub fn advance_actor(&mut self, actor: ActorId, d: SimDuration) -> SimTime {
-        let a = &mut self.actors[actor.0];
-        a.local_now = a.local_now.max(self.now) + d;
-        a.local_now
+        self.actors[actor.0]
     }
 
     /// Moves `actor`'s cursor to `t` if `t` is later (e.g. after a
@@ -186,47 +127,14 @@ impl Engine {
     /// cursor.
     pub fn advance_actor_to(&mut self, actor: ActorId, t: SimTime) -> SimTime {
         let a = &mut self.actors[actor.0];
-        a.local_now = a.local_now.max(t);
-        a.local_now
-    }
-
-    // --- progress reports -------------------------------------------
-
-    /// Samples a [`ProgressReport`] every `every` of virtual time while
-    /// the run executes (the first sample lands at `every`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every` is zero.
-    pub fn report_every(&mut self, every: SimDuration) {
-        assert!(!every.is_zero(), "progress interval must be positive");
-        self.report_every = Some(every);
-        self.next_report_at = self.now + every;
-    }
-
-    /// The progress samples collected so far.
-    pub fn progress_reports(&self) -> &[ProgressReport] {
-        &self.reports
-    }
-
-    fn emit_reports_up_to(&mut self, t: SimTime) {
-        let Some(every) = self.report_every else {
-            return;
-        };
-        while self.next_report_at <= t {
-            self.reports.push(ProgressReport {
-                at: self.next_report_at,
-                events_run: self.events_run,
-                pending: self.queue.len(),
-            });
-            self.next_report_at += every;
-        }
+        *a = (*a).max(t);
+        *a
     }
 
     // --- scheduling -------------------------------------------------
 
     /// Schedules `f` to run at absolute instant `at`; returns the plan
-    /// id (usable with [`Engine::cancel`]).
+    /// id.
     ///
     /// # Panics
     ///
@@ -241,29 +149,13 @@ impl Engine {
         self.queue.add(at, Box::new(f))
     }
 
-    /// Schedules `f` to run `delay` after the current instant.
-    pub fn schedule_in<F: FnOnce(&mut Engine) + 'static>(
-        &mut self,
-        delay: SimDuration,
-        f: F,
-    ) -> PlanId {
-        self.schedule_at(self.now + delay, f)
-    }
-
-    /// Cancels a pending plan; returns whether it was still pending.
-    pub fn cancel(&mut self, id: PlanId) -> bool {
-        self.queue.cancel(id).is_some()
-    }
-
     // --- the loop ---------------------------------------------------
 
     /// Runs a single event if one is pending; returns whether it did.
     pub fn step(&mut self) -> bool {
-        let Some((at, _)) = self.queue.peek() else {
+        let Some((at, _, run)) = self.queue.pop() else {
             return false;
         };
-        self.emit_reports_up_to(at);
-        let (at, _, run) = self.queue.pop().expect("peeked plan vanished");
         self.now = at;
         self.events_run += 1;
         run(self);
@@ -275,25 +167,18 @@ impl Engine {
         while self.step() {}
     }
 
-    /// Runs events with timestamps `<= until`, leaving later events
-    /// pending, and advances the clock to exactly `until`.
-    pub fn run_until(&mut self, until: SimTime) {
-        while let Some((at, _)) = self.queue.peek() {
-            if at > until {
-                break;
-            }
-            self.step();
-        }
-        self.emit_reports_up_to(until);
-        self.now = self.now.max(until);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SimDuration;
     use std::cell::RefCell;
     use std::rc::Rc;
+
+    fn secs(s: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_secs(s)
+    }
 
     #[test]
     fn events_run_in_time_order() {
@@ -328,10 +213,11 @@ mod tests {
         let hits = Rc::new(RefCell::new(0u32));
         let mut eng = Engine::new();
         let h = hits.clone();
-        eng.schedule_in(SimDuration::from_secs(1), move |e| {
+        eng.schedule_at(secs(1), move |e| {
             *h.borrow_mut() += 1;
             let h2 = h.clone();
-            e.schedule_in(SimDuration::from_secs(1), move |_| {
+            let at = e.now() + SimDuration::from_secs(1);
+            e.schedule_at(at, move |_| {
                 *h2.borrow_mut() += 1;
             });
         });
@@ -341,105 +227,39 @@ mod tests {
     }
 
     #[test]
-    fn run_until_leaves_future_events() {
-        let mut eng = Engine::new();
-        eng.schedule_in(SimDuration::from_secs(1), |_| {});
-        eng.schedule_in(SimDuration::from_secs(5), |_| {});
-        eng.run_until(SimTime::ZERO + SimDuration::from_secs(2));
-        assert_eq!(eng.pending(), 1);
-        assert_eq!(eng.now().as_secs_f64(), 2.0);
-    }
-
-    #[test]
     #[should_panic(expected = "in the past")]
     fn scheduling_in_the_past_panics() {
         let mut eng = Engine::new();
-        eng.schedule_in(SimDuration::from_secs(1), |e| {
+        eng.schedule_at(secs(1), |e| {
             e.schedule_at(SimTime::ZERO, |_| {});
         });
         eng.run();
     }
 
     #[test]
-    fn cancelled_plans_do_not_run() {
-        let hits = Rc::new(RefCell::new(0u32));
-        let mut eng = Engine::new();
-        let h = hits.clone();
-        let timeout = eng.schedule_in(SimDuration::from_secs(10), move |_| {
-            *h.borrow_mut() += 1;
-        });
-        assert!(eng.cancel(timeout));
-        assert!(!eng.cancel(timeout), "second cancel is a no-op");
-        eng.run();
-        assert_eq!(*hits.borrow(), 0);
-        assert_eq!(
-            eng.now(),
-            SimTime::ZERO,
-            "cancelled plan must not drag the clock"
-        );
-    }
-
-    #[test]
     fn actors_keep_local_time() {
         let mut eng = Engine::new();
-        let a = eng.add_actor("daemon-0");
-        let b = eng.add_actor("daemon-1");
-        assert_eq!(eng.actor_name(a), "daemon-0");
-        // Both actors charge 5s of work starting at t=0: they overlap.
-        let end_a = eng.advance_actor(a, SimDuration::from_secs(5));
-        let end_b = eng.advance_actor(b, SimDuration::from_secs(5));
-        assert_eq!(end_a, end_b);
-        assert_eq!(end_a.as_secs_f64(), 5.0);
-        // More work on the same actor serializes after its cursor.
-        let end_a2 = eng.advance_actor(a, SimDuration::from_secs(1));
-        assert_eq!(end_a2.as_secs_f64(), 6.0);
-        assert_eq!(eng.actor_now(b).as_secs_f64(), 5.0);
+        let a = eng.add_actor();
+        let b = eng.add_actor();
+        assert_ne!(a, b);
+        // Each actor's cursor moves on its own: a grant ending at 5 s
+        // on `a` leaves `b` at the origin.
+        assert_eq!(eng.advance_actor_to(a, secs(5)), secs(5));
+        assert_eq!(eng.actor_now(b), SimTime::ZERO);
         // advance_actor_to is monotone.
-        eng.advance_actor_to(b, SimTime::ZERO + SimDuration::from_secs(2));
-        assert_eq!(eng.actor_now(b).as_secs_f64(), 5.0);
+        assert_eq!(eng.advance_actor_to(a, secs(2)), secs(5));
+        assert_eq!(eng.advance_actor_to(b, secs(3)), secs(3));
+        assert_eq!(eng.actor_now(a), secs(5));
     }
 
     #[test]
-    fn actor_charges_start_no_earlier_than_engine_now() {
-        let mut eng = Engine::new();
-        let a = eng.add_actor("client");
-        eng.schedule_in(SimDuration::from_secs(3), |_| {});
-        eng.run();
-        // The actor was idle until t=3; a charge starts there.
-        let end = eng.advance_actor(a, SimDuration::from_secs(1));
-        assert_eq!(end.as_secs_f64(), 4.0);
-    }
-
-    #[test]
-    fn seeded_rng_replays() {
-        let mut a = Engine::with_seed(11);
-        let mut b = Engine::with_seed(11);
-        let draws_a: Vec<u64> = (0..5).map(|_| a.rng().next_u64()).collect();
-        let draws_b: Vec<u64> = (0..5).map(|_| b.rng().next_u64()).collect();
-        assert_eq!(draws_a, draws_b);
-        let mut fork = a.fork_rng(1);
-        assert_ne!(fork.next_u64(), a.rng().next_u64());
-    }
-
-    #[test]
-    fn progress_reports_sample_fixed_intervals() {
-        let mut eng = Engine::new();
-        eng.report_every(SimDuration::from_secs(1));
-        for s in [1u64, 2, 5] {
-            eng.schedule_at(
-                SimTime::ZERO + SimDuration::from_millis(s * 1000 + 500),
-                |_| {},
-            );
-        }
-        eng.run();
-        let reports = eng.progress_reports();
-        // Samples at 1..=5s (the last event at 5.5s crosses the 5s mark).
-        assert_eq!(reports.len(), 5);
-        assert_eq!(reports[0].at.as_secs_f64(), 1.0);
-        assert_eq!(reports[0].events_run, 0);
-        assert_eq!(reports[0].pending, 3);
-        assert_eq!(reports[4].at.as_secs_f64(), 5.0);
-        assert_eq!(reports[4].events_run, 2);
-        assert_eq!(reports[4].pending, 1);
+    fn forked_streams_replay_per_seed_and_label() {
+        let draws = |seed: u64, label: u64| -> Vec<u64> {
+            let mut r = Engine::with_seed(seed).fork_rng(label);
+            (0..5).map(|_| r.next_u64()).collect()
+        };
+        assert_eq!(draws(11, 1), draws(11, 1));
+        assert_ne!(draws(11, 1), draws(11, 2), "labels give distinct streams");
+        assert_ne!(draws(11, 1), draws(12, 1), "seeds give distinct streams");
     }
 }

@@ -6,8 +6,8 @@
 //! datapath [`Stats`] counters behind the zero-copy assertions, and the
 //! discrete-event core — a deterministic [`PlanQueue`] of events at
 //! absolute virtual instants driven by the [`Engine`], with per-actor
-//! local time, seeded randomness ([`SimRng`]), and periodic progress
-//! reports — for end-to-end training timelines and multi-daemon fleet
+//! local time and seeded randomness ([`SimRng`]) — for end-to-end
+//! training timelines and multi-daemon fleet
 //! runs where overlapping operations must finish at the *max*, not the
 //! sum, of their durations.
 //!
@@ -42,7 +42,7 @@ mod trace;
 
 pub use clock::{Clock, ClockOverflow};
 pub use cost::{CostModel, MemoryKind};
-pub use engine::{ActorId, Engine, ProgressReport};
+pub use engine::{ActorId, Engine};
 pub use metrics::{
     DaemonFleetStats, HistogramSnapshot, Metrics, MetricsSnapshot, StageHistogram, TenantSnapshot,
     HISTOGRAM_BUCKETS,

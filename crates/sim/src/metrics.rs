@@ -174,7 +174,7 @@ pub struct DaemonFleetStats {
     /// In-flight Active slots fenced by the recovery epoch when this
     /// daemon was killed (its own losses, not a survivor's).
     pub fenced_active: u64,
-    /// Stripe copies this daemon received from rebalance repair.
+    /// Checkpoint copies this daemon received from rebalance repair.
     pub repairs_in: u64,
     /// Bytes of repair traffic it received.
     pub repair_bytes: u64,

@@ -8,12 +8,11 @@
 //! seeds, or thread interleavings. This is the ordering contract the
 //! deterministic-replay suite pins.
 //!
-//! Plans can be cancelled by id ([`PlanQueue::cancel`]); a cancelled
-//! plan's payload is returned to the caller and the queue entry is
-//! lazily skipped on pop, so cancellation is O(1).
+//! Each heap entry carries its payload, so a pop is one heap operation
+//! and nothing else is kept per plan.
 
 use std::cmp::Ordering as CmpOrdering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use crate::SimTime;
 
@@ -38,19 +37,29 @@ impl std::fmt::Display for PlanId {
 
 /// A heap entry: `(instant, id)` with inverted ordering so the
 /// `BinaryHeap` max-heap pops the earliest instant, lowest id first.
-#[derive(Debug, PartialEq, Eq)]
-struct Slot {
+/// The payload rides along and never takes part in the ordering.
+#[derive(Debug)]
+struct Slot<T> {
     at: SimTime,
     id: PlanId,
+    data: T,
 }
 
-impl PartialOrd for Slot {
+impl<T> PartialEq for Slot<T> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.at, self.id) == (other.at, other.id)
+    }
+}
+
+impl<T> Eq for Slot<T> {}
+
+impl<T> PartialOrd for Slot<T> {
     fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for Slot {
+impl<T> Ord for Slot<T> {
     fn cmp(&self, other: &Self) -> CmpOrdering {
         other.at.cmp(&self.at).then_with(|| other.id.cmp(&self.id))
     }
@@ -72,8 +81,7 @@ impl Ord for Slot {
 /// ```
 #[derive(Debug)]
 pub struct PlanQueue<T> {
-    heap: BinaryHeap<Slot>,
-    data: HashMap<u64, T>,
+    heap: BinaryHeap<Slot<T>>,
     next_id: u64,
 }
 
@@ -81,7 +89,6 @@ impl<T> Default for PlanQueue<T> {
     fn default() -> Self {
         PlanQueue {
             heap: BinaryHeap::new(),
-            data: HashMap::new(),
             next_id: 0,
         }
     }
@@ -97,53 +104,28 @@ impl<T> PlanQueue<T> {
     pub fn add(&mut self, at: SimTime, data: T) -> PlanId {
         let id = PlanId(self.next_id);
         self.next_id += 1;
-        self.heap.push(Slot { at, id });
-        self.data.insert(id.0, data);
+        self.heap.push(Slot { at, id, data });
         id
     }
 
-    /// Cancels the plan with `id`, returning its payload if it was
-    /// still pending. The heap entry is skipped lazily on pop.
-    pub fn cancel(&mut self, id: PlanId) -> Option<T> {
-        self.data.remove(&id.0)
-    }
-
-    /// The instant and id of the next live plan without removing it.
-    pub fn peek(&mut self) -> Option<(SimTime, PlanId)> {
-        self.skip_cancelled();
+    /// The instant and id of the next plan without removing it.
+    pub fn peek(&self) -> Option<(SimTime, PlanId)> {
         self.heap.peek().map(|s| (s.at, s.id))
     }
 
-    /// Removes and returns the earliest live plan.
+    /// Removes and returns the earliest plan.
     pub fn pop(&mut self) -> Option<(SimTime, PlanId, T)> {
-        self.skip_cancelled();
-        let slot = self.heap.pop()?;
-        let data = self
-            .data
-            .remove(&slot.id.0)
-            .expect("skip_cancelled left a live heap head");
-        Some((slot.at, slot.id, data))
+        self.heap.pop().map(|s| (s.at, s.id, s.data))
     }
 
-    /// Number of live (non-cancelled) plans.
+    /// Number of pending plans.
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.heap.len()
     }
 
-    /// `true` when no live plans remain.
+    /// `true` when no plans remain.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Drops heap entries whose plan was cancelled so `peek`/`pop` see
-    /// a live head.
-    fn skip_cancelled(&mut self) {
-        while let Some(slot) = self.heap.peek() {
-            if self.data.contains_key(&slot.id.0) {
-                break;
-            }
-            self.heap.pop();
-        }
+        self.heap.is_empty()
     }
 }
 
@@ -174,25 +156,14 @@ mod tests {
     }
 
     #[test]
-    fn cancel_removes_a_pending_plan() {
+    fn peek_sees_the_head_without_removing_it() {
         let mut q = PlanQueue::new();
-        let a = q.add(t(10), "a");
-        let _b = q.add(t(20), "b");
-        assert_eq!(q.cancel(a), Some("a"));
-        assert_eq!(q.cancel(a), None, "double cancel is a no-op");
-        assert_eq!(q.len(), 1);
-        let (at, _, d) = q.pop().unwrap();
-        assert_eq!((at, d), (t(20), "b"));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn peek_skips_cancelled_heads() {
-        let mut q = PlanQueue::new();
-        let a = q.add(t(1), "a");
         q.add(t(2), "b");
-        q.cancel(a);
-        assert_eq!(q.peek().map(|(at, _)| at), Some(t(2)));
+        q.add(t(1), "a");
+        assert_eq!(q.peek().map(|(at, _)| at), Some(t(1)));
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop().map(|(_, _, d)| d), Some("a"));
+        assert_eq!(q.len(), 1);
     }
 
     #[test]

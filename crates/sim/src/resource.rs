@@ -64,14 +64,6 @@ pub struct Grant {
     pub end: SimTime,
 }
 
-impl Grant {
-    /// Total latency experienced by a submitter at `submitted`: queueing
-    /// delay plus service time.
-    pub fn latency_from(&self, submitted: SimTime) -> SimDuration {
-        self.end.saturating_since(submitted)
-    }
-}
-
 impl Resource {
     /// Creates an idle single-engine resource with a diagnostic `name`.
     pub fn new(name: &str) -> Self {
@@ -129,17 +121,6 @@ impl Resource {
             .expect("a resource always has at least one engine")
     }
 
-    /// The instant the next engine frees up (equals [`Resource::busy_until`]
-    /// for single-engine resources).
-    pub fn next_free(&self) -> SimTime {
-        let st = self.state.lock();
-        st.engines
-            .iter()
-            .copied()
-            .min()
-            .expect("a resource always has at least one engine")
-    }
-
     /// Total service time ever granted (for utilization accounting).
     pub fn total_busy_time(&self) -> SimDuration {
         self.state.lock().busy_time
@@ -166,7 +147,7 @@ mod tests {
         let later = SimTime::ZERO + SimDuration::from_secs(10);
         let g = r.schedule(later, SimDuration::from_secs(1));
         assert_eq!(g.start, later);
-        assert_eq!(g.latency_from(later), SimDuration::from_secs(1));
+        assert_eq!(g.end, later + SimDuration::from_secs(1));
     }
 
     #[test]
@@ -197,7 +178,6 @@ mod tests {
         assert_eq!(g1.start, SimTime::ZERO);
         assert_eq!(g2.start, SimTime::ZERO);
         assert_eq!(g3.start, g1.end);
-        assert_eq!(r.next_free(), g2.end);
         assert_eq!(r.busy_until(), g3.end);
         assert_eq!(r.total_busy_time(), SimDuration::from_secs(12));
     }

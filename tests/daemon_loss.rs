@@ -2,9 +2,11 @@
 //! daemon killed mid-checkpoint (validated work stays restorable from
 //! the surviving replicas), the recovery epoch only ever fences the
 //! dead daemon's in-flight writes — never a live replica's — and a
-//! seeded run with a kill schedule replays bit-for-bit. A final test
-//! exercises the real datapath: a `ReplicatedClient` fails over a
-//! restore when its primary replica's fabric dies.
+//! seeded run with a kill schedule replays bit-for-bit. Four seeded
+//! kills of the benchmark's replicated async fleet are pinned to exact
+//! constants. A final test exercises the real datapath: a
+//! `ReplicatedClient` fails over a restore when its primary replica's
+//! fabric dies.
 
 use portus::{DaemonConfig, PortusDaemon, PortusError, ReplicatedClient};
 use portus_cluster::{
@@ -76,7 +78,7 @@ fn replicas_keep_every_validated_checkpoint_through_a_mid_checkpoint_kill() {
     assert_eq!(report.failed_checkpoints, 0);
     assert!(
         report.repairs > 0,
-        "the rebalance re-replicates the dead daemon's stripes"
+        "the rebalance re-replicates the dead daemon's checkpoints"
     );
 
     // The same kill without replication loses client-0's work.
@@ -263,5 +265,145 @@ fn replicated_client_fails_over_a_restore_on_the_real_datapath() {
             assert_eq!(attempts.len(), 3);
         }
         other => panic!("expected ReplicasExhausted, got {other:?}"),
+    }
+}
+
+/// What one `fleet-async`-shaped run must reproduce exactly.
+#[derive(Debug, PartialEq, Eq)]
+struct Pinned {
+    makespan_ns: u64,
+    /// Per client: `(checkpoint_stall ns, checkpoints, failed_checkpoints)`.
+    clients: [(u64, u64, u64); 8],
+    /// Sum of every checkpoint's Total-span nanoseconds.
+    total_span_ns: u64,
+    repair_bytes: u64,
+    fenced_active: u64,
+    failovers: u64,
+}
+
+/// The benchmark's replicated-fleet shape: 3 daemons, 8 async clients
+/// of 4 GB / 400-tensor jobs, two mirrored copies, jittered starts and
+/// one seeded daemon loss in the middle half of the run.
+fn async_fleet(seed: u64) -> FleetConfig {
+    let mut rng = portus_sim::SimRng::new(seed).fork(0);
+    let mut cfg = FleetConfig::uniform(
+        3,
+        8,
+        JobShape::single(4_000_000_000, 400),
+        IterationProfile::from_total(SimDuration::from_millis(350)),
+        Policy::PortusAsync { every: 10 },
+        100,
+    )
+    .with_placement(PlacementConfig::mirrored(2));
+    cfg.seed = rng.next_u64();
+    cfg.start_jitter = SimDuration::from_millis(200);
+    let at = SimDuration::from_millis(9_000 + rng.gen_range(18_000));
+    cfg.with_kill(rng.gen_range(3) as usize, at)
+}
+
+fn pin(m: &CostModel, cfg: &FleetConfig) -> Pinned {
+    let out = run_fleet(m, cfg);
+    let mut clients = [(0, 0, 0); 8];
+    for (slot, c) in clients.iter_mut().zip(&out.clients) {
+        *slot = (
+            c.checkpoint_stall.as_nanos(),
+            c.checkpoints,
+            c.failed_checkpoints,
+        );
+    }
+    Pinned {
+        makespan_ns: out.makespan.as_nanos(),
+        clients,
+        total_span_ns: out
+            .spans
+            .iter()
+            .filter(|s| s.op == TraceOp::Checkpoint && s.stage == Stage::Total)
+            .map(|s| s.duration().as_nanos())
+            .sum(),
+        repair_bytes: out.metrics.fleet.iter().map(|d| d.repair_bytes).sum(),
+        fenced_active: out.metrics.fleet.iter().map(|d| d.fenced_active).sum(),
+        failovers: out.restores.iter().map(|r| r.failovers).sum(),
+    }
+}
+
+/// Four seeded kills of the replicated async fleet replay to the
+/// nanosecond and the byte: stalls, checkpoint counts, latency sums and
+/// the daemon-loss counters were captured as constants, so any change
+/// to placement, repair or the event core that moves a fleet run shows.
+#[test]
+fn replicated_async_fleet_with_a_kill_is_pinned() {
+    let m = CostModel::icdcs24();
+    let expect = [
+        Pinned {
+            makespan_ns: 56_001_724_689,
+            clients: [
+                (15_662_686_281, 10, 0),
+                (14_372_329_831, 10, 0),
+                (14_979_767_612, 10, 0),
+                (10_985_370_324, 10, 0),
+                (12_359_332_171, 10, 0),
+                (11_685_111_550, 10, 0),
+                (13_737_912_589, 10, 0),
+                (12_995_286_012, 10, 0),
+            ],
+            total_span_ns: 351_029_075_395,
+            repair_bytes: 24_000_000_000,
+            fenced_active: 2,
+            failovers: 0,
+        },
+        Pinned {
+            makespan_ns: 58_792_835_967,
+            clients: [
+                (13_771_326_625, 10, 0),
+                (18_487_682_380, 10, 0),
+                (14_447_025_816, 10, 0),
+                (15_124_867_632, 10, 0),
+                (16_487_663_078, 10, 0),
+                (15_835_511_890, 10, 0),
+                (17_175_984_751, 10, 0),
+                (17_869_749_043, 10, 0),
+            ],
+            total_span_ns: 392_257_328_129,
+            repair_bytes: 24_000_000_000,
+            fenced_active: 1,
+            failovers: 0,
+        },
+        Pinned {
+            makespan_ns: 56_596_194_799,
+            clients: [
+                (15_603_527_394, 10, 0),
+                (11_579_125_482, 10, 0),
+                (12_251_501_614, 10, 0),
+                (14_958_545_374, 10, 0),
+                (13_569_441_200, 10, 0),
+                (16_293_929_148, 10, 0),
+                (14_246_879_127, 10, 0),
+                (12_909_153_936, 10, 0),
+            ],
+            total_span_ns: 363_280_837_322,
+            repair_bytes: 28_000_000_000,
+            fenced_active: 5,
+            failovers: 0,
+        },
+        Pinned {
+            makespan_ns: 55_012_834_771,
+            clients: [
+                (11_974_531_846, 10, 0),
+                (13_313_622_738, 10, 0),
+                (12_647_683_056, 10, 0),
+                (10_628_942_790, 10, 0),
+                (9_970_795_975, 10, 0),
+                (13_997_465_573, 10, 0),
+                (14_691_284_726, 10, 0),
+                (11_314_459_723, 10, 0),
+            ],
+            total_span_ns: 340_332_808_053,
+            repair_bytes: 24_000_000_000,
+            fenced_active: 4,
+            failovers: 0,
+        },
+    ];
+    for (seed, want) in (1..=4u64).zip(&expect) {
+        assert_eq!(&pin(&m, &async_fleet(seed)), want, "seed {seed}");
     }
 }

@@ -20,7 +20,6 @@ fn fleet(daemons: usize, clients: usize, seed: u64) -> FleetConfig {
     );
     cfg.seed = seed;
     cfg.start_jitter = SimDuration::from_millis(200);
-    cfg.progress_every = Some(SimDuration::from_secs(2));
     cfg
 }
 
@@ -31,16 +30,14 @@ fn seeded_fleet_runs_replay_bit_for_bit() {
     let a = run_fleet(&m, &cfg);
     let b = run_fleet(&m, &cfg);
     // The whole observable surface replays: event order, span stream,
-    // aggregated histograms, progress samples, and per-client results.
+    // aggregated histograms, and per-client results.
     assert_eq!(a.events, b.events, "event order must replay");
     assert_eq!(a.spans, b.spans, "span stream must replay");
     assert_eq!(a.metrics, b.metrics, "metrics snapshot must replay");
-    assert_eq!(a.progress, b.progress, "progress reports must replay");
     assert_eq!(a.clients, b.clients, "client outcomes must replay");
     assert_eq!(a.makespan, b.makespan);
     assert_eq!(a.events_run, b.events_run);
     assert!(!a.events.is_empty() && !a.spans.is_empty());
-    assert!(!a.progress.is_empty(), "progress sampling must be active");
 
     // A different seed shifts the start jitter and therefore the
     // interleaving.

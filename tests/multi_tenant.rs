@@ -257,7 +257,6 @@ fn admit_twice(
         TenantQos {
             bytes_per_sec: 1,
             burst_bytes: burst,
-            ..TenantQos::default()
         },
     );
     let daemon = PortusDaemon::start(&fabric, NodeId(1), pmem, cfg).unwrap();

@@ -88,7 +88,7 @@ fn goodput_sweep() -> serde_json::Value {
 
 /// Datapath fault-injection sweep against the real daemon: arm a fault
 /// plan on the daemon NIC, run a burst of checkpoints, and read the
-/// recovery counters off `SimStats`.
+/// verb counters off `SimStats` and the rollback failures off `Metrics`.
 fn datapath_fault_sweep() -> serde_json::Value {
     let seed = 0xC0FFEE;
     let cases: [(&str, Option<FaultSpec>); 6] = [

@@ -16,7 +16,7 @@ fn main() {
     let beegfs = realplane::bert_beegfs_breakdown(&spec);
     let ext4 = realplane::bert_ext4_breakdown(&spec);
     // The traced variant derives the persist/checksum phases from the
-    // recorded spans (cross-checked against the stats counters) and
+    // recorded spans (cross-checked against the stage histograms) and
     // hands back the run as Chrome trace-event JSON.
     let (portus, trace_json) = realplane::portus_breakdown_traced(&spec);
 

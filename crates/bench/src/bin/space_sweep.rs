@@ -165,7 +165,8 @@ fn oos_recovery_cases() -> serde_json::Value {
         }
         fill_heap(&w);
 
-        let before = w.ctx.stats.snapshot();
+        let stats_before = w.ctx.stats.snapshot();
+        let metrics_before = w.ctx.metrics.snapshot();
         probe.train_step();
         let outcome = match client.checkpoint("probe") {
             Ok(r) => format!("recovered (v{})", r.version),
@@ -178,17 +179,20 @@ fn oos_recovery_cases() -> serde_json::Value {
             }
             Err(e) => panic!("unexpected error: {e}"),
         };
-        let d = w.ctx.stats.snapshot().since(&before);
+        let oos_recoveries = w.ctx.stats.snapshot().since(&stats_before).oos_recoveries;
+        let after = w.ctx.metrics.snapshot();
+        let reclaimed_slots = after.reclaimed_slots - metrics_before.reclaimed_slots;
+        let reclaimed_bytes = after.reclaimed_bytes - metrics_before.reclaimed_bytes;
         println!(
             "  garbage={:<5} -> {:<55} oos_recoveries={} reclaimed={} ({} B)",
-            with_garbage, outcome, d.oos_recoveries, d.reclaimed_slots, d.reclaimed_bytes
+            with_garbage, outcome, oos_recoveries, reclaimed_slots, reclaimed_bytes
         );
         rows.push(serde_json::json!({
             "with_garbage": with_garbage,
             "outcome": outcome,
-            "oos_recoveries": d.oos_recoveries,
-            "reclaimed_slots": d.reclaimed_slots,
-            "reclaimed_bytes": d.reclaimed_bytes,
+            "oos_recoveries": oos_recoveries,
+            "reclaimed_slots": reclaimed_slots,
+            "reclaimed_bytes": reclaimed_bytes,
         }));
         drop(client);
         w.daemon.shutdown();

@@ -129,7 +129,8 @@ pub struct PortusBreakdown {
 }
 
 /// Runs one checkpoint through Portus with real bytes and splits the
-/// time into datapath phases using the daemon's `SimStats` counters.
+/// time into datapath phases using the daemon's spans and stage
+/// histograms.
 ///
 /// # Panics
 ///
@@ -140,15 +141,16 @@ pub fn portus_breakdown(spec: &ModelSpec) -> PortusBreakdown {
 
 /// As [`portus_breakdown`], but with span recording enabled: the
 /// persist/checksum phase times are derived from the recorded spans
-/// (cross-checked against the `persist_ns`/`checksum_ns` counters —
-/// the two accountings must agree exactly on a deterministic run), and
+/// (cross-checked against the persist/checksum stage histograms of
+/// [`portus_sim::Metrics`] — the two accountings must agree exactly on
+/// a deterministic run), and
 /// the whole request comes back as Chrome trace-event JSON, renderable
 /// in `chrome://tracing`/Perfetto.
 ///
 /// # Panics
 ///
 /// Panics on any system error, and if the span-derived phase totals
-/// disagree with the stats counters.
+/// disagree with the stage histograms.
 pub fn portus_breakdown_traced(spec: &ModelSpec) -> (PortusBreakdown, String) {
     let ctx = SimContext::icdcs24();
     ctx.tracer.enable();
@@ -173,9 +175,11 @@ pub fn portus_breakdown_traced(spec: &ModelSpec) -> (PortusBreakdown, String) {
     client.checkpoint(&spec.name).expect("checkpoint");
     let total = ctx.clock.now().saturating_since(t0);
     let d = ctx.stats.snapshot().since(&before);
+    // The checkpoint is the only request this fresh world has traced.
+    let stages = ctx.metrics.snapshot();
 
-    // Phase times from the recorded spans; the counter-based totals
-    // must agree exactly — same virtual clock, same deterministic run.
+    // Phase times from the recorded spans; the histogram totals must
+    // agree exactly — same virtual clock, same deterministic run.
     let spans: Vec<_> = ctx
         .tracer
         .spans()
@@ -193,13 +197,13 @@ pub fn portus_breakdown_traced(spec: &ModelSpec) -> (PortusBreakdown, String) {
     let checksum = stage_total(Stage::Checksum);
     assert_eq!(
         persist.as_nanos(),
-        d.persist_ns,
-        "span-derived persist time must match the persist_ns counter"
+        stages.stage_total_ns(TraceOp::Checkpoint, Stage::Persist),
+        "span-derived persist time must match the persist stage histogram"
     );
     assert_eq!(
         checksum.as_nanos(),
-        d.checksum_ns,
-        "span-derived checksum time must match the checksum_ns counter"
+        stages.stage_total_ns(TraceOp::Checkpoint, Stage::Checksum),
+        "span-derived checksum time must match the checksum stage histogram"
     );
 
     let trace_json = ctx.tracer.to_chrome_trace();
@@ -236,7 +240,7 @@ pub struct QpSweepPoint {
     pub qps: usize,
     /// End-to-end checkpoint time (clock delta), virtual seconds.
     pub total: f64,
-    /// Persist stage service time (from the `persist_ns` counter),
+    /// Persist stage service time (from the persist stage histogram),
     /// virtual seconds, overlapped with the fabric.
     pub persist: f64,
     /// Checksum stage service time, virtual seconds.
@@ -293,15 +297,20 @@ pub fn portus_qp_sweep(
         client.checkpoint(&spec.name).expect("checkpoint");
         let total = ctx.clock.now().saturating_since(t0);
         let d = ctx.stats.snapshot().since(&before);
+        // The checkpoint is the only request this fresh world has traced.
+        let stages = ctx.metrics.snapshot();
+        let secs = |stage| {
+            SimDuration::from_nanos(stages.stage_total_ns(TraceOp::Checkpoint, stage)).as_secs_f64()
+        };
         if qps == 4 {
             qp4_trace = Some(ctx.tracer.to_chrome_trace());
         }
         points.push(QpSweepPoint {
             qps,
             total: total.as_secs_f64(),
-            persist: SimDuration::from_nanos(d.persist_ns).as_secs_f64(),
-            checksum: SimDuration::from_nanos(d.checksum_ns).as_secs_f64(),
-            overlap_permille: ctx.metrics.snapshot().pipeline_overlap_permille,
+            persist: secs(Stage::Persist),
+            checksum: secs(Stage::Checksum),
+            overlap_permille: stages.pipeline_overlap_permille,
             posted_verbs: d.posted_verbs,
             doorbell_batches: d.doorbell_batches,
         });

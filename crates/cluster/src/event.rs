@@ -339,11 +339,7 @@ impl Fleet {
         };
         let mut logged = targets.clone();
         logged.sort_unstable();
-        self.log(
-            submit,
-            client,
-            format!("ckpt#{version}->daemons{logged:?}"),
-        );
+        self.log(submit, client, format!("ckpt#{version}->daemons{logged:?}"));
         if targets.is_empty() {
             // Every daemon is dead: the checkpoint has nowhere to go.
             return (submit, false);
@@ -495,7 +491,6 @@ fn kill_daemon(fleet: &Rc<RefCell<Fleet>>, eng: &mut Engine, d: usize) {
             eng.advance_actor_to(f.daemon_actors[t], write.end);
             f.per_daemon[t].repairs_in += 1;
             f.per_daemon[t].repair_bytes += job.total_bytes;
-            f.per_daemon[t].rebalanced_in += 1;
             f.events.push(EventRecord {
                 at: now,
                 actor: format!("daemon-{d}"),
@@ -656,9 +651,7 @@ pub fn run_fleet(m: &CostModel, cfg: &FleetConfig) -> FleetResult {
 
     let tracer = Tracer::new();
     tracer.enable();
-    let daemon_actors: Vec<ActorId> = (0..cfg.daemons)
-        .map(|_| eng.add_actor())
-        .collect();
+    let daemon_actors: Vec<ActorId> = (0..cfg.daemons).map(|_| eng.add_actor()).collect();
     let nics: Vec<Resource> = (0..cfg.daemons)
         .map(|d| Resource::with_capacity(&format!("daemon-{d}/nic"), cfg.nic_engines))
         .collect();

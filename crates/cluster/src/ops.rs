@@ -66,12 +66,6 @@ impl OpCost {
         self.snapshot + self.serialize + self.transmit + self.media + self.metadata
     }
 
-    /// The client-side portion (snapshot + serialize): what CheckFreq
-    /// cannot overlap with the *next* snapshot.
-    pub fn client_side(&self) -> SimDuration {
-        self.snapshot + self.serialize
-    }
-
     /// The background-persist portion (everything after the snapshot):
     /// what CheckFreq overlaps with compute.
     pub fn persist_side(&self) -> SimDuration {
@@ -239,15 +233,5 @@ mod tests {
         let op = torch_save_cost(&m, JobShape::single(GB, 100), Backend::Ext4Nvme);
         assert_eq!(op.transmit, SimDuration::ZERO);
         assert!(op.media > SimDuration::ZERO);
-    }
-
-    #[test]
-    fn checkfreq_split_covers_everything() {
-        let m = CostModel::icdcs24();
-        let op = torch_save_cost(&m, gpt22(), Backend::BeegfsPmem);
-        assert_eq!(
-            op.client_side() + op.persist_side(),
-            op.total() + op.serialize, // serialize counted in both halves
-        );
     }
 }

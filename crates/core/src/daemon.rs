@@ -1626,7 +1626,6 @@ impl DaemonState {
     /// until the next recovery epoch reclaims it.)
     fn rollback_best_effort(&self, mi: &MIndex, slot: usize, pre: SlotHeader, data_landed: bool) {
         if self.rollback_slot(mi, slot, pre, data_landed).is_err() {
-            self.ctx.stats.record_rollback_failure();
             self.ctx.metrics.record_rollback_failure();
         }
     }
@@ -1697,7 +1696,6 @@ impl DaemonState {
         };
         if base.read_back > 0 {
             let cost = ctx.model.dax_read(base.read_back);
-            ctx.stats.record_checksum_ns(cost.as_nanos());
             serve(Stage::Checksum, base.at, cost);
         }
         // Group persist: whenever the stage frees up it takes every
@@ -1717,7 +1715,6 @@ impl DaemonState {
                     .map(|p| (hdr.data_off + p.rel_off, p.len))
                     .collect();
                 let cost = dev.persist_deferred(&ranges)?;
-                ctx.stats.record_persist_ns(cost.as_nanos());
                 serve(Stage::Persist, arrival, cost);
             }
             let mut read_back = 0u64;
@@ -1734,7 +1731,6 @@ impl DaemonState {
             }
             if read_back > 0 {
                 let cost = ctx.model.dax_read(read_back);
-                ctx.stats.record_checksum_ns(cost.as_nanos());
                 serve(Stage::Checksum, arrival, cost);
             }
         }
@@ -2082,8 +2078,6 @@ impl DaemonState {
         let t_sum = self.ctx.clock.now();
         let digest = self.index.pieces_digest(&pieces)?;
         self.ctx.charge(self.ctx.model.dax_read(mi.total_bytes));
-        let took = self.ctx.clock.now().saturating_since(t_sum);
-        self.ctx.stats.record_checksum_ns(took.as_nanos());
         sc.record_now(Stage::Checksum, t_sum);
         if digest != hdr.digest {
             return Err(PortusError::ChecksumMismatch {

@@ -183,11 +183,11 @@ pub fn render_stats(snapshot: &MetricsSnapshot) -> String {
             snapshot.recovery_epoch, snapshot.restore_failovers,
         ));
         out.push_str(
-            "DAEMON     WRITES        BYTES  REPLICA  FENCED  REPAIRS-IN  REPAIR-BYTES  REBALANCED  KILLED\n",
+            "DAEMON     WRITES        BYTES  REPLICA  FENCED  REPAIRS-IN  REPAIR-BYTES  KILLED\n",
         );
         for d in &snapshot.fleet {
             out.push_str(&format!(
-                "{:<8} {:>8} {:>12} {:>8} {:>7} {:>11} {:>13} {:>11}  {}\n",
+                "{:<8} {:>8} {:>12} {:>8} {:>7} {:>11} {:>13}  {}\n",
                 d.daemon,
                 d.writes,
                 d.bytes,
@@ -195,7 +195,6 @@ pub fn render_stats(snapshot: &MetricsSnapshot) -> String {
                 d.fenced_active,
                 d.repairs_in,
                 d.repair_bytes,
-                d.rebalanced_in,
                 if d.killed { "yes" } else { "no" },
             ));
         }
@@ -430,7 +429,6 @@ mod tests {
             fenced_active: 1,
             repairs_in: 5,
             repair_bytes: 2048,
-            rebalanced_in: 1,
             killed: true,
         }];
         let s = render_stats(&snap);

@@ -260,7 +260,8 @@ mod tests {
     #[test]
     fn admit_charges_admitted_requests_only() {
         let mut cfg = QosConfig::default();
-        cfg.tenants.insert("t".into(), TenantQos::limited_bytes(1000));
+        cfg.tenants
+            .insert("t".into(), TenantQos::limited_bytes(1000));
         let qos = QosState::new(cfg);
         let t: Arc<str> = Arc::from("t");
         assert!(qos.admit(&t, 1000, SimTime::ZERO).is_ok());

@@ -101,7 +101,6 @@ pub(crate) fn repack_pass(state: &DaemonState, reclaim_active: bool) -> PortusRe
     // refcount-zero extents it collects were dropped before this pass
     // and are reclaimable regardless of what the scan saw.
     let sweep = sweep_extents(state, &mut report);
-    state.ctx.stats.record_repack_pass();
     state.ctx.metrics.record_repack_pass();
     state.refresh_space_gauges();
     let end = state.ctx.clock.now();
@@ -210,7 +209,6 @@ fn scan_models(
                         .lock()
                         .remove(&(mi.offset, s, hdr.version));
                 }
-                state.ctx.stats.record_reclaimed_slot(freed);
                 state.ctx.metrics.record_reclaimed(freed);
             }
         }

@@ -52,16 +52,13 @@ impl ModelSpec {
     }
 }
 
-/// How an instance's tensor bytes are backed on the simulated GPU.
+/// How an instance's tensor bytes are backed on the simulated GPU. Owned
+/// bytes are the one backing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Materialization {
     /// Real, writable bytes, generated once into the buffer at
-    /// allocation — required by correctness tests and by
-    /// [`ModelInstance::train_step`].
+    /// allocation.
     Owned,
-    /// Deterministic synthetic content, O(1) host memory — used to stand
-    /// in for models too large to hold (read-only).
-    Synthetic,
 }
 
 /// A model whose tensors live in (simulated) GPU memory.
@@ -69,30 +66,31 @@ pub enum Materialization {
 /// # Examples
 ///
 /// ```
-/// use portus_dnn::{zoo, Materialization, ModelInstance};
+/// use portus_dnn::{test_spec, Materialization, ModelInstance};
 /// use portus_mem::GpuDevice;
 /// use portus_sim::SimContext;
 ///
-/// let gpu = GpuDevice::new(SimContext::icdcs24(), 0, 8 << 30);
-/// let spec = zoo::resnet50();
-/// let model = ModelInstance::materialize(&spec, &gpu, 42, Materialization::Synthetic)?;
+/// let gpu = GpuDevice::new(SimContext::icdcs24(), 0, 1 << 30);
+/// let spec = test_spec("mlp", 4, 64 * 1024);
+/// let mut model = ModelInstance::materialize(&spec, &gpu, 42, Materialization::Owned)?;
 /// assert_eq!(model.tensors().len(), spec.layer_count());
+/// let before = model.model_checksum();
+/// model.train_step();
+/// assert_ne!(model.model_checksum(), before);
 /// # Ok::<(), portus_mem::MemError>(())
 /// ```
 #[derive(Debug)]
 pub struct ModelInstance {
     spec: ModelSpec,
     tensors: Vec<GpuTensor>,
-    materialization: Materialization,
     step: u64,
     dirty: Vec<bool>,
 }
 
 impl ModelInstance {
     /// Allocates every tensor of `spec` on `gpu`. Tensor `i` gets
-    /// deterministic content derived from `seed` and `i`: generated on
-    /// read with [`Materialization::Synthetic`], written once into owned
-    /// bytes, 8 per store, with [`Materialization::Owned`].
+    /// deterministic content derived from `seed` and `i`, written once
+    /// into owned bytes, 8 per store.
     ///
     /// # Errors
     ///
@@ -102,17 +100,14 @@ impl ModelInstance {
         spec: &ModelSpec,
         gpu: &Arc<GpuDevice>,
         seed: u64,
-        materialization: Materialization,
+        Materialization::Owned: Materialization,
     ) -> MemResult<ModelInstance> {
         let mut tensors = Vec::with_capacity(spec.tensors.len());
         for (i, meta) in spec.tensors.iter().enumerate() {
             let tensor_seed = seed ^ (i as u64).wrapping_mul(0x9E37_79B9);
-            let buffer = match materialization {
-                Materialization::Synthetic => gpu.alloc_synthetic(meta.size_bytes(), tensor_seed),
-                Materialization::Owned => gpu.alloc_with(meta.size_bytes(), |bytes| {
-                    fill_deterministic(bytes, tensor_seed)
-                }),
-            };
+            let buffer = gpu.alloc_with(meta.size_bytes(), |bytes| {
+                fill_deterministic(bytes, tensor_seed)
+            });
             match buffer {
                 Ok(buffer) => tensors.push(GpuTensor::new(meta.clone(), buffer)),
                 Err(e) => {
@@ -128,7 +123,6 @@ impl ModelInstance {
         Ok(ModelInstance {
             spec: spec.clone(),
             tensors,
-            materialization,
             step: 0,
             dirty,
         })
@@ -144,11 +138,6 @@ impl ModelInstance {
         &self.tensors
     }
 
-    /// How the bytes are backed.
-    pub fn materialization(&self) -> Materialization {
-        self.materialization
-    }
-
     /// Training steps applied so far.
     pub fn step(&self) -> u64 {
         self.step
@@ -157,10 +146,6 @@ impl ModelInstance {
     /// Simulates one parameter update (phase **U** of Fig. 8): mutates a
     /// deterministic slice of every tensor so successive checkpoints
     /// differ verifiably.
-    ///
-    /// # Panics
-    ///
-    /// Panics on synthetic instances (their content is read-only).
     pub fn train_step(&mut self) {
         let all: Vec<usize> = (0..self.tensors.len()).collect();
         self.train_step_sparse(&all);
@@ -170,16 +155,7 @@ impl ModelInstance {
     /// tensors — the access pattern of embedding-heavy recommendation
     /// models, and what makes incremental (delta) checkpointing pay
     /// off. Out-of-range indices are ignored.
-    ///
-    /// # Panics
-    ///
-    /// Panics on synthetic instances (their content is read-only).
     pub fn train_step_sparse(&mut self, touched: &[usize]) {
-        assert_eq!(
-            self.materialization,
-            Materialization::Owned,
-            "cannot update a synthetic (read-only) model instance"
-        );
         self.step += 1;
         for &i in touched.iter().filter(|&&i| i < self.tensors.len()) {
             self.dirty[i] = true;
@@ -200,7 +176,7 @@ impl ModelInstance {
             }
             t.buffer
                 .write_at(offset, &patch[..window as usize])
-                .expect("owned tensor is writable");
+                .expect("patch lies inside the tensor");
         }
     }
 
@@ -312,15 +288,6 @@ mod tests {
         assert_eq!(m.step(), 1);
     }
 
-    #[test]
-    #[should_panic(expected = "synthetic")]
-    fn train_step_on_synthetic_panics() {
-        let gpu = gpu();
-        let spec = test_spec("m", 1, 64);
-        let mut m = ModelInstance::materialize(&spec, &gpu, 1, Materialization::Synthetic).unwrap();
-        m.train_step();
-    }
-
     /// Pins the materialized bytes: a change to the generator must fail here.
     #[test]
     fn owned_bytes_match_the_per_byte_formula() {
@@ -358,17 +325,15 @@ mod tests {
 
     #[test]
     fn a_failed_materialize_gives_back_its_reservation() {
-        for materialization in [Materialization::Owned, Materialization::Synthetic] {
-            let gpu = GpuDevice::new(SimContext::icdcs24(), 0, 3 * 4096);
-            let big = test_spec("big", 2, 8192);
-            let err = ModelInstance::materialize(&big, &gpu, 1, materialization).unwrap_err();
-            assert!(matches!(err, portus_mem::MemError::DeviceFull { .. }));
-            assert_eq!(gpu.allocated(), 0, "{materialization:?}");
-            let fits = test_spec("fits", 3, 4096);
-            let m = ModelInstance::materialize(&fits, &gpu, 1, materialization).unwrap();
-            assert_eq!(gpu.allocated(), 3 * 4096);
-            m.release(&gpu);
-        }
+        let gpu = GpuDevice::new(SimContext::icdcs24(), 0, 3 * 4096);
+        let big = test_spec("big", 2, 8192);
+        let err = ModelInstance::materialize(&big, &gpu, 1, Materialization::Owned).unwrap_err();
+        assert!(matches!(err, portus_mem::MemError::DeviceFull { .. }));
+        assert_eq!(gpu.allocated(), 0);
+        let fits = test_spec("fits", 3, 4096);
+        let m = ModelInstance::materialize(&fits, &gpu, 1, Materialization::Owned).unwrap();
+        assert_eq!(gpu.allocated(), 3 * 4096);
+        m.release(&gpu);
     }
 
     #[test]

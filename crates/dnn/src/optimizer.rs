@@ -72,14 +72,6 @@ impl CheckpointContent {
             }
         }
     }
-
-    /// Size multiplier over weights-only content.
-    pub fn size_multiplier(self) -> u64 {
-        match self {
-            CheckpointContent::WeightsOnly => 1,
-            CheckpointContent::WithOptimizer(opt) => 1 + opt.state_tensors_per_param() as u64,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -101,7 +93,6 @@ mod tests {
         let out = content.expand(&spec);
         assert_eq!(out.layer_count(), 9);
         assert_eq!(out.total_bytes(), spec.total_bytes() * 3);
-        assert_eq!(content.size_multiplier(), 3);
         assert!(out.tensors[1].name.ends_with("exp_avg"));
         assert!(out.tensors[2].name.ends_with("exp_avg_sq"));
     }

@@ -59,13 +59,6 @@ impl IterationProfile {
     pub fn gpu_busy(&self) -> SimDuration {
         self.total() * (self.gpu_busy_fraction_bp as f64 / 10_000.0)
     }
-
-    /// Time from the start of the iteration to the start of the update
-    /// phase — the window in which an asynchronous checkpoint pull can
-    /// proceed without conflicting with parameter writes.
-    pub fn pre_update_window(&self) -> SimDuration {
-        self.forward + self.backward
-    }
 }
 
 #[cfg(test)]
@@ -85,12 +78,5 @@ mod tests {
         let p = IterationProfile::from_total(SimDuration::from_secs(1));
         let busy = p.gpu_busy().as_secs_f64();
         assert!((0.83..0.85).contains(&busy), "{busy}");
-    }
-
-    #[test]
-    fn pre_update_window_is_f_plus_b() {
-        let p = IterationProfile::from_total(SimDuration::from_millis(100));
-        assert_eq!(p.pre_update_window(), p.forward + p.backward);
-        assert!(p.pre_update_window() < p.total());
     }
 }

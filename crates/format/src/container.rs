@@ -42,7 +42,7 @@ const VERSION: u32 = 1;
 pub enum PayloadSource {
     /// Raw bytes already in host memory.
     Bytes(Vec<u8>),
-    /// A (possibly synthetic) buffer, streamed in chunks.
+    /// A device buffer, streamed in chunks.
     Buffer(Arc<Buffer>),
 }
 
@@ -338,7 +338,8 @@ mod tests {
 
     #[test]
     fn buffer_payloads_stream() {
-        let buf = Buffer::new(MemoryKind::GpuHbm, MemorySegment::synthetic(256 * 1024, 5));
+        let bytes = (0..256 * 1024).map(|i| (i % 251) as u8).collect();
+        let buf = Buffer::new(MemoryKind::GpuHbm, MemorySegment::from_bytes(bytes));
         let entries = vec![CheckpointEntry {
             meta: TensorMeta::new("big", DType::U8, vec![256 * 1024]),
             data: PayloadSource::Buffer(buf.clone()),

@@ -133,7 +133,7 @@ mod tests {
 
     #[test]
     fn kind_is_preserved() {
-        let g = Buffer::new(MemoryKind::GpuHbm, MemorySegment::synthetic(64, 1));
+        let g = Buffer::new(MemoryKind::GpuHbm, MemorySegment::zeroed(64));
         assert_eq!(g.kind(), MemoryKind::GpuHbm);
         assert_eq!(g.len(), 64);
     }

@@ -18,8 +18,6 @@ pub enum MemError {
         /// Size of the segment.
         size: u64,
     },
-    /// The backing is read-only (synthetic content).
-    NotWritable,
     /// The device has insufficient free capacity.
     DeviceFull {
         /// Bytes requested.
@@ -38,7 +36,6 @@ impl fmt::Display for MemError {
                 f,
                 "access of {len} bytes at offset {offset} exceeds segment of {size} bytes"
             ),
-            MemError::NotWritable => write!(f, "segment backing is read-only"),
             MemError::DeviceFull { requested, free } => {
                 write!(f, "device full: requested {requested} bytes, {free} free")
             }
@@ -61,7 +58,7 @@ mod tests {
             size: 10,
         };
         assert!(e.to_string().contains("offset 4"));
-        assert!(!MemError::NotWritable.to_string().is_empty());
+        assert!(!MemError::WrongDevice.to_string().is_empty());
     }
 
     #[test]

@@ -114,21 +114,6 @@ impl GpuDevice {
         ))
     }
 
-    /// Allocates a device buffer with deterministic synthetic content
-    /// (O(1) host memory regardless of `len`). Used to stand in for
-    /// pre-trained weights of arbitrarily large models.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError::DeviceFull`] when HBM is exhausted.
-    pub fn alloc_synthetic(&self, len: u64, seed: u64) -> MemResult<Arc<Buffer>> {
-        self.reserve(len)?;
-        Ok(Buffer::new(
-            MemoryKind::GpuHbm,
-            MemorySegment::synthetic(len, seed),
-        ))
-    }
-
     /// Releases accounting for a buffer allocated on this device.
     /// (The buffer's bytes free when the last `Arc` drops.)
     pub fn free(&self, buf: &Buffer) {
@@ -252,7 +237,11 @@ mod tests {
     #[test]
     fn d2h_moves_bytes_and_charges_time() {
         let (ctx, gpu) = gpu_and_ctx();
-        let dev = gpu.alloc_synthetic(1 << 20, 7).unwrap();
+        let dev = gpu
+            .alloc_with(1 << 20, |bytes| {
+                bytes.iter_mut().enumerate().for_each(|(i, b)| *b = i as u8)
+            })
+            .unwrap();
         let host = Buffer::new(MemoryKind::HostDram, MemorySegment::zeroed(1 << 20));
         let before = ctx.clock.now();
         gpu.memcpy_d2h(&dev, 0, &host, 0, 1 << 20).unwrap();
@@ -270,12 +259,5 @@ mod tests {
             gpu.memcpy_h2d(&dev, 0, &dev2, 0, 64),
             Err(MemError::WrongDevice)
         ));
-    }
-
-    #[test]
-    fn synthetic_alloc_counts_against_capacity() {
-        let (_ctx, gpu) = gpu_and_ctx();
-        gpu.alloc_synthetic(1 << 29, 1).unwrap();
-        assert!(gpu.alloc(1 << 30).is_err());
     }
 }

@@ -1,7 +1,7 @@
 //! # portus-mem
 //!
-//! Simulated byte-addressable memories: [`MemorySegment`] (owned or
-//! deterministic-synthetic byte ranges), device-tagged shared [`Buffer`]s,
+//! Simulated byte-addressable memories: [`MemorySegment`] (owned,
+//! bounds-checked byte ranges), device-tagged shared [`Buffer`]s,
 //! a [`GpuDevice`] that allocates HBM and performs `cudaMemcpy`-style
 //! PCIe transfers, and [`HostMemory`] for node DRAM.
 //!
@@ -17,7 +17,8 @@
 //!
 //! let ctx = SimContext::icdcs24();
 //! let gpu = GpuDevice::new(ctx, 0, 16 << 30);
-//! let weights = gpu.alloc_synthetic(8 << 20, 0xC0FFEE)?;
+//! let weights = gpu.alloc_with(8 << 20, |bytes| bytes.fill(0xC0))?;
+//! assert_eq!(gpu.allocated(), 8 << 20);
 //! assert_eq!(weights.checksum(), weights.checksum()); // deterministic
 //! # Ok::<(), portus_mem::MemError>(())
 //! ```
@@ -35,4 +36,4 @@ pub use buffer::{Buffer, BufferId};
 pub use error::{MemError, MemResult};
 pub use gpu::GpuDevice;
 pub use host::HostMemory;
-pub use segment::{Backing, MemorySegment};
+pub use segment::MemorySegment;

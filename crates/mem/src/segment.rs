@@ -1,41 +1,10 @@
-//! Raw memory segments with owned or synthetic backing.
+//! Raw memory segments: owned, bounds-checked byte ranges.
 
 use std::fmt;
 
-use portus_sim::hash::{splitmix64, Fnv1a};
+use portus_sim::hash::fnv1a;
 
 use crate::{MemError, MemResult};
-
-/// Deterministic pseudo-random content generator (splitmix64 over 8-byte
-/// blocks). Used by [`Backing::Synthetic`] so multi-gigabyte "tensors" can
-/// be read byte-for-byte without being stored.
-fn synthetic_block(seed: u64, block_index: u64) -> [u8; 8] {
-    splitmix64(seed ^ block_index.wrapping_mul(0x9E37_79B9_7F4A_7C15)).to_le_bytes()
-}
-
-/// How a [`MemorySegment`] stores its bytes.
-#[derive(Clone)]
-pub enum Backing {
-    /// Bytes held in host memory. Fully readable and writable.
-    Owned(Vec<u8>),
-    /// Deterministic generated content (read-only). A segment of any
-    /// length costs O(1) memory; byte `i` is a pure function of
-    /// `(seed, i)`. Used to stand in for huge model tensors.
-    Synthetic {
-        /// Content seed; two segments with the same seed have identical
-        /// bytes.
-        seed: u64,
-    },
-}
-
-impl fmt::Debug for Backing {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Backing::Owned(v) => f.debug_tuple("Owned").field(&v.len()).finish(),
-            Backing::Synthetic { seed } => f.debug_struct("Synthetic").field("seed", seed).finish(),
-        }
-    }
-}
 
 /// A contiguous byte range with explicit bounds checking.
 ///
@@ -50,65 +19,47 @@ impl fmt::Debug for Backing {
 /// seg.read_at(4, &mut out).unwrap();
 /// assert_eq!(out, [1, 2, 3]);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct MemorySegment {
-    len: u64,
-    backing: Backing,
+    bytes: Vec<u8>,
+}
+
+impl fmt::Debug for MemorySegment {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("MemorySegment")
+            .field("len", &self.len())
+            .finish()
+    }
 }
 
 impl MemorySegment {
     /// A zero-filled owned segment of `len` bytes.
     pub fn zeroed(len: u64) -> Self {
-        MemorySegment {
-            len,
-            backing: Backing::Owned(vec![0; len as usize]),
-        }
+        MemorySegment::from_bytes(vec![0; len as usize])
     }
 
     /// An owned segment taking ownership of `bytes`.
     pub fn from_bytes(bytes: Vec<u8>) -> Self {
-        MemorySegment {
-            len: bytes.len() as u64,
-            backing: Backing::Owned(bytes),
-        }
-    }
-
-    /// A synthetic (generated, read-only) segment of `len` bytes seeded
-    /// with `seed`.
-    pub fn synthetic(len: u64, seed: u64) -> Self {
-        MemorySegment {
-            len,
-            backing: Backing::Synthetic { seed },
-        }
+        MemorySegment { bytes }
     }
 
     /// Length in bytes.
     pub fn len(&self) -> u64 {
-        self.len
+        self.bytes.len() as u64
     }
 
     /// `true` when the segment holds zero bytes.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// `true` when writes are allowed (owned backing).
-    pub fn is_writable(&self) -> bool {
-        matches!(self.backing, Backing::Owned(_))
+        self.bytes.is_empty()
     }
 
     fn check_range(&self, offset: u64, len: u64) -> MemResult<()> {
-        let end = offset.checked_add(len).ok_or(MemError::OutOfBounds {
-            offset,
-            len,
-            size: self.len,
-        })?;
-        if end > self.len {
-            return Err(MemError::OutOfBounds {
-                offset,
-                len,
-                size: self.len,
-            });
+        let size = self.len();
+        let end = offset
+            .checked_add(len)
+            .ok_or(MemError::OutOfBounds { offset, len, size })?;
+        if end > size {
+            return Err(MemError::OutOfBounds { offset, len, size });
         }
         Ok(())
     }
@@ -120,24 +71,7 @@ impl MemorySegment {
     /// Returns [`MemError::OutOfBounds`] if the range exceeds the segment.
     pub fn read_at(&self, offset: u64, out: &mut [u8]) -> MemResult<()> {
         self.check_range(offset, out.len() as u64)?;
-        match &self.backing {
-            Backing::Owned(v) => {
-                out.copy_from_slice(&v[offset as usize..offset as usize + out.len()]);
-            }
-            Backing::Synthetic { seed } => {
-                // One block per 8 bytes; only the first may start mid-block.
-                let mut abs = offset;
-                let mut rest = out;
-                while !rest.is_empty() {
-                    let skip = (abs % 8) as usize;
-                    let n = (8 - skip).min(rest.len());
-                    let (head, tail) = rest.split_at_mut(n);
-                    head.copy_from_slice(&synthetic_block(*seed, abs / 8)[skip..skip + n]);
-                    rest = tail;
-                    abs += n as u64;
-                }
-            }
-        }
+        out.copy_from_slice(&self.bytes[offset as usize..offset as usize + out.len()]);
         Ok(())
     }
 
@@ -145,23 +79,16 @@ impl MemorySegment {
     ///
     /// # Errors
     ///
-    /// Returns [`MemError::OutOfBounds`] if the range exceeds the segment
-    /// and [`MemError::NotWritable`] for synthetic backings.
+    /// Returns [`MemError::OutOfBounds`] if the range exceeds the segment.
     pub fn write_at(&mut self, offset: u64, data: &[u8]) -> MemResult<()> {
         self.check_range(offset, data.len() as u64)?;
-        match &mut self.backing {
-            Backing::Owned(v) => {
-                v[offset as usize..offset as usize + data.len()].copy_from_slice(data);
-                Ok(())
-            }
-            Backing::Synthetic { .. } => Err(MemError::NotWritable),
-        }
+        self.bytes[offset as usize..offset as usize + data.len()].copy_from_slice(data);
+        Ok(())
     }
 
-    /// FNV-1a checksum over the whole content (synthetic content is
-    /// generated on the fly). Streaming, so it works for any length.
+    /// FNV-1a checksum over the whole content.
     pub fn checksum(&self) -> u64 {
-        self.checksum_range(0, self.len)
+        self.checksum_range(0, self.len())
             .expect("full range is always in bounds")
     }
 
@@ -172,17 +99,7 @@ impl MemorySegment {
     /// Returns [`MemError::OutOfBounds`] if the range exceeds the segment.
     pub fn checksum_range(&self, offset: u64, len: u64) -> MemResult<u64> {
         self.check_range(offset, len)?;
-        let mut hash = Fnv1a::new();
-        let mut buf = [0u8; 4096];
-        let mut pos = offset;
-        let end = offset + len;
-        while pos < end {
-            let chunk = ((end - pos) as usize).min(buf.len());
-            self.read_at(pos, &mut buf[..chunk])?;
-            hash.update(&buf[..chunk]);
-            pos += chunk as u64;
-        }
-        Ok(hash.finish())
+        Ok(fnv1a(&self.bytes[offset as usize..(offset + len) as usize]))
     }
 }
 
@@ -218,54 +135,14 @@ mod tests {
         assert!(seg.write_at(u64::MAX, &[0]).is_err());
     }
 
-    #[test]
-    fn synthetic_is_deterministic_and_offset_stable() {
-        let seg = MemorySegment::synthetic(1024, 42);
-        let mut all = vec![0u8; 1024];
-        seg.read_at(0, &mut all).unwrap();
-        // Reading a sub-range must see the same bytes as the full read.
-        let mut part = vec![0u8; 100];
-        seg.read_at(333, &mut part).unwrap();
-        assert_eq!(&part[..], &all[333..433]);
-        // Same seed, same content.
-        let seg2 = MemorySegment::synthetic(1024, 42);
-        assert_eq!(seg.checksum(), seg2.checksum());
-        // Different seed, different content.
-        let seg3 = MemorySegment::synthetic(1024, 43);
-        assert_ne!(seg.checksum(), seg3.checksum());
-    }
-
-    #[test]
-    fn synthetic_reads_match_a_per_byte_reference_at_any_alignment() {
-        let byte = |seed: u64, abs: u64| {
-            splitmix64(seed ^ (abs / 8).wrapping_mul(0x9E37_79B9_7F4A_7C15)).to_le_bytes()
-                [(abs % 8) as usize]
-        };
-        for seed in [0, 42, u64::MAX] {
-            let seg = MemorySegment::synthetic(3 * 4096, seed);
-            for offset in [0u64, 1, 3, 7, 8, 9, 4093] {
-                for len in [0usize, 1, 7, 8, 9, 4095, 4097] {
-                    let mut out = vec![0u8; len];
-                    seg.read_at(offset, &mut out).unwrap();
-                    let expect: Vec<u8> = (offset..offset + len as u64)
-                        .map(|a| byte(seed, a))
-                        .collect();
-                    assert_eq!(out, expect, "seed {seed} offset {offset} len {len}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn synthetic_rejects_writes() {
-        let mut seg = MemorySegment::synthetic(16, 7);
-        assert!(matches!(seg.write_at(0, &[1]), Err(MemError::NotWritable)));
-        assert!(!seg.is_writable());
+    /// A segment of `len` bytes of a position-dependent pattern.
+    fn patterned(len: usize) -> MemorySegment {
+        MemorySegment::from_bytes((0..len).map(|i| (i * 31 + 7) as u8).collect())
     }
 
     #[test]
     fn checksum_matches_after_copy() {
-        let src = MemorySegment::synthetic(4096 + 17, 99);
+        let src = patterned(4096 + 17);
         let mut copy = vec![0u8; src.len() as usize];
         src.read_at(0, &mut copy).unwrap();
         let owned = MemorySegment::from_bytes(copy);
@@ -274,7 +151,7 @@ mod tests {
 
     #[test]
     fn checksum_range_differs_from_full() {
-        let seg = MemorySegment::synthetic(256, 5);
+        let seg = patterned(256);
         let full = seg.checksum();
         let part = seg.checksum_range(0, 128).unwrap();
         assert_ne!(full, part);

@@ -107,7 +107,7 @@ impl CompletionQueue {
 /// let fabric = Fabric::new(SimContext::icdcs24());
 /// let a = fabric.add_nic(NodeId(0));
 /// let b = fabric.add_nic(NodeId(1));
-/// let src = Buffer::new(MemoryKind::HostDram, MemorySegment::synthetic(4096, 1));
+/// let src = Buffer::new(MemoryKind::HostDram, MemorySegment::from_bytes(vec![1; 4096]));
 /// let mr = a.register(RegionTarget::Buffer(src), Access::READ);
 /// let (_qa, qb) = QueuePair::connect(a, b);
 ///
@@ -244,7 +244,10 @@ mod tests {
         let fabric = Fabric::new(SimContext::icdcs24());
         let a = fabric.add_nic(NodeId(0));
         let b = fabric.add_nic(NodeId(1));
-        let src = Buffer::new(MemoryKind::GpuHbm, MemorySegment::synthetic(1 << 20, 3));
+        let src = Buffer::new(
+            MemoryKind::GpuHbm,
+            MemorySegment::from_bytes(vec![3; 1 << 20]),
+        );
         let mr = a.register(RegionTarget::Buffer(src), Access::READ);
         let (_qa, qb) = QueuePair::connect(a, b);
         let cq = CompletionQueue::new();

@@ -95,8 +95,8 @@ mod tests {
 
     #[test]
     fn display_and_source() {
-        let e = RdmaError::Mem(MemError::NotWritable);
-        assert!(e.to_string().contains("read-only"));
+        let e = RdmaError::Mem(MemError::WrongDevice);
+        assert!(e.to_string().contains("wrong device kinds"));
         assert!(Error::source(&e).is_some());
         assert!(RdmaError::InvalidRkey(0xAB).to_string().contains("0xab"));
     }

@@ -252,7 +252,7 @@ mod tests {
         let fabric = Fabric::new(SimContext::icdcs24());
         let nic = fabric.add_nic(NodeId(0));
         let before = fabric.ctx().clock.now();
-        let buf = Buffer::new(MemoryKind::GpuHbm, MemorySegment::synthetic(1 << 20, 0));
+        let buf = Buffer::new(MemoryKind::GpuHbm, MemorySegment::zeroed(1 << 20));
         nic.register(RegionTarget::Buffer(buf), Access::READ);
         assert!(fabric.ctx().clock.now() > before);
     }

@@ -29,7 +29,7 @@
 //! let storage = fabric.add_nic(NodeId(1));
 //!
 //! // A tensor in GPU memory, registered for remote read (PeerMem).
-//! let tensor = Buffer::new(MemoryKind::GpuHbm, MemorySegment::synthetic(4096, 7));
+//! let tensor = Buffer::new(MemoryKind::GpuHbm, MemorySegment::from_bytes(vec![7; 4096]));
 //! let mr = compute.register(RegionTarget::Buffer(tensor.clone()), Access::READ);
 //!
 //! // TensorData region on the storage node's PMem.

@@ -240,7 +240,10 @@ mod tests {
 
     #[test]
     fn buffer_target_checksum_matches_buffer() {
-        let buf = Buffer::new(MemoryKind::GpuHbm, MemorySegment::synthetic(1000, 3));
+        let buf = Buffer::new(
+            MemoryKind::GpuHbm,
+            MemorySegment::from_bytes((0..1000).map(|i| i as u8).collect()),
+        );
         let t = RegionTarget::Buffer(buf.clone());
         assert_eq!(t.checksum().unwrap(), buf.checksum());
     }

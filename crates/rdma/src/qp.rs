@@ -468,11 +468,16 @@ mod tests {
         (fabric, a, b)
     }
 
+    /// `len` bytes that differ by position and by `seed`.
+    fn patterned(len: u64, seed: u8) -> MemorySegment {
+        MemorySegment::from_bytes((0..len).map(|i| (i % 251) as u8 ^ seed).collect())
+    }
+
     #[test]
     fn one_sided_read_pulls_gpu_bytes_into_pmem() {
         let (fabric, compute, storage) = two_nodes();
         // "GPU" tensor on the compute node.
-        let tensor = Buffer::new(MemoryKind::GpuHbm, MemorySegment::synthetic(1 << 20, 77));
+        let tensor = Buffer::new(MemoryKind::GpuHbm, patterned(1 << 20, 77));
         let mr = compute.register(RegionTarget::Buffer(tensor.clone()), Access::READ);
         // PMem window on the storage node.
         let pm = PmemDevice::new(fabric.ctx().clone(), PmemMode::DevDax, 1 << 21);
@@ -492,7 +497,7 @@ mod tests {
     fn gpu_reads_are_slower_than_dram_reads() {
         let (fabric, a, b) = two_nodes();
         let len = 64 << 20;
-        let gpu = Buffer::new(MemoryKind::GpuHbm, MemorySegment::synthetic(len, 1));
+        let gpu = Buffer::new(MemoryKind::GpuHbm, MemorySegment::zeroed(len));
         let dram = Buffer::new(MemoryKind::HostDram, MemorySegment::zeroed(len));
         let mr_gpu = a.register(RegionTarget::Buffer(gpu), Access::READ);
         let mr_dram = a.register(RegionTarget::Buffer(dram), Access::READ);
@@ -631,8 +636,8 @@ mod tests {
     fn gather_read_packs_segments_and_coalesces_the_charge() {
         let (fabric, a, b) = two_nodes();
         let seg_len = 64 * 1024u64;
-        let t0 = Buffer::new(MemoryKind::GpuHbm, MemorySegment::synthetic(seg_len, 10));
-        let t1 = Buffer::new(MemoryKind::GpuHbm, MemorySegment::synthetic(seg_len, 11));
+        let t0 = Buffer::new(MemoryKind::GpuHbm, patterned(seg_len, 10));
+        let t1 = Buffer::new(MemoryKind::GpuHbm, patterned(seg_len, 11));
         let mr0 = a.register(RegionTarget::Buffer(t0.clone()), Access::READ);
         let mr1 = a.register(RegionTarget::Buffer(t1.clone()), Access::READ);
         let dst = RegionTarget::Buffer(Buffer::new(
@@ -694,7 +699,7 @@ mod tests {
         let mr1 = a.register(RegionTarget::Buffer(d1.clone()), Access::WRITE);
         let src = RegionTarget::Buffer(Buffer::new(
             MemoryKind::HostDram,
-            MemorySegment::synthetic(2 * seg_len, 21),
+            patterned(2 * seg_len, 21),
         ));
         let (_qa, qb) = QueuePair::connect(a, b);
         let segs = [
@@ -721,7 +726,7 @@ mod tests {
     #[test]
     fn gather_read_validates_before_moving_bytes() {
         let (_f, a, b) = two_nodes();
-        let buf = Buffer::new(MemoryKind::HostDram, MemorySegment::synthetic(4096, 5));
+        let buf = Buffer::new(MemoryKind::HostDram, patterned(4096, 5));
         let mr = a.register(RegionTarget::Buffer(buf), Access::READ);
         let dst_buf = Buffer::new(MemoryKind::HostDram, MemorySegment::zeroed(8192));
         let dst = RegionTarget::Buffer(dst_buf.clone());

@@ -240,20 +240,6 @@ impl CostModel {
         SimDuration::from_nanos(base_latency_ns) + SimDuration::from_secs_f64(s / eff)
     }
 
-    /// Effective one-sided RDMA bandwidth (bytes/s) for a message of
-    /// `bytes` whose *source* is `src` memory. Exposed so harnesses can
-    /// plot Fig. 10 directly.
-    pub fn rdma_effective_bw(&self, bytes: u64, src: MemoryKind) -> f64 {
-        if bytes == 0 {
-            return 0.0;
-        }
-        self.rdma_read(bytes, src)
-            .as_secs_f64()
-            .recip()
-            .min(f64::INFINITY)
-            * bytes as f64
-    }
-
     /// Time for a one-sided RDMA READ of `bytes` whose source is `src`
     /// memory. Reading GPU memory is BAR-capped; other sources run at the
     /// RNIC effective peak.
@@ -469,14 +455,15 @@ mod tests {
     #[test]
     fn fig10_knee_is_at_half_megabyte() {
         let m = CostModel::icdcs24();
+        let bw = |bytes: u64| bytes as f64 / m.rdma_read(bytes, MemoryKind::HostDram).as_secs_f64();
         // Past 512 KB the effective bandwidth is within 15% of peak.
-        let bw_512k = m.rdma_effective_bw(512 * 1024, MemoryKind::HostDram);
+        let bw_512k = bw(512 * 1024);
         assert!(
             bw_512k > 0.85 * m.rdma_peak_bw,
             "bw at 512KB: {bw_512k:.3e}"
         );
         // At 4 KB we are latency-bound, far from peak.
-        let bw_4k = m.rdma_effective_bw(4 * 1024, MemoryKind::HostDram);
+        let bw_4k = bw(4 * 1024);
         assert!(bw_4k < 0.20 * m.rdma_peak_bw, "bw at 4KB: {bw_4k:.3e}");
     }
 

@@ -166,7 +166,6 @@ impl Engine {
     pub fn run(&mut self) {
         while self.step() {}
     }
-
 }
 
 #[cfg(test)]

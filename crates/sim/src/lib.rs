@@ -40,7 +40,7 @@ mod stats;
 mod time;
 mod trace;
 
-pub use clock::{Clock, ClockOverflow};
+pub use clock::Clock;
 pub use cost::{CostModel, MemoryKind};
 pub use engine::{ActorId, Engine};
 pub use metrics::{

@@ -178,8 +178,6 @@ pub struct DaemonFleetStats {
     pub repairs_in: u64,
     /// Bytes of repair traffic it received.
     pub repair_bytes: u64,
-    /// Models re-registered onto this daemon by a rebalance pass.
-    pub rebalanced_in: u64,
     /// Whether the kill schedule took this daemon down.
     pub killed: bool,
 }
@@ -566,8 +564,7 @@ impl Metrics {
     }
 
     /// Records one best-effort rollback that failed and left its slot
-    /// Active (mirrors [`crate::Stats::record_rollback_failure`], but
-    /// on the operator-facing snapshot surface).
+    /// Active.
     pub fn record_rollback_failure(&self) {
         self.inner.rollback_failures.fetch_add(1, Ordering::Relaxed);
     }

@@ -57,11 +57,6 @@ impl SimRng {
         ((self.next_u64() as u128 * n as u128) >> 64) as u64
     }
 
-    /// A draw uniform in `[0, 1)`.
-    pub fn gen_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
     /// An independent child stream keyed by `label`: the child's
     /// sequence depends only on this stream's seed lineage and the
     /// label, never on how many draws the parent has made.
@@ -112,8 +107,6 @@ mod tests {
         let mut r = SimRng::new(3);
         for _ in 0..1000 {
             assert!(r.gen_range(10) < 10);
-            let f = r.gen_f64();
-            assert!((0.0..1.0).contains(&f));
         }
         assert_eq!(r.gen_range(0), 0);
     }

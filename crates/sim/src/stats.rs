@@ -35,15 +35,9 @@ struct StatsInner {
     doorbell_batches: AtomicU64,
     coalesced_verbs: AtomicU64,
     coalesced_bytes: AtomicU64,
-    persist_ns: AtomicU64,
-    checksum_ns: AtomicU64,
     failed_verbs: AtomicU64,
     retried_verbs: AtomicU64,
     rolled_back_slots: AtomicU64,
-    rollback_failures: AtomicU64,
-    repack_passes: AtomicU64,
-    reclaimed_slots: AtomicU64,
-    reclaimed_bytes: AtomicU64,
     oos_recoveries: AtomicU64,
     reused_bytes: AtomicU64,
 }
@@ -86,12 +80,6 @@ pub struct StatsSnapshot {
     pub coalesced_verbs: u64,
     /// Bytes moved by multi-segment (coalesced) WQEs.
     pub coalesced_bytes: u64,
-    /// Virtual nanoseconds the daemon spent persisting pulled data
-    /// (flush + fence) — the "persist" phase of the checkpoint breakdown.
-    pub persist_ns: u64,
-    /// Virtual nanoseconds the daemon spent checksumming slot data — the
-    /// "checksum" phase of the checkpoint breakdown.
-    pub checksum_ns: u64,
     /// Posted work-queue entries that completed with an error (injected
     /// faults and genuine fabric failures alike).
     pub failed_verbs: u64,
@@ -101,16 +89,6 @@ pub struct StatsSnapshot {
     /// Checkpoint target slots rolled back (flag reverted or collapsed)
     /// after a datapath failure exhausted its retries.
     pub rolled_back_slots: u64,
-    /// Best-effort slot rollbacks that themselves failed (the original
-    /// datapath error is still the one surfaced to the client).
-    pub rollback_failures: u64,
-    /// Space-management repack passes completed (manual and
-    /// `OutOfSpace`-recovery passes alike).
-    pub repack_passes: u64,
-    /// Checkpoint slots whose regions repack passes reclaimed.
-    pub reclaimed_slots: u64,
-    /// Bytes those reclaimed regions returned to the allocator.
-    pub reclaimed_bytes: u64,
     /// Checkpoints that first failed allocation with `OutOfSpace` and
     /// then succeeded after the automatic repack-and-retry.
     pub oos_recoveries: u64,
@@ -201,16 +179,6 @@ impl Stats {
             .fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// Accumulates `ns` virtual nanoseconds of persist-phase time.
-    pub fn record_persist_ns(&self, ns: u64) {
-        self.inner.persist_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    /// Accumulates `ns` virtual nanoseconds of checksum-phase time.
-    pub fn record_checksum_ns(&self, ns: u64) {
-        self.inner.checksum_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
     /// Records one posted WQE that completed with an error.
     pub fn record_failed_verb(&self) {
         self.inner.failed_verbs.fetch_add(1, Ordering::Relaxed);
@@ -224,24 +192,6 @@ impl Stats {
     /// Records one checkpoint slot rolled back after a datapath failure.
     pub fn record_rolled_back_slot(&self) {
         self.inner.rolled_back_slots.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one best-effort slot rollback that itself failed.
-    pub fn record_rollback_failure(&self) {
-        self.inner.rollback_failures.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one completed repack pass.
-    pub fn record_repack_pass(&self) {
-        self.inner.repack_passes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one slot region reclaimed by repacking, returning `bytes`.
-    pub fn record_reclaimed_slot(&self, bytes: u64) {
-        self.inner.reclaimed_slots.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .reclaimed_bytes
-            .fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Records one checkpoint saved by the automatic repack-and-retry
@@ -274,15 +224,9 @@ impl Stats {
             doorbell_batches: i.doorbell_batches.load(Ordering::Relaxed),
             coalesced_verbs: i.coalesced_verbs.load(Ordering::Relaxed),
             coalesced_bytes: i.coalesced_bytes.load(Ordering::Relaxed),
-            persist_ns: i.persist_ns.load(Ordering::Relaxed),
-            checksum_ns: i.checksum_ns.load(Ordering::Relaxed),
             failed_verbs: i.failed_verbs.load(Ordering::Relaxed),
             retried_verbs: i.retried_verbs.load(Ordering::Relaxed),
             rolled_back_slots: i.rolled_back_slots.load(Ordering::Relaxed),
-            rollback_failures: i.rollback_failures.load(Ordering::Relaxed),
-            repack_passes: i.repack_passes.load(Ordering::Relaxed),
-            reclaimed_slots: i.reclaimed_slots.load(Ordering::Relaxed),
-            reclaimed_bytes: i.reclaimed_bytes.load(Ordering::Relaxed),
             oos_recoveries: i.oos_recoveries.load(Ordering::Relaxed),
             reused_bytes: i.reused_bytes.load(Ordering::Relaxed),
         }
@@ -322,19 +266,11 @@ impl StatsSnapshot {
                 .saturating_sub(earlier.doorbell_batches),
             coalesced_verbs: self.coalesced_verbs.saturating_sub(earlier.coalesced_verbs),
             coalesced_bytes: self.coalesced_bytes.saturating_sub(earlier.coalesced_bytes),
-            persist_ns: self.persist_ns.saturating_sub(earlier.persist_ns),
-            checksum_ns: self.checksum_ns.saturating_sub(earlier.checksum_ns),
             failed_verbs: self.failed_verbs.saturating_sub(earlier.failed_verbs),
             retried_verbs: self.retried_verbs.saturating_sub(earlier.retried_verbs),
             rolled_back_slots: self
                 .rolled_back_slots
                 .saturating_sub(earlier.rolled_back_slots),
-            rollback_failures: self
-                .rollback_failures
-                .saturating_sub(earlier.rollback_failures),
-            repack_passes: self.repack_passes.saturating_sub(earlier.repack_passes),
-            reclaimed_slots: self.reclaimed_slots.saturating_sub(earlier.reclaimed_slots),
-            reclaimed_bytes: self.reclaimed_bytes.saturating_sub(earlier.reclaimed_bytes),
             oos_recoveries: self.oos_recoveries.saturating_sub(earlier.oos_recoveries),
             reused_bytes: self.reused_bytes.saturating_sub(earlier.reused_bytes),
         }
@@ -393,18 +329,15 @@ mod tests {
         s.record_posted_verb();
         s.record_posted_verb();
         s.record_coalesced(4096);
-        s.record_persist_ns(1_000);
-        s.record_checksum_ns(250);
         let before = s.snapshot();
         assert_eq!(before.posted_verbs, 2);
         assert_eq!(before.doorbell_batches, 1);
         assert_eq!(before.coalesced_verbs, 1);
         assert_eq!(before.coalesced_bytes, 4096);
-        s.record_persist_ns(500);
+        s.record_posted_verb();
         let delta = s.snapshot().since(&before);
-        assert_eq!(delta.persist_ns, 500);
-        assert_eq!(delta.checksum_ns, 0);
-        assert_eq!(delta.posted_verbs, 0);
+        assert_eq!(delta.posted_verbs, 1);
+        assert_eq!(delta.doorbell_batches, 0);
     }
 
     #[test]
@@ -429,23 +362,17 @@ mod tests {
     #[test]
     fn space_management_counters_accumulate() {
         let s = Stats::new();
-        s.record_repack_pass();
-        s.record_reclaimed_slot(4096);
-        s.record_reclaimed_slot(8192);
         s.record_oos_recovery();
-        s.record_rollback_failure();
+        s.record_reuse(4096);
+        s.record_reuse(8192);
         let snap = s.snapshot();
-        assert_eq!(snap.repack_passes, 1);
-        assert_eq!(snap.reclaimed_slots, 2);
-        assert_eq!(snap.reclaimed_bytes, 12288);
         assert_eq!(snap.oos_recoveries, 1);
-        assert_eq!(snap.rollback_failures, 1);
+        assert_eq!(snap.reused_bytes, 12288);
         let before = snap;
-        s.record_repack_pass();
+        s.record_oos_recovery();
         let delta = s.snapshot().since(&before);
-        assert_eq!(delta.repack_passes, 1);
-        assert_eq!(delta.reclaimed_slots, 0);
-        assert_eq!(delta.reclaimed_bytes, 0);
+        assert_eq!(delta.oos_recoveries, 1);
+        assert_eq!(delta.reused_bytes, 0);
     }
 
     #[test]

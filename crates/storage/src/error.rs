@@ -85,7 +85,7 @@ mod tests {
         assert!(StorageError::NotFound("x.ckpt".into())
             .to_string()
             .contains("x.ckpt"));
-        let e = StorageError::from(MemError::NotWritable);
+        let e = StorageError::from(MemError::WrongDevice);
         assert!(Error::source(&e).is_some());
     }
 }

@@ -44,11 +44,6 @@ impl ShardedTrainer {
         Ok(ShardedTrainer { shards })
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard trainers (e.g. to checksum individual shards).
     pub fn shards(&self) -> &[Trainer] {
         &self.shards
@@ -253,7 +248,7 @@ mod tests {
     fn lockstep_run_keeps_shards_aligned() {
         let mut st = sharded(TrainPolicy::Sync { every: 4 });
         let stats = st.run(12).unwrap();
-        assert_eq!(st.shard_count(), 4);
+        assert_eq!(st.shards().len(), 4);
         assert!(stats.iter().all(|s| s.iterations == 12));
         assert!(stats.iter().all(|s| s.checkpoints_completed == 3));
         assert_eq!(st.step(), 12);

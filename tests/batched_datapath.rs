@@ -8,7 +8,7 @@ use portus_dnn::{test_spec, Materialization, ModelInstance};
 use portus_mem::GpuDevice;
 use portus_pmem::{PmemDevice, PmemMode};
 use portus_rdma::{Fabric, NodeId, MAX_SGE};
-use portus_sim::{MemoryKind, SimContext};
+use portus_sim::{MemoryKind, SimContext, Stage, TraceOp};
 
 const LAYERS: usize = 128;
 const LAYER_BYTES: u64 = 64 * 1024;
@@ -61,10 +61,11 @@ fn batched_checkpoint_beats_the_unbatched_per_verb_bound() {
                 .as_nanos()
         })
         .sum();
-    let pull_ns = report
-        .elapsed
-        .as_nanos()
-        .saturating_sub(d.persist_ns + d.checksum_ns);
+    // The checkpoint is the only request this world has served.
+    let stages = ctx.metrics.snapshot();
+    let seal_ns = stages.stage_total_ns(TraceOp::Checkpoint, Stage::Persist)
+        + stages.stage_total_ns(TraceOp::Checkpoint, Stage::Checksum);
+    let pull_ns = report.elapsed.as_nanos().saturating_sub(seal_ns);
     assert!(
         pull_ns * 4 < unbatched_ns * 3,
         "batched pull ({pull_ns} ns) must be < 75% of the unbatched \

@@ -22,7 +22,7 @@ fn setup(max: u64) -> Bench {
     let fabric = Fabric::new(ctx.clone());
     let compute = fabric.add_nic(NodeId(0));
     let storage = fabric.add_nic(NodeId(1));
-    let gpu = Buffer::new(MemoryKind::GpuHbm, MemorySegment::synthetic(max, 1));
+    let gpu = Buffer::new(MemoryKind::GpuHbm, MemorySegment::zeroed(max));
     let dram = Buffer::new(MemoryKind::HostDram, MemorySegment::zeroed(max));
     let mr_gpu = compute.register(RegionTarget::Buffer(gpu), Access::READ_WRITE);
     let mr_dram = compute.register(RegionTarget::Buffer(dram), Access::READ_WRITE);
@@ -77,8 +77,7 @@ fn gpu_read_cap_is_30_percent_below_dram() {
 fn writes_to_gpu_are_not_bar_capped() {
     let b = setup(64 << 20);
     let len = 64u64 << 20;
-    // A writable GPU target for the restore direction (the read-path
-    // buffer is synthetic/read-only).
+    // A separate GPU target for the restore direction.
     let ctx = SimContext::icdcs24();
     let fabric = Fabric::new(ctx);
     let compute = fabric.add_nic(NodeId(0));
@@ -120,7 +119,7 @@ fn server_side_dram_and_pmem_targets_are_equivalent() {
     let compute = fabric.add_nic(NodeId(0));
     let storage = fabric.add_nic(NodeId(1));
     let len = 16u64 << 20;
-    let gpu = Buffer::new(MemoryKind::GpuHbm, MemorySegment::synthetic(len, 2));
+    let gpu = Buffer::new(MemoryKind::GpuHbm, MemorySegment::zeroed(len));
     let mr = compute.register(RegionTarget::Buffer(gpu), Access::READ);
     let pmem = PmemDevice::new(ctx, PmemMode::DevDax, 2 * len);
     let to_pmem = RegionTarget::Pmem {

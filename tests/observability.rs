@@ -1,4 +1,4 @@
-//! Request-level observability (PR 3): per-stage spans on the virtual
+//! Request-level observability: per-stage spans on the virtual
 //! clock, latency histograms, the daemon `Stats` query, and the Chrome
 //! trace-event export — all deterministic for a sequential request
 //! stream.
@@ -122,7 +122,7 @@ fn spans_cover_every_stage_of_each_operation() {
 }
 
 #[test]
-fn span_totals_match_the_stats_counters() {
+fn span_totals_match_the_stage_histograms() {
     let w = world();
     w.ctx.tracer.enable();
     let client = PortusClient::connect(&w.daemon, w.fabric.nic(NodeId(0)).unwrap());
@@ -130,10 +130,10 @@ fn span_totals_match_the_stats_counters() {
     let mut model = ModelInstance::materialize(&spec, &w.gpu, 9, Materialization::Owned).unwrap();
     client.register_model(&model).unwrap();
 
-    let before = w.ctx.stats.snapshot();
     model.train_step();
     client.checkpoint("match").unwrap();
-    let d = w.ctx.stats.snapshot().since(&before);
+    let metrics = w.ctx.metrics.snapshot();
+    let histogram_total = |stage: Stage| metrics.stage_total_ns(TraceOp::Checkpoint, stage);
 
     let stage_total = |stage: Stage| -> u64 {
         w.ctx
@@ -144,12 +144,21 @@ fn span_totals_match_the_stats_counters() {
             .map(|s| s.duration().as_nanos())
             .sum()
     };
-    assert!(d.persist_ns > 0, "persist must cost virtual time");
-    assert!(d.checksum_ns > 0, "checksum must cost virtual time");
-    // The spans and the counters measure the same intervals of the
+    assert!(
+        histogram_total(Stage::Persist) > 0,
+        "persist must cost virtual time"
+    );
+    assert!(
+        histogram_total(Stage::Checksum) > 0,
+        "checksum must cost virtual time"
+    );
+    // The spans and the histograms measure the same intervals of the
     // same virtual clock — fig13's breakdown relies on this equality.
-    assert_eq!(stage_total(Stage::Persist), d.persist_ns);
-    assert_eq!(stage_total(Stage::Checksum), d.checksum_ns);
+    assert_eq!(stage_total(Stage::Persist), histogram_total(Stage::Persist));
+    assert_eq!(
+        stage_total(Stage::Checksum),
+        histogram_total(Stage::Checksum)
+    );
 }
 
 #[test]

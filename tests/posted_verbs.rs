@@ -28,8 +28,13 @@ fn batched_pull_via_completion_queue() {
     let storage = fabric.add_nic(NodeId(1));
 
     // Eight "tensors" on the GPU.
-    let tensors: Vec<_> = (0..8u64)
-        .map(|i| Buffer::new(MemoryKind::GpuHbm, MemorySegment::synthetic(64 * 1024, i)))
+    let tensors: Vec<_> = (0..8u8)
+        .map(|i| {
+            Buffer::new(
+                MemoryKind::GpuHbm,
+                MemorySegment::from_bytes(vec![i + 1; 64 * 1024]),
+            )
+        })
         .collect();
     let mrs: Vec<_> = tensors
         .iter()

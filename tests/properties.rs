@@ -13,9 +13,9 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use portus::name_hash;
-use portus_dnn::{DType, TensorMeta};
+use portus_dnn::{DType, Materialization, ModelInstance, ModelSpec, TensorMeta};
 use portus_format::{read_checkpoint, write_checkpoint, CheckpointEntry, PayloadSource};
-use portus_mem::MemorySegment;
+use portus_mem::GpuDevice;
 use portus_pmem::{CrashSpec, PmemAllocator, PmemDevice, PmemMode};
 use portus_sim::{SimContext, SimRng};
 
@@ -522,14 +522,18 @@ fn check_name_hash(name: &str) {
     assert_ne!(name_hash(name), name_hash(&format!("{name}x")));
 }
 
-/// Synthetic segments are pure functions of (seed, offset).
-fn check_synthetic_window(seed: u64, offset: u64, len: usize) {
-    let seg = MemorySegment::synthetic(4096, seed);
-    let mut full = vec![0u8; 4096];
-    seg.read_at(0, &mut full).unwrap();
+/// Materialized tensor bytes are pure functions of (seed, offset): a
+/// window of one instance equals the same window of another instance
+/// materialized from the same seed.
+fn check_materialized_window(seed: u64, offset: u64, len: usize) {
+    let gpu = GpuDevice::new(SimContext::icdcs24(), 0, 1 << 20);
+    let spec = ModelSpec::new("w", vec![TensorMeta::new("t", DType::U8, vec![4096])]);
+    let a = ModelInstance::materialize(&spec, &gpu, seed, Materialization::Owned).unwrap();
+    let b = ModelInstance::materialize(&spec, &gpu, seed, Materialization::Owned).unwrap();
+    let full = a.tensors()[0].buffer.to_vec();
     let len = len.min((4096 - offset) as usize);
     let mut window = vec![0u8; len];
-    seg.read_at(offset, &mut window).unwrap();
+    b.tensors()[0].buffer.read_at(offset, &mut window).unwrap();
     assert_eq!(&window[..], &full[offset as usize..offset as usize + len]);
 }
 
@@ -543,12 +547,12 @@ fn name_hash_is_deterministic_seeded() {
 }
 
 #[test]
-fn synthetic_content_is_offset_stable_seeded() {
+fn materialized_content_is_offset_stable_seeded() {
     for seed in 0..256 {
         let mut rng = SimRng::new(seed);
         let offset = rng.gen_range(4000);
         let len = 1 + rng.gen_range(63) as usize;
-        check_synthetic_window(rng.next_u64(), offset, len);
+        check_materialized_window(rng.next_u64(), offset, len);
     }
 }
 
@@ -560,13 +564,13 @@ proptest! {
         check_name_hash(&name);
     }
 
-    /// Synthetic segments are pure functions of (seed, offset).
+    /// Materialized tensor bytes are pure functions of (seed, offset).
     #[test]
-    fn synthetic_content_is_offset_stable(
+    fn materialized_content_is_offset_stable(
         seed in any::<u64>(),
         offset in 0u64..4000,
         len in 1usize..64,
     ) {
-        check_synthetic_window(seed, offset, len);
+        check_materialized_window(seed, offset, len);
     }
 }

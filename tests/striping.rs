@@ -410,7 +410,7 @@ fn assert_checkpoint_ends_within_one_chunk_seal(spec: &portus_dnn::ModelSpec) {
     let pmem = PmemDevice::new(ctx.clone(), PmemMode::DevDax, 2 * bytes + (64 << 20));
     let daemon = PortusDaemon::start(&fabric, DAEMON_NODE, pmem, DaemonConfig::default()).unwrap();
     let gpu = GpuDevice::new(ctx.clone(), 0, bytes + (1 << 30));
-    let m = ModelInstance::materialize(spec, &gpu, 42, Materialization::Synthetic).unwrap();
+    let m = ModelInstance::materialize(spec, &gpu, 42, Materialization::Owned).unwrap();
     let client = PortusClient::connect(&daemon, compute);
     client.register_model(&m).unwrap();
     let elapsed = client.checkpoint(&spec.name).unwrap().elapsed;

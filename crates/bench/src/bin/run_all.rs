@@ -21,8 +21,7 @@ const BINS: &[&str] = &[
     // Real-data-plane experiments last (the heavy ones).
     "table1_breakdown",
     "fig13_breakdown",
-    "fig11_checkpoint",
-    "fig12_restore",
+    "fig11_checkpoint", // prints Figs. 11 and 12 from one pass
 ];
 
 fn main() {

@@ -58,15 +58,17 @@ pub struct DeltaReport {
     pub model: String,
     /// The new version number.
     pub version: u64,
-    /// Bytes pulled over the fabric (dirty tensors only).
+    /// Bytes pulled over the fabric: the dirty tensors and every clean
+    /// one the target slot lacked.
     pub pulled_bytes: u64,
-    /// Bytes copied device-locally from the previous version.
+    /// Always 0: no checkpoint copies bytes on the CPU. Kept only
+    /// because the benchmark's per-layer report still reads it.
     pub copied_bytes: u64,
     /// Clean bytes left in place: the target slot still held them from
-    /// the version before the previous one, so they were neither
-    /// pulled nor copied. `pulled + copied + reused` is the model size.
+    /// the version before the previous one, so they were not pulled.
+    /// `pulled + reused` is the model size.
     pub reused_bytes: u64,
-    /// Daemon-side virtual time (pulls + carry-over copies).
+    /// Daemon-side virtual time (the pulls and the seal).
     pub elapsed: SimDuration,
 }
 
@@ -298,11 +300,12 @@ impl PortusClient {
             .map(full_report)
     }
 
-    /// Incremental checkpoint (extension; see DESIGN.md §9): only the
-    /// tensors flagged in `dirty` cross the fabric; the rest are carried
-    /// over from the previous complete version device-locally on PMem.
-    /// The result is a full, independently valid version. Pass the mask
-    /// from [`portus_dnn::ModelInstance::take_dirty`].
+    /// Incremental checkpoint (extension; see DESIGN.md §8): the
+    /// tensors flagged in `dirty`, and every clean one the daemon's
+    /// target slot does not already hold, cross the fabric; the rest
+    /// stay in place. The result is a full, independently valid
+    /// version. Pass the mask from
+    /// [`portus_dnn::ModelInstance::take_dirty`].
     ///
     /// # Errors
     ///
@@ -357,7 +360,6 @@ impl PortusClient {
             Reply::CheckpointDone {
                 version,
                 pulled_bytes,
-                copied_bytes,
                 reused_bytes,
                 elapsed,
                 ..
@@ -365,7 +367,7 @@ impl PortusClient {
                 model: model.to_string(),
                 version,
                 pulled_bytes,
-                copied_bytes,
+                copied_bytes: 0,
                 reused_bytes,
                 elapsed,
             }),

@@ -400,12 +400,13 @@ pub(crate) struct DaemonState {
 #[derive(Debug, Clone)]
 enum Lineage {
     /// `version` was a delta over `base`, the version the other slot
-    /// still holds. `pulled[i]` says whether it pulled tensor `i`; every
-    /// other tensor is byte-identical in the two versions.
+    /// still holds. `changed[i]` says whether tensor `i` was dirty in
+    /// it; every other tensor is byte-identical in the two versions,
+    /// by the client's own mask, whether that delta pulled it or not.
     Delta {
         version: u64,
         base: u64,
-        pulled: Vec<bool>,
+        changed: Vec<bool>,
     },
     /// A restore put an older version than the latest on the GPU, so
     /// the client's dirty mask no longer describes how the GPU differs
@@ -422,34 +423,50 @@ fn model_map_bytes(map: &ModelMap) -> u64 {
         .sum::<usize>() as u64
 }
 
-/// The reuse rule. A delta over `prev` into `target` may leave a clean
-/// tensor in place when `prev` is the delta `lineage` describes and
-/// `target` still holds, as a sealed plain region, the base version
-/// that delta was taken over: every tensor `prev` did not pull is then
-/// already correct in `target`. Returns `prev`'s pulled mask in that
-/// case. Repack reclaim, rollback collapse, the dedup tier's extent
-/// seal (which leaves no plain region behind) and crash debris all
-/// change `target`'s header, so they break the rule without a hook of
-/// their own.
-fn reusable_mask(
-    lineage: Option<Lineage>,
-    prev: Option<SlotHeader>,
-    target: &SlotHeader,
-) -> Option<Vec<bool>> {
-    let Some(Lineage::Delta {
-        version,
-        base,
-        pulled,
-    }) = lineage
-    else {
-        return None;
+/// The in-place/pull split of a checkpoint of `mi` with `dirty`, given
+/// the model's `lineage`: `true` for every tensor the checkpoint pulls.
+/// Admission charges what this mask pulls, and
+/// [`DaemonState::delta_checkpoint`] pulls exactly it.
+///
+/// The reuse rule: a clean tensor stays in place when the latest version
+/// is the plain delta `lineage` describes, that delta did not change the
+/// tensor, and the target slot still holds, as a sealed plain region,
+/// the base version that delta was taken over. The tensor is then
+/// already correct in the target. Repack reclaim, rollback collapse,
+/// the dedup tier's extent seal (which leaves no plain region behind)
+/// and crash debris all change the target's header, so they break the
+/// rule without a hook of their own. Every other tensor, dirty or
+/// clean, is pulled, so every byte a checkpoint writes arrives by
+/// posted READ.
+fn pull_mask(mi: &MIndex, lineage: Option<Lineage>, dirty: Option<&[bool]>) -> Vec<bool> {
+    let target = &mi.slots[mi.target_slot()];
+    // The previous delta's changed mask when the rule holds; empty (so
+    // nothing stays in place) when it does not.
+    let prev_changed = match (lineage, mi.latest_done()) {
+        (
+            Some(Lineage::Delta {
+                version,
+                base,
+                changed,
+            }),
+            Some((_, prev)),
+        ) if prev.version == version
+            && prev.ext_map == 0
+            && target.state == SlotState::Done
+            && target.version == base
+            && target.ext_map == 0
+            && target.data_off != 0 =>
+        {
+            changed
+        }
+        _ => Vec::new(),
     };
-    let prev = prev?;
-    let holds_base = target.state == SlotState::Done
-        && target.version == base
-        && target.ext_map == 0
-        && target.data_off != 0;
-    (prev.version == version && prev.ext_map == 0 && holds_base).then_some(pulled)
+    (0..mi.tensors.len())
+        .map(|i| {
+            let clean = dirty.is_some_and(|mask| mask.get(i) == Some(&false));
+            !(clean && prev_changed.get(i) == Some(&false))
+        })
+        .collect()
 }
 
 /// The Portus storage daemon.
@@ -744,20 +761,27 @@ fn span_meta(req: &Request) -> Option<(u64, TraceOp, String)> {
 /// (`None` for anything that is not checkpoint traffic). A model with
 /// no registered session costs 0 — the handler rejects it with the
 /// proper error, and charging nothing keeps the shed path honest. A
-/// delta's cost is its dirty-masked byte sum (the carry-over bytes
-/// never cross the fabric; a first delta with no previous version pulls
-/// everything, but the mask is the client's own declared intent).
+/// full checkpoint costs the whole session. A delta costs what
+/// [`pull_mask`] pulls, from the model's lineage and slot headers as
+/// they stand at admission (a model that does not resolve is charged
+/// the session).
 fn checkpoint_cost(state: &DaemonState, req: &Request) -> Option<u64> {
     let Request::Checkpoint { model, dirty, .. } = req else {
         return None;
     };
+    let pull = dirty.as_deref().and_then(|mask| {
+        let off = state.resolve_model(model).ok()??;
+        let mi = state.index.load_mindex(off).ok()?;
+        let lineage = state.lineage.lock().get(&off).cloned();
+        Some(pull_mask(&mi, lineage, Some(mask)))
+    });
     let sessions = state.sessions.lock();
     let descs = sessions.get(model).map_or(&[][..], Vec::as_slice);
     Some(
         descs
             .iter()
             .enumerate()
-            .filter(|&(i, _)| dirty.as_ref().is_none_or(|mask| mask.get(i) == Some(&true)))
+            .filter(|&(i, _)| pull.as_ref().is_none_or(|p| p.get(i) != Some(&false)))
             .fold(0u64, |acc, (_, d)| acc.saturating_add(d.size_bytes())),
     )
 }
@@ -946,16 +970,13 @@ fn handle_request(state: &DaemonState, pool: &QpPool, req: Request) -> Reply {
             model,
             dirty,
         } => match state.delta_checkpoint(pool, &model, dirty.as_deref(), req_id) {
-            Ok((version, [pulled_bytes, copied_bytes, reused_bytes], elapsed)) => {
-                Reply::CheckpointDone {
-                    req_id,
-                    version,
-                    pulled_bytes,
-                    copied_bytes,
-                    reused_bytes,
-                    elapsed,
-                }
-            }
+            Ok((version, [pulled_bytes, reused_bytes], elapsed)) => Reply::CheckpointDone {
+                req_id,
+                version,
+                pulled_bytes,
+                reused_bytes,
+                elapsed,
+            },
             Err(e) => error_reply(req_id, e),
         },
         Request::Restore {
@@ -1146,20 +1167,16 @@ struct RunOutcome {
 }
 
 /// One extent of a checkpoint whose bytes are already in the slot's
-/// data region, queued for the pipelined persist+digest stage.
+/// data region, queued for the pipelined persist+digest stage, which
+/// reads it back from PMem to digest it.
 struct SealPiece {
     /// Slot-relative offset of the extent.
     rel_off: u64,
     /// Extent length in bytes.
     len: u64,
-    /// Virtual instant the bytes were in place: the fabric completion
-    /// end for pulled runs, the end of the copy stage for carry-overs.
+    /// Virtual instant the bytes were in place: the run's fabric
+    /// completion end.
     arrival: SimTime,
-    /// The extent's digest contribution when already known: carry-overs
-    /// hash the bounce buffer they stage through, or add nothing when
-    /// the seal starts from the previous version's digest. `None` means
-    /// the stage reads the extent back from PMem, charging the DAX read.
-    digest: Option<u64>,
 }
 
 /// Where a seal's digest starts: `0` for a region pulled whole, or —
@@ -1237,36 +1254,8 @@ fn drain_cq(
     (failed, span, succeeded)
 }
 
-/// Chunked device-local copy within one PMem namespace (the carry-over
-/// path of incremental checkpoints). Returns the positional digest of
-/// the copied bytes keyed at slot-relative `rel_off` — computed from
-/// the bounce buffer the copy already staged through, so the seal
-/// gets the extent's digest without a second read pass.
-fn copy_on_device(
-    dev: &PmemDevice,
-    src_off: u64,
-    dst_off: u64,
-    len: u64,
-    rel_off: u64,
-) -> PortusResult<u64> {
-    crate::index::with_io_buf(|buf| {
-        let mut done = 0u64;
-        let mut digest = 0u64;
-        while done < len {
-            let chunk = ((len - done) as usize).min(buf.len());
-            dev.read(src_off + done, &mut buf[..chunk])?;
-            dev.write(dst_off + done, &buf[..chunk])?;
-            digest =
-                crate::combine_digests(digest, crate::region_digest(&buf[..chunk], rel_off + done));
-            done += chunk as u64;
-        }
-        Ok(digest)
-    })
-}
-
 /// The seal pieces of a posted pull: one per run, arriving at its
-/// fabric completion (`now` for a run with no recorded window), with
-/// its digest left for the seal to read back.
+/// fabric completion (`now` for a run with no recorded window).
 fn pull_pieces(runs: &[VerbRun], outcome: &RunOutcome, now: SimTime) -> Vec<SealPiece> {
     runs.iter()
         .zip(&outcome.completions)
@@ -1274,7 +1263,6 @@ fn pull_pieces(runs: &[VerbRun], outcome: &RunOutcome, now: SimTime) -> Vec<Seal
             rel_off: run.base_rel,
             len: run.len,
             arrival: c.map_or(now, |(_, end)| end),
-            digest: None,
         })
         .collect()
 }
@@ -1701,7 +1689,7 @@ impl DaemonState {
         // Group persist: whenever the stage frees up it takes every
         // extent that has landed by then (at least the next one) as one
         // batch — one flush pass and one fence for the batch — then
-        // reads back the batch's undigested bytes.
+        // reads the batch back to digest it.
         let mut rest = &pieces[..];
         while let Some(first) = rest.first() {
             let ready = pipe.busy_until().max(first.arrival);
@@ -1719,15 +1707,9 @@ impl DaemonState {
             }
             let mut read_back = 0u64;
             for piece in batch {
-                let d = match piece.digest {
-                    Some(d) => d,
-                    None => {
-                        read_back += piece.len;
-                        let at = self.index.slot_pieces(&hdr, piece.rel_off, piece.len)?;
-                        self.index.pieces_digest(&at)?
-                    }
-                };
-                digest = crate::combine_digests(digest, d);
+                read_back += piece.len;
+                let at = self.index.slot_pieces(&hdr, piece.rel_off, piece.len)?;
+                digest = crate::combine_digests(digest, self.index.pieces_digest(&at)?);
             }
             if read_back > 0 {
                 let cost = ctx.model.dax_read(read_back);
@@ -1787,27 +1769,25 @@ impl DaemonState {
         Ok(())
     }
 
-    /// The one checkpoint pull (`DO_CHECKPOINT`). Dirty tensors are
-    /// pulled from GPU memory; clean ones are carried over from the
-    /// previous complete version with a device-local PMem copy (charged
-    /// at DAX read + write rates) — except those the target slot
-    /// already holds. The target always holds the version before the
-    /// previous one, so when the previous version was itself a delta
-    /// over it ([`reusable_mask`]), a tensor clean in both deltas is
-    /// left in place: no copy, no persist. `dirty: None` marks every
-    /// tensor dirty: a full checkpoint is a delta that pulls everything.
-    /// Either way the slot is a *complete* version with the same crash
-    /// consistency.
+    /// The one checkpoint pull (`DO_CHECKPOINT`). Every tensor the
+    /// target slot lacks is pulled from GPU memory by posted READ; the
+    /// rest stay in place ([`pull_mask`]). The target always holds the
+    /// version before the previous one, so when the previous version
+    /// was itself a delta over it, a tensor clean in both deltas is
+    /// already there: no pull, no persist. No byte is copied by the
+    /// CPU. `dirty: None` marks every tensor dirty: a full checkpoint
+    /// is a delta that pulls everything. Either way the slot is a
+    /// *complete* version with the same crash consistency.
     ///
-    /// Returns the version, the `[pulled, copied, reused]` byte counts
-    /// and the daemon-side virtual time.
+    /// Returns the version, the `[pulled, reused]` byte counts and the
+    /// daemon-side virtual time.
     pub(crate) fn delta_checkpoint(
         &self,
         pool: &QpPool,
         model: &str,
         dirty: Option<&[bool]>,
         req_id: u64,
-    ) -> PortusResult<(u64, [u64; 3], SimDuration)> {
+    ) -> PortusResult<(u64, [u64; 2], SimDuration)> {
         let op = checkpoint_op(dirty);
         let sc = SpanCtx::new(&self.ctx, req_id, op, model);
         let lock = self.model_lock(model);
@@ -1831,25 +1811,20 @@ impl DaemonState {
         let prev_hdr = mi.latest_done().map(|(_, h)| h);
         let target = mi.target_slot();
         let lineage = self.lineage.lock().get(&mi.offset).cloned();
-        // After a restore of an older version nothing may be carried:
-        // the GPU no longer matches the previous version's clean tensors.
-        let carry_from = prev_hdr.filter(|_| !matches!(lineage, Some(Lineage::PullAll)));
-        let in_place = reusable_mask(lineage, carry_from, &mi.slots[target]);
+        // After a restore of an older version the GPU no longer matches
+        // the previous version, whatever the mask says: the new version
+        // counts every tensor as changed.
+        let rewound = matches!(lineage, Some(Lineage::PullAll));
+        let pull = pull_mask(&mi, lineage, dirty);
 
-        // Validate the session and split the dirty mask into work lists
-        // BEFORE the slot is touched: a rejected request must leave
-        // both slot headers exactly as they were. Clean tensors become
-        // device-local carry-overs, or stay in place; dirty ones become
-        // posted pull runs. Gaps left by clean tensors break runs, so
-        // only genuinely adjacent pulls coalesce.
-        let (mut pulled, mut copied, mut reused) = (0u64, 0u64, 0u64);
-        let mut pulled_mask = vec![false; mi.tensors.len()];
+        // Validate the session and split the tensors into posted pull
+        // runs BEFORE the slot is touched: a rejected request must leave
+        // both slot headers exactly as they were. Gaps left by tensors
+        // in place break runs, so only genuinely adjacent pulls
+        // coalesce.
+        let (mut pulled, mut reused) = (0u64, 0u64);
         let mut verbs = Vec::new();
-        // Carry-overs as the previous version's pieces of each clean
-        // tensor, landing at the same rel_off in the target region.
-        let mut carries: Vec<SlotPiece> = Vec::new();
         for (i, (rec, desc)) in mi.tensors.iter().zip(&descs).enumerate() {
-            let is_dirty = dirty.is_none_or(|mask| mask[i]);
             if desc.meta() != rec.meta {
                 return Err(PortusError::StructureMismatch(format!(
                     "{model}: registered tensor {} does not match index",
@@ -1857,27 +1832,17 @@ impl DaemonState {
                 )));
             }
             let len = rec.meta.size_bytes();
-            // Without a version to carry from, everything must be
-            // pulled regardless of the mask.
-            match carry_from {
-                Some(_) if !is_dirty && in_place.as_ref().is_some_and(|p| !p[i]) => {
-                    reused += len;
-                }
-                Some(ph) if !is_dirty => {
-                    carries.extend(self.index.slot_pieces(&ph, rec.rel_off, len)?);
-                    copied += len;
-                }
-                _ => {
-                    verbs.push(TensorVerb {
-                        rel_off: rec.rel_off,
-                        len,
-                        rkey: desc.rkey,
-                        name: desc.name.clone(),
-                    });
-                    pulled_mask[i] = true;
-                    pulled += len;
-                }
+            if !pull[i] {
+                reused += len;
+                continue;
             }
+            verbs.push(TensorVerb {
+                rel_off: rec.rel_off,
+                len,
+                rkey: desc.rkey,
+                name: desc.name.clone(),
+            });
+            pulled += len;
         }
         sc.record_now(Stage::Validate, t_op);
 
@@ -1887,10 +1852,9 @@ impl DaemonState {
         // With tensors left in place the seal starts from the previous
         // version's digest: the new slot differs from that version only
         // in the pulled runs, so their old contribution is read back
-        // and swapped out, and carry-overs add nothing. Restore still
-        // verifies the whole region, so a wrong lineage surfaces there
-        // as a checksum mismatch.
-        let reuse_digest = carry_from
+        // and swapped out. Restore still verifies the whole region, so
+        // a wrong lineage surfaces there as a checksum mismatch.
+        let reuse_digest = prev_hdr
             .filter(|_| reused > 0)
             .map(|ph| {
                 runs.iter().try_fold(ph.digest, |acc, run| {
@@ -1918,51 +1882,17 @@ impl DaemonState {
         let hdr = self.ensure_region_or_reclaim(&mut mi, target)?;
         self.index.mark_slot_active(&mi, target, version)?;
 
-        let dev = Arc::clone(self.index.device());
         let ctx = &self.ctx;
         let t0 = ctx.clock.now();
-        // Carry-overs first (device-local), then the zero-copy pulls,
-        // GPU → PMem: coalesced gather WQEs posted under one doorbell per
-        // QP stripe, completions drained off the CQs, failed WQEs retried
-        // per run on their own lane. On the copy-everything path the
-        // seal reuses the digest each copy computed from its bounce
-        // buffer, so carried bytes are never read a second time.
-        let mut carried = 0u64;
-        let mut pieces: Vec<SealPiece> = Vec::new();
-        let carry_result: PortusResult<()> = carries.iter().try_for_each(|c| {
-            let (rel, len) = (c.rel_off, c.len);
-            let digest = copy_on_device(&dev, c.dev_off, hdr.data_off + rel, len, rel)?;
-            ctx.charge(ctx.model.dax_read(len) + ctx.model.dax_write(len));
-            ctx.stats.record_copy(len);
-            carried += len;
-            pieces.push(SealPiece {
-                rel_off: rel,
-                len,
-                arrival: SimTime::ZERO,
-                digest: Some(if reuse_digest.is_some() { 0 } else { digest }),
-            });
-            Ok(())
-        });
-        if let Err(e) = carry_result {
-            self.rollback_best_effort(&mi, target, hdr, carried > 0);
-            return Err(e);
-        }
-        // Only a carry loop that ran to completion gets a span — a
-        // midway error must not be attributed as a finished stage.
-        if !carries.is_empty() {
-            sc.record_now(Stage::CarryCopy, t0);
-        }
-        // The copy stage hands its extents to the seal together when it
-        // ends, so every carry-over shares one flush pass and fence. The
-        // pulls are posted at that instant too, and the read-back of the
-        // previous version's pulled runs joins the seal pipe with them:
-        // it overlaps the fabric, never a carry copy.
-        let carried_at = ctx.clock.now();
-        pieces.iter_mut().for_each(|p| p.arrival = carried_at);
+        // The zero-copy pulls, GPU → PMem: coalesced gather WQEs posted
+        // under one doorbell per QP stripe, completions drained off the
+        // CQs, failed WQEs retried per run on their own lane. The
+        // read-back of the previous version's pulled runs joins the seal
+        // pipe at the post instant, so it overlaps the fabric.
         let mut base = reuse_digest.map_or_else(SealBase::default, |digest| SealBase {
             digest,
             read_back: pulled,
-            at: carried_at,
+            at: t0,
         });
         let region = [SlotPiece {
             dev_off: hdr.data_off,
@@ -1972,16 +1902,14 @@ impl DaemonState {
         let outcome = match self.execute_runs(pool, &runs, &region, Direction::Pull, &sc) {
             Ok(outcome) => outcome,
             Err(fail) => {
-                // Bytes landed if any pull WQE succeeded — or if any
-                // carry-over copy already wrote into the slot.
-                self.rollback_best_effort(&mi, target, hdr, fail.any_succeeded || carried > 0);
+                self.rollback_best_effort(&mi, target, hdr, fail.any_succeeded);
                 return Err(fail.into_error(model, op.name()));
             }
         };
         // RDMA landed in the DDIO domain; make it durable (Wei et al.),
         // digest, and flip to Done, pipelining per-run persist+digest
         // work against the transfers themselves.
-        pieces.extend(pull_pieces(&runs, &outcome, ctx.clock.now()));
+        let mut pieces = pull_pieces(&runs, &outcome, ctx.clock.now());
         // Dedup tier: the extent seal replaces the plain one; if its
         // pass fails, the plain seal runs after it on the clock.
         let extent_sealed = self
@@ -2003,21 +1931,21 @@ impl DaemonState {
         {
             // A full pull, like a first version, leaves no lineage.
             let mut lineage = self.lineage.lock();
-            match prev_hdr.filter(|_| dirty.is_some()) {
-                Some(ph) => lineage.insert(
+            match (prev_hdr, dirty) {
+                (Some(ph), Some(mask)) => lineage.insert(
                     mi.offset,
                     Lineage::Delta {
                         version,
                         base: ph.version,
-                        pulled: pulled_mask,
+                        changed: mask.iter().map(|&d| d || rewound).collect(),
                     },
                 ),
-                None => lineage.remove(&mi.offset),
+                _ => lineage.remove(&mi.offset),
             };
         }
         let elapsed = ctx.clock.now().saturating_since(t0);
         sc.record_now(Stage::Total, t_op);
-        Ok((version, [pulled, copied, reused], elapsed))
+        Ok((version, [pulled, reused], elapsed))
     }
 
     pub(crate) fn restore(

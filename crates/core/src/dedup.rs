@@ -37,10 +37,7 @@
 //! 0-byte version seals as a zero-entry map.
 //!
 //! Only bytes the CPU writes are streamed. RDMA-landed bytes sit in the
-//! DDIO domain and still take `clwb`, and so do delta-checkpoint carry
-//! copies: streaming the carries was measured slower (the golden delta
-//! RPC went 325.2 → 362.1 µs, because a near-free carry batch split the
-//! seal pipe's two pull runs into two 1024-line persist batches).
+//! DDIO domain and still take `clwb`.
 //!
 //! Release is the mirror image: header first, then the references, then
 //! the map region. A checkpoint's release frees each extent whose last
@@ -53,7 +50,7 @@
 //! An extent-mapped version's bytes are a list of pieces, one per
 //! touched extent ([`extent_pieces`], behind [`Index::slot_pieces`]).
 //! Every reader walks that list in place: restore's verify and its
-//! one-sided pushes, delta-checkpoint carries, and `portusctl dump`.
+//! one-sided pushes, and `portusctl dump`.
 //! Nothing is copied out first, so a restore writes nothing to PMem.
 //! That is safe because a restore holds the model lock and the slot
 //! holds a reference on each of its extents: the repack sweep frees

@@ -284,17 +284,17 @@ pub fn name_hash(name: &str) -> u64 {
 }
 
 /// Size of the reusable device-I/O scratch buffer.
-pub(crate) const IO_BUF_LEN: usize = 256 * 1024;
+const IO_BUF_LEN: usize = 256 * 1024;
 
 thread_local! {
-    /// One scratch buffer per thread for the seal/verify/copy loops;
+    /// One scratch buffer per thread for the seal and verify loops;
     /// the hot paths previously allocated 256 KiB per call.
     static IO_BUF: RefCell<Vec<u8>> = RefCell::new(vec![0u8; IO_BUF_LEN]);
 }
 
 /// Runs `f` with this thread's reusable I/O scratch buffer. Callers
 /// must not re-enter (the buffer is exclusively borrowed).
-pub(crate) fn with_io_buf<T>(f: impl FnOnce(&mut [u8]) -> T) -> T {
+fn with_io_buf<T>(f: impl FnOnce(&mut [u8]) -> T) -> T {
     IO_BUF.with(|buf| f(&mut buf.borrow_mut()))
 }
 

@@ -182,8 +182,6 @@ pub enum Reply {
         version: u64,
         /// Bytes pulled over the fabric (every tensor without a mask).
         pulled_bytes: u64,
-        /// Bytes copied device-locally from the previous version.
-        copied_bytes: u64,
         /// Clean bytes left in place: the target slot already held them.
         reused_bytes: u64,
         /// Daemon-side virtual time for the operation.
@@ -337,7 +335,6 @@ mod tests {
             req_id: 42,
             version: 1,
             pulled_bytes: 10,
-            copied_bytes: 0,
             reused_bytes: 0,
             elapsed: SimDuration::ZERO,
         };

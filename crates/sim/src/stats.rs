@@ -94,7 +94,7 @@ pub struct StatsSnapshot {
     pub oos_recoveries: u64,
     /// Clean tensor bytes a delta checkpoint left in place in its target
     /// slot, because that slot's older version already held them:
-    /// neither pulled nor copied nor persisted again.
+    /// neither pulled nor persisted again.
     pub reused_bytes: u64,
 }
 

@@ -28,7 +28,7 @@ use crate::{SimDuration, SimTime};
 pub enum TraceOp {
     /// A full `DO_CHECKPOINT` pull.
     Checkpoint,
-    /// An incremental checkpoint (dirty pulls + carry-over copies).
+    /// An incremental checkpoint (pulls of what the target slot lacks).
     DeltaCheckpoint,
     /// A restore push.
     Restore,
@@ -76,7 +76,9 @@ pub enum Stage {
     CqDrain,
     /// Exponential backoff charged before a retry round.
     RetryBackoff,
-    /// Device-local carry-over copies of clean tensors (delta only).
+    /// Never recorded: deltas pull every byte they write, so no stage
+    /// copies on the CPU. Kept only because the benchmark's per-layer
+    /// report still reads it.
     CarryCopy,
     /// Flush + fence of the pulled bytes.
     Persist,

@@ -107,8 +107,6 @@ pub struct TrainerStats {
     pub checkpoints_completed: u64,
     /// Bytes that crossed the fabric for checkpointing.
     pub bytes_checkpointed: u64,
-    /// Bytes carried over device-locally (delta policy only).
-    pub bytes_carried_over: u64,
     /// Clean bytes delta checkpoints left in place because the target
     /// slot already held them (delta policy only).
     pub bytes_reused: u64,
@@ -126,7 +124,6 @@ impl TrainerStats {
             iterations: self.iterations - earlier.iterations,
             checkpoints_completed: self.checkpoints_completed - earlier.checkpoints_completed,
             bytes_checkpointed: self.bytes_checkpointed - earlier.bytes_checkpointed,
-            bytes_carried_over: self.bytes_carried_over - earlier.bytes_carried_over,
             bytes_reused: self.bytes_reused - earlier.bytes_reused,
             checkpoint_stall: self.checkpoint_stall - earlier.checkpoint_stall,
             compute_time: self.compute_time - earlier.compute_time,
@@ -301,7 +298,6 @@ impl Trainer {
                     let stall = self.ctx().clock.now().saturating_since(t0);
                     self.stats.checkpoint_stall += stall;
                     self.stats.bytes_checkpointed += report.pulled_bytes;
-                    self.stats.bytes_carried_over += report.copied_bytes;
                     self.stats.bytes_reused += report.reused_bytes;
                     self.stats.checkpoints_completed += 1;
                     self.last_durable_step = self.step;
@@ -451,16 +447,13 @@ mod tests {
 
     #[test]
     fn delta_policy_sends_fewer_bytes_than_sync() {
-        // Sparse workload via delta: after the first full version, each
-        // interval only the tensors touched by train_step (all, here) —
-        // so run a second trainer where updates are implicit; instead
-        // compare against the carried-over accounting directly.
+        // train_step dirties every tensor, so no delta finds one in
+        // place: reuse only helps a tensor that stays untouched, which
+        // the sparse API exercises (tests/trainer.rs).
         let mut t = trainer(TrainPolicy::Delta { every: 3 }, 8);
         let stats = t.run(9).unwrap();
         assert_eq!(stats.checkpoints_completed, 3);
-        // train_step dirties everything, so carry-over only helps when a
-        // tensor was untouched — exercised via the sparse API below.
-        assert_eq!(stats.bytes_carried_over, 0);
+        assert_eq!(stats.bytes_reused, 0);
         assert!(stats.bytes_checkpointed > 0);
         let _ = t;
     }

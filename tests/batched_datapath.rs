@@ -119,9 +119,12 @@ fn delta_gaps_break_coalescing_runs() {
     client.register_model(&model).unwrap();
     client.checkpoint("gaps").unwrap();
 
-    // Alternating dirty mask: every pulled tensor is isolated between
-    // carried-over neighbours, so no two may share a WQE.
+    // Alternating dirty mask: the first delta lands in the empty slot
+    // and pulls everything; from the second on, every pulled tensor is
+    // isolated between neighbours left in place, so no two may share a
+    // WQE.
     let alternating: Vec<bool> = (0..8).map(|i| i % 2 == 0).collect();
+    client.checkpoint_delta("gaps", &alternating).unwrap();
     let before = ctx.stats.snapshot();
     let delta = client.checkpoint_delta("gaps", &alternating).unwrap();
     let d = ctx.stats.snapshot().since(&before);
@@ -133,8 +136,10 @@ fn delta_gaps_break_coalescing_runs() {
     assert_eq!(d.doorbell_batches, 1, "still one doorbell");
     assert_eq!(d.coalesced_verbs, 0, "nothing to coalesce across gaps");
 
-    // A contiguous dirty prefix coalesces back into one gather WQE.
+    // A contiguous dirty prefix, once the previous delta dirtied no
+    // other tensor, coalesces back into one gather WQE.
     let prefix: Vec<bool> = (0..8).map(|i| i < 4).collect();
+    client.checkpoint_delta("gaps", &prefix).unwrap();
     let before = ctx.stats.snapshot();
     let delta = client.checkpoint_delta("gaps", &prefix).unwrap();
     let d = ctx.stats.snapshot().since(&before);

@@ -235,11 +235,12 @@ fn checkpoint_failing_mid_pull_restores_previous_done_version() {
 }
 
 #[test]
-fn delta_failure_after_carry_over_copies_rolls_the_slot_back() {
-    // The delta path copies clean tensors into the target slot before
-    // pulling dirty ones. If the pull then fails, the slot already
-    // holds carried data — it must still be rolled back and the count
-    // of valid versions must not change.
+fn delta_failure_after_landed_pulls_rolls_the_slot_back() {
+    // A delta over a slot that holds an older Done version pulls its
+    // runs into that slot. If one run fails after another landed, the
+    // slot holds a mix of old and new bytes — it must still be rolled
+    // back: the clobbered older version collapses (its digest would
+    // falsely validate), and the latest version stays the one restored.
     let ctx = SimContext::icdcs24();
     let fabric = Fabric::new(ctx.clone());
     let compute = fabric.add_nic(NodeId(0));
@@ -257,17 +258,26 @@ fn delta_failure_after_carry_over_copies_rolls_the_slot_back() {
     client.register_model(&model).unwrap();
 
     model.train_step();
-    let saved = model.model_checksum();
     client.checkpoint("delta").unwrap(); // v1
+    model.take_dirty();
+    // v2 lands in the empty slot and pulls every tensor.
+    model.train_step_sparse(&[0, 2]);
+    let saved = model.model_checksum();
+    let dirty = model.take_dirty();
+    client.checkpoint_delta("delta", &dirty).unwrap();
 
     let before = ctx.stats.snapshot();
-    fabric.arm_faults(NodeId(1), FaultSpec::All).unwrap();
-    // Only tensor 2 is dirty: tensors 0, 1, 3 are carried over from v1
-    // by device-local copies (unaffected by fabric faults), then the
-    // single pull WQE for tensor 2 fails terminally.
-    let err = client
-        .checkpoint_delta("delta", &[false, false, true, false])
-        .unwrap_err();
+    // v3 lands on v1: tensors 1 and 3 stay in place, 0 and 2 are two
+    // pull runs. Every verb after the first fails, so tensor 0 lands
+    // and tensor 2's run fails terminally.
+    let window = FaultSpec::Window {
+        from: 2,
+        to: u64::MAX,
+    };
+    fabric.arm_faults(NodeId(1), window).unwrap();
+    model.train_step_sparse(&[0, 2]);
+    let dirty = model.take_dirty();
+    let err = client.checkpoint_delta("delta", &dirty).unwrap_err();
     assert!(
         matches!(&err, PortusError::DatapathFailed { op, .. } if op == "delta-checkpoint"),
         "expected a typed datapath error, got: {err}"
@@ -277,19 +287,20 @@ fn delta_failure_after_carry_over_copies_rolls_the_slot_back() {
     let delta = ctx.stats.snapshot().since(&before);
     assert_eq!(delta.rolled_back_slots, 1);
 
-    // valid_versions unchanged; the target slot is back to Empty.
+    // The clobbered v1 is gone, v2 is untouched; the target slot
+    // collapsed to Empty.
     let index = daemon.index();
     let (_, off) = index.live_entries().unwrap()[0];
     let mi = index.load_mindex(off).unwrap();
     assert_eq!(mi.valid_versions(), 1);
     let (done_slot, hdr) = mi.latest_done().unwrap();
-    assert_eq!(hdr.version, 1);
+    assert_eq!(hdr.version, 2);
     assert_eq!(mi.slots[1 - done_slot].state, SlotState::Empty);
 
-    // The surviving v1 still restores byte-for-byte.
+    // The surviving v2 still restores byte-for-byte.
     model.train_step(); // diverge
     let report = client.restore(&model).unwrap();
-    assert_eq!(report.version, 1);
+    assert_eq!(report.version, 2);
     assert_eq!(model.model_checksum(), saved);
     drop(client);
     daemon.shutdown();

@@ -385,7 +385,8 @@ fn crash_mid_release_never_frees_the_survivors_extents() {
 /// An extent table too small for one checkpoint: the extent pass fails
 /// mid-checkpoint, drops the references it took, and the checkpoint is
 /// sealed as a plain slot instead — it succeeds and restores bit for
-/// bit, and the next checkpoint carries from the plain version.
+/// bit, and later deltas leave clean tensors in place in the plain
+/// version.
 #[test]
 fn a_full_extent_table_falls_back_to_a_plain_seal() {
     let cfg = DaemonConfig {
@@ -418,21 +419,35 @@ fn a_full_extent_table_falls_back_to_a_plain_seal() {
     assert_eq!(hdr.ext_map, 0, "sealed as a plain slot");
     assert_ne!(hdr.data_off, 0);
 
+    model.train_step();
+    c.restore(&model).unwrap();
+    assert_eq!(model.model_checksum(), v1_state);
+    model.take_dirty();
+
+    // v2 lands in the empty slot and pulls everything; v3 lands on the
+    // plain v1, which still holds tensors 0 and 3, clean in both.
     model.train_step_sparse(&[1]);
     let v2_state = model.model_checksum();
-    let delta = c
+    let v2 = c
         .checkpoint_delta("toobig", &[false, true, false, false])
+        .unwrap()
+        .version;
+    model.train_step_sparse(&[2]);
+    let v3_state = model.model_checksum();
+    let delta = c
+        .checkpoint_delta("toobig", &[false, false, true, false])
         .unwrap();
-    assert!(
-        delta.copied_bytes > 0,
-        "clean tensors carry from the plain v1"
+    assert_eq!(
+        delta.reused_bytes,
+        2 * 128 * 1024,
+        "clean tensors stay in place in the plain v1"
     );
 
     model.train_step();
     c.restore(&model).unwrap();
+    assert_eq!(model.model_checksum(), v3_state);
+    c.restore_version(&model, Some(v2)).unwrap();
     assert_eq!(model.model_checksum(), v2_state);
-    c.restore_version(&model, Some(v1)).unwrap();
-    assert_eq!(model.model_checksum(), v1_state);
 }
 
 // ---------------------------------------------------------------------
@@ -467,7 +482,7 @@ fn repack_sweeps_extents_of_dropped_models() {
 }
 
 // ---------------------------------------------------------------------
-// Readers of an extent-mapped version: verify, push, carry, dump.
+// Readers of an extent-mapped version: verify, push, dump.
 // ---------------------------------------------------------------------
 
 /// Flips the byte at device offset `off`, durably.
@@ -498,12 +513,17 @@ fn slot_digest_matches_the_sealed_digest_on_every_done_slot() {
         let mut m = register(&w, &c, &test_spec(name, 4, 128 * 1024), 31);
         m.train_step_sparse(&[i]);
         c.checkpoint(name).unwrap();
-        m.train_step_sparse(&[2]);
-        // A delta carries its clean tensors from the extent-mapped v1.
-        let d = c
-            .checkpoint_delta(name, &[false, false, true, false])
-            .unwrap();
-        assert!(d.copied_bytes > 0);
+        // The first delta lands in the empty slot and pulls every
+        // tensor; the second lands on the extent-mapped v1, which keeps
+        // no plain region to leave tensors in, so it pulls every tensor
+        // too.
+        for _ in 0..2 {
+            m.train_step_sparse(&[2]);
+            let d = c
+                .checkpoint_delta(name, &[false, false, true, false])
+                .unwrap();
+            assert_eq!(d.pulled_bytes, 4 * 128 * 1024);
+        }
     }
     let index = w.daemon.index();
     let mut done = 0;

@@ -1,7 +1,7 @@
 //! Incremental (delta) checkpointing — the Check-N-Run-inspired
-//! extension (DESIGN.md §9): dirty tensors cross the fabric, clean ones
-//! are carried over device-locally, and the result is a complete
-//! version with unchanged crash-consistency guarantees.
+//! extension (DESIGN.md §8): dirty tensors cross the fabric, clean ones
+//! the target slot already holds stay in place, and the result is a
+//! complete version with unchanged crash-consistency guarantees.
 
 use portus::{DaemonConfig, PortusClient, PortusDaemon};
 use portus_dnn::{test_spec, Materialization, ModelInstance};
@@ -52,7 +52,13 @@ fn delta_pulls_only_dirty_tensors() {
     model.take_dirty();
     client.checkpoint("delta").unwrap();
 
-    // Sparse update: only tensors 2 and 5 change.
+    // Sparse updates: only tensors 2 and 5 change, twice. The first
+    // delta (v2) lands in the empty slot and pulls every tensor; the
+    // second (v3) lands on v1, which still holds every tensor neither
+    // delta dirtied.
+    model.train_step_sparse(&[2, 5]);
+    let dirty = model.take_dirty();
+    client.checkpoint_delta("delta", &dirty).unwrap();
     model.train_step_sparse(&[2, 5]);
     let dirty = model.take_dirty();
     assert_eq!(dirty.iter().filter(|&&d| d).count(), 2);
@@ -62,9 +68,10 @@ fn delta_pulls_only_dirty_tensors() {
     let report = client.checkpoint_delta("delta", &dirty).unwrap();
     let net = w.ctx.stats.snapshot().since(&net_before);
 
-    assert_eq!(report.version, 2);
+    assert_eq!(report.version, 3);
     assert_eq!(report.pulled_bytes, 2 * LAYER_BYTES);
-    assert_eq!(report.copied_bytes, (LAYERS as u64 - 2) * LAYER_BYTES);
+    assert_eq!(report.copied_bytes, 0);
+    assert_eq!(report.reused_bytes, (LAYERS as u64 - 2) * LAYER_BYTES);
     assert_eq!(
         net.bytes_over_network,
         2 * LAYER_BYTES,
@@ -75,7 +82,7 @@ fn delta_pulls_only_dirty_tensors() {
     // The delta version is a complete, restorable snapshot.
     model.train_step();
     let restore = client.restore(&model).unwrap();
-    assert_eq!(restore.version, 2);
+    assert_eq!(restore.version, 3);
     assert_eq!(model.model_checksum(), want);
 }
 
@@ -200,8 +207,8 @@ fn delta_after_a_pinned_restore_snapshots_the_gpu_state() {
     let want = model.model_checksum();
     let report = client.checkpoint_delta("pinned", &dirty).unwrap();
     assert_eq!(report.version, 3);
-    // Nothing may be carried from v2: the mask only describes changes
-    // since the restore.
+    // Nothing may stay in place: the mask only describes changes since
+    // the restore.
     assert_eq!(report.pulled_bytes, spec.total_bytes());
 
     model.train_step();

@@ -1,8 +1,9 @@
 //! Two-generation delta checkpoints: a delta's target slot still holds
 //! the version before the previous one, so tensors clean in both of the
-//! last two deltas are left in place. These tests pin the reuse rule —
-//! when it applies, everything that must break it, and that a wrong
-//! reuse can only ever surface as a typed checksum mismatch.
+//! last two deltas are left in place and every other tensor is pulled.
+//! These tests pin the reuse rule — when it applies, what it costs,
+//! everything that must break it, and that a wrong reuse can only ever
+//! surface as a typed checksum mismatch.
 
 // Under the offline `proptest` stub the `proptest!` body is swallowed,
 // leaving its imports and strategy "unused"; with the real crate they
@@ -20,7 +21,7 @@ use portus_dnn::{test_spec, Materialization, ModelInstance};
 use portus_mem::GpuDevice;
 use portus_pmem::{PmemDevice, PmemMode};
 use portus_rdma::{Fabric, FaultSpec, NodeId};
-use portus_sim::{SimContext, SimRng, Stage};
+use portus_sim::{SimContext, SimDuration, SimRng, Stage};
 
 const DAEMON_NODE: NodeId = NodeId(1);
 const LAYERS: usize = 8;
@@ -71,8 +72,8 @@ fn full(w: &World, model: &mut ModelInstance) -> u64 {
     w.client.checkpoint(&model.spec().name).unwrap().version
 }
 
-/// Trains `touched` and takes a delta checkpoint; every delta accounts
-/// for each model byte exactly once.
+/// Trains `touched` and takes a delta checkpoint; every delta pulls or
+/// leaves in place each model byte exactly once, and copies none.
 fn delta(w: &World, model: &mut ModelInstance, touched: &[usize]) -> DeltaReport {
     model.train_step_sparse(touched);
     let dirty = model.take_dirty();
@@ -80,10 +81,8 @@ fn delta(w: &World, model: &mut ModelInstance, touched: &[usize]) -> DeltaReport
         .client
         .checkpoint_delta(&model.spec().name, &dirty)
         .unwrap();
-    assert_eq!(
-        r.pulled_bytes + r.copied_bytes + r.reused_bytes,
-        MODEL_BYTES
-    );
+    assert_eq!(r.copied_bytes, 0, "no delta copies on the CPU");
+    assert_eq!(r.pulled_bytes + r.reused_bytes, MODEL_BYTES);
     r
 }
 
@@ -107,17 +106,18 @@ fn steady_state_deltas_leave_clean_tensors_in_place() {
     full(&w, &mut model);
     let before = w.ctx.stats.snapshot();
     // The first delta after a full checkpoint lands on the slot before
-    // the full one: it has no lineage and copies every clean tensor.
+    // the full one: it has no lineage and pulls every tensor.
     let first = delta(&w, &mut model, &[0, 1]);
     assert_eq!(first.reused_bytes, 0);
-    assert_eq!(first.copied_bytes, 6 * LAYER_BYTES);
+    assert_eq!(first.pulled_bytes, MODEL_BYTES);
     let mut reused = 0;
     for round in 0..6usize {
         let touched = [(2 + round) % LAYERS, (5 + round) % LAYERS];
         let r = delta(&w, &mut model, &touched);
         assert!(r.reused_bytes > 0, "round {round}: nothing reused");
-        // Only the tensors the previous delta pulled are copied.
-        assert!(r.copied_bytes <= 2 * LAYER_BYTES, "round {round}");
+        // Exactly this delta's and the previous delta's dirty tensors
+        // are pulled: four distinct ones every round.
+        assert_eq!(r.pulled_bytes, 4 * LAYER_BYTES, "round {round}");
         reused += r.reused_bytes;
     }
     let stats = w.ctx.stats.snapshot().since(&before);
@@ -129,9 +129,9 @@ fn steady_state_deltas_leave_clean_tensors_in_place() {
 
 /// With tensors left in place, the seal's read-back of the previous
 /// version's pulled runs is the seal pipe's first job, enqueued when
-/// the pulls are posted: it starts where the carry copies end and
-/// finishes inside the fabric window, instead of being charged to the
-/// clock ahead of the carries.
+/// the pulls are posted: it starts at the doorbell and finishes inside
+/// the fabric window, instead of being charged to the clock ahead of
+/// the pulls.
 #[test]
 fn reusing_delta_reads_back_in_the_pulls_shadow() {
     let (w, mut model) = world("shadow", 1);
@@ -139,14 +139,14 @@ fn reusing_delta_reads_back_in_the_pulls_shadow() {
     delta(&w, &mut model, &[0, 1]);
     w.ctx.tracer.enable();
     let r = delta(&w, &mut model, &[2, 5]);
-    assert!(r.reused_bytes > 0 && r.copied_bytes > 0);
+    assert!(r.reused_bytes > 0);
     let spans = w.ctx.tracer.spans();
     let of = |stage: Stage| spans.iter().filter(move |s| s.stage == stage);
-    let carry = of(Stage::CarryCopy).next().expect("a carry-copy span");
+    let doorbell = of(Stage::DoorbellPost).next().expect("a doorbell span");
     let read_back = of(Stage::Checksum).next().expect("a read-back span");
     let fabric_end = of(Stage::CqDrain).map(|s| s.end).max().unwrap();
     assert_eq!(
-        read_back.start, carry.end,
+        read_back.start, doorbell.start,
         "read-back joins at the post instant"
     );
     assert!(
@@ -187,11 +187,17 @@ fn rolled_back_delta_breaks_reuse() {
     let (w, mut model) = world("rollback", 1);
     full(&w, &mut model);
     delta(&w, &mut model, &[0]);
-    // Every pull fails after tensor 0 was already carried into the
-    // target: the slot collapses instead of keeping the older version.
-    model.train_step_sparse(&[1]);
+    // The delta pulls tensor 3 and, re-pulled because the previous
+    // delta changed it, tensor 0: two runs. Every verb after the first
+    // fails, so tensor 0 already landed in the target when the pull
+    // dies: the slot collapses instead of keeping the older version.
+    model.train_step_sparse(&[3]);
     let dirty = model.take_dirty();
-    w.fabric.arm_faults(DAEMON_NODE, FaultSpec::All).unwrap();
+    let window = FaultSpec::Window {
+        from: 2,
+        to: u64::MAX,
+    };
+    w.fabric.arm_faults(DAEMON_NODE, window).unwrap();
     let err = w.client.checkpoint_delta("rollback", &dirty).unwrap_err();
     assert!(matches!(err, PortusError::DatapathFailed { .. }), "{err}");
     w.fabric.clear_faults(DAEMON_NODE).unwrap();
@@ -203,7 +209,7 @@ fn rolled_back_delta_breaks_reuse() {
     }
     let r = w.client.checkpoint_delta("rollback", &dirty_again).unwrap();
     assert_eq!(r.reused_bytes, 0);
-    assert_eq!(r.pulled_bytes + r.copied_bytes, MODEL_BYTES);
+    assert_eq!(r.pulled_bytes, MODEL_BYTES);
     let want = model.model_checksum();
     assert_restores(&w, &mut model, want);
     let r = delta(&w, &mut model, &[3]);
@@ -276,6 +282,94 @@ fn corrupted_reused_tensor_fails_restore_with_a_typed_checksum_mismatch() {
             }
             other => panic!("qps {qps}: expected ChecksumMismatch, got {other:?}"),
         }
+        shutdown(w);
+    }
+}
+
+/// Virtual time of one checkpoint call, as the client sees it.
+fn timed<T>(w: &World, op: impl FnOnce() -> T) -> (T, SimDuration) {
+    let t0 = w.ctx.clock.now();
+    let out = op();
+    (out, w.ctx.clock.now().saturating_since(t0))
+}
+
+#[test]
+fn first_delta_after_a_full_checkpoint_costs_no_more_than_the_full_one() {
+    for qps in [1, 4] {
+        let (w, mut model) = world("first", qps);
+        model.train_step();
+        model.take_dirty();
+        let (_, full_time) = timed(&w, || w.client.checkpoint("first").unwrap());
+        // The target slot is empty: the delta pulls every tensor, the
+        // same bytes by the same posted READs as the full checkpoint.
+        let (r, delta_time) = timed(&w, || delta(&w, &mut model, &[0, 3]));
+        assert_eq!(r.pulled_bytes, MODEL_BYTES, "qps {qps}");
+        assert!(
+            delta_time <= full_time,
+            "qps {qps}: first delta took {delta_time:?}, the full checkpoint {full_time:?}"
+        );
+        let want = model.model_checksum();
+        assert_restores(&w, &mut model, want);
+        shutdown(w);
+    }
+}
+
+#[test]
+fn steady_delta_pulls_exactly_its_dirty_tensors_and_the_previous_deltas() {
+    let (w, mut model) = world("union", 1);
+    full(&w, &mut model);
+    let mut prev: Vec<usize> = vec![1, 6];
+    delta(&w, &mut model, &prev);
+    for touched in [vec![2], vec![2, 5], vec![0, 7], vec![7], vec![3, 4, 5]] {
+        let union = (0..LAYERS)
+            .filter(|i| touched.contains(i) || prev.contains(i))
+            .count() as u64;
+        let before = w.ctx.stats.snapshot();
+        let r = delta(&w, &mut model, &touched);
+        let net = w.ctx.stats.snapshot().since(&before);
+        assert_eq!(
+            r.pulled_bytes,
+            union * LAYER_BYTES,
+            "{touched:?} after {prev:?}"
+        );
+        assert_eq!(net.bytes_over_network, r.pulled_bytes);
+        assert_eq!(r.reused_bytes, MODEL_BYTES - r.pulled_bytes);
+        prev = touched;
+    }
+    let want = model.model_checksum();
+    assert_restores(&w, &mut model, want);
+    shutdown(w);
+}
+
+#[test]
+fn a_changed_tensor_marked_clean_fails_the_next_but_one_restore_typed() {
+    for qps in [1, 4] {
+        let (w, mut model) = world("liar", qps);
+        full(&w, &mut model);
+        // Tensor 4 changes but the mask calls it clean. This delta has
+        // no lineage, so it pulls tensor 4 anyway and restores fine.
+        model.train_step_sparse(&[0, 4]);
+        let v2_state = model.model_checksum();
+        let mut lie = model.take_dirty();
+        lie[4] = false;
+        let v2 = w.client.checkpoint_delta("liar", &lie).unwrap().version;
+        // The next delta trusts that mask and leaves tensor 4 in place
+        // from the full checkpoint, which is stale: its restore must
+        // fail typed, never hand back the stale bytes.
+        let r = delta(&w, &mut model, &[1]);
+        assert!(r.reused_bytes > 0, "qps {qps}: tensor 4 was not reused");
+        match w.client.restore(&model) {
+            Err(PortusError::ChecksumMismatch { model: m, version }) => {
+                assert_eq!(m, "liar");
+                assert_eq!(version, r.version, "qps {qps}");
+            }
+            other => panic!("qps {qps}: expected ChecksumMismatch, got {other:?}"),
+        }
+        // The version the lie was told in is intact.
+        model.train_step();
+        let pinned = w.client.restore_version(&model, Some(v2)).unwrap();
+        assert_eq!(pinned.version, v2);
+        assert_eq!(model.model_checksum(), v2_state, "qps {qps}");
         shutdown(w);
     }
 }

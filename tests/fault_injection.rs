@@ -212,16 +212,20 @@ fn every_failed_run_is_attributed_not_just_the_first() {
     };
     let (w, mut model) = world("multi", 4, cfg);
     w.client.checkpoint("multi").unwrap(); // v1
-    model.train_step();
+    let _ = model.take_dirty(); // v1 covered everything up to here
+
+    // v2 lands in the empty slot and pulls every tensor.
+    model.train_step_sparse(&[0, 2]);
+    let dirty = model.take_dirty();
+    w.client.checkpoint_delta("multi", &dirty).unwrap();
+    model.train_step_sparse(&[0, 2]);
+    let dirty = model.take_dirty();
 
     w.fabric.arm_faults(DAEMON_NODE, FaultSpec::All).unwrap();
-    // Dirty tensors 0 and 2: the clean gap at 1 splits the pull into
-    // two single-tensor WQEs — the error must report both, each with
-    // its own tensor attribution.
-    let err = w
-        .client
-        .checkpoint_delta("multi", &[true, false, true, false])
-        .unwrap_err();
+    // v3 lands on v1. Dirty tensors 0 and 2: the gap at 1, left in
+    // place, splits the pull into two single-tensor WQEs — the error
+    // must report both, each with its own tensor attribution.
+    let err = w.client.checkpoint_delta("multi", &dirty).unwrap_err();
     match &err {
         PortusError::DatapathFailed { op, failures, .. } => {
             assert_eq!(op, "delta-checkpoint");
@@ -246,9 +250,13 @@ fn striped_retry_stays_on_the_failing_lane() {
     w.client.checkpoint("lane").unwrap(); // v1, clean
     let _ = model.take_dirty(); // v1 covered everything up to here
 
-    // Dirty every other tensor: the gaps split the pull into four
-    // single-tensor WQEs, one per lane.
+    // Dirty every other tensor, twice. v2 lands in the empty slot and
+    // pulls every tensor; on v3, which lands on v1, the gaps left in
+    // place split the pull into four single-tensor WQEs, one per lane.
     let evens: Vec<usize> = (0..8).step_by(2).collect();
+    model.train_step_sparse(&evens);
+    let dirty = model.take_dirty();
+    w.client.checkpoint_delta("lane", &dirty).unwrap();
     model.train_step_sparse(&evens);
     let dirty = model.take_dirty();
 
@@ -256,7 +264,7 @@ fn striped_retry_stays_on_the_failing_lane() {
     w.ctx.tracer.enable();
     w.fabric.arm_faults(DAEMON_NODE, FaultSpec::Nth(1)).unwrap();
     let report = w.client.checkpoint_delta("lane", &dirty).unwrap();
-    assert_eq!(report.version, 2);
+    assert_eq!(report.version, 3);
 
     // One WQE failed, one retry absorbed it, nothing rolled back —
     // the other lanes' completed runs were never re-posted.
@@ -303,11 +311,16 @@ fn striped_exhaustion_rolls_back_once_and_keeps_latest_done() {
         ..DaemonConfig::default()
     };
     let (w, mut model) = striped_world(test_spec("stripe-roll", 8, 4096), cfg);
-    let saved = model.model_checksum();
     w.client.checkpoint("stripe-roll").unwrap(); // v1, clean
     let _ = model.take_dirty(); // v1 covered everything up to here
 
+    // v2 lands in the empty slot and pulls every tensor; v3 lands on v1
+    // and pulls the four evens, one WQE per lane.
     let evens: Vec<usize> = (0..8).step_by(2).collect();
+    model.train_step_sparse(&evens);
+    let saved = model.model_checksum();
+    let dirty = model.take_dirty();
+    w.client.checkpoint_delta("stripe-roll", &dirty).unwrap();
     model.train_step_sparse(&evens);
     let dirty = model.take_dirty();
 
@@ -339,14 +352,14 @@ fn striped_exhaustion_rolls_back_once_and_keeps_latest_done() {
     let (_, off) = index.live_entries().unwrap()[0];
     let mi = index.load_mindex(off).unwrap();
     let (done_slot, hdr) = mi.latest_done().unwrap();
-    assert_eq!(hdr.version, 1);
+    assert_eq!(hdr.version, 2);
     assert_eq!(mi.slots[1 - done_slot].state, SlotState::Empty);
 
-    // The fabric heals; v1 restores and verifies (digest-sealed by the
+    // The fabric heals; v2 restores and verifies (digest-sealed by the
     // striped write path).
     w.fabric.clear_faults(DAEMON_NODE).unwrap();
     let r = w.client.restore(&model).unwrap();
-    assert_eq!(r.version, 1);
+    assert_eq!(r.version, 2);
     assert_eq!(model.model_checksum(), saved);
 
     drop(w.client);

@@ -236,9 +236,46 @@ fn token_bucket_decisions_replay_bit_for_bit() {
     assert!(decisions.iter().any(|&d| !d), "no request was ever shed");
 }
 
-/// Sends the same checkpoint request twice as the `"capped"` tenant,
-/// whose byte bucket holds `burst` bytes and refills at 1 byte per
-/// virtual second (nothing, on this time scale). Admission is
+/// One daemon and tenant "capped" with a registered model "admit" of
+/// eight 256 KiB tensors. With `burst`, the tenant's byte bucket holds
+/// `burst` bytes and refills at 1 byte per virtual second (nothing, on
+/// this time scale); without, the tenant is unlimited.
+fn admission_world(burst: Option<u64>) -> (Arc<PortusDaemon>, PortusClient, ModelInstance) {
+    let ctx = SimContext::icdcs24();
+    let fabric = Fabric::new(ctx.clone());
+    let nic = fabric.add_nic(NodeId(0));
+    fabric.add_nic(NodeId(1));
+    let pmem = PmemDevice::new(ctx.clone(), PmemMode::DevDax, 64 << 20);
+    let mut cfg = DaemonConfig::default();
+    if let Some(burst) = burst {
+        cfg.qos.tenants.insert(
+            "capped".to_string(),
+            TenantQos {
+                bytes_per_sec: 1,
+                burst_bytes: burst,
+            },
+        );
+    }
+    let daemon = PortusDaemon::start(&fabric, NodeId(1), pmem, cfg).unwrap();
+    let gpu = GpuDevice::new(ctx, 0, 1 << 30);
+    let spec = test_spec("admit", 8, 256 * 1024);
+    let model = ModelInstance::materialize(&spec, &gpu, 1, Materialization::Owned).unwrap();
+    let client = PortusClient::connect_as(&daemon, nic, "capped");
+    client.register_model(&model).unwrap();
+    (daemon, client, model)
+}
+
+/// The bytes admission has charged tenant "capped" so far.
+fn admitted(client: &PortusClient) -> u64 {
+    client
+        .stats()
+        .unwrap()
+        .tenant("capped")
+        .map_or(0, |t| t.admitted_bytes)
+}
+
+/// Sends the same checkpoint request twice as tenant "capped" of an
+/// [`admission_world`] with a `burst`-byte bucket. Admission is
 /// debt-based, so the first request always passes; the second passes
 /// only if the first was charged less than `burst`. Returns the second
 /// outcome and the tenant's admitted bytes.
@@ -246,63 +283,64 @@ fn admit_twice(
     burst: u64,
     send: impl Fn(&PortusClient) -> Result<u64, PortusError>,
 ) -> (Result<u64, PortusError>, u64) {
-    let ctx = SimContext::icdcs24();
-    let fabric = Fabric::new(ctx.clone());
-    let nic = fabric.add_nic(NodeId(0));
-    fabric.add_nic(NodeId(1));
-    let pmem = PmemDevice::new(ctx.clone(), PmemMode::DevDax, 64 << 20);
-    let mut cfg = DaemonConfig::default();
-    cfg.qos.tenants.insert(
-        "capped".to_string(),
-        TenantQos {
-            bytes_per_sec: 1,
-            burst_bytes: burst,
-        },
-    );
-    let daemon = PortusDaemon::start(&fabric, NodeId(1), pmem, cfg).unwrap();
-    let gpu = GpuDevice::new(ctx, 0, 1 << 30);
-    let spec = test_spec("admit", 8, 256 * 1024);
-    let model = ModelInstance::materialize(&spec, &gpu, 1, Materialization::Owned).unwrap();
-    let client = PortusClient::connect_as(&daemon, nic, "capped");
-    client.register_model(&model).unwrap();
+    let (daemon, client, _model) = admission_world(Some(burst));
     send(&client).expect("the first request is always admitted");
     let second = send(&client);
-    let admitted = client
-        .stats()
-        .unwrap()
-        .tenant("capped")
-        .map_or(0, |t| t.admitted_bytes);
+    let admitted = admitted(&client);
     drop(client);
     daemon.shutdown();
     (second, admitted)
 }
 
-/// Admission charges each checkpoint kind what it pulls: a delta its
-/// dirty bytes, a full checkpoint the whole session. With a burst
-/// between the two, a sparse delta of the model is admitted again and
-/// a full checkpoint of the same model is shed.
+/// Admission charges each checkpoint what it pulls: a full checkpoint
+/// the whole session, a delta every tensor its target slot lacks. A
+/// delta with no previous version lacks everything, so with a burst
+/// below the session it overdraws the bucket exactly like a full
+/// checkpoint. A steady delta is charged only its own and the previous
+/// delta's dirty tensors.
 #[test]
-fn admission_charges_a_delta_its_dirty_bytes_and_a_full_checkpoint_the_session() {
+fn admission_charges_a_delta_what_it_pulls_and_a_full_checkpoint_the_session() {
     let tensor = 256 * 1024;
     let session = 8 * tensor;
     let burst = 4 * tensor;
     let mut mask = vec![false; 8];
     mask[5] = true;
 
-    let (second, admitted) = admit_twice(burst, |c| {
+    let (second, admitted_bytes) = admit_twice(burst, |c| {
         c.checkpoint_delta("admit", &mask).map(|r| r.pulled_bytes)
     });
-    // The first delta had no previous version, so it pulled everything
-    // — but it is charged the mask, the client's declared intent.
-    assert_eq!(second.expect("a sparse delta fits the burst"), tensor);
-    assert_eq!(admitted, 2 * tensor);
+    assert!(
+        matches!(second, Err(PortusError::Throttled { .. })),
+        "a first delta pulls the session and overdraws the burst: {second:?}"
+    );
+    assert_eq!(admitted_bytes, session);
 
-    let (second, admitted) = admit_twice(burst, |c| c.checkpoint("admit").map(|r| r.bytes));
+    let (second, admitted_bytes) = admit_twice(burst, |c| c.checkpoint("admit").map(|r| r.bytes));
     assert!(
         matches!(second, Err(PortusError::Throttled { .. })),
         "a full checkpoint overdraws the burst: {second:?}"
     );
-    assert_eq!(admitted, session);
+    assert_eq!(admitted_bytes, session);
+
+    // Unlimited, so every request is admitted: each is charged exactly
+    // what it pulled.
+    let (daemon, client, mut model) = admission_world(None);
+    let full = client.checkpoint("admit").unwrap();
+    assert_eq!(admitted(&client), full.bytes);
+    model.take_dirty();
+    let mut charged = Vec::new();
+    for touched in [vec![5], vec![5], vec![5, 6], vec![0]] {
+        model.train_step_sparse(&touched);
+        let dirty = model.take_dirty();
+        let before = admitted(&client);
+        let r = client.checkpoint_delta("admit", &dirty).unwrap();
+        assert_eq!(admitted(&client) - before, r.pulled_bytes, "{touched:?}");
+        charged.push(r.pulled_bytes);
+    }
+    // Everything, then {5}, then {5, 6}, then {0} and the previous 5, 6.
+    assert_eq!(charged, [session, tensor, 2 * tensor, 3 * tensor]);
+    drop(client);
+    daemon.shutdown();
 }
 
 /// The antagonist-vs-polite harness: `rounds` polite checkpoints, each

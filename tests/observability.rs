@@ -98,8 +98,9 @@ fn spans_cover_every_stage_of_each_operation() {
             "delta missing {stage}"
         );
     }
-    // The half-clean dirty mask carries two tensors device-locally.
-    assert!(has(TraceOp::DeltaCheckpoint, Stage::CarryCopy));
+    // Every byte a checkpoint writes arrives by posted READ: no stage
+    // copies on the CPU, whatever the mask.
+    assert!(!spans.iter().any(|s| s.stage == Stage::CarryCopy));
     // Restores verify, push, and flip nothing.
     for stage in [
         Stage::Rpc,
@@ -258,45 +259,10 @@ fn restore_validate_span_precedes_the_checksum_pass() {
     );
 }
 
-/// A delta's carry-overs are device-local copies that finish before any
-/// WQE is posted; its `CarryCopy` span must therefore end at or before
-/// the first `DoorbellPost` begins.
-#[test]
-fn carry_copy_span_completes_before_the_doorbell() {
-    let w = world();
-    w.ctx.tracer.enable();
-    let client = PortusClient::connect(&w.daemon, w.fabric.nic(NodeId(0)).unwrap());
-    let spec = test_spec("carry", 4, 64 * 1024);
-    let mut model = ModelInstance::materialize(&spec, &w.gpu, 13, Materialization::Owned).unwrap();
-    client.register_model(&model).unwrap();
-    model.train_step();
-    client.checkpoint("carry").unwrap();
-    model.train_step();
-    client
-        .checkpoint_delta("carry", &[true, false, true, false])
-        .unwrap();
-
-    let spans = w.ctx.tracer.spans();
-    let carry = spans
-        .iter()
-        .find(|s| s.op == TraceOp::DeltaCheckpoint && s.stage == Stage::CarryCopy)
-        .expect("delta missing CarryCopy");
-    let first_doorbell = spans
-        .iter()
-        .filter(|s| s.op == TraceOp::DeltaCheckpoint && s.stage == Stage::DoorbellPost)
-        .map(|s| s.start)
-        .min()
-        .expect("delta missing DoorbellPost");
-    assert!(
-        carry.end <= first_doorbell,
-        "carry-overs are charged before the posted pulls"
-    );
-}
-
 /// A delta that dies on the datapath records only the stages it truly
-/// finished: the completed carry loop keeps its `CarryCopy` span, but
-/// no `Persist`/`Checksum`/`HeaderFlip`/`Total` may appear for the
-/// failed request.
+/// finished: validation, WQE build and the (failed) doorbell keep their
+/// spans, but no `Persist`/`Checksum`/`HeaderFlip`/`Total` may appear
+/// for the failed request.
 #[test]
 fn failed_delta_records_only_completed_stages() {
     let w = world_cfg(DaemonConfig {
@@ -325,10 +291,8 @@ fn failed_delta_records_only_completed_stages() {
             .any(|s| s.op == TraceOp::DeltaCheckpoint && s.stage == stage)
     };
     assert!(has(Stage::Validate));
-    assert!(
-        has(Stage::CarryCopy),
-        "the carry loop did run to completion"
-    );
+    assert!(has(Stage::WqeBuild));
+    assert!(has(Stage::DoorbellPost), "the pulls were posted");
     assert!(!has(Stage::Persist), "failed delta never persisted");
     assert!(!has(Stage::HeaderFlip), "failed delta never flipped");
     assert!(!has(Stage::Total), "failed requests record no Total");

@@ -157,20 +157,23 @@ fn collapsed_slot_survives_safe_repack_and_is_reused() {
     client.register_model(&model).unwrap();
     model.train_step();
     client.checkpoint("collapse").unwrap();
-    model.train_step();
-    client.checkpoint("collapse").unwrap();
+    model.take_dirty();
+    // Delta v2 lands in the empty slot and pulls every tensor.
+    model.train_step_sparse(&[0, 2]);
+    let dirty = model.take_dirty();
+    client.checkpoint_delta("collapse", &dirty).unwrap();
 
     // Delta v3 targets the slot holding Done v1. Dirty tensors 0 and 2
-    // become two non-adjacent pull runs; fail the second verb so run 1
-    // lands data in the slot (collapse, not revert) and the delta dies.
+    // become two non-adjacent pull runs (1 and 3 stay in place); fail
+    // the second verb so run 1 lands data in the slot (collapse, not
+    // revert) and the delta dies.
     let index = w.daemon.index();
     let (_, off) = index.live_entries().unwrap()[0];
     let target = index.load_mindex(off).unwrap().target_slot();
     w.fabric.arm_faults(NodeId(1), FaultSpec::Nth(2)).unwrap();
-    model.train_step();
-    let err = client
-        .checkpoint_delta("collapse", &[true, false, true, false])
-        .unwrap_err();
+    model.train_step_sparse(&[0, 2]);
+    let dirty = model.take_dirty();
+    let err = client.checkpoint_delta("collapse", &dirty).unwrap_err();
     assert!(
         matches!(err, PortusError::DatapathFailed { .. }),
         "got {err}"

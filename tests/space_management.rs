@@ -168,17 +168,19 @@ fn version_numbers_stay_monotone_across_a_collapsed_checkpoint() {
     client.register_model(&model).unwrap();
     model.train_step();
     client.checkpoint("mono").unwrap();
-    model.train_step();
-    client.checkpoint("mono").unwrap();
+    model.take_dirty();
+    // Delta v2 lands in the empty slot and pulls every tensor.
+    model.train_step_sparse(&[0, 2]);
+    let dirty = model.take_dirty();
+    client.checkpoint_delta("mono", &dirty).unwrap();
 
-    // Delta v3 lands partial data (first of two pull runs) and dies:
-    // the target slot collapses but keeps version 3 as a high-water
-    // mark.
+    // Delta v3 lands on v1 and pulls tensors 0 and 2 as two runs. It
+    // lands partial data (the first run) and dies: the target slot
+    // collapses but keeps version 3 as a high-water mark.
     w.fabric.arm_faults(NodeId(1), FaultSpec::Nth(2)).unwrap();
-    model.train_step();
-    let err = client
-        .checkpoint_delta("mono", &[true, false, true, false])
-        .unwrap_err();
+    model.train_step_sparse(&[0, 2]);
+    let dirty = model.take_dirty();
+    let err = client.checkpoint_delta("mono", &dirty).unwrap_err();
     assert!(
         matches!(err, PortusError::DatapathFailed { .. }),
         "got {err}"

@@ -22,7 +22,7 @@ use portus_rdma::{Access, ControlChannel, MemoryRegion, Nic, QueuePair, RegionTa
 use portus_sim::{MetricsSnapshot, SimContext, SimDuration, SimTime, SpanRecord, Stage, TraceOp};
 
 use crate::daemon::{ClientEndpoints, PortusDaemon};
-use crate::proto::{checkpoint_op, ModelSummary, Reply, Request, TensorDesc};
+use crate::proto::{checkpoint_op, Done, ModelSummary, Reply, Request, TensorDesc};
 use crate::{PortusError, PortusResult};
 
 /// Result of one completed checkpoint operation.
@@ -89,7 +89,7 @@ pub struct PortusClient {
     _qp: QueuePair,
     _extra_qps: Vec<QueuePair>,
     next_req: AtomicU64,
-    pending: Mutex<HashMap<u64, Reply>>,
+    pending: Mutex<HashMap<u64, PortusResult<Done>>>,
     recv_gate: Mutex<()>,
     registered: Mutex<HashMap<String, Vec<Arc<MemoryRegion>>>>,
     inflight: Mutex<HashMap<String, PendingCheckpoint>>,
@@ -161,9 +161,10 @@ impl PortusClient {
         });
     }
 
-    /// Demultiplexes replies: returns the reply for `req_id`, parking
-    /// any others for their waiters.
-    fn wait_reply(&self, req_id: u64) -> PortusResult<Reply> {
+    /// Demultiplexes replies: returns the daemon's result for
+    /// `req_id`, parking any others for their waiters. The outer error
+    /// is the channel's: no reply arrived.
+    fn wait_reply(&self, req_id: u64) -> PortusResult<PortusResult<Done>> {
         loop {
             if let Some(r) = self.pending.lock().remove(&req_id) {
                 return Ok(r);
@@ -175,46 +176,10 @@ impl PortusClient {
                 return Ok(r);
             }
             let reply = self.replies.recv()?;
-            if reply.req_id() == req_id {
-                return Ok(reply);
+            if reply.req_id == req_id {
+                return Ok(reply.result);
             }
-            self.pending.lock().insert(reply.req_id(), reply);
-        }
-    }
-
-    fn expect_ok(reply: Reply) -> PortusResult<Reply> {
-        match reply {
-            Reply::Error { message, .. } => Err(PortusError::Daemon(message)),
-            // Rebuild the typed datapath error so callers can match on
-            // it and read the per-tensor attribution / retry counts.
-            Reply::DatapathFailed {
-                model,
-                op,
-                failures,
-                ..
-            } => Err(PortusError::DatapathFailed {
-                model,
-                op,
-                failures,
-            }),
-            Reply::OutOfSpace {
-                needed,
-                free,
-                largest_extent,
-                ..
-            } => Err(PortusError::OutOfSpace {
-                needed,
-                free,
-                largest_extent,
-            }),
-            Reply::Throttled { retry_after_ns, .. } => {
-                Err(PortusError::Throttled { retry_after_ns })
-            }
-            Reply::CatalogFull { capacity, .. } => Err(PortusError::CatalogFull { capacity }),
-            Reply::ChecksumMismatch { model, version, .. } => {
-                Err(PortusError::ChecksumMismatch { model, version })
-            }
-            ok => Ok(ok),
+            self.pending.lock().insert(reply.req_id, reply.result);
         }
     }
 
@@ -243,7 +208,7 @@ impl PortusClient {
             model: model.spec().name.clone(),
             tensors: descs,
         })?;
-        Self::expect_ok(self.wait_reply(req_id)?)?;
+        expect_ack(self.wait_reply(req_id)??, "register")?;
         self.registered
             .lock()
             .insert(model.spec().name.clone(), mrs);
@@ -356,13 +321,12 @@ impl PortusClient {
         self.inflight
             .lock()
             .retain(|m, p| m != model || *p != pending);
-        match Self::expect_ok(outcome?)? {
-            Reply::CheckpointDone {
+        match outcome?? {
+            Done::Checkpoint {
                 version,
                 pulled_bytes,
                 reused_bytes,
                 elapsed,
-                ..
             } => Ok(DeltaReport {
                 model: model.to_string(),
                 version,
@@ -371,9 +335,7 @@ impl PortusClient {
                 reused_bytes,
                 elapsed,
             }),
-            other => Err(PortusError::Daemon(format!(
-                "unexpected reply to {op}: {other:?}"
-            ))),
+            other => Err(unexpected(op, other)),
         }
     }
 
@@ -410,8 +372,9 @@ impl PortusClient {
     ///
     /// # Errors
     ///
-    /// [`PortusError::Daemon`] wrapping `NoValidCheckpoint`, checksum
-    /// failures, or structure mismatches.
+    /// [`PortusError::NoValidCheckpoint`] if nothing durable exists,
+    /// [`PortusError::ChecksumMismatch`], or
+    /// [`PortusError::StructureMismatch`].
     pub fn restore(&self, model: &ModelInstance) -> PortusResult<RestoreReport> {
         self.restore_version(model, None)
     }
@@ -447,30 +410,26 @@ impl PortusClient {
             tensors: descs,
             version,
         })?;
-        let raw = self.wait_reply(req_id);
-        if raw.is_ok() {
+        let outcome = self.wait_reply(req_id);
+        if outcome.is_ok() {
             self.record_rpc(req_id, TraceOp::Restore, &model.spec().name, sent);
         }
-        let reply = raw.and_then(Self::expect_ok);
         // Restore registrations are transient; drop them either way.
         for mr in &mrs {
             self.nic.deregister(mr.rkey());
         }
-        match reply? {
-            Reply::RestoreDone {
+        match outcome?? {
+            Done::Restore {
                 version,
                 bytes,
                 elapsed,
-                ..
             } => Ok(RestoreReport {
                 model: model.spec().name.clone(),
                 version,
                 bytes,
                 elapsed,
             }),
-            other => Err(PortusError::Daemon(format!(
-                "unexpected reply to restore: {other:?}"
-            ))),
+            other => Err(unexpected("restore", other)),
         }
     }
 
@@ -486,8 +445,7 @@ impl PortusClient {
             req_id,
             model: model.to_string(),
         })?;
-        Self::expect_ok(self.wait_reply(req_id)?)?;
-        Ok(())
+        expect_ack(self.wait_reply(req_id)??, "mark-complete")
     }
 
     /// Drops the model from the daemon and deregisters its regions.
@@ -501,7 +459,7 @@ impl PortusClient {
             req_id,
             model: model.to_string(),
         })?;
-        Self::expect_ok(self.wait_reply(req_id)?)?;
+        expect_ack(self.wait_reply(req_id)??, "drop")?;
         if let Some(mrs) = self.registered.lock().remove(model) {
             for mr in mrs {
                 self.nic.deregister(mr.rkey());
@@ -518,11 +476,9 @@ impl PortusClient {
     pub fn list_models(&self) -> PortusResult<Vec<ModelSummary>> {
         let req_id = self.fresh_id();
         self.requests.send(Request::List { req_id })?;
-        match Self::expect_ok(self.wait_reply(req_id)?)? {
-            Reply::Models { models, .. } => Ok(models),
-            other => Err(PortusError::Daemon(format!(
-                "unexpected reply to list: {other:?}"
-            ))),
+        match self.wait_reply(req_id)?? {
+            Done::Models(models) => Ok(models),
+            other => Err(unexpected("list", other)),
         }
     }
 
@@ -535,11 +491,9 @@ impl PortusClient {
     pub fn stats(&self) -> PortusResult<MetricsSnapshot> {
         let req_id = self.fresh_id();
         self.requests.send(Request::Stats { req_id })?;
-        match Self::expect_ok(self.wait_reply(req_id)?)? {
-            Reply::Stats { metrics, .. } => Ok(*metrics),
-            other => Err(PortusError::Daemon(format!(
-                "unexpected reply to stats: {other:?}"
-            ))),
+        match self.wait_reply(req_id)?? {
+            Done::Stats(metrics) => Ok(*metrics),
+            other => Err(unexpected("stats", other)),
         }
     }
 
@@ -564,4 +518,18 @@ fn full_report(d: DeltaReport) -> CheckpointReport {
         bytes: d.pulled_bytes,
         elapsed: d.elapsed,
     }
+}
+
+/// Checks that a control-plane request was acknowledged.
+fn expect_ack(done: Done, op: &str) -> PortusResult<()> {
+    match done {
+        Done::Ack => Ok(()),
+        other => Err(unexpected(op, other)),
+    }
+}
+
+/// A protocol error: the daemon answered `op` with another request's
+/// outcome.
+fn unexpected(op: impl std::fmt::Display, done: Done) -> PortusError {
+    PortusError::Daemon(format!("unexpected reply to {op}: {done:?}"))
 }

@@ -44,7 +44,7 @@
 //! each connection carries a tenant identity
 //! ([`PortusDaemon::accept_as`]), checkpoint traffic passes per-tenant
 //! token buckets before it may queue (over budget → typed
-//! [`Reply::Throttled`] with a `retry_after` hint), and the dispatch
+//! [`PortusError::Throttled`] with a `retry_after` hint), and the dispatch
 //! pool runs two classes so restores overtake queued checkpoints.
 
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -62,7 +62,7 @@ use portus_rdma::{
 use portus_sim::{Metrics, Resource, SimContext, SimDuration, SimTime, SpanRecord, Stage, TraceOp};
 
 use crate::index::SlotPiece;
-use crate::proto::{checkpoint_op, ModelSummary, Reply, Request, TensorDesc};
+use crate::proto::{checkpoint_op, Done, ModelSummary, Reply, Request, TensorDesc};
 use crate::qos::{QosConfig, QosState};
 use crate::{
     Index, MIndex, ModelMap, PortusError, PortusResult, SlotHeader, SlotState, VerbFailure,
@@ -70,11 +70,11 @@ use crate::{
 
 /// How long (host wall clock — queueing charges no virtual time) a
 /// checkpoint dispatch may wait for space on a full normal queue before
-/// it is shed with [`Reply::Throttled`]. Generous, so a briefly-full
+/// it is shed with [`PortusError::Throttled`]. Generous, so a briefly-full
 /// queue still backpressures rather than sheds.
 const SHED_WAIT: Duration = Duration::from_millis(500);
 
-/// The `retry_after` hint carried by a queue-shed [`Reply::Throttled`]
+/// The `retry_after` hint carried by a queue-shed [`PortusError::Throttled`]
 /// (virtual time; admission sheds compute the token bucket's exact
 /// deficit instead).
 const SHED_RETRY_AFTER: SimDuration = SimDuration::from_millis(1);
@@ -98,7 +98,7 @@ pub struct DaemonConfig {
     /// traffic): at most this many requests wait for a worker. Once
     /// full, a further checkpoint dispatch waits up to 500 ms of host
     /// time for space and is then **shed** with a typed
-    /// [`Reply::Throttled`] — overload is surfaced to the
+    /// [`PortusError::Throttled`] — overload is surfaced to the
     /// client instead of silently blocking the connection thread.
     /// Restores and control-plane requests ride the urgent class and
     /// are never shed. Current depth, high-water mark, and this
@@ -206,7 +206,7 @@ struct QueueInner {
 /// jobs. A full normal queue backpressures the dispatching connection
 /// thread for a bounded wait, then **sheds** the job back to the caller
 /// ([`DispatchOutcome::Shed`]) so overload turns into a typed
-/// [`Reply::Throttled`] instead of an indefinitely blocked connection.
+/// [`PortusError::Throttled`] instead of an indefinitely blocked connection.
 /// Queue depth and its high-water mark are exported as gauges on the
 /// shared [`Metrics`].
 struct Dispatcher {
@@ -391,7 +391,7 @@ pub(crate) struct DaemonState {
     repack_seq: AtomicU64,
     /// Per-model delta lineage, keyed by MIndex offset: at most one
     /// small record per model, DRAM only. A restart forgets it and the
-    /// next delta of each model copies every clean tensor.
+    /// next delta of each model pulls every tensor.
     lineage: Mutex<HashMap<u64, Lineage>>,
 }
 
@@ -811,9 +811,11 @@ fn serve(
             let now = state.ctx.clock.now();
             if let Err(wait) = state.qos.admit(&tenant, bytes, now) {
                 metrics.tenant_throttled(&tenant);
-                let _ = replies.send(Reply::Throttled {
+                let _ = replies.send(Reply {
                     req_id: req.req_id().unwrap_or(0),
-                    retry_after_ns: wait.as_nanos(),
+                    result: Err(PortusError::Throttled {
+                        retry_after_ns: wait.as_nanos(),
+                    }),
                 });
                 continue;
             }
@@ -849,7 +851,7 @@ fn serve(
                     let sc = SpanCtx::new(&state.ctx, *req_id, *op, model);
                     sc.record_now(Stage::DispatchWait, enqueued);
                 }
-                let reply = catch_handler_panic(req_id, || handle_request(&state, &pool, req));
+                let result = catch_handler_panic(|| handle_request(&state, &pool, req));
                 state.in_flight.fetch_sub(1, Ordering::Relaxed);
                 // Per-tenant end-to-end latency (dispatch wait included
                 // — exactly what a tenant experiences).
@@ -861,7 +863,7 @@ fn serve(
                     );
                 }
                 // The client may already be gone; nothing to do then.
-                let _ = replies.send(reply);
+                let _ = replies.send(Reply { req_id, result });
             }
         });
         // Checkpoints shed after the bounded wait; a restore demoted to
@@ -873,9 +875,11 @@ fn serve(
             DispatchOutcome::Shed(job) => {
                 drop(job);
                 state.ctx.metrics.tenant_shed(&tenant);
-                let _ = replies.send(Reply::Throttled {
+                let _ = replies.send(Reply {
                     req_id,
-                    retry_after_ns: SHED_RETRY_AFTER.as_nanos(),
+                    result: Err(PortusError::Throttled {
+                        retry_after_ns: SHED_RETRY_AFTER.as_nanos(),
+                    }),
                 });
             }
             // The pool is draining (shutdown raced a late request); run
@@ -885,135 +889,73 @@ fn serve(
     }
 }
 
-/// Maps a handler error onto the wire. Datapath failures keep their
-/// structure (model, op, per-WQE tensor attribution and retry counts)
-/// so the client can rebuild the typed
-/// [`PortusError::DatapathFailed`]; everything else is rendered into
-/// [`Reply::Error`].
-fn error_reply(req_id: u64, e: PortusError) -> Reply {
-    match e {
-        PortusError::DatapathFailed {
-            model,
-            op,
-            failures,
-        } => Reply::DatapathFailed {
-            req_id,
-            model,
-            op,
-            failures,
-        },
-        PortusError::OutOfSpace {
-            needed,
-            free,
-            largest_extent,
-        } => Reply::OutOfSpace {
-            req_id,
-            needed,
-            free,
-            largest_extent,
-        },
-        PortusError::CatalogFull { capacity } => Reply::CatalogFull { req_id, capacity },
-        PortusError::ChecksumMismatch { model, version } => Reply::ChecksumMismatch {
-            req_id,
-            model,
-            version,
-        },
-        other => Reply::Error {
-            req_id,
-            message: other.to_string(),
-        },
-    }
-}
-
-/// Runs `handler`, the reply to request `req_id`. A panic in it becomes
-/// a [`Reply::Error`] for that request, so the dispatch worker lives on
-/// and the client gets an answer instead of waiting forever. The model
-/// locks do not poison; a slot the handler left `Active` is what a crash
-/// mid-checkpoint leaves, and the next checkpoint of the model targets
-/// it again.
-fn catch_handler_panic(req_id: u64, handler: impl FnOnce() -> Reply) -> Reply {
+/// Runs `handler`, a request's handler. A panic in it becomes a
+/// [`PortusError::Daemon`] for that request, so the dispatch worker
+/// lives on and the client gets an answer instead of waiting forever.
+/// The model locks do not poison; a slot the handler left `Active` is
+/// what a crash mid-checkpoint leaves, and the next checkpoint of the
+/// model targets it again.
+fn catch_handler_panic(handler: impl FnOnce() -> PortusResult<Done>) -> PortusResult<Done> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(handler)).unwrap_or_else(|panic| {
         let what = panic
             .downcast_ref::<&str>()
             .map(|s| s.to_string())
             .or_else(|| panic.downcast_ref::<String>().cloned())
             .unwrap_or_default();
-        Reply::Error {
-            req_id,
-            message: format!("request handler panicked: {what}"),
-        }
+        Err(PortusError::Daemon(format!(
+            "request handler panicked: {what}"
+        )))
     })
 }
 
-/// Executes one request against the daemon state and builds its reply.
-fn handle_request(state: &DaemonState, pool: &QpPool, req: Request) -> Reply {
+/// Executes one request against the daemon state.
+fn handle_request(state: &DaemonState, pool: &QpPool, req: Request) -> PortusResult<Done> {
     match req {
         // The connection thread consumes Disconnect; answer defensively
         // if one is ever routed here.
-        Request::Disconnect => Reply::Error {
-            req_id: 0,
-            message: "disconnect is handled by the connection thread".to_string(),
-        },
-        Request::Register {
-            req_id,
-            model,
-            tensors,
-        } => match state.register(&model, tensors) {
-            Ok(()) => Reply::Registered {
-                req_id,
-                slots: crate::SLOT_COUNT as u8,
-            },
-            Err(e) => error_reply(req_id, e),
-        },
+        Request::Disconnect => Err(PortusError::Daemon(
+            "disconnect is handled by the connection thread".to_string(),
+        )),
+        Request::Register { model, tensors, .. } => {
+            state.register(&model, tensors).map(|()| Done::Ack)
+        }
         Request::Checkpoint {
             req_id,
             model,
             dirty,
-        } => match state.delta_checkpoint(pool, &model, dirty.as_deref(), req_id) {
-            Ok((version, [pulled_bytes, reused_bytes], elapsed)) => Reply::CheckpointDone {
-                req_id,
+        } => {
+            let (version, [pulled_bytes, reused_bytes], elapsed) =
+                state.delta_checkpoint(pool, &model, dirty.as_deref(), req_id)?;
+            Ok(Done::Checkpoint {
                 version,
                 pulled_bytes,
                 reused_bytes,
                 elapsed,
-            },
-            Err(e) => error_reply(req_id, e),
-        },
+            })
+        }
         Request::Restore {
             req_id,
             model,
             tensors,
             version,
-        } => match state.restore(pool, &model, &tensors, version, req_id) {
-            Ok((version, bytes, elapsed)) => Reply::RestoreDone {
-                req_id,
+        } => {
+            let (version, bytes, elapsed) =
+                state.restore(pool, &model, &tensors, version, req_id)?;
+            Ok(Done::Restore {
                 version,
                 bytes,
                 elapsed,
-            },
-            Err(e) => error_reply(req_id, e),
-        },
-        Request::MarkComplete { req_id, model } => match state.mark_complete(&model) {
-            Ok(()) => Reply::Completed { req_id },
-            Err(e) => error_reply(req_id, e),
-        },
-        Request::Drop { req_id, model } => match state.drop_model(&model) {
-            Ok(()) => Reply::Dropped { req_id },
-            Err(e) => error_reply(req_id, e),
-        },
-        Request::List { req_id } => match state.list_models() {
-            Ok(models) => Reply::Models { req_id, models },
-            Err(e) => error_reply(req_id, e),
-        },
-        Request::Stats { req_id } => {
+            })
+        }
+        Request::MarkComplete { model, .. } => state.mark_complete(&model).map(|()| Done::Ack),
+        Request::Drop { model, .. } => state.drop_model(&model).map(|()| Done::Ack),
+        Request::List { .. } => state.list_models().map(Done::Models),
+        Request::Stats { .. } => {
             // Space gauges are refreshed lazily; a stats query must
             // report the allocator's current view, not the last
             // repack's.
             state.refresh_space_gauges();
-            Reply::Stats {
-                req_id,
-                metrics: Box::new(state.ctx.metrics.snapshot()),
-            }
+            Ok(Done::Stats(Box::new(state.ctx.metrics.snapshot())))
         }
     }
 }
@@ -2280,7 +2222,7 @@ mod tests {
         );
     }
 
-    /// A handler panic on a pool job turns into an error reply for its
+    /// A handler panic on a pool job turns into a typed error for its
     /// request, and the (only) dispatch worker goes on to run the next
     /// job.
     #[test]
@@ -2290,13 +2232,13 @@ mod tests {
         for (req_id, panics) in [(7u64, true), (8, false)] {
             let tx = tx.clone();
             let job: Job = Box::new(move || {
-                let reply = catch_handler_panic(req_id, || {
+                let result = catch_handler_panic(|| {
                     if panics {
                         panic!("handler {req_id} failed");
                     }
-                    Reply::Completed { req_id }
+                    Ok(Done::Ack)
                 });
-                tx.send(reply).unwrap();
+                tx.send(Reply { req_id, result }).unwrap();
             });
             assert!(matches!(
                 dispatcher.dispatch(job, JobClass::Urgent, None),
@@ -2305,16 +2247,19 @@ mod tests {
         }
         let wait = Duration::from_secs(10);
         match rx.recv_timeout(wait).unwrap() {
-            Reply::Error { req_id, message } => {
-                assert_eq!(req_id, 7);
-                assert!(message.contains("handler 7 failed"), "got: {message}");
-            }
-            other => panic!("expected an error reply, got {other:?}"),
+            Reply {
+                req_id: 7,
+                result: Err(PortusError::Daemon(message)),
+            } => assert!(message.contains("handler 7 failed"), "got: {message}"),
+            other => panic!("expected a Daemon error for request 7, got {other:?}"),
         }
-        assert_eq!(
+        assert!(matches!(
             rx.recv_timeout(wait).unwrap(),
-            Reply::Completed { req_id: 8 }
-        );
+            Reply {
+                req_id: 8,
+                result: Ok(Done::Ack),
+            }
+        ));
         dispatcher.shutdown();
     }
 }

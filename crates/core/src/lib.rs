@@ -88,7 +88,7 @@ pub use index::{
     combine_digests, name_hash, region_digest, Index, MIndex, SlotHeader, SlotState, TensorRecord,
     FLAG_JOB_COMPLETE, SLOT_COUNT,
 };
-pub use proto::{ModelSummary, Reply, Request, TensorDesc};
+pub use proto::{Done, ModelSummary, Reply, Request, TensorDesc};
 pub use qos::{QosConfig, TenantQos, TokenBucket};
 pub use repack::{repack, RepackReport};
 pub use replica::{ReplicatedCheckpoint, ReplicatedClient};

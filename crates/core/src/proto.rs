@@ -12,6 +12,8 @@ use portus_dnn::{DType, GpuTensor, TensorMeta};
 use portus_rdma::MemoryRegion;
 use portus_sim::{MetricsSnapshot, SimDuration, TraceOp};
 
+use crate::PortusResult;
+
 /// One tensor's registration: its metadata plus the remote key of the
 /// GPU memory region holding it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,9 +63,9 @@ pub enum Request {
         tensors: Vec<TensorDesc>,
     },
     /// `DO_CHECKPOINT`: pull the model's tensors into PMem. With a
-    /// dirty mask only the flagged tensors are pulled and the rest are
-    /// carried over from the previous complete version with a
-    /// device-local copy (a Check-N-Run-style extension; see DESIGN.md).
+    /// dirty mask, clean tensors the target slot already holds stay in
+    /// place and everything else is pulled (a Check-N-Run-style
+    /// extension; see DESIGN.md).
     Checkpoint {
         /// Request id for reply matching.
         req_id: u64,
@@ -164,20 +166,26 @@ pub struct ModelSummary {
     pub complete: bool,
 }
 
-/// Daemon → client messages.
+/// Daemon → client message: the answer to one request. The handler's
+/// own [`PortusResult`] crosses the channel as is, so every daemon-side
+/// error reaches the caller as its own [`crate::PortusError`] variant.
+/// A typed payload costs nothing on the wire: the control channel
+/// charges one fixed small-message cost per send, whatever it carries.
+#[derive(Debug)]
+pub struct Reply {
+    /// Echoed request id.
+    pub req_id: u64,
+    /// The request's outcome.
+    pub result: PortusResult<Done>,
+}
+
+/// A request's successful outcome.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Reply {
-    /// Registration accepted.
-    Registered {
-        /// Echoed request id.
-        req_id: u64,
-        /// Number of on-PMem checkpoint slots (the double mapping: 2).
-        slots: u8,
-    },
+pub enum Done {
+    /// Register, MarkComplete or Drop accepted.
+    Ack,
     /// A checkpoint version is complete and durable.
-    CheckpointDone {
-        /// Echoed request id.
-        req_id: u64,
+    Checkpoint {
         /// The new version number.
         version: u64,
         /// Bytes pulled over the fabric (every tensor without a mask).
@@ -188,9 +196,7 @@ pub enum Reply {
         elapsed: SimDuration,
     },
     /// The model has been written back to GPU memory.
-    RestoreDone {
-        /// Echoed request id.
-        req_id: u64,
+    Restore {
         /// The version that was restored.
         version: u64,
         /// Payload bytes pushed.
@@ -198,119 +204,13 @@ pub enum Reply {
         /// Daemon-side virtual time for the operation.
         elapsed: SimDuration,
     },
-    /// MarkComplete acknowledged.
-    Completed {
-        /// Echoed request id.
-        req_id: u64,
-    },
-    /// Drop acknowledged.
-    Dropped {
-        /// Echoed request id.
-        req_id: u64,
-    },
-    /// Listing result.
-    Models {
-        /// Echoed request id.
-        req_id: u64,
-        /// Stored models.
-        models: Vec<ModelSummary>,
-    },
-    /// Observability snapshot: per-stage latency histograms plus the
-    /// dispatch-queue gauges, all keyed to the virtual clock.
-    Stats {
-        /// Echoed request id.
-        req_id: u64,
-        /// The daemon's metrics at the time of the request (boxed: the
-        /// snapshot dwarfs every other reply variant).
-        metrics: Box<MetricsSnapshot>,
-    },
-    /// The request failed; human-readable reason.
-    Error {
-        /// Echoed request id.
-        req_id: u64,
-        /// What went wrong.
-        message: String,
-    },
-    /// The request failed on the datapath: one or more WQEs exhausted
-    /// their retries. Structured so the client can surface per-tensor
-    /// attribution ([`crate::PortusError::DatapathFailed`]); the daemon
-    /// has already rolled the target slot back.
-    DatapathFailed {
-        /// Echoed request id.
-        req_id: u64,
-        /// The model whose operation failed.
-        model: String,
-        /// Which operation was in flight.
-        op: String,
-        /// The work requests that stayed failed.
-        failures: Vec<crate::VerbFailure>,
-    },
-    /// The request was shed by admission control (token bucket over
-    /// budget) or by a dispatch queue that stayed full past the shed
-    /// wait. Typed overload: the client rebuilds
-    /// [`crate::PortusError::Throttled`] and may honor the retry hint.
-    Throttled {
-        /// Echoed request id.
-        req_id: u64,
-        /// Virtual nanoseconds the daemon suggests waiting before a
-        /// retry (the token bucket's exact deficit, or the configured
-        /// queue-shed hint).
-        retry_after_ns: u64,
-    },
-    /// The request failed because the device cannot hold the checkpoint
-    /// even after the daemon's automatic repack-and-retry. Structured so
-    /// the client can rebuild [`crate::PortusError::OutOfSpace`].
-    OutOfSpace {
-        /// Echoed request id.
-        req_id: u64,
-        /// Bytes the failed allocation asked for.
-        needed: u64,
-        /// Total free bytes at the time of failure.
-        free: u64,
-        /// Largest contiguous free extent at the time of failure.
-        largest_extent: u64,
-    },
-    /// The request failed because every ModelTable entry is live — the
-    /// model catalog has no free slot for a new name. Structured so the
-    /// client can rebuild [`crate::PortusError::CatalogFull`].
-    CatalogFull {
-        /// Echoed request id.
-        req_id: u64,
-        /// Total entries the ModelTable was formatted with.
-        capacity: u32,
-    },
-    /// A restore found the stored version's bytes do not match the
-    /// digest it was sealed with. Structured so the client can rebuild
-    /// [`crate::PortusError::ChecksumMismatch`].
-    ChecksumMismatch {
-        /// Echoed request id.
-        req_id: u64,
-        /// The model.
-        model: String,
-        /// The version whose data failed verification.
-        version: u64,
-    },
-}
-
-impl Reply {
-    /// The request id this reply answers.
-    pub fn req_id(&self) -> u64 {
-        match self {
-            Reply::Registered { req_id, .. }
-            | Reply::CheckpointDone { req_id, .. }
-            | Reply::RestoreDone { req_id, .. }
-            | Reply::Completed { req_id }
-            | Reply::Dropped { req_id }
-            | Reply::Models { req_id, .. }
-            | Reply::Stats { req_id, .. }
-            | Reply::Error { req_id, .. }
-            | Reply::DatapathFailed { req_id, .. }
-            | Reply::Throttled { req_id, .. }
-            | Reply::OutOfSpace { req_id, .. }
-            | Reply::CatalogFull { req_id, .. }
-            | Reply::ChecksumMismatch { req_id, .. } => *req_id,
-        }
-    }
+    /// The stored models, for [`Request::List`].
+    Models(Vec<ModelSummary>),
+    /// The daemon's observability snapshot, for [`Request::Stats`]:
+    /// per-stage latency histograms plus the dispatch-queue gauges, all
+    /// keyed to the virtual clock (boxed: it dwarfs every other
+    /// outcome).
+    Stats(Box<MetricsSnapshot>),
 }
 
 #[cfg(test)]
@@ -327,31 +227,6 @@ mod tests {
         };
         assert_eq!(d.size_bytes(), 512 * 1024 * 4);
         assert_eq!(d.meta().name, "w");
-    }
-
-    #[test]
-    fn reply_req_id_extraction() {
-        let r = Reply::CheckpointDone {
-            req_id: 42,
-            version: 1,
-            pulled_bytes: 10,
-            reused_bytes: 0,
-            elapsed: SimDuration::ZERO,
-        };
-        assert_eq!(r.req_id(), 42);
-        assert_eq!(Reply::Dropped { req_id: 9 }.req_id(), 9);
-        let oos = Reply::OutOfSpace {
-            req_id: 11,
-            needed: 1,
-            free: 0,
-            largest_extent: 0,
-        };
-        assert_eq!(oos.req_id(), 11);
-        let throttled = Reply::Throttled {
-            req_id: 13,
-            retry_after_ns: 1_000_000,
-        };
-        assert_eq!(throttled.req_id(), 13);
     }
 
     #[test]

@@ -315,6 +315,36 @@ mod tests {
         assert_eq!(model.model_checksum(), saved);
     }
 
+    /// A pinned restore skips a replica that no longer holds the
+    /// version, even when that replica advertises the newest one and so
+    /// is tried first.
+    #[test]
+    fn pinned_restore_falls_through_a_replica_that_cycled_the_version_out() {
+        let r = rig(2);
+        let c = client(&r);
+        let spec = test_spec("bert", 4, 4096);
+        let mut model =
+            ModelInstance::materialize(&spec, &r.gpu, 7, Materialization::Owned).expect("model");
+        c.register_model(&model).expect("register");
+        model.train_step();
+        let saved = model.model_checksum();
+        assert_eq!(c.checkpoint("bert").expect("checkpoint").version(), 1);
+        for _ in 0..2 {
+            model.train_step();
+            c.replica(0)
+                .checkpoint("bert")
+                .expect("replica 0 checkpoint");
+        }
+        assert_eq!(c.available_versions("bert"), vec![(0, 3), (1, 1)]);
+
+        model.train_step();
+        let report = c
+            .restore_version(&model, Some(1))
+            .expect("replica 1 still holds v1");
+        assert_eq!(report.version, 1);
+        assert_eq!(model.model_checksum(), saved);
+    }
+
     #[test]
     fn degraded_checkpoint_reports_the_failed_replica() {
         let r = rig(2);

@@ -4,8 +4,6 @@
 //!
 //! * [`Ext4Nvme`] — local ext4 on an NVMe SSD (buffered writes, block
 //!   layer, O_DIRECT + GPUDirect Storage reads);
-//! * [`Ext4Dax`] — ext4-DAX directly on PMem (what the BeeGFS daemon
-//!   stacks on);
 //! * [`Beegfs`] — a distributed file system whose client ships files to
 //!   the storage daemon over two-sided RPC-RDMA, reproducing the
 //!   three-copy / three-kernel-crossing datapath of Fig. 3;
@@ -46,4 +44,4 @@ pub use backend::{FileBackend, ReadBreakdown, WriteBreakdown};
 pub use beegfs::Beegfs;
 pub use checkpointer::{CheckpointBreakdown, RestoreBreakdown, TorchCheckpointer};
 pub use error::{StorageError, StorageResult};
-pub use local::{Ext4Dax, Ext4Nvme};
+pub use local::Ext4Nvme;

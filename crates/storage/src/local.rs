@@ -1,4 +1,4 @@
-//! Local file systems: ext4 on NVMe, and ext4-DAX on PMem.
+//! Local file system: ext4 on NVMe.
 
 use std::collections::HashMap;
 
@@ -7,7 +7,7 @@ use portus_sim::{SimContext, SimDuration};
 
 use crate::{FileBackend, ReadBreakdown, StorageError, StorageResult, WriteBreakdown};
 
-/// Shared in-memory file store for the local backends.
+/// In-memory file store behind [`Ext4Nvme`].
 #[derive(Debug, Default)]
 struct FileStore {
     files: RwLock<HashMap<String, Vec<u8>>>,
@@ -135,82 +135,6 @@ impl FileBackend for Ext4Nvme {
     }
 }
 
-/// ext4-DAX directly on a PMem namespace (what the BeeGFS daemon stacks
-/// on, §V-A): no page cache, no block layer — stores go straight to
-/// media at DAX-write rate.
-#[derive(Debug)]
-pub struct Ext4Dax {
-    ctx: SimContext,
-    capacity: u64,
-    store: FileStore,
-}
-
-impl Ext4Dax {
-    /// Creates an ext4-DAX file system of `capacity` bytes.
-    pub fn new(ctx: SimContext, capacity: u64) -> Ext4Dax {
-        Ext4Dax {
-            ctx,
-            capacity,
-            store: FileStore::default(),
-        }
-    }
-}
-
-impl FileBackend for Ext4Dax {
-    fn label(&self) -> &'static str {
-        "ext4-DAX"
-    }
-
-    fn write_file(&self, path: &str, data: Vec<u8>) -> StorageResult<WriteBreakdown> {
-        let len = data.len() as u64;
-        let ctx = &self.ctx;
-        let metadata = ctx.model.ext4_metadata_op() + ctx.model.kernel_crossing();
-        ctx.charge(metadata);
-        ctx.stats.record_kernel_crossings(1);
-        let persist = ctx.model.dax_write(len) + ctx.model.kernel_crossing();
-        ctx.charge(persist);
-        ctx.stats.record_kernel_crossings(1);
-        ctx.stats.record_copy(len);
-        self.store.insert(path, data, self.capacity)?;
-        Ok(WriteBreakdown {
-            metadata,
-            transmit: SimDuration::ZERO,
-            persist,
-        })
-    }
-
-    fn read_file(&self, path: &str) -> StorageResult<(Vec<u8>, ReadBreakdown)> {
-        let data = self.store.get(path)?;
-        let len = data.len() as u64;
-        let ctx = &self.ctx;
-        let metadata = ctx.model.ext4_metadata_op() + ctx.model.kernel_crossing();
-        let media = ctx.model.dax_read(len) + ctx.model.kernel_crossing();
-        ctx.charge(metadata + media);
-        ctx.stats.record_kernel_crossings(2);
-        ctx.stats.record_copy(len);
-        Ok((
-            data,
-            ReadBreakdown {
-                metadata,
-                transmit: SimDuration::ZERO,
-                media,
-            },
-        ))
-    }
-
-    fn delete(&self, path: &str) -> bool {
-        self.store.remove(path)
-    }
-
-    fn file_size(&self, path: &str) -> Option<u64> {
-        self.store.size(path)
-    }
-
-    fn supports_gds(&self) -> bool {
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,16 +163,6 @@ mod tests {
     }
 
     #[test]
-    fn dax_writes_are_faster_than_nvme() {
-        let ctx = SimContext::icdcs24();
-        let nvme = Ext4Nvme::new(ctx.clone(), 1 << 30);
-        let dax = Ext4Dax::new(ctx, 1 << 30);
-        let n = nvme.write_file("f", vec![0u8; 64 << 20]).unwrap();
-        let d = dax.write_file("f", vec![0u8; 64 << 20]).unwrap();
-        assert!(d.persist < n.persist);
-    }
-
-    #[test]
     fn capacity_is_enforced() {
         let ctx = SimContext::icdcs24();
         let fs = Ext4Nvme::new(ctx, 1024);
@@ -264,7 +178,7 @@ mod tests {
     #[test]
     fn missing_file_errors_and_delete_works() {
         let ctx = SimContext::icdcs24();
-        let fs = Ext4Dax::new(ctx, 1 << 20);
+        let fs = Ext4Nvme::new(ctx, 1 << 20);
         assert!(matches!(
             fs.read_file("nope"),
             Err(StorageError::NotFound(_))

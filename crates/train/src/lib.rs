@@ -326,7 +326,7 @@ impl Trainer {
     ///
     /// # Errors
     ///
-    /// `NoValidCheckpoint` (wrapped by the daemon) if nothing durable
+    /// [`portus::PortusError::NoValidCheckpoint`] if nothing durable
     /// exists, and restore failures.
     pub fn recover(&mut self) -> PortusResult<u64> {
         let target = self.last_durable_step;
@@ -377,8 +377,8 @@ impl Trainer {
     ///
     /// # Errors
     ///
-    /// Restore failures; `NoValidCheckpoint` if `version` is no longer
-    /// on PMem.
+    /// Restore failures; [`portus::PortusError::NoValidCheckpoint`] if
+    /// `version` is no longer on PMem.
     pub fn recover_version_to(
         &mut self,
         version: Option<u64>,

@@ -51,7 +51,7 @@ fn failed_async_checkpoint_surfaces_once_and_never_wedges_the_barrier() {
     // The Fig. 8 barrier must return the failure (not hang, not panic)...
     let err = w.client.guard_update("ghost").unwrap_err();
     assert!(
-        matches!(&err, PortusError::Daemon(m) if m.contains("ghost")),
+        matches!(&err, PortusError::ModelNotFound(m) if m == "ghost"),
         "expected the daemon's not-found error, got: {err}"
     );
 

@@ -72,7 +72,7 @@ fn catalog_daemon_serves_full_lifecycle_with_bounded_dram() {
     assert_eq!(daemon.model_count(), 20);
     assert!(matches!(
         client.restore_version(&model, Some(999)),
-        Err(PortusError::NoValidCheckpoint(_)) | Err(PortusError::Daemon(_))
+        Err(PortusError::NoValidCheckpoint(m)) if m == "cat-model"
     ));
 
     // The catalog owns resolution: its gauges are live and the DRAM

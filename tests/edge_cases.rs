@@ -5,12 +5,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use portus::{
-    ClientEndpoints, DaemonConfig, PortusClient, PortusDaemon, PortusError, Reply, Request,
-    TensorDesc,
+    ClientEndpoints, DaemonConfig, Done, PortusClient, PortusDaemon, PortusError, PortusResult,
+    Request, TensorDesc,
 };
 use portus_dnn::{test_spec, DType, Materialization, ModelInstance, ModelSpec, TensorMeta};
 use portus_mem::GpuDevice;
-use portus_pmem::{PmemDevice, PmemMode};
+use portus_pmem::{PmemDevice, PmemError, PmemMode};
 use portus_rdma::{Fabric, NodeId};
 use portus_sim::SimContext;
 
@@ -188,9 +188,9 @@ fn oversized(name: &str) -> TensorDesc {
     }
 }
 
-/// Sends `req` over a raw connection and returns the daemon's reply,
-/// failing the test if none arrives within 10 s of host time.
-fn raw_reply(raw: &ClientEndpoints, req: Request) -> Reply {
+/// Sends `req` over a raw connection and returns the daemon's result,
+/// failing the test if no reply arrives within 10 s of host time.
+fn raw_reply(raw: &ClientEndpoints, req: Request) -> PortusResult<Done> {
     let req_id = req.req_id().expect("request carries an id");
     raw.requests.send(req).unwrap();
     let reply = raw
@@ -198,15 +198,15 @@ fn raw_reply(raw: &ClientEndpoints, req: Request) -> Reply {
         .recv_timeout(Duration::from_secs(10))
         .unwrap()
         .expect("no reply within 10 s");
-    assert_eq!(reply.req_id(), req_id);
-    reply
+    assert_eq!(reply.req_id, req_id);
+    reply.result
 }
 
 /// The daemon still serves a normal register and checkpoint, and the
 /// raw connection still answers a control-plane request.
 fn assert_daemon_serves(w: &World, raw: &ClientEndpoints) {
     let reply = raw_reply(raw, Request::List { req_id: 99 });
-    assert!(matches!(reply, Reply::Models { .. }), "got: {reply:?}");
+    assert!(matches!(reply, Ok(Done::Models(_))), "got: {reply:?}");
     let client = PortusClient::connect(&w.daemon, w.fabric.nic(NodeId(0)).unwrap());
     let spec = test_spec("normal", 2, 64 * 1024);
     let mut model = ModelInstance::materialize(&spec, &w.gpu, 5, Materialization::Owned).unwrap();
@@ -231,12 +231,10 @@ fn registering_two_oversized_tensors_is_a_typed_error() {
             tensors: vec![oversized("a"), oversized("b")],
         },
     );
-    match &reply {
-        Reply::Error { message, .. } => {
-            assert!(message.contains("structure mismatch"), "got: {message}")
-        }
-        other => panic!("expected a structure-mismatch error, got {other:?}"),
-    }
+    assert!(
+        matches!(&reply, Err(PortusError::StructureMismatch(m)) if m.contains("huge")),
+        "expected a structure-mismatch error, got {reply:?}"
+    );
     assert_daemon_serves(&w, &raw);
 }
 
@@ -253,15 +251,10 @@ fn registering_one_oversized_tensor_is_out_of_space() {
             tensors: vec![oversized("a")],
         },
     );
-    match &reply {
-        Reply::Error { message, .. } => {
-            assert!(
-                message.contains("out of persistent space"),
-                "got: {message}"
-            )
-        }
-        other => panic!("expected an out-of-space error, got {other:?}"),
-    }
+    assert!(
+        matches!(reply, Err(PortusError::Pmem(PmemError::OutOfSpace { .. }))),
+        "expected an out-of-space error, got {reply:?}"
+    );
     // The model's index record allocated before the failure is freed.
     assert_eq!(w.daemon.index().allocator().used_bytes(), used);
     assert_daemon_serves(&w, &raw);
@@ -280,6 +273,9 @@ fn restoring_into_oversized_tensors_is_an_error_not_a_dead_connection() {
             version: None,
         },
     );
-    assert!(matches!(reply, Reply::Error { .. }), "got: {reply:?}");
+    assert!(
+        matches!(&reply, Err(PortusError::ModelNotFound(m)) if m == "huge"),
+        "got: {reply:?}"
+    );
     assert_daemon_serves(&w, &raw);
 }

@@ -99,7 +99,7 @@ fn restore_without_checkpoint_fails_cleanly() {
     client.register_model(&model).unwrap();
     let err = client.restore(&model).unwrap_err();
     assert!(
-        err.to_string().contains("no complete checkpoint"),
+        matches!(&err, PortusError::NoValidCheckpoint(m) if m == "empty"),
         "got: {err}"
     );
 }
@@ -109,8 +109,10 @@ fn unknown_model_checkpoint_fails() {
     let d = deploy(64 << 20);
     let client = d.client();
     let err = client.checkpoint("never-registered").unwrap_err();
-    assert!(matches!(err, PortusError::Daemon(_)));
-    assert!(err.to_string().contains("not found"), "got: {err}");
+    assert!(
+        matches!(&err, PortusError::ModelNotFound(m) if m == "never-registered"),
+        "got: {err}"
+    );
 }
 
 #[test]
@@ -125,7 +127,10 @@ fn reregistration_with_different_structure_is_rejected() {
     let other_spec = test_spec("strict", 5, 8192);
     let other = ModelInstance::materialize(&other_spec, &d.gpu, 1, Materialization::Owned).unwrap();
     let err = client.register_model(&other).unwrap_err();
-    assert!(err.to_string().contains("mismatch"), "got: {err}");
+    assert!(
+        matches!(&err, PortusError::StructureMismatch(m) if m.contains("strict")),
+        "got: {err}"
+    );
 }
 
 #[test]

@@ -51,9 +51,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use portus_pmem::{micropage, typed, PmemAllocator, PmemDevice, PmemError};
+use portus_pmem::{micropage, typed, PmemAllocator, PmemDevice, PmemError, Structure};
 
-use crate::{PortusError, PortusResult};
+use crate::PortusResult;
 
 /// Root-block magic ("CRTL").
 const ROOT_MAGIC: u32 = 0x4352_544C;
@@ -317,26 +317,24 @@ impl Catalog {
     ///
     /// # Errors
     ///
-    /// [`PortusError::Daemon`] on a bad root magic; a
-    /// [`PmemError::Corrupt`] on a root layout version other than the
-    /// current one; device errors.
+    /// [`PmemError::Corrupt`] on a bad root magic or a root layout
+    /// version other than the current one, or from a page header;
+    /// device errors.
     pub(crate) fn recover(
         dev: Arc<PmemDevice>,
         root_ptr_at: u64,
         cfg: &CatalogConfig,
     ) -> PortusResult<Catalog> {
         let root_off = typed::read_u64(&dev, root_ptr_at)?;
-        if typed::read_u32(&dev, root_off)? != ROOT_MAGIC {
-            return Err(PortusError::Daemon(format!(
-                "bad catalog root magic at {root_off:#x}"
-            )));
+        let magic = typed::read_u32(&dev, root_off)?;
+        if magic != ROOT_MAGIC {
+            let what = format!("bad magic {magic:#x}");
+            return Err(PmemError::corrupt(Structure::CatalogRoot, root_off, what).into());
         }
         let version = typed::read_u32(&dev, root_off + 4)?;
         if version != ROOT_VERSION {
-            return Err(PmemError::Corrupt(format!(
-                "catalog root version {version} at {root_off:#x}, expected {ROOT_VERSION}"
-            ))
-            .into());
+            let what = format!("layout version {version}, expected {ROOT_VERSION}");
+            return Err(PmemError::corrupt(Structure::CatalogRoot, root_off + 4, what).into());
         }
         let dir_count = u64::from(typed::read_u32(&dev, root_off + 8)?);
         let page_bytes = u64::from(typed::read_u32(&dev, root_off + 12)?);
@@ -834,6 +832,7 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PortusError;
     use portus_pmem::{CrashSpec, PmemMode};
     use portus_sim::SimContext;
     use std::collections::BTreeMap;
@@ -1223,7 +1222,11 @@ mod tests {
             dev.persist(root + 4, 4).unwrap();
             assert!(matches!(
                 Catalog::recover(dev.clone(), ROOT_PTR, &CatalogConfig::default()),
-                Err(PortusError::Pmem(PmemError::Corrupt(msg))) if msg.contains("version")
+                Err(PortusError::Pmem(PmemError::Corrupt {
+                    structure: Structure::CatalogRoot,
+                    at,
+                    ..
+                })) if at == root + 4
             ));
         }
         typed::write_u32(&dev, root + 4, ROOT_VERSION).unwrap();

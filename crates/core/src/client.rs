@@ -335,7 +335,7 @@ impl PortusClient {
                 reused_bytes,
                 elapsed,
             }),
-            other => Err(unexpected(op, other)),
+            _ => Err(PortusError::UnexpectedReply { op: op.name() }),
         }
     }
 
@@ -380,8 +380,8 @@ impl PortusClient {
     }
 
     /// [`Self::restore`], pinned to a specific `Done` version
-    /// (`None` = latest). Replicated and sharded clients use the pin
-    /// to settle every participant on one common checkpoint.
+    /// (`None` = latest). Replicated clients use the pin to settle
+    /// every replica on one common checkpoint.
     ///
     /// # Errors
     ///
@@ -429,7 +429,7 @@ impl PortusClient {
                 bytes,
                 elapsed,
             }),
-            other => Err(unexpected("restore", other)),
+            _ => Err(PortusError::UnexpectedReply { op: "restore" }),
         }
     }
 
@@ -478,7 +478,7 @@ impl PortusClient {
         self.requests.send(Request::List { req_id })?;
         match self.wait_reply(req_id)?? {
             Done::Models(models) => Ok(models),
-            other => Err(unexpected("list", other)),
+            _ => Err(PortusError::UnexpectedReply { op: "list" }),
         }
     }
 
@@ -493,7 +493,7 @@ impl PortusClient {
         self.requests.send(Request::Stats { req_id })?;
         match self.wait_reply(req_id)?? {
             Done::Stats(metrics) => Ok(*metrics),
-            other => Err(unexpected("stats", other)),
+            _ => Err(PortusError::UnexpectedReply { op: "stats" }),
         }
     }
 
@@ -521,15 +521,9 @@ fn full_report(d: DeltaReport) -> CheckpointReport {
 }
 
 /// Checks that a control-plane request was acknowledged.
-fn expect_ack(done: Done, op: &str) -> PortusResult<()> {
+fn expect_ack(done: Done, op: &'static str) -> PortusResult<()> {
     match done {
         Done::Ack => Ok(()),
-        other => Err(unexpected(op, other)),
+        _ => Err(PortusError::UnexpectedReply { op }),
     }
-}
-
-/// A protocol error: the daemon answered `op` with another request's
-/// outcome.
-fn unexpected(op: impl std::fmt::Display, done: Done) -> PortusError {
-    PortusError::Daemon(format!("unexpected reply to {op}: {done:?}"))
 }

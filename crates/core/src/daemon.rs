@@ -800,9 +800,9 @@ fn serve(
     // finishes, in completion order — the client demultiplexes by
     // req_id.
     while let Ok(req) = requests.recv() {
-        if matches!(req, Request::Disconnect) {
-            break;
-        }
+        let Some(req_id) = req.req_id() else {
+            break; // Disconnect, the one request without a reply
+        };
         let metrics = &state.ctx.metrics;
         // Token-bucket admission: checkpoint traffic only. Restores are
         // latency-critical recovery traffic and bypass the buckets; the
@@ -812,7 +812,7 @@ fn serve(
             if let Err(wait) = state.qos.admit(&tenant, bytes, now) {
                 metrics.tenant_throttled(&tenant);
                 let _ = replies.send(Reply {
-                    req_id: req.req_id().unwrap_or(0),
+                    req_id,
                     result: Err(PortusError::Throttled {
                         retry_after_ns: wait.as_nanos(),
                     }),
@@ -832,7 +832,7 @@ fn serve(
             Request::Restore { .. } if !state.cfg.priority_restore => JobClass::Normal,
             _ => JobClass::Urgent,
         };
-        let req_id = req.req_id().unwrap_or(0);
+        let kind = req.kind();
         let meta = span_meta(&req);
         let enqueued = state.ctx.clock.now();
         let job: Job = Box::new({
@@ -851,7 +851,7 @@ fn serve(
                     let sc = SpanCtx::new(&state.ctx, *req_id, *op, model);
                     sc.record_now(Stage::DispatchWait, enqueued);
                 }
-                let result = catch_handler_panic(|| handle_request(&state, &pool, req));
+                let result = catch_handler_panic(kind, || handle_request(&state, &pool, req));
                 state.in_flight.fetch_sub(1, Ordering::Relaxed);
                 // Per-tenant end-to-end latency (dispatch wait included
                 // — exactly what a tenant experiences).
@@ -889,33 +889,30 @@ fn serve(
     }
 }
 
-/// Runs `handler`, a request's handler. A panic in it becomes a
-/// [`PortusError::Daemon`] for that request, so the dispatch worker
-/// lives on and the client gets an answer instead of waiting forever.
-/// The model locks do not poison; a slot the handler left `Active` is
-/// what a crash mid-checkpoint leaves, and the next checkpoint of the
-/// model targets it again.
-fn catch_handler_panic(handler: impl FnOnce() -> PortusResult<Done>) -> PortusResult<Done> {
+/// Runs `handler`, the handler of a `request`-kind request. A panic in
+/// it becomes a [`PortusError::HandlerPanicked`] for that request, so
+/// the dispatch worker lives on and the client gets an answer instead
+/// of waiting forever. The model locks do not poison; a slot the
+/// handler left `Active` is what a crash mid-checkpoint leaves, and the
+/// next checkpoint of the model targets it again.
+fn catch_handler_panic(
+    request: &'static str,
+    handler: impl FnOnce() -> PortusResult<Done>,
+) -> PortusResult<Done> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(handler)).unwrap_or_else(|panic| {
-        let what = panic
+        let message = panic
             .downcast_ref::<&str>()
             .map(|s| s.to_string())
             .or_else(|| panic.downcast_ref::<String>().cloned())
             .unwrap_or_default();
-        Err(PortusError::Daemon(format!(
-            "request handler panicked: {what}"
-        )))
+        Err(PortusError::HandlerPanicked { request, message })
     })
 }
 
 /// Executes one request against the daemon state.
 fn handle_request(state: &DaemonState, pool: &QpPool, req: Request) -> PortusResult<Done> {
     match req {
-        // The connection thread consumes Disconnect; answer defensively
-        // if one is ever routed here.
-        Request::Disconnect => Err(PortusError::Daemon(
-            "disconnect is handled by the connection thread".to_string(),
-        )),
+        Request::Disconnect => unreachable!("serve stops at a Disconnect"),
         Request::Register { model, tensors, .. } => {
             state.register(&model, tensors).map(|()| Done::Ack)
         }
@@ -1741,7 +1738,7 @@ impl DaemonState {
             .lock()
             .get(model)
             .cloned()
-            .ok_or_else(|| PortusError::Daemon(format!("no registered session for {model}")))?;
+            .ok_or_else(|| PortusError::ModelNotFound(model.to_string()))?;
         let mask_len = dirty.map_or(descs.len(), <[bool]>::len);
         if descs.len() != mi.tensors.len() || mask_len != mi.tensors.len() {
             return Err(PortusError::StructureMismatch(format!(
@@ -1903,9 +1900,9 @@ impl DaemonState {
         let _guard = lock.lock();
         let t_op = self.ctx.clock.now();
         let mi = self.lookup(model, Some(&sc))?;
-        // Version-pinned restores let a replicated or sharded client
-        // settle every participant on one common checkpoint even when
-        // some daemons hold a newer version in their other slot.
+        // Version-pinned restores let a replicated client settle every
+        // replica on one common checkpoint even when some daemons hold
+        // a newer version in their other slot.
         let (_, hdr) = match version {
             None => mi.latest_done(),
             Some(v) => mi.done_version(v),
@@ -2232,7 +2229,7 @@ mod tests {
         for (req_id, panics) in [(7u64, true), (8, false)] {
             let tx = tx.clone();
             let job: Job = Box::new(move || {
-                let result = catch_handler_panic(|| {
+                let result = catch_handler_panic(Request::List { req_id }.kind(), || {
                     if panics {
                         panic!("handler {req_id} failed");
                     }
@@ -2249,9 +2246,12 @@ mod tests {
         match rx.recv_timeout(wait).unwrap() {
             Reply {
                 req_id: 7,
-                result: Err(PortusError::Daemon(message)),
-            } => assert!(message.contains("handler 7 failed"), "got: {message}"),
-            other => panic!("expected a Daemon error for request 7, got {other:?}"),
+                result: Err(PortusError::HandlerPanicked { request, message }),
+            } => {
+                assert_eq!(request, "list");
+                assert_eq!(message, "handler 7 failed");
+            }
+            other => panic!("expected HandlerPanicked for request 7, got {other:?}"),
         }
         assert!(matches!(
             rx.recv_timeout(wait).unwrap(),

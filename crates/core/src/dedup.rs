@@ -56,7 +56,7 @@
 //! holds a reference on each of its extents: the repack sweep frees
 //! only refcount-0 extents.
 
-use portus_pmem::{typed, PmemAlloc, PmemDevice, PmemError};
+use portus_pmem::{typed, PmemAlloc, PmemDevice, PmemError, Structure};
 
 use crate::index::{combine_digests, name_hash, region_digest, SlotPiece};
 use crate::{Index, MIndex, PortusError, PortusResult, SlotState};
@@ -108,12 +108,13 @@ pub(crate) fn map_size(count: u64) -> u64 {
 ///
 /// # Errors
 ///
-/// [`PortusError::Daemon`] on bad magic.
+/// [`PmemError::Corrupt`] on bad magic.
 pub(crate) fn read_extent_map(dev: &PmemDevice, off: u64) -> PortusResult<ExtentMap> {
-    if typed::read_u32(dev, off)? != XMAP_MAGIC {
-        return Err(PortusError::Daemon(format!(
-            "bad extent map magic at offset {off}"
-        )));
+    let magic = typed::read_u32(dev, off)?;
+    if magic != XMAP_MAGIC {
+        return Err(
+            PmemError::corrupt(Structure::ExtentMap, off, format!("bad magic {magic:#x}")).into(),
+        );
     }
     let count = typed::read_u32(dev, off + XM_COUNT)?;
     let chunk_bytes = typed::read_u64(dev, off + XM_CHUNK)?;
@@ -223,9 +224,7 @@ fn extent_pass(
     slot: usize,
     cfg: &DedupConfig,
 ) -> PortusResult<ExtentPass> {
-    let store = index
-        .extent_store()
-        .ok_or_else(|| PortusError::Daemon("extent seal without an extent store".into()))?;
+    let store = index.mapped_extents()?;
     let hdr = mi.slots[slot];
     debug_assert_ne!(hdr.data_off, 0, "the seal needs a staging region");
     debug_assert_eq!(hdr.ext_map, 0, "slot already extent-mapped");
@@ -315,9 +314,7 @@ pub(crate) fn release_slot_extents(
     mi: &mut MIndex,
     slot: usize,
 ) -> PortusResult<u64> {
-    let store = index
-        .extent_store()
-        .ok_or_else(|| PortusError::Daemon("extent release without an extent store".into()))?;
+    let store = index.mapped_extents()?;
     let hdr = mi.slots[slot];
     debug_assert_ne!(hdr.ext_map, 0, "slot is not extent-mapped");
     let alloc = index.allocator();
@@ -357,18 +354,18 @@ pub(crate) fn extent_pieces(
     rel_off: u64,
     len: u64,
 ) -> PortusResult<Vec<SlotPiece>> {
-    let store = index
-        .extent_store()
-        .ok_or_else(|| PortusError::Daemon("extent read without an extent store".into()))?;
+    let store = index.mapped_extents()?;
     let map = read_extent_map(index.device(), map_off)?;
-    let corrupt =
-        |what: String| PmemError::Corrupt(format!("extent map at offset {map_off}: {what}"));
+    let corrupt = |at: u64, what: String| PmemError::corrupt(Structure::ExtentMap, at, what);
     let end = rel_off.saturating_add(len);
     if end > map.logical || map.chunk_bytes == 0 {
-        return Err(corrupt(format!(
-            "range [{rel_off}, +{len}) past logical length {} (chunk {})",
-            map.logical, map.chunk_bytes
-        ))
+        return Err(corrupt(
+            map_off + XM_LOGICAL,
+            format!(
+                "range [{rel_off}, +{len}) past logical length {} (chunk {})",
+                map.logical, map.chunk_bytes
+            ),
+        )
         .into());
     }
     let mut pieces = Vec::new();
@@ -379,10 +376,12 @@ pub(crate) fn extent_pieces(
         let ext = *map
             .extents
             .get(chunk as usize)
-            .ok_or_else(|| corrupt(format!("no extent for chunk {chunk}")))?;
+            .ok_or_else(|| corrupt(map_off + XM_COUNT, format!("no extent for chunk {chunk}")))?;
         let rec = store.record(ext)?;
         if rec.len != map.chunk_bytes.min(map.logical - base) {
-            return Err(corrupt(format!("extent {ext} holds {} bytes at {base}", rec.len)).into());
+            let entry = map_off + XM_ENTRIES + chunk * XM_ENTRY_SIZE;
+            let what = format!("extent {ext} holds {} bytes at {base}", rec.len);
+            return Err(corrupt(entry, what).into());
         }
         let stop = end.min(base + rec.len);
         pieces.push(SlotPiece {
@@ -594,10 +593,18 @@ mod tests {
         stage(&index, &mut mi, 0, 1);
         seal_slot(&index, &mut mi, 0, 1, &cfg).unwrap();
         let hdr = mi.slots[0];
-        let corrupt = |r: PortusResult<Vec<SlotPiece>>| {
-            matches!(r, Err(PortusError::Pmem(PmemError::Corrupt(_))))
+        let corrupt_at = |r: PortusResult<Vec<SlotPiece>>| match r {
+            Err(PortusError::Pmem(PmemError::Corrupt {
+                structure: Structure::ExtentMap,
+                at,
+                ..
+            })) => Some(at),
+            _ => None,
         };
-        assert!(corrupt(index.slot_pieces(&hdr, BYTES - 1, 2)));
+        assert_eq!(
+            corrupt_at(index.slot_pieces(&hdr, BYTES - 1, 2)),
+            Some(hdr.ext_map + XM_LOGICAL)
+        );
         // Point chunk 1 at an 8 KiB extent: its length no longer
         // matches the map's chunking.
         let short = index
@@ -605,8 +612,9 @@ mod tests {
             .unwrap()
             .insert_or_ref(&[7u8; 8 << 10], index.allocator())
             .unwrap();
-        typed::write_u32(&dev, hdr.ext_map + XM_ENTRIES + XM_ENTRY_SIZE, short.slot).unwrap();
-        assert!(corrupt(index.slot_pieces(&hdr, 0, BYTES)));
+        let entry = hdr.ext_map + XM_ENTRIES + XM_ENTRY_SIZE;
+        typed::write_u32(&dev, entry, short.slot).unwrap();
+        assert_eq!(corrupt_at(index.slot_pieces(&hdr, 0, BYTES)), Some(entry));
         assert!(
             index.slot_pieces(&hdr, 0, 64 << 10).is_ok(),
             "chunk 0 is untouched"

@@ -36,29 +36,16 @@ impl fmt::Display for VerbFailure {
     }
 }
 
-/// One shard's failure inside a lockstep barrier: which shard, which
-/// model, and the error it hit (rendered, so the aggregate stays
-/// `Clone + Eq`-friendly for reporting).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardFailure {
-    /// The shard's index in the sharded trainer.
-    pub shard: usize,
-    /// The shard's model name.
-    pub model: String,
-    /// The failure, rendered.
-    pub error: String,
-}
-
-impl fmt::Display for ShardFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "shard {} ({}): {}", self.shard, self.model, self.error)
-    }
-}
-
 /// Errors raised by the Portus client, daemon, and tooling.
+///
+/// Each failure a caller can meet has exactly one variant. On-media
+/// corruption is [`PmemError::Corrupt`] inside [`PortusError::Pmem`],
+/// naming the structure and the offset that failed, whether the
+/// allocator or the daemon's index found it.
 #[derive(Debug)]
 pub enum PortusError {
-    /// Underlying persistent-memory failure.
+    /// Underlying persistent-memory failure, including on-media
+    /// corruption ([`PmemError::Corrupt`]).
     Pmem(PmemError),
     /// Underlying fabric failure.
     Rdma(RdmaError),
@@ -138,17 +125,6 @@ pub enum PortusError {
         /// Total entries the ModelTable was formatted with.
         capacity: u32,
     },
-    /// One or more shards of a lockstep barrier failed their
-    /// checkpoint. Every shard was still driven to the barrier
-    /// iteration (none silently falls behind); the failures carry
-    /// per-shard attribution so the caller can retry or recover to a
-    /// common version.
-    ShardBarrier {
-        /// The iteration every shard was driven to.
-        barrier_step: u64,
-        /// The shards that failed, in shard order.
-        failures: Vec<ShardFailure>,
-    },
     /// Every replica of a replicated operation failed. Carries the
     /// per-replica attempts (replica index, rendered error) in the
     /// order they were tried.
@@ -160,9 +136,21 @@ pub enum PortusError {
         /// `(replica index, rendered error)` per attempt.
         attempts: Vec<(usize, String)>,
     },
-    /// A protocol violation or daemon-side failure, with the daemon's
-    /// message.
-    Daemon(String),
+    /// The daemon answered a request with another request's outcome (a
+    /// protocol violation).
+    UnexpectedReply {
+        /// The client operation whose reply did not match.
+        op: &'static str,
+    },
+    /// The daemon's handler for a request panicked. The dispatch
+    /// worker lives on; the request's effects are those of a crash
+    /// mid-request.
+    HandlerPanicked {
+        /// The request kind (see [`crate::Request::kind`]).
+        request: &'static str,
+        /// The panic payload, when it was a string.
+        message: String,
+    },
     /// A tensor name exceeds the fixed on-media name field.
     NameTooLong(String),
     /// An I/O error in the tooling (portusctl files).
@@ -241,20 +229,6 @@ impl fmt::Display for PortusError {
                     "model catalog is full: all {capacity} ModelTable entries are live"
                 )
             }
-            PortusError::ShardBarrier {
-                barrier_step,
-                failures,
-            } => {
-                write!(
-                    f,
-                    "{} shard(s) failed their checkpoint at barrier step {barrier_step}:",
-                    failures.len()
-                )?;
-                for failure in failures {
-                    write!(f, " {failure};")?;
-                }
-                Ok(())
-            }
             PortusError::ReplicasExhausted {
                 model,
                 op,
@@ -270,7 +244,12 @@ impl fmt::Display for PortusError {
                 }
                 Ok(())
             }
-            PortusError::Daemon(msg) => write!(f, "daemon error: {msg}"),
+            PortusError::UnexpectedReply { op } => {
+                write!(f, "the daemon answered {op} with another request's reply")
+            }
+            PortusError::HandlerPanicked { request, message } => {
+                write!(f, "the daemon's {request} handler panicked: {message}")
+            }
             PortusError::NameTooLong(name) => {
                 write!(f, "tensor name exceeds on-media field: {name}")
             }
@@ -379,22 +358,6 @@ mod tests {
         assert!(msg.contains("8192"));
         assert!(msg.contains("4096"));
         assert!(msg.contains("1024"));
-    }
-
-    #[test]
-    fn shard_barrier_display_attributes_shards() {
-        let e = PortusError::ShardBarrier {
-            barrier_step: 40,
-            failures: vec![ShardFailure {
-                shard: 2,
-                model: "gpt/shard-2".into(),
-                error: "datapath failed".into(),
-            }],
-        };
-        let msg = e.to_string();
-        assert!(msg.contains("barrier step 40"));
-        assert!(msg.contains("shard 2 (gpt/shard-2)"));
-        assert!(msg.contains("datapath failed"));
     }
 
     #[test]

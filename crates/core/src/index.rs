@@ -28,7 +28,7 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 
 use portus_dnn::{DType, TensorMeta};
-use portus_pmem::{typed, ExtentStore, PmemAlloc, PmemAllocator, PmemDevice};
+use portus_pmem::{typed, ExtentStore, PmemAlloc, PmemAllocator, PmemDevice, PmemError, Structure};
 use portus_sim::hash::{fnv1a, splitmix64, Fnv1a};
 
 use crate::catalog::{Catalog, CatalogConfig};
@@ -121,13 +121,19 @@ impl SlotState {
         }
     }
 
-    fn from_u64(v: u64) -> PortusResult<SlotState> {
+    /// Decodes the state word read from device offset `at`.
+    fn from_u64(v: u64, at: u64) -> PortusResult<SlotState> {
         Ok(match v {
             0 => SlotState::Empty,
             1 => SlotState::Active,
             2 => SlotState::Done,
             other => {
-                return Err(PortusError::Daemon(format!("corrupt slot state {other}")));
+                return Err(PmemError::corrupt(
+                    Structure::SlotHeader,
+                    at,
+                    format!("state word {other}"),
+                )
+                .into());
             }
         })
     }
@@ -372,11 +378,19 @@ impl Index {
     ///
     /// # Errors
     ///
-    /// [`PortusError::Daemon`] on bad magic; corruption errors from the
-    /// allocator.
+    /// [`PmemError::Corrupt`] naming the structure and offset of the
+    /// first check that fails: the superblock magic, a ModelTable
+    /// entry, an MIndex record, a slot header, a tensor record, an
+    /// extent map, the extent table, the catalog, or the allocator.
     pub fn recover(dev: Arc<PmemDevice>) -> PortusResult<(Index, ModelMap)> {
-        if typed::read_u64(&dev, 0)? != SUPER_MAGIC {
-            return Err(PortusError::Daemon("bad superblock magic".into()));
+        let magic = typed::read_u64(&dev, 0)?;
+        if magic != SUPER_MAGIC {
+            return Err(PmemError::corrupt(
+                Structure::Superblock,
+                0,
+                format!("bad magic {magic:#018x}"),
+            )
+            .into());
         }
         let table_cap = typed::read_u32(&dev, 12)?;
         let table_base = typed::read_u64(&dev, 16)?;
@@ -513,6 +527,25 @@ impl Index {
     /// The extent store, when dedup is enabled.
     pub fn extent_store(&self) -> Option<&ExtentStore> {
         self.extents.get()
+    }
+
+    /// The extent store, for a path that needs one: an extent seal, or
+    /// reading or freeing an extent-mapped slot.
+    ///
+    /// # Errors
+    ///
+    /// [`PmemError::Corrupt`] naming the superblock's extent-table word
+    /// when no store is attached: [`Index::recover`] attaches every
+    /// store the superblock records, so only a lost word gets here.
+    pub(crate) fn mapped_extents(&self) -> PortusResult<&ExtentStore> {
+        self.extents.get().ok_or_else(|| {
+            PmemError::corrupt(
+                Structure::Superblock,
+                SUPER_XT_OFF,
+                "no extent table recorded",
+            )
+            .into()
+        })
     }
 
     /// Enables the micro-paged catalog: recovers the root recorded in
@@ -659,7 +692,13 @@ impl Index {
                 dev.persist(entry + 8, 16)?;
                 self.dev
                     .cas_u64_persist(entry, ENTRY_CLAIMED, ENTRY_LIVE)?
-                    .map_err(|v| PortusError::Daemon(format!("entry state raced to {v}")))?;
+                    .map_err(|v| {
+                        PmemError::corrupt(
+                            Structure::ModelTable,
+                            entry,
+                            format!("state raced to {v}"),
+                        )
+                    })?;
                 published = true;
                 break;
             }
@@ -702,13 +741,18 @@ impl Index {
     ///
     /// # Errors
     ///
-    /// [`PortusError::Daemon`] on bad magic or corrupt fields.
+    /// [`PmemError::Corrupt`] on a bad magic, slot state word or dtype
+    /// code.
     pub fn load_mindex(&self, off: u64) -> PortusResult<MIndex> {
         let dev = &self.dev;
-        if typed::read_u32(dev, off)? != MINDEX_MAGIC {
-            return Err(PortusError::Daemon(format!(
-                "bad MIndex magic at offset {off}"
-            )));
+        let magic = typed::read_u32(dev, off)?;
+        if magic != MINDEX_MAGIC {
+            return Err(PmemError::corrupt(
+                Structure::MIndex,
+                off,
+                format!("bad magic {magic:#x}"),
+            )
+            .into());
         }
         let flags = typed::read_u64(dev, off + MI_FLAGS)?;
         let layers = typed::read_u32(dev, off + MI_LAYERS)?;
@@ -726,7 +770,7 @@ impl Index {
         for (s, slot) in slots.iter_mut().enumerate() {
             let sh = off + MI_SLOT0 + s as u64 * SLOT_HDR_SIZE;
             *slot = SlotHeader {
-                state: SlotState::from_u64(typed::read_u64(dev, sh + SH_STATE)?)?,
+                state: SlotState::from_u64(typed::read_u64(dev, sh + SH_STATE)?, sh + SH_STATE)?,
                 version: typed::read_u64(dev, sh + SH_VERSION)?,
                 data_off: typed::read_u64(dev, sh + SH_DATA_OFF)?,
                 data_len: typed::read_u64(dev, sh + SH_DATA_LEN)?,
@@ -741,8 +785,13 @@ impl Index {
             let (tname, _) = typed::read_str(dev, t)?;
             let mut byte = [0u8; 1];
             dev.read(t + TREC_DTYPE, &mut byte)?;
-            let dtype = DType::from_code(byte[0])
-                .ok_or_else(|| PortusError::Daemon(format!("bad dtype code {}", byte[0])))?;
+            let dtype = DType::from_code(byte[0]).ok_or_else(|| {
+                PmemError::corrupt(
+                    Structure::TensorRecord,
+                    t + TREC_DTYPE,
+                    format!("dtype code {}", byte[0]),
+                )
+            })?;
             dev.read(t + TREC_NDIM, &mut byte)?;
             let ndim = byte[0] as usize;
             let mut shape = Vec::with_capacity(ndim);

@@ -83,7 +83,7 @@ pub use catalog::{Catalog, CatalogConfig, CatalogStats};
 pub use client::{CheckpointReport, DeltaReport, PendingCheckpoint, PortusClient, RestoreReport};
 pub use daemon::{ClientEndpoints, DaemonConfig, PortusDaemon, PULL_WQE_BYTES};
 pub use dedup::DedupConfig;
-pub use error::{PortusError, PortusResult, ShardFailure, VerbFailure};
+pub use error::{PortusError, PortusResult, VerbFailure};
 pub use index::{
     combine_digests, name_hash, region_digest, Index, MIndex, SlotHeader, SlotState, TensorRecord,
     FLAG_JOB_COMPLETE, SLOT_COUNT,

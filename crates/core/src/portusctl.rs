@@ -136,12 +136,12 @@ pub fn render_view(models: &[ModelSummary]) -> String {
 ///
 /// # Errors
 ///
-/// [`PortusError::Io`] on read failures; [`PortusError::Daemon`] on
-/// malformed JSON.
+/// [`PortusError::Io`] on read failures, and on malformed JSON with
+/// [`std::io::ErrorKind::InvalidData`].
 pub fn load_stats(path: &Path) -> PortusResult<MetricsSnapshot> {
     let raw = std::fs::read_to_string(path)?;
     serde_json::from_str(&raw)
-        .map_err(|e| PortusError::Daemon(format!("malformed metrics snapshot: {e}")))
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e).into())
 }
 
 /// Renders a metrics snapshot as the table `portusctl stats` prints:
@@ -528,6 +528,9 @@ mod tests {
         assert_eq!(loaded, snapshot);
         assert!(load_stats(&dir.join("missing.json")).is_err());
         std::fs::write(&path, "{not json").expect("write");
-        assert!(matches!(load_stats(&path), Err(PortusError::Daemon(_))));
+        assert!(matches!(
+            load_stats(&path),
+            Err(PortusError::Io(e)) if e.kind() == std::io::ErrorKind::InvalidData
+        ));
     }
 }

@@ -134,6 +134,22 @@ impl Request {
             Request::Disconnect => None,
         }
     }
+
+    /// The request's kind, as [`crate::PortusError::HandlerPanicked`] names
+    /// it: a checkpoint with a dirty mask is a `delta-checkpoint`, like
+    /// its trace op.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Request::Register { .. } => "register",
+            Request::Checkpoint { dirty, .. } => checkpoint_op(dirty.as_deref()).name(),
+            Request::Restore { .. } => "restore",
+            Request::MarkComplete { .. } => "mark-complete",
+            Request::Drop { .. } => "drop",
+            Request::List { .. } => "list",
+            Request::Stats { .. } => "stats",
+            Request::Disconnect => "disconnect",
+        }
+    }
 }
 
 /// The trace op of a [`Request::Checkpoint`]: a dirty mask makes it a

@@ -266,9 +266,7 @@ fn free_slot_extents(
     slot: usize,
     by_offset: &mut HashMap<u64, PmemAlloc>,
 ) -> PortusResult<u64> {
-    let store = index
-        .extent_store()
-        .ok_or_else(|| PortusError::Daemon("extent-mapped slot without an extent store".into()))?;
+    let store = index.mapped_extents()?;
     let hdr = mi.slots[slot];
     let map_alloc =
         by_offset

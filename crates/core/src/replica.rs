@@ -176,8 +176,7 @@ impl ReplicatedClient {
     }
 
     /// [`ReplicatedClient::restore`], pinned to a specific version
-    /// (`None` = each replica's latest). Sharded recovery pins every
-    /// shard to a common version this way.
+    /// (`None` = each replica's latest).
     ///
     /// # Errors
     ///

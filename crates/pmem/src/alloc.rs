@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::{PmemDevice, PmemError, PmemResult};
+use crate::{PmemDevice, PmemError, PmemResult, Structure};
 
 const TABLE_MAGIC: u64 = 0x504F_5254_5553_4154; // "PORTUSAT"
 const ENTRY_SIZE: u64 = 32;
@@ -112,9 +112,11 @@ impl PmemAllocator {
     ) -> PmemResult<PmemAllocator> {
         let table_end = table_base + Self::table_size(max_entries);
         if heap_base < table_end || heap_end <= heap_base {
-            return Err(PmemError::Corrupt(format!(
-                "bad layout: table [{table_base}, {table_end}) vs heap [{heap_base}, {heap_end})"
-            )));
+            return Err(PmemError::corrupt(
+                Structure::AllocTable,
+                table_base,
+                format!("bad layout: table [{table_base}, {table_end}) vs heap [{heap_base}, {heap_end})"),
+            ));
         }
         let mut header = Vec::with_capacity(HEADER_SIZE as usize);
         header.extend_from_slice(&TABLE_MAGIC.to_le_bytes());
@@ -156,9 +158,11 @@ impl PmemAllocator {
         dev.read(table_base, &mut header)?;
         let magic = u64::from_le_bytes(header[0..8].try_into().expect("slice of 8"));
         if magic != TABLE_MAGIC {
-            return Err(PmemError::Corrupt(format!(
-                "bad AllocTable magic {magic:#018x}"
-            )));
+            return Err(PmemError::corrupt(
+                Structure::AllocTable,
+                table_base,
+                format!("bad magic {magic:#018x}"),
+            ));
         }
         let max_entries = u32::from_le_bytes(header[12..16].try_into().expect("slice of 4"));
         let heap_base = u64::from_le_bytes(header[16..24].try_into().expect("slice of 8"));
@@ -173,13 +177,14 @@ impl PmemAllocator {
             match decode_entry(&entry, slot) {
                 Some(a) => {
                     if a.offset < heap_base || a.offset + a.len > heap_end || a.len == 0 {
-                        return Err(PmemError::Corrupt(format!(
-                            "live entry {slot} [{}, +{}) outside heap",
-                            a.offset, a.len
-                        )));
+                        return Err(PmemError::corrupt(
+                            Structure::AllocTable,
+                            off,
+                            format!("live entry {slot} [{}, +{}) outside heap", a.offset, a.len),
+                        ));
                     }
                     if let Some(dup) = live.insert(a.offset, a) {
-                        return Err(overlap(&dup, &a));
+                        return Err(overlap(table_base, &dup, &a));
                     }
                 }
                 None => free_slots.push(slot),
@@ -193,7 +198,7 @@ impl PmemAllocator {
         let mut prev: Option<&PmemAlloc> = None;
         for a in live.values() {
             if let Some(p) = prev.filter(|p| p.offset + p.len > a.offset) {
-                return Err(overlap(p, a));
+                return Err(overlap(table_base, p, a));
             }
             if a.offset > cursor {
                 free.insert(cursor, a.offset - cursor);
@@ -351,11 +356,17 @@ fn decode_entry(entry: &[u8; ENTRY_SIZE as usize], slot: u32) -> Option<PmemAllo
     })
 }
 
-fn overlap(a: &PmemAlloc, b: &PmemAlloc) -> PmemError {
-    PmemError::Corrupt(format!(
-        "live regions overlap: [{}, +{}) and [{}, +{})",
-        a.offset, a.len, b.offset, b.len
-    ))
+/// Two live entries of the table at `table_base` overlap; the error
+/// points at `b`'s entry.
+fn overlap(table_base: u64, a: &PmemAlloc, b: &PmemAlloc) -> PmemError {
+    PmemError::corrupt(
+        Structure::AllocTable,
+        table_base + HEADER_SIZE + u64::from(b.slot) * ENTRY_SIZE,
+        format!(
+            "live regions overlap: [{}, +{}) and [{}, +{})",
+            a.offset, a.len, b.offset, b.len
+        ),
+    )
 }
 
 fn insert_coalesced(free: &mut BTreeMap<u64, u64>, offset: u64, len: u64) {
@@ -508,7 +519,7 @@ mod tests {
         pm.persist(entry_off, 32).unwrap();
         assert!(matches!(
             PmemAllocator::recover(pm, 0),
-            Err(PmemError::Corrupt(_))
+            Err(PmemError::Corrupt { structure: Structure::AllocTable, at, .. }) if at == entry_off
         ));
     }
 

@@ -36,8 +36,17 @@ pub enum PmemError {
     TableFull,
     /// An extent payload was empty: extents hold at least one byte.
     EmptyExtent,
-    /// On-media structures failed validation during recovery.
-    Corrupt(String),
+    /// An on-media structure failed validation: which structure, the
+    /// device offset of the word or record that failed, and what was
+    /// wrong with it.
+    Corrupt {
+        /// The structure that failed validation.
+        structure: Structure,
+        /// Device offset of the failing word or record.
+        at: u64,
+        /// What the check found.
+        detail: String,
+    },
     /// A device image file could not be read or written.
     Image(String),
 }
@@ -58,13 +67,55 @@ impl fmt::Display for PmemError {
             ),
             PmemError::TableFull => write!(f, "allocation table has no free slots"),
             PmemError::EmptyExtent => write!(f, "extent payload is empty"),
-            PmemError::Corrupt(what) => write!(f, "persistent structure corrupt: {what}"),
+            PmemError::Corrupt {
+                structure,
+                at,
+                detail,
+            } => write!(f, "{structure:?} corrupt at offset {at:#x}: {detail}"),
             PmemError::Image(what) => write!(f, "device image error: {what}"),
         }
     }
 }
 
 impl Error for PmemError {}
+
+impl PmemError {
+    /// A [`PmemError::Corrupt`] naming `structure` and the offset `at`.
+    pub fn corrupt(structure: Structure, at: u64, detail: impl Into<String>) -> PmemError {
+        PmemError::Corrupt {
+            structure,
+            at,
+            detail: detail.into(),
+        }
+    }
+}
+
+/// The on-media structure a [`PmemError::Corrupt`] names. The allocator,
+/// the extent store and the micro-pages live in this crate; the rest
+/// are the daemon's persistent index, which raises the same error.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Structure {
+    /// The allocator's AllocTable: its header or a live entry.
+    AllocTable,
+    /// The dedup extent table: its header or a record.
+    ExtentTable,
+    /// A catalog micro-page.
+    MicroPage,
+    /// The index superblock, or a word it records.
+    Superblock,
+    /// A ModelTable entry.
+    ModelTable,
+    /// A model's MIndex record.
+    MIndex,
+    /// A slot header inside an MIndex record.
+    SlotHeader,
+    /// A tensor record inside an MIndex record.
+    TensorRecord,
+    /// A slot's extent map.
+    ExtentMap,
+    /// The catalog's root block.
+    CatalogRoot,
+}
 
 #[cfg(test)]
 mod tests {
@@ -75,5 +126,10 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<PmemError>();
         assert!(PmemError::TableFull.to_string().contains("no free slots"));
+        let e = PmemError::corrupt(Structure::Superblock, 0x30, "bad magic");
+        assert_eq!(
+            e.to_string(),
+            "Superblock corrupt at offset 0x30: bad magic"
+        );
     }
 }

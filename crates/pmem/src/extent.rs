@@ -26,7 +26,7 @@ use parking_lot::Mutex;
 use portus_sim::hash::splitmix64;
 
 use crate::typed::{read_u32, read_u64, write_u64};
-use crate::{PmemAllocator, PmemDevice, PmemError, PmemResult};
+use crate::{PmemAllocator, PmemDevice, PmemError, PmemResult, Structure};
 
 const XT_MAGIC: u64 = 0x5458_5355_5452_4F50; // "PORTUSXT"
 /// On-media layout version. Version 1 carried a relocation journal and
@@ -167,15 +167,19 @@ impl ExtentStore {
     pub fn recover(dev: Arc<PmemDevice>, table_base: u64) -> PmemResult<ExtentStore> {
         let magic = read_u64(&dev, table_base + H_MAGIC)?;
         if magic != XT_MAGIC {
-            return Err(PmemError::Corrupt(format!(
-                "bad extent table magic {magic:#018x}"
-            )));
+            return Err(PmemError::corrupt(
+                Structure::ExtentTable,
+                table_base + H_MAGIC,
+                format!("bad magic {magic:#018x}"),
+            ));
         }
         let version = read_u32(&dev, table_base + H_VERSION)?;
         if version != XT_VERSION {
-            return Err(PmemError::Corrupt(format!(
-                "extent table version {version}, expected {XT_VERSION}"
-            )));
+            return Err(PmemError::corrupt(
+                Structure::ExtentTable,
+                table_base + H_VERSION,
+                format!("layout version {version}, expected {XT_VERSION}"),
+            ));
         }
         let max_extents = read_u32(&dev, table_base + H_MAX_EXTENTS)?;
         let store = ExtentStore {
@@ -203,9 +207,11 @@ impl ExtentStore {
     fn read_record(&self, slot: u32) -> PmemResult<ExtentRecord> {
         let rec_off = self.rec_off(slot);
         if read_u64(&self.dev, rec_off + REC_STATE)? != STATE_LIVE {
-            return Err(PmemError::Corrupt(format!(
-                "extent slot {slot} is not live"
-            )));
+            return Err(PmemError::corrupt(
+                Structure::ExtentTable,
+                rec_off + REC_STATE,
+                format!("extent slot {slot} is not live"),
+            ));
         }
         Ok(ExtentRecord {
             chash: read_u64(&self.dev, rec_off + REC_CHASH)?,
@@ -372,13 +378,17 @@ impl ExtentStore {
         rec: &ExtentRecord,
         alloc: &PmemAllocator,
     ) -> PmemResult<()> {
-        let region = alloc.live_at(rec.data_off).ok_or_else(|| {
-            PmemError::Corrupt(format!(
-                "extent {slot} payload at {} unknown to the allocator",
-                rec.data_off
-            ))
-        })?;
         let rec_off = self.rec_off(slot);
+        let region = alloc.live_at(rec.data_off).ok_or_else(|| {
+            PmemError::corrupt(
+                Structure::ExtentTable,
+                rec_off + REC_OFF,
+                format!(
+                    "extent {slot} payload at {} unknown to the allocator",
+                    rec.data_off
+                ),
+            )
+        })?;
         write_u64(&self.dev, rec_off + REC_STATE, STATE_FREE)?;
         self.dev.persist(rec_off + REC_STATE, 8)?;
         alloc.free(&region)?;
@@ -611,7 +621,8 @@ mod tests {
             pm.persist(xt_base + H_VERSION, 4).unwrap();
             assert!(matches!(
                 ExtentStore::recover(pm.clone(), xt_base),
-                Err(PmemError::Corrupt(msg)) if msg.contains("version")
+                Err(PmemError::Corrupt { structure: Structure::ExtentTable, at, .. })
+                    if at == xt_base + H_VERSION
             ));
         }
         crate::typed::write_u32(&pm, xt_base + H_VERSION, XT_VERSION).unwrap();

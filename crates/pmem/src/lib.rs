@@ -39,7 +39,7 @@ pub mod typed;
 
 pub use alloc::{PmemAlloc, PmemAllocator};
 pub use device::{CrashSpec, PmemDevice, PmemMode, CACHE_LINE};
-pub use error::{PmemError, PmemResult};
+pub use error::{PmemError, PmemResult, Structure};
 pub use extent::{
     content_hash, ExtentRecord, ExtentRef, ExtentStats, ExtentStore, EXTENT_DATA_TAG,
 };

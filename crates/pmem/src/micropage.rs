@@ -25,7 +25,7 @@
 
 use std::cmp::Ordering;
 
-use crate::{typed, PmemDevice, PmemError, PmemResult};
+use crate::{typed, PmemDevice, PmemError, PmemResult, Structure};
 
 /// Magic stamped on every catalog micro-page ("CPGE").
 pub const PAGE_MAGIC: u32 = 0x4350_4745;
@@ -83,9 +83,11 @@ pub fn write_page(
         used += entry_encoded_len(name);
     }
     if used > page_bytes {
-        return Err(PmemError::Corrupt(format!(
-            "micro-page overflow: {used} bytes of entries into a {page_bytes}-byte page"
-        )));
+        return Err(PmemError::corrupt(
+            Structure::MicroPage,
+            page_off,
+            format!("overflow: {used} bytes of entries into a {page_bytes}-byte page"),
+        ));
     }
     typed::write_u32(dev, page_off, PAGE_MAGIC)?;
     typed::write_u32(dev, page_off + 4, entries.len() as u32)?;
@@ -126,17 +128,21 @@ pub fn read_page_header(
     let word = |at: usize| u32::from_le_bytes(head[at..at + 4].try_into().expect("4-byte word"));
     let (magic, count, used) = (word(0), word(4), word(8));
     if magic != PAGE_MAGIC {
-        return Err(PmemError::Corrupt(format!(
-            "bad micro-page magic {magic:#x} at {page_off:#x}"
-        )));
+        return Err(PmemError::corrupt(
+            Structure::MicroPage,
+            page_off,
+            format!("bad magic {magic:#x}"),
+        ));
     }
-    if u64::from(used) < PAGE_HEADER
-        || u64::from(used) > page_bytes
-        || count > (used - PAGE_HEADER as u32) / MIN_ENTRY
-    {
-        return Err(PmemError::Corrupt(format!(
-            "micro-page at {page_off:#x} claims {count} entries in {used} of {page_bytes} bytes"
-        )));
+    let used_ok = (PAGE_HEADER..=page_bytes).contains(&u64::from(used));
+    if !used_ok || count > (used - PAGE_HEADER as u32) / MIN_ENTRY {
+        // The count is judged against the used bytes, so a bad used
+        // word is the one named.
+        return Err(PmemError::corrupt(
+            Structure::MicroPage,
+            page_off + if used_ok { 4 } else { 8 },
+            format!("claims {count} entries in {used} of {page_bytes} bytes"),
+        ));
     }
     Ok((count, used))
 }
@@ -157,19 +163,23 @@ pub fn read_page(
     let (count, used) = read_page_header(dev, page_off, page_bytes)?;
     let mut body = vec![0u8; used as usize - PAGE_HEADER as usize];
     dev.read(page_off + PAGE_HEADER, &mut body)?;
-    let overrun = || {
-        PmemError::Corrupt(format!(
-            "micro-page at {page_off:#x}: an entry runs past its {used} used bytes"
-        ))
+    // Names the entry starting `left` bytes before the used end.
+    let overrun = |left: usize| {
+        PmemError::corrupt(
+            Structure::MicroPage,
+            page_off + u64::from(used) - left as u64,
+            format!("an entry runs past the page's {used} used bytes"),
+        )
     };
     let mut rest = &body[..];
     let mut out = Vec::with_capacity(count as usize);
     for _ in 0..count {
-        let (len, tail) = rest.split_first_chunk::<2>().ok_or_else(overrun)?;
+        let left = rest.len();
+        let (len, tail) = rest.split_first_chunk::<2>().ok_or_else(|| overrun(left))?;
         let (name, tail) = tail
             .split_at_checked(usize::from(u16::from_le_bytes(*len)))
-            .ok_or_else(overrun)?;
-        let (off, tail) = tail.split_first_chunk::<8>().ok_or_else(overrun)?;
+            .ok_or_else(|| overrun(left))?;
+        let (off, tail) = tail.split_first_chunk::<8>().ok_or_else(|| overrun(left))?;
         out.push((
             String::from_utf8_lossy(name).into_owned(),
             u64::from_le_bytes(*off),
@@ -196,10 +206,11 @@ pub fn cmp_first_key(dev: &PmemDevice, page_off: u64, name: &str) -> PmemResult<
     dev.read(page_off, &mut head)?;
     let word = |at: usize| u32::from_le_bytes(head[at..at + 4].try_into().expect("4-byte word"));
     if word(0) != PAGE_MAGIC {
-        return Err(PmemError::Corrupt(format!(
-            "bad micro-page magic {:#x} at {page_off:#x}",
-            word(0)
-        )));
+        return Err(PmemError::corrupt(
+            Structure::MicroPage,
+            page_off,
+            format!("bad magic {:#x}", word(0)),
+        ));
     }
     if word(4) == 0 {
         return Ok(Ordering::Less);
@@ -207,9 +218,11 @@ pub fn cmp_first_key(dev: &PmemDevice, page_off: u64, name: &str) -> PmemResult<
     let start = PAGE_HEADER as usize + 2;
     let len = usize::from(u16::from_le_bytes([head[start - 2], head[start - 1]]));
     if (start + len + 8) as u64 > u64::from(word(8)) {
-        return Err(PmemError::Corrupt(format!(
-            "micro-page at {page_off:#x}: first name of {len} bytes overruns the page"
-        )));
+        return Err(PmemError::corrupt(
+            Structure::MicroPage,
+            page_off + PAGE_HEADER,
+            format!("first name of {len} bytes overruns the page"),
+        ));
     }
     let key = name.as_bytes();
     let shared = len.min(key.len());
@@ -320,11 +333,23 @@ mod tests {
         assert!(err.to_string().contains("overflow"));
     }
 
+    /// The offset a micro-page `Corrupt` error names, if `r` is one.
+    fn corrupt_at<T>(r: PmemResult<T>) -> Option<u64> {
+        match r {
+            Err(PmemError::Corrupt {
+                structure: Structure::MicroPage,
+                at,
+                ..
+            }) => Some(at),
+            _ => None,
+        }
+    }
+
     #[test]
     fn bad_magic_is_corrupt() {
         let dev = dev();
-        assert!(read_page_header(&dev, 512, 4096).is_err());
-        assert!(cmp_first_key(&dev, 512, "model").is_err());
+        assert_eq!(corrupt_at(read_page_header(&dev, 512, 4096)), Some(512));
+        assert_eq!(corrupt_at(cmp_first_key(&dev, 512, "model")), Some(512));
     }
 
     #[test]
@@ -343,20 +368,18 @@ mod tests {
             (8, 15, "used inside the header"),
         ] {
             let dev = page(at, word);
-            assert!(
-                matches!(read_page_header(&dev, 0, 512), Err(PmemError::Corrupt(_))),
+            assert_eq!(
+                corrupt_at(read_page_header(&dev, 0, 512)),
+                Some(at),
                 "{why}"
             );
-            assert!(
-                matches!(read_page(&dev, 0, 512), Err(PmemError::Corrupt(_))),
-                "{why}"
-            );
+            assert_eq!(corrupt_at(read_page(&dev, 0, 512)), Some(at), "{why}");
         }
         // A first name overrunning the used bytes fails the probe too.
-        assert!(matches!(
-            cmp_first_key(&page(8, 20), 0, "model"),
-            Err(PmemError::Corrupt(_))
-        ));
+        assert_eq!(
+            corrupt_at(cmp_first_key(&page(8, 20), 0, "model")),
+            Some(PAGE_HEADER)
+        );
         // The largest count the used bytes allow is accepted.
         let dev = page(4, 7);
         typed::write_u32(&dev, 8, 16 + 10 * 7).unwrap();
@@ -373,23 +396,23 @@ mod tests {
             dev.write(at, bytes).unwrap();
             read_page(&dev, 0, 512)
         };
-        for (at, bytes, why) in [
+        // Each error names the offset of the entry that overruns.
+        for (at, bytes, entry, why) in [
             (
                 8,
                 &46u32.to_le_bytes()[..],
+                38,
                 "used cut inside the second entry",
             ),
             (
                 16,
                 &u16::MAX.to_le_bytes()[..],
+                16,
                 "a name length past the page",
             ),
-            (8, &81u32.to_le_bytes()[..], "the last offset cut short"),
+            (8, &81u32.to_le_bytes()[..], 60, "the last offset cut short"),
         ] {
-            assert!(
-                matches!(forged(at, bytes), Err(PmemError::Corrupt(_))),
-                "{why}"
-            );
+            assert_eq!(corrupt_at(forged(at, bytes)), Some(entry), "{why}");
         }
         assert_eq!(forged(8, &82u32.to_le_bytes()).unwrap(), entries(3));
     }

@@ -54,12 +54,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod sharded;
-
-pub use sharded::ShardedTrainer;
-
-use std::collections::BTreeMap;
-
 use portus::{CheckpointReport, PortusClient, PortusResult};
 use portus_dnn::{IterationProfile, ModelInstance};
 use portus_sim::SimDuration;
@@ -145,14 +139,6 @@ pub struct Trainer {
     step: u64,
     /// Iteration covered by the last *completed* checkpoint.
     last_durable_step: u64,
-    /// Version loaded by the most recent recover, if any.
-    last_restored_version: Option<u64>,
-    /// Completed checkpoint versions → the iteration each one covers.
-    /// Version numbers count *successful* checkpoints, so after a
-    /// failed round they stop tracking `step / interval`; this map is
-    /// the ground truth sharded recovery uses to translate a common
-    /// version back into a step.
-    durable_versions: BTreeMap<u64, u64>,
     stats: TrainerStats,
 }
 
@@ -177,8 +163,6 @@ impl Trainer {
             policy,
             step: 0,
             last_durable_step: 0,
-            last_restored_version: None,
-            durable_versions: BTreeMap::new(),
             stats: TrainerStats::default(),
         })
     }
@@ -208,17 +192,6 @@ impl Trainer {
         self.stats
     }
 
-    /// The policy's checkpoint interval, if it checkpoints.
-    pub fn policy_interval(&self) -> Option<u64> {
-        self.policy.interval()
-    }
-
-    /// The version loaded by the most recent [`Trainer::recover`] /
-    /// [`Trainer::recover_to`], if any.
-    pub fn last_restored_version(&self) -> Option<u64> {
-        self.last_restored_version
-    }
-
     fn ctx(&self) -> &portus_sim::SimContext {
         self.client.ctx()
     }
@@ -232,7 +205,6 @@ impl Trainer {
         self.stats.checkpoints_completed += 1;
         self.stats.bytes_checkpointed += report.bytes;
         self.last_durable_step = self.last_durable_step.max(covered_step);
-        self.durable_versions.insert(report.version, covered_step);
     }
 
     /// Runs `iterations` training iterations under the policy.
@@ -301,7 +273,6 @@ impl Trainer {
                     self.stats.bytes_reused += report.reused_bytes;
                     self.stats.checkpoints_completed += 1;
                     self.last_durable_step = self.step;
-                    self.durable_versions.insert(report.version, self.step);
                 }
             }
         }
@@ -329,66 +300,9 @@ impl Trainer {
     /// [`portus::PortusError::NoValidCheckpoint`] if nothing durable
     /// exists, and restore failures.
     pub fn recover(&mut self) -> PortusResult<u64> {
-        let target = self.last_durable_step;
-        self.recover_to(target)
-    }
-
-    /// Like [`Trainer::recover`], but rewinds the iteration counter to
-    /// an explicit `target_step` (used by sharded jobs, whose
-    /// whole-model recovery point is the *minimum* durable step across
-    /// shards). The daemon always serves its latest complete version;
-    /// `target_step` only affects the local counter.
-    ///
-    /// # Errors
-    ///
-    /// Restore failures.
-    pub fn recover_to(&mut self, target_step: u64) -> PortusResult<u64> {
-        self.recover_version_to(None, target_step)
-    }
-
-    /// Every `Done` version the daemon can currently serve for this
-    /// model, ascending. Sharded recovery intersects these across
-    /// shards to find the newest version *every* shard still holds.
-    ///
-    /// # Errors
-    ///
-    /// Listing failures (daemon unreachable).
-    pub fn available_versions(&self) -> PortusResult<Vec<u64>> {
-        let name = &self.model.spec().name;
-        Ok(self
-            .client
-            .list_models()?
-            .into_iter()
-            .find(|m| &m.name == name)
-            .map(|m| m.done_versions)
-            .unwrap_or_default())
-    }
-
-    /// The iteration a completed checkpoint version covers, if this
-    /// trainer observed it complete.
-    pub fn covered_step_of(&self, version: u64) -> Option<u64> {
-        self.durable_versions.get(&version).copied()
-    }
-
-    /// Like [`Trainer::recover_to`], but pinned to a specific `Done`
-    /// `version` (`None` = the daemon's latest). Sharded recovery pins
-    /// every shard to the newest *common* version this way, so no
-    /// restore can mix versions across shards.
-    ///
-    /// # Errors
-    ///
-    /// Restore failures; [`portus::PortusError::NoValidCheckpoint`] if
-    /// `version` is no longer on PMem.
-    pub fn recover_version_to(
-        &mut self,
-        version: Option<u64>,
-        target_step: u64,
-    ) -> PortusResult<u64> {
-        let report = self.client.restore_version(&self.model, version)?;
-        self.last_restored_version = Some(report.version);
-        let lost = self.step.saturating_sub(target_step);
-        self.step = target_step;
-        self.last_durable_step = self.last_durable_step.min(target_step);
+        self.client.restore(&self.model)?;
+        let lost = self.step.saturating_sub(self.last_durable_step);
+        self.step = self.last_durable_step;
         // Everything is clean relative to the restored checkpoint.
         self.model.take_dirty();
         Ok(lost)

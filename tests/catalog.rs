@@ -14,7 +14,7 @@
 use portus::{CatalogConfig, DaemonConfig, Index, PortusClient, PortusDaemon, PortusError};
 use portus_dnn::{test_spec, Materialization, ModelInstance, TensorMeta};
 use portus_mem::GpuDevice;
-use portus_pmem::{micropage, typed, CrashSpec, PmemDevice, PmemError, PmemMode};
+use portus_pmem::{micropage, typed, CrashSpec, PmemDevice, PmemError, PmemMode, Structure};
 use portus_rdma::{Fabric, NodeId};
 use portus_sim::SimContext;
 
@@ -370,7 +370,9 @@ fn corrupted_page_count_fails_recovery_with_a_typed_error() {
     typed::write_u32(&pmem, page + 4, 0x7FFF_FFFF).unwrap();
     pmem.persist(page + 4, 4).unwrap();
     match Index::recover(pmem) {
-        Err(PortusError::Pmem(PmemError::Corrupt(msg))) => assert!(msg.contains("entries")),
+        Err(PortusError::Pmem(PmemError::Corrupt { structure, at, .. })) => {
+            assert_eq!((structure, at), (Structure::MicroPage, page + 4));
+        }
         Err(other) => panic!("expected a Corrupt error, got {other:?}"),
         Ok(_) => panic!("recovery accepted a corrupt page count"),
     }

@@ -3,7 +3,7 @@
 //! the target slot already holds stay in place, and the result is a
 //! complete version with unchanged crash-consistency guarantees.
 
-use portus::{DaemonConfig, PortusClient, PortusDaemon};
+use portus::{DaemonConfig, PortusClient, PortusDaemon, PortusError};
 use portus_dnn::{test_spec, Materialization, ModelInstance};
 use portus_mem::GpuDevice;
 use portus_pmem::{CrashSpec, PmemDevice, PmemMode};
@@ -141,7 +141,10 @@ fn delta_mask_length_mismatch_is_rejected() {
     let err = client
         .checkpoint_delta("badmask", &[true, false])
         .unwrap_err();
-    assert!(err.to_string().contains("mismatch"), "got: {err}");
+    assert!(
+        matches!(&err, PortusError::StructureMismatch(m) if m.contains("badmask")),
+        "got: {err:?}"
+    );
 }
 
 #[test]

@@ -83,8 +83,8 @@ fn pmem_exhaustion_is_a_clean_daemon_error() {
     let client = PortusClient::connect(&w.daemon, w.fabric.nic(NodeId(0)).unwrap());
     let err = client.register_model(&model).unwrap_err();
     assert!(
-        err.to_string().contains("out of persistent space"),
-        "got: {err}"
+        matches!(err, PortusError::Pmem(PmemError::OutOfSpace { .. })),
+        "got: {err:?}"
     );
     // The daemon is still healthy for smaller models.
     let small = test_spec("small", 2, 64 * 1024);

@@ -2,7 +2,7 @@
 //! source of truth; ModelMap, sessions, and versions must all come
 //! back from PMem alone.
 
-use portus::{repack, DaemonConfig, PortusClient, PortusDaemon};
+use portus::{repack, DaemonConfig, PortusClient, PortusDaemon, PortusError};
 use portus_dnn::{test_spec, Materialization, ModelInstance};
 use portus_mem::GpuDevice;
 use portus_pmem::{CrashSpec, PmemDevice, PmemMode};
@@ -42,6 +42,36 @@ fn version_numbering_continues_across_restart() {
     let m = &client2.list_models().unwrap()[0];
     assert_eq!(m.latest_version, Some(3));
     assert_eq!(m.valid_versions, 2);
+}
+
+#[test]
+fn checkpoint_of_a_model_nobody_reregistered_is_model_not_found() {
+    let ctx = SimContext::icdcs24();
+    let fabric = Fabric::new(ctx.clone());
+    let compute = fabric.add_nic(NodeId(0));
+    fabric.add_nic(NodeId(1));
+    let pmem = PmemDevice::new(ctx.clone(), PmemMode::DevDax, 64 << 20);
+    let daemon =
+        PortusDaemon::start(&fabric, NodeId(1), pmem.clone(), DaemonConfig::default()).unwrap();
+    let gpu = GpuDevice::new(ctx, 0, 1 << 30);
+    let spec = test_spec("orphan", 2, 64 * 1024);
+    let model = ModelInstance::materialize(&spec, &gpu, 1, Materialization::Owned).unwrap();
+    let client = PortusClient::connect(&daemon, compute.clone());
+    client.register_model(&model).unwrap();
+    client.checkpoint("orphan").unwrap();
+    drop(client);
+    daemon.shutdown();
+
+    // The model is back on the restarted daemon's PMem, but no client
+    // registered GPU regions the daemon could pull it from.
+    let daemon2 = PortusDaemon::recover(&fabric, NodeId(1), pmem, DaemonConfig::default()).unwrap();
+    let client2 = PortusClient::connect(&daemon2, compute);
+    assert_eq!(client2.list_models().unwrap()[0].latest_version, Some(1));
+    let err = client2.checkpoint("orphan").unwrap_err();
+    assert!(
+        matches!(&err, PortusError::ModelNotFound(m) if m == "orphan"),
+        "got: {err:?}"
+    );
 }
 
 #[test]
@@ -163,7 +193,7 @@ fn dram_fallback_mode_works_but_does_not_survive_power_loss() {
     client2.register_model(&model).unwrap();
     let err = client2.restore(&model).unwrap_err();
     assert!(
-        err.to_string().contains("integrity"),
-        "volatile data must fail verification, got: {err}"
+        matches!(&err, PortusError::ChecksumMismatch { model, .. } if model == "volatile"),
+        "volatile data must fail verification, got: {err:?}"
     );
 }

@@ -1,9 +1,7 @@
 //! Analytic experiment runners (the GPT-scale workloads of §V-E and
 //! the model-zoo sweeps where the full byte movement is unnecessary).
 
-use portus_cluster::ops::{
-    portus_checkpoint_cost, portus_restore_cost, torch_load_gds_cost, torch_save_cost,
-};
+use portus_cluster::ops::{portus_checkpoint_cost, torch_save_cost};
 use portus_cluster::{
     mean_utilization, run_training, utilization_trace, Backend, JobShape, Policy, RunResult,
     TrainingConfig, UtilSample,
@@ -12,84 +10,8 @@ use portus_dnn::{zoo, IterationProfile, ModelSpec};
 use portus_sim::{CostModel, SimDuration};
 use serde::Serialize;
 
-/// One row of the analytic Fig. 11/12 sweeps.
-#[derive(Debug, Clone, Serialize)]
-pub struct SpeedupRow {
-    /// Model name.
-    pub model: String,
-    /// Checkpoint payload bytes.
-    pub bytes: u64,
-    /// Portus time (s).
-    pub portus: f64,
-    /// BeeGFS-PMem time (s).
-    pub beegfs: f64,
-    /// ext4-NVMe time (s).
-    pub ext4: f64,
-}
-
-impl SpeedupRow {
-    /// Portus speedup over BeeGFS-PMem.
-    pub fn speedup_beegfs(&self) -> f64 {
-        self.beegfs / self.portus
-    }
-
-    /// Portus speedup over ext4-NVMe.
-    pub fn speedup_ext4(&self) -> f64 {
-        self.ext4 / self.portus
-    }
-}
-
 fn table2_job(spec: &ModelSpec) -> JobShape {
     JobShape::single(spec.total_bytes(), spec.layer_count() as u64)
-}
-
-/// Fig. 11 (analytic): checkpoint time of the seven Table II models on
-/// the three systems.
-pub fn fig11_rows(m: &CostModel) -> Vec<SpeedupRow> {
-    zoo::table2_cards()
-        .into_iter()
-        .map(|card| {
-            let job = table2_job(&card.spec);
-            SpeedupRow {
-                model: card.spec.name.clone(),
-                bytes: card.spec.total_bytes(),
-                portus: portus_checkpoint_cost(m, job).as_secs_f64(),
-                beegfs: torch_save_cost(m, job, Backend::BeegfsPmem)
-                    .total()
-                    .as_secs_f64(),
-                ext4: torch_save_cost(m, job, Backend::Ext4Nvme)
-                    .total()
-                    .as_secs_f64(),
-            }
-        })
-        .collect()
-}
-
-/// Fig. 12 (analytic): restore time of the seven Table II models.
-pub fn fig12_rows(m: &CostModel) -> Vec<SpeedupRow> {
-    zoo::table2_cards()
-        .into_iter()
-        .map(|card| {
-            let job = table2_job(&card.spec);
-            SpeedupRow {
-                model: card.spec.name.clone(),
-                bytes: card.spec.total_bytes(),
-                portus: portus_restore_cost(m, job).as_secs_f64(),
-                beegfs: torch_load_gds_cost(m, job, Backend::BeegfsPmem)
-                    .total()
-                    .as_secs_f64(),
-                ext4: torch_load_gds_cost(m, job, Backend::Ext4Nvme)
-                    .total()
-                    .as_secs_f64(),
-            }
-        })
-        .collect()
-}
-
-/// Geometric-free arithmetic mean of a speedup column.
-pub fn mean(values: impl Iterator<Item = f64>) -> f64 {
-    let v: Vec<f64> = values.collect();
-    v.iter().sum::<f64>() / v.len() as f64
 }
 
 /// The Megatron grid of §V-E: 16 A40s across two nodes.
@@ -286,43 +208,6 @@ pub fn table1_shares(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fig11_analytic_shape_matches_the_paper() {
-        let m = CostModel::icdcs24();
-        let rows = fig11_rows(&m);
-        assert_eq!(rows.len(), 7);
-        let avg_beegfs = mean(rows.iter().map(SpeedupRow::speedup_beegfs));
-        // Paper: 8.49x average over BeeGFS-PMem, max 9.23x at ResNet50.
-        assert!((7.6..9.2).contains(&avg_beegfs), "avg {avg_beegfs:.2}");
-        let max = rows
-            .iter()
-            .max_by(|a, b| a.speedup_beegfs().total_cmp(&b.speedup_beegfs()))
-            .unwrap();
-        assert_eq!(max.model, "resnet50", "max speedup must be ResNet50");
-        assert!(
-            (8.5..9.9).contains(&max.speedup_beegfs()),
-            "resnet50 {:.2}",
-            max.speedup_beegfs()
-        );
-    }
-
-    #[test]
-    fn fig12_analytic_shape_matches_the_paper() {
-        let m = CostModel::icdcs24();
-        let rows = fig12_rows(&m);
-        let avg_beegfs = mean(rows.iter().map(SpeedupRow::speedup_beegfs));
-        let avg_ext4 = mean(rows.iter().map(SpeedupRow::speedup_ext4));
-        // Paper: 5.15x / 3.83x averages; restore gains < checkpoint gains.
-        assert!(avg_beegfs > avg_ext4);
-        assert!((4.0..7.5).contains(&avg_beegfs), "beegfs {avg_beegfs:.2}");
-        assert!((3.0..6.0).contains(&avg_ext4), "ext4 {avg_ext4:.2}");
-        let ckpt_avg = mean(fig11_rows(&m).iter().map(SpeedupRow::speedup_beegfs));
-        assert!(
-            avg_beegfs < ckpt_avg,
-            "restore gains must trail checkpoint gains"
-        );
-    }
 
     #[test]
     fn fig2_shares_span_the_published_band() {

@@ -11,16 +11,15 @@
 //! the per-WQE retry loop saves, how many end in a rolled-back slot,
 //! and what the retries cost in virtual time.
 
-use portus::{DaemonConfig, PortusClient, PortusDaemon, PortusError};
+use portus::{DaemonConfig, PortusError};
+use portus_bench::realplane::PortusWorld;
 use portus_cluster::{
     daemon_loss_report, replica_set, run_fleet, run_with_failures, Backend, FleetConfig, JobShape,
     PlacementConfig, Policy, TrainingConfig,
 };
-use portus_dnn::{test_spec, zoo, IterationProfile, Materialization, ModelInstance};
-use portus_mem::GpuDevice;
-use portus_pmem::{PmemDevice, PmemMode};
-use portus_rdma::{Fabric, FaultSpec, NodeId};
-use portus_sim::{CostModel, SimDuration, Stage, TraceOp};
+use portus_dnn::{test_spec, zoo, IterationProfile};
+use portus_rdma::{FaultSpec, NodeId};
+use portus_sim::{CostModel, MetricsSnapshot, SimDuration, Stage, StatsSnapshot, TraceOp};
 
 /// Whole-job failure schedule sweep (goodput per checkpoint policy).
 fn goodput_sweep() -> serde_json::Value {
@@ -86,9 +85,53 @@ fn goodput_sweep() -> serde_json::Value {
     serde_json::json!(rows)
 }
 
-/// Datapath fault-injection sweep against the real daemon: arm a fault
-/// plan on the daemon NIC, run a burst of checkpoints, and read the
-/// verb counters off `SimStats` and the rollback failures off `Metrics`.
+/// Checkpoints per fault-plan run.
+const FAULT_ROUNDS: u64 = 8;
+
+/// What one fault-plan run saw: checkpoint outcomes, the verb and
+/// rollback counters off `SimStats`, and the stage histograms.
+struct FaultRun {
+    ok: u64,
+    failed: u64,
+    stats: StatsSnapshot,
+    mean_ms: f64,
+    metrics: MetricsSnapshot,
+}
+
+/// Arms `fault` on the daemon NIC of a fresh real-plane world (64 x
+/// 256 KiB tensors over `qps` lanes) and runs [`FAULT_ROUNDS`]
+/// checkpoints, counting the ones the datapath failed.
+fn fault_run(qps: usize, fault: Option<FaultSpec>) -> FaultRun {
+    let world = PortusWorld::new(&test_spec("fault-sweep", 64, 256 * 1024), qps);
+    if let Some(spec) = fault {
+        world
+            .fabric
+            .arm_faults(NodeId(1), spec)
+            .expect("arm faults");
+    }
+    let ctx = &world.ctx;
+    let before = ctx.stats.snapshot();
+    let t0 = ctx.clock.now();
+    let (mut ok, mut failed) = (0u64, 0u64);
+    for _ in 0..FAULT_ROUNDS {
+        match world.client().checkpoint("fault-sweep") {
+            Ok(_) => ok += 1,
+            Err(PortusError::DatapathFailed { .. }) => failed += 1,
+            Err(e) => panic!("unexpected checkpoint error: {e}"),
+        }
+    }
+    let elapsed = ctx.clock.now().saturating_since(t0);
+    FaultRun {
+        ok,
+        failed,
+        stats: ctx.stats.snapshot().since(&before),
+        mean_ms: elapsed.as_secs_f64() * 1e3 / FAULT_ROUNDS as f64,
+        metrics: ctx.metrics.snapshot(),
+    }
+}
+
+/// Datapath fault-injection sweep against the real daemon: fault plans
+/// on one QP, with the tail latency and rollback failures of each.
 fn datapath_fault_sweep() -> serde_json::Value {
     let seed = 0xC0FFEE;
     let cases: [(&str, Option<FaultSpec>); 6] = [
@@ -105,12 +148,11 @@ fn datapath_fault_sweep() -> serde_json::Value {
         ),
         ("all", Some(FaultSpec::All)),
     ];
-    let rounds = 8u64;
 
     println!();
     println!(
         "Datapath fault injection — real daemon, 64 x 256 KiB tensors, \
-         {rounds} checkpoints per plan, {} retry rounds",
+         {FAULT_ROUNDS} checkpoints per plan, {} retry rounds",
         DaemonConfig::default().verb_retries
     );
     println!(
@@ -128,70 +170,40 @@ fn datapath_fault_sweep() -> serde_json::Value {
     );
     let mut rows = Vec::new();
     for (label, fault) in cases {
-        let ctx = portus_sim::SimContext::icdcs24();
-        let fabric = Fabric::new(ctx.clone());
-        let compute = fabric.add_nic(NodeId(0));
-        fabric.add_nic(NodeId(1));
-        let pmem = PmemDevice::new(ctx.clone(), PmemMode::DevDax, 256 << 20);
-        let daemon =
-            PortusDaemon::start(&fabric, NodeId(1), pmem, DaemonConfig::default()).expect("daemon");
-        let gpu = GpuDevice::new(ctx.clone(), 0, 1 << 30);
-        let mspec = test_spec("fault-sweep", 64, 256 * 1024);
-        let model = ModelInstance::materialize(&mspec, &gpu, 42, Materialization::Owned)
-            .expect("materialize");
-        let client = PortusClient::connect(&daemon, compute);
-        client.register_model(&model).expect("register");
-        if let Some(spec) = fault {
-            fabric.arm_faults(NodeId(1), spec).expect("arm faults");
-        }
-
-        let before = ctx.stats.snapshot();
-        let t0 = ctx.clock.now();
-        let (mut ok, mut failed) = (0u64, 0u64);
-        for _ in 0..rounds {
-            match client.checkpoint("fault-sweep") {
-                Ok(_) => ok += 1,
-                Err(PortusError::DatapathFailed { .. }) => failed += 1,
-                Err(e) => panic!("unexpected checkpoint error: {e}"),
-            }
-        }
-        let elapsed = ctx.clock.now().saturating_since(t0);
-        let d = ctx.stats.snapshot().since(&before);
-        let mean_ms = elapsed.as_secs_f64() * 1e3 / rounds as f64;
+        let run = fault_run(1, fault);
+        let d = run.stats;
         // Tail latency of the successful checkpoints, from the daemon's
         // per-stage histograms (virtual time; empty when every round
         // failed, e.g. under the `all` plan).
-        let metrics = ctx.metrics.snapshot();
-        let (p50_ms, p99_ms) = metrics
+        let (p50_ms, p99_ms) = run
+            .metrics
             .stage(TraceOp::Checkpoint, Stage::Total)
             .map_or((0.0, 0.0), |h| (h.p50() as f64 / 1e6, h.p99() as f64 / 1e6));
         println!(
             "{:<10} {:>4} {:>7} {:>12} {:>9} {:>10} {:>9} {:>13.3} {:>11.3} {:>11.3}",
             label,
-            ok,
-            failed,
+            run.ok,
+            run.failed,
             d.failed_verbs,
             d.retried_verbs,
             d.rolled_back_slots,
-            metrics.rollback_failures,
-            mean_ms,
+            run.metrics.rollback_failures,
+            run.mean_ms,
             p50_ms,
             p99_ms
         );
         rows.push(serde_json::json!({
             "plan": label,
-            "checkpoints_ok": ok,
-            "checkpoints_failed": failed,
+            "checkpoints_ok": run.ok,
+            "checkpoints_failed": run.failed,
             "failed_verbs": d.failed_verbs,
             "retried_verbs": d.retried_verbs,
             "rolled_back_slots": d.rolled_back_slots,
-            "rollback_failures": metrics.rollback_failures,
-            "mean_checkpoint_ms": mean_ms,
+            "rollback_failures": run.metrics.rollback_failures,
+            "mean_checkpoint_ms": run.mean_ms,
             "p50_checkpoint_ms": p50_ms,
             "p99_checkpoint_ms": p99_ms,
         }));
-        drop(client);
-        daemon.shutdown();
     }
     println!("shape: sparse faults are absorbed by per-WQE retries at a small time cost;");
     println!("only a saturated fabric fails checkpoints, and every failure rolls back.");
@@ -203,12 +215,10 @@ fn datapath_fault_sweep() -> serde_json::Value {
 /// checkpoint still rolls its slot back exactly once, so the recovery
 /// counters must stay flat while the checkpoint time falls.
 fn striped_fault_sweep() -> serde_json::Value {
-    let seed = 0xC0FFEE;
-    let rounds = 8u64;
     println!();
     println!(
         "Striped datapath under Ratio(50‰) faults — 64 x 256 KiB tensors, \
-         {rounds} checkpoints per QP count"
+         {FAULT_ROUNDS} checkpoints per QP count"
     );
     println!(
         "{:<5} {:>4} {:>7} {:>12} {:>9} {:>10} {:>13} {:>9}",
@@ -216,63 +226,34 @@ fn striped_fault_sweep() -> serde_json::Value {
     );
     let mut rows = Vec::new();
     for qps in [1usize, 2, 4, 8] {
-        let ctx = portus_sim::SimContext::icdcs24();
-        let fabric = Fabric::new(ctx.clone());
-        let compute = fabric.add_nic_with_engines(NodeId(0), qps);
-        fabric.add_nic_with_engines(NodeId(1), qps);
-        let pmem = PmemDevice::new(ctx.clone(), PmemMode::DevDax, 256 << 20);
-        let cfg = DaemonConfig {
-            qps_per_connection: qps,
-            ..DaemonConfig::default()
+        let fault = FaultSpec::Ratio {
+            permille: 50,
+            seed: 0xC0FFEE,
         };
-        let daemon = PortusDaemon::start(&fabric, NodeId(1), pmem, cfg).expect("daemon");
-        let gpu = GpuDevice::new(ctx.clone(), 0, 1 << 30);
-        let mspec = test_spec("qp-sweep", 64, 256 * 1024);
-        let model = ModelInstance::materialize(&mspec, &gpu, 42, Materialization::Owned)
-            .expect("materialize");
-        let client = PortusClient::connect(&daemon, compute);
-        client.register_model(&model).expect("register");
-        fabric
-            .arm_faults(NodeId(1), FaultSpec::Ratio { permille: 50, seed })
-            .expect("arm faults");
-
-        let before = ctx.stats.snapshot();
-        let t0 = ctx.clock.now();
-        let (mut ok, mut failed) = (0u64, 0u64);
-        for _ in 0..rounds {
-            match client.checkpoint("qp-sweep") {
-                Ok(_) => ok += 1,
-                Err(PortusError::DatapathFailed { .. }) => failed += 1,
-                Err(e) => panic!("unexpected checkpoint error: {e}"),
-            }
-        }
-        let elapsed = ctx.clock.now().saturating_since(t0);
-        let d = ctx.stats.snapshot().since(&before);
-        let mean_ms = elapsed.as_secs_f64() * 1e3 / rounds as f64;
-        let overlap = ctx.metrics.snapshot().pipeline_overlap_permille;
+        let run = fault_run(qps, Some(fault));
+        let d = run.stats;
+        let overlap = run.metrics.pipeline_overlap_permille;
         println!(
             "{:<5} {:>4} {:>7} {:>12} {:>9} {:>10} {:>13.3} {:>8.1}%",
             qps,
-            ok,
-            failed,
+            run.ok,
+            run.failed,
             d.failed_verbs,
             d.retried_verbs,
             d.rolled_back_slots,
-            mean_ms,
+            run.mean_ms,
             overlap as f64 / 10.0
         );
         rows.push(serde_json::json!({
             "qps": qps,
-            "checkpoints_ok": ok,
-            "checkpoints_failed": failed,
+            "checkpoints_ok": run.ok,
+            "checkpoints_failed": run.failed,
             "failed_verbs": d.failed_verbs,
             "retried_verbs": d.retried_verbs,
             "rolled_back_slots": d.rolled_back_slots,
-            "mean_checkpoint_ms": mean_ms,
+            "mean_checkpoint_ms": run.mean_ms,
             "pipeline_overlap_permille": overlap,
         }));
-        drop(client);
-        daemon.shutdown();
     }
     println!("shape: striping shortens the checkpoint without changing the fault story —");
     println!("every retry stays on its lane, every exhausted WQE still rolls back once.");

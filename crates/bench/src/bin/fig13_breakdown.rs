@@ -6,19 +6,25 @@
 //! 57.2 % of BeeGFS-PMem; the local block path is 53.7 % of ext4-NVMe;
 //! RDMA dominates Portus.
 
-use portus_bench::realplane;
+use portus_bench::realplane::{self, PortusWorld};
+use portus_cluster::Backend;
 use portus_dnn::zoo;
 
 fn main() {
     let spec = zoo::bert_large();
 
     eprintln!("running BERT on the three systems (real data plane)...");
-    let beegfs = realplane::bert_beegfs_breakdown(&spec);
-    let ext4 = realplane::bert_ext4_breakdown(&spec);
-    // The traced variant derives the persist/checksum phases from the
+    let (beegfs, _) = realplane::baseline_times(&spec, Backend::BeegfsPmem);
+    let (ext4, _) = realplane::baseline_times(&spec, Backend::Ext4Nvme);
+    // QP-striping sweep: the same checkpoint with the doorbell batch
+    // striped across 1..8 lane-pinned QPs, the persist+checksum seal
+    // pipelining behind the fabric at every count. The one-QP point is
+    // the Portus row: its persist/checksum phases come from the
     // recorded spans (cross-checked against the stage histograms) and
-    // hands back the run as Chrome trace-event JSON.
-    let (portus, trace_json) = realplane::portus_breakdown_traced(&spec);
+    // its run comes back as Chrome trace-event JSON.
+    eprintln!("sweeping QP striping (1..8 lanes)...");
+    let qp_points = [1, 2, 4, 8].map(|qps| (qps, PortusWorld::new(&spec, qps).checkpoint()));
+    let [(_, portus), _, (_, qp4), _] = &qp_points;
 
     println!("Fig. 13 — BERT checkpoint breakdown (virtual seconds)");
     println!(
@@ -39,40 +45,41 @@ fn main() {
     }
     println!(
         "{:<14} {:>9} {:>10} {:>10} {:>9} {:>9} {:>9.3}   (all RDMA)",
-        "Portus", "-", "-", "-", "-", "-", portus.total
+        "Portus",
+        "-",
+        "-",
+        "-",
+        "-",
+        "-",
+        portus.total.as_secs_f64()
     );
     println!(
         "\nPortus phases: pull {:.3}s; seal service (overlaps the pull): persist {:.3}s, \
          checksum {:.3}s ({} WQEs in {} doorbell batches, {} coalesced WQEs / {} MiB)",
-        portus.pull,
-        portus.persist,
-        portus.checksum,
-        portus.posted_verbs,
-        portus.doorbell_batches,
-        portus.coalesced_verbs,
-        portus.coalesced_bytes >> 20,
+        portus.pull.as_secs_f64(),
+        portus.persist.as_secs_f64(),
+        portus.checksum.as_secs_f64(),
+        portus.stats.posted_verbs,
+        portus.stats.doorbell_batches,
+        portus.stats.coalesced_verbs,
+        portus.stats.coalesced_bytes >> 20,
     );
 
-    // QP-striping sweep: the same checkpoint with the doorbell batch
-    // striped across 1..8 lane-pinned QPs, the persist+checksum seal
-    // pipelining behind the fabric at every count.
-    eprintln!("sweeping QP striping (1..8 lanes)...");
-    let (qp_points, qp4_trace) = realplane::portus_qp_sweep(&spec, &[1, 2, 4, 8]);
     println!("\nQP striping sweep — same BERT checkpoint, striped datapath");
     println!(
         "{:<5} {:>10} {:>10} {:>10} {:>9} {:>7} {:>10}",
         "qps", "total (s)", "persist", "checksum", "overlap", "WQEs", "doorbells"
     );
-    for p in &qp_points {
+    for (qps, p) in &qp_points {
         println!(
             "{:<5} {:>10.4} {:>10.4} {:>10.4} {:>8.1}% {:>7} {:>10}",
-            p.qps,
-            p.total,
-            p.persist,
-            p.checksum,
+            qps,
+            p.total.as_secs_f64(),
+            p.persist.as_secs_f64(),
+            p.checksum.as_secs_f64(),
             p.overlap_permille as f64 / 10.0,
-            p.posted_verbs,
-            p.doorbell_batches,
+            p.stats.posted_verbs,
+            p.stats.doorbell_batches,
         );
     }
     println!(
@@ -115,30 +122,36 @@ fn main() {
                 "block_share": block_share_ext4,
             },
             "portus": {
-                "total": portus.total,
-                "pull": portus.pull,
-                "persist": portus.persist,
-                "checksum": portus.checksum,
-                "posted_verbs": portus.posted_verbs,
-                "doorbell_batches": portus.doorbell_batches,
-                "coalesced_verbs": portus.coalesced_verbs,
-                "coalesced_bytes": portus.coalesced_bytes,
+                "total": portus.total.as_secs_f64(),
+                "pull": portus.pull.as_secs_f64(),
+                "persist": portus.persist.as_secs_f64(),
+                "checksum": portus.checksum.as_secs_f64(),
+                "posted_verbs": portus.stats.posted_verbs,
+                "doorbell_batches": portus.stats.doorbell_batches,
+                "coalesced_verbs": portus.stats.coalesced_verbs,
+                "coalesced_bytes": portus.stats.coalesced_bytes,
             },
-            "portus_total": portus.total,
-            "qp_sweep": qp_points,
+            "portus_total": portus.total.as_secs_f64(),
+            "qp_sweep": qp_points.iter().map(|(qps, p)| serde_json::json!({
+                "qps": qps,
+                "total": p.total.as_secs_f64(),
+                "persist": p.persist.as_secs_f64(),
+                "checksum": p.checksum.as_secs_f64(),
+                "overlap_permille": p.overlap_permille,
+                "posted_verbs": p.stats.posted_verbs,
+                "doorbell_batches": p.stats.doorbell_batches,
+            })).collect::<Vec<_>>(),
         }),
     );
     println!("wrote {}", path.display());
-    let trace_path = portus_bench::write_artifact("fig13_trace.json", &trace_json);
+    let trace_path = portus_bench::write_artifact("fig13_trace.json", &portus.trace);
     println!(
         "wrote {} (load in chrome://tracing or Perfetto)",
         trace_path.display()
     );
-    if let Some(qp4) = qp4_trace {
-        let p = portus_bench::write_artifact("fig13_trace_qp4.json", &qp4);
-        println!(
-            "wrote {} (striped datapath, lane-tagged spans)",
-            p.display()
-        );
-    }
+    let p = portus_bench::write_artifact("fig13_trace_qp4.json", &qp4.trace);
+    println!(
+        "wrote {} (striped datapath, lane-tagged spans)",
+        p.display()
+    );
 }

@@ -7,12 +7,13 @@
 //! server DAX write 12.8 %.
 
 use portus_bench::{analytic, realplane};
+use portus_cluster::Backend;
 use portus_dnn::zoo;
 
 fn main() {
     eprintln!("running BERT torch.save on BeeGFS-PMem (real data plane)...");
     let spec = zoo::bert_large();
-    let bd = realplane::bert_beegfs_breakdown(&spec);
+    let (bd, _) = realplane::baseline_times(&spec, Backend::BeegfsPmem);
     let shares = analytic::table1_shares(bd.gpu_copy, bd.serialize, bd.transmit, bd.persist);
 
     println!("Table I — DNN checkpointing overhead (BERT-Large → BeeGFS-PMem)");

@@ -227,6 +227,73 @@ mod tests {
         assert!((2.5..6.0).contains(&s_ext4), "{s_ext4}");
     }
 
+    /// Per Table II model: its name and the Portus speedups over
+    /// BeeGFS-PMem and ext4-NVMe of the `[portus, beegfs, ext4]` costs.
+    fn table2_speedups(cost: impl Fn(JobShape) -> [SimDuration; 3]) -> Vec<(String, f64, f64)> {
+        portus_dnn::zoo::table2_cards()
+            .into_iter()
+            .map(|card| {
+                let spec = card.spec;
+                let job = JobShape::single(spec.total_bytes(), spec.layer_count() as u64);
+                let [portus, beegfs, ext4] = cost(job).map(|d| d.as_secs_f64());
+                (spec.name, beegfs / portus, ext4 / portus)
+            })
+            .collect()
+    }
+
+    fn checkpoint_costs(m: &CostModel, job: JobShape) -> [SimDuration; 3] {
+        [
+            portus_checkpoint_cost(m, job),
+            torch_save_cost(m, job, Backend::BeegfsPmem).total(),
+            torch_save_cost(m, job, Backend::Ext4Nvme).total(),
+        ]
+    }
+
+    fn mean(values: impl Iterator<Item = f64>) -> f64 {
+        let v: Vec<f64> = values.collect();
+        v.iter().sum::<f64>() / v.len() as f64
+    }
+
+    #[test]
+    fn fig11_analytic_shape_matches_the_paper() {
+        let m = CostModel::icdcs24();
+        let rows = table2_speedups(|job| checkpoint_costs(&m, job));
+        assert_eq!(rows.len(), 7);
+        let avg_beegfs = mean(rows.iter().map(|r| r.1));
+        // Paper: 8.49x average over BeeGFS-PMem, max 9.23x at ResNet50.
+        assert!((7.6..9.2).contains(&avg_beegfs), "avg {avg_beegfs:.2}");
+        let max = rows.iter().max_by(|a, b| a.1.total_cmp(&b.1)).unwrap();
+        assert_eq!(max.0, "resnet50", "max speedup must be ResNet50");
+        assert!((8.5..9.9).contains(&max.1), "resnet50 {:.2}", max.1);
+    }
+
+    #[test]
+    fn fig12_analytic_shape_matches_the_paper() {
+        let m = CostModel::icdcs24();
+        let rows = table2_speedups(|job| {
+            [
+                portus_restore_cost(&m, job),
+                torch_load_gds_cost(&m, job, Backend::BeegfsPmem).total(),
+                torch_load_gds_cost(&m, job, Backend::Ext4Nvme).total(),
+            ]
+        });
+        let avg_beegfs = mean(rows.iter().map(|r| r.1));
+        let avg_ext4 = mean(rows.iter().map(|r| r.2));
+        // Paper: 5.15x / 3.83x averages; restore gains < checkpoint gains.
+        assert!(avg_beegfs > avg_ext4);
+        assert!((4.0..7.5).contains(&avg_beegfs), "beegfs {avg_beegfs:.2}");
+        assert!((3.0..6.0).contains(&avg_ext4), "ext4 {avg_ext4:.2}");
+        let ckpt_avg = mean(
+            table2_speedups(|job| checkpoint_costs(&m, job))
+                .iter()
+                .map(|r| r.1),
+        );
+        assert!(
+            avg_beegfs < ckpt_avg,
+            "restore gains must trail checkpoint gains"
+        );
+    }
+
     #[test]
     fn local_backend_has_no_transmit() {
         let m = CostModel::icdcs24();

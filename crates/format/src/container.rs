@@ -91,9 +91,11 @@ impl CheckpointFile {
     }
 }
 
+/// Hashes what it writes and counts its offset.
 struct HashingWriter<W> {
     inner: W,
     hash: Fnv1a,
+    pos: u64,
 }
 
 impl<W: Write> HashingWriter<W> {
@@ -101,6 +103,7 @@ impl<W: Write> HashingWriter<W> {
         HashingWriter {
             inner,
             hash: Fnv1a::new(),
+            pos: 0,
         }
     }
 }
@@ -109,6 +112,7 @@ impl<W: Write> Write for HashingWriter<W> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         self.hash.update(buf);
         self.inner.write_all(buf)?;
+        self.pos += buf.len() as u64;
         Ok(buf.len())
     }
 
@@ -117,9 +121,11 @@ impl<W: Write> Write for HashingWriter<W> {
     }
 }
 
+/// Hashes what it reads and counts its offset.
 struct HashingReader<R> {
     inner: R,
     hash: Fnv1a,
+    pos: u64,
 }
 
 impl<R: Read> HashingReader<R> {
@@ -127,20 +133,25 @@ impl<R: Read> HashingReader<R> {
         HashingReader {
             inner,
             hash: Fnv1a::new(),
+            pos: 0,
         }
     }
 
     fn read_exact_hashed(&mut self, buf: &mut [u8]) -> FormatResult<()> {
         self.inner.read_exact(buf).map_err(FormatError::from)?;
         self.hash.update(buf);
+        self.pos += buf.len() as u64;
         Ok(())
     }
 }
 
-fn write_str<W: Write>(w: &mut W, s: &str) -> FormatResult<()> {
+fn write_str<W: Write>(w: &mut HashingWriter<W>, s: &str) -> FormatResult<()> {
     let bytes = s.as_bytes();
     if bytes.len() > u16::MAX as usize {
-        return Err(FormatError::Malformed("name longer than u16".into()));
+        return Err(FormatError::NameTooLong {
+            len: bytes.len(),
+            at: w.pos,
+        });
     }
     w.write_all(&(bytes.len() as u16).to_le_bytes())?;
     w.write_all(bytes)?;
@@ -152,8 +163,10 @@ fn write_str<W: Write>(w: &mut W, s: &str) -> FormatResult<()> {
 ///
 /// # Errors
 ///
-/// I/O errors from the writer, and [`FormatError::Malformed`] if a
-/// payload length disagrees with its metadata.
+/// I/O errors from the writer, [`FormatError::PayloadSize`] if a
+/// payload length disagrees with its metadata,
+/// [`FormatError::NameTooLong`] for a name past the u16 prefix, and
+/// [`FormatError::PayloadRead`] if a device buffer cannot be read.
 pub fn write_checkpoint<W: Write>(
     w: W,
     model_name: &str,
@@ -166,12 +179,12 @@ pub fn write_checkpoint<W: Write>(
     w.write_all(&(entries.len() as u32).to_le_bytes())?;
     for e in entries {
         if e.data.len() != e.meta.size_bytes() {
-            return Err(FormatError::Malformed(format!(
-                "tensor {}: payload {} bytes vs metadata {} bytes",
-                e.meta.name,
-                e.data.len(),
-                e.meta.size_bytes()
-            )));
+            return Err(FormatError::PayloadSize {
+                tensor: e.meta.name.clone(),
+                payload: e.data.len(),
+                metadata: e.meta.size_bytes(),
+                at: w.pos,
+            });
         }
         write_str(&mut w, &e.meta.name)?;
         w.write_all(&[e.meta.dtype.code()])?;
@@ -188,7 +201,10 @@ pub fn write_checkpoint<W: Write>(
                 while pos < b.len() {
                     let n = ((b.len() - pos) as usize).min(chunk.len());
                     b.read_at(pos, &mut chunk[..n])
-                        .map_err(|e| FormatError::Malformed(e.to_string()))?;
+                        .map_err(|source| FormatError::PayloadRead {
+                            tensor: e.meta.name.clone(),
+                            source,
+                        })?;
                     w.write_all(&chunk[..n])?;
                     pos += n as u64;
                 }
@@ -206,20 +222,23 @@ pub fn write_checkpoint<W: Write>(
 ///
 /// # Errors
 ///
-/// [`FormatError::Malformed`] on bad magic/version/dtype,
-/// [`FormatError::ChecksumMismatch`] on a corrupt trailer, and I/O
-/// errors from the reader.
+/// One variant per malformed field ([`FormatError::BadMagic`],
+/// [`FormatError::UnsupportedVersion`], [`FormatError::BadDtype`],
+/// [`FormatError::NameNotUtf8`], [`FormatError::ImplausiblePayload`],
+/// [`FormatError::PayloadSize`]), [`FormatError::ChecksumMismatch`] on
+/// a corrupt trailer, and I/O errors from the reader.
 pub fn read_checkpoint<R: Read>(r: R) -> FormatResult<CheckpointFile> {
     let mut r = HashingReader::new(r);
     let mut magic = [0u8; 8];
     r.read_exact_hashed(&mut magic)?;
     if &magic != MAGIC {
-        return Err(FormatError::Malformed("bad checkpoint magic".into()));
+        return Err(FormatError::BadMagic { found: magic });
     }
     let mut u32b = [0u8; 4];
     r.read_exact_hashed(&mut u32b)?;
-    if u32::from_le_bytes(u32b) != VERSION {
-        return Err(FormatError::Malformed("unsupported version".into()));
+    let version = u32::from_le_bytes(u32b);
+    if version != VERSION {
+        return Err(FormatError::UnsupportedVersion { found: version });
     }
     let model_name = read_str(&mut r)?;
     r.read_exact_hashed(&mut u32b)?;
@@ -229,11 +248,14 @@ pub fn read_checkpoint<R: Read>(r: R) -> FormatResult<CheckpointFile> {
     // missing bytes or the checksum, not abort on a huge allocation.
     let mut tensors = Vec::new();
     for _ in 0..count {
+        let at = r.pos;
         let name = read_str(&mut r)?;
         let mut byte = [0u8; 1];
         r.read_exact_hashed(&mut byte)?;
-        let dtype = DType::from_code(byte[0])
-            .ok_or_else(|| FormatError::Malformed(format!("bad dtype code {}", byte[0])))?;
+        let dtype = DType::from_code(byte[0]).ok_or(FormatError::BadDtype {
+            code: byte[0],
+            at: r.pos - 1,
+        })?;
         r.read_exact_hashed(&mut byte)?;
         let ndim = byte[0] as usize;
         let mut shape = Vec::with_capacity(ndim);
@@ -248,17 +270,19 @@ pub fn read_checkpoint<R: Read>(r: R) -> FormatResult<CheckpointFile> {
         // Sanity cap before any allocation: protects against corrupted
         // headers that happen to keep metadata and length consistent.
         if len > MAX_TENSOR_BYTES {
-            return Err(FormatError::Malformed(format!(
-                "tensor {}: implausible payload of {len} bytes",
-                meta.name
-            )));
+            return Err(FormatError::ImplausiblePayload {
+                tensor: meta.name,
+                len,
+                at,
+            });
         }
         if meta.size_bytes() != len {
-            return Err(FormatError::Malformed(format!(
-                "tensor {}: payload {len} bytes vs metadata {}",
-                meta.name,
-                meta.size_bytes()
-            )));
+            return Err(FormatError::PayloadSize {
+                payload: len,
+                metadata: meta.size_bytes(),
+                tensor: meta.name,
+                at,
+            });
         }
         let mut data = vec![0u8; len as usize];
         r.read_exact_hashed(&mut data)?;
@@ -280,12 +304,13 @@ pub fn read_checkpoint<R: Read>(r: R) -> FormatResult<CheckpointFile> {
 }
 
 fn read_str<R: Read>(r: &mut HashingReader<R>) -> FormatResult<String> {
+    let at = r.pos;
     let mut lbuf = [0u8; 2];
     r.read_exact_hashed(&mut lbuf)?;
     let len = u16::from_le_bytes(lbuf) as usize;
     let mut sbuf = vec![0u8; len];
     r.read_exact_hashed(&mut sbuf)?;
-    String::from_utf8(sbuf).map_err(|_| FormatError::Malformed("name not UTF-8".into()))
+    String::from_utf8(sbuf).map_err(|_| FormatError::NameNotUtf8 { at })
 }
 
 /// The exact encoded size of a checkpoint with the given entries
@@ -354,11 +379,60 @@ mod tests {
     fn corruption_is_detected() {
         let mut out = Vec::new();
         write_checkpoint(&mut out, "toy", &sample_entries()).unwrap();
+        // The middle byte lies in a.weight's payload (bytes 57..89).
         let mid = out.len() / 2;
         out[mid] ^= 0xFF;
         assert!(matches!(
             read_checkpoint(&out[..]),
-            Err(FormatError::ChecksumMismatch { .. }) | Err(FormatError::Malformed(_))
+            Err(FormatError::ChecksumMismatch { .. })
+        ));
+    }
+
+    /// Each malformed header field fails with its own variant, naming
+    /// the value found and where. a.weight's entry starts at byte 21:
+    /// name prefix 21, dtype 31, ndim 32, dims 33..49, length 49..57.
+    #[test]
+    fn malformed_fields_are_typed_with_their_offsets() {
+        let mut good = Vec::new();
+        write_checkpoint(&mut good, "toy", &sample_entries()).unwrap();
+        let read_with = |at: usize, bytes: &[u8]| {
+            let mut out = good.clone();
+            out[at..at + bytes.len()].copy_from_slice(bytes);
+            read_checkpoint(&out[..]).unwrap_err()
+        };
+        assert!(matches!(
+            read_with(8, &2u32.to_le_bytes()),
+            FormatError::UnsupportedVersion { found: 2 }
+        ));
+        assert!(matches!(
+            read_with(31, &[0xEE]),
+            FormatError::BadDtype { code: 0xEE, at: 31 }
+        ));
+        assert!(matches!(
+            read_with(23, &[0xFF]),
+            FormatError::NameNotUtf8 { at: 21 }
+        ));
+        assert!(matches!(
+            read_with(49, &31u64.to_le_bytes()),
+            FormatError::PayloadSize { ref tensor, payload: 31, metadata: 32, at: 21 }
+                if tensor == "a.weight"
+        ));
+        assert!(matches!(
+            read_with(49, &(1u64 << 41).to_le_bytes()),
+            FormatError::ImplausiblePayload { ref tensor, len, at: 21 }
+                if tensor == "a.weight" && len == 1 << 41
+        ));
+    }
+
+    #[test]
+    fn an_overlong_name_is_rejected_on_encode() {
+        let name = "n".repeat(70_000);
+        assert!(matches!(
+            write_checkpoint(&mut Vec::new(), &name, &[]),
+            Err(FormatError::NameTooLong {
+                len: 70_000,
+                at: 12
+            })
         ));
     }
 
@@ -377,9 +451,11 @@ mod tests {
             data: PayloadSource::Bytes(vec![0; 3]), // 16 expected
         }];
         let mut out = Vec::new();
+        // The entry starts after magic, version, "m" and the count.
         assert!(matches!(
             write_checkpoint(&mut out, "m", &entries),
-            Err(FormatError::Malformed(_))
+            Err(FormatError::PayloadSize { ref tensor, payload: 3, metadata: 16, at: 19 })
+                if tensor == "w"
         ));
     }
 
@@ -396,7 +472,7 @@ mod tests {
     fn bad_magic_rejected() {
         assert!(matches!(
             read_checkpoint(&b"NOTACKPT........."[..]),
-            Err(FormatError::Malformed(_))
+            Err(FormatError::BadMagic { found }) if &found == b"NOTACKPT"
         ));
     }
 }

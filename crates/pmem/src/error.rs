@@ -2,6 +2,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::io;
 
 /// Result alias for PMem operations.
 pub type PmemResult<T> = Result<T, PmemError>;
@@ -48,7 +49,28 @@ pub enum PmemError {
         detail: String,
     },
     /// A device image file could not be read or written.
-    Image(String),
+    ImageIo {
+        /// The I/O error's kind.
+        kind: io::ErrorKind,
+        /// Image offset of the failed read or write.
+        at: u64,
+    },
+    /// A device image does not start with the image magic `PORTUSPM`.
+    ImageMagic {
+        /// The first eight bytes found.
+        found: [u8; 8],
+    },
+    /// A device image's version (at offset 8) is not one this build
+    /// reads.
+    ImageVersion {
+        /// The version found.
+        found: u32,
+    },
+    /// A device image's mode byte (at offset 12) names no PMem mode.
+    ImageMode {
+        /// The mode byte found.
+        found: u8,
+    },
 }
 
 impl fmt::Display for PmemError {
@@ -72,7 +94,18 @@ impl fmt::Display for PmemError {
                 at,
                 detail,
             } => write!(f, "{structure:?} corrupt at offset {at:#x}: {detail}"),
-            PmemError::Image(what) => write!(f, "device image error: {what}"),
+            PmemError::ImageIo { kind, at } => {
+                write!(f, "device image i/o error at offset {at}: {kind}")
+            }
+            PmemError::ImageMagic { found } => {
+                write!(f, "device image has bad magic {found:02x?}")
+            }
+            PmemError::ImageVersion { found } => {
+                write!(f, "device image has unsupported version {found}")
+            }
+            PmemError::ImageMode { found } => {
+                write!(f, "device image has unknown mode byte {found}")
+            }
         }
     }
 }

@@ -20,34 +20,51 @@ const IMAGE_MAGIC: &[u8; 8] = b"PORTUSPM";
 const IMAGE_VERSION: u32 = 1;
 const PAGE: usize = 4096;
 
-fn io_err(e: std::io::Error) -> PmemError {
-    PmemError::Image(e.to_string())
+/// Reads exactly `buf.len()` bytes at image offset `*at`, advancing it.
+fn read_at(r: &mut impl Read, at: &mut u64, buf: &mut [u8]) -> PmemResult<()> {
+    r.read_exact(buf).map_err(|e| PmemError::ImageIo {
+        kind: e.kind(),
+        at: *at,
+    })?;
+    *at += buf.len() as u64;
+    Ok(())
+}
+
+/// Writes all of `buf` at image offset `*at`, advancing it.
+fn write_at(w: &mut impl Write, at: &mut u64, buf: &[u8]) -> PmemResult<()> {
+    w.write_all(buf).map_err(|e| PmemError::ImageIo {
+        kind: e.kind(),
+        at: *at,
+    })?;
+    *at += buf.len() as u64;
+    Ok(())
 }
 
 /// Writes the durable pages of `dev` to `path`.
 ///
 /// # Errors
 ///
-/// Returns [`PmemError::Image`] on I/O failure.
+/// Returns [`PmemError::ImageIo`] on I/O failure.
 pub fn save_image(dev: &PmemDevice, path: &Path) -> PmemResult<()> {
     let pages = dev.durable_pages();
-    let file = File::create(path).map_err(io_err)?;
+    let mut at = 0;
+    let file = File::create(path).map_err(|e| PmemError::ImageIo { kind: e.kind(), at })?;
     let mut w = BufWriter::new(file);
-    w.write_all(IMAGE_MAGIC).map_err(io_err)?;
-    w.write_all(&IMAGE_VERSION.to_le_bytes()).map_err(io_err)?;
+    write_at(&mut w, &mut at, IMAGE_MAGIC)?;
+    write_at(&mut w, &mut at, &IMAGE_VERSION.to_le_bytes())?;
     let mode: u8 = match dev.mode() {
         PmemMode::DevDax => 0,
         PmemMode::FsDax => 1,
     };
-    w.write_all(&[mode]).map_err(io_err)?;
-    w.write_all(&dev.capacity().to_le_bytes()).map_err(io_err)?;
-    w.write_all(&(pages.len() as u64).to_le_bytes())
-        .map_err(io_err)?;
+    write_at(&mut w, &mut at, &[mode])?;
+    write_at(&mut w, &mut at, &dev.capacity().to_le_bytes())?;
+    write_at(&mut w, &mut at, &(pages.len() as u64).to_le_bytes())?;
     for (idx, content) in pages {
-        w.write_all(&idx.to_le_bytes()).map_err(io_err)?;
-        w.write_all(&content[..]).map_err(io_err)?;
+        write_at(&mut w, &mut at, &idx.to_le_bytes())?;
+        write_at(&mut w, &mut at, &content[..])?;
     }
-    w.flush().map_err(io_err)
+    w.flush()
+        .map_err(|e| PmemError::ImageIo { kind: e.kind(), at })
 }
 
 /// Loads a device image from `path` into a fresh [`PmemDevice`] sharing
@@ -55,40 +72,45 @@ pub fn save_image(dev: &PmemDevice, path: &Path) -> PmemResult<()> {
 ///
 /// # Errors
 ///
-/// Returns [`PmemError::Image`] on I/O failure or a malformed image.
+/// Returns [`PmemError::ImageIo`] on I/O failure (a truncated image
+/// fails with `UnexpectedEof` at the offset it ends), and
+/// [`PmemError::ImageMagic`], [`PmemError::ImageVersion`] or
+/// [`PmemError::ImageMode`] for a malformed header.
 pub fn load_image(ctx: SimContext, path: &Path) -> PmemResult<Arc<PmemDevice>> {
-    let file = File::open(path).map_err(io_err)?;
+    let mut at = 0;
+    let file = File::open(path).map_err(|e| PmemError::ImageIo { kind: e.kind(), at })?;
     let mut r = BufReader::new(file);
     let mut magic = [0u8; 8];
-    r.read_exact(&mut magic).map_err(io_err)?;
+    read_at(&mut r, &mut at, &mut magic)?;
     if &magic != IMAGE_MAGIC {
-        return Err(PmemError::Image("bad image magic".into()));
+        return Err(PmemError::ImageMagic { found: magic });
     }
     let mut u32buf = [0u8; 4];
-    r.read_exact(&mut u32buf).map_err(io_err)?;
-    if u32::from_le_bytes(u32buf) != IMAGE_VERSION {
-        return Err(PmemError::Image("unsupported image version".into()));
+    read_at(&mut r, &mut at, &mut u32buf)?;
+    let version = u32::from_le_bytes(u32buf);
+    if version != IMAGE_VERSION {
+        return Err(PmemError::ImageVersion { found: version });
     }
     let mut mode_buf = [0u8; 1];
-    r.read_exact(&mut mode_buf).map_err(io_err)?;
+    read_at(&mut r, &mut at, &mut mode_buf)?;
     let mode = match mode_buf[0] {
         0 => PmemMode::DevDax,
         1 => PmemMode::FsDax,
-        other => return Err(PmemError::Image(format!("unknown mode byte {other}"))),
+        found => return Err(PmemError::ImageMode { found }),
     };
     let mut u64buf = [0u8; 8];
-    r.read_exact(&mut u64buf).map_err(io_err)?;
+    read_at(&mut r, &mut at, &mut u64buf)?;
     let capacity = u64::from_le_bytes(u64buf);
-    r.read_exact(&mut u64buf).map_err(io_err)?;
+    read_at(&mut r, &mut at, &mut u64buf)?;
     let n_pages = u64::from_le_bytes(u64buf);
 
     let dev = PmemDevice::new(ctx, mode, capacity);
     let mut pages = Vec::with_capacity(n_pages as usize);
     for _ in 0..n_pages {
-        r.read_exact(&mut u64buf).map_err(io_err)?;
+        read_at(&mut r, &mut at, &mut u64buf)?;
         let idx = u64::from_le_bytes(u64buf);
         let mut content = Box::new([0u8; PAGE]);
-        r.read_exact(&mut content[..]).map_err(io_err)?;
+        read_at(&mut r, &mut at, &mut content[..])?;
         pages.push((idx, content));
     }
     dev.restore_pages(pages);
@@ -132,10 +154,47 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("garbage.img");
         std::fs::write(&path, b"not an image at all").unwrap();
-        assert!(matches!(
-            load_image(SimContext::icdcs24(), &path),
-            Err(PmemError::Image(_))
-        ));
+        assert_eq!(
+            load_image(SimContext::icdcs24(), &path).unwrap_err(),
+            PmemError::ImageMagic {
+                found: *b"not an i"
+            }
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A bad version or mode byte, and a truncated image, fail with
+    /// their own variants; the truncation names the offset it ends at.
+    #[test]
+    fn malformed_headers_and_truncation_are_typed() {
+        let dir = std::env::temp_dir().join("portus-pmem-image-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("malformed.img");
+        let dev = PmemDevice::new(SimContext::icdcs24(), PmemMode::FsDax, 1 << 20);
+        dev.write(0, b"page").unwrap();
+        dev.persist(0, 4).unwrap();
+        save_image(&dev, &path).unwrap();
+        let good = std::fs::read(&path).unwrap();
+        // Header: magic 0..8, version 8..12, mode 12, capacity 13..21,
+        // page count 21..29, then one (index, 4 KiB page) pair.
+        assert_eq!(good.len(), 29 + 8 + PAGE);
+        let load = |bytes: &[u8]| {
+            std::fs::write(&path, bytes).unwrap();
+            load_image(SimContext::icdcs24(), &path).unwrap_err()
+        };
+        let mut bad = good.clone();
+        bad[8] = 9;
+        assert_eq!(load(&bad), PmemError::ImageVersion { found: 9 });
+        let mut bad = good.clone();
+        bad[12] = 7;
+        assert_eq!(load(&bad), PmemError::ImageMode { found: 7 });
+        assert_eq!(
+            load(&good[..good.len() - 1]),
+            PmemError::ImageIo {
+                kind: std::io::ErrorKind::UnexpectedEof,
+                at: 37
+            }
+        );
         std::fs::remove_file(&path).ok();
     }
 }

@@ -37,20 +37,7 @@ use std::time::Instant;
 
 use portus::{CatalogConfig, Index};
 use portus_pmem::{micropage, PmemDevice, PmemMode};
-use portus_sim::SimContext;
-
-/// Deterministic LCG so runs are reproducible without a rand dep.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 11
-    }
-}
+use portus_sim::{SimContext, SimRng};
 
 fn model_name(i: u64) -> String {
     format!("tenant-{:03}/model-{:07}", i % 499, i)
@@ -113,7 +100,7 @@ fn p99(samples: &mut [u64]) -> u64 {
 }
 
 fn sweep_point(n: u64) -> serde_json::Value {
-    let mut rng = Lcg(0x9e3779b97f4a7c15 ^ n);
+    let mut rng = SimRng::new(0x9e3779b97f4a7c15 ^ n);
     let samples = 512.min(n as usize);
 
     // Cold: cache disabled, uniform random names, one p99 per pass;
@@ -122,7 +109,7 @@ fn sweep_point(n: u64) -> serde_json::Value {
     let mut cold: Vec<u64> = (0..COLD_PASSES)
         .map(|_| {
             let mut pass: Vec<u64> = (0..samples)
-                .map(|_| timed_lookup(&cold_index, &model_name(rng.next() % n)))
+                .map(|_| timed_lookup(&cold_index, &model_name(rng.gen_range(n))))
                 .collect();
             p99(&mut pass)
         })
@@ -136,7 +123,7 @@ fn sweep_point(n: u64) -> serde_json::Value {
     let pages = cat.page_offsets().expect("page offsets");
     let linear_samples = 32.min(n as usize);
     let mut linear: Vec<u64> = (0..linear_samples)
-        .map(|_| timed_linear_scan(&cold_index, &pages, &model_name(rng.next() % n)))
+        .map(|_| timed_linear_scan(&cold_index, &pages, &model_name(rng.gen_range(n))))
         .collect();
 
     // Warm: clamped cache, working set that fits it — one warming pass,
@@ -144,14 +131,14 @@ fn sweep_point(n: u64) -> serde_json::Value {
     // models" is a contiguous key range spanning a handful of pages;
     // a contiguous *index* range would scatter across every tenant.
     let warm_index = build_catalog(n, CatalogConfig::default().cache_pages).expect("warm build");
-    let tenant = rng.next() % 499;
+    let tenant = rng.gen_range(499);
     let group = (n / 499) + u64::from(tenant < n % 499);
     let working: Vec<String> = (0..samples)
         .map(|_| {
             if group == 0 {
-                model_name(rng.next() % n)
+                model_name(rng.gen_range(n))
             } else {
-                model_name(tenant + 499 * (rng.next() % group))
+                model_name(tenant + 499 * (rng.gen_range(group)))
             }
         })
         .collect();

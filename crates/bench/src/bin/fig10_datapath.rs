@@ -21,10 +21,10 @@ fn main() {
     );
     let mut rows = Vec::new();
     for &s in &sizes {
-        let read_dram = m.rdma_read(s, MemoryKind::HostDram);
-        let read_gpu = m.rdma_read(s, MemoryKind::GpuHbm);
-        let write_dram = m.rdma_write(s, MemoryKind::HostDram);
-        let write_gpu = m.rdma_write(s, MemoryKind::GpuHbm);
+        let read_dram = m.rdma_read(s, MemoryKind::HostDram, true);
+        let read_gpu = m.rdma_read(s, MemoryKind::GpuHbm, true);
+        let write_dram = m.rdma_write(s, MemoryKind::HostDram, true);
+        let write_gpu = m.rdma_write(s, MemoryKind::GpuHbm, true);
         let bw = |d: portus_sim::SimDuration| s as f64 / d.as_secs_f64() / 1e9;
         println!(
             "{:>10} | {:>12.2} {:>12.2} | {:>12.2} {:>12.2} | {:>9.1} us",

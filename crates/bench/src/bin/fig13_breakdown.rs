@@ -6,7 +6,7 @@
 //! 57.2 % of BeeGFS-PMem; the local block path is 53.7 % of ext4-NVMe;
 //! RDMA dominates Portus.
 
-use portus_bench::realplane::{self, PortusWorld};
+use portus_bench::realplane::{BaselineWorld, PortusWorld};
 use portus_cluster::Backend;
 use portus_dnn::zoo;
 
@@ -14,8 +14,8 @@ fn main() {
     let spec = zoo::bert_large();
 
     eprintln!("running BERT on the three systems (real data plane)...");
-    let (beegfs, _) = realplane::baseline_times(&spec, Backend::BeegfsPmem);
-    let (ext4, _) = realplane::baseline_times(&spec, Backend::Ext4Nvme);
+    let [beegfs, ext4] = [Backend::BeegfsPmem, Backend::Ext4Nvme]
+        .map(|backend| BaselineWorld::new(&spec, backend).checkpoint());
     // QP-striping sweep: the same checkpoint with the doorbell batch
     // striped across 1..8 lane-pinned QPs, the persist+checksum seal
     // pipelining behind the fabric at every count. The one-QP point is

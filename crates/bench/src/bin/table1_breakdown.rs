@@ -6,14 +6,15 @@
 //! Paper: GPU→MM 15.5 %, serialization 41.7 %, transmission 30.0 %,
 //! server DAX write 12.8 %.
 
-use portus_bench::{analytic, realplane};
+use portus_bench::analytic;
+use portus_bench::realplane::BaselineWorld;
 use portus_cluster::Backend;
 use portus_dnn::zoo;
 
 fn main() {
     eprintln!("running BERT torch.save on BeeGFS-PMem (real data plane)...");
     let spec = zoo::bert_large();
-    let (bd, _) = realplane::baseline_times(&spec, Backend::BeegfsPmem);
+    let bd = BaselineWorld::new(&spec, Backend::BeegfsPmem).checkpoint();
     let shares = analytic::table1_shares(bd.gpu_copy, bd.serialize, bd.transmit, bd.persist);
 
     println!("Table I — DNN checkpointing overhead (BERT-Large → BeeGFS-PMem)");

@@ -239,38 +239,93 @@ pub fn portus_times(spec: &ModelSpec) -> (SimDuration, SimDuration) {
     (ckpt, world.restore())
 }
 
-/// Runs one model through a `torch.save`/`torch.load(GDS)` baseline
-/// with real bytes, on a fresh world holding the `backend` file system
-/// (four times the model's bytes plus 64 MiB); returns the breakdowns.
-///
-/// # Panics
-///
-/// Panics on any system error.
-pub fn baseline_times(
-    spec: &ModelSpec,
-    backend: Backend,
-) -> (CheckpointBreakdown, RestoreBreakdown) {
-    let ctx = SimContext::icdcs24();
-    let capacity = 4 * spec.total_bytes() + (1 << 26);
-    let fs: Box<dyn FileBackend> = match backend {
-        Backend::BeegfsPmem => {
-            let fabric = Fabric::new(ctx.clone());
-            fabric.add_nic(NodeId(0));
-            fabric.add_nic(NodeId(1));
-            Box::new(Beegfs::mount(&fabric, NodeId(0), NodeId(1), capacity))
+/// One baseline world on the real data plane: `spec` materialized
+/// (seed 42) on a fresh GPU beside the `backend` file system (four
+/// times the model's bytes plus 64 MiB), saved by
+/// [`BaselineWorld::checkpoint`] (`torch.save`) and loaded back by
+/// [`BaselineWorld::restore`] (`torch.load` over GDS). A caller that
+/// only needs the save never pays the load's read, decode and GPU copy.
+pub struct BaselineWorld {
+    ctx: SimContext,
+    fs: Box<dyn FileBackend>,
+    gpu: Arc<GpuDevice>,
+    host: Arc<HostMemory>,
+    model: ModelInstance,
+    path: String,
+}
+
+impl BaselineWorld {
+    /// Builds the world: mounts the file system and materializes the
+    /// model.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any system error.
+    pub fn new(spec: &ModelSpec, backend: Backend) -> BaselineWorld {
+        let ctx = SimContext::icdcs24();
+        let capacity = 4 * spec.total_bytes() + (1 << 26);
+        let fs: Box<dyn FileBackend> = match backend {
+            Backend::BeegfsPmem => {
+                let fabric = Fabric::new(ctx.clone());
+                fabric.add_nic(NodeId(0));
+                fabric.add_nic(NodeId(1));
+                Box::new(Beegfs::mount(&fabric, NodeId(0), NodeId(1), capacity))
+            }
+            Backend::Ext4Nvme => Box::new(Ext4Nvme::new(ctx.clone(), capacity)),
+        };
+        let gpu = GpuDevice::new(ctx.clone(), 0, 2 * spec.total_bytes() + (1 << 30));
+        let host = HostMemory::new(ctx.clone(), 2 * spec.total_bytes() + (1 << 30));
+        let model = ModelInstance::materialize(spec, &gpu, 42, Materialization::Owned)
+            .expect("materialize");
+        let path = format!("{}.ckpt", spec.name);
+        BaselineWorld {
+            ctx,
+            fs,
+            gpu,
+            host,
+            model,
+            path,
         }
-        Backend::Ext4Nvme => Box::new(Ext4Nvme::new(ctx.clone(), capacity)),
-    };
-    let gpu = GpuDevice::new(ctx.clone(), 0, 2 * spec.total_bytes() + (1 << 30));
-    let host = HostMemory::new(ctx.clone(), 2 * spec.total_bytes() + (1 << 30));
-    let model =
-        ModelInstance::materialize(spec, &gpu, 42, Materialization::Owned).expect("materialize");
-    let saver = TorchCheckpointer::new(ctx.clone(), fs.as_ref(), gpu, host);
-    let path = format!("{}.ckpt", spec.name);
-    let ckpt = saver.checkpoint(&model, &path).expect("checkpoint");
-    let restore = saver.restore(&model, &path, true).expect("restore");
-    fs.delete(&path);
-    (ckpt, restore)
+    }
+
+    fn saver(&self) -> TorchCheckpointer<'_, dyn FileBackend> {
+        TorchCheckpointer::new(
+            self.ctx.clone(),
+            self.fs.as_ref(),
+            Arc::clone(&self.gpu),
+            Arc::clone(&self.host),
+        )
+    }
+
+    /// `torch.save`s the model; returns the phase breakdown.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any system error.
+    pub fn checkpoint(&self) -> CheckpointBreakdown {
+        self.saver()
+            .checkpoint(&self.model, &self.path)
+            .expect("checkpoint")
+    }
+
+    /// `torch.load`s the last checkpoint back onto the GPU over GDS;
+    /// returns the phase breakdown.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any system error, including a restore before any
+    /// checkpoint.
+    pub fn restore(&self) -> RestoreBreakdown {
+        self.saver()
+            .restore(&self.model, &self.path, true)
+            .expect("restore")
+    }
+}
+
+impl Drop for BaselineWorld {
+    fn drop(&mut self) {
+        self.fs.delete(&self.path);
+    }
 }
 
 /// Full three-system comparison for one model (one row of Figs. 11/12).
@@ -280,8 +335,11 @@ pub fn baseline_times(
 /// Panics on any system error.
 pub fn compare_systems(spec: &ModelSpec) -> SystemComparison {
     let (p_ckpt, p_restore) = portus_times(spec);
-    let (b_ckpt, b_restore) = baseline_times(spec, Backend::BeegfsPmem);
-    let (e_ckpt, e_restore) = baseline_times(spec, Backend::Ext4Nvme);
+    let [(b_ckpt, b_restore), (e_ckpt, e_restore)] =
+        [Backend::BeegfsPmem, Backend::Ext4Nvme].map(|backend| {
+            let world = BaselineWorld::new(spec, backend);
+            (world.checkpoint(), world.restore())
+        });
     SystemComparison {
         model: spec.name.clone(),
         bytes: spec.total_bytes(),

@@ -834,7 +834,7 @@ mod tests {
     use super::*;
     use crate::PortusError;
     use portus_pmem::{CrashSpec, PmemMode};
-    use portus_sim::SimContext;
+    use portus_sim::{SimContext, SimRng};
     use std::collections::BTreeMap;
 
     /// Root-pointer word lives at 0; the allocator table starts at 64.
@@ -947,13 +947,11 @@ mod tests {
         };
         let (_dev, alloc, cat) = harness(&cfg);
         let mut oracle: BTreeMap<String, u64> = BTreeMap::new();
-        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut rng = SimRng::new(0x2545_f491_4f6c_dd1d);
         for step in 0..1200u64 {
-            rng = rng
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let name = format!("m-{:04}", rng % 400);
-            match rng >> 61 {
+            let draw = rng.next_u64();
+            let name = format!("m-{:04}", draw % 400);
+            match draw >> 61 {
                 0..=4 => {
                     let prev = cat.insert(&alloc, &name, step).unwrap();
                     assert_eq!(prev, oracle.insert(name, step));

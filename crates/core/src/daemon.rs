@@ -57,7 +57,7 @@ use parking_lot::Mutex;
 use portus_pmem::{PmemDevice, PmemError};
 use portus_rdma::{
     CompletionQueue, ControlChannel, Fabric, Nic, NodeId, PostedQueuePair, QueuePair, RdmaError,
-    RegionTarget, SgEntry, WrId, MAX_SGE,
+    RegionTarget, SgEntry, Verb, WrId, MAX_SGE,
 };
 use portus_sim::{Metrics, Resource, SimContext, SimDuration, SimTime, SpanRecord, Stage, TraceOp};
 
@@ -1069,15 +1069,6 @@ fn piece_at(pieces: &[SlotPiece], rel: u64) -> Option<&SlotPiece> {
     pieces.get(after.saturating_sub(1))
 }
 
-/// Which way a posted datapath operation moves bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Direction {
-    /// Gather-READ, GPU → PMem (checkpoint pull).
-    Pull,
-    /// Scatter-WRITE, PMem → GPU (restore push).
-    Push,
-}
-
 /// A datapath operation whose WQEs exhausted their retries.
 struct DatapathFailure {
     /// The terminally failed work requests, with tensor attribution.
@@ -1365,10 +1356,10 @@ impl DaemonState {
         self.index.load_mindex(off)
     }
 
-    /// Posts one WQE per run (gather-READs for [`Direction::Pull`],
-    /// scatter-WRITEs for [`Direction::Push`], with the PMem side in
-    /// the piece of `pieces` that holds the run), drains the completion
-    /// queues, and re-posts failed WQEs for up to
+    /// Posts one `verb` WQE per run (gather-READs pull GPU → PMem for a
+    /// checkpoint, scatter-WRITEs push PMem → GPU for a restore, with
+    /// the PMem side in the piece of `pieces` that holds the run),
+    /// drains the completion queues, and re-posts failed WQEs for up to
     /// [`DaemonConfig::verb_retries`] rounds. Each round
     /// charges an exponentially growing backoff to the virtual clock
     /// before the fresh doorbell batch. Runs that stay failed after the
@@ -1395,7 +1386,7 @@ impl DaemonState {
         pool: &QpPool,
         runs: &[VerbRun],
         pieces: &[SlotPiece],
-        dir: Direction,
+        verb: Verb,
         sc: &SpanCtx<'_>,
     ) -> Result<RunOutcome, DatapathFailure> {
         let lanes = pool.len();
@@ -1426,10 +1417,7 @@ impl DaemonState {
                 base,
                 len: run.len,
             };
-            match dir {
-                Direction::Pull => endpoints[lane].0.post_read_gather(&run.segs, &region, 0),
-                Direction::Push => endpoints[lane].0.post_write_scatter(&run.segs, &region, 0),
-            }
+            endpoints[lane].0.post(verb, &run.segs, &region, 0)
         };
 
         let mut completions: Vec<Option<(SimTime, SimTime)>> = vec![None; runs.len()];
@@ -1838,7 +1826,7 @@ impl DaemonState {
             rel_off: 0,
             len: hdr.data_len,
         }];
-        let outcome = match self.execute_runs(pool, &runs, &region, Direction::Pull, &sc) {
+        let outcome = match self.execute_runs(pool, &runs, &region, Verb::Read, &sc) {
             Ok(outcome) => outcome,
             Err(fail) => {
                 self.rollback_best_effort(&mi, target, hdr, fail.any_succeeded);
@@ -1966,7 +1954,7 @@ impl DaemonState {
         // one doorbell, no client CPU involvement. A terminal push
         // failure touches no slot state — the stored version stays
         // `Done` and a later restore can try again.
-        self.execute_runs(pool, &runs, &pieces, Direction::Push, &sc)
+        self.execute_runs(pool, &runs, &pieces, Verb::Write, &sc)
             .map_err(|fail| fail.into_error(model, "restore"))?;
         let elapsed = self.ctx.clock.now().saturating_since(t0);
         sc.record_now(Stage::Total, t_op);
@@ -2212,7 +2200,7 @@ mod tests {
         dev.write(0, &vec![7u8; PULL_WQE_BYTES as usize]).unwrap();
         let persist = dev.persist_deferred(&[(0, PULL_WQE_BYTES)]).unwrap();
         let seal = persist + model.dax_read(PULL_WQE_BYTES);
-        let pull = model.rdma_read_posted(PULL_WQE_BYTES, MemoryKind::GpuHbm, false);
+        let pull = model.rdma_read(PULL_WQE_BYTES, MemoryKind::GpuHbm, false);
         assert!(
             seal < pull,
             "one chunk's seal {seal:?} must hide under one chunk's pull {pull:?}"

@@ -16,7 +16,7 @@
 //! [`PostedQueuePair::begin_batch`] calls share one doorbell, so the
 //! first pays the full per-verb base latency and the rest only the
 //! per-WQE increment ([`portus_sim::CostModel::rdma_posted_verb_ns`]).
-//! [`PostedQueuePair::post_read_gather`] additionally coalesces up to
+//! Each post ([`PostedQueuePair::post`]) coalesces up to
 //! [`crate::MAX_SGE`] scatter/gather segments into a single WQE.
 
 use std::collections::VecDeque;
@@ -26,7 +26,7 @@ use parking_lot::Mutex;
 
 use portus_sim::SimTime;
 
-use crate::{Completion, QueuePair, RdmaError, RegionTarget, SgEntry};
+use crate::{Completion, QueuePair, RdmaError, RegionTarget, SgEntry, Verb};
 
 /// Identifier of one posted work request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -101,7 +101,7 @@ impl CompletionQueue {
 /// ```
 /// use portus_mem::{Buffer, MemorySegment};
 /// use portus_rdma::{Access, CompletionQueue, Fabric, NodeId, PostedQueuePair,
-///                   QueuePair, RegionTarget};
+///                   QueuePair, RegionTarget, SgEntry, Verb};
 /// use portus_sim::{MemoryKind, SimContext};
 ///
 /// let fabric = Fabric::new(SimContext::icdcs24());
@@ -115,7 +115,8 @@ impl CompletionQueue {
 /// let qp = PostedQueuePair::new(qb, cq.clone());
 /// let dst = RegionTarget::Buffer(Buffer::new(
 ///     MemoryKind::HostDram, MemorySegment::zeroed(4096)));
-/// qp.post_read(mr.rkey(), 0, &dst, 0, 4096);
+/// let seg = SgEntry { rkey: mr.rkey(), offset: 0, len: 4096 };
+/// qp.post(Verb::Read, &[seg], &dst, 0);
 /// let done = cq.poll(16);
 /// assert_eq!(done.len(), 1);
 /// assert!(done[0].is_ok());
@@ -135,8 +136,7 @@ impl PostedQueuePair {
     ///
     /// The queue pair may be shared (e.g. a daemon's per-client QP used
     /// by several worker threads). Posts schedule their WQEs on the
-    /// QP's lane engines without advancing the shared clock
-    /// ([`QueuePair::read_gather`] / [`QueuePair::write_scatter`]), so
+    /// QP's lane engines without advancing the shared clock, so
     /// several striped queue pairs can post from one instant and
     /// overlap on independent NIC engines; the driver advances the
     /// clock itself when it drains the round.
@@ -178,53 +178,29 @@ impl PostedQueuePair {
         first
     }
 
-    /// Posts a one-sided READ; the outcome lands on the completion
-    /// queue. Returns the work-request id immediately.
-    pub fn post_read(
-        &self,
-        rkey: u64,
-        remote_off: u64,
-        dst: &RegionTarget,
-        dst_off: u64,
-        len: u64,
-    ) -> WrId {
-        self.post_read_gather(
-            &[SgEntry {
-                rkey,
-                offset: remote_off,
-                len,
-            }],
-            dst,
-            dst_off,
-        )
+    /// Posts one WQE of `verb` over `segs` (up to [`crate::MAX_SGE`]
+    /// segments, the local side packed back to back in `local` from
+    /// `local_off`) on the open doorbell batch; the outcome lands on the
+    /// completion queue. Returns the work-request id immediately.
+    pub fn post(&self, verb: Verb, segs: &[SgEntry], local: &RegionTarget, local_off: u64) -> WrId {
+        let wr_id = self.fresh_wr();
+        let first = self.note_post();
+        let result = self.qp.post_wqe(verb, segs, local, local_off, first);
+        if result.is_err() {
+            self.qp.local_nic().ctx().stats.record_failed_verb();
+        }
+        self.cq.push(WorkCompletion { wr_id, result });
+        wr_id
     }
 
-    /// Posts a one-sided gather READ over `segs` (one WQE, up to
-    /// [`crate::MAX_SGE`] segments, packed into `dst` from `dst_off`);
-    /// the outcome lands on the completion queue.
+    /// Posts a gather READ of `segs` into `dst` from `dst_off`.
     pub fn post_read_gather(&self, segs: &[SgEntry], dst: &RegionTarget, dst_off: u64) -> WrId {
-        let wr_id = self.fresh_wr();
-        let first = self.note_post();
-        let result = self.qp.read_gather(segs, dst, dst_off, first);
-        if result.is_err() {
-            self.qp.local_nic().ctx().stats.record_failed_verb();
-        }
-        self.cq.push(WorkCompletion { wr_id, result });
-        wr_id
+        self.post(Verb::Read, segs, dst, dst_off)
     }
 
-    /// Posts a one-sided scatter WRITE over `segs` (one WQE, sourced
-    /// back to back from `src` at `src_off`); the outcome lands on the
-    /// completion queue.
+    /// Posts a scatter WRITE of `segs` sourced from `src` at `src_off`.
     pub fn post_write_scatter(&self, segs: &[SgEntry], src: &RegionTarget, src_off: u64) -> WrId {
-        let wr_id = self.fresh_wr();
-        let first = self.note_post();
-        let result = self.qp.write_scatter(segs, src, src_off, first);
-        if result.is_err() {
-            self.qp.local_nic().ctx().stats.record_failed_verb();
-        }
-        self.cq.push(WorkCompletion { wr_id, result });
-        wr_id
+        self.post(Verb::Write, segs, src, src_off)
     }
 
     /// The underlying queue pair (for two-sided messaging).
@@ -259,11 +235,28 @@ mod tests {
         (qp, cq, mr.rkey(), dst)
     }
 
+    /// A one-segment gather READ: `len` bytes at `remote_off` of `rkey`.
+    fn post_one(
+        qp: &PostedQueuePair,
+        rkey: u64,
+        remote_off: u64,
+        dst: &RegionTarget,
+        dst_off: u64,
+        len: u64,
+    ) -> WrId {
+        let seg = SgEntry {
+            rkey,
+            offset: remote_off,
+            len,
+        };
+        qp.post_read_gather(&[seg], dst, dst_off)
+    }
+
     #[test]
     fn completions_arrive_in_posting_order() {
         let (qp, cq, rkey, dst) = setup();
         let ids: Vec<WrId> = (0..5)
-            .map(|i| qp.post_read(rkey, i * 1024, &dst, i * 1024, 1024))
+            .map(|i| post_one(&qp, rkey, i * 1024, &dst, i * 1024, 1024))
             .collect();
         let done = cq.poll(16);
         assert_eq!(done.len(), 5);
@@ -277,7 +270,7 @@ mod tests {
     fn poll_respects_the_batch_limit() {
         let (qp, cq, rkey, dst) = setup();
         for _ in 0..4 {
-            qp.post_read(rkey, 0, &dst, 0, 4096);
+            post_one(&qp, rkey, 0, &dst, 0, 4096);
         }
         assert_eq!(cq.poll(3).len(), 3);
         assert_eq!(cq.len(), 1);
@@ -287,7 +280,7 @@ mod tests {
     #[test]
     fn failed_posts_complete_with_errors() {
         let (qp, cq, _rkey, dst) = setup();
-        let id = qp.post_read(0xBAD, 0, &dst, 0, 64);
+        let id = post_one(&qp, 0xBAD, 0, &dst, 0, 64);
         let done = cq.poll(1);
         assert_eq!(done[0].wr_id, id);
         assert!(matches!(done[0].result, Err(RdmaError::InvalidRkey(0xBAD))));
@@ -300,11 +293,11 @@ mod tests {
         let before = ctx.stats.snapshot();
 
         for i in 0..4u64 {
-            qp.post_read(rkey, i * 4096, &dst, i * 4096, 4096);
+            post_one(&qp, rkey, i * 4096, &dst, i * 4096, 4096);
         }
         qp.begin_batch();
         for i in 0..4u64 {
-            qp.post_read(rkey, i * 4096, &dst, i * 4096, 4096);
+            post_one(&qp, rkey, i * 4096, &dst, i * 4096, 4096);
         }
         let d = ctx.stats.snapshot().since(&before);
         assert_eq!(d.posted_verbs, 8);
@@ -343,8 +336,8 @@ mod tests {
     #[test]
     fn fabric_span_reports_transfer_instants() {
         let (qp, cq, rkey, dst) = setup();
-        qp.post_read(rkey, 0, &dst, 0, 4096);
-        let bad = qp.post_read(0xBAD, 0, &dst, 0, 64);
+        post_one(&qp, rkey, 0, &dst, 0, 4096);
+        let bad = post_one(&qp, 0xBAD, 0, &dst, 0, 64);
         let done = cq.poll(4);
         let (start, end) = done[0].fabric_span().expect("success has a span");
         assert!(end > start);
@@ -355,8 +348,8 @@ mod tests {
     #[test]
     fn wr_ids_are_monotone() {
         let (qp, _cq, rkey, dst) = setup();
-        let a = qp.post_read(rkey, 0, &dst, 0, 64);
-        let b = qp.post_read(rkey, 0, &dst, 0, 64);
+        let a = post_one(&qp, rkey, 0, &dst, 0, 64);
+        let b = post_one(&qp, rkey, 0, &dst, 0, 64);
         assert!(b > a);
     }
 }

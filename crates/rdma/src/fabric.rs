@@ -50,11 +50,6 @@ impl Nic {
         &self.ctx
     }
 
-    /// The NIC's FIFO link resource (the first DMA engine).
-    pub fn resource(&self) -> &Resource {
-        &self.engines[0]
-    }
-
     /// The DMA engine serving `lane`. Lanes beyond the engine count
     /// wrap around, so any lane number maps to a valid engine and a
     /// single-engine NIC serializes every lane on its one port.
@@ -266,8 +261,6 @@ mod tests {
         assert_eq!(nic.engine(2).name(), "rnic-node0-e2");
         // Lanes wrap around the engine pool.
         assert_eq!(nic.engine(6).name(), nic.engine(2).name());
-        // engine(0) is the classic single resource.
-        assert_eq!(nic.resource().name(), nic.engine(0).name());
         let single = fabric.add_nic(NodeId(1));
         assert_eq!(single.engine_count(), 1);
         assert_eq!(single.engine(3).name(), "rnic-node1");

@@ -3,13 +3,14 @@
 //! A simulated 100 Gb/s InfiniBand fabric with the pieces the Portus
 //! datapath needs: per-node NICs ([`Nic`]) that register memory regions
 //! ([`MemoryRegion`]) over GPU/host/PMem bytes, reliable-connected
-//! [`QueuePair`]s with one-sided READ/WRITE and two-sided SEND/RECV
-//! verbs, and the TCP-over-IPoIB [`ControlChannel`].
+//! [`QueuePair`]s with one-sided READ/WRITE ([`Verb`]) and two-sided
+//! SEND/RECV verbs, posted work requests on a [`CompletionQueue`], and
+//! the TCP-over-IPoIB [`ControlChannel`].
 //!
-//! Data really moves: a one-sided READ copies the remote region's bytes
-//! into the local target, byte for byte, while charging the calibrated
-//! transfer time on the shared virtual clock and serializing on both
-//! NICs' FIFO link resources. Reads whose source is GPU memory are
+//! Data really moves: every one-sided verb is one work-queue entry
+//! that copies its scatter/gather segments byte for byte, priced by
+//! the calibrated cost model and scheduled on both NICs' DMA engines
+//! for the queue pair's lane. Reads whose source is GPU memory are
 //! BAR-capped exactly as the paper measures (§V-B).
 //!
 //! # Examples
@@ -37,7 +38,10 @@
 //! let dst = RegionTarget::Pmem { dev: pmem, base: 0, len: 4096 };
 //!
 //! let (_client_qp, server_qp) = QueuePair::connect(compute, storage);
-//! server_qp.read(mr.rkey(), 0, &dst, 0, 4096)?; // the zero-copy pull
+//! // The zero-copy pull: one WQE on its own doorbell; the blocking form
+//! // advances the shared clock to its completion.
+//! let done = server_qp.read(mr.rkey(), 0, &dst, 0, 4096)?;
+//! assert_eq!(fabric.ctx().clock.now(), done.end);
 //! assert_eq!(dst.checksum()?, tensor.checksum());
 //! # Ok::<(), portus_rdma::RdmaError>(())
 //! ```
@@ -59,4 +63,4 @@ pub use error::{RdmaError, RdmaResult};
 pub use fabric::{Fabric, Nic, NodeId};
 pub use fault::{FaultPlan, FaultSpec};
 pub use mr::{Access, MemoryRegion, RegionTarget};
-pub use qp::{Completion, QueuePair, SgEntry, MAX_SGE};
+pub use qp::{Completion, QueuePair, SgEntry, Verb, MAX_SGE};

@@ -137,7 +137,8 @@ impl RegionTarget {
     }
 }
 
-fn check_window(offset: u64, len: u64, window: u64) -> RdmaResult<()> {
+/// Checks that `len` bytes at `offset` fit in a `window`-byte region.
+pub(crate) fn check_window(offset: u64, len: u64, window: u64) -> RdmaResult<()> {
     let end = offset.checked_add(len).ok_or(RdmaError::OutOfBounds {
         offset,
         len,

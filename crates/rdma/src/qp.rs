@@ -1,23 +1,39 @@
 //! Queue pairs and verbs.
 //!
-//! [`QueuePair::read`] / [`QueuePair::write`] are the one-sided verbs at
-//! the heart of the Portus datapath: the initiator names a remote region
-//! by rkey and the fabric moves the bytes with **no involvement of the
-//! remote CPU** — which is why the simulated remote side charges no
-//! compute time and crosses no kernel boundary. [`QueuePair::send`] /
-//! [`QueuePair::recv`] are the two-sided channel the BeeGFS baseline's
-//! RPC protocol runs over.
+//! The Portus datapath is two one-sided verbs ([`Verb`]): the daemon
+//! READs each tensor out of GPU memory to checkpoint it and WRITEs it
+//! back to restore it. The initiator names a remote region by rkey and
+//! the fabric moves the bytes with **no involvement of the remote CPU**
+//! — which is why the simulated remote side charges no compute time and
+//! crosses no kernel boundary. Every one-sided entry point — the
+//! gather/scatter WQEs [`QueuePair::read_gather`] /
+//! [`QueuePair::write_scatter`], the blocking one-segment
+//! [`QueuePair::read`] / [`QueuePair::write`], and
+//! [`crate::PostedQueuePair`]'s posts — wraps one work-queue-entry core
+//! that validates, copies, counts, prices and schedules.
+//! [`QueuePair::send`] / [`QueuePair::recv`] are the two-sided channel
+//! the BeeGFS baseline's RPC protocol runs over.
 
 use std::sync::Arc;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use portus_sim::{MemoryKind, SimDuration, SimTime};
 
+use crate::mr::check_window;
 use crate::{Nic, RdmaError, RdmaResult, RegionTarget};
 
 /// Maximum scatter/gather segments one work-queue entry may carry —
 /// the `max_sge` a ConnectX-class RNIC advertises for its WQE format.
 pub const MAX_SGE: usize = 16;
+
+/// The one-sided verb a work-queue entry carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verb {
+    /// RDMA READ: remote segments → local region (the checkpoint pull).
+    Read,
+    /// RDMA WRITE: local region → remote segments (the restore push).
+    Write,
+}
 
 /// One scatter/gather segment of a multi-segment work-queue entry:
 /// `len` bytes at `offset` within the remote region `rkey`.
@@ -40,8 +56,6 @@ pub struct Completion {
     pub start: SimTime,
     /// When the transfer completed.
     pub end: SimTime,
-    /// Queueing + service latency experienced by the initiator.
-    pub latency: SimDuration,
 }
 
 /// A reliable-connected queue pair between two NICs.
@@ -115,31 +129,18 @@ impl QueuePair {
         Ok(())
     }
 
-    /// Charges a transfer of `service` on both NICs' engines for this
-    /// QP's lane and advances the shared clock to the completion
-    /// instant.
-    fn charge_transfer(&self, service: SimDuration) -> (SimTime, SimTime) {
-        let ctx = self.local.ctx();
-        let now = ctx.clock.now();
-        let g_local = self.local.engine(self.lane).schedule(now, service);
-        let g_remote = self.remote.engine(self.lane).schedule(now, service);
-        let start = g_local.start.max(g_remote.start);
-        let end = g_local.end.max(g_remote.end);
-        ctx.clock.advance_to(end);
-        (start, end)
-    }
-
-    /// Schedules a transfer of `service` on both NICs' engines for this
-    /// QP's lane **without advancing the shared clock** — the striped
-    /// datapath posts WQEs on several lanes from one instant and only
-    /// advances the clock when it drains the completions, which is what
-    /// lets transfers on different engines overlap in virtual time.
+    /// Schedules `service` on both NICs' engines for this QP's lane
+    /// **without advancing the shared clock**: the striped datapath
+    /// posts WQEs on several lanes from one instant and advances the
+    /// clock only when it drains the completions, which is what lets
+    /// transfers on different engines overlap in virtual time.
     ///
-    /// A verb landing on an engine that is already busy (more QPs than
-    /// engines, or several in-flight WQEs on one lane) pays the
+    /// A transfer landing on an engine that is already busy (more QPs
+    /// than engines, or several in-flight WQEs on one lane) pays the
     /// [`portus_sim::CostModel::nic_engine_contention`] arbitration
-    /// penalty on top of the FIFO queueing delay itself.
-    fn charge_transfer_deferred(&self, service: SimDuration) -> (SimTime, SimTime) {
+    /// penalty on top of the FIFO queueing delay itself. A caller that
+    /// waits for each transfer always finds the engines idle.
+    fn schedule(&self, service: SimDuration) -> (SimTime, SimTime) {
         let ctx = self.local.ctx();
         let now = ctx.clock.now();
         let local = self.local.engine(self.lane);
@@ -152,13 +153,116 @@ impl QueuePair {
         };
         let g_local = local.schedule(now, service);
         let g_remote = remote.schedule(now, service);
-        let start = g_local.start.max(g_remote.start);
-        let end = g_local.end.max(g_remote.end);
-        (start, end)
+        (
+            g_local.start.max(g_remote.start),
+            g_local.end.max(g_remote.end),
+        )
     }
 
-    /// One-sided RDMA READ: pulls `len` bytes from the remote region
-    /// `rkey` at `remote_off` into the local `dst` at `dst_off`.
+    /// The one-sided core: one work-queue entry of `verb` over `segs`
+    /// (each naming a remote region), with the local side packed back
+    /// to back in `local` from `local_off`.
+    ///
+    /// Every segment's rkey, access right and bounds, and the local
+    /// window, are checked before any byte moves, so a WQE that fails
+    /// validation transfers nothing. The verb is priced **once** for
+    /// the summed byte count, so `n` small tensors ride one WQE at the
+    /// large-message effective bandwidth instead of paying `n` per-verb
+    /// latencies and `n` short-message ramps; with
+    /// `first_in_batch == false` it also rides an earlier doorbell (see
+    /// [`portus_sim::CostModel::rdma_read`]). A READ is BAR-capped if
+    /// *any* segment reads GPU memory — the slowest source gates the DMA
+    /// engine. The WQE is scheduled on this QP's lane engines (see
+    /// `QueuePair::schedule`); the clock is not advanced.
+    pub(crate) fn post_wqe(
+        &self,
+        verb: Verb,
+        segs: &[SgEntry],
+        local: &RegionTarget,
+        local_off: u64,
+        first_in_batch: bool,
+    ) -> RdmaResult<Completion> {
+        if segs.is_empty() {
+            return Err(RdmaError::EmptySgList);
+        }
+        self.fault_check()?;
+        let mrs = segs
+            .iter()
+            .map(|seg| {
+                let mr = self.remote.lookup(seg.rkey)?;
+                let (allowed, op) = match verb {
+                    Verb::Read => (mr.access().remote_read, "remote read"),
+                    Verb::Write => (mr.access().remote_write, "remote write"),
+                };
+                if !allowed {
+                    return Err(RdmaError::AccessDenied { rkey: seg.rkey, op });
+                }
+                check_window(seg.offset, seg.len, mr.target().len())?;
+                Ok(mr)
+            })
+            .collect::<RdmaResult<Vec<_>>>()?;
+        let total: u64 = segs.iter().map(|s| s.len).sum();
+        check_window(local_off, total, local.len())?;
+        let mut off = local_off;
+        for (seg, mr) in segs.iter().zip(&mrs) {
+            match verb {
+                Verb::Read => copy_between_targets(mr.target(), seg.offset, local, off, seg.len)?,
+                Verb::Write => copy_between_targets(local, off, mr.target(), seg.offset, seg.len)?,
+            }
+            off += seg.len;
+        }
+
+        let remote_kind = if mrs.iter().any(|m| m.target().kind() == MemoryKind::GpuHbm) {
+            MemoryKind::GpuHbm
+        } else {
+            mrs[0].target().kind()
+        };
+        let ctx = self.local.ctx();
+        let service = match verb {
+            Verb::Read => ctx.model.rdma_read(total, remote_kind, first_in_batch),
+            Verb::Write => ctx.model.rdma_write(total, remote_kind, first_in_batch),
+        };
+        let (start, end) = self.schedule(service);
+        // One *logical* data movement per tensor segment: the structural
+        // zero-copy counters see through the WQE packing.
+        for seg in segs {
+            ctx.stats.record_one_sided(seg.len);
+            ctx.stats.record_copy(seg.len);
+        }
+        if segs.len() > 1 {
+            ctx.stats.record_coalesced(total);
+        }
+        Ok(Completion {
+            bytes: total,
+            start,
+            end,
+        })
+    }
+
+    /// Posts `len` bytes at `remote_off` of `rkey` as a one-segment WQE
+    /// on its own doorbell and waits for it: the shared clock advances
+    /// to its completion.
+    fn post_and_wait(
+        &self,
+        verb: Verb,
+        rkey: u64,
+        remote_off: u64,
+        local: &RegionTarget,
+        local_off: u64,
+        len: u64,
+    ) -> RdmaResult<Completion> {
+        let seg = SgEntry {
+            rkey,
+            offset: remote_off,
+            len,
+        };
+        let c = self.post_wqe(verb, &[seg], local, local_off, true)?;
+        self.local.ctx().clock.advance_to(c.end);
+        Ok(c)
+    }
+
+    /// Blocking one-sided RDMA READ: pulls `len` bytes from the remote
+    /// region `rkey` at `remote_off` into the local `dst` at `dst_off`.
     ///
     /// The effective bandwidth depends on what the remote bytes live in:
     /// reads out of GPU memory are BAR-capped at 5.8 GB/s (paper §V-B).
@@ -176,32 +280,11 @@ impl QueuePair {
         dst_off: u64,
         len: u64,
     ) -> RdmaResult<Completion> {
-        self.fault_check()?;
-        let mr = self.remote.lookup(rkey)?;
-        if !mr.access().remote_read {
-            return Err(RdmaError::AccessDenied {
-                rkey,
-                op: "remote read",
-            });
-        }
-        copy_between_targets(mr.target(), remote_off, dst, dst_off, len)?;
-
-        let ctx = self.local.ctx();
-        let submitted = ctx.clock.now();
-        let service = ctx.model.rdma_read(len, mr.target().kind());
-        let (start, end) = self.charge_transfer(service);
-        ctx.stats.record_one_sided(len);
-        ctx.stats.record_copy(len);
-        Ok(Completion {
-            bytes: len,
-            start,
-            end,
-            latency: end.saturating_since(submitted),
-        })
+        self.post_and_wait(Verb::Read, rkey, remote_off, dst, dst_off, len)
     }
 
-    /// One-sided RDMA WRITE: pushes `len` bytes from the local `src` at
-    /// `src_off` into the remote region `rkey` at `remote_off`.
+    /// Blocking one-sided RDMA WRITE: pushes `len` bytes from the local
+    /// `src` at `src_off` into the remote region `rkey` at `remote_off`.
     ///
     /// Writes into GPU memory are *not* BAR-capped (Fig. 10d). Writes
     /// into PMem land in the DDIO cache — volatile until the owner
@@ -218,50 +301,14 @@ impl QueuePair {
         src_off: u64,
         len: u64,
     ) -> RdmaResult<Completion> {
-        self.fault_check()?;
-        let mr = self.remote.lookup(rkey)?;
-        if !mr.access().remote_write {
-            return Err(RdmaError::AccessDenied {
-                rkey,
-                op: "remote write",
-            });
-        }
-        copy_between_targets(src, src_off, mr.target(), remote_off, len)?;
-
-        let ctx = self.local.ctx();
-        let submitted = ctx.clock.now();
-        let service = ctx.model.rdma_write(len, mr.target().kind());
-        let (start, end) = self.charge_transfer(service);
-        ctx.stats.record_one_sided(len);
-        ctx.stats.record_copy(len);
-        Ok(Completion {
-            bytes: len,
-            start,
-            end,
-            latency: end.saturating_since(submitted),
-        })
+        self.post_and_wait(Verb::Write, rkey, remote_off, src, src_off, len)
     }
 
-    /// One-sided gather READ: one work-queue entry that pulls every
-    /// segment in `segs` (each naming a remote region) into the local
-    /// `dst`, packed back to back starting at `dst_off`.
-    ///
-    /// This is the coalesced form of [`QueuePair::read`]: the verb is
-    /// charged **once** for the summed byte count, so `n` small tensors
-    /// that are contiguous in the destination ride one WQE at the large-
-    /// message effective bandwidth instead of paying `n` per-verb
-    /// latencies and `n` short-message ramps. With
-    /// `first_in_batch == false` the verb additionally rides an earlier
-    /// doorbell (see [`portus_sim::CostModel::rdma_read_posted`]).
-    ///
-    /// The WQE is scheduled on this QP's lane engines but the shared
-    /// clock is **not** advanced: the returned [`Completion`] carries
-    /// the `(start, end)` window and the caller advances the clock once
-    /// when it drains the whole posting round (see
-    /// `QueuePair::charge_transfer_deferred`).
-    ///
-    /// The source is treated as BAR-capped GPU memory if *any* segment
-    /// reads GPU memory — the slowest source gates the DMA engine.
+    /// One-sided gather READ: one WQE that pulls every segment in `segs`
+    /// into the local `dst`, packed back to back from `dst_off`. The
+    /// clock is not advanced: the returned [`Completion`] carries the
+    /// `(start, end)` window and the caller advances the clock once when
+    /// it drains the whole posting round.
     ///
     /// # Errors
     ///
@@ -275,61 +322,13 @@ impl QueuePair {
         dst_off: u64,
         first_in_batch: bool,
     ) -> RdmaResult<Completion> {
-        if segs.is_empty() {
-            return Err(RdmaError::EmptySgList);
-        }
-        self.fault_check()?;
-        let mut mrs = Vec::with_capacity(segs.len());
-        for seg in segs {
-            let mr = self.remote.lookup(seg.rkey)?;
-            if !mr.access().remote_read {
-                return Err(RdmaError::AccessDenied {
-                    rkey: seg.rkey,
-                    op: "remote read",
-                });
-            }
-            mrs.push(mr);
-        }
-        let mut off = dst_off;
-        for (seg, mr) in segs.iter().zip(&mrs) {
-            copy_between_targets(mr.target(), seg.offset, dst, off, seg.len)?;
-            off += seg.len;
-        }
-        let total: u64 = segs.iter().map(|s| s.len).sum();
-        let src_kind = if mrs.iter().any(|m| m.target().kind() == MemoryKind::GpuHbm) {
-            MemoryKind::GpuHbm
-        } else {
-            mrs[0].target().kind()
-        };
-
-        let ctx = self.local.ctx();
-        let submitted = ctx.clock.now();
-        let service = ctx.model.rdma_read_posted(total, src_kind, first_in_batch);
-        let (start, end) = self.charge_transfer_deferred(service);
-        // One *logical* data movement per tensor segment: the structural
-        // zero-copy counters see through the WQE packing.
-        for seg in segs {
-            ctx.stats.record_one_sided(seg.len);
-            ctx.stats.record_copy(seg.len);
-        }
-        if segs.len() > 1 {
-            ctx.stats.record_coalesced(total);
-        }
-        Ok(Completion {
-            bytes: total,
-            start,
-            end,
-            latency: end.saturating_since(submitted),
-        })
+        self.post_wqe(Verb::Read, segs, dst, dst_off, first_in_batch)
     }
 
-    /// One-sided scatter WRITE: one work-queue entry that pushes bytes
-    /// packed back to back in the local `src` (starting at `src_off`)
-    /// out to every remote segment in `segs`.
-    ///
-    /// The coalesced form of [`QueuePair::write`]; charging mirrors
-    /// [`QueuePair::read_gather`] (writes are never BAR-capped), clock
-    /// deferral included.
+    /// One-sided scatter WRITE: one WQE that pushes bytes packed back to
+    /// back in the local `src` (from `src_off`) out to every remote
+    /// segment in `segs`; the clock is not advanced, as in
+    /// [`QueuePair::read_gather`].
     ///
     /// # Errors
     ///
@@ -343,62 +342,22 @@ impl QueuePair {
         src_off: u64,
         first_in_batch: bool,
     ) -> RdmaResult<Completion> {
-        if segs.is_empty() {
-            return Err(RdmaError::EmptySgList);
-        }
-        self.fault_check()?;
-        let mut mrs = Vec::with_capacity(segs.len());
-        for seg in segs {
-            let mr = self.remote.lookup(seg.rkey)?;
-            if !mr.access().remote_write {
-                return Err(RdmaError::AccessDenied {
-                    rkey: seg.rkey,
-                    op: "remote write",
-                });
-            }
-            mrs.push(mr);
-        }
-        let mut off = src_off;
-        for (seg, mr) in segs.iter().zip(&mrs) {
-            copy_between_targets(src, off, mr.target(), seg.offset, seg.len)?;
-            off += seg.len;
-        }
-        let total: u64 = segs.iter().map(|s| s.len).sum();
-
-        let ctx = self.local.ctx();
-        let submitted = ctx.clock.now();
-        let service = ctx
-            .model
-            .rdma_write_posted(total, mrs[0].target().kind(), first_in_batch);
-        let (start, end) = self.charge_transfer_deferred(service);
-        for seg in segs {
-            ctx.stats.record_one_sided(seg.len);
-            ctx.stats.record_copy(seg.len);
-        }
-        if segs.len() > 1 {
-            ctx.stats.record_coalesced(total);
-        }
-        Ok(Completion {
-            bytes: total,
-            start,
-            end,
-            latency: end.saturating_since(submitted),
-        })
+        self.post_wqe(Verb::Write, segs, src, src_off, first_in_batch)
     }
 
     /// Two-sided SEND: delivers `payload` to the peer's receive queue
     /// using the RPC-over-RDMA protocol (rendezvous + remote CPU copy —
-    /// the slower path the BeeGFS baseline uses).
+    /// the slower path the BeeGFS baseline uses). Blocking: the clock
+    /// advances to the transfer's completion.
     ///
     /// # Errors
     ///
     /// [`RdmaError::Disconnected`] if the peer endpoint is gone.
     pub fn send(&self, payload: Vec<u8>) -> RdmaResult<Completion> {
         let ctx = self.local.ctx();
-        let submitted = ctx.clock.now();
         let len = payload.len() as u64;
-        let service = ctx.model.rpc_rdma_transfer(len);
-        let (start, end) = self.charge_transfer(service);
+        let (start, end) = self.schedule(ctx.model.rpc_rdma_transfer(len));
+        ctx.clock.advance_to(end);
         ctx.stats.record_two_sided(len);
         ctx.stats.record_copy(len);
         self.tx.send(payload).map_err(|_| RdmaError::Disconnected)?;
@@ -406,7 +365,6 @@ impl QueuePair {
             bytes: len,
             start,
             end,
-            latency: end.saturating_since(submitted),
         })
     }
 
@@ -679,7 +637,10 @@ mod tests {
 
         // One large verb beats two short ones: longer message amortizes
         // the ramp, and only one base latency is paid.
-        let single = fabric.ctx().model.rdma_read(seg_len, MemoryKind::GpuHbm);
+        let single = fabric
+            .ctx()
+            .model
+            .rdma_read(seg_len, MemoryKind::GpuHbm, true);
         let coalesced = c.end - c.start;
         assert!(
             coalesced < single + single,
@@ -723,38 +684,134 @@ mod tests {
         assert_eq!(got, want);
     }
 
+    /// Posts one gather READ or scatter WRITE through the public entry
+    /// points.
+    fn wqe(
+        qp: &QueuePair,
+        verb: Verb,
+        segs: &[SgEntry],
+        local: &RegionTarget,
+        local_off: u64,
+    ) -> RdmaResult<Completion> {
+        match verb {
+            Verb::Read => qp.read_gather(segs, local, local_off, true),
+            Verb::Write => qp.write_scatter(segs, local, local_off, true),
+        }
+    }
+
+    fn contents(target: &RegionTarget) -> Vec<u8> {
+        let mut out = vec![0u8; target.len() as usize];
+        target.read_at(0, &mut out).unwrap();
+        out
+    }
+
     #[test]
     fn gather_read_validates_before_moving_bytes() {
-        let (_f, a, b) = two_nodes();
-        let buf = Buffer::new(MemoryKind::HostDram, patterned(4096, 5));
-        let mr = a.register(RegionTarget::Buffer(buf), Access::READ);
-        let dst_buf = Buffer::new(MemoryKind::HostDram, MemorySegment::zeroed(8192));
-        let dst = RegionTarget::Buffer(dst_buf.clone());
-        let (_qa, qb) = QueuePair::connect(a, b);
-        let segs = [
-            SgEntry {
+        for verb in [Verb::Read, Verb::Write] {
+            let (_f, a, b) = two_nodes();
+            // The destination starts zeroed and the source patterned:
+            // the remote region is the source of a READ, the local
+            // region the source of a WRITE.
+            let (remote_bytes, local_bytes) = match verb {
+                Verb::Read => (patterned(4096, 5), MemorySegment::zeroed(8192)),
+                Verb::Write => (MemorySegment::zeroed(4096), patterned(8192, 5)),
+            };
+            let remote = RegionTarget::Buffer(Buffer::new(MemoryKind::HostDram, remote_bytes));
+            let mr = a.register(remote.clone(), Access::READ_WRITE);
+            let local = RegionTarget::Buffer(Buffer::new(MemoryKind::HostDram, local_bytes));
+            let (_qa, qb) = QueuePair::connect(a, b);
+            let good = SgEntry {
                 rkey: mr.rkey(),
                 offset: 0,
                 len: 4096,
-            },
-            SgEntry {
-                rkey: 0xBAD,
-                offset: 0,
-                len: 4096,
-            },
-        ];
-        assert!(matches!(
-            qb.read_gather(&segs, &dst, 0, true),
-            Err(RdmaError::InvalidRkey(0xBAD))
-        ));
-        // The whole WQE failed: nothing may have landed.
-        let mut got = vec![0u8; 4096];
-        dst.read_at(0, &mut got).unwrap();
-        assert!(got.iter().all(|&x| x == 0));
-        assert!(matches!(
-            qb.read_gather(&[], &dst, 0, true),
-            Err(RdmaError::EmptySgList)
-        ));
+            };
+            // A second segment with an unknown rkey, or one running past
+            // the end of its region.
+            let bad = [
+                (
+                    SgEntry {
+                        rkey: 0xBAD,
+                        ..good
+                    },
+                    RdmaError::InvalidRkey(0xBAD),
+                ),
+                (
+                    SgEntry { offset: 1, ..good },
+                    RdmaError::OutOfBounds {
+                        offset: 1,
+                        len: 4096,
+                        region_len: 4096,
+                    },
+                ),
+            ];
+            for (second, err) in bad {
+                assert_eq!(wqe(&qb, verb, &[good, second], &local, 0), Err(err));
+                // The whole WQE failed: nothing may have landed.
+                let dst = match verb {
+                    Verb::Read => &local,
+                    Verb::Write => &remote,
+                };
+                assert!(
+                    contents(dst)[..4096].iter().all(|&x| x == 0),
+                    "{verb:?} moved bytes before validating"
+                );
+            }
+            assert!(matches!(
+                wqe(&qb, verb, &[], &local, 0),
+                Err(RdmaError::EmptySgList)
+            ));
+        }
+    }
+
+    /// A blocking verb is a one-segment WQE on its own doorbell plus a
+    /// clock advance to its completion: the same bytes, the same
+    /// fabric window, the same clock afterwards and the same counters,
+    /// for a GPU and a DRAM remote region, in both directions.
+    #[test]
+    fn blocking_verbs_are_one_segment_wqes_plus_a_clock_advance() {
+        const LEN: u64 = 96 * 1024;
+        for kind in [MemoryKind::GpuHbm, MemoryKind::HostDram] {
+            for verb in [Verb::Read, Verb::Write] {
+                let run = |blocking: bool| {
+                    let (fabric, a, b) = two_nodes();
+                    let remote = RegionTarget::Buffer(Buffer::new(kind, patterned(4 * LEN, 3)));
+                    let mr = a.register(remote.clone(), Access::READ_WRITE);
+                    let local = RegionTarget::Buffer(Buffer::new(
+                        MemoryKind::HostDram,
+                        patterned(2 * LEN, 9),
+                    ));
+                    let (_qa, qb) = QueuePair::connect(a, b);
+                    let ctx = fabric.ctx();
+                    let before = ctx.stats.snapshot();
+                    let seg = SgEntry {
+                        rkey: mr.rkey(),
+                        offset: LEN,
+                        len: LEN,
+                    };
+                    let c = if blocking {
+                        match verb {
+                            Verb::Read => qb.read(seg.rkey, seg.offset, &local, 512, seg.len),
+                            Verb::Write => qb.write(seg.rkey, seg.offset, &local, 512, seg.len),
+                        }
+                        .unwrap()
+                    } else {
+                        let c = wqe(&qb, verb, &[seg], &local, 512).unwrap();
+                        ctx.clock.advance_to(c.end);
+                        c
+                    };
+                    (
+                        c,
+                        ctx.clock.now(),
+                        ctx.stats.snapshot().since(&before),
+                        contents(&remote),
+                        contents(&local),
+                    )
+                };
+                let (blocking, posted) = (run(true), run(false));
+                assert!(blocking.0.end > blocking.0.start);
+                assert_eq!(blocking, posted, "{verb:?} on {kind:?}");
+            }
+        }
     }
 
     #[test]

@@ -50,8 +50,9 @@ pub enum MemoryKind {
 /// use portus_sim::CostModel;
 ///
 /// let m = CostModel::icdcs24();
-/// // A 1 MiB one-sided RDMA read out of GPU memory is BAR-limited.
-/// let d = m.rdma_read(1 << 20, portus_sim::MemoryKind::GpuHbm);
+/// // A 1 MiB one-sided RDMA read out of GPU memory, first on its
+/// // doorbell, is BAR-limited.
+/// let d = m.rdma_read(1 << 20, portus_sim::MemoryKind::GpuHbm, true);
 /// assert!(d.as_micros() > 150); // ~5.8 GB/s => ~180 us
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -240,60 +241,34 @@ impl CostModel {
         SimDuration::from_nanos(base_latency_ns) + SimDuration::from_secs_f64(s / eff)
     }
 
-    /// Time for a one-sided RDMA READ of `bytes` whose source is `src`
-    /// memory. Reading GPU memory is BAR-capped; other sources run at the
-    /// RNIC effective peak.
-    pub fn rdma_read(&self, bytes: u64, src: MemoryKind) -> SimDuration {
-        let peak = match src {
-            MemoryKind::GpuHbm => self.gpu_bar_read_bw,
-            MemoryKind::HostDram | MemoryKind::Pmem => self.rdma_peak_bw,
-        };
-        self.link_time(bytes, peak, self.rdma_op_latency_ns)
-    }
-
-    /// Time for a one-sided RDMA WRITE of `bytes` into `dst` memory.
-    /// Writes are posted and are not BAR-limited (Fig. 10d).
-    pub fn rdma_write(&self, bytes: u64, _dst: MemoryKind) -> SimDuration {
-        self.link_time(bytes, self.rdma_peak_bw, self.rdma_op_latency_ns)
-    }
-
-    /// Time for a one-sided RDMA READ of `bytes` posted as part of a
-    /// doorbell batch. The first verb of a batch pays the full per-verb
-    /// base latency; subsequent verbs pay only
+    /// Time for a one-sided RDMA READ work-queue entry of `bytes` whose
+    /// source is `src` memory. Reading GPU memory is BAR-capped; other
+    /// sources run at the RNIC effective peak. The first verb of a
+    /// doorbell batch pays the full per-verb base latency; follow-on
+    /// verbs (`first_in_batch == false`) pay only
     /// [`rdma_posted_verb_ns`](CostModel::rdma_posted_verb_ns), which is
     /// where the batched datapath's latency win comes from.
-    pub fn rdma_read_posted(
-        &self,
-        bytes: u64,
-        src: MemoryKind,
-        first_in_batch: bool,
-    ) -> SimDuration {
+    pub fn rdma_read(&self, bytes: u64, src: MemoryKind, first_in_batch: bool) -> SimDuration {
         let peak = match src {
             MemoryKind::GpuHbm => self.gpu_bar_read_bw,
             MemoryKind::HostDram | MemoryKind::Pmem => self.rdma_peak_bw,
         };
-        let base = if first_in_batch {
-            self.rdma_op_latency_ns
-        } else {
-            self.rdma_posted_verb_ns
-        };
-        self.link_time(bytes, peak, base)
+        self.link_time(bytes, peak, self.verb_base_ns(first_in_batch))
     }
 
-    /// Time for a one-sided RDMA WRITE of `bytes` posted as part of a
-    /// doorbell batch (see [`rdma_read_posted`](CostModel::rdma_read_posted)).
-    pub fn rdma_write_posted(
-        &self,
-        bytes: u64,
-        _dst: MemoryKind,
-        first_in_batch: bool,
-    ) -> SimDuration {
-        let base = if first_in_batch {
+    /// Time for a one-sided RDMA WRITE work-queue entry of `bytes` into
+    /// `dst` memory. Writes are posted and are not BAR-limited
+    /// (Fig. 10d); doorbell batching as [`rdma_read`](CostModel::rdma_read).
+    pub fn rdma_write(&self, bytes: u64, _dst: MemoryKind, first_in_batch: bool) -> SimDuration {
+        self.link_time(bytes, self.rdma_peak_bw, self.verb_base_ns(first_in_batch))
+    }
+
+    fn verb_base_ns(&self, first_in_batch: bool) -> u64 {
+        if first_in_batch {
             self.rdma_op_latency_ns
         } else {
             self.rdma_posted_verb_ns
-        };
-        self.link_time(bytes, self.rdma_peak_bw, base)
+        }
     }
 
     /// Time for a two-sided RPC-over-RDMA transfer of `bytes` (the BeeGFS
@@ -444,9 +419,9 @@ mod tests {
     #[test]
     fn bar_caps_gpu_reads_but_not_writes() {
         let m = CostModel::icdcs24();
-        let read_gpu = m.rdma_read(256 * MIB, MemoryKind::GpuHbm);
-        let read_dram = m.rdma_read(256 * MIB, MemoryKind::HostDram);
-        let write_gpu = m.rdma_write(256 * MIB, MemoryKind::GpuHbm);
+        let read_gpu = m.rdma_read(256 * MIB, MemoryKind::GpuHbm, true);
+        let read_dram = m.rdma_read(256 * MIB, MemoryKind::HostDram, true);
+        let write_gpu = m.rdma_write(256 * MIB, MemoryKind::GpuHbm, true);
         assert!(read_gpu > read_dram, "BAR cap must slow GPU reads");
         // Writes to GPU run at the NIC peak, same as DRAM reads.
         assert_eq!(write_gpu, read_dram);
@@ -455,7 +430,9 @@ mod tests {
     #[test]
     fn fig10_knee_is_at_half_megabyte() {
         let m = CostModel::icdcs24();
-        let bw = |bytes: u64| bytes as f64 / m.rdma_read(bytes, MemoryKind::HostDram).as_secs_f64();
+        let bw = |bytes: u64| {
+            bytes as f64 / m.rdma_read(bytes, MemoryKind::HostDram, true).as_secs_f64()
+        };
         // Past 512 KB the effective bandwidth is within 15% of peak.
         let bw_512k = bw(512 * 1024);
         assert!(
@@ -504,7 +481,7 @@ mod tests {
     fn zero_byte_ops_cost_only_latency() {
         let m = CostModel::icdcs24();
         assert_eq!(
-            m.rdma_read(0, MemoryKind::HostDram).as_nanos(),
+            m.rdma_read(0, MemoryKind::HostDram, true).as_nanos(),
             m.rdma_op_latency_ns
         );
         assert_eq!(m.dax_write(0), SimDuration::ZERO);
@@ -513,9 +490,9 @@ mod tests {
     #[test]
     fn doorbell_batching_discounts_follow_on_verbs() {
         let m = CostModel::icdcs24();
-        let first = m.rdma_read_posted(4096, MemoryKind::GpuHbm, true);
-        let rest = m.rdma_read_posted(4096, MemoryKind::GpuHbm, false);
-        assert_eq!(first, m.rdma_read(4096, MemoryKind::GpuHbm));
+        let first = m.rdma_read(4096, MemoryKind::GpuHbm, true);
+        let rest = m.rdma_read(4096, MemoryKind::GpuHbm, false);
+        assert_eq!(first, m.rdma_read(4096, MemoryKind::GpuHbm, true));
         assert!(rest < first, "batched verbs must be cheaper");
         let saved = first.saturating_sub(rest).as_nanos();
         assert_eq!(saved, m.rdma_op_latency_ns - m.rdma_posted_verb_ns);

@@ -20,7 +20,7 @@
 //! use portus_sim::{MemoryKind, SimContext};
 //!
 //! let ctx = SimContext::icdcs24();
-//! let d = ctx.model.rdma_read(1 << 20, MemoryKind::GpuHbm);
+//! let d = ctx.model.rdma_read(1 << 20, MemoryKind::GpuHbm, true);
 //! ctx.clock.advance_by(d);
 //! assert!(ctx.clock.now().as_nanos() > 0);
 //! ```

@@ -57,7 +57,7 @@ fn batched_checkpoint_beats_the_unbatched_per_verb_bound() {
     let unbatched_ns: u64 = (0..LAYERS)
         .map(|_| {
             ctx.model
-                .rdma_read(LAYER_BYTES, MemoryKind::GpuHbm)
+                .rdma_read(LAYER_BYTES, MemoryKind::GpuHbm, true)
                 .as_nanos()
         })
         .sum();

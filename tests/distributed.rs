@@ -115,7 +115,7 @@ fn shard_pulls_serialize_on_the_storage_nic() {
     }
 
     let nic = fabric.nic(storage).unwrap();
-    let busy_before = nic.resource().total_busy_time();
+    let busy_before = nic.engine(0).total_busy_time();
     let pending: Vec<_> = tenants
         .iter()
         .map(|(client, model)| {
@@ -127,7 +127,7 @@ fn shard_pulls_serialize_on_the_storage_nic() {
     for (client, name, p) in pending {
         client.wait_checkpoint(&name, p).unwrap();
     }
-    let busy = nic.resource().total_busy_time() - busy_before;
+    let busy = nic.engine(0).total_busy_time() - busy_before;
     // Every shard's bytes went through the one NIC.
     let min_transfer = portus_sim::SimDuration::from_secs_f64(
         spec.total_bytes() as f64 / ctx.model.gpu_bar_read_bw,

@@ -13,7 +13,7 @@ use portus_dnn::{test_spec, Materialization, ModelInstance};
 use portus_mem::GpuDevice;
 use portus_pmem::{PmemDevice, PmemMode};
 use portus_rdma::{Fabric, NodeId, MAX_SGE};
-use portus_sim::{SimContext, SimDuration, SimTime, Stage};
+use portus_sim::{SimContext, SimDuration, SimRng, SimTime, Stage};
 
 const TENANTS: usize = 6;
 const ROUNDS: usize = 4;
@@ -202,20 +202,14 @@ fn token_bucket_decisions_replay_bit_for_bit() {
     let burst = 16 * MIB;
     let mut a = TokenBucket::new(rate, burst);
     let mut b = TokenBucket::new(rate, burst);
-    let mut lcg = 0x2545F4914F6CDD1Du64;
-    let mut next = move || {
-        lcg = lcg
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        lcg
-    };
+    let mut rng = SimRng::new(0x2545F4914F6CDD1D);
     let mut now = SimTime::ZERO;
     let mut admitted = 0u64;
     let mut max_amount = 0u64;
     let mut decisions = Vec::new();
     for _ in 0..10_000 {
-        now += SimDuration::from_nanos(next() % 2_000_000);
-        let amount = next() % (8 * MIB);
+        now += SimDuration::from_nanos(rng.gen_range(2_000_000));
+        let amount = rng.gen_range(8 * MIB);
         let da = a.try_take(amount, now);
         let db = b.try_take(amount, now);
         assert_eq!(da, db, "identical streams must decide identically");

@@ -16,7 +16,7 @@ use proptest::prelude::*;
 use portus_mem::{Buffer, MemorySegment};
 use portus_pmem::{load_image, save_image, PmemDevice, PmemMode};
 use portus_rdma::{
-    Access, CompletionQueue, Fabric, NodeId, PostedQueuePair, QueuePair, RegionTarget,
+    Access, CompletionQueue, Fabric, NodeId, PostedQueuePair, QueuePair, RegionTarget, SgEntry,
 };
 use portus_sim::{MemoryKind, SimContext, SimRng};
 
@@ -53,7 +53,12 @@ fn batched_pull_via_completion_queue() {
             base: i as u64 * 64 * 1024,
             len: 64 * 1024,
         };
-        qp.post_read(mr.rkey(), 0, &dst, 0, 64 * 1024);
+        let seg = SgEntry {
+            rkey: mr.rkey(),
+            offset: 0,
+            len: 64 * 1024,
+        };
+        qp.post_read_gather(&[seg], &dst, 0);
     }
     let done = cq.poll(64);
     assert_eq!(done.len(), 8);

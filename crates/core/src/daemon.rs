@@ -403,10 +403,15 @@ enum Lineage {
     /// still holds. `changed[i]` says whether tensor `i` was dirty in
     /// it; every other tensor is byte-identical in the two versions,
     /// by the client's own mask, whether that delta pulled it or not.
+    /// `digests[i]` is the positional digest `version` sealed for
+    /// tensor `i`'s bytes (empty when the dedup tier sealed it); they
+    /// sum to its header's digest. Keyed by slot-relative offset, an
+    /// entry holds for the tensor's bytes in either slot.
     Delta {
         version: u64,
         base: u64,
         changed: Vec<bool>,
+        digests: Vec<u64>,
     },
     /// A restore put an older version than the latest on the GPU, so
     /// the client's dirty mask no longer describes how the GPU differs
@@ -423,6 +428,13 @@ fn model_map_bytes(map: &ModelMap) -> u64 {
         .sum::<usize>() as u64
 }
 
+/// The slot digest of per-tensor digests that tile a region.
+fn sum_digests(digests: &[u64]) -> u64 {
+    digests
+        .iter()
+        .fold(0, |acc, &d| crate::combine_digests(acc, d))
+}
+
 /// The in-place/pull split of a checkpoint of `mi` with `dirty`, given
 /// the model's `lineage`: `true` for every tensor the checkpoint pulls.
 /// Admission charges what this mask pulls, and
@@ -431,35 +443,40 @@ fn model_map_bytes(map: &ModelMap) -> u64 {
 /// The reuse rule: a clean tensor stays in place when the latest version
 /// is the plain delta `lineage` describes, that delta did not change the
 /// tensor, and the target slot still holds, as a sealed plain region,
-/// the base version that delta was taken over. The tensor is then
-/// already correct in the target. Repack reclaim, rollback collapse,
+/// the base version that delta was taken over, and the lineage's sealed
+/// digests are one per tensor and sum to the latest header's digest.
+/// The tensor is then already correct in the target, and its sealed
+/// digest is the lineage's entry. Repack reclaim, rollback collapse,
 /// the dedup tier's extent seal (which leaves no plain region behind)
 /// and crash debris all change the target's header, so they break the
 /// rule without a hook of their own. Every other tensor, dirty or
 /// clean, is pulled, so every byte a checkpoint writes arrives by
 /// posted READ.
-fn pull_mask(mi: &MIndex, lineage: Option<Lineage>, dirty: Option<&[bool]>) -> Vec<bool> {
+fn pull_mask(mi: &MIndex, lineage: Option<&Lineage>, dirty: Option<&[bool]>) -> Vec<bool> {
     let target = &mi.slots[mi.target_slot()];
     // The previous delta's changed mask when the rule holds; empty (so
     // nothing stays in place) when it does not.
-    let prev_changed = match (lineage, mi.latest_done()) {
+    let prev_changed: &[bool] = match (lineage, mi.latest_done()) {
         (
             Some(Lineage::Delta {
                 version,
                 base,
                 changed,
+                digests,
             }),
             Some((_, prev)),
-        ) if prev.version == version
+        ) if prev.version == *version
             && prev.ext_map == 0
             && target.state == SlotState::Done
-            && target.version == base
+            && target.version == *base
             && target.ext_map == 0
-            && target.data_off != 0 =>
+            && target.data_off != 0
+            && digests.len() == mi.tensors.len()
+            && sum_digests(digests) == prev.digest =>
         {
             changed
         }
-        _ => Vec::new(),
+        _ => &[],
     };
     (0..mi.tensors.len())
         .map(|i| {
@@ -772,8 +789,7 @@ fn checkpoint_cost(state: &DaemonState, req: &Request) -> Option<u64> {
     let pull = dirty.as_deref().and_then(|mask| {
         let off = state.resolve_model(model).ok()??;
         let mi = state.index.load_mindex(off).ok()?;
-        let lineage = state.lineage.lock().get(&off).cloned();
-        Some(pull_mask(&mi, lineage, Some(mask)))
+        Some(pull_mask(&mi, state.lineage.lock().get(&off), Some(mask)))
     });
     let sessions = state.sessions.lock();
     let descs = sessions.get(model).map_or(&[][..], Vec::as_slice);
@@ -962,17 +978,19 @@ struct TensorVerb {
     rel_off: u64,
     len: u64,
     rkey: u64,
-    name: String,
+    /// The tensor's index in its model.
+    tensor: usize,
 }
 
 /// One work-queue entry: a run of tensors contiguous in the slot's
 /// TensorData region, moved by a single gather/scatter verb. A tensor
 /// split across runs appears in each of them, its segments' `offset`s
-/// picking up where the previous run stopped.
+/// picking up where the previous run stopped. `tensors[k]` is the
+/// model index of segment `k`'s tensor.
 #[derive(Debug)]
 struct VerbRun {
     segs: Vec<SgEntry>,
-    names: Vec<String>,
+    tensors: Vec<usize>,
     base_rel: u64,
     len: u64,
 }
@@ -1032,7 +1050,7 @@ fn coalesce_runs(verbs: &[TensorVerb], max_bytes: u64, pieces: &[SlotPiece]) -> 
             if !open {
                 runs.push(VerbRun {
                     segs: Vec::new(),
-                    names: Vec::new(),
+                    tensors: Vec::new(),
                     base_rel: at,
                     len: 0,
                 });
@@ -1051,7 +1069,7 @@ fn coalesce_runs(verbs: &[TensorVerb], max_bytes: u64, pieces: &[SlotPiece]) -> 
                 offset: done,
                 len: take,
             });
-            run.names.push(v.name.clone());
+            run.tensors.push(v.tensor);
             run.len += take;
             done += take;
             if done == v.len {
@@ -1071,8 +1089,9 @@ fn piece_at(pieces: &[SlotPiece], rel: u64) -> Option<&SlotPiece> {
 
 /// A datapath operation whose WQEs exhausted their retries.
 struct DatapathFailure {
-    /// The terminally failed work requests, with tensor attribution.
-    failures: Vec<VerbFailure>,
+    /// The terminally failed runs, in run order: `(run index, retries,
+    /// the last attempt's error)`.
+    failed: Vec<(usize, u32, RdmaError)>,
     /// Whether any WQE of the operation completed — i.e. whether bytes
     /// landed in the target region before the operation was declared
     /// failed. Decides revert-vs-collapse on rollback.
@@ -1080,11 +1099,34 @@ struct DatapathFailure {
 }
 
 impl DatapathFailure {
-    fn into_error(self, model: &str, op: &str) -> PortusError {
+    /// The typed error of `op` on `mi` over `runs`, with each failed
+    /// run's tensors named. Failed chunks of one split tensor fold into
+    /// one failure, so every tensor is named once. Runs are in slot
+    /// order, so a tensor's chunks are consecutive.
+    fn into_error(self, mi: &MIndex, runs: &[VerbRun], op: &str) -> PortusError {
+        let mut failures: Vec<VerbFailure> = Vec::new();
+        for (i, retries, e) in self.failed {
+            let names: Vec<String> = runs[i]
+                .tensors
+                .iter()
+                .map(|&t| mi.tensors[t].meta.name.clone())
+                .collect();
+            match failures.last_mut() {
+                Some(prev) if prev.tensors.last() == names.first() => {
+                    prev.tensors.extend_from_slice(&names[1..]);
+                    prev.retries = prev.retries.max(retries);
+                }
+                _ => failures.push(VerbFailure {
+                    tensors: names,
+                    retries,
+                    error: e.to_string(),
+                }),
+            }
+        }
         PortusError::DatapathFailed {
-            model: model.to_string(),
+            model: mi.name.clone(),
             op: op.to_string(),
-            failures: self.failures,
+            failures,
         }
     }
 }
@@ -1096,30 +1138,14 @@ struct RunOutcome {
     completions: Vec<Option<(SimTime, SimTime)>>,
 }
 
-/// One extent of a checkpoint whose bytes are already in the slot's
-/// data region, queued for the pipelined persist+digest stage, which
-/// reads it back from PMem to digest it.
-struct SealPiece {
-    /// Slot-relative offset of the extent.
-    rel_off: u64,
-    /// Extent length in bytes.
-    len: u64,
+/// One pulled run whose bytes are already in the slot's data region,
+/// queued for the pipelined persist+digest stage, which reads it back
+/// from PMem to digest it segment by segment.
+struct SealPiece<'a> {
+    run: &'a VerbRun,
     /// Virtual instant the bytes were in place: the run's fabric
     /// completion end.
     arrival: SimTime,
-}
-
-/// Where a seal's digest starts: `0` for a region pulled whole, or —
-/// for a delta that leaves tensors in place — the previous version's
-/// digest with the old contribution of the pulled runs swapped out.
-/// Forming the latter reads `read_back` bytes of the previous version;
-/// that read joins the seal pipe at `at`, the instant the pulls are
-/// posted, ahead of every piece.
-#[derive(Debug, Clone, Copy, Default)]
-struct SealBase {
-    digest: u64,
-    read_back: u64,
-    at: SimTime,
 }
 
 /// Drains **every** posted completion off `cq` and returns the run
@@ -1186,12 +1212,11 @@ fn drain_cq(
 
 /// The seal pieces of a posted pull: one per run, arriving at its
 /// fabric completion (`now` for a run with no recorded window).
-fn pull_pieces(runs: &[VerbRun], outcome: &RunOutcome, now: SimTime) -> Vec<SealPiece> {
+fn pull_pieces<'a>(runs: &'a [VerbRun], outcome: &RunOutcome, now: SimTime) -> Vec<SealPiece<'a>> {
     runs.iter()
         .zip(&outcome.completions)
         .map(|(run, c)| SealPiece {
-            rel_off: run.base_rel,
-            len: run.len,
+            run,
             arrival: c.map_or(now, |(_, end)| end),
         })
         .collect()
@@ -1475,26 +1500,11 @@ impl DaemonState {
             }
             failed.sort_by_key(|&(i, _)| i);
             if round >= self.cfg.verb_retries {
-                // Failed chunks of one split tensor fold into one
-                // failure, so every tensor is named once. Runs are in
-                // slot order, so a tensor's chunks are consecutive.
-                let mut failures: Vec<VerbFailure> = Vec::new();
-                for (i, e) in failed {
-                    let names = &runs[i].names;
-                    match failures.last_mut() {
-                        Some(prev) if prev.tensors.last() == names.first() => {
-                            prev.tensors.extend_from_slice(&names[1..]);
-                            prev.retries = prev.retries.max(retries[i]);
-                        }
-                        _ => failures.push(VerbFailure {
-                            tensors: names.clone(),
-                            retries: retries[i],
-                            error: e.to_string(),
-                        }),
-                    }
-                }
                 return Err(DatapathFailure {
-                    failures,
+                    failed: failed
+                        .into_iter()
+                        .map(|(i, e)| (i, retries[i], e))
+                        .collect(),
                     any_succeeded,
                 });
             }
@@ -1545,56 +1555,38 @@ impl DaemonState {
         }
     }
 
-    /// The seal: each extent rides a FIFO persist+digest pipeline **as
-    /// its transfer completes** — work for early runs overlaps, in
+    /// The seal: each pulled run rides a FIFO persist+digest pipeline
+    /// **as its transfer completes** — work for early runs overlaps, in
     /// virtual time, with later runs still in flight on the NIC
-    /// engines; extents that land while the stage is busy share one
-    /// flush pass and fence. Per-extent digests ([`crate::region_digest`]) combine
-    /// order-independently into the slot digest the header is sealed
-    /// with ([`Index::mark_slot_done`]), starting from `base` (see
-    /// [`SealBase`], whose read-back is the pipe's first job); restore
-    /// recomputes the same value from the region regardless of how the
-    /// extents were partitioned. On any error the slot is rolled back to `hdr`, its
-    /// pre-activation header (bytes definitely landed by this point),
-    /// and the original error is returned.
+    /// engines; runs that land while the stage is busy share one flush
+    /// pass and fence. Each segment's digest ([`crate::region_digest`])
+    /// joins its tensor's entry in `digests`, which holds on entry the
+    /// sealed digest of every tensor left in place (0 for a pulled
+    /// one); the entries combine order-independently into the slot
+    /// digest the header is sealed with ([`Index::mark_slot_done`]), so
+    /// the seal reads only the bytes that landed, and restore
+    /// recomputes the same value from the region regardless of how it
+    /// was partitioned. Returns the per-tensor digests.
     fn seal_slot_pipelined(
         &self,
         mi: &MIndex,
         slot: usize,
         hdr: SlotHeader,
-        base: SealBase,
-        pieces: Vec<SealPiece>,
+        mut digests: Vec<u64>,
+        mut pieces: Vec<SealPiece<'_>>,
         sc: &SpanCtx<'_>,
-    ) -> PortusResult<()> {
-        if let Err(e) = self.seal_pipeline(mi, slot, hdr, base, pieces, sc) {
-            // Best-effort: the original error is what the client sees.
-            self.rollback_best_effort(mi, slot, hdr, true);
-            return Err(e);
-        }
-        Ok(())
-    }
-
-    fn seal_pipeline(
-        &self,
-        mi: &MIndex,
-        slot: usize,
-        hdr: SlotHeader,
-        base: SealBase,
-        mut pieces: Vec<SealPiece>,
-        sc: &SpanCtx<'_>,
-    ) -> PortusResult<()> {
+    ) -> PortusResult<Vec<u64>> {
         let ctx = &self.ctx;
-        // The stage's own FIFO: extents enter in arrival order, so an
-        // extent whose transfer finished first is durable first.
+        // The stage's own FIFO: runs enter in arrival order, so a run
+        // whose transfer finished first is durable first.
         let pipe = Resource::new("seal-pipe");
-        pieces.sort_by_key(|p| (p.arrival, p.rel_off));
+        pieces.sort_by_key(|p| (p.arrival, p.run.base_rel));
         let fabric_end = pieces
             .iter()
             .map(|p| p.arrival)
             .max()
             .unwrap_or_else(|| ctx.clock.now());
         let dev = self.index.device();
-        let mut digest = base.digest;
         // Each piece of stage work queues on the pipe and is traced;
         // work granted before the last fabric completion ran in the
         // transfer's shadow (the pipeline gauge).
@@ -1609,14 +1601,10 @@ impl DaemonState {
                 .min(fabric_end)
                 .saturating_since(g.start.min(fabric_end));
         };
-        if base.read_back > 0 {
-            let cost = ctx.model.dax_read(base.read_back);
-            serve(Stage::Checksum, base.at, cost);
-        }
-        // Group persist: whenever the stage frees up it takes every
-        // extent that has landed by then (at least the next one) as one
-        // batch — one flush pass and one fence for the batch — then
-        // reads the batch back to digest it.
+        // Group persist: whenever the stage frees up it takes every run
+        // that has landed by then (at least the next one) as one batch —
+        // one flush pass and one fence for the batch — then reads the
+        // batch back to digest it.
         let mut rest = &pieces[..];
         while let Some(first) = rest.first() {
             let ready = pipe.busy_until().max(first.arrival);
@@ -1624,22 +1612,26 @@ impl DaemonState {
             let (batch, tail) = rest.split_at(n);
             rest = tail;
             let arrival = batch[n - 1].arrival;
-            if !self.cfg.dram_fallback && batch.iter().any(|p| p.len > 0) {
+            if !self.cfg.dram_fallback && batch.iter().any(|p| p.run.len > 0) {
                 let ranges: Vec<(u64, u64)> = batch
                     .iter()
-                    .map(|p| (hdr.data_off + p.rel_off, p.len))
+                    .map(|p| (hdr.data_off + p.run.base_rel, p.run.len))
                     .collect();
                 let cost = dev.persist_deferred(&ranges)?;
                 serve(Stage::Persist, arrival, cost);
             }
-            let mut read_back = 0u64;
-            for piece in batch {
-                read_back += piece.len;
-                let at = self.index.slot_pieces(&hdr, piece.rel_off, piece.len)?;
-                digest = crate::combine_digests(digest, self.index.pieces_digest(&at)?);
+            let mut landed = 0u64;
+            for SealPiece { run, .. } in batch {
+                let mut rel = run.base_rel;
+                for (seg, &t) in run.segs.iter().zip(&run.tensors) {
+                    let at = self.index.slot_pieces(&hdr, rel, seg.len)?;
+                    digests[t] = crate::combine_digests(digests[t], self.index.pieces_digest(&at)?);
+                    rel += seg.len;
+                }
+                landed += run.len;
             }
-            if read_back > 0 {
-                let cost = ctx.model.dax_read(read_back);
+            if landed > 0 {
+                let cost = ctx.model.dax_read(landed);
                 serve(Stage::Checksum, arrival, cost);
             }
         }
@@ -1649,9 +1641,9 @@ impl DaemonState {
         ctx.metrics
             .record_pipeline_overlap(stage_overlapped, stage_busy);
         let t0 = ctx.clock.now();
-        let done = self.index.mark_slot_done(mi, slot, digest);
+        let done = self.index.mark_slot_done(mi, slot, sum_digests(&digests));
         sc.record_now(Stage::HeaderFlip, t0);
-        done
+        done.map(|()| digests)
     }
 
     pub(crate) fn register(&self, model: &str, tensors: Vec<TensorDesc>) -> PortusResult<()> {
@@ -1742,7 +1734,16 @@ impl DaemonState {
         // the previous version, whatever the mask says: the new version
         // counts every tensor as changed.
         let rewound = matches!(lineage, Some(Lineage::PullAll));
-        let pull = pull_mask(&mi, lineage, dirty);
+        let pull = pull_mask(&mi, lineage.as_ref(), dirty);
+        // The seal starts from the sealed digest of every tensor left in
+        // place (the rule held, so the lineage has one per tensor).
+        let sealed: &[u64] = match &lineage {
+            Some(Lineage::Delta { digests, .. }) => digests,
+            _ => &[],
+        };
+        let digests: Vec<u64> = (0..pull.len())
+            .map(|i| if pull[i] { 0 } else { sealed[i] })
+            .collect();
 
         // Validate the session and split the tensors into posted pull
         // runs BEFORE the slot is touched: a rejected request must leave
@@ -1751,7 +1752,7 @@ impl DaemonState {
         // coalesce.
         let (mut pulled, mut reused) = (0u64, 0u64);
         let mut verbs = Vec::new();
-        for (i, (rec, desc)) in mi.tensors.iter().zip(&descs).enumerate() {
+        for (tensor, (rec, desc)) in mi.tensors.iter().zip(&descs).enumerate() {
             if desc.meta() != rec.meta {
                 return Err(PortusError::StructureMismatch(format!(
                     "{model}: registered tensor {} does not match index",
@@ -1759,7 +1760,7 @@ impl DaemonState {
                 )));
             }
             let len = rec.meta.size_bytes();
-            if !pull[i] {
+            if !pull[tensor] {
                 reused += len;
                 continue;
             }
@@ -1767,7 +1768,7 @@ impl DaemonState {
                 rel_off: rec.rel_off,
                 len,
                 rkey: desc.rkey,
-                name: desc.name.clone(),
+                tensor,
             });
             pulled += len;
         }
@@ -1776,20 +1777,6 @@ impl DaemonState {
         let t_build = self.ctx.clock.now();
         let runs = coalesce_runs(&verbs, PULL_WQE_BYTES, &[]);
         sc.record_now(Stage::WqeBuild, t_build);
-        // With tensors left in place the seal starts from the previous
-        // version's digest: the new slot differs from that version only
-        // in the pulled runs, so their old contribution is read back
-        // and swapped out. Restore still verifies the whole region, so
-        // a wrong lineage surfaces there as a checksum mismatch.
-        let reuse_digest = prev_hdr
-            .filter(|_| reused > 0)
-            .map(|ph| {
-                runs.iter().try_fold(ph.digest, |acc, run| {
-                    let old = self.index.slot_pieces(&ph, run.base_rel, run.len)?;
-                    Ok::<_, PortusError>(acc.wrapping_sub(self.index.pieces_digest(&old)?))
-                })
-            })
-            .transpose()?;
 
         // On a dedup namespace the target slot may hold the older
         // version as an extent map; drop those references *before* the
@@ -1813,14 +1800,7 @@ impl DaemonState {
         let t0 = ctx.clock.now();
         // The zero-copy pulls, GPU → PMem: coalesced gather WQEs posted
         // under one doorbell per QP stripe, completions drained off the
-        // CQs, failed WQEs retried per run on their own lane. The
-        // read-back of the previous version's pulled runs joins the seal
-        // pipe at the post instant, so it overlaps the fabric.
-        let mut base = reuse_digest.map_or_else(SealBase::default, |digest| SealBase {
-            digest,
-            read_back: pulled,
-            at: t0,
-        });
+        // CQs, failed WQEs retried per run on their own lane.
         let region = [SlotPiece {
             dev_off: hdr.data_off,
             rel_off: 0,
@@ -1830,7 +1810,7 @@ impl DaemonState {
             Ok(outcome) => outcome,
             Err(fail) => {
                 self.rollback_best_effort(&mi, target, hdr, fail.any_succeeded);
-                return Err(fail.into_error(model, op.name()));
+                return Err(fail.into_error(&mi, &runs, op.name()));
             }
         };
         // RDMA landed in the DDIO domain; make it durable (Wei et al.),
@@ -1844,16 +1824,21 @@ impl DaemonState {
             .dedup
             .as_ref()
             .is_some_and(|dcfg| self.extent_seal(&mut mi, target, version, dcfg, &sc));
-        if !extent_sealed {
+        let digests = if extent_sealed {
+            Vec::new()
+        } else {
             if self.cfg.dedup.is_some() {
                 let now = ctx.clock.now();
                 pieces
                     .iter_mut()
                     .for_each(|p| p.arrival = p.arrival.max(now));
-                base.at = base.at.max(now);
             }
-            self.seal_slot_pipelined(&mi, target, hdr, base, pieces, &sc)?;
-        }
+            // On a seal error the slot rolls back to `hdr`, its
+            // pre-activation header (bytes definitely landed), and the
+            // seal's error is what the client sees.
+            self.seal_slot_pipelined(&mi, target, hdr, digests, pieces, &sc)
+                .inspect_err(|_| self.rollback_best_effort(&mi, target, hdr, true))?
+        };
         ctx.stats.record_reuse(reused);
         {
             // A full pull, like a first version, leaves no lineage.
@@ -1865,6 +1850,7 @@ impl DaemonState {
                         version,
                         base: ph.version,
                         changed: mask.iter().map(|&d| d || rewound).collect(),
+                        digests,
                     },
                 ),
                 _ => lineage.remove(&mi.offset),
@@ -1905,7 +1891,7 @@ impl DaemonState {
             )));
         }
         let mut verbs = Vec::with_capacity(mi.tensors.len());
-        for (rec, desc) in mi.tensors.iter().zip(descs) {
+        for (tensor, (rec, desc)) in mi.tensors.iter().zip(descs).enumerate() {
             if desc.meta() != rec.meta {
                 return Err(PortusError::StructureMismatch(format!(
                     "{model}: restore tensor {} does not match index",
@@ -1916,7 +1902,7 @@ impl DaemonState {
                 rel_off: rec.rel_off,
                 len: rec.meta.size_bytes(),
                 rkey: desc.rkey,
-                name: desc.name.clone(),
+                tensor,
             });
         }
         // Validate covers the index/descriptor reconciliation only; it
@@ -1955,7 +1941,7 @@ impl DaemonState {
         // failure touches no slot state — the stored version stays
         // `Done` and a later restore can try again.
         self.execute_runs(pool, &runs, &pieces, Verb::Write, &sc)
-            .map_err(|fail| fail.into_error(model, "restore"))?;
+            .map_err(|fail| fail.into_error(&mi, &runs, "restore"))?;
         let elapsed = self.ctx.clock.now().saturating_since(t0);
         sc.record_now(Stage::Total, t_op);
         Ok((hdr.version, mi.total_bytes, elapsed))
@@ -2050,7 +2036,7 @@ mod tests {
                     rel_off,
                     len,
                     rkey: 100 + i as u64,
-                    name: format!("t{i}"),
+                    tensor: i,
                 };
                 rel_off += len;
                 v
@@ -2062,12 +2048,13 @@ mod tests {
     /// every segment of every run visits each tensor's bytes front to
     /// back, and each run's segments are packed from its `base_rel`.
     fn assert_tiles(verbs: &[TensorVerb], runs: &[VerbRun]) {
-        // Every segment as (slot offset, segment, its run's names).
+        // Every segment as (slot offset, segment, its tensor).
         let mut segs = Vec::new();
         for r in runs {
+            assert_eq!(r.segs.len(), r.tensors.len(), "one tensor per segment");
             let mut at = r.base_rel;
-            for s in &r.segs {
-                segs.push((at, *s, &r.names));
+            for (s, &t) in r.segs.iter().zip(&r.tensors) {
+                segs.push((at, *s, t));
                 at += s.len;
             }
             assert_eq!(at, r.base_rel + r.len, "run length is its segments'");
@@ -2076,9 +2063,9 @@ mod tests {
         for v in verbs {
             let mut done = 0;
             loop {
-                let (at, s, names) = next.next().expect("tensor bytes left untiled");
+                let (at, s, t) = next.next().expect("tensor bytes left untiled");
                 assert_eq!(s.rkey, v.rkey, "segments follow tensor order");
-                assert!(names.contains(&v.name), "its run names {}", v.name);
+                assert_eq!(t, v.tensor, "the segment names its tensor");
                 assert_eq!(s.offset, done, "segment resumes where the last stopped");
                 assert_eq!(at, v.rel_off + done, "segment lands at its slot offset");
                 done += s.len;
@@ -2125,7 +2112,7 @@ mod tests {
         let runs = coalesce_runs(&verbs, PULL_WQE_BYTES, &[]);
         assert_tiles(&verbs, &runs);
         assert_eq!(runs.len(), 2, "the gap breaks the run: {runs:?}");
-        assert_eq!(runs[0].names, ["t0", "t1", "t2"]);
+        assert_eq!(runs[0].tensors, [0, 1, 2]);
         assert_eq!(runs[0].segs[1].len, 0);
         assert_eq!(runs[1].base_rel, 3 * 4096);
 
@@ -2133,8 +2120,8 @@ mod tests {
         let verbs = adjacent(&[PULL_WQE_BYTES, 0, 4096]);
         let runs = coalesce_runs(&verbs, PULL_WQE_BYTES, &[]);
         assert_tiles(&verbs, &runs);
-        assert_eq!(runs[0].names, ["t0", "t1"]);
-        assert_eq!(runs[1].names, ["t2"]);
+        assert_eq!(runs[0].tensors, [0, 1]);
+        assert_eq!(runs[1].tensors, [2]);
     }
 
     #[test]
@@ -2172,10 +2159,10 @@ mod tests {
                 (256 * KIB, 32 * KIB)
             ]
         );
-        assert_eq!(runs[1].names, ["t0", "t1"]);
+        assert_eq!(runs[1].tensors, [0, 1]);
         assert_eq!(
-            runs[4].names,
-            ["t2", "t3"],
+            runs[4].tensors,
+            [2, 3],
             "the empty tensor joins the last run"
         );
         for r in &runs {
@@ -2183,6 +2170,80 @@ mod tests {
             assert!(
                 r.base_rel + r.len <= p.rel_off + p.len,
                 "{r:?} crosses {p:?}"
+            );
+        }
+    }
+
+    /// A model of four 4 KiB tensors whose latest version 2 (slot 1,
+    /// digest `latest_digest`) is a delta over version 1, which the
+    /// target slot 0 still holds as a plain region.
+    fn two_generations(latest_digest: u64) -> MIndex {
+        let slot = |version, data_off, digest| SlotHeader {
+            state: SlotState::Done,
+            version,
+            data_off,
+            data_len: 4 * 4096,
+            digest,
+            ext_map: 0,
+        };
+        MIndex {
+            offset: 4096,
+            name: "m".into(),
+            flags: 0,
+            total_bytes: 4 * 4096,
+            tensors: (0..4)
+                .map(|i| crate::TensorRecord {
+                    meta: portus_dnn::TensorMeta::new(
+                        format!("t{i}"),
+                        portus_dnn::DType::F32,
+                        vec![1024],
+                    ),
+                    rel_off: i * 4096,
+                })
+                .collect(),
+            slots: [slot(1, 1 << 20, 7), slot(2, 2 << 20, latest_digest)],
+        }
+    }
+
+    fn delta_lineage(digests: Vec<u64>) -> Lineage {
+        Lineage::Delta {
+            version: 2,
+            base: 1,
+            changed: vec![true, false, false, false],
+            digests,
+        }
+    }
+
+    #[test]
+    fn clean_tensors_stay_in_place_when_the_sealed_digests_sum_to_the_header() {
+        let mi = two_generations(100);
+        let lineage = delta_lineage(vec![10, 20, 30, 40]);
+        let dirty = [false, false, true, false];
+        assert_eq!(
+            pull_mask(&mi, Some(&lineage), Some(&dirty)),
+            [true, false, true, false],
+            "the previous delta's and this delta's dirty tensors are pulled"
+        );
+    }
+
+    #[test]
+    fn a_lineage_whose_digests_do_not_sum_to_the_header_pulls_every_tensor() {
+        let mi = two_generations(101);
+        let lineage = delta_lineage(vec![10, 20, 30, 40]);
+        let dirty = [false, false, true, false];
+        assert_eq!(pull_mask(&mi, Some(&lineage), Some(&dirty)), [true; 4]);
+    }
+
+    #[test]
+    fn a_lineage_of_the_wrong_length_pulls_every_tensor() {
+        let dirty = [false, false, true, false];
+        for digests in [vec![], vec![30, 30, 40], vec![10, 20, 30, 40, 0]] {
+            let mi = two_generations(100);
+            let lineage = delta_lineage(digests.clone());
+            assert_eq!(
+                pull_mask(&mi, Some(&lineage), Some(&dirty)),
+                [true; 4],
+                "{digests:?}"
             );
         }
     }

@@ -21,7 +21,7 @@ use portus_dnn::{test_spec, Materialization, ModelInstance};
 use portus_mem::GpuDevice;
 use portus_pmem::{PmemDevice, PmemMode};
 use portus_rdma::{Fabric, FaultSpec, NodeId};
-use portus_sim::{SimContext, SimDuration, SimRng, Stage};
+use portus_sim::{SimContext, SimDuration, SimRng, SimTime, Stage};
 
 const DAEMON_NODE: NodeId = NodeId(1);
 const LAYERS: usize = 8;
@@ -127,34 +127,57 @@ fn steady_state_deltas_leave_clean_tensors_in_place() {
     shutdown(w);
 }
 
-/// With tensors left in place, the seal's read-back of the previous
-/// version's pulled runs is the seal pipe's first job, enqueued when
-/// the pulls are posted: it starts at the doorbell and finishes inside
-/// the fabric window, instead of being charged to the clock ahead of
-/// the pulls.
+/// A reusing delta's seal reads only the bytes that land: the tensors
+/// left in place keep the digests their version sealed, so the seal
+/// pipe's first job is the first landed run's persist, and its digest
+/// reads add up to exactly the pulled bytes, batch by batch.
 #[test]
-fn reusing_delta_reads_back_in_the_pulls_shadow() {
-    let (w, mut model) = world("shadow", 1);
+fn reusing_delta_seals_only_the_bytes_that_land() {
+    let (w, mut model) = world("landed", 4);
     full(&w, &mut model);
-    delta(&w, &mut model, &[0, 1]);
+    delta(&w, &mut model, &[0, 1, 2]);
     w.ctx.tracer.enable();
-    let r = delta(&w, &mut model, &[2, 5]);
-    assert!(r.reused_bytes > 0);
+    // Tensors 0-2 (changed by the previous delta) and 4 are pulled as
+    // two runs on two lanes, posted at one doorbell: the 16 KiB run
+    // lands before the 48 KiB one. Tensors 3, 5, 6 and 7 stay in place.
+    let r = delta(&w, &mut model, &[4]);
+    assert_eq!(r.pulled_bytes, 4 * LAYER_BYTES);
     let spans = w.ctx.tracer.spans();
-    let of = |stage: Stage| spans.iter().filter(move |s| s.stage == stage);
-    let doorbell = of(Stage::DoorbellPost).next().expect("a doorbell span");
-    let read_back = of(Stage::Checksum).next().expect("a read-back span");
-    let fabric_end = of(Stage::CqDrain).map(|s| s.end).max().unwrap();
-    assert_eq!(
-        read_back.start, doorbell.start,
-        "read-back joins at the post instant"
-    );
+    let of = |stage: Stage| {
+        let mut v: Vec<_> = spans.iter().filter(|s| s.stage == stage).collect();
+        v.sort_by_key(|s| s.start);
+        v
+    };
+    let mut arrivals: Vec<SimTime> = of(Stage::CqDrain).iter().map(|s| s.end).collect();
+    arrivals.sort();
+    assert_eq!(arrivals.len(), 2, "one run per lane");
+    assert!(arrivals[0] < arrivals[1], "{arrivals:?}");
+    let runs = [(arrivals[0], LAYER_BYTES), (arrivals[1], 3 * LAYER_BYTES)];
+
+    let persists = of(Stage::Persist);
+    let checksums = of(Stage::Checksum);
+    let first = persists[0];
     assert!(
-        read_back.end <= fabric_end,
-        "read-back {:?} must finish under the pull (fabric ends {:?})",
-        read_back.end,
-        fabric_end
+        checksums.iter().all(|c| c.start >= first.start),
+        "a digest span runs before the first persist"
     );
+    assert_eq!(first.start, arrivals[0], "the seal starts when a run lands");
+    // Each persist takes every run landed by its start; the checksum
+    // span after it reads exactly that batch.
+    assert_eq!(persists.len(), checksums.len(), "one digest per batch");
+    let mut taken = 0;
+    for (p, c) in persists.iter().zip(&checksums) {
+        let landed = runs[taken..]
+            .iter()
+            .take_while(|(at, _)| *at <= p.start)
+            .count();
+        assert!(landed > 0, "a persist with nothing landed");
+        let bytes: u64 = runs[taken..taken + landed].iter().map(|(_, b)| b).sum();
+        taken += landed;
+        assert_eq!(c.start, p.end, "the batch is digested after its persist");
+        assert_eq!(c.duration(), w.ctx.model.dax_read(bytes), "{bytes} B batch");
+    }
+    assert_eq!(taken, runs.len(), "every landed run is sealed");
     let want = model.model_checksum();
     assert_restores(&w, &mut model, want);
     shutdown(w);
@@ -282,6 +305,55 @@ fn corrupted_reused_tensor_fails_restore_with_a_typed_checksum_mismatch() {
             }
             other => panic!("qps {qps}: expected ChecksumMismatch, got {other:?}"),
         }
+        shutdown(w);
+    }
+}
+
+/// A reusing delta seals the tensors it leaves in place with the
+/// digests their version sealed, never with the latest slot's bytes:
+/// a byte flipped in the latest version's slot fails that version's
+/// restore and leaves the next version restorable bit for bit.
+#[test]
+fn a_flipped_byte_in_the_latest_slot_leaves_the_next_version_restorable() {
+    for qps in [1, 4] {
+        let (w, mut model) = world("next", qps);
+        full(&w, &mut model);
+        delta(&w, &mut model, &[0, 1]);
+        let damaged = delta(&w, &mut model, &[2]).version;
+        // Flip one byte of tensor 2 in the latest slot. The next delta
+        // re-pulls tensor 2 (the latest delta changed it) and leaves
+        // every tensor but 2 and 5 in place.
+        let index = w.daemon.index();
+        let (_, off) = index.live_entries().unwrap()[0];
+        let mi = index.load_mindex(off).unwrap();
+        let (_, hdr) = mi.latest_done().unwrap();
+        assert_eq!(hdr.version, damaged);
+        let at = hdr.data_off + mi.tensors[2].rel_off + 7;
+        let mut byte = [0u8; 1];
+        w.pmem.read(at, &mut byte).unwrap();
+        byte[0] ^= 0x01;
+        w.pmem.write(at, &byte).unwrap();
+        w.pmem.persist(at, 1).unwrap();
+
+        let r = delta(&w, &mut model, &[5]);
+        assert_eq!(r.pulled_bytes, 2 * LAYER_BYTES, "qps {qps}");
+        let want = model.model_checksum();
+        model.train_step();
+        let restored = w.client.restore(&model).unwrap();
+        assert_eq!(restored.version, r.version, "qps {qps}");
+        assert_eq!(model.model_checksum(), want, "qps {qps}: not bit-for-bit");
+        match w.client.restore_version(&model, Some(damaged)) {
+            Err(PortusError::ChecksumMismatch { model: m, version }) => {
+                assert_eq!(m, "next");
+                assert_eq!(version, damaged, "qps {qps}");
+            }
+            other => panic!("qps {qps}: expected ChecksumMismatch, got {other:?}"),
+        }
+        assert_eq!(
+            model.model_checksum(),
+            want,
+            "a failed restore touched the GPU"
+        );
         shutdown(w);
     }
 }
